@@ -24,7 +24,7 @@ from .experiment import (
     write_outputs,
 )
 from .gen import MODELS, GenSpec, generate
-from .model import Committee, parse_profile, serialize_profile
+from .model import Committee, ProfileFormatError, parse_profile, serialize_profile
 from .search import DEFAULT_NODE_CAP, BudgetExceededError
 
 RULE_NAMES = rules.SEQUENTIAL_RULES + rules.EXACT_RULES
@@ -53,7 +53,11 @@ DOMAIN_NAMES = {
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_profile(fh.read())
+        text = fh.read()
+    try:
+        return parse_profile(text)
+    except ProfileFormatError as exc:
+        raise click.UsageError(f"{path}: {exc}")
 
 
 def _parse_committee(election, text: str) -> Committee:

@@ -118,19 +118,6 @@ DomainWitness = (
 # --------------------------------------------------------------------------
 
 
-def _is_end_block(positions: list[int], total: int) -> str | None:
-    """'prefix'/'suffix' if sorted positions hug an end of [0, total); else None."""
-    if not positions:
-        return "prefix"
-    if max(positions) - min(positions) + 1 != len(positions):
-        return None
-    if min(positions) == 0:
-        return "prefix"
-    if max(positions) == total - 1:
-        return "suffix"
-    return None
-
-
 def verify_witness(election: Election, domain: DomainId, witness: DomainWitness) -> bool:
     """Re-check a witness against its domain invariants by direct evaluation."""
     n, m = election.n, election.m

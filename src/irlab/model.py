@@ -105,10 +105,7 @@ class Committee:
         return Committee(members=members, target_size=election.k)
 
     def mask(self) -> int:
-        m = 0
-        for c in self.members:
-            m |= 1 << c
-        return m
+        return members_mask(self.members)
 
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
@@ -125,10 +122,7 @@ class VoterGroup:
         return VoterGroup(members=frozenset(_iter_bits(mask)))
 
     def mask(self) -> int:
-        m = 0
-        for v in self.members:
-            m |= 1 << v
-        return m
+        return members_mask(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -142,6 +136,14 @@ def _iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def members_mask(indices: Iterable[int]) -> int:
+    """Bitmask with bit i set for every index i (candidates or voters)."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 def mask_to_set(mask: int) -> frozenset[int]:

@@ -5,22 +5,28 @@ greedy Monroe) run their greedy iteration under a fixed tie-break: the
 lowest candidate index wins every tie (for deletion rules the highest index
 is removed, so low indices survive).  Exact optimization rules (AV, SAV,
 PAV, CC, Monroe, minimax-AV, max-Phragmen, geometric PAV) enumerate size-k
-committees, guarded by a committee-count cap, and can report either the
-lexicographically first optimum or all tied optima.
+committees in lexicographic order, guarded by a committee-count cap, and can
+report either the lexicographically first optimum or all tied optima.
 
-All scores, loads and budgets are exact `fractions.Fraction` values; ties
-are therefore detected exactly, which the counterexample fixtures rely on.
+Thiele scores (PAV, CC, geometric PAV and their sequential forms) are
+computed as exact integers: the weights are scaled by the lcm of their
+denominators and identical ballots are collapsed into one class with a
+multiplicity.  They are reported as `fractions.Fraction` values (CC scores
+as `int`s), as are all loads and budgets.  No float enters any decision, so
+ties are detected exactly, which the counterexample fixtures rely on.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from math import comb, lcm
+from typing import Iterable, Sequence
 
 from .cohesion import CohesionCertificate
-from .model import Committee, Election
+from .model import Committee, Election, _iter_bits, members_mask
 from .search import DEFAULT_NODE_CAP
 
 SEQUENTIAL_RULES = (
@@ -83,44 +89,40 @@ class RuleOutcome:
         return self.committees[0]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _mask(members: Iterable[int]) -> int:
-    out = 0
-    for c in members:
-        out |= 1 << c
-    return out
-
-
 # --------------------------------------------------------------------------
 # score functions
 # --------------------------------------------------------------------------
 
 
-def _harmonic_weights(upto: int) -> list[Fraction]:
-    return [Fraction(1, t) for t in range(1, upto + 1)]
+def _harmonic_weights(upto: int) -> tuple[list[int], int]:
+    """PAV weights 1/t for t = 1..upto, scaled by lcm(1..upto)."""
+    scale = lcm(*range(1, upto + 1))
+    return [scale // t for t in range(1, upto + 1)], scale
 
 
-def _geometric_weights(upto: int, base: Fraction) -> list[Fraction]:
-    return [base ** (t - 1) for t in range(1, upto + 1)]
+def _geometric_weights(upto: int, base: Fraction) -> tuple[list[int], int]:
+    """Weights base^(t-1) for t = 1..upto, scaled by q^(upto-1) for base p/q."""
+    p, q = base.numerator, base.denominator
+    return [p**t * q ** (upto - 1 - t) for t in range(upto)], q ** (upto - 1)
 
 
-def _thiele_score(election: Election, wmask: int, weights: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for b in election.ballot_masks:
-        u = (b & wmask).bit_count()
-        for t in range(u):
-            total += weights[t]
-    return total
+def _thiele_classes(
+    election: Election, weights: Sequence[int], depth: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Collapse identical non-empty ballots into classes and tabulate their gains.
 
-
-def _cc_score(election: Election, wmask: int) -> int:
-    return sum(1 for b in election.ballot_masks if b & wmask)
+    Returns (rows, approvers): rows[i][t] is the scaled score class i gains
+    when a committee member becomes its (t+1)-th approved one (t < depth;
+    weights beyond the given ones are 0), and approvers[c] lists the classes
+    approving candidate c.
+    """
+    classes = Counter(b for b in election.ballot_masks if b)
+    padded = list(weights[:depth]) + [0] * (depth - len(weights))
+    rows = [[mult * w for w in padded] for mult in classes.values()]
+    approvers = [
+        [i for i, b in enumerate(classes) if b >> c & 1] for c in range(election.m)
+    ]
+    return rows, approvers
 
 
 def _av_candidate_scores(election: Election) -> list[Fraction]:
@@ -257,7 +259,7 @@ def max_phragmen_load_vector(
             # never prefers when any alternative exists
             dead += len(remaining)
             break
-        for v in _bits(best_union):
+        for v in _iter_bits(best_union):
             loads[v] = best_ratio
         remaining_voters &= ~best_union
         remaining = [c for c in remaining if c not in best_sub]
@@ -269,50 +271,52 @@ def max_phragmen_load_vector(
 # --------------------------------------------------------------------------
 
 
-def _seq_thiele(election: Election, weights: Sequence[Fraction]) -> tuple[list[int], list]:
-    k = election.k
+def _seq_thiele(election: Election, weights: Sequence[int], scale: int) -> tuple[list[int], list]:
+    m, k = election.m, election.k
+    rows, approvers = _thiele_classes(election, weights, k)
+    counts = [0] * len(rows)
     chosen_mask = 0
     chosen: list[int] = []
-    counts = [0] * election.n
     history = []
     for _ in range(k):
-        best_c, best_gain = -1, None
-        for c in range(election.m):
+        best_c, best_gain = -1, -1
+        for c in range(m):
             if chosen_mask >> c & 1:
                 continue
-            gain = Fraction(0)
-            for v in _bits(election.candidate_voters[c]):
-                gain += weights[counts[v]] if counts[v] < len(weights) else Fraction(0)
-            if best_gain is None or gain > best_gain:
+            gain = sum([rows[i][counts[i]] for i in approvers[c]])
+            if gain > best_gain:
                 best_c, best_gain = c, gain
         chosen.append(best_c)
         chosen_mask |= 1 << best_c
-        for v in _bits(election.candidate_voters[best_c]):
-            counts[v] += 1
-        history.append((best_c, best_gain))
+        for i in approvers[best_c]:
+            counts[i] += 1
+        history.append((best_c, Fraction(best_gain, scale)))
     return chosen, history
 
 
-def _rev_seq_thiele(election: Election, weights: Sequence[Fraction]) -> tuple[list[int], list]:
-    committee = set(range(election.m))
-    counts = [b.bit_count() for b in election.ballot_masks]
+def _rev_seq_thiele(election: Election) -> tuple[list[int], list]:
+    """Reverse seq-PAV: drop the member whose removal loses the least score."""
+    depth = max(b.bit_count() for b in election.ballot_masks)
+    weights, scale = _harmonic_weights(depth)
+    rows, approvers = _thiele_classes(election, weights, depth)
+    counts = [0] * len(rows)
+    for c in range(election.m):
+        for i in approvers[c]:
+            counts[i] += 1
+    committee = list(range(election.m))
     history = []
     while len(committee) > election.k:
-        losses = []
-        for c in sorted(committee):
-            loss = Fraction(0)
-            for v in _bits(election.candidate_voters[c]):
-                if counts[v] - 1 < len(weights):
-                    loss += weights[counts[v] - 1]
-            losses.append((loss, c))
+        losses = [
+            (sum([rows[i][counts[i] - 1] for i in approvers[c]]), c) for c in committee
+        ]
         min_loss = min(loss for loss, _ in losses)
         # remove the largest index among least-loss candidates: low indices survive
         drop = max(c for loss, c in losses if loss == min_loss)
         committee.remove(drop)
-        for v in _bits(election.candidate_voters[drop]):
-            counts[v] -= 1
-        history.append((drop, min_loss))
-    return sorted(committee), history
+        for i in approvers[drop]:
+            counts[i] -= 1
+        history.append((drop, Fraction(min_loss, scale)))
+    return committee, history
 
 
 def _seq_phragmen(
@@ -323,7 +327,7 @@ def _seq_phragmen(
     n, k = election.n, election.k
     loads = list(start_loads) if start_loads is not None else [Fraction(0)] * n
     committee = list(partial)
-    chosen_mask = _mask(committee)
+    chosen_mask = members_mask(committee)
     unreachable = Fraction(k + 1)  # worse than any genuine load
     while len(committee) < k:
         best_c, best_load = -1, None
@@ -335,13 +339,13 @@ def _seq_phragmen(
             if weight == 0:
                 new_load = unreachable
             else:
-                new_load = (1 + sum(loads[v] for v in _bits(sup))) / weight
+                new_load = (1 + sum(loads[v] for v in _iter_bits(sup))) / weight
             if best_load is None or new_load < best_load:
                 best_c, best_load = c, new_load
         committee.append(best_c)
         chosen_mask |= 1 << best_c
         if best_load != unreachable:
-            for v in _bits(election.candidate_voters[best_c]):
+            for v in _iter_bits(election.candidate_voters[best_c]):
                 loads[v] = best_load
     return committee, loads
 
@@ -369,7 +373,7 @@ def _rule_x(election: Election) -> tuple[list[int], dict]:
         committee.append(best_c)
         chosen_mask |= 1 << best_c
         rhos.append(best_rho)
-        for v in _bits(election.candidate_voters[best_c]):
+        for v in _iter_bits(election.candidate_voters[best_c]):
             budgets[v] -= min(budgets[v], best_rho)
     completed = False
     if len(committee) < k:
@@ -386,7 +390,7 @@ def _rule_x(election: Election) -> tuple[list[int], dict]:
 
 def _affordable_rho(election: Election, budgets: list[Fraction], c: int) -> Fraction | None:
     """Smallest per-voter payment rho with sum_{approvers} min(b_v, rho) = 1."""
-    sup = [v for v in _bits(election.candidate_voters[c])]
+    sup = [v for v in _iter_bits(election.candidate_voters[c])]
     if not sup:
         return None
     if sum(budgets[v] for v in sup) < 1:
@@ -443,6 +447,53 @@ def _enumerate_guard(election: Election) -> None:
             )
 
 
+def _thiele_optimize(
+    election: Election, weights: Sequence[int], all_tied: bool
+) -> tuple[list[tuple[int, ...]], int]:
+    """Maximise a scaled-integer Thiele score over all size-k committees.
+
+    The depth-first search adds candidates in increasing order, so it visits
+    committees in the lexicographic order of `itertools.combinations`: the
+    first optimum found is the lex-first one and ties are listed in that
+    order.  Adding a candidate rescores only the classes approving it; the
+    last member is scored without touching the counts.
+    """
+    _enumerate_guard(election)
+    m, k = election.m, election.k
+    rows, approvers = _thiele_classes(election, weights, k)
+    counts = [0] * len(rows)
+    best, winners = -1, []
+    chosen: list[int] = []
+    saved: list[int] = []  # the score before each member of `chosen`
+    score = nxt = 0
+    while True:
+        depth = len(chosen)
+        if depth < k - 1:
+            if nxt <= m - k + depth:
+                saved.append(score)
+                for i in approvers[nxt]:
+                    score += rows[i][counts[i]]
+                    counts[i] += 1
+                chosen.append(nxt)
+                nxt += 1
+                continue
+        else:
+            gains = [row[t] for row, t in zip(rows, counts)]
+            for c in range(nxt, m):
+                s = score + sum([gains[i] for i in approvers[c]])
+                if s > best:
+                    best, winners = s, [(*chosen, c)]
+                elif s == best and all_tied:
+                    winners.append((*chosen, c))
+        if not chosen:
+            return winners, best
+        last = chosen.pop()
+        for i in approvers[last]:
+            counts[i] -= 1
+        score = saved.pop()
+        nxt = last + 1
+
+
 def _optimize(
     election: Election, score, maximize: bool, all_tied: bool
 ) -> tuple[list[tuple[int, ...]], object]:
@@ -489,8 +540,6 @@ def run_rule(election: Election, rule: RuleId, mode: str = "single") -> RuleOutc
         optional = [c for c in range(election.m) if scores[c] == threshold]
         if all_tied:
             slots = k - len(mandatory)
-            from math import comb
-
             if comb(len(optional), slots) > MAX_ENUMERATED_COMMITTEES:
                 raise RuntimeError("too many tied committees")
             committees = [
@@ -507,18 +556,17 @@ def run_rule(election: Election, rule: RuleId, mode: str = "single") -> RuleOutc
         }
         return _outcome(election, rule, committees, diag)
 
-    if rule.kind in ("pav", "cc", "geom_pav"):
-        if rule.kind == "cc":
-            score = lambda combo: _cc_score(election, _mask(combo))
-        else:
-            weights = (
-                _harmonic_weights(k)
-                if rule.kind == "pav"
-                else _geometric_weights(k, rule.weight)
-            )
-            score = lambda combo: _thiele_score(election, _mask(combo), weights)
-        best, best_score = _optimize(election, score, maximize=True, all_tied=all_tied)
+    if rule.kind == "cc":
+        best, best_score = _thiele_optimize(election, [1], all_tied)
         return _outcome(election, rule, best, {"score": best_score})
+    if rule.kind in ("pav", "geom_pav"):
+        weights, scale = (
+            _harmonic_weights(k)
+            if rule.kind == "pav"
+            else _geometric_weights(k, rule.weight)
+        )
+        best, best_score = _thiele_optimize(election, weights, all_tied)
+        return _outcome(election, rule, best, {"score": Fraction(best_score, scale)})
 
     if rule.kind == "monroe":
         score = lambda combo: _monroe_score(election, combo)
@@ -526,7 +574,7 @@ def run_rule(election: Election, rule: RuleId, mode: str = "single") -> RuleOutc
         return _outcome(election, rule, best, {"score": best_score})
 
     if rule.kind == "minimax_av":
-        score = lambda combo: _minimax_score(election, _mask(combo))
+        score = lambda combo: _minimax_score(election, members_mask(combo))
         best, best_score = _optimize(election, score, maximize=False, all_tied=all_tied)
         return _outcome(election, rule, best, {"max_hamming": best_score})
 
@@ -539,13 +587,13 @@ def run_rule(election: Election, rule: RuleId, mode: str = "single") -> RuleOutc
         )
 
     if rule.kind == "seq_pav":
-        chosen, history = _seq_thiele(election, _harmonic_weights(k))
+        chosen, history = _seq_thiele(election, *_harmonic_weights(k))
         return _outcome(election, rule, [tuple(sorted(chosen))], {"picks": history})
     if rule.kind == "seq_cc":
-        chosen, history = _seq_thiele(election, [Fraction(1)])
+        chosen, history = _seq_thiele(election, [1], 1)
         return _outcome(election, rule, [tuple(sorted(chosen))], {"picks": history})
     if rule.kind == "rev_seq_pav":
-        chosen, history = _rev_seq_thiele(election, _harmonic_weights(election.m))
+        chosen, history = _rev_seq_thiele(election)
         return _outcome(election, rule, [tuple(sorted(chosen))], {"removals": history})
     if rule.kind == "seq_phragmen":
         chosen, loads = _seq_phragmen(election)

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import axioms
 from .cohesion import CohesionCertificate
-from .model import Committee, Election
+from .model import Committee, Election, _iter_bits
 from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget
 
 OBJECTIVES = ("FIND_IR", "FIND_SSJR", "MIN_BETA", "MIN_ALPHA")
@@ -50,13 +50,6 @@ class SolveResult:
     achieved_alpha: Fraction | None
     achieved_beta: Fraction | None
     nodes: int
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _deficits_for(
@@ -99,7 +92,7 @@ def _cover_search(
     def include(c: int) -> list[int]:
         nonlocal unmet_mask
         decremented = []
-        for i in _bits(cand_voters[c] & unmet_mask):
+        for i in _iter_bits(cand_voters[c] & unmet_mask):
             need[i] -= 1
             decremented.append(i)
             if need[i] == 0:
@@ -123,14 +116,14 @@ def _cover_search(
             return False
         pivot = -1
         pivot_avail = m + 1
-        for i in _bits(unmet_mask):
+        for i in _iter_bits(unmet_mask):
             avail = (ballots[i] & pool).bit_count()
             if avail < need[i] or need[i] > seats:
                 return False
             if avail < pivot_avail:
                 pivot, pivot_avail = i, avail
         options = sorted(
-            _bits(ballots[pivot] & pool),
+            _iter_bits(ballots[pivot] & pool),
             key=lambda c: (-(cand_voters[c] & unmet_mask).bit_count(), c),
         )
         sub_pool = pool

@@ -5,6 +5,7 @@ sharing no search code with the package: subsets are enumerated without
 pruning and orders by factorial search.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 
@@ -164,3 +165,66 @@ def consecutive_order_exists(num_cols, sets):
         if ok:
             return list(perm)
     return None
+
+
+# --------------------------------------------------------------------------
+# Thiele rules: Fraction scores over plain enumeration
+# --------------------------------------------------------------------------
+
+
+def thiele_score(election, members, weights):
+    """sum over voters of weights[0] + ... + weights[u-1], u = |ballot & W|, in Fractions."""
+    total = Fraction(0)
+    for ballot in election.approvals:
+        for t in range(len(ballot & members)):
+            total += weights[t] if t < len(weights) else Fraction(0)
+    return total
+
+
+def cc_score(election, members):
+    return sum(1 for ballot in election.approvals if ballot & members)
+
+
+def brute_optimum(election, score, all_tied):
+    """Lex-first (or all tied, in lex order) maximisers of score over size-k committees."""
+    best_score, best = None, []
+    for combo in combinations(range(election.m), election.k):
+        s = score(election, frozenset(combo))
+        if best_score is None or s > best_score:
+            best_score, best = s, [combo]
+        elif s == best_score and all_tied:
+            best.append(combo)
+    return best, best_score
+
+
+def seq_thiele(election, weights):
+    """Greedy Thiele: add the lowest-index candidate of largest marginal gain."""
+    chosen, picks = [], []
+    for _ in range(election.k):
+        base = thiele_score(election, frozenset(chosen), weights)
+        best_c, best_gain = None, None
+        for c in range(election.m):
+            if c in chosen:
+                continue
+            gain = thiele_score(election, frozenset(chosen + [c]), weights) - base
+            if best_gain is None or gain > best_gain:
+                best_c, best_gain = c, gain
+        chosen.append(best_c)
+        picks.append((best_c, best_gain))
+    return sorted(chosen), picks
+
+
+def rev_seq_thiele(election, weights):
+    """Reverse greedy Thiele: drop the highest-index candidate of least marginal loss."""
+    committee, removals = list(range(election.m)), []
+    while len(committee) > election.k:
+        full = thiele_score(election, frozenset(committee), weights)
+        losses = [
+            (full - thiele_score(election, frozenset(committee) - {c}, weights), c)
+            for c in committee
+        ]
+        least = min(loss for loss, _ in losses)
+        drop = max(c for loss, c in losses if loss == least)
+        committee.remove(drop)
+        removals.append((drop, least))
+    return committee, removals

@@ -182,3 +182,12 @@ def test_gen_rejects_bad_model():
     runner = CliRunner()
     result = runner.invoke(main, ["gen", "--model", "zipf", "--n", "5", "--m", "5"])
     assert result.exit_code == 2
+
+
+def test_malformed_profile_exit_two_without_traceback(tmp_path):
+    path = tmp_path / "bad.avp"
+    path.write_text("garbage\n")
+    result = CliRunner().invoke(main, ["rule", str(path), "--rule", "pav"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "bad.avp" in result.output

@@ -10,6 +10,7 @@ from irlab.model import Election
 from irlab.rules import RuleId, ir_consistency_probe, run_rule
 
 from instance_gen import random_election
+from oracles import brute_optimum, cc_score, rev_seq_thiele, seq_thiele, thiele_score
 from hard_instances import (
     hamming_bait_instance,
     load_bait_instance,
@@ -214,3 +215,56 @@ def test_probe_trivial_when_entitlements_zero():
     fvec = tuple(f_vector(e))
     probe = ir_consistency_probe(e, RuleId("av"), fvec)
     assert probe["rule_found_ir"] and probe["ir_exists"]
+
+
+def _oracle_elections(rng, count):
+    """Random profiles drawn from a few ballot types, so ballots repeat; some
+    ballots are empty, and k = 1 and k = m both occur."""
+    out = []
+    for j in range(count):
+        m = rng.randint(1, 7)
+        k = (1, m, rng.randint(1, m))[j % 3]
+        types = [
+            {c for c in range(m) if rng.random() < 0.45} for _ in range(rng.randint(1, 4))
+        ] + [set()]
+        approvals = [rng.choice(types) for _ in range(rng.randint(1, 10))]
+        out.append(Election.from_approvals(approvals, m=m, k=k))
+    return out
+
+
+def test_thiele_rules_match_fraction_oracle():
+    rng = random.Random(41)
+    for e in _oracle_elections(rng, 60):
+        harmonic = [Fraction(1, t) for t in range(1, e.m + 1)]
+        cases = [(RuleId("pav"), lambda el, w: thiele_score(el, w, harmonic))]
+        cases.append((RuleId("cc"), cc_score))
+        for base in (Fraction(1, 16), Fraction(1, 2), Fraction(2, 3)):
+            weights = [base**t for t in range(e.m)]
+            cases.append(
+                (RuleId("geom_pav", weight=base), lambda el, w, ws=weights: thiele_score(el, w, ws))
+            )
+        for rule, score in cases:
+            for mode in ("single", "all_tied"):
+                out = run_rule(e, rule, mode=mode)
+                combos, best = brute_optimum(e, score, all_tied=mode == "all_tied")
+                assert [tuple(sorted(c.members)) for c in out.committees] == combos, (rule, mode)
+                assert out.diagnostics["score"] == best
+                assert type(out.diagnostics["score"]) is type(best), rule
+
+
+def test_sequential_thiele_rules_match_fraction_reference():
+    rng = random.Random(43)
+    for e in _oracle_elections(rng, 60):
+        harmonic = [Fraction(1, t) for t in range(1, e.m + 1)]
+        for kind, weights in (("seq_pav", harmonic), ("seq_cc", [Fraction(1)])):
+            out = run_rule(e, RuleId(kind))
+            committee, picks = seq_thiele(e, weights)
+            assert members(out) == committee, kind
+            assert out.diagnostics["picks"] == picks, kind
+            assert all(type(g) is Fraction for _, g in out.diagnostics["picks"])
+        out = run_rule(e, RuleId("rev_seq_pav"))
+        committee, removals = rev_seq_thiele(e, harmonic)
+        assert members(out) == committee
+        assert out.diagnostics["removals"] == removals
+        assert all(type(g) is Fraction for _, g in out.diagnostics["removals"])
+
