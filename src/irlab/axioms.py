@@ -138,17 +138,21 @@ def check(
 
 
 def _check_entitlements(election, axiom, counts, fvec, alpha: Fraction, beta: Fraction):
-    for i in range(election.n):
-        if alpha * counts[i] + beta < fvec[i].f:
-            cert = fvec[i]
-            witness = ViolationWitness(
-                group=frozenset(cert.witness_supporters.members),
-                candidate_set=cert.witness_set,
-                level=cert.f,
-                deprived=frozenset([i]),
-            )
-            return AxiomVerdict(axiom, "violated", witness, 0)
-    return AxiomVerdict(axiom, "satisfied", None, 0)
+    if alpha == 1 and beta == 0:  # plain IR: an integer comparison decides it
+        short = (i for i in range(election.n) if counts[i] < fvec[i].f)
+    else:
+        short = (i for i in range(election.n) if alpha * counts[i] + beta < fvec[i].f)
+    i = next(short, None)
+    if i is None:
+        return AxiomVerdict(axiom, "satisfied", None, 0)
+    cert = fvec[i]
+    witness = ViolationWitness(
+        group=frozenset(cert.witness_supporters.members),
+        candidate_set=cert.witness_set,
+        level=cert.f,
+        deprived=frozenset([i]),
+    )
+    return AxiomVerdict(axiom, "violated", witness, 0)
 
 
 def _check_ssjr(election, axiom, counts, fvec):
@@ -207,7 +211,7 @@ def _check_jr(election, axiom, counts):
 
 def _check_ejr(election, axiom, counts, node_cap):
     n, k = election.n, election.k
-    budget = NodeBudget(node_cap)
+    budget = NodeBudget(node_cap, stage="axioms.EJR")
     try:
         for level in range(1, k + 1):
             deficient = 0
@@ -265,7 +269,7 @@ def _cohesive_set_search(election, pool, voter_mask, level, budget):
 
 def _check_pjr(election, committee, axiom, counts, node_cap):
     n, k = election.n, election.k
-    budget = NodeBudget(node_cap)
+    budget = NodeBudget(node_cap, stage="axioms.PJR")
     wmask = committee.mask()
     members = sorted(committee.members)
     try:
@@ -310,7 +314,7 @@ def _check_pjr(election, committee, axiom, counts, node_cap):
 
 def _check_fjr(election, axiom, counts, node_cap):
     n, k = election.n, election.k
-    budget = NodeBudget(node_cap)
+    budget = NodeBudget(node_cap, stage="axioms.FJR")
     ballots = election.ballot_masks
     try:
         for beta in range(1, k + 1):
@@ -371,7 +375,7 @@ def _fjr_search(election, pool, deficient, beta, budget):
 
 def _check_core(election, axiom, counts, node_cap):
     n, k = election.n, election.k
-    budget = NodeBudget(node_cap)
+    budget = NodeBudget(node_cap, stage="axioms.CORE")
     ballots = election.ballot_masks
     pool_mask = 0
     for b in ballots:

@@ -51,6 +51,23 @@ DOMAIN_NAMES = {
 }
 
 
+class Rational(click.ParamType):
+    """An exact rational option value such as ``2``, ``3/2`` or ``0.25``."""
+
+    name = "rational"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, Fraction):
+            return value
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            self.fail(f"{value!r} is not a rational number", param, ctx)
+
+
+RATIONAL = Rational()
+
+
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -68,7 +85,10 @@ def _parse_committee(election, text: str) -> Committee:
     for i in indices:
         if not 1 <= i <= election.m:
             raise click.UsageError(f"candidate index {i} out of range [1, {election.m}]")
-    return Committee.of([i - 1 for i in indices], election)
+    try:
+        return Committee.of([i - 1 for i in indices], election)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _frac(value) -> str:
@@ -124,7 +144,8 @@ def gen_cmd(model, n, m, k, seed, p, radius_owner, out):
 @main.command("fvec")
 @click.argument("profile", type=click.Path(exists=True))
 @click.option("--method", type=click.Choice(["exact", "vi"]), default="exact", show_default=True)
-@click.option("--cap", type=int, default=DEFAULT_NODE_CAP, show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_NODE_CAP, show_default=True,
+              help="most closed candidate sets the exact method may visit; one node is one closed set")
 def fvec_cmd(profile, method, cap):
     """Per-voter entitlements as CSV voter,f,witness (1-based indices)."""
     election = _load(profile)
@@ -148,11 +169,11 @@ def fvec_cmd(profile, method, cap):
 @click.argument("profile", type=click.Path(exists=True))
 @click.option("--committee", required=True, help="comma-separated 1-based candidate indices")
 @click.option("--axiom", "axiom_name", type=click.Choice(sorted(AXIOM_NAMES)), required=True)
-@click.option("--alpha", type=str, default=None, help="alpha for alpha-beta-ir (rational)")
-@click.option("--beta", type=str, default=None, help="beta for alpha-beta-ir (rational)")
+@click.option("--alpha", type=RATIONAL, default=None, help="alpha for alpha-beta-ir (rational)")
+@click.option("--beta", type=RATIONAL, default=None, help="beta for alpha-beta-ir (rational)")
 @click.option("--expect", type=click.Choice(["satisfied", "violated"]), default=None)
 @click.option("--json", "as_json", is_flag=True, help="emit the witness as JSON")
-@click.option("--cap", type=int, default=DEFAULT_NODE_CAP, show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_NODE_CAP, show_default=True)
 def check_cmd(profile, committee, axiom_name, alpha, beta, expect, as_json, cap):
     """Decide one axiom for one committee."""
     election = _load(profile)
@@ -160,7 +181,10 @@ def check_cmd(profile, committee, axiom_name, alpha, beta, expect, as_json, cap)
     if axiom_name == "alpha-beta-ir":
         if alpha is None or beta is None:
             raise click.UsageError("alpha-beta-ir requires --alpha and --beta")
-        axiom = axioms.alpha_beta_ir(Fraction(alpha), Fraction(beta))
+        try:
+            axiom = axioms.alpha_beta_ir(alpha, beta)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
     else:
         axiom = AXIOM_NAMES[axiom_name]
     try:
@@ -197,12 +221,12 @@ def check_cmd(profile, committee, axiom_name, alpha, beta, expect, as_json, cap)
 @click.argument("profile", type=click.Path(exists=True))
 @click.option("--rule", "rule_name", type=click.Choice(sorted(RULE_NAMES)), required=True)
 @click.option("--all-tied", is_flag=True, help="report all tied optima (exact rules)")
-@click.option("--weight", type=str, default=None, help="weight base for geom_pav, e.g. 1/16")
+@click.option("--weight", type=RATIONAL, default=None, help="weight base for geom_pav, e.g. 1/16")
 def rule_cmd(profile, rule_name, all_tied, weight):
     """Run one ABC voting rule; prints committees and diagnostics as JSON."""
     election = _load(profile)
     try:
-        rule = rules.RuleId(rule_name, weight=Fraction(weight) if weight else None)
+        rule = rules.RuleId(rule_name, weight=weight)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     try:
@@ -230,9 +254,9 @@ def rule_cmd(profile, rule_name, all_tied, weight):
     default="ir",
     show_default=True,
 )
-@click.option("--alpha", type=str, default="1", show_default=True)
-@click.option("--beta", type=str, default="0", show_default=True)
-@click.option("--cap", type=int, default=DEFAULT_NODE_CAP, show_default=True)
+@click.option("--alpha", type=RATIONAL, default="1", show_default=True)
+@click.option("--beta", type=RATIONAL, default="0", show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_NODE_CAP, show_default=True)
 @click.option("--expect", type=click.Choice(["found", "infeasible"]), default=None)
 def solve_cmd(profile, objective, alpha, beta, cap, expect):
     """Exact committee search (existence or best approximation)."""
@@ -241,14 +265,17 @@ def solve_cmd(profile, objective, alpha, beta, cap, expect):
         fvec = tuple(f_vector(election, node_cap=cap))
     except BudgetExceededError as exc:
         raise click.ClickException(str(exc))
-    request = solver.SolveRequest(
-        election=election,
-        fvec=fvec,
-        objective={"ir": "FIND_IR", "ssjr": "FIND_SSJR", "min-beta": "MIN_BETA", "min-alpha": "MIN_ALPHA"}[objective],
-        alpha=Fraction(alpha),
-        beta=Fraction(beta),
-        node_cap=cap,
-    )
+    try:
+        request = solver.SolveRequest(
+            election=election,
+            fvec=fvec,
+            objective={"ir": "FIND_IR", "ssjr": "FIND_SSJR", "min-beta": "MIN_BETA", "min-alpha": "MIN_ALPHA"}[objective],
+            alpha=alpha,
+            beta=beta,
+            node_cap=cap,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     result = solver.find_committee(request)
     payload = {
         "status": result.status,
@@ -373,7 +400,7 @@ def construct_cmd(profile, domain_name, tree):
 @click.option("--rules", "rule_names", default="", help=f"comma-separated; e.g. {','.join(DEFAULT_RULES)}")
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True)
-@click.option("--cap", type=int, default=10**6, show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=10**6, show_default=True)
 @click.option("--timing/--no-timing", default=True, show_default=True,
               help="--no-timing zeroes the ms column for reproducible bytes")
 @click.option("--out", type=click.Path(), required=True)
@@ -388,18 +415,23 @@ def experiment_cmd(models, n, m, k_min, k_max, instances, rule_names, seed, jobs
         if name not in RULE_NAMES:
             raise click.UsageError(f"unknown rule {name!r}")
         rule_list.append(rules.RuleId(name))
-    spec = ExperimentSpec(
-        models=model_list,
-        n=n,
-        m=m,
-        k_values=tuple(range(k_min, k_max + 1)),
-        instances=instances,
-        rules=tuple(rule_list),
-        seed=seed,
-        jobs=jobs,
-        node_cap=cap,
-        include_timing=timing,
-    )
+    if k_min > k_max:
+        raise click.UsageError(f"--k-min {k_min} exceeds --k-max {k_max}")
+    try:
+        spec = ExperimentSpec(
+            models=model_list,
+            n=n,
+            m=m,
+            k_values=tuple(range(k_min, k_max + 1)),
+            instances=instances,
+            rules=tuple(rule_list),
+            seed=seed,
+            jobs=jobs,
+            node_cap=cap,
+            include_timing=timing,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     click.echo(
         f"running {len(model_list)} models x {len(spec.k_values)} k x {instances} instances",
         err=True,

@@ -1,23 +1,31 @@
 """Per-voter seat entitlements with witnesses.
 
-The entitlement of voter i is the largest size of a set S inside her ballot
+The entitlement of voter i is the largest size of a set S inside the ballot A_i
 that is backed by enough like-minded voters, i.e.
 
     f_i = max { |S| : S subseteq A_i and |N(S)|*k >= |S|*n }.
 
-``f_certificate_exact`` decides this by a pruned depth-first search over
-subsets of the ballot (the problem is NP-hard in general, hence the node cap).
-``f_certificate_vi`` computes the same value in O(n^2 m) time when a
-voter-interval witness order is available, by scanning all position intervals
-that contain the voter.
+Call C *closed* when C = clo(C), the set of candidates approved by every
+voter of N(C).  Since S is inside clo(S) and N(clo(S)) = N(S),
+
+    f_i = max { min(|C|, floor(|N(C)|*k/n)) : C closed, C subseteq A_i },
+
+so the ``"exact"`` method enumerates, once for all voters, the closed sets
+whose supporters can claim a seat (|N(C)|*k >= n), bottom-up by LCM's
+prefix-preserving closure extension, and reads every f_i and its
+lexicographically smallest witness off that list.  The problem is NP-hard in
+general, hence the node cap (one node per closed set).  ``f_certificate_vi``
+computes the same value in O(n^2 m) time when a voter-interval witness order
+is available, by scanning all position intervals that contain the voter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from itertools import islice
+from typing import Iterator, Literal, Sequence
 
-from .model import Election, VoterGroup, mask_to_set
+from .model import Election, VoterGroup, _iter_bits, mask_to_set
 from .search import DEFAULT_NODE_CAP, NodeBudget
 
 
@@ -69,113 +77,111 @@ class IntervalSupport:
         return self.right - self.pos + 1
 
 
-def _eligible_candidates(election: Election, voter: int) -> list[int]:
-    """Ballot candidates that could appear in any cohesive set, ordered by
-    descending approval count (ties by index)."""
-    n, k = election.n, election.k
-    cands = [
-        c
-        for c in sorted(election.approvals[voter])
-        if election.candidate_voters[c].bit_count() * k >= n
-    ]
-    cands.sort(key=lambda c: (-election.candidate_voters[c].bit_count(), c))
-    return cands
+def _closed_sets(election: Election, budget: NodeBudget) -> Iterator[tuple[int, int]]:
+    """Every closed candidate set whose supporters can claim a seat.
 
-
-def f_certificate_exact(
-    election: Election, voter: int, node_cap: int = DEFAULT_NODE_CAP
-) -> CohesionCertificate:
-    """Exact f_i by depth-first search over subsets of the voter's ballot.
-
-    A branch is cut when even taking every remaining candidate cannot beat the
-    best size found, or when the current supporters are already too few to
-    back one more candidate.  The witness is the lexicographically smallest
-    candidate set among those of maximum size.
-
-    Raises :class:`~irlab.search.BudgetExceededError` when the cap is hit;
-    a wrong answer is never returned.
+    Yields (C, N(C)) as bitmasks for each C = clo(C) with |N(C)|*k >= n,
+    where clo(S) is the set of candidates approved by every voter of N(S).
+    The enumeration is LCM's prefix-preserving closure extension (Uno,
+    Kiyomi, Arimura, FIMI 2004): from clo(∅), a closed set C generated by
+    candidate `core` has the children clo(C + e) for e > core, e not in C,
+    that add no candidate below e; each closed set has exactly one parent.
+    Support only shrinks along an extension, so cutting an extension whose
+    supporters drop below the seat threshold loses no qualifying set.  One
+    budget node is ticked per closed set visited.
     """
-    if not 0 <= voter < election.n:
-        raise ValueError(f"voter index {voter} out of range")
-    budget = NodeBudget(node_cap)
     n, k = election.n, election.k
-    order = _eligible_candidates(election, voter)
-    cand_voters = election.candidate_voters
-
-    best_size = 0
-
-    def dfs(start: int, size: int, supp: int) -> None:
-        nonlocal best_size
+    everyone = election.all_voters_mask()
+    items = []
+    root = 0
+    for c, cv in enumerate(election.candidate_voters):
+        if cv == everyone:
+            root |= 1 << c
+        elif cv.bit_count() * k >= n:
+            items.append((c, cv))
+    # (C, N(C), the candidate that generated C, the candidates outside C
+    # that keep a seat's worth of supporters within N(parent))
+    stack = [(root, everyone, -1, items)]
+    while stack:
+        closed, supp, core, pool = stack.pop()
         budget.tick()
-        if size > best_size:
-            best_size = size
-        # supporters already too few to back a (size+1)-set
-        if supp.bit_count() * k < (size + 1) * n:
-            return
-        remaining = len(order) - start
-        if size + remaining <= best_size:
-            return
-        for idx in range(start, len(order)):
-            if size + (len(order) - idx) <= best_size:
+        yield closed, supp
+        # supporters shrink along extensions, so only the parent's pool can extend C
+        ext = []
+        for c, cv in pool:
+            s = supp & cv
+            if s != supp and s.bit_count() * k >= n:
+                ext.append((c, s))
+        for idx, (e, s_e) in enumerate(ext):
+            if e <= core:
+                continue
+            # a candidate c joins clo(C + e) exactly when N(C + e) is inside N(C + c);
+            # one below e means clo(C + e) is not prefix-preserving and has another parent
+            for _, s_c in ext[:idx]:
+                if s_e & s_c == s_e:
+                    break
+            else:
+                child = closed | (1 << e)
+                for c, s_c in ext[idx + 1 :]:
+                    if s_e & s_c == s_e:
+                        child |= 1 << c
+                stack.append((child, s_e, e, ext))
+
+
+def _first_takers(ranked: list, everyone: int) -> list:
+    """The entries of ``ranked`` that are, in rank order, the first to hold some voter."""
+    ranked.sort()
+    kept = []
+    unassigned = everyone
+    for entry in ranked:
+        if entry[2] & unassigned:
+            unassigned &= ~entry[2]
+            kept.append(entry)
+            if not unassigned:
                 break
-            new_supp = supp & cand_voters[order[idx]]
-            if new_supp.bit_count() * k >= (size + 1) * n:
-                dfs(idx + 1, size + 1, new_supp)
-
-    dfs(0, 0, election.all_voters_mask())
-
-    witness = _lex_min_witness(election, order, best_size, budget)
-    supp_mask = election.supporters_mask(witness)
-    return CohesionCertificate(
-        voter=voter,
-        f=best_size,
-        witness_set=frozenset(witness),
-        witness_supporters=VoterGroup.from_mask(supp_mask),
-    )
+    return kept
 
 
-def _lex_min_witness(
-    election: Election, order: Sequence[int], target: int, budget: NodeBudget
-) -> list[int]:
-    """Lexicographically smallest feasible candidate set of size ``target``."""
-    if target == 0:
-        return []
+def _exact_certificates(election: Election, node_cap: int) -> list[CohesionCertificate]:
+    """All n certificates from one enumeration of the qualifying closed sets.
+
+    A closed set C offers every voter of N(C) the value
+    v(C) = min(|C|, floor(|N(C)|*k/n)), witnessed by its v smallest members.
+    Ranking the sets by (-v, that prefix), each voter takes the first set
+    its ballot contains: its value is f_i and its prefix is the
+    lexicographically smallest f_i-set S inside the ballot with
+    |N(S)|*k >= f_i*n (the f_i smallest members of clo(S) are such a set and
+    are no larger than S).  A set that is nobody's first stays so as more
+    sets arrive, so the list is cut back to the first takers (at most n)
+    whenever it grows long, which bounds memory by O(n) sets, not by the cap.
+    """
     n, k = election.n, election.k
-    cand_voters = election.candidate_voters
-    pool = sorted(order)
-
-    def extends(prefix_supp: int, size: int, start: int) -> bool:
-        # can `prefix` be completed to a feasible set of size `target`
-        # using pool[start:]?
-        budget.tick()
-        if size == target:
-            return True
-        if size + (len(pool) - start) < target:
-            return False
-        for idx in range(start, len(pool)):
-            if size + (len(pool) - idx) < target:
-                return False
-            supp = prefix_supp & cand_voters[pool[idx]]
-            if supp.bit_count() * k >= (size + 1) * n and extends(supp, size + 1, idx + 1):
-                return True
-        return False
-
-    chosen: list[int] = []
-    supp = election.all_voters_mask()
-    start = 0
-    while len(chosen) < target:
-        for idx in range(start, len(pool)):
-            new_supp = supp & cand_voters[pool[idx]]
-            if new_supp.bit_count() * k >= (len(chosen) + 1) * n and extends(
-                new_supp, len(chosen) + 1, idx + 1
-            ):
-                chosen.append(pool[idx])
-                supp = new_supp
-                start = idx + 1
-                break
-        else:
-            raise AssertionError("witness reconstruction failed")  # unreachable
-    return chosen
+    everyone = election.all_voters_mask()
+    budget = NodeBudget(node_cap, stage="cohesion.f_vector")
+    ranked = []
+    for closed, supp in _closed_sets(election, budget):
+        v = min(closed.bit_count(), supp.bit_count() * k // n)
+        if v:
+            ranked.append((-v, tuple(islice(_iter_bits(closed), v)), supp))
+            if len(ranked) > 16 * n + 4096:
+                ranked = _first_takers(ranked, everyone)
+    certs: list[CohesionCertificate] = [None] * n  # type: ignore[list-item]
+    unassigned = everyone
+    last = None
+    for neg_v, prefix, supp in _first_takers(ranked, everyone):
+        taken = supp & unassigned
+        unassigned ^= taken
+        if prefix != last:
+            last = prefix
+            witness = frozenset(prefix)
+            group = VoterGroup.from_mask(election.supporters_mask(prefix))
+        for i in _iter_bits(taken):
+            certs[i] = CohesionCertificate(i, -neg_v, witness, group)
+    if unassigned:
+        group = VoterGroup.from_mask(everyone)
+        for i in _iter_bits(unassigned):
+            certs[i] = CohesionCertificate(i, 0, frozenset(), group)
+    return certs
 
 
 def vi_order_positions(election: Election, order: Sequence[int]) -> list[int]:
@@ -307,26 +313,13 @@ def f_vector(
 ) -> list[CohesionCertificate]:
     """All n certificates, in voter order.
 
-    Voters with identical ballots share the same f value and witness, so the
-    search runs once per distinct ballot.
+    ``"exact"`` enumerates the qualifying closed candidate sets once for all
+    voters and raises :class:`~irlab.search.BudgetExceededError` when more
+    than ``node_cap`` of them are visited; a wrong answer is never returned.
+    ``"vi"`` runs the interval scan along the witness ``order``.
     """
     if method == "exact":
-        cache: dict[frozenset[int], CohesionCertificate] = {}
-        result = []
-        for i, ballot in enumerate(election.approvals):
-            hit = cache.get(ballot)
-            if hit is None:
-                hit = f_certificate_exact(election, i, node_cap=node_cap)
-                cache[ballot] = hit
-            if hit.voter != i:
-                hit = CohesionCertificate(
-                    voter=i,
-                    f=hit.f,
-                    witness_set=hit.witness_set,
-                    witness_supporters=hit.witness_supporters,
-                )
-            result.append(hit)
-        return result
+        return _exact_certificates(election, node_cap)
     if method == "vi":
         if order is None:
             raise ValueError("method 'vi' requires a witness order")

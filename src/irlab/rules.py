@@ -437,14 +437,9 @@ def _greedy_monroe(election: Election) -> tuple[list[int], list]:
 
 
 def _enumerate_guard(election: Election) -> None:
-    total = 1
     m, k = election.m, election.k
-    for i in range(k):
-        total = total * (m - i) // (i + 1)
-        if total > MAX_ENUMERATED_COMMITTEES:
-            raise RuntimeError(
-                f"C({m},{k}) exceeds the committee enumeration cap"
-            )
+    if comb(m, k) > MAX_ENUMERATED_COMMITTEES:
+        raise RuntimeError(f"C({m},{k}) exceeds the committee enumeration cap")
 
 
 def _thiele_optimize(

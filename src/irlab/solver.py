@@ -162,7 +162,7 @@ def _feasible(
 def find_committee(request: SolveRequest) -> SolveResult:
     """Solve the request exactly; `undecided` is only ever due to the node cap."""
     election = request.election
-    budget = NodeBudget(request.node_cap)
+    budget = NodeBudget(request.node_cap, stage="solver.find_committee")
     try:
         if request.objective in ("FIND_IR", "FIND_SSJR"):
             if request.objective == "FIND_SSJR":

@@ -1,12 +1,19 @@
-"""Independent brute-force oracles.
+"""Independent oracles.
 
-Everything here evaluates definitions by full enumeration, deliberately
-sharing no search code with the package: subsets are enumerated without
-pruning and orders by factorial search.
+Most of these evaluate definitions by full enumeration, deliberately sharing
+no search code with the package: subsets are enumerated without pruning and
+orders by factorial search.  The pruned per-voter entitlement search and the
+Fraction Thiele scorer are the engines the package replaced; they stay here
+as references for the faster ones.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import Sequence
+
+from irlab.cohesion import CohesionCertificate
+from irlab.model import Election, VoterGroup
+from irlab.search import DEFAULT_NODE_CAP, NodeBudget
 
 
 def brute_f(election, voter):
@@ -23,6 +30,123 @@ def brute_f(election, voter):
                 best = size
                 break
     return best
+
+
+# --------------------------------------------------------------------------
+# Entitlements: pruned depth-first search per voter
+# --------------------------------------------------------------------------
+
+
+def _eligible_candidates(election: Election, voter: int) -> list[int]:
+    """Ballot candidates that could appear in any cohesive set, ordered by
+    descending approval count (ties by index)."""
+    n, k = election.n, election.k
+    cands = [
+        c
+        for c in sorted(election.approvals[voter])
+        if election.candidate_voters[c].bit_count() * k >= n
+    ]
+    cands.sort(key=lambda c: (-election.candidate_voters[c].bit_count(), c))
+    return cands
+
+
+def f_certificate_exact(
+    election: Election, voter: int, node_cap: int = DEFAULT_NODE_CAP
+) -> CohesionCertificate:
+    """Exact f_i by depth-first search over subsets of the voter's ballot.
+
+    A reference for ``f_vector``'s closed-set enumeration that searches each
+    ballot's subsets directly instead of closed sets.
+
+    A branch is cut when even taking every remaining candidate cannot beat the
+    best size found, or when the current supporters are already too few to
+    back one more candidate.  The witness is the lexicographically smallest
+    candidate set among those of maximum size.
+
+    Raises :class:`~irlab.search.BudgetExceededError` when the cap is hit;
+    a wrong answer is never returned.
+    """
+    if not 0 <= voter < election.n:
+        raise ValueError(f"voter index {voter} out of range")
+    budget = NodeBudget(node_cap, stage="oracle DFS")
+    n, k = election.n, election.k
+    order = _eligible_candidates(election, voter)
+    cand_voters = election.candidate_voters
+
+    best_size = 0
+
+    def dfs(start: int, size: int, supp: int) -> None:
+        nonlocal best_size
+        budget.tick()
+        if size > best_size:
+            best_size = size
+        # supporters already too few to back a (size+1)-set
+        if supp.bit_count() * k < (size + 1) * n:
+            return
+        remaining = len(order) - start
+        if size + remaining <= best_size:
+            return
+        for idx in range(start, len(order)):
+            if size + (len(order) - idx) <= best_size:
+                break
+            new_supp = supp & cand_voters[order[idx]]
+            if new_supp.bit_count() * k >= (size + 1) * n:
+                dfs(idx + 1, size + 1, new_supp)
+
+    dfs(0, 0, election.all_voters_mask())
+
+    witness = _lex_min_witness(election, order, best_size, budget)
+    supp_mask = election.supporters_mask(witness)
+    return CohesionCertificate(
+        voter=voter,
+        f=best_size,
+        witness_set=frozenset(witness),
+        witness_supporters=VoterGroup.from_mask(supp_mask),
+    )
+
+
+def _lex_min_witness(
+    election: Election, order: Sequence[int], target: int, budget: NodeBudget
+) -> list[int]:
+    """Lexicographically smallest feasible candidate set of size ``target``."""
+    if target == 0:
+        return []
+    n, k = election.n, election.k
+    cand_voters = election.candidate_voters
+    pool = sorted(order)
+
+    def extends(prefix_supp: int, size: int, start: int) -> bool:
+        # can `prefix` be completed to a feasible set of size `target`
+        # using pool[start:]?
+        budget.tick()
+        if size == target:
+            return True
+        if size + (len(pool) - start) < target:
+            return False
+        for idx in range(start, len(pool)):
+            if size + (len(pool) - idx) < target:
+                return False
+            supp = prefix_supp & cand_voters[pool[idx]]
+            if supp.bit_count() * k >= (size + 1) * n and extends(supp, size + 1, idx + 1):
+                return True
+        return False
+
+    chosen: list[int] = []
+    supp = election.all_voters_mask()
+    start = 0
+    while len(chosen) < target:
+        for idx in range(start, len(pool)):
+            new_supp = supp & cand_voters[pool[idx]]
+            if new_supp.bit_count() * k >= (len(chosen) + 1) * n and extends(
+                new_supp, len(chosen) + 1, idx + 1
+            ):
+                chosen.append(pool[idx])
+                supp = new_supp
+                start = idx + 1
+                break
+        else:
+            raise AssertionError("witness reconstruction failed")  # unreachable
+    return chosen
 
 
 def brute_ir_committees(election, fvalues):

@@ -191,3 +191,44 @@ def test_malformed_profile_exit_two_without_traceback(tmp_path):
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert "bad.avp" in result.output
+
+
+def _assert_usage_error(result):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.rstrip().splitlines()[-1].startswith("Error: ")
+
+
+def test_solve_min_beta_alpha_below_one_exit_two(tmp_path):
+    path = _write_profile(tmp_path, two_camps_with_bridge())
+    result = CliRunner().invoke(
+        main, ["solve", path, "--objective", "min-beta", "--alpha", "1/2"]
+    )
+    _assert_usage_error(result)
+    assert "alpha must be >= 1" in result.output
+
+
+def test_check_committee_larger_than_k_exit_two(tmp_path):
+    path = _write_profile(tmp_path, two_camps_with_bridge())
+    result = CliRunner().invoke(main, ["check", path, "--committee", "1,2,3", "--axiom", "ir"])
+    _assert_usage_error(result)
+    assert "committee has 3 members" in result.output
+
+
+def test_check_alpha_not_rational_exit_two(tmp_path):
+    path = _write_profile(tmp_path, two_camps_with_bridge())
+    result = CliRunner().invoke(
+        main,
+        ["check", path, "--committee", "1,2", "--axiom", "alpha-beta-ir", "--alpha", "x", "--beta", "0"],
+    )
+    _assert_usage_error(result)
+    assert "'x' is not a rational number" in result.output
+
+
+def test_experiment_empty_k_range_exit_two(tmp_path):
+    out = tmp_path / "run"
+    result = CliRunner().invoke(
+        main, ["experiment", "--k-min", "5", "--k-max", "4", "--out", str(out)]
+    )
+    _assert_usage_error(result)
+    assert not out.exists()

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irlab.cohesion import (
-    f_certificate_exact,
     f_certificate_vi,
     f_vector,
     interval_support,
@@ -13,9 +12,10 @@ from irlab.cohesion import (
 from irlab.model import Election
 from irlab.search import BudgetExceededError
 from irlab.domains import recognize
+from irlab.gen import GenSpec, generate
 
 from instance_gen import random_election, random_vi_election
-from oracles import brute_f
+from oracles import brute_f, f_certificate_exact
 from hard_instances import two_camps_with_bridge, uneven_cohorts, opposed_ends_instance
 
 IDENTITY8 = tuple(range(8))
@@ -23,8 +23,7 @@ IDENTITY8 = tuple(range(8))
 
 def test_bridge_profile_all_ones():
     e = two_camps_with_bridge()
-    for i in range(e.n):
-        assert f_certificate_exact(e, i).f == 1
+    assert [c.f for c in f_vector(e)] == [1] * e.n
 
 
 def test_uneven_cohorts_values():
@@ -34,13 +33,14 @@ def test_uneven_cohorts_values():
 
 def test_opposed_ends_entitlements():
     e = opposed_ends_instance(k=4, n=8)
-    assert f_certificate_exact(e, 0).f == 3
-    assert f_certificate_exact(e, 7).f == 3
+    certs = f_vector(e)
+    assert certs[0].f == 3
+    assert certs[7].f == 3
 
 
 def test_empty_ballot_zero():
     e = Election.from_approvals([set(), {0}], m=2, k=1)
-    cert = f_certificate_exact(e, 0)
+    cert = f_vector(e)[0]
     assert cert.f == 0 and cert.witness_set == frozenset()
 
 
@@ -48,8 +48,7 @@ def test_certificates_verify_and_match_oracle():
     rng = random.Random(42)
     for _ in range(120):
         e = random_election(rng, n_max=10, m_max=8)
-        for i in range(e.n):
-            cert = f_certificate_exact(e, i)
+        for i, cert in enumerate(f_vector(e)):
             assert cert.verify(e)
             assert cert.f == brute_f(e, i)
 
@@ -63,7 +62,7 @@ def test_certificate_oracle_property(data):
     approvals = [data.draw(st.sets(st.integers(0, m - 1))) for _ in range(n)]
     e = Election.from_approvals(approvals, m=m, k=k)
     voter = data.draw(st.integers(0, n - 1))
-    cert = f_certificate_exact(e, voter)
+    cert = f_vector(e)[voter]
     assert cert.verify(e)
     assert cert.f == brute_f(e, voter)
 
@@ -71,7 +70,7 @@ def test_certificate_oracle_property(data):
 def test_witness_is_lexicographically_smallest():
     # two tied witnesses {c1} and {c2}; expect {c1}
     e = Election.from_approvals([{0, 1}, {0, 1}], m=2, k=1)
-    cert = f_certificate_exact(e, 0)
+    cert = f_vector(e)[0]
     assert cert.witness_set == frozenset({0})
 
 
@@ -94,11 +93,9 @@ def test_vi_equals_exact_random():
         e = random_vi_election(rng, n_max=14, m_max=8)
         witness = recognize(e, "VI")
         assert witness is not None
+        exact = f_vector(e)
         for i in range(e.n):
-            assert (
-                f_certificate_vi(e, witness.voter_order, i).f
-                == f_certificate_exact(e, i).f
-            )
+            assert f_certificate_vi(e, witness.voter_order, i).f == exact[i].f
 
 
 def test_vi_rejects_non_witness_order():
@@ -147,11 +144,81 @@ def test_f_vector_deterministic_and_ordered():
 
 
 def test_node_cap_raises_not_wrong():
+    # twelve identical full ballots form a single closed set: one node
     e = Election.from_approvals([set(range(12)) for _ in range(12)], m=12, k=12)
-    with pytest.raises(BudgetExceededError):
-        f_certificate_exact(e, 0, node_cap=3)
+    assert [c.f for c in f_vector(e, node_cap=3)] == [12] * 12
+    # four disjoint camps: clo(∅) = ∅ plus one closed set per camp
+    e = Election.from_approvals([{c} for c in range(4) for _ in range(3)], m=4, k=4)
+    assert [c.f for c in f_vector(e, node_cap=5)] == [1] * 12
+    with pytest.raises(BudgetExceededError) as info:
+        f_vector(e, node_cap=3)
+    assert info.value.nodes == 4 and info.value.cap == 3
+    assert info.value.stage == "cohesion.f_vector"
+    assert "node cap 3" in str(info.value)
 
 
 def test_all_empty_profile_zero_vector():
     e = Election.from_approvals([set(), set(), set()], m=4, k=2)
     assert [c.f for c in f_vector(e)] == [0, 0, 0]
+
+
+def _edge_case_election(rng):
+    """Random profile with repeated and empty ballots, candidates approved by
+    everyone, and k drawn from {1, m, anything}."""
+    n, m = rng.randint(1, 12), rng.randint(1, 8)
+    k = rng.choice([1, m, rng.randint(1, m)])
+    ballots = []
+    for _ in range(n):
+        roll = rng.random()
+        if ballots and roll < 0.3:
+            ballots.append(set(rng.choice(ballots)))
+        elif roll < 0.4:
+            ballots.append(set())
+        else:
+            ballots.append({c for c in range(m) if rng.random() < 0.5})
+    for c in range(m):
+        if rng.random() < 0.15:
+            for ballot in ballots:
+                ballot.add(c)
+    return Election.from_approvals(ballots, m=m, k=k)
+
+
+def test_f_vector_matches_dfs_oracle():
+    rng = random.Random(2004)
+    for _ in range(300):
+        e = _edge_case_election(rng)
+        for i, cert in enumerate(f_vector(e)):
+            ref = f_certificate_exact(e, i)
+            assert (cert.voter, cert.f, cert.witness_set, cert.witness_supporters) == (
+                i,
+                ref.f,
+                ref.witness_set,
+                ref.witness_supporters,
+            )
+            assert cert.f == brute_f(e, i)
+
+
+def test_f_vector_many_closed_sets_matches_dfs_oracle():
+    # each voter misses a candidate of its own, so every nonempty voter group
+    # supports a closed set: 8191 of them, enough to cut the ranking list back
+    rng = random.Random(11)
+    for extra in (0, 1, 2):
+        ballots = [
+            set(range(13)) - {i} - set(rng.sample(range(13), extra)) for i in range(13)
+        ]
+        e = Election.from_approvals(ballots, m=13, k=13)
+        for i, cert in enumerate(f_vector(e)):
+            ref = f_certificate_exact(e, i)
+            assert (cert.f, cert.witness_set, cert.witness_supporters) == (
+                ref.f,
+                ref.witness_set,
+                ref.witness_supporters,
+            )
+
+
+def test_f_vector_decides_large_euclid_2d():
+    # the per-ballot search exhausts a 10**6-node cap on this profile
+    e = generate(GenSpec(model="euclid_2d", n=1000, m=60, seed=2), k=20)
+    certs = f_vector(e, node_cap=10**6)
+    assert [c.voter for c in certs] == list(range(e.n))
+    assert all(c.verify(e) for c in certs)

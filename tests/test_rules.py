@@ -97,6 +97,18 @@ def test_enumeration_guard():
     e = Election.from_approvals([{0}] * 2, m=40, k=20)
     with pytest.raises(RuntimeError):
         run_rule(e, RuleId("pav"))
+    # C(34,10) = 131,128,140 committees, above the cap
+    e = Election.from_approvals([{0, 1}, {2}], m=34, k=10)
+    with pytest.raises(RuntimeError):
+        run_rule(e, RuleId("pav"))
+
+
+def test_enumeration_guard_counts_committees_of_size_k():
+    # C(30,30) = 1 although C(30,15) is far above the cap
+    e = Election.from_approvals([{0, 1}, {2}], m=30, k=30)
+    for rule in ("pav", "cc", "minimax_av"):
+        outcome = run_rule(e, RuleId(rule))
+        assert [w.members for w in outcome.committees] == [frozenset(range(30))]
 
 
 def _naive_pav_best(election):
