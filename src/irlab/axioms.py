@@ -5,6 +5,12 @@ core stability) require exponential search in the worst case; those searches
 run under a node cap and report ``undecided`` instead of guessing when the
 cap is hit.  Cohesiveness thresholds are compared in exact integer
 arithmetic (``|V|*k >= l*n``), never via n/k as a float.
+
+FJR and core stability run one deviation search that differs only in the
+voters it counts and what each must gain; EJR and PJR share one
+cohesive-set search.  Perfect representation is one maximum flow
+(``search.max_flow``): a Hall violator is the set of voters still on the
+source side of the residual graph.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cohesion import CohesionCertificate, f_vector
-from .model import Committee, Election, mask_to_set
-from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget
+from .model import Committee, Election, first_unmet, mask_to_set, members_mask
+from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, max_flow
 
 GROUP_AXIOMS = ("JR", "PJR", "EJR", "FJR", "CORE", "PERFECT_REP")
 INDIVIDUAL_AXIOMS = ("IR", "SSJR", "ALPHA_BETA_IR")
@@ -110,16 +116,19 @@ def check(
     kind = axiom.kind
     if kind in ("JR", "PJR", "EJR", "FJR", "CORE", "PERFECT_REP"):
         _require_full_committee(election, committee, axiom)
+    if kind in ("IR", "ALPHA_BETA_IR"):
+        if fvec is None:
+            fvec = f_vector(election, "exact", node_cap=node_cap)
+        if kind == "IR":  # an integer comparison decides plain IR
+            short = first_unmet(election, committee.mask(), [cert.f for cert in fvec])
+        else:
+            alpha, beta = axiom.alpha, axiom.beta
+            counts = _committee_counts(election, committee)
+            short = next(
+                (i for i in range(election.n) if alpha * counts[i] + beta < fvec[i].f), None
+            )
+        return _entitlement_verdict(axiom, fvec, short)
     counts = _committee_counts(election, committee)
-
-    if kind == "IR":
-        if fvec is None:
-            fvec = f_vector(election, "exact", node_cap=node_cap)
-        return _check_entitlements(election, axiom, counts, fvec, Fraction(1), Fraction(0))
-    if kind == "ALPHA_BETA_IR":
-        if fvec is None:
-            fvec = f_vector(election, "exact", node_cap=node_cap)
-        return _check_entitlements(election, axiom, counts, fvec, axiom.alpha, axiom.beta)
     if kind == "SSJR":
         return _check_ssjr(election, axiom, counts, fvec)
     if kind == "JR":
@@ -137,12 +146,9 @@ def check(
     raise AssertionError(kind)
 
 
-def _check_entitlements(election, axiom, counts, fvec, alpha: Fraction, beta: Fraction):
-    if alpha == 1 and beta == 0:  # plain IR: an integer comparison decides it
-        short = (i for i in range(election.n) if counts[i] < fvec[i].f)
-    else:
-        short = (i for i in range(election.n) if alpha * counts[i] + beta < fvec[i].f)
-    i = next(short, None)
+def _entitlement_verdict(axiom, fvec, i):
+    """The verdict when voter ``i`` is the first one short of her entitlement
+    (None: nobody is); her certificate is the witness."""
     if i is None:
         return AxiomVerdict(axiom, "satisfied", None, 0)
     cert = fvec[i]
@@ -220,31 +226,25 @@ def _check_ejr(election, axiom, counts, node_cap):
                     deficient |= 1 << i
             if deficient.bit_count() * k < level * n:
                 continue
-            pool = [
-                c
-                for c in range(election.m)
-                if (election.candidate_voters[c] & deficient).bit_count() * k >= level * n
-            ]
-            found = _cohesive_set_search(election, pool, deficient, level, budget)
-            if found is not None:
-                cand_set, group = found
-                witness = ViolationWitness(
-                    group=mask_to_set(group),
-                    candidate_set=frozenset(cand_set),
-                    level=level,
-                    deprived=mask_to_set(group),
-                )
+            witness = _cohesive_witness(election, deficient, level, budget)
+            if witness is not None:
                 return AxiomVerdict(axiom, "violated", witness, budget.nodes)
     except BudgetExceededError:
         return AxiomVerdict(axiom, "undecided", None, budget.nodes)
     return AxiomVerdict(axiom, "satisfied", None, budget.nodes)
 
 
-def _cohesive_set_search(election, pool, voter_mask, level, budget):
-    """A size-`level` candidate set jointly approved by >= level*n/k voters
-    from voter_mask, or None.  Depth-first with supporter-count pruning."""
+def _cohesive_witness(election, voter_mask, level, budget):
+    """A witness naming a size-`level` candidate set jointly approved by
+    >= level*n/k voters from voter_mask, or None.  Depth-first over the
+    candidates each backed by that many of them, most-backed first, with
+    supporter-count pruning."""
     n, k = election.n, election.k
-    pool = sorted(pool, key=lambda c: -(election.candidate_voters[c] & voter_mask).bit_count())
+    cand_voters = election.candidate_voters
+    pool = [
+        c for c in range(election.m) if (cand_voters[c] & voter_mask).bit_count() * k >= level * n
+    ]
+    pool.sort(key=lambda c: -(cand_voters[c] & voter_mask).bit_count())
 
     def dfs(start: int, chosen: list[int], supp: int):
         budget.tick()
@@ -255,7 +255,7 @@ def _cohesive_set_search(election, pool, voter_mask, level, budget):
         for idx in range(start, len(pool)):
             if len(chosen) + (len(pool) - idx) < level:
                 return None
-            new_supp = supp & election.candidate_voters[pool[idx]]
+            new_supp = supp & cand_voters[pool[idx]]
             if new_supp.bit_count() * k >= level * n:
                 chosen.append(pool[idx])
                 hit = dfs(idx + 1, chosen, new_supp)
@@ -264,7 +264,14 @@ def _cohesive_set_search(election, pool, voter_mask, level, budget):
                 chosen.pop()
         return None
 
-    return dfs(0, [], voter_mask)
+    found = dfs(0, [], voter_mask)
+    if found is None:
+        return None
+    cand_set, group = found
+    group = mask_to_set(group)
+    return ViolationWitness(
+        group=group, candidate_set=frozenset(cand_set), level=level, deprived=group
+    )
 
 
 def _check_pjr(election, committee, axiom, counts, node_cap):
@@ -291,21 +298,8 @@ def _check_pjr(election, committee, axiom, counts, node_cap):
             for level in range(size + 1, k + 1):
                 if eligible.bit_count() * k < level * n:
                     break
-                pool = [
-                    c
-                    for c in range(election.m)
-                    if (election.candidate_voters[c] & eligible).bit_count() * k
-                    >= level * n
-                ]
-                found = _cohesive_set_search(election, pool, eligible, level, budget)
-                if found is not None:
-                    cand_set, group = found
-                    witness = ViolationWitness(
-                        group=mask_to_set(group),
-                        candidate_set=frozenset(cand_set),
-                        level=level,
-                        deprived=mask_to_set(group),
-                    )
+                witness = _cohesive_witness(election, eligible, level, budget)
+                if witness is not None:
                     return AxiomVerdict(axiom, "violated", witness, budget.nodes)
     except BudgetExceededError:
         return AxiomVerdict(axiom, "undecided", None, budget.nodes)
@@ -315,24 +309,16 @@ def _check_pjr(election, committee, axiom, counts, node_cap):
 def _check_fjr(election, axiom, counts, node_cap):
     n, k = election.n, election.k
     budget = NodeBudget(node_cap, stage="axioms.FJR")
-    ballots = election.ballot_masks
     try:
         for beta in range(1, k + 1):
             deficient = [i for i in range(n) if counts[i] < beta]
             if len(deficient) * k < n:  # |S| >= beta >= 1 needs n/k voters
                 continue
-            pool_mask = 0
-            for i in deficient:
-                pool_mask |= ballots[i]
-            pool = sorted(mask_to_set(pool_mask))
-            hit = _fjr_search(election, pool, deficient, beta, budget)
+            hit = _deviation_search(election, deficient, [beta] * n, budget)
             if hit is not None:
                 cand_set, group = hit
                 witness = ViolationWitness(
-                    group=frozenset(group),
-                    candidate_set=frozenset(cand_set),
-                    level=beta,
-                    deprived=frozenset(group),
+                    group=group, candidate_set=cand_set, level=beta, deprived=group
                 )
                 return AxiomVerdict(axiom, "violated", witness, budget.nodes)
     except BudgetExceededError:
@@ -340,26 +326,46 @@ def _check_fjr(election, axiom, counts, node_cap):
     return AxiomVerdict(axiom, "satisfied", None, budget.nodes)
 
 
-def _fjr_search(election, pool, deficient, beta, budget):
-    """A set S (|S| <= k) with enough deficient voters having |S cap A_i| >= beta
-    to make the group weakly (beta, S)-cohesive; None if there is none."""
+def _check_core(election, axiom, counts, node_cap):
+    budget = NodeBudget(node_cap, stage="axioms.CORE")
+    try:
+        hit = _deviation_search(
+            election, range(election.n), [c + 1 for c in counts], budget
+        )
+    except BudgetExceededError:
+        return AxiomVerdict(axiom, "undecided", None, budget.nodes)
+    if hit is None:
+        return AxiomVerdict(axiom, "satisfied", None, budget.nodes)
+    cand_set, group = hit
+    witness = ViolationWitness(group=group, candidate_set=cand_set, deprived=group)
+    return AxiomVerdict(axiom, "violated", witness, budget.nodes)
+
+
+def _deviation_search(election, voters, need, budget):
+    """The first candidate set S (|S| <= k, depth-first over the candidates
+    the voters approve, in index order) whose voters i with
+    |S cap A_i| >= need[i] number at least |S|*n/k, as (S, those voters);
+    None if there is none.  FJR asks beta of every deficient voter, the core
+    counts[i] + 1 of every voter."""
     n, k = election.n, election.k
     ballots = election.ballot_masks
+    pool_mask = 0
+    for i in voters:
+        pool_mask |= ballots[i]
+    pool = sorted(mask_to_set(pool_mask))
 
     def dfs(start: int, chosen: list[int], smask: int):
         budget.tick()
         if chosen:
-            group = [i for i in deficient if (ballots[i] & smask).bit_count() >= beta]
+            group = [i for i in voters if (ballots[i] & smask).bit_count() >= need[i]]
             if len(group) * k >= len(chosen) * n:
-                return list(chosen), group
+                return frozenset(chosen), frozenset(group)
         if len(chosen) == k:
             return None
         rest = smask
         for idx in range(start, len(pool)):
             rest |= 1 << pool[idx]
-        attainable = sum(
-            1 for i in deficient if (ballots[i] & rest).bit_count() >= beta
-        )
+        attainable = sum(1 for i in voters if (ballots[i] & rest).bit_count() >= need[i])
         if attainable * k < (len(chosen) + 1) * n:
             return None
         for idx in range(start, len(pool)):
@@ -373,113 +379,24 @@ def _fjr_search(election, pool, deficient, beta, budget):
     return dfs(0, [], 0)
 
 
-def _check_core(election, axiom, counts, node_cap):
-    n, k = election.n, election.k
-    budget = NodeBudget(node_cap, stage="axioms.CORE")
-    ballots = election.ballot_masks
-    pool_mask = 0
-    for b in ballots:
-        pool_mask |= b
-    pool = sorted(mask_to_set(pool_mask))
-
-    def dfs(start: int, chosen: list[int], smask: int):
-        budget.tick()
-        if chosen:
-            group = [
-                i for i in range(n) if (ballots[i] & smask).bit_count() > counts[i]
-            ]
-            if len(group) * k >= len(chosen) * n:
-                return list(chosen), group
-        if len(chosen) == k:
-            return None
-        rest = smask
-        for idx in range(start, len(pool)):
-            rest |= 1 << pool[idx]
-        attainable = sum(
-            1 for i in range(n) if (ballots[i] & rest).bit_count() > counts[i]
-        )
-        if attainable * k < (len(chosen) + 1) * n:
-            return None
-        for idx in range(start, len(pool)):
-            chosen.append(pool[idx])
-            hit = dfs(idx + 1, chosen, smask | (1 << pool[idx]))
-            if hit is not None:
-                return hit
-            chosen.pop()
-        return None
-
-    try:
-        hit = dfs(0, [], 0)
-    except BudgetExceededError:
-        return AxiomVerdict(axiom, "undecided", None, budget.nodes)
-    if hit is None:
-        return AxiomVerdict(axiom, "satisfied", None, budget.nodes)
-    cand_set, group = hit
-    witness = ViolationWitness(
-        group=frozenset(group), candidate_set=frozenset(cand_set), deprived=frozenset(group)
-    )
-    return AxiomVerdict(axiom, "violated", witness, budget.nodes)
-
-
 def _check_perfect(election, committee, axiom):
     n, k = election.n, election.k
     if n % k != 0:
         raise ValueError("perfect representation requires k to divide n")
     share = n // k
-    members = sorted(committee.members)
-    flow_value, source_side = _bipartite_quota_flow(election, members, share)
+    # voters 2..n+1 and members n+2.. between source 0 and sink 1; the
+    # voters the source still reaches after a maximum flow violate Hall
+    member_node = {c: n + 2 + j for j, c in enumerate(sorted(committee.members))}
+    arcs = [(member, 1, share) for member in member_node.values()]
+    for v in range(n):
+        arcs.append((0, v + 2, 1))
+        arcs.extend((v + 2, member_node[c], 1) for c in election.approvals[v] if c in member_node)
+    flow_value, source_side = max_flow(n + 2 + len(member_node), arcs, 0, 1)
     if flow_value == n:
         return AxiomVerdict(axiom, "satisfied", None, 0)
-    hall = frozenset(i for i in range(n) if i in source_side)
+    hall = frozenset(v for v in range(n) if v + 2 in source_side)
     witness = ViolationWitness(group=hall, deprived=hall)
     return AxiomVerdict(axiom, "violated", witness, 0)
-
-
-def _bipartite_quota_flow(election, members, share):
-    """Match voters to approved committee members, at most ``share`` voters
-    each (Kuhn's algorithm on member slots); returns the matching size and
-    the Hall-violating voter side when the matching is not perfect."""
-    n = election.n
-    slots_of: dict[int, range] = {}
-    for j, c in enumerate(members):
-        slots_of[c] = range(j * share, (j + 1) * share)
-    slot_voter = [-1] * (len(members) * share)
-    voter_slot = [-1] * n
-
-    def kuhn(v: int, seen: set[int]) -> bool:
-        for c in sorted(election.approvals[v]):
-            for s in slots_of.get(c, ()):
-                if s in seen:
-                    continue
-                seen.add(s)
-                if slot_voter[s] == -1 or kuhn(slot_voter[s], seen):
-                    slot_voter[s] = v
-                    voter_slot[v] = s
-                    return True
-        return False
-
-    flow = 0
-    for v in range(n):
-        if kuhn(v, set()):
-            flow += 1
-    if flow == n:
-        return flow, set()
-    # voters reachable from unmatched voters by alternating paths violate Hall
-    reach_voters = {v for v in range(n) if voter_slot[v] == -1}
-    reach_slots: set[int] = set()
-    frontier = list(reach_voters)
-    while frontier:
-        v = frontier.pop()
-        for c in election.approvals[v]:
-            for s in slots_of.get(c, ()):
-                if s in reach_slots:
-                    continue
-                reach_slots.add(s)
-                u = slot_voter[s]
-                if u != -1 and u not in reach_voters:
-                    reach_voters.add(u)
-                    frontier.append(u)
-    return flow, reach_voters
 
 
 IMPLICATION_ARROWS: tuple[tuple[str, str], ...] = (
@@ -572,9 +489,7 @@ def verify_violation(
         beta = witness.level
         if len(witness.group) * k < len(witness.candidate_set) * n:
             return False
-        smask = 0
-        for c in witness.candidate_set:
-            smask |= 1 << c
+        smask = members_mask(witness.candidate_set)
         for i in witness.group:
             if (election.ballot_masks[i] & smask).bit_count() < beta:
                 return False
@@ -586,9 +501,7 @@ def verify_violation(
             return False
         if len(witness.group) * k < len(witness.candidate_set) * n:
             return False
-        smask = 0
-        for c in witness.candidate_set:
-            smask |= 1 << c
+        smask = members_mask(witness.candidate_set)
         for i in witness.group:
             if (election.ballot_masks[i] & smask).bit_count() <= counts[i]:
                 return False

@@ -131,7 +131,10 @@ def gen_cmd(model, n, m, k, seed, p, radius_owner, out):
         params["p"] = p
     if model == "euclid_2d":
         params["radius_owner"] = radius_owner
-    election = generate(GenSpec(model=model, n=n, m=m, seed=seed, params=params), k=k)
+    try:
+        election = generate(GenSpec(model=model, n=n, m=m, seed=seed, params=params), k=k)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     text = serialize_profile(election)
     if out == "-":
         click.echo(text, nl=False)

@@ -29,7 +29,7 @@ from .cohesion import (
     interval_support,
     vi_order_positions,
 )
-from .model import Committee, Election, mask_to_set
+from .model import Committee, Election, mask_to_set, padding
 
 DomainId = Literal["CI", "VI", "CEI", "VEI", "T_PART", "WSC", "ALPHA_TR", "DUE"]
 
@@ -439,7 +439,6 @@ def verify_tree(election: Election, tree: TreeWitness) -> bool:
     m = election.m
     if len(tree.parent) != m:
         raise ValueError("parent vector length differs from candidate count")
-    depth = [0] * m
     for c in range(m):
         p = tree.parent[c]
         if p != -1 and not 0 <= p < m:
@@ -447,16 +446,11 @@ def verify_tree(election: Election, tree: TreeWitness) -> bool:
     for c in range(m):
         seen = set()
         cur = c
-        d = 0
         while cur != -1:
             if cur in seen:
                 raise ValueError(f"cycle through candidate {c}")
             seen.add(cur)
-            d += 1
             cur = tree.parent[cur]
-            if d > m:
-                raise ValueError("parent chain too long; tree malformed")
-        depth[c] = d
     path_sets = []
     for c in range(m):
         path = set()
@@ -535,16 +529,6 @@ def construct(
     if domain == "ALPHA_TR":
         return _construct_atr(election, witness)
     raise ValueError(f"no construction for domain {domain!r}")
-
-
-def _pad_committee(election: Election, members: set[int]) -> tuple[int, ...]:
-    pad = []
-    for c in range(election.m):
-        if len(members) + len(pad) == election.k:
-            break
-        if c not in members:
-            pad.append(c)
-    return tuple(pad)
 
 
 def construct_vi(election: Election, witness: VIWitness) -> ConstructResult:
@@ -626,12 +610,12 @@ def construct_vi(election: Election, witness: VIWitness) -> ConstructResult:
     members = committee | hat
     if len(members) > k:
         raise AssertionError("two-pass selection exceeded the committee size")
-    padding = _pad_committee(election, members)
-    members.update(padding)
+    pad = padding(election, members)
+    members.update(pad)
     trace = VITrace(
         round1=tuple(round1),
         round2=tuple(round2),
-        padding=padding,
+        padding=pad,
         certificates=tuple(certs),
     )
     return ConstructResult(
@@ -713,7 +697,7 @@ def _construct_tpart(election: Election, witness: TPartWitness) -> ConstructResu
         members.update(sorted(block)[: min(quota, len(block))])
     if len(members) > k:
         raise AssertionError("block quotas exceeded the committee size")
-    members.update(_pad_committee(election, members))
+    members.update(padding(election, members))
     return ConstructResult(
         committee=Committee.of(members, election), guarantee=GUARANTEES["T_PART"]
     )
@@ -755,7 +739,7 @@ def _construct_wsc(election: Election, witness: WSCWitness) -> ConstructResult:
             members.add(c)
     if len(members) > k:
         raise ConstructionInfeasibleError("guaranteed candidates exceed committee size")
-    members.update(_pad_committee(election, members))
+    members.update(padding(election, members))
     committee = Committee.of(members, election)
     # the guarantee is semi-strong JR; re-check it rather than assuming
     for v, ballot in enumerate(election.approvals):
@@ -794,7 +778,7 @@ def _construct_atr(election: Election, witness: TreeWitness) -> ConstructResult:
     }
     if len(members) > k:
         raise AssertionError("tree selection exceeded the committee size")
-    members.update(_pad_committee(election, members))
+    members.update(padding(election, members))
     return ConstructResult(
         committee=Committee.of(members, election), guarantee=GUARANTEES["ALPHA_TR"]
     )

@@ -22,8 +22,9 @@ from typing import Mapping, Sequence
 from .cohesion import f_vector
 from .search import BudgetExceededError
 from .gen import GenSpec, generate
+from .model import first_unmet
 from .rules import RuleId, run_rule
-from .solver import SolveRequest, find_committee
+from .solver import SolveRequest, demands, find_committee
 
 DEFAULT_MODELS = ("vi_euclid", "ci_euclid", "euclid_2d", "ic", "urn", "mallows")
 DEFAULT_RULES = (
@@ -63,6 +64,8 @@ class ExperimentSpec:
     )
 
     def __post_init__(self):
+        if self.n < 1 or self.m < 1:
+            raise ValueError("n and m must be at least 1")
         if self.instances < 1:
             raise ValueError("instances must be at least 1")
         for k in self.k_values:
@@ -118,26 +121,21 @@ def _run_instance(args) -> ExperimentRow:
     ir_res = find_committee(
         SolveRequest(election, fvec, "FIND_IR", node_cap=spec.node_cap)
     )
-    ssjr_res = find_committee(
-        SolveRequest(election, fvec, "FIND_SSJR", node_cap=spec.node_cap)
-    )
+    if ir_res.status == "found":  # an IR committee is semi-strong JR too
+        ssjr_res = ir_res
+    else:
+        ssjr_res = find_committee(
+            SolveRequest(election, fvec, "FIND_SSJR", node_cap=spec.node_cap)
+        )
     undecided = ir_res.status == "undecided" or ssjr_res.status == "undecided"
+    ir_demands = demands(fvec, "FIND_IR")
+    ssjr_demands = demands(fvec, "FIND_SSJR")
     rule_hits = []
     for rule in spec.rules:
         mode = "single" if rule.is_sequential else "all_tied"
-        outcome = run_rule(election, rule, mode=mode)
-        found_ir = found_ssjr = False
-        for committee in outcome.committees:
-            wmask = committee.mask()
-            counts = [
-                (b & wmask).bit_count() for b in election.ballot_masks
-            ]
-            if not found_ir and all(c >= cert.f for c, cert in zip(counts, fvec)):
-                found_ir = True
-            if not found_ssjr and all(
-                c >= min(cert.f, 1) for c, cert in zip(counts, fvec)
-            ):
-                found_ssjr = True
+        wmasks = [w.mask() for w in run_rule(election, rule, mode=mode).committees]
+        found_ir = any(first_unmet(election, w, ir_demands) is None for w in wmasks)
+        found_ssjr = any(first_unmet(election, w, ssjr_demands) is None for w in wmasks)
         rule_hits.append((str(rule), found_ir, found_ssjr))
     ms = int((time.perf_counter() - t0) * 1000)
     return ExperimentRow(

@@ -12,7 +12,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 class ProfileFormatError(ValueError):
@@ -148,6 +149,21 @@ def members_mask(indices: Iterable[int]) -> int:
 
 def mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(_iter_bits(mask))
+
+
+def first_unmet(election: Election, wmask: int, demands: Sequence[int]) -> int | None:
+    """The first voter i with fewer than ``demands[i]`` approved members in the
+    committee ``wmask``, or None when the committee meets every demand."""
+    for i, ballot in enumerate(election.ballot_masks):
+        if (ballot & wmask).bit_count() < demands[i]:
+            return i
+    return None
+
+
+def padding(election: Election, members: Collection[int]) -> tuple[int, ...]:
+    """The lowest-index candidates outside ``members`` that fill it to k seats."""
+    unused = (c for c in range(election.m) if c not in members)
+    return tuple(islice(unused, election.k - len(members)))
 
 
 def supporters(election: Election, candidates: Iterable[int]) -> VoterGroup:

@@ -14,6 +14,7 @@ denominators and identical ballots are collapsed into one class with a
 multiplicity.  They are reported as `fractions.Fraction` values (CC scores
 as `int`s), as are all loads and budgets.  No float enters any decision, so
 ties are detected exactly, which the counterexample fixtures rely on.
+Monroe scores a committee by one maximum flow (``search.max_flow``).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .cohesion import CohesionCertificate
-from .model import Committee, Election, _iter_bits, members_mask
-from .search import DEFAULT_NODE_CAP
+from .model import Committee, Election, _iter_bits, first_unmet, members_mask
+from .search import DEFAULT_NODE_CAP, max_flow
 
 SEQUENTIAL_RULES = (
     "seq_pav",
@@ -154,66 +155,22 @@ def _monroe_score(election: Election, members: Sequence[int]) -> int:
     allowed one extra voter (the unassigned rest never scores)."""
     n, k = election.n, election.k
     base, extra = divmod(n, k)
-    source, sink = 0, 1
-    member_node = {c: 2 + j for j, c in enumerate(members)}
-    extra_node = 2 + len(members)
-    voter_node0 = extra_node + 1
-    size = voter_node0 + n
-    cap: dict[tuple[int, int], int] = {}
-
-    def add(u, v, c):
-        cap[(u, v)] = cap.get((u, v), 0) + c
-
+    source, sink, extra_node = 0, 1, 2
+    member_node = {c: 3 + j for j, c in enumerate(members)}
+    voter_node0 = 3 + len(members)
+    arcs = []
     for v in range(n):
-        add(source, voter_node0 + v, 1)
+        arcs.append((source, voter_node0 + v, 1))
         for c in election.approvals[v]:
             if c in member_node:
-                add(voter_node0 + v, member_node[c], 1)
-    for c in members:
-        add(member_node[c], sink, base)
+                arcs.append((voter_node0 + v, member_node[c], 1))
+    for node in member_node.values():
+        arcs.append((node, sink, base))
         if extra:
-            add(member_node[c], extra_node, 1)
+            arcs.append((node, extra_node, 1))
     if extra:
-        add(extra_node, sink, extra)
-    return _max_flow(size, cap, source, sink)
-
-
-def _max_flow(size: int, cap: dict[tuple[int, int], int], s: int, t: int) -> int:
-    # Edmonds-Karp; the graphs here are tiny
-    for u, v in list(cap.keys()):
-        cap.setdefault((v, u), 0)
-    adj: list[list[int]] = [[] for _ in range(size)]
-    seen_edges = set()
-    flow: dict[tuple[int, int], int] = {}
-    for u, v in cap:
-        flow[(u, v)] = 0
-        if (u, v) not in seen_edges:
-            seen_edges.add((u, v))
-            adj[u].append(v)
-    total = 0
-    while True:
-        parent = [-1] * size
-        parent[s] = s
-        queue = [s]
-        while queue and parent[t] == -1:
-            u = queue.pop(0)
-            for v in adj[u]:
-                if parent[v] == -1 and cap[(u, v)] - flow[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[t] == -1:
-            return total
-        # residual capacities on this path are all >= 1
-        path = []
-        v = t
-        while v != s:
-            path.append((parent[v], v))
-            v = parent[v]
-        bottleneck = min(cap[e] - flow[e] for e in path)
-        for u, v in path:
-            flow[(u, v)] += bottleneck
-            flow[(v, u)] -= bottleneck
-        total += bottleneck
+        arcs.append((extra_node, sink, extra))
+    return max_flow(voter_node0 + n, arcs, source, sink)[0]
 
 
 def max_phragmen_load_vector(
@@ -626,18 +583,11 @@ def ir_consistency_probe(
 
     mode = "single" if rule.is_sequential else "all_tied"
     outcome = run_rule(election, rule, mode=mode)
-    deficits_ir = [cert.f for cert in fvec]
-    deficits_ssjr = [min(cert.f, 1) for cert in fvec]
+    wmasks = [w.mask() for w in outcome.committees]
 
-    def meets(deficits) -> bool:
-        for committee in outcome.committees:
-            wmask = committee.mask()
-            if all(
-                (b & wmask).bit_count() >= d
-                for b, d in zip(election.ballot_masks, deficits)
-            ):
-                return True
-        return False
+    def meets(objective: str) -> bool:
+        wanted = solver.demands(fvec, objective)
+        return any(first_unmet(election, w, wanted) is None for w in wmasks)
 
     ir_request = solver.SolveRequest(
         election=election, fvec=tuple(fvec), objective="FIND_IR", node_cap=node_cap
@@ -648,8 +598,8 @@ def ir_consistency_probe(
     ir_res = solver.find_committee(ir_request)
     ssjr_res = solver.find_committee(ssjr_request)
     return {
-        "rule_found_ir": meets(deficits_ir),
-        "rule_found_ssjr": meets(deficits_ssjr),
+        "rule_found_ir": meets("FIND_IR"),
+        "rule_found_ssjr": meets("FIND_SSJR"),
         "ir_exists": ir_res.status == "found",
         "ssjr_exists": ssjr_res.status == "found",
         "undecided": ir_res.status == "undecided" or ssjr_res.status == "undecided",

@@ -1,6 +1,9 @@
-"""Shared node-count budget for the exponential searches in this package."""
+"""Shared search machinery: the node-count budget of the exponential searches
+and the one max-flow routine (Monroe scores, perfect representation)."""
 
 from __future__ import annotations
+
+from typing import Iterable
 
 
 class BudgetExceededError(RuntimeError):
@@ -39,3 +42,53 @@ class NodeBudget:
 
 
 DEFAULT_NODE_CAP = 10**7
+
+
+def max_flow(
+    size: int, arcs: Iterable[tuple[int, int, int]], source: int, sink: int
+) -> tuple[int, set[int]]:
+    """Maximum ``source``-``sink`` flow over nodes ``0..size-1`` (Edmonds-Karp).
+
+    ``arcs`` lists ``(u, v, capacity)`` with integer capacities.  Returns the
+    flow value and the nodes reachable from ``source`` in the final residual
+    graph: the source side of the minimum cut nearest the source, which is
+    the same set for every maximum flow.  Iterative, so path length is not
+    bounded by the recursion limit.
+    """
+    out: list[list[int]] = [[] for _ in range(size)]
+    head: list[int] = []  # arc e ends at head[e]; arc e ^ 1 is its reverse
+    residual: list[int] = []
+    for u, v, cap in arcs:
+        out[u].append(len(head))
+        head.append(v)
+        residual.append(cap)
+        out[v].append(len(head))
+        head.append(u)
+        residual.append(0)
+    total = 0
+    while True:
+        via = [-1] * size  # the arc a node was first reached by; -2 marks the source
+        via[source] = -2
+        queue = [source]
+        for u in queue:
+            for e in out[u]:
+                if residual[e]:
+                    v = head[e]
+                    if via[v] == -1:
+                        via[v] = e
+                        queue.append(v)
+            if via[sink] != -1:
+                break
+        if via[sink] == -1:
+            return total, set(queue)
+        path = []
+        v = sink
+        while v != source:
+            e = via[v]
+            path.append(e)
+            v = head[e ^ 1]
+        push = min(residual[e] for e in path)
+        for e in path:
+            residual[e] -= push
+            residual[e ^ 1] += push
+        total += push

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from . import axioms
 from .cohesion import CohesionCertificate
-from .model import Committee, Election, _iter_bits
+from .model import Committee, Election, _iter_bits, first_unmet, members_mask, padding
 from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget
 
 OBJECTIVES = ("FIND_IR", "FIND_SSJR", "MIN_BETA", "MIN_ALPHA")
@@ -140,51 +141,45 @@ def _cover_search(
     return None
 
 
-def _pad_to_k(election: Election, members: list[int]) -> Committee:
-    got = set(members)
-    for c in range(election.m):
-        if len(got) == election.k:
-            break
-        got.add(c)
-    return Committee.of(got, election)
+def demands(fvec: Sequence[CohesionCertificate], objective: str) -> list[int]:
+    """Per-voter approved-member demand: f_i for FIND_IR, min(f_i, 1) for FIND_SSJR."""
+    if objective == "FIND_IR":
+        return [cert.f for cert in fvec]
+    if objective == "FIND_SSJR":
+        return [min(cert.f, 1) for cert in fvec]
+    raise ValueError("demands are defined for FIND_IR and FIND_SSJR only")
 
 
 def _feasible(
-    request: SolveRequest, alpha: Fraction, beta: Fraction, budget: NodeBudget
+    election: Election, deficits: Sequence[int], budget: NodeBudget
 ) -> Committee | None:
-    deficits = _deficits_for(request.fvec, alpha, beta)
-    hit = _cover_search(request.election, deficits, budget)
+    hit = _cover_search(election, deficits, budget)
     if hit is None:
         return None
-    return _pad_to_k(request.election, hit)
+    return Committee.of([*hit, *padding(election, hit)], election)
 
 
 def find_committee(request: SolveRequest) -> SolveResult:
     """Solve the request exactly; `undecided` is only ever due to the node cap."""
-    election = request.election
+    election, fvec = request.election, request.fvec
     budget = NodeBudget(request.node_cap, stage="solver.find_committee")
     try:
         if request.objective in ("FIND_IR", "FIND_SSJR"):
-            if request.objective == "FIND_SSJR":
-                deficits = [min(cert.f, 1) for cert in request.fvec]
-            else:
-                deficits = [cert.f for cert in request.fvec]
-            hit = _cover_search(election, deficits, budget)
-            if hit is None:
+            committee = _feasible(election, demands(fvec, request.objective), budget)
+            if committee is None:
                 return SolveResult("infeasible", None, None, None, budget.nodes)
-            committee = _pad_to_k(election, hit)
             _assert_entitled(request, committee, Fraction(1), Fraction(0), ssjr=request.objective == "FIND_SSJR")
             return SolveResult("found", committee, Fraction(1), Fraction(0), budget.nodes)
 
         if request.objective == "MIN_BETA":
-            fmax = max((cert.f for cert in request.fvec), default=0)
+            fmax = max((cert.f for cert in fvec), default=0)
             lo, hi = 0, fmax  # beta = fmax always feasible: every demand collapses
-            best: Committee | None = _feasible(request, request.alpha, Fraction(fmax), budget)
+            best = _feasible(election, _deficits_for(fvec, request.alpha, Fraction(fmax)), budget)
             if best is None:
                 raise AssertionError("beta = max f_i must be feasible")
             while lo < hi:
                 mid = (lo + hi) // 2
-                committee = _feasible(request, request.alpha, Fraction(mid), budget)
+                committee = _feasible(election, _deficits_for(fvec, request.alpha, Fraction(mid)), budget)
                 if committee is not None:
                     best, hi = committee, mid
                 else:
@@ -194,16 +189,16 @@ def find_committee(request: SolveRequest) -> SolveResult:
 
         # MIN_ALPHA: the attainable values of max_i (f_i - beta)/|W cap A_i|
         # live on the grid {p/q : p = f_i - beta > 0, 1 <= q <= k}
-        demands = sorted(
-            {cert.f - request.beta for cert in request.fvec if cert.f - request.beta > 0}
+        numerators = sorted(
+            {cert.f - request.beta for cert in fvec if cert.f - request.beta > 0}
         )
-        if not demands:
-            committee = _pad_to_k(election, [])
+        if not numerators:
+            committee = Committee.of(padding(election, ()), election)
             return SolveResult("found", committee, Fraction(1), request.beta, budget.nodes)
         grid = sorted(
             {
                 Fraction(p) / q
-                for p in demands
+                for p in numerators
                 for q in range(1, election.k + 1)
                 if Fraction(p) / q >= 1
             }
@@ -212,13 +207,13 @@ def find_committee(request: SolveRequest) -> SolveResult:
         feas = [None] * len(grid)
         best_idx = None
         lo, hi = 0, len(grid) - 1
-        committee = _feasible(request, grid[hi], request.beta, budget)
+        committee = _feasible(election, _deficits_for(fvec, grid[hi], request.beta), budget)
         if committee is None:
             return SolveResult("infeasible", None, None, None, budget.nodes)
         feas[hi], best_idx = committee, hi
         while lo < hi:
             mid = (lo + hi) // 2
-            committee = _feasible(request, grid[mid], request.beta, budget)
+            committee = _feasible(election, _deficits_for(fvec, grid[mid], request.beta), budget)
             if committee is not None:
                 feas[mid], best_idx = committee, mid
                 hi = mid
@@ -256,22 +251,9 @@ def enumerate_committees(
 
     Exponential; intended for fixtures and as an oracle for the search.
     """
-    from itertools import combinations
-
-    if objective == "FIND_SSJR":
-        deficits = [min(cert.f, 1) for cert in fvec]
-    elif objective == "FIND_IR":
-        deficits = [cert.f for cert in fvec]
-    else:
-        raise ValueError("enumeration supports FIND_IR and FIND_SSJR only")
-    out = []
-    for combo in combinations(range(election.m), election.k):
-        wmask = 0
-        for c in combo:
-            wmask |= 1 << c
-        if all(
-            (ballot & wmask).bit_count() >= d
-            for ballot, d in zip(election.ballot_masks, deficits)
-        ):
-            out.append(Committee.of(combo, election))
-    return out
+    wanted = demands(fvec, objective)
+    return [
+        Committee.of(combo, election)
+        for combo in combinations(range(election.m), election.k)
+        if first_unmet(election, members_mask(combo), wanted) is None
+    ]

@@ -2,9 +2,10 @@
 
 Most of these evaluate definitions by full enumeration, deliberately sharing
 no search code with the package: subsets are enumerated without pruning and
-orders by factorial search.  The pruned per-voter entitlement search and the
-Fraction Thiele scorer are the engines the package replaced; they stay here
-as references for the faster ones.
+orders by factorial search.  The pruned per-voter entitlement search, the
+Fraction Thiele scorer, Kuhn's recursive quota matching and the separate FJR
+and core deviation searches are the engines the package replaced; they stay
+here as references for the ones that replaced them.
 """
 
 from fractions import Fraction
@@ -12,8 +13,9 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 from irlab.cohesion import CohesionCertificate
-from irlab.model import Election, VoterGroup
-from irlab.search import DEFAULT_NODE_CAP, NodeBudget
+from irlab.axioms import AxiomVerdict, ViolationWitness
+from irlab.model import Election, VoterGroup, mask_to_set
+from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget
 
 
 def brute_f(election, voter):
@@ -273,6 +275,172 @@ def naive_perfect(election, members):
         return False
 
     return place(0)
+
+
+# --------------------------------------------------------------------------
+# Perfect representation: Kuhn's matching on member slots (recursive)
+# --------------------------------------------------------------------------
+
+
+def bipartite_quota_flow(election, members, share):
+    """Match voters to approved committee members, at most ``share`` voters
+    each (Kuhn's algorithm on member slots); returns the matching size and
+    the Hall-violating voter side when the matching is not perfect."""
+    n = election.n
+    slots_of: dict[int, range] = {}
+    for j, c in enumerate(members):
+        slots_of[c] = range(j * share, (j + 1) * share)
+    slot_voter = [-1] * (len(members) * share)
+    voter_slot = [-1] * n
+
+    def kuhn(v: int, seen: set[int]) -> bool:
+        for c in sorted(election.approvals[v]):
+            for s in slots_of.get(c, ()):
+                if s in seen:
+                    continue
+                seen.add(s)
+                if slot_voter[s] == -1 or kuhn(slot_voter[s], seen):
+                    slot_voter[s] = v
+                    voter_slot[v] = s
+                    return True
+        return False
+
+    flow = 0
+    for v in range(n):
+        if kuhn(v, set()):
+            flow += 1
+    if flow == n:
+        return flow, set()
+    # voters reachable from unmatched voters by alternating paths violate Hall
+    reach_voters = {v for v in range(n) if voter_slot[v] == -1}
+    reach_slots: set[int] = set()
+    frontier = list(reach_voters)
+    while frontier:
+        v = frontier.pop()
+        for c in election.approvals[v]:
+            for s in slots_of.get(c, ()):
+                if s in reach_slots:
+                    continue
+                reach_slots.add(s)
+                u = slot_voter[s]
+                if u != -1 and u not in reach_voters:
+                    reach_voters.add(u)
+                    frontier.append(u)
+    return flow, reach_voters
+
+
+# --------------------------------------------------------------------------
+# FJR and the core: one deviation search each
+# --------------------------------------------------------------------------
+
+
+def check_fjr(election, axiom, counts, node_cap):
+    n, k = election.n, election.k
+    budget = NodeBudget(node_cap, stage="axioms.FJR")
+    ballots = election.ballot_masks
+    try:
+        for beta in range(1, k + 1):
+            deficient = [i for i in range(n) if counts[i] < beta]
+            if len(deficient) * k < n:  # |S| >= beta >= 1 needs n/k voters
+                continue
+            pool_mask = 0
+            for i in deficient:
+                pool_mask |= ballots[i]
+            pool = sorted(mask_to_set(pool_mask))
+            hit = _fjr_search(election, pool, deficient, beta, budget)
+            if hit is not None:
+                cand_set, group = hit
+                witness = ViolationWitness(
+                    group=frozenset(group),
+                    candidate_set=frozenset(cand_set),
+                    level=beta,
+                    deprived=frozenset(group),
+                )
+                return AxiomVerdict(axiom, "violated", witness, budget.nodes)
+    except BudgetExceededError:
+        return AxiomVerdict(axiom, "undecided", None, budget.nodes)
+    return AxiomVerdict(axiom, "satisfied", None, budget.nodes)
+
+
+def _fjr_search(election, pool, deficient, beta, budget):
+    """A set S (|S| <= k) with enough deficient voters having |S cap A_i| >= beta
+    to make the group weakly (beta, S)-cohesive; None if there is none."""
+    n, k = election.n, election.k
+    ballots = election.ballot_masks
+
+    def dfs(start: int, chosen: list[int], smask: int):
+        budget.tick()
+        if chosen:
+            group = [i for i in deficient if (ballots[i] & smask).bit_count() >= beta]
+            if len(group) * k >= len(chosen) * n:
+                return list(chosen), group
+        if len(chosen) == k:
+            return None
+        rest = smask
+        for idx in range(start, len(pool)):
+            rest |= 1 << pool[idx]
+        attainable = sum(
+            1 for i in deficient if (ballots[i] & rest).bit_count() >= beta
+        )
+        if attainable * k < (len(chosen) + 1) * n:
+            return None
+        for idx in range(start, len(pool)):
+            chosen.append(pool[idx])
+            hit = dfs(idx + 1, chosen, smask | (1 << pool[idx]))
+            if hit is not None:
+                return hit
+            chosen.pop()
+        return None
+
+    return dfs(0, [], 0)
+
+
+def check_core(election, axiom, counts, node_cap):
+    n, k = election.n, election.k
+    budget = NodeBudget(node_cap, stage="axioms.CORE")
+    ballots = election.ballot_masks
+    pool_mask = 0
+    for b in ballots:
+        pool_mask |= b
+    pool = sorted(mask_to_set(pool_mask))
+
+    def dfs(start: int, chosen: list[int], smask: int):
+        budget.tick()
+        if chosen:
+            group = [
+                i for i in range(n) if (ballots[i] & smask).bit_count() > counts[i]
+            ]
+            if len(group) * k >= len(chosen) * n:
+                return list(chosen), group
+        if len(chosen) == k:
+            return None
+        rest = smask
+        for idx in range(start, len(pool)):
+            rest |= 1 << pool[idx]
+        attainable = sum(
+            1 for i in range(n) if (ballots[i] & rest).bit_count() > counts[i]
+        )
+        if attainable * k < (len(chosen) + 1) * n:
+            return None
+        for idx in range(start, len(pool)):
+            chosen.append(pool[idx])
+            hit = dfs(idx + 1, chosen, smask | (1 << pool[idx]))
+            if hit is not None:
+                return hit
+            chosen.pop()
+        return None
+
+    try:
+        hit = dfs(0, [], 0)
+    except BudgetExceededError:
+        return AxiomVerdict(axiom, "undecided", None, budget.nodes)
+    if hit is None:
+        return AxiomVerdict(axiom, "satisfied", None, budget.nodes)
+    cand_set, group = hit
+    witness = ViolationWitness(
+        group=frozenset(group), candidate_set=frozenset(cand_set), deprived=frozenset(group)
+    )
+    return AxiomVerdict(axiom, "violated", witness, budget.nodes)
 
 
 def consecutive_order_exists(num_cols, sets):

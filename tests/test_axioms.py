@@ -22,7 +22,17 @@ from irlab.cohesion import f_vector
 from irlab.model import Committee, Election
 
 from instance_gen import random_committee, random_election
-from oracles import naive_core, naive_ejr, naive_fjr, naive_jr, naive_perfect, naive_pjr
+from oracles import (
+    bipartite_quota_flow,
+    check_core,
+    check_fjr,
+    naive_core,
+    naive_ejr,
+    naive_fjr,
+    naive_jr,
+    naive_perfect,
+    naive_pjr,
+)
 from hard_instances import (
     two_camps_with_bridge,
     uneven_cohorts,
@@ -137,6 +147,52 @@ def test_perfect_rep_oracle_small_random():
         tried += 1
         w = random_committee(rng, e)
         assert check(e, w, PERFECT_REP).satisfied == naive_perfect(e, w.members)
+
+
+def test_perfect_rep_matches_kuhn_oracle():
+    # verdict and Hall witness (the voters the source side still reaches)
+    # equal those of the recursive slot matching the flow replaced
+    rng = random.Random(29)
+    tried = violated = 0
+    while tried < 300:
+        e = random_election(rng, n_max=30, m_max=8, density=rng.choice((0.2, 0.4)))
+        if e.n % e.k != 0:
+            continue
+        tried += 1
+        w = random_committee(rng, e)
+        verdict = check(e, w, PERFECT_REP)
+        flow, hall = bipartite_quota_flow(e, sorted(w.members), e.n // e.k)
+        assert verdict.status == ("satisfied" if flow == e.n else "violated")
+        if verdict.witness is not None:
+            violated += 1
+            assert verdict.witness.group == verdict.witness.deprived == frozenset(hall)
+            assert verify_violation(e, w, PERFECT_REP, verdict.witness)
+    assert violated >= 50
+
+
+def test_perfect_rep_long_chain():
+    # voter v approves c_{v-1} and c_v, k = m = n: the matching v -> c_v is
+    # perfect, and a recursive augmenting path would be n voters deep
+    n = 1500
+    e = Election.from_approvals([{v - 1, v} - {-1} for v in range(n)], m=n, k=n)
+    assert check(e, Committee.of(range(n), e), PERFECT_REP).satisfied
+
+
+def test_fjr_core_match_separate_searches():
+    # FJR and the core share one deviation search; verdict, witness and node
+    # cost equal those of the two searches it replaced, capped or not
+    rng = random.Random(37)
+    seen = {"violated": 0, "undecided": 0}
+    for _ in range(150):
+        e = random_election(rng, n_max=10, m_max=7, k_max=4)
+        w = random_committee(rng, e)
+        counts = [len(w.members & a) for a in e.approvals]
+        for cap in (2, 7, 10**6):
+            for axiom, oracle in ((FJR, check_fjr), (CORE, check_core)):
+                verdict = check(e, w, axiom, node_cap=cap)
+                assert verdict == oracle(e, axiom, counts, cap)
+                seen[verdict.status] = seen.get(verdict.status, 0) + 1
+    assert seen["violated"] >= 20 and seen["undecided"] >= 20
 
 
 def test_violation_witnesses_recheck():

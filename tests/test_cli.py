@@ -232,3 +232,27 @@ def test_experiment_empty_k_range_exit_two(tmp_path):
     )
     _assert_usage_error(result)
     assert not out.exists()
+
+
+def test_gen_zero_voters_exit_two():
+    result = CliRunner().invoke(main, ["gen", "--model", "ic", "--n", "0", "--m", "3"])
+    _assert_usage_error(result)
+    assert "n and m must be at least 1" in result.output
+
+
+def test_gen_k_above_m_exit_two():
+    result = CliRunner().invoke(
+        main, ["gen", "--model", "ic", "--n", "3", "--m", "3", "--k", "5"]
+    )
+    _assert_usage_error(result)
+    assert "committee size k=5 not in [1, 3]" in result.output
+
+
+def test_experiment_zero_voters_exit_two(tmp_path):
+    out = tmp_path / "run"
+    result = CliRunner().invoke(
+        main, ["experiment", "--n", "0", "--instances", "1", "--out", str(out)]
+    )
+    _assert_usage_error(result)
+    assert "n and m must be at least 1" in result.output
+    assert not out.exists()
