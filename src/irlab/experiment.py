@@ -24,7 +24,7 @@ from .search import BudgetExceededError
 from .gen import GenSpec, generate
 from .model import first_unmet
 from .rules import RuleId, run_rule
-from .solver import SolveRequest, demands, find_committee
+from .solver import demands, find_ir_and_ssjr
 
 DEFAULT_MODELS = ("vi_euclid", "ci_euclid", "euclid_2d", "ic", "urn", "mallows")
 DEFAULT_RULES = (
@@ -118,15 +118,7 @@ def _run_instance(args) -> ExperimentRow:
             undecided=True,
             ms=ms,
         )
-    ir_res = find_committee(
-        SolveRequest(election, fvec, "FIND_IR", node_cap=spec.node_cap)
-    )
-    if ir_res.status == "found":  # an IR committee is semi-strong JR too
-        ssjr_res = ir_res
-    else:
-        ssjr_res = find_committee(
-            SolveRequest(election, fvec, "FIND_SSJR", node_cap=spec.node_cap)
-        )
+    ir_res, ssjr_res = find_ir_and_ssjr(election, fvec, spec.node_cap)
     undecided = ir_res.status == "undecided" or ssjr_res.status == "undecided"
     ir_demands = demands(fvec, "FIND_IR")
     ssjr_demands = demands(fvec, "FIND_SSJR")

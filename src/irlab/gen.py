@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
 from typing import Mapping
 
 from .model import Election
@@ -141,24 +144,36 @@ def _gen_urn(spec: GenSpec, rng: random.Random) -> list[set[int]]:
     return ballots
 
 
+@lru_cache(maxsize=3)
+def _insertion_table(phi: float, m: int) -> list[tuple[list[float], float]]:
+    """For i = 1..m: the running sums of the insertion weights phi^(i-j),
+    j = 1..i, accumulated front to back, and their total `sum(weights)`.
+
+    The cached lists are shared between calls and only ever read.  They are
+    lists, not tuples: freed small tuples stay in the interpreter's tuple
+    free lists, which would keep a few MB resident after a long run.
+    """
+    table = []
+    for i in range(1, m + 1):
+        weights = [phi ** (i - j) for j in range(1, i + 1)]
+        table.append((list(accumulate(weights)), sum(weights)))
+    return table
+
+
 def _mallows_sample(ref: list[int], phi: float, rng: random.Random) -> list[int]:
     """Repeated-insertion sampling; phi=0 reproduces the reference ranking,
     phi=1 is a uniformly random permutation."""
     ranking: list[int] = []
+    table = _insertion_table(phi, len(ref)) if phi < 1.0 else ()
     for i, item in enumerate(ref, start=1):
         # position j in 1..i (1 = front) has weight phi^(i-j)
         if phi >= 1.0:
             j = rng.randint(1, i)
         else:
-            weights = [phi ** (i - j) for j in range(1, i + 1)]
-            u = rng.random() * sum(weights)
-            acc = 0.0
-            j = i
-            for idx, w in enumerate(weights, start=1):
-                acc += w
-                if u <= acc:
-                    j = idx
-                    break
+            prefix, total = table[i - 1]
+            # the first j whose running sum reaches u; the back if rounding
+            # leaves u above them all
+            j = min(bisect_left(prefix, rng.random() * total) + 1, i)
         ranking.insert(j - 1, item)
     return ranking
 

@@ -12,7 +12,11 @@ Thiele scores (PAV, CC, geometric PAV and their sequential forms) are
 computed as exact integers: the weights are scaled by the lcm of their
 denominators and identical ballots are collapsed into one class with a
 multiplicity.  They are reported as `fractions.Fraction` values (CC scores
-as `int`s), as are all loads and budgets.  No float enters any decision, so
+as `int`s).  seq-Phragmen loads and Rule X budgets are integer numerators
+over one common denominator, grouped by value into voter bitmasks: every
+approver of a pick gets the same load or pays the same rho, so the groups
+stay few and a candidate's sum is one popcount per group.  Loads, balances
+and payments are reported as `Fraction`s.  No float enters any decision, so
 ties are detected exactly, which the counterexample fixtures rely on.
 Monroe scores a committee by one maximum flow (``search.max_flow``).
 """
@@ -23,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .cohesion import CohesionCertificate
@@ -276,92 +280,130 @@ def _rev_seq_thiele(election: Election) -> tuple[list[int], list]:
     return committee, history
 
 
+def _common_scale(scale: int, num: int, den: int) -> tuple[int, int, int]:
+    """Put num/den (den > 0) beside values held over the denominator `scale`.
+
+    Returns the new common denominator (the lcm of `scale` and num/den's
+    reduced denominator), the factor that carries the old numerators onto it,
+    and num/den's numerator over it.
+    """
+    g = gcd(num, den)
+    new_scale = lcm(scale, den // g)
+    return new_scale, new_scale // scale, num // g * (new_scale * g // den)
+
+
 def _seq_phragmen(
     election: Election,
-    start_loads: list[Fraction] | None = None,
+    groups: dict[int, int] | None = None,
+    scale: int = 1,
     partial: Iterable[int] = (),
-) -> tuple[list[int], list[Fraction]]:
-    n, k = election.n, election.k
-    loads = list(start_loads) if start_loads is not None else [Fraction(0)] * n
+) -> tuple[list[int], dict[int, int], int]:
+    """seq-Phragmen on grouped scaled-integer loads.
+
+    A load is a numerator over the common denominator `scale`; `groups` maps
+    each non-zero numerator to the mask of the voters carrying it (every
+    other voter has load 0).  A pick gives all its approvers the same load,
+    so the groups stay few and a candidate's load sum is one masked popcount
+    per group.  New loads num/(scale*w) are compared by cross-multiplying.
+    An unapproved candidate is taken only when no approved one is left.
+    """
+    cv = election.candidate_voters
+    groups = groups or {}
     committee = list(partial)
-    chosen_mask = members_mask(committee)
-    unreachable = Fraction(k + 1)  # worse than any genuine load
-    while len(committee) < k:
-        best_c, best_load = -1, None
-        for c in range(election.m):
-            if chosen_mask >> c & 1:
-                continue
-            sup = election.candidate_voters[c]
-            weight = sup.bit_count()
-            if weight == 0:
-                new_load = unreachable
-            else:
-                new_load = (1 + sum(loads[v] for v in _iter_bits(sup))) / weight
-            if best_load is None or new_load < best_load:
-                best_c, best_load = c, new_load
+    remaining = [c for c in range(election.m) if cv[c] and c not in committee]
+    while len(committee) < election.k:
+        if not remaining:  # only unapproved candidates are left
+            committee.append(next(c for c in range(election.m) if c not in committee))
+            continue
+        items = list(groups.items())
+        best_c, best_num, best_w = -1, 0, 1
+        for c in remaining:
+            sup = cv[c]
+            num = scale + sum([value * (sup & mask).bit_count() for value, mask in items])
+            w = sup.bit_count()
+            if best_c < 0 or num * best_w < best_num * w:
+                best_c, best_num, best_w = c, num, w
         committee.append(best_c)
-        chosen_mask |= 1 << best_c
-        if best_load != unreachable:
-            for v in _iter_bits(election.candidate_voters[best_c]):
-                loads[v] = best_load
-    return committee, loads
+        remaining.remove(best_c)
+        # the approvers' new load best_num/(scale*best_w), on a common scale
+        scale, factor, load = _common_scale(scale, best_num, scale * best_w)
+        sup = cv[best_c]
+        rest = {value * factor: mask & ~sup for value, mask in groups.items()}
+        groups = {value: mask for value, mask in rest.items() if mask}
+        if load:
+            groups[load] = groups.get(load, 0) | sup
+    return committee, groups, scale
 
 
 def _rule_x(election: Election) -> tuple[list[int], dict]:
     """Method of Equal Shares with unit prices and k/n starting budgets,
-    completed by continuing seq-Phragmen on the residual budgets."""
+    completed by continuing seq-Phragmen on the residual budgets.
+
+    Budgets are grouped scaled integers as in `_seq_phragmen` (numerator ->
+    voter mask over the common denominator `scale`, zero budgets implicit).
+    A candidate's payment rho, the smallest with sum_{approvers} min(b_v,
+    rho) = 1, is a/(scale*rich): walking the groups in increasing budget
+    order, a group whose budget p has p*rich < a pays all it has and leaves
+    the rich.
+    """
     n, k = election.n, election.k
-    budgets = [Fraction(k, n)] * n
+    cv = election.candidate_voters
+    groups, scale = {k: election.all_voters_mask()}, n
     committee: list[int] = []
-    chosen_mask = 0
+    remaining = [c for c in range(election.m) if cv[c]]
     rhos: list[Fraction] = []
     while len(committee) < k:
-        best_c, best_rho = -1, None
-        for c in range(election.m):
-            if chosen_mask >> c & 1:
-                continue
-            rho = _affordable_rho(election, budgets, c)
-            if rho is None:
-                continue
-            if best_rho is None or rho < best_rho:
-                best_c, best_rho = c, rho
+        ordered = sorted(groups.items())
+        best_c, best_a, best_r = -1, 0, 1
+        for c in remaining:
+            sup = cv[c]
+            counts = [(value, (sup & mask).bit_count()) for value, mask in ordered]
+            if sum([value * cnt for value, cnt in counts]) < scale:
+                continue  # the approvers cannot afford c
+            a, rich = scale, sum([cnt for _, cnt in counts])
+            for value, cnt in counts:
+                if value * rich >= a:
+                    break
+                a -= value * cnt
+                rich -= cnt
+            if best_c < 0 or a * best_r < best_a * rich:
+                best_c, best_a, best_r = c, a, rich
         if best_c == -1:
             break  # no candidate affordable; complete via seq-Phragmen
         committee.append(best_c)
-        chosen_mask |= 1 << best_c
-        rhos.append(best_rho)
-        for v in _iter_bits(election.candidate_voters[best_c]):
-            budgets[v] -= min(budgets[v], best_rho)
+        remaining.remove(best_c)
+        rhos.append(Fraction(best_a, scale * best_r))
+        # every approver pays min(b_v, rho), on a common scale
+        scale, factor, rho = _common_scale(scale, best_a, scale * best_r)
+        sup = cv[best_c]
+        paid: dict[int, int] = {}
+        for value, mask in groups.items():
+            value *= factor
+            for left, part in ((value, mask & ~sup), (value - rho, mask & sup)):
+                if part and left > 0:
+                    paid[left] = paid.get(left, 0) | part
+        groups = paid
     completed = False
     if len(committee) < k:
         completed = True
-        start_loads = [-b for b in budgets]
-        committee, _ = _seq_phragmen(election, start_loads=start_loads, partial=committee)
+        negated = {-value: mask for value, mask in groups.items()}
+        committee, _, _ = _seq_phragmen(election, negated, scale, partial=committee)
     meta = {
-        "balances": tuple(budgets),
+        "balances": _per_voter(election, groups, scale),
         "rhos": tuple(rhos),
         "completion": "seq_phragmen" if completed else None,
     }
     return committee, meta
 
 
-def _affordable_rho(election: Election, budgets: list[Fraction], c: int) -> Fraction | None:
-    """Smallest per-voter payment rho with sum_{approvers} min(b_v, rho) = 1."""
-    sup = [v for v in _iter_bits(election.candidate_voters[c])]
-    if not sup:
-        return None
-    if sum(budgets[v] for v in sup) < 1:
-        return None
-    rich = set(sup)
-    poor_paid = Fraction(0)
-    while rich:
-        rho = (1 - poor_paid) / len(rich)
-        newly_poor = {v for v in rich if budgets[v] < rho}
-        if not newly_poor:
-            return rho
-        poor_paid += sum(budgets[v] for v in newly_poor)
-        rich -= newly_poor
-    return None
+def _per_voter(election: Election, groups: dict[int, int], scale: int) -> tuple[Fraction, ...]:
+    """Expand grouped scaled values into one `Fraction` per voter."""
+    values = [Fraction(0)] * election.n
+    for value, mask in groups.items():
+        exact = Fraction(value, scale)
+        for v in _iter_bits(mask):
+            values[v] = exact
+    return tuple(values)
 
 
 def _greedy_monroe(election: Election) -> tuple[list[int], list]:
@@ -548,9 +590,10 @@ def run_rule(election: Election, rule: RuleId, mode: str = "single") -> RuleOutc
         chosen, history = _rev_seq_thiele(election)
         return _outcome(election, rule, [tuple(sorted(chosen))], {"removals": history})
     if rule.kind == "seq_phragmen":
-        chosen, loads = _seq_phragmen(election)
+        chosen, groups, scale = _seq_phragmen(election)
+        loads = _per_voter(election, groups, scale)
         return _outcome(
-            election, rule, [tuple(sorted(chosen))], {"loads": tuple(loads), "order": tuple(chosen)}
+            election, rule, [tuple(sorted(chosen))], {"loads": loads, "order": tuple(chosen)}
         )
     if rule.kind == "rule_x":
         chosen, meta = _rule_x(election)
@@ -589,14 +632,7 @@ def ir_consistency_probe(
         wanted = solver.demands(fvec, objective)
         return any(first_unmet(election, w, wanted) is None for w in wmasks)
 
-    ir_request = solver.SolveRequest(
-        election=election, fvec=tuple(fvec), objective="FIND_IR", node_cap=node_cap
-    )
-    ssjr_request = solver.SolveRequest(
-        election=election, fvec=tuple(fvec), objective="FIND_SSJR", node_cap=node_cap
-    )
-    ir_res = solver.find_committee(ir_request)
-    ssjr_res = solver.find_committee(ssjr_request)
+    ir_res, ssjr_res = solver.find_ir_and_ssjr(election, fvec, node_cap)
     return {
         "rule_found_ir": meets("FIND_IR"),
         "rule_found_ssjr": meets("FIND_SSJR"),

@@ -226,6 +226,19 @@ def find_committee(request: SolveRequest) -> SolveResult:
         return SolveResult("undecided", None, None, None, budget.nodes)
 
 
+def find_ir_and_ssjr(
+    election: Election, fvec: Sequence[CohesionCertificate], node_cap: int
+) -> tuple[SolveResult, SolveResult]:
+    """The FIND_IR and the FIND_SSJR result.  An IR committee is semi-strong JR
+    too, so once FIND_IR has found one it stands for both and FIND_SSJR is not
+    solved."""
+    ir_res = find_committee(SolveRequest(election, tuple(fvec), "FIND_IR", node_cap=node_cap))
+    if ir_res.status == "found":
+        return ir_res, ir_res
+    ssjr_res = find_committee(SolveRequest(election, tuple(fvec), "FIND_SSJR", node_cap=node_cap))
+    return ir_res, ssjr_res
+
+
 def _assert_entitled(
     request: SolveRequest,
     committee: Committee,

@@ -3,18 +3,19 @@
 Most of these evaluate definitions by full enumeration, deliberately sharing
 no search code with the package: subsets are enumerated without pruning and
 orders by factorial search.  The pruned per-voter entitlement search, the
-Fraction Thiele scorer, Kuhn's recursive quota matching and the separate FJR
-and core deviation searches are the engines the package replaced; they stay
-here as references for the ones that replaced them.
+Fraction Thiele scorer, the per-voter Fraction seq-Phragmen and Rule X, the
+linear-scan Mallows sampler, Kuhn's recursive quota matching and the separate
+FJR and core deviation searches are the engines the package replaced; they
+stay here as references for the ones that replaced them.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from irlab.cohesion import CohesionCertificate
 from irlab.axioms import AxiomVerdict, ViolationWitness
-from irlab.model import Election, VoterGroup, mask_to_set
+from irlab.model import Election, VoterGroup, _iter_bits, mask_to_set, members_mask
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget
 
 
@@ -520,3 +521,121 @@ def rev_seq_thiele(election, weights):
         committee.remove(drop)
         removals.append((drop, least))
     return committee, removals
+
+
+# --------------------------------------------------------------------------
+# Mallows repeated insertion: a linear scan of freshly built weights
+# --------------------------------------------------------------------------
+
+
+def mallows_sample(ref, phi, rng):
+    ranking = []
+    for i, item in enumerate(ref, start=1):
+        # position j in 1..i (1 = front) has weight phi^(i-j)
+        if phi >= 1.0:
+            j = rng.randint(1, i)
+        else:
+            weights = [phi ** (i - j) for j in range(1, i + 1)]
+            u = rng.random() * sum(weights)
+            acc = 0.0
+            j = i
+            for idx, w in enumerate(weights, start=1):
+                acc += w
+                if u <= acc:
+                    j = idx
+                    break
+        ranking.insert(j - 1, item)
+    return ranking
+
+
+# --------------------------------------------------------------------------
+# seq-Phragmen and Rule X: per-voter Fraction loads and budgets
+# --------------------------------------------------------------------------
+
+
+def _seq_phragmen(
+    election: Election,
+    start_loads: list[Fraction] | None = None,
+    partial: Iterable[int] = (),
+) -> tuple[list[int], list[Fraction]]:
+    n, k = election.n, election.k
+    loads = list(start_loads) if start_loads is not None else [Fraction(0)] * n
+    committee = list(partial)
+    chosen_mask = members_mask(committee)
+    unreachable = Fraction(k + 1)  # worse than any genuine load
+    while len(committee) < k:
+        best_c, best_load = -1, None
+        for c in range(election.m):
+            if chosen_mask >> c & 1:
+                continue
+            sup = election.candidate_voters[c]
+            weight = sup.bit_count()
+            if weight == 0:
+                new_load = unreachable
+            else:
+                new_load = (1 + sum(loads[v] for v in _iter_bits(sup))) / weight
+            if best_load is None or new_load < best_load:
+                best_c, best_load = c, new_load
+        committee.append(best_c)
+        chosen_mask |= 1 << best_c
+        if best_load != unreachable:
+            for v in _iter_bits(election.candidate_voters[best_c]):
+                loads[v] = best_load
+    return committee, loads
+
+
+def _rule_x(election: Election) -> tuple[list[int], dict]:
+    """Method of Equal Shares with unit prices and k/n starting budgets,
+    completed by continuing seq-Phragmen on the residual budgets."""
+    n, k = election.n, election.k
+    budgets = [Fraction(k, n)] * n
+    committee: list[int] = []
+    chosen_mask = 0
+    rhos: list[Fraction] = []
+    while len(committee) < k:
+        best_c, best_rho = -1, None
+        for c in range(election.m):
+            if chosen_mask >> c & 1:
+                continue
+            rho = _affordable_rho(election, budgets, c)
+            if rho is None:
+                continue
+            if best_rho is None or rho < best_rho:
+                best_c, best_rho = c, rho
+        if best_c == -1:
+            break  # no candidate affordable; complete via seq-Phragmen
+        committee.append(best_c)
+        chosen_mask |= 1 << best_c
+        rhos.append(best_rho)
+        for v in _iter_bits(election.candidate_voters[best_c]):
+            budgets[v] -= min(budgets[v], best_rho)
+    completed = False
+    if len(committee) < k:
+        completed = True
+        start_loads = [-b for b in budgets]
+        committee, _ = _seq_phragmen(election, start_loads=start_loads, partial=committee)
+    meta = {
+        "balances": tuple(budgets),
+        "rhos": tuple(rhos),
+        "completion": "seq_phragmen" if completed else None,
+    }
+    return committee, meta
+
+
+def _affordable_rho(election: Election, budgets: list[Fraction], c: int) -> Fraction | None:
+    """Smallest per-voter payment rho with sum_{approvers} min(b_v, rho) = 1."""
+    sup = [v for v in _iter_bits(election.candidate_voters[c])]
+    if not sup:
+        return None
+    if sum(budgets[v] for v in sup) < 1:
+        return None
+    rich = set(sup)
+    poor_paid = Fraction(0)
+    while rich:
+        rho = (1 - poor_paid) / len(rich)
+        newly_poor = {v for v in rich if budgets[v] < rho}
+        if not newly_poor:
+            return rho
+        poor_paid += sum(budgets[v] for v in newly_poor)
+        rich -= newly_poor
+    return None

@@ -1,8 +1,11 @@
+import hashlib
 import random
 import statistics
 
 from irlab.domains import recognize
 from irlab.gen import GenSpec, MODELS, _mallows_sample, generate
+
+from oracles import mallows_sample
 
 
 def test_seed_determinism_all_models():
@@ -85,6 +88,18 @@ def test_mallows_dispersion_extremes():
     assert statistics.mean(taus_low) < statistics.mean(taus) / 2
 
 
+def test_mallows_sample_matches_linear_scan():
+    """The bisected insertion table draws the same positions from the same
+    random stream as a linear scan of freshly built weights."""
+    for phi in (0.0, 1e-9, 0.2, 0.5, 0.999, 1.0):
+        for m in (1, 5, 16, 60):
+            ref = list(range(m))
+            rng, oracle_rng = random.Random(m), random.Random(m)
+            for _ in range(20):
+                assert _mallows_sample(ref, phi, rng) == mallows_sample(ref, phi, oracle_rng)
+            assert rng.random() == oracle_rng.random()
+
+
 def test_2d_radius_owner_switch():
     spec_c = GenSpec(model="euclid_2d", n=20, m=10, seed=9, params={"radius_owner": "candidate"})
     spec_v = GenSpec(model="euclid_2d", n=20, m=10, seed=9, params={"radius_owner": "voter"})
@@ -100,3 +115,31 @@ def test_spec_validation():
         GenSpec(model="ic", n=0, m=5, seed=1)
     with pytest.raises(ValueError):
         GenSpec(model="ic", n=5, m=5, seed=1, params={"p": 1.5})
+
+
+# SHA-256 of the profiles below, recorded with the linear-scan Mallows
+# sampler (`oracles.mallows_sample`); any change to a random stream shows here
+GOLDEN_PROFILES_SHA256 = "2f0d11af59223f18766a29c262cfbbcda02273553bef7b4498f9acac6e5b5523"
+
+
+def _golden_specs():
+    specs = [GenSpec(model=model, n=40, m=16, seed=seed) for model in MODELS for seed in (1, 2, 3)]
+    specs += [GenSpec(model=model, n=200, m=60, seed=7) for model in MODELS]
+    specs.append(
+        GenSpec(model="euclid_2d", n=40, m=16, seed=4, params={"radius_owner": "voter"})
+    )
+    return specs
+
+
+def profiles_digest(specs):
+    digest = hashlib.sha256()
+    for spec in specs:
+        election = generate(spec, k=3)
+        digest.update(f"{spec.model} n={spec.n} m={spec.m} seed={spec.seed}\n".encode())
+        for ballot in election.approvals:
+            digest.update((",".join(map(str, sorted(ballot))) + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_generated_profiles_match_golden_digest():
+    assert profiles_digest(_golden_specs()) == GOLDEN_PROFILES_SHA256

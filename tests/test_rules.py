@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,10 +7,14 @@ import pytest
 
 from irlab import rules
 from irlab.cohesion import f_vector
+from irlab.gen import MODELS, GenSpec, generate
 from irlab.model import Election
 from irlab.rules import RuleId, ir_consistency_probe, run_rule
+from irlab.solver import SolveRequest, find_committee
 
 from instance_gen import random_election
+from oracles import _rule_x as oracle_rule_x
+from oracles import _seq_phragmen as oracle_seq_phragmen
 from oracles import brute_optimum, cc_score, rev_seq_thiele, seq_thiele, thiele_score
 from hard_instances import (
     hamming_bait_instance,
@@ -280,3 +285,109 @@ def test_sequential_thiele_rules_match_fraction_reference():
         assert out.diagnostics["removals"] == removals
         assert all(type(g) is Fraction for _, g in out.diagnostics["removals"])
 
+
+
+def _phragmen_elections(rng, count):
+    """Random profiles whose ballots come from a few types of random density,
+    so ballots repeat, some are empty and some candidates have no approvers;
+    k = 1 and k = m both occur."""
+    out = []
+    for j in range(count):
+        m = rng.randint(1, 8)
+        k = (1, m, rng.randint(1, m))[j % 3]
+        types = [
+            {c for c in range(m) if rng.random() < density}
+            for density in [rng.random() for _ in range(rng.randint(1, 5))]
+        ] + [set()]
+        approvals = [rng.choice(types) for _ in range(rng.randint(1, 14))]
+        out.append(Election.from_approvals(approvals, m=m, k=k))
+    return out
+
+
+def _same_fractions(got, want):
+    """Equal by value and by type, the container and every entry."""
+    assert got == want
+    assert type(got) is type(want)
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def test_phragmen_rules_match_fraction_oracle():
+    rng = random.Random(47)
+    paths = Counter()
+    for e in _phragmen_elections(rng, 400):
+        out = run_rule(e, RuleId("seq_phragmen"))
+        order, loads = oracle_seq_phragmen(e)
+        assert out.diagnostics["order"] == tuple(order)
+        assert members(out) == sorted(order)
+        _same_fractions(out.diagnostics["loads"], tuple(loads))
+        if any(e.candidate_voters[c] == 0 for c in order):
+            paths["unapproved pick"] += 1
+
+        out = run_rule(e, RuleId("rule_x"))
+        committee, meta = oracle_rule_x(e)
+        assert members(out) == sorted(committee)
+        assert out.diagnostics["completion"] == meta["completion"]
+        _same_fractions(out.diagnostics["balances"], meta["balances"])
+        _same_fractions(out.diagnostics["rhos"], meta["rhos"])
+        if meta["completion"] is None:
+            paths["rule_x without completion"] += 1
+        elif meta["rhos"]:
+            paths["rule_x picks, then completion"] += 1
+        else:
+            paths["rule_x completion only"] += 1
+    assert len(paths) == 4 and min(paths.values()) >= 10, paths
+
+
+def test_phragmen_rules_halve_when_every_voter_is_cloned():
+    """Cloning every voter (n -> 2n) keeps both committees and halves every
+    load, payment and balance exactly: beyond the oracle's reach at n = 1000."""
+    cases = [
+        generate(GenSpec(model=model, n=1000, m=m, seed=5), k=k)
+        for model, m, k in (("ic", 40, 10), ("urn", 30, 8), ("euclid_2d", 40, 12))
+    ]
+    # four parties of 250 that each afford their own candidate: Rule X ends
+    # without completion; the extra candidates are out of reach
+    parties = [{v % 4} | ({4 + v % 3} if v % 7 == 0 else set()) for v in range(1000)]
+    cases.append(Election.from_approvals(parties, m=7, k=4))
+    completions = set()
+    for e in cases:
+        label = e.n, e.m, e.k
+        twice = Election.from_approvals(e.approvals * 2, m=e.m, k=e.k)
+
+        one, two = (run_rule(x, RuleId("seq_phragmen")) for x in (e, twice))
+        assert two.diagnostics["order"] == one.diagnostics["order"], label
+        _same_fractions(two.diagnostics["loads"], tuple(x / 2 for x in one.diagnostics["loads"]) * 2)
+
+        one, two = (run_rule(x, RuleId("rule_x")) for x in (e, twice))
+        assert members(two) == members(one), label
+        assert two.diagnostics["completion"] == one.diagnostics["completion"]
+        completions.add(one.diagnostics["completion"])
+        _same_fractions(two.diagnostics["rhos"], tuple(x / 2 for x in one.diagnostics["rhos"]))
+        _same_fractions(
+            two.diagnostics["balances"], tuple(x / 2 for x in one.diagnostics["balances"]) * 2
+        )
+    assert completions == {None, "seq_phragmen"}
+
+
+def test_probe_matches_both_solves():
+    """The probe skips FIND_SSJR once FIND_IR has found a committee; its
+    answer is the one both solves give."""
+    statuses = Counter()
+    for e in (
+        generate(GenSpec(model=model, n=40, m=16, seed=seed), k=k)
+        for model in MODELS
+        for k in (3, 5, 8)
+        for seed in range(6)
+    ):
+        fvec = tuple(f_vector(e))
+        ir = find_committee(SolveRequest(e, fvec, "FIND_IR"))
+        ssjr = find_committee(SolveRequest(e, fvec, "FIND_SSJR"))
+        for rule in (RuleId("seq_phragmen"), RuleId("av")):
+            probe = ir_consistency_probe(e, rule, fvec)
+            assert probe["ir_exists"] == (ir.status == "found")
+            assert probe["ssjr_exists"] == (ssjr.status == "found")
+            assert probe["undecided"] == ("undecided" in (ir.status, ssjr.status))
+            if probe["rule_found_ir"]:
+                assert probe["ir_exists"] and probe["rule_found_ssjr"]
+        statuses[ir.status] += 1
+    assert statuses["found"] and statuses["infeasible"], statuses
