@@ -153,7 +153,7 @@ def _entitlement_verdict(axiom, fvec, i):
         return AxiomVerdict(axiom, "satisfied", None, 0)
     cert = fvec[i]
     witness = ViolationWitness(
-        group=frozenset(cert.witness_supporters.members),
+        group=cert.witness_supporters.members,
         candidate_set=cert.witness_set,
         level=cert.f,
         deprived=frozenset([i]),
@@ -173,7 +173,7 @@ def _check_ssjr(election, axiom, counts, fvec):
                 continue
             cert = fvec[i]
             cand_set = cert.witness_set
-            group = frozenset(cert.witness_supporters.members)
+            group = cert.witness_supporters.members
             level = cert.f
         else:
             cand = next(

@@ -402,7 +402,7 @@ def construct_cmd(profile, domain_name, tree):
 @click.option("--instances", type=int, default=300, show_default=True)
 @click.option("--rules", "rule_names", default="", help=f"comma-separated; e.g. {','.join(DEFAULT_RULES)}")
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--cap", type=click.IntRange(min=1), default=10**6, show_default=True)
 @click.option("--timing/--no-timing", default=True, show_default=True,
               help="--no-timing zeroes the ms column for reproducible bytes")

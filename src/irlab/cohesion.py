@@ -49,7 +49,7 @@ class CohesionCertificate:
         if len(self.witness_set) != self.f:
             return False
         mask = election.supporters_mask(self.witness_set)
-        if mask != self.witness_supporters.mask():
+        if mask != self.witness_supporters.mask:
             return False
         return mask.bit_count() * election.k >= self.f * election.n
 
@@ -223,7 +223,7 @@ def f_certificate_vi(
     if not 0 <= voter < election.n:
         raise ValueError(f"voter index {voter} out of range")
     pos = vi_order_positions(election, order)
-    return _vi_certificate_from_positions(election, order, pos, voter)
+    return _vi_certificate_from_positions(election, pos, voter)
 
 
 def _candidate_position_spans(
@@ -243,7 +243,6 @@ def _candidate_position_spans(
 
 def _vi_certificate_from_positions(
     election: Election,
-    order: Sequence[int],
     pos: Sequence[int],
     voter: int,
     spans: list[tuple[int, int]] | None = None,
@@ -290,13 +289,16 @@ def _vi_certificate_from_positions(
 
 
 def interval_support(
-    election: Election, order: Sequence[int], certificate: CohesionCertificate
+    pos: Sequence[int], certificate: CohesionCertificate
 ) -> IntervalSupport:
-    """Locate the witness supporters of ``certificate`` as a position interval."""
-    pos = vi_order_positions(election, order)
+    """Locate the witness supporters of ``certificate`` as a position interval.
+
+    ``pos`` is the position-of-voter list of a validated witness order
+    (:func:`vi_order_positions`).
+    """
     p = pos[certificate.voter]
-    positions = sorted(pos[v] for v in certificate.witness_supporters.members)
-    left, right = positions[0], positions[-1]
+    positions = [pos[v] for v in certificate.witness_supporters]
+    left, right = min(positions), max(positions)
     if right - left + 1 != len(positions) or not left <= p <= right:
         raise ValueError("witness supporters do not form an interval containing the voter")
     return IntervalSupport(voter=certificate.voter, pos=p, left=left, right=right)
@@ -323,10 +325,12 @@ def f_vector(
     if method == "vi":
         if order is None:
             raise ValueError("method 'vi' requires a witness order")
-        pos = vi_order_positions(election, order)
-        spans = _candidate_position_spans(election, pos)
-        return [
-            _vi_certificate_from_positions(election, order, pos, i, spans)
-            for i in range(election.n)
-        ]
+        return vi_certificates(election, vi_order_positions(election, order))
     raise ValueError(f"unknown method {method!r}")
+
+
+def vi_certificates(election: Election, pos: Sequence[int]) -> list[CohesionCertificate]:
+    """All n certificates by the interval scan, given the position-of-voter
+    list of a validated witness order (:func:`vi_order_positions`)."""
+    spans = _candidate_position_spans(election, pos)
+    return [_vi_certificate_from_positions(election, pos, i, spans) for i in range(election.n)]

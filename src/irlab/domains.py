@@ -25,8 +25,8 @@ from typing import Literal, Sequence
 from . import c1p
 from .cohesion import (
     CohesionCertificate,
-    f_vector,
     interval_support,
+    vi_certificates,
     vi_order_positions,
 )
 from .model import Committee, Election, mask_to_set, padding
@@ -518,10 +518,8 @@ def construct(
     """Build a committee with the domain's guarantee; the witness is re-verified."""
     if domain == "VI":
         return construct_vi(election, witness)
-    if domain == "CEI":
-        return _construct_cei(election, witness)
-    if domain == "VEI":
-        return _construct_vei(election, witness)
+    if domain in ("CEI", "VEI"):
+        return _construct_ends(election, domain, witness)
     if domain == "T_PART":
         return _construct_tpart(election, witness)
     if domain == "WSC":
@@ -545,11 +543,12 @@ def construct_vi(election: Election, witness: VIWitness) -> ConstructResult:
         raise InvalidWitnessError("expected a VIWitness")
     order = list(witness.voter_order)
     try:
-        certs = f_vector(election, "vi", order=order)  # validates the order
+        pos = vi_order_positions(election, order)
     except ValueError as exc:
         raise InvalidWitnessError(str(exc)) from None
+    certs = vi_certificates(election, pos)
     n, k = election.n, election.k
-    intervals = [interval_support(election, order, certs[v]) for v in range(n)]
+    intervals = [interval_support(pos, cert) for cert in certs]
 
     committee: set[int] = set()
     round1: list[VIRoundStep] = []
@@ -625,28 +624,27 @@ def construct_vi(election: Election, witness: VIWitness) -> ConstructResult:
     )
 
 
-def _universally_approved(election: Election) -> list[int]:
-    full = election.all_voters_mask()
-    return [c for c in range(election.m) if election.candidate_voters[c] == full]
-
-
-def _ends_committee(election: Election, order: Sequence[int]) -> set[int]:
+def _construct_ends(election: Election, domain: DomainId, witness) -> ConstructResult:
+    """CEI and VEI: the first k universally approved candidates when there are
+    that many, otherwise the first k//2 and the last k - k//2 candidates of
+    the domain's candidate order (the witness's for CEI, `vei_candidate_order`
+    for VEI)."""
+    kind = CEIWitness if domain == "CEI" else VEIWitness
+    if not isinstance(witness, kind) or not verify_witness(election, domain, witness):
+        raise InvalidWitnessError(f"invalid {domain} witness")
     k = election.k
-    head = list(order[: k // 2])
-    tail = list(order[len(order) - (k - k // 2) :])
-    return set(head) | set(tail)
-
-
-def _construct_cei(election: Election, witness: CEIWitness) -> ConstructResult:
-    if not isinstance(witness, CEIWitness) or not verify_witness(election, "CEI", witness):
-        raise InvalidWitnessError("invalid CEI witness")
-    common = _universally_approved(election)
-    if len(common) >= election.k:
-        members = set(common[: election.k])
+    full = election.all_voters_mask()
+    common = [c for c in range(election.m) if election.candidate_voters[c] == full]
+    if len(common) >= k:
+        members = set(common[:k])
     else:
-        members = _ends_committee(election, witness.candidate_order)
+        if domain == "CEI":
+            order = witness.candidate_order
+        else:
+            order = vei_candidate_order(election, witness)
+        members = set(order[: k // 2]) | set(order[len(order) - (k - k // 2) :])
     return ConstructResult(
-        committee=Committee.of(members, election), guarantee=GUARANTEES["CEI"]
+        committee=Committee.of(members, election), guarantee=GUARANTEES[domain]
     )
 
 
@@ -671,19 +669,6 @@ def vei_candidate_order(election: Election, witness: VEIWitness) -> list[int]:
     prefix_cands.sort(key=lambda t: (-t[0], t[1]))
     suffix_cands.sort(key=lambda t: (-t[0], t[1]))
     return [c for _, c in prefix_cands] + [c for _, c in suffix_cands]
-
-
-def _construct_vei(election: Election, witness: VEIWitness) -> ConstructResult:
-    if not isinstance(witness, VEIWitness) or not verify_witness(election, "VEI", witness):
-        raise InvalidWitnessError("invalid VEI witness")
-    common = _universally_approved(election)
-    if len(common) >= election.k:
-        members = set(common[: election.k])
-    else:
-        members = _ends_committee(election, vei_candidate_order(election, witness))
-    return ConstructResult(
-        committee=Committee.of(members, election), guarantee=GUARANTEES["VEI"]
-    )
 
 
 def _construct_tpart(election: Election, witness: TPartWitness) -> ConstructResult:

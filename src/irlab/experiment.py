@@ -2,10 +2,13 @@
 
 For every (model, committee size, instance) triple the harness generates a
 profile, computes the exact entitlement vector, decides IR and semi-strong JR
-existence, and optionally probes a list of voting rules.  Results stream into
-a CSV whose rows are keyed by a per-instance seed derived from the base seed,
-so output is byte-identical across runs and independent of the parallelism
-degree (rows are order-normalized before writing).
+existence, and optionally probes a list of voting rules with
+:func:`probe_rule`, the one place that checks rule winners against the
+entitlement demands.  Results stream into a CSV whose rows are keyed by a
+per-instance seed derived from the base seed, so output is byte-identical
+across runs and independent of the parallelism degree (rows are
+order-normalized before writing; the worker pool is never larger than the
+number of instances or of CPUs).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -22,7 +26,7 @@ from typing import Mapping, Sequence
 from .cohesion import f_vector
 from .search import BudgetExceededError
 from .gen import GenSpec, generate
-from .model import first_unmet
+from .model import Election, first_unmet
 from .rules import RuleId, run_rule
 from .solver import demands, find_ir_and_ssjr
 
@@ -68,6 +72,8 @@ class ExperimentSpec:
             raise ValueError("n and m must be at least 1")
         if self.instances < 1:
             raise ValueError("instances must be at least 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
         for k in self.k_values:
             if not 1 <= k <= self.m:
                 raise ValueError(f"k={k} outside [1, {self.m}]")
@@ -88,6 +94,22 @@ class ExperimentRow:
 def instance_seed(base_seed: int, model: str, k: int, index: int) -> int:
     key = f"{base_seed}:{model}:{k}:{index}".encode()
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") >> 1
+
+
+def probe_rule(
+    election: Election, rule: RuleId, wanted: Sequence[Sequence[int]]
+) -> tuple[bool, ...]:
+    """For each demand vector in ``wanted``, whether some winner of ``rule``
+    gives every voter i at least that many approved members.
+
+    Exact rules are probed over all tied winners, sequential rules over their
+    single fixed-tie-break output.
+    """
+    mode = "single" if rule.is_sequential else "all_tied"
+    wmasks = [w.mask() for w in run_rule(election, rule, mode=mode).committees]
+    return tuple(
+        any(first_unmet(election, w, demand) is None for w in wmasks) for demand in wanted
+    )
 
 
 def _run_instance(args) -> ExperimentRow:
@@ -120,15 +142,10 @@ def _run_instance(args) -> ExperimentRow:
         )
     ir_res, ssjr_res = find_ir_and_ssjr(election, fvec, spec.node_cap)
     undecided = ir_res.status == "undecided" or ssjr_res.status == "undecided"
-    ir_demands = demands(fvec, "FIND_IR")
-    ssjr_demands = demands(fvec, "FIND_SSJR")
-    rule_hits = []
-    for rule in spec.rules:
-        mode = "single" if rule.is_sequential else "all_tied"
-        wmasks = [w.mask() for w in run_rule(election, rule, mode=mode).committees]
-        found_ir = any(first_unmet(election, w, ir_demands) is None for w in wmasks)
-        found_ssjr = any(first_unmet(election, w, ssjr_demands) is None for w in wmasks)
-        rule_hits.append((str(rule), found_ir, found_ssjr))
+    wanted = (demands(fvec, "FIND_IR"), demands(fvec, "FIND_SSJR"))
+    rule_hits = tuple(
+        (str(rule), *probe_rule(election, rule, wanted)) for rule in spec.rules
+    )
     ms = int((time.perf_counter() - t0) * 1000)
     return ExperimentRow(
         model=model,
@@ -136,7 +153,7 @@ def _run_instance(args) -> ExperimentRow:
         seed=seed,
         ir_exists=None if ir_res.status == "undecided" else ir_res.status == "found",
         ssjr_exists=None if ssjr_res.status == "undecided" else ssjr_res.status == "found",
-        rule_hits=tuple(rule_hits),
+        rule_hits=rule_hits,
         undecided=undecided,
         ms=ms,
     )
@@ -150,8 +167,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
         for k in spec.k_values
         for index in range(spec.instances)
     ]
-    if spec.jobs > 1:
-        with Pool(spec.jobs) as pool:
+    workers = min(spec.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             rows = pool.map(_run_instance, tasks, chunksize=16)
     else:
         rows = [_run_instance(t) for t in tasks]

@@ -6,6 +6,8 @@ Conventions used throughout the package:
 * all proportionality thresholds are evaluated with exact integer arithmetic,
   i.e. ``|V| >= l*n/k`` is always written as ``|V|*k >= l*n`` (n/k is never
   materialized as a float);
+* voter groups are bitmasks (bit i for voter i): a :class:`VoterGroup` holds
+  only its mask and derives its member set when it is read;
 * every type in this module is immutable after construction.
 """
 
@@ -114,22 +116,27 @@ class Committee:
 
 @dataclass(frozen=True)
 class VoterGroup:
-    """A set of voter indices, e.g. the supporters N(S) of a candidate set S."""
+    """A set of voter indices, e.g. the supporters N(S) of a candidate set S.
 
-    members: frozenset[int]
+    The group is its voter bitmask (bit i for voter i); ``members``, ``len``
+    and iteration (in ascending voter order) are derived from it when read.
+    """
+
+    mask: int
 
     @staticmethod
     def from_mask(mask: int) -> "VoterGroup":
-        return VoterGroup(members=frozenset(_iter_bits(mask)))
+        return VoterGroup(mask)
 
-    def mask(self) -> int:
-        return members_mask(self.members)
+    @property
+    def members(self) -> frozenset[int]:
+        return mask_to_set(self.mask)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
+        return _iter_bits(self.mask)
 
 
 def _iter_bits(mask: int) -> Iterator[int]:

@@ -19,6 +19,8 @@ stay few and a candidate's sum is one popcount per group.  Loads, balances
 and payments are reported as `Fraction`s.  No float enters any decision, so
 ties are detected exactly, which the counterexample fixtures rely on.
 Monroe scores a committee by one maximum flow (``search.max_flow``).
+Whether a rule's winners meet the IR or semi-strong JR demands is decided
+outside this module, by ``experiment.probe_rule``.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
-from .cohesion import CohesionCertificate
-from .model import Committee, Election, _iter_bits, first_unmet, members_mask
-from .search import DEFAULT_NODE_CAP, max_flow
+from .model import Committee, Election, _iter_bits, members_mask
+from .search import max_flow
 
 SEQUENTIAL_RULES = (
     "seq_pav",
@@ -609,34 +610,3 @@ def run_rule(election: Election, rule: RuleId, mode: str = "single") -> RuleOutc
 def _outcome(election, rule, combos, diagnostics) -> RuleOutcome:
     committees = tuple(Committee.of(c, election) for c in combos)
     return RuleOutcome(rule=rule, committees=committees, diagnostics=diagnostics)
-
-
-def ir_consistency_probe(
-    election: Election,
-    rule: RuleId,
-    fvec: Sequence[CohesionCertificate],
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> dict:
-    """Does the rule find an IR (and semi-strong JR) committee when one exists?
-
-    Exact rules are probed over all tied winners, sequential rules over their
-    single fixed-tie-break output.
-    """
-    from . import solver
-
-    mode = "single" if rule.is_sequential else "all_tied"
-    outcome = run_rule(election, rule, mode=mode)
-    wmasks = [w.mask() for w in outcome.committees]
-
-    def meets(objective: str) -> bool:
-        wanted = solver.demands(fvec, objective)
-        return any(first_unmet(election, w, wanted) is None for w in wmasks)
-
-    ir_res, ssjr_res = solver.find_ir_and_ssjr(election, fvec, node_cap)
-    return {
-        "rule_found_ir": meets("FIND_IR"),
-        "rule_found_ssjr": meets("FIND_SSJR"),
-        "ir_exists": ir_res.status == "found",
-        "ssjr_exists": ssjr_res.status == "found",
-        "undecided": ir_res.status == "undecided" or ssjr_res.status == "undecided",
-    }

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import axioms
 from .cohesion import CohesionCertificate
@@ -159,6 +159,30 @@ def _feasible(
     return Committee.of([*hit, *padding(election, hit)], election)
 
 
+def _least_feasible(
+    election: Election,
+    grid: Sequence,
+    deficits_at: Callable[[object], list[int]],
+    budget: NodeBudget,
+) -> tuple[object, Committee] | None:
+    """The least value of the ascending ``grid`` whose demands are feasible,
+    with its committee; None when the top value is not.  Feasibility is
+    monotone along the grid, so the top is solved first and the rest is a
+    bisection."""
+    lo, hi = 0, len(grid) - 1
+    best = _feasible(election, deficits_at(grid[hi]), budget)
+    if best is None:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        committee = _feasible(election, deficits_at(grid[mid]), budget)
+        if committee is not None:
+            best, hi = committee, mid
+        else:
+            lo = mid + 1
+    return grid[lo], best
+
+
 def find_committee(request: SolveRequest) -> SolveResult:
     """Solve the request exactly; `undecided` is only ever due to the node cap."""
     election, fvec = request.election, request.fvec
@@ -173,19 +197,17 @@ def find_committee(request: SolveRequest) -> SolveResult:
 
         if request.objective == "MIN_BETA":
             fmax = max((cert.f for cert in fvec), default=0)
-            lo, hi = 0, fmax  # beta = fmax always feasible: every demand collapses
-            best = _feasible(election, _deficits_for(fvec, request.alpha, Fraction(fmax)), budget)
-            if best is None:
+            hit = _least_feasible(
+                election,
+                range(fmax + 1),
+                lambda beta: _deficits_for(fvec, request.alpha, Fraction(beta)),
+                budget,
+            )
+            if hit is None:  # beta = fmax collapses every demand
                 raise AssertionError("beta = max f_i must be feasible")
-            while lo < hi:
-                mid = (lo + hi) // 2
-                committee = _feasible(election, _deficits_for(fvec, request.alpha, Fraction(mid)), budget)
-                if committee is not None:
-                    best, hi = committee, mid
-                else:
-                    lo = mid + 1
-            _assert_entitled(request, best, request.alpha, Fraction(lo))
-            return SolveResult("found", best, request.alpha, Fraction(lo), budget.nodes)
+            beta, best = hit
+            _assert_entitled(request, best, request.alpha, Fraction(beta))
+            return SolveResult("found", best, request.alpha, Fraction(beta), budget.nodes)
 
         # MIN_ALPHA: the attainable values of max_i (f_i - beta)/|W cap A_i|
         # live on the grid {p/q : p = f_i - beta > 0, 1 <= q <= k}
@@ -204,24 +226,14 @@ def find_committee(request: SolveRequest) -> SolveResult:
             }
             | {Fraction(1)}
         )
-        feas = [None] * len(grid)
-        best_idx = None
-        lo, hi = 0, len(grid) - 1
-        committee = _feasible(election, _deficits_for(fvec, grid[hi], request.beta), budget)
-        if committee is None:
+        hit = _least_feasible(
+            election, grid, lambda alpha: _deficits_for(fvec, alpha, request.beta), budget
+        )
+        if hit is None:
             return SolveResult("infeasible", None, None, None, budget.nodes)
-        feas[hi], best_idx = committee, hi
-        while lo < hi:
-            mid = (lo + hi) // 2
-            committee = _feasible(election, _deficits_for(fvec, grid[mid], request.beta), budget)
-            if committee is not None:
-                feas[mid], best_idx = committee, mid
-                hi = mid
-            else:
-                lo = mid + 1
-        best = feas[best_idx]
-        _assert_entitled(request, best, grid[best_idx], request.beta)
-        return SolveResult("found", best, grid[best_idx], request.beta, budget.nodes)
+        alpha, best = hit
+        _assert_entitled(request, best, alpha, request.beta)
+        return SolveResult("found", best, alpha, request.beta, budget.nodes)
     except BudgetExceededError:
         return SolveResult("undecided", None, None, None, budget.nodes)
 

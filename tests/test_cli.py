@@ -256,3 +256,14 @@ def test_experiment_zero_voters_exit_two(tmp_path):
     _assert_usage_error(result)
     assert "n and m must be at least 1" in result.output
     assert not out.exists()
+
+
+def test_experiment_jobs_below_one_exit_two(tmp_path):
+    out = tmp_path / "run"
+    for jobs in ("0", "-3"):
+        result = CliRunner().invoke(
+            main, ["experiment", "--jobs", jobs, "--instances", "1", "--out", str(out)]
+        )
+        _assert_usage_error(result)
+        assert "--jobs" in result.output
+    assert not out.exists()

@@ -114,7 +114,7 @@ def test_witness_supporters_form_interval_on_vi():
         certs = f_vector(e, "vi", order=witness.voter_order)
         pos = vi_order_positions(e, witness.voter_order)
         for cert in certs:
-            iv = interval_support(e, witness.voter_order, cert)
+            iv = interval_support(pos, cert)
             assert iv.left <= pos[cert.voter] <= iv.right
 
 

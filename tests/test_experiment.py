@@ -1,7 +1,13 @@
 import csv
+import hashlib
 import io
 
+import pytest
+
+import irlab.experiment as experiment
 from irlab.experiment import (
+    DEFAULT_MODELS,
+    DEFAULT_RULES,
     ExperimentSpec,
     existence_rates,
     instance_seed,
@@ -79,6 +85,62 @@ def test_parallel_jobs_same_rows():
         for r in rows
     ]
     assert strip(serial) == strip(parallel)
+
+
+def test_jobs_below_one_rejected():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            ExperimentSpec(**{**SMALL.__dict__, "jobs": jobs})
+
+
+def test_pool_size_clamped_to_tasks_and_cpus(monkeypatch):
+    """The pool never has more workers than tasks or CPUs; a fake pool that
+    maps in process records the size, so no worker is started."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(experiment, "Pool", FakePool)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+    tiny = dict(models=("ic",), n=6, m=4, k_values=(2,), seed=2, include_timing=False)
+    spec = ExperimentSpec(**tiny, instances=3)
+    serial = rows_to_csv(spec, run_experiment(spec))
+    assert sizes == []
+    pooled = ExperimentSpec(**tiny, instances=3, jobs=1000)
+    assert rows_to_csv(pooled, run_experiment(pooled)) == serial
+    run_experiment(ExperimentSpec(**tiny, instances=9, jobs=1000))
+    run_experiment(ExperimentSpec(**tiny, instances=9, jobs=2))
+    run_experiment(ExperimentSpec(**tiny, instances=1, jobs=8))
+    assert sizes == [3, 4, 2]
+
+
+def test_rules_grid_golden_digest():
+    """SHA-256 of the rules-on results.csv bytes: every model, k in
+    {2, 3, 4, 12}, two instances per cell, the default rules plus SAV and CC.
+    Any change to generation, entitlements, the solver, a rule or the probe
+    that alters a single cell changes the digest."""
+    spec = ExperimentSpec(
+        models=DEFAULT_MODELS,
+        k_values=(2, 3, 4, 12),
+        instances=2,
+        rules=tuple(RuleId(r) for r in (*DEFAULT_RULES, "sav", "cc")),
+        include_timing=False,
+    )
+    text = rows_to_csv(spec, run_experiment(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fa03e463d858ef9b6328a0847b606205b9780c36fa77328e224697f45e65d90c"
+    )
 
 
 def test_summaries_and_outputs(tmp_path):

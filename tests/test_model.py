@@ -7,6 +7,8 @@ from irlab.model import (
     Committee,
     Election,
     ProfileFormatError,
+    VoterGroup,
+    mask_to_set,
     parse_profile,
     serialize_profile,
     supporters,
@@ -125,3 +127,15 @@ def test_election_validation():
         Election.from_approvals([{5}], m=3, k=1)
     with pytest.raises(ValueError):
         Election.from_approvals([set()], m=3, k=4)
+
+
+def test_voter_group_derived_from_mask():
+    rng = random.Random(8)
+    for mask in [0, 1, 0b1011, 1 << 70 | 5] + [rng.getrandbits(40) for _ in range(50)]:
+        group = VoterGroup.from_mask(mask)
+        assert group.mask == mask
+        assert group.members == mask_to_set(mask)
+        assert list(group) == sorted(mask_to_set(mask))
+        assert len(group) == len(mask_to_set(mask))
+        assert group == VoterGroup.from_mask(mask)
+        assert hash(group) == hash(VoterGroup.from_mask(mask))

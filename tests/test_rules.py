@@ -9,8 +9,10 @@ from irlab import rules
 from irlab.cohesion import f_vector
 from irlab.gen import MODELS, GenSpec, generate
 from irlab.model import Election
-from irlab.rules import RuleId, ir_consistency_probe, run_rule
-from irlab.solver import SolveRequest, find_committee
+from irlab.experiment import probe_rule
+from irlab.rules import RuleId, run_rule
+from irlab.search import DEFAULT_NODE_CAP
+from irlab.solver import SolveRequest, demands, find_committee, find_ir_and_ssjr
 
 from instance_gen import random_election
 from oracles import _rule_x as oracle_rule_x
@@ -214,10 +216,25 @@ def test_committee_sizes_exact():
             assert len(out.committee.members) == e.k, kind
 
 
+def _probe(e, rule, fvec):
+    """The rule probe and the existence solves of one experiment instance."""
+    found_ir, found_ssjr = probe_rule(
+        e, rule, (demands(fvec, "FIND_IR"), demands(fvec, "FIND_SSJR"))
+    )
+    ir_res, ssjr_res = find_ir_and_ssjr(e, fvec, DEFAULT_NODE_CAP)
+    return {
+        "rule_found_ir": found_ir,
+        "rule_found_ssjr": found_ssjr,
+        "ir_exists": ir_res.status == "found",
+        "ssjr_exists": ssjr_res.status == "found",
+        "undecided": "undecided" in (ir_res.status, ssjr_res.status),
+    }
+
+
 def test_probe_bridge_profile_seq_phragmen():
     e = two_camps_with_bridge()
     fvec = tuple(f_vector(e))
-    probe = ir_consistency_probe(e, RuleId("seq_phragmen"), fvec)
+    probe = _probe(e, RuleId("seq_phragmen"), fvec)
     assert probe == {
         "rule_found_ir": False,
         "rule_found_ssjr": False,
@@ -230,7 +247,7 @@ def test_probe_bridge_profile_seq_phragmen():
 def test_probe_trivial_when_entitlements_zero():
     e = Election.from_approvals([set()] * 4, m=4, k=2)
     fvec = tuple(f_vector(e))
-    probe = ir_consistency_probe(e, RuleId("av"), fvec)
+    probe = _probe(e, RuleId("av"), fvec)
     assert probe["rule_found_ir"] and probe["ir_exists"]
 
 
@@ -370,8 +387,8 @@ def test_phragmen_rules_halve_when_every_voter_is_cloned():
 
 
 def test_probe_matches_both_solves():
-    """The probe skips FIND_SSJR once FIND_IR has found a committee; its
-    answer is the one both solves give."""
+    """find_ir_and_ssjr skips FIND_SSJR once FIND_IR has found a committee;
+    its answer is the one both solves give."""
     statuses = Counter()
     for e in (
         generate(GenSpec(model=model, n=40, m=16, seed=seed), k=k)
@@ -383,7 +400,7 @@ def test_probe_matches_both_solves():
         ir = find_committee(SolveRequest(e, fvec, "FIND_IR"))
         ssjr = find_committee(SolveRequest(e, fvec, "FIND_SSJR"))
         for rule in (RuleId("seq_phragmen"), RuleId("av")):
-            probe = ir_consistency_probe(e, rule, fvec)
+            probe = _probe(e, rule, fvec)
             assert probe["ir_exists"] == (ir.status == "found")
             assert probe["ssjr_exists"] == (ssjr.status == "found")
             assert probe["undecided"] == ("undecided" in (ir.status, ssjr.status))
