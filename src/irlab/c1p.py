@@ -11,7 +11,8 @@ decomposition, which suits the problem sizes in this package:
   refinement;
 * the column spans of distinct components form a laminar family, and a
   nested component always fits inside a single cell of its host, so the
-  global order is assembled recursively from the component arrangements.
+  global order is assembled by expanding each component's cells in place
+  (with an explicit stack, so deep nesting costs no recursion).
 
 A rejection during cell refinement proves that no valid order exists; every
 produced order is re-verified against the full family before being returned.
@@ -21,21 +22,18 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-
-def is_consecutive_under(order: Sequence[int], sets: Iterable[frozenset[int]]) -> bool:
-    """True if every set occupies consecutive positions of ``order``."""
-    pos = {col: p for p, col in enumerate(order)}
-    for s in sets:
-        if not s:
-            continue
-        positions = [pos[c] for c in s]
-        if max(positions) - min(positions) + 1 != len(positions):
-            return False
-    return True
+from .model import is_run, members_mask, position_mask
 
 
-def _strictly_overlap(a: frozenset[int], b: frozenset[int]) -> bool:
-    return bool(a & b) and not a <= b and not b <= a
+def is_consecutive_under(order: Sequence[int], masks: Iterable[int]) -> bool:
+    """True if every column mask occupies consecutive positions of the column order."""
+    return all(is_run(position_mask(mask, order)) for mask in masks)
+
+
+def _strictly_overlap(a: int, b: int) -> bool:
+    """True if the column masks intersect and neither contains the other."""
+    both = a & b
+    return both != 0 and both != a and both != b
 
 
 class _Rejected(Exception):
@@ -45,15 +43,16 @@ class _Rejected(Exception):
 class _Component:
     """Rigid arrangement (ordered cells) of one strict-overlap component."""
 
-    def __init__(self, seed: frozenset[int]):
-        self.sets: list[frozenset[int]] = [seed]
+    def __init__(self, seed: frozenset[int], seed_mask: int):
+        self.masks: list[int] = [seed_mask]  # the processed sets as column masks
         self.cells: list[set[int]] = [set(seed)]
         self.span: set[int] = set(seed)
+        self.span_mask = seed_mask
 
-    def overlaps(self, t: frozenset[int]) -> bool:
-        return any(_strictly_overlap(t, s) for s in self.sets)
+    def overlaps(self, t_mask: int) -> bool:
+        return any(_strictly_overlap(t_mask, s) for s in self.masks)
 
-    def add(self, t: frozenset[int]) -> None:
+    def add(self, t: frozenset[int], t_mask: int) -> None:
         """Refine the arrangement with ``t``, which strictly overlaps some
         processed set; raises _Rejected when t cannot be made consecutive."""
         new = t - self.span
@@ -94,7 +93,8 @@ class _Component:
             else:
                 raise _Rejected
             self.span |= new
-        self.sets.append(t)
+        self.masks.append(t_mask)
+        self.span_mask |= t_mask
 
     def _replace(self, idx: int, pieces: list[set[int]]) -> None:
         self.cells[idx : idx + 1] = [p for p in pieces if p]
@@ -108,36 +108,36 @@ def consecutive_ones_order(
     Deterministic: sets are processed in first-appearance order, nested
     structure and free columns are laid out in ascending column order.
     """
-    family: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
+    family: dict[frozenset[int], int] = {}  # set -> column mask, first appearance first
     for s in sets:
         fs = frozenset(s)
-        if len(fs) < 2 or len(fs) >= num_columns or fs in seen:
+        if len(fs) < 2 or len(fs) >= num_columns or fs in family:
             continue  # empty, singleton and full sets are consecutive anywhere
-        seen.add(fs)
-        family.append(fs)
+        family[fs] = members_mask(fs)
 
     try:
         components = _build_components(family)
         order = _compose(num_columns, components)
     except _Rejected:
         return None
-    if len(order) != num_columns or not is_consecutive_under(order, seen):
+    if len(order) != num_columns or not is_consecutive_under(order, family.values()):
         raise AssertionError("internal error: produced order failed verification")
     return order
 
 
-def _build_components(family: list[frozenset[int]]) -> list[_Component]:
+def _build_components(family: dict[frozenset[int], int]) -> list[_Component]:
     components: list[_Component] = []
-    remaining = list(family)
+    remaining = list(family.items())
     while remaining:
-        comp = _Component(remaining.pop(0))
+        comp = _Component(*remaining.pop(0))
         grown = True
         while grown:
             grown = False
-            for idx, t in enumerate(remaining):
-                if comp.overlaps(t):
-                    comp.add(t)
+            span = comp.span_mask
+            for idx, (t, t_mask) in enumerate(remaining):
+                # a set that misses or holds the whole span overlaps no processed set
+                if t_mask & span not in (0, span) and comp.overlaps(t_mask):
+                    comp.add(t, t_mask)
                     remaining.pop(idx)
                     grown = True
                     break
@@ -152,7 +152,7 @@ def _compose(num_columns: int, components: list[_Component]) -> list[int]:
         enumerate(components),
         key=lambda item: (
             -len(item[1].span),
-            0 if len(item[1].sets) == 1 else 1,
+            0 if len(item[1].masks) == 1 else 1,
             min(item[1].span) if item[1].span else 0,
             item[0],
         ),
@@ -178,7 +178,9 @@ def _compose(num_columns: int, components: list[_Component]) -> list[int]:
             raise AssertionError("nested component does not fit inside one host cell")
         children_in_cell[p].setdefault(hosts[0], []).append(i)
 
-    def layout_items(columns: set[int], comp_ids: list[int]) -> list[int]:
+    def placed(columns: set[int], comp_ids: list[int]) -> list[tuple[int, int, int | None]]:
+        """The free columns and child components laid out directly in
+        ``columns``, each anchored at its lowest column, in column order."""
         taken: set[int] = set()
         items: list[tuple[int, int, int | None]] = []
         for cid in comp_ids:
@@ -187,20 +189,18 @@ def _compose(num_columns: int, components: list[_Component]) -> list[int]:
             items.append((min(span), 1, cid))
         for col in columns - taken:
             items.append((col, 0, None))
-        out: list[int] = []
-        for anchor, kind, payload in sorted(items, key=lambda it: (it[0], it[1])):
-            if kind == 0:
-                out.append(anchor)
-            else:
-                out.extend(layout_component(payload))
-        return out
+        return sorted(items, key=lambda it: (it[0], it[1]))
 
-    def layout_component(cid: int) -> list[int]:
-        out: list[int] = []
+    # a component expands into the items of its cells, in cell order
+    out: list[int] = []
+    stack = placed(set(range(num_columns)), roots)[::-1]
+    while stack:
+        anchor, kind, cid = stack.pop()
+        if kind == 0:
+            out.append(anchor)
+            continue
+        expansion = []
         for cell_idx, cell in enumerate(comps[cid].cells):
-            kids = children_in_cell[cid].get(cell_idx, [])
-            out.extend(layout_items(set(cell), kids))
-        return out
-
-    all_columns = set(range(num_columns))
-    return layout_items(all_columns, roots)
+            expansion += placed(cell, children_in_cell[cid].get(cell_idx, []))
+        stack.extend(reversed(expansion))
+    return out

@@ -69,12 +69,28 @@ RATIONAL = Rational()
 
 
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return parse_profile(text)
-    except ProfileFormatError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_profile(fh.read())
+    except (OSError, UnicodeDecodeError, ProfileFormatError) as exc:
         raise click.UsageError(f"{path}: {exc}")
+
+
+def _load_tree(path: str, m: int) -> tuple[int, ...]:
+    """The 0-based parent vector (-1 for the root) of a ``{"parent": [...]}``
+    file holding one 1-based candidate index or null per candidate."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"{path}: not a readable JSON file ({exc})")
+    parent = spec.get("parent") if isinstance(spec, dict) else None
+    if not isinstance(parent, list) or len(parent) != m:
+        raise click.UsageError(f"{path}: expected an object whose 'parent' array has {m} entries")
+    for p in parent:
+        if p is not None and (type(p) is not int or not 1 <= p <= m):
+            raise click.UsageError(f"{path}: parent {p!r} is neither null nor in [1, {m}]")
+    return tuple(-1 if p is None else p - 1 for p in parent)
 
 
 def _parse_committee(election, text: str) -> Committee:
@@ -364,12 +380,7 @@ def construct_cmd(profile, domain_name, tree):
     if domain_name == "alpha-tr":
         if tree is None:
             raise click.UsageError("alpha-tr requires --tree")
-        with open(tree, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        parent = tuple(
-            (p - 1 if p is not None else -1) for p in spec["parent"]
-        )
-        witness = domains.TreeWitness(parent=parent)
+        witness = domains.TreeWitness(parent=_load_tree(tree, election.m))
         domain = "ALPHA_TR"
     else:
         domain = DOMAIN_NAMES[domain_name]
@@ -417,7 +428,10 @@ def experiment_cmd(models, n, m, k_min, k_max, instances, rule_names, seed, jobs
     for name in (s.strip() for s in rule_names.split(",") if s.strip()):
         if name not in RULE_NAMES:
             raise click.UsageError(f"unknown rule {name!r}")
-        rule_list.append(rules.RuleId(name))
+        try:
+            rule_list.append(rules.RuleId(name))
+        except ValueError as exc:
+            raise click.UsageError(f"--rules {name}: {exc}")
     if k_min > k_max:
         raise click.UsageError(f"--k-min {k_min} exceeds --k-max {k_max}")
     try:

@@ -14,9 +14,10 @@ so the ``"exact"`` method enumerates, once for all voters, the closed sets
 whose supporters can claim a seat (|N(C)|*k >= n), bottom-up by LCM's
 prefix-preserving closure extension, and reads every f_i and its
 lexicographically smallest witness off that list.  The problem is NP-hard in
-general, hence the node cap (one node per closed set).  ``f_certificate_vi``
-computes the same value in O(n^2 m) time when a voter-interval witness order
-is available, by scanning all position intervals that contain the voter.
+general, hence the node cap (one node per closed set).  ``f_vector(e, "vi",
+order)`` computes the same values in O(n^2 m) time per voter when a
+voter-interval witness order is available, by scanning all position
+intervals that contain the voter.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Literal, Sequence
 
-from .model import Election, VoterGroup, _iter_bits, mask_to_set
+from .model import Election, VoterGroup, _iter_bits, is_run, position_mask
 from .search import DEFAULT_NODE_CAP, NodeBudget
 
 
@@ -190,66 +191,46 @@ def vi_order_positions(election: Election, order: Sequence[int]) -> list[int]:
     Raises ValueError if ``order`` is not a permutation of the voters or some
     candidate's supporters are not contiguous under it.
     """
+    return _vi_spans(election, order)[0]
+
+
+def _vi_spans(
+    election: Election, order: Sequence[int]
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Position-of-voter along the witness ``order`` and the (lo, hi) position
+    span of each candidate's supporters, (-1, -1) if none; raises ValueError
+    unless ``order`` is a voter-interval witness."""
     n = election.n
     if sorted(order) != list(range(n)):
         raise ValueError("order is not a permutation of the voters")
-    pos = [0] * n
-    for p, v in enumerate(order):
-        pos[v] = p
-    for c in range(election.m):
-        mask = election.candidate_voters[c]
-        if mask == 0:
-            continue
-        positions = [pos[v] for v in mask_to_set(mask)]
-        if max(positions) - min(positions) + 1 != len(positions):
+    spans = []
+    for c, mask in enumerate(election.candidate_voters):
+        pm = position_mask(mask, order)
+        if not is_run(pm):
             raise ValueError(
                 f"order is not a VI witness: supporters of candidate {c} are not contiguous"
             )
-    return pos
-
-
-def f_certificate_vi(
-    election: Election, order: Sequence[int], voter: int
-) -> CohesionCertificate:
-    """Polynomial f_i on a voter-interval profile (interval scan).
-
-    Every candidate set's supporters form a contiguous block of ``order``
-    containing the voter, so it suffices to scan all position intervals
-    [xl, xr] around the voter: the interval commonly approves some set S and
-    is large enough to claim l* = floor(len*k/n) seats, contributing
-    min(l*, |S|).  The first interval in scan order (xl ascending, then xr
-    ascending) that attains the maximum provides the witness.
-    """
-    if not 0 <= voter < election.n:
-        raise ValueError(f"voter index {voter} out of range")
-    pos = vi_order_positions(election, order)
-    return _vi_certificate_from_positions(election, pos, voter)
-
-
-def _candidate_position_spans(
-    election: Election, pos: Sequence[int]
-) -> list[tuple[int, int]]:
-    """(lo, hi) position span of each candidate's supporters; (-1, -1) if none."""
-    spans = []
-    for c in range(election.m):
-        mask = election.candidate_voters[c]
-        if mask == 0:
-            spans.append((-1, -1))
-            continue
-        positions = [pos[v] for v in mask_to_set(mask)]
-        spans.append((min(positions), max(positions)))
-    return spans
+        spans.append(((pm & -pm).bit_length() - 1, pm.bit_length() - 1))
+    pos = [0] * n
+    for p, v in enumerate(order):
+        pos[v] = p
+    return pos, spans
 
 
 def _vi_certificate_from_positions(
-    election: Election,
-    pos: Sequence[int],
-    voter: int,
-    spans: list[tuple[int, int]] | None = None,
+    election: Election, pos: Sequence[int], voter: int, spans: list[tuple[int, int]]
 ) -> CohesionCertificate:
+    """f_i on a voter-interval profile by the interval scan.
+
+    Every candidate set's supporters form a contiguous block of the witness
+    order containing the voter, so it suffices to scan all position
+    intervals [xl, xr] around the voter: the interval commonly approves some
+    set S and is large enough to claim l* = floor(len*k/n) seats,
+    contributing min(l*, |S|).  The first interval in scan order (xl
+    ascending, then xr ascending) that attains the maximum provides the
+    witness.
+    """
     n, k = election.n, election.k
-    if spans is None:
-        spans = _candidate_position_spans(election, pos)
     p = pos[voter]
 
     best = 0
@@ -289,18 +270,15 @@ def _vi_certificate_from_positions(
 
 
 def interval_support(
-    pos: Sequence[int], certificate: CohesionCertificate
+    order: Sequence[int], certificate: CohesionCertificate
 ) -> IntervalSupport:
-    """Locate the witness supporters of ``certificate`` as a position interval.
-
-    ``pos`` is the position-of-voter list of a validated witness order
-    (:func:`vi_order_positions`).
-    """
-    p = pos[certificate.voter]
-    positions = [pos[v] for v in certificate.witness_supporters]
-    left, right = min(positions), max(positions)
-    if right - left + 1 != len(positions) or not left <= p <= right:
+    """Locate the witness supporters of ``certificate`` as a position interval
+    of the validated witness ``order`` (:func:`vi_order_positions`)."""
+    p = order.index(certificate.voter)
+    pm = position_mask(certificate.witness_supporters.mask, order)
+    if not is_run(pm) or not pm >> p & 1:
         raise ValueError("witness supporters do not form an interval containing the voter")
+    left, right = (pm & -pm).bit_length() - 1, pm.bit_length() - 1
     return IntervalSupport(voter=certificate.voter, pos=p, left=left, right=right)
 
 
@@ -325,12 +303,12 @@ def f_vector(
     if method == "vi":
         if order is None:
             raise ValueError("method 'vi' requires a witness order")
-        return vi_certificates(election, vi_order_positions(election, order))
+        return vi_certificates(election, order)
     raise ValueError(f"unknown method {method!r}")
 
 
-def vi_certificates(election: Election, pos: Sequence[int]) -> list[CohesionCertificate]:
-    """All n certificates by the interval scan, given the position-of-voter
-    list of a validated witness order (:func:`vi_order_positions`)."""
-    spans = _candidate_position_spans(election, pos)
+def vi_certificates(election: Election, order: Sequence[int]) -> list[CohesionCertificate]:
+    """All n certificates by the interval scan along the witness ``order``;
+    raises ValueError unless it is a voter-interval witness."""
+    pos, spans = _vi_spans(election, order)
     return [_vi_certificate_from_positions(election, pos, i, spans) for i in range(election.n)]

@@ -14,6 +14,13 @@ CEI / VEI  (2,0)                  yes
 VI         (2,4)                  no
 WSC        none                   yes
 =========  =====================  ==================
+
+Recognition, verification and construction work on the voter and candidate
+bitmasks the election already holds (``ballot_masks``, ``candidate_voters``)
+with one interval check: a set's mask is mapped to a mask over the positions
+of an order (:func:`~irlab.model.position_mask`) and tested as an interval,
+a prefix or a suffix (:func:`~irlab.model.is_run`).  Only the CI and VI
+recognizers hand frozensets to the consecutive-ones layout of :mod:`c1p`.
 """
 
 from __future__ import annotations
@@ -29,7 +36,15 @@ from .cohesion import (
     vi_certificates,
     vi_order_positions,
 )
-from .model import Committee, Election, mask_to_set, padding
+from .model import (
+    Committee,
+    Election,
+    _iter_bits,
+    is_run,
+    mask_to_set,
+    padding,
+    position_mask,
+)
 
 DomainId = Literal["CI", "VI", "CEI", "VEI", "T_PART", "WSC", "ALPHA_TR", "DUE"]
 
@@ -124,41 +139,31 @@ def verify_witness(election: Election, domain: DomainId, witness: DomainWitness)
     if domain == "CI":
         if not isinstance(witness, CIWitness) or sorted(witness.candidate_order) != list(range(m)):
             return False
-        return c1p.is_consecutive_under(witness.candidate_order, election.approvals)
+        return c1p.is_consecutive_under(witness.candidate_order, election.ballot_masks)
     if domain == "VI":
-        if not isinstance(witness, VIWitness) or sorted(witness.voter_order) != list(range(n)):
+        if not isinstance(witness, VIWitness):
             return False
         try:
             vi_order_positions(election, witness.voter_order)
         except ValueError:
             return False
         return True
-    if domain == "CEI":
-        if not isinstance(witness, CEIWitness) or sorted(witness.candidate_order) != list(range(m)):
+    if domain in ("CEI", "VEI"):
+        # one side per ballot (CEI) or per candidate (VEI) along the witness order
+        if domain == "CEI" and isinstance(witness, CEIWitness):
+            order, sides, size = witness.candidate_order, witness.voter_side, m
+            masks = election.ballot_masks
+        elif domain == "VEI" and isinstance(witness, VEIWitness):
+            order, sides, size = witness.voter_order, witness.candidate_side, n
+            masks = election.candidate_voters
+        else:
             return False
-        if len(witness.voter_side) != n:
+        if sorted(order) != list(range(size)) or len(sides) != len(masks):
             return False
-        pos = {c: p for p, c in enumerate(witness.candidate_order)}
-        for ballot, side in zip(election.approvals, witness.voter_side):
-            if side not in ("prefix", "suffix"):
-                return False
-            if not _matches_side([pos[c] for c in ballot], m, side):
-                return False
-        return True
-    if domain == "VEI":
-        if not isinstance(witness, VEIWitness) or sorted(witness.voter_order) != list(range(n)):
-            return False
-        if len(witness.candidate_side) != m:
-            return False
-        pos = {v: p for p, v in enumerate(witness.voter_order)}
-        for c in range(m):
-            side = witness.candidate_side[c]
-            if side not in ("prefix", "suffix"):
-                return False
-            sup = [pos[v] for v in mask_to_set(election.candidate_voters[c])]
-            if not _matches_side(sup, n, side):
-                return False
-        return True
+        return all(
+            side in ("prefix", "suffix") and is_run(position_mask(mask, order), side, size)
+            for mask, side in zip(masks, sides)
+        )
     if domain == "T_PART":
         if not isinstance(witness, TPartWitness):
             return False
@@ -190,58 +195,22 @@ def verify_witness(election: Election, domain: DomainId, witness: DomainWitness)
     raise ValueError(f"no witness verification for domain {domain!r}")
 
 
-def _matches_side(positions: list[int], total: int, side: str) -> bool:
-    if not positions:
-        return True
-    if max(positions) - min(positions) + 1 != len(positions):
-        return False
-    return min(positions) == 0 if side == "prefix" else max(positions) == total - 1
-
-
 def _wsc_order_valid(election: Election, order: Sequence[int]) -> bool:
-    """Direct check of the weakly single-crossing condition for every pair."""
+    """Direct check of the weakly single-crossing condition for every pair:
+    along the order, the voters approving only c and those approving only d
+    must form a prefix and a suffix, one each."""
     n = election.n
-    pos = [0] * n
-    for p, v in enumerate(order):
-        pos[v] = p
-    masks = election.candidate_voters
+    along = [position_mask(mask, order) for mask in election.candidate_voters]
     for c in range(election.m):
         for d in range(c + 1, election.m):
-            only_c = masks[c] & ~masks[d]
-            only_d = masks[d] & ~masks[c]
-            runs = _collapsed_runs(only_c, only_d, pos, n)
-            if runs not in _WSC_RUN_PATTERNS:
+            only_c = along[c] & ~along[d]
+            only_d = along[d] & ~along[c]
+            if not (
+                is_run(only_c, "prefix") and is_run(only_d, "suffix", n)
+                or is_run(only_d, "prefix") and is_run(only_c, "suffix", n)
+            ):
                 return False
     return True
-
-
-def _collapsed_runs(only_c: int, only_d: int, pos: Sequence[int], n: int) -> tuple[int, ...]:
-    symbols = [3] * n
-    mask = only_c
-    while mask:
-        low = mask & -mask
-        symbols[pos[low.bit_length() - 1]] = 1
-        mask ^= low
-    mask = only_d
-    while mask:
-        low = mask & -mask
-        symbols[pos[low.bit_length() - 1]] = 2
-        mask ^= low
-    runs: list[int] = []
-    for s in symbols:
-        if not runs or runs[-1] != s:
-            runs.append(s)
-    return tuple(runs)
-
-
-def _subsequences(seq: tuple[int, ...]) -> set[tuple[int, ...]]:
-    out = {()}
-    for x in seq:
-        out |= {prefix + (x,) for prefix in out}
-    return out
-
-
-_WSC_RUN_PATTERNS = _subsequences((1, 3, 2)) | _subsequences((2, 3, 1))
 
 
 # --------------------------------------------------------------------------
@@ -259,27 +228,22 @@ def recognize(election: Election, domain: DomainId) -> DomainWitness | None:
         order = c1p.consecutive_ones_order(election.m, election.approvals)
         return None if order is None else CIWitness(candidate_order=tuple(order))
     if domain == "VI":
-        supporter_sets = [
-            mask_to_set(election.candidate_voters[c]) for c in range(election.m)
-        ]
+        supporter_sets = [mask_to_set(mask) for mask in election.candidate_voters]
         order = c1p.consecutive_ones_order(election.n, supporter_sets)
         return None if order is None else VIWitness(voter_order=tuple(order))
     if domain == "CEI":
-        layout = _prefix_suffix_layout(election.m, list(election.approvals))
+        layout = _prefix_suffix_layout(election.m, election.ballot_masks)
         if layout is None:
             return None
         order, side_of = layout
-        sides = tuple(side_of.get(ballot, "prefix") for ballot in election.approvals)
+        sides = tuple(side_of.get(mask, "prefix") for mask in election.ballot_masks)
         return CEIWitness(candidate_order=tuple(order), voter_side=sides)
     if domain == "VEI":
-        supporter_sets = [
-            mask_to_set(election.candidate_voters[c]) for c in range(election.m)
-        ]
-        layout = _prefix_suffix_layout(election.n, supporter_sets)
+        layout = _prefix_suffix_layout(election.n, election.candidate_voters)
         if layout is None:
             return None
         order, side_of = layout
-        sides = tuple(side_of.get(s, "prefix") for s in supporter_sets)
+        sides = tuple(side_of.get(mask, "prefix") for mask in election.candidate_voters)
         return VEIWitness(voter_order=tuple(order), candidate_side=sides)
     if domain == "T_PART":
         return _recognize_tpart(election)
@@ -312,29 +276,20 @@ def _recognize_tpart(election: Election) -> TPartWitness | None:
 
 
 def _recognize_wsc(election: Election) -> WSCWitness | None:
-    n = election.n
-    all_mask = election.all_voters_mask()
-    family: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    forced_diff: list[tuple[frozenset[int], frozenset[int]]] = []
-
-    def intern(mask: int) -> frozenset[int] | None:
-        if mask == 0 or mask == all_mask:
-            return None  # empty or full sets sit at an end of any order
-        s = mask_to_set(mask)
-        if s not in seen:
-            seen.add(s)
-            family.append(s)
-        return s
-
+    """The order comes from laying out the pairwise differences N(c) - N(d)
+    and N(d) - N(c) at opposite ends; empty and full differences sit at an
+    end of any order, so only the other pairs are forced apart."""
+    full = election.all_voters_mask()
     masks = election.candidate_voters
+    family: list[int] = []
+    forced_diff: list[tuple[int, int]] = []
     for c in range(election.m):
         for d in range(c + 1, election.m):
-            x = intern(masks[c] & ~masks[d])
-            y = intern(masks[d] & ~masks[c])
-            if x is not None and y is not None:
-                forced_diff.append((x, y))
-    layout = _prefix_suffix_layout(n, family, forced_diff)
+            pair = (masks[c] & ~masks[d], masks[d] & ~masks[c])
+            family += (x for x in pair if x != full)
+            if 0 not in pair and full not in pair:
+                forced_diff.append(pair)
+    layout = _prefix_suffix_layout(election.n, family, forced_diff)
     if layout is None:
         return None
     order, _ = layout
@@ -345,44 +300,39 @@ def _recognize_wsc(election: Election) -> WSCWitness | None:
 
 def _prefix_suffix_layout(
     num_columns: int,
-    sets: Sequence[frozenset[int]],
-    forced_diff: Sequence[tuple[frozenset[int], frozenset[int]]] = (),
-) -> tuple[list[int], dict[frozenset[int], str]] | None:
-    """Assign each set to an end ('prefix'/'suffix') of a single column order.
+    masks: Sequence[int],
+    forced_diff: Sequence[tuple[int, int]] = (),
+) -> tuple[list[int], dict[int, str]] | None:
+    """Assign each column mask to an end ('prefix'/'suffix') of a single column order.
 
     Two sets can share an end only if nested; sets at opposite ends must
     intersect in exactly max(0, |A|+|B|-num_columns) columns.  These pairwise
     constraints induce a parity two-coloring; the order itself follows from
     the two containment chains.
     """
-    fam: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for s in sets:
-        if s and s not in seen:
-            seen.add(s)
-            fam.append(s)
-
-    idx = {s: i for i, s in enumerate(fam)}
+    fam = [mask for mask in dict.fromkeys(masks) if mask]
+    size = [mask.bit_count() for mask in fam]
+    idx = {mask: i for i, mask in enumerate(fam)}
     edges: list[list[tuple[int, int]]] = [[] for _ in fam]  # (neighbor, parity)
 
     def add_edge(i: int, j: int, parity: int) -> None:
         edges[i].append((j, parity))
         edges[j].append((i, parity))
 
+    def cross_ok(i: int, j: int) -> bool:
+        return (fam[i] & fam[j]).bit_count() == max(0, size[i] + size[j] - num_columns)
+
     for i in range(len(fam)):
         for j in range(i + 1, len(fam)):
-            a, b = fam[i], fam[j]
-            same_ok = a <= b or b <= a
-            cross_ok = len(a & b) == max(0, len(a) + len(b) - num_columns)
-            if not same_ok and not cross_ok:
+            same = fam[i] & fam[j] in (fam[i], fam[j])
+            cross = cross_ok(i, j)
+            if not same and not cross:
                 return None
-            if same_ok and not cross_ok:
-                add_edge(i, j, 0)
-            elif cross_ok and not same_ok:
-                add_edge(i, j, 1)
+            if same != cross:
+                add_edge(i, j, int(cross))
     for a, b in forced_diff:
         i, j = idx[a], idx[b]
-        if len(a & b) != max(0, len(a) + len(b) - num_columns):
+        if not cross_ok(i, j):
             return None
         add_edge(i, j, 1)
 
@@ -402,26 +352,26 @@ def _prefix_suffix_layout(
                 elif color[v] != want:
                     return None
 
-    prefixes = sorted((s for i, s in enumerate(fam) if color[i] == 0), key=len)
-    suffixes = sorted((s for i, s in enumerate(fam) if color[i] == 1), key=len)
+    def layers(side: int) -> list[int]:
+        """Per column, the rank in the side's containment chain of the first
+        set holding it (the chain length when none does)."""
+        chain = sorted((i for i in range(len(fam)) if color[i] == side), key=size.__getitem__)
+        rank = [len(chain)] * num_columns
+        covered = 0
+        for r, i in enumerate(chain):
+            for col in _iter_bits(fam[i] & ~covered):
+                rank[col] = r
+            covered |= fam[i]
+        return rank
 
-    def layer(chains: list[frozenset[int]], col: int) -> float:
-        for rank, s in enumerate(chains):
-            if col in s:
-                return rank
-        return float("inf")
-
-    order = sorted(
-        range(num_columns),
-        key=lambda col: (layer(prefixes, col), -layer(suffixes, col), col),
-    )
-    side_of: dict[frozenset[int], str] = {}
-    for i, s in enumerate(fam):
-        side = "prefix" if color[i] == 0 else "suffix"
-        positions = [order.index(col) for col in s]
-        if not _matches_side(positions, num_columns, side):
+    prefix_rank, suffix_rank = layers(0), layers(1)
+    order = sorted(range(num_columns), key=lambda col: (prefix_rank[col], -suffix_rank[col], col))
+    side_of: dict[int, str] = {}
+    for i, mask in enumerate(fam):
+        side = "suffix" if color[i] else "prefix"
+        if not is_run(position_mask(mask, order), side, num_columns):
             return None  # pairwise-consistent but globally infeasible; caught here
-        side_of[s] = side
+        side_of[mask] = side
     return order, side_of
 
 
@@ -433,49 +383,33 @@ def _prefix_suffix_layout(
 def verify_tree(election: Election, tree: TreeWitness) -> bool:
     """True iff every ballot is exactly a root path of the candidate tree.
 
-    Raises ValueError when the tree itself is malformed (bad parent index,
-    cycle, disconnected vertex).
+    Raises ValueError when the tree itself is malformed (wrong length, bad
+    parent index, cycle).
     """
-    m = election.m
-    if len(tree.parent) != m:
+    if len(tree.parent) != election.m:
         raise ValueError("parent vector length differs from candidate count")
+    valid = set(_root_paths(tree.parent))
+    return all(not ballot or ballot in valid for ballot in election.ballot_masks)
+
+
+def _root_paths(parent: Sequence[int]) -> list[int]:
+    """The candidate mask of each candidate's path up to the root; raises
+    ValueError on a parent index out of range or a cycle."""
+    m = len(parent)
+    paths = []
     for c in range(m):
-        p = tree.parent[c]
-        if p != -1 and not 0 <= p < m:
-            raise ValueError(f"candidate {c}: parent index {p} out of range")
-    for c in range(m):
-        seen = set()
+        path = 0
         cur = c
         while cur != -1:
-            if cur in seen:
+            if path >> cur & 1:
                 raise ValueError(f"cycle through candidate {c}")
-            seen.add(cur)
-            cur = tree.parent[cur]
-    path_sets = []
-    for c in range(m):
-        path = set()
-        cur = c
-        while cur != -1:
-            path.add(cur)
-            cur = tree.parent[cur]
-        path_sets.append(frozenset(path))
-    valid = set(path_sets)
-    for ballot in election.approvals:
-        if ballot and ballot not in valid:
-            return False
-    return True
-
-
-def _tree_depths(tree: TreeWitness) -> list[int]:
-    depth = []
-    for c in range(len(tree.parent)):
-        d = 0
-        cur = c
-        while cur != -1:
-            d += 1
-            cur = tree.parent[cur]
-        depth.append(d)
-    return depth
+            path |= 1 << cur
+            p = parent[cur]
+            if p != -1 and not 0 <= p < m:
+                raise ValueError(f"candidate {cur}: parent index {p} out of range")
+            cur = p
+        paths.append(path)
+    return paths
 
 
 # --------------------------------------------------------------------------
@@ -543,12 +477,11 @@ def construct_vi(election: Election, witness: VIWitness) -> ConstructResult:
         raise InvalidWitnessError("expected a VIWitness")
     order = list(witness.voter_order)
     try:
-        pos = vi_order_positions(election, order)
+        certs = vi_certificates(election, order)
     except ValueError as exc:
         raise InvalidWitnessError(str(exc)) from None
-    certs = vi_certificates(election, pos)
     n, k = election.n, election.k
-    intervals = [interval_support(pos, cert) for cert in certs]
+    intervals = [interval_support(order, cert) for cert in certs]
 
     committee: set[int] = set()
     round1: list[VIRoundStep] = []
@@ -652,20 +585,15 @@ def vei_candidate_order(election: Election, witness: VEIWitness) -> list[int]:
     """The candidate order used by the VEI construction: prefix-supported
     candidates sorted by last approving voter descending, then
     suffix-supported ones by first approving voter descending."""
-    pos = [0] * election.n
-    for p, v in enumerate(witness.voter_order):
-        pos[v] = p
+    n = election.n
     prefix_cands: list[tuple[int, int]] = []
     suffix_cands: list[tuple[int, int]] = []
-    for c in range(election.m):
-        sup = [pos[v] for v in mask_to_set(election.candidate_voters[c])]
-        side = witness.candidate_side[c]
-        if not sup:
-            prefix_cands.append((-1, c))
-        elif side == "prefix" or min(sup) == 0 and max(sup) == election.n - 1:
-            prefix_cands.append((max(sup), c))
+    for c, mask in enumerate(election.candidate_voters):
+        pm = position_mask(mask, witness.voter_order)
+        if not pm or witness.candidate_side[c] == "prefix" or pm & 1 and pm >> (n - 1):
+            prefix_cands.append((pm.bit_length() - 1, c))  # -1 when unsupported
         else:
-            suffix_cands.append((min(sup), c))
+            suffix_cands.append(((pm & -pm).bit_length() - 1, c))
     prefix_cands.sort(key=lambda t: (-t[0], t[1]))
     suffix_cands.sort(key=lambda t: (-t[0], t[1]))
     return [c for _, c in prefix_cands] + [c for _, c in suffix_cands]
@@ -741,25 +669,19 @@ def _construct_wsc(election: Election, witness: WSCWitness) -> ConstructResult:
 def _construct_atr(election: Election, witness: TreeWitness) -> ConstructResult:
     if not isinstance(witness, TreeWitness):
         raise InvalidWitnessError("expected a TreeWitness")
-    if not verify_tree(election, witness):
+    try:
+        valid = verify_tree(election, witness)
+    except ValueError as exc:
+        raise InvalidWitnessError(str(exc)) from None
+    if not valid:
         raise InvalidWitnessError("ballots are not root paths of the tree")
     n, k = election.n, election.k
-    depth = _tree_depths(witness)
-    children: dict[int, list[int]] = {}
-    for c, p in enumerate(witness.parent):
-        children.setdefault(p, []).append(c)
-    # breadth-first traversal from the root keeps the voter-assignment
-    # argument auditable; any traversal order selects the same set
-    queue = sorted(children.get(-1, []))
-    bfs: list[int] = []
-    while queue:
-        c = queue.pop(0)
-        bfs.append(c)
-        queue.extend(sorted(children.get(c, [])))
+    # a candidate at depth d (its root path holds d candidates) joins when
+    # its supporters can claim d seats
     members = {
         c
-        for c in bfs
-        if election.candidate_voters[c].bit_count() * k >= n * depth[c]
+        for c, path in enumerate(_root_paths(witness.parent))
+        if election.candidate_voters[c].bit_count() * k >= n * path.bit_count()
     }
     if len(members) > k:
         raise AssertionError("tree selection exceeded the committee size")

@@ -8,6 +8,9 @@ Conventions used throughout the package:
   materialized as a float);
 * voter groups are bitmasks (bit i for voter i): a :class:`VoterGroup` holds
   only its mask and derives its member set when it is read;
+* "is this set an interval, a prefix or a suffix of that order?" is one
+  question: map the set's mask to order positions (:func:`position_mask`)
+  and test the result with :func:`is_run`;
 * every type in this module is immutable after construction.
 """
 
@@ -156,6 +159,24 @@ def members_mask(indices: Iterable[int]) -> int:
 
 def mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(_iter_bits(mask))
+
+
+def position_mask(mask: int, order: Sequence[int]) -> int:
+    """The items of ``mask`` (voters or candidates) as a mask over the
+    positions of ``order``: bit p is set iff item ``order[p]`` is in the mask."""
+    items = bin(mask)[:1:-1].ljust(len(order), "0")  # items[i] == "1" iff item i is in the mask
+    return int("".join([items[i] for i in reversed(order)]), 2)
+
+
+def is_run(pm: int, side: str = "interval", size: int = 0) -> bool:
+    """True if the position mask ``pm`` is empty or one block of consecutive
+    positions; for ``side`` "prefix" or "suffix" the block must also start at
+    position 0 or end at position ``size - 1``."""
+    if side == "interval":
+        return pm & (pm + (pm & -pm)) == 0  # adding the lowest bit clears one block
+    if side == "suffix":
+        pm ^= (1 << size) - 1  # a suffix is the complement of a prefix
+    return pm & (pm + 1) == 0
 
 
 def first_unmet(election: Election, wmask: int, demands: Sequence[int]) -> int | None:

@@ -4,9 +4,10 @@ Most of these evaluate definitions by full enumeration, deliberately sharing
 no search code with the package: subsets are enumerated without pruning and
 orders by factorial search.  The pruned per-voter entitlement search, the
 Fraction Thiele scorer, the per-voter Fraction seq-Phragmen and Rule X, the
-linear-scan Mallows sampler, Kuhn's recursive quota matching and the separate
-FJR and core deviation searches are the engines the package replaced; they
-stay here as references for the ones that replaced them.
+linear-scan Mallows sampler, Kuhn's recursive quota matching, the separate
+FJR and core deviation searches and the frozenset prefix/suffix layout with
+the run-pattern WSC check are the engines the package replaced; they stay
+here as references for the ones that replaced them.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from typing import Iterable, Sequence
 
 from irlab.cohesion import CohesionCertificate
 from irlab.axioms import AxiomVerdict, ViolationWitness
+from irlab.domains import CEIWitness, VEIWitness, WSCWitness
 from irlab.model import Election, VoterGroup, _iter_bits, mask_to_set, members_mask
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget
 
@@ -458,6 +460,260 @@ def consecutive_order_exists(num_cols, sets):
         if ok:
             return list(perm)
     return None
+
+
+def ends_order_exists(num_cols, sets):
+    """Factorial search for a column order making every set a prefix or a suffix."""
+    sets = [frozenset(s) for s in sets if s]
+    for perm in permutations(range(num_cols)):
+        pos = {col: p for p, col in enumerate(perm)}
+        if all(
+            max(ps) - min(ps) + 1 == len(ps) and (min(ps) == 0 or max(ps) == num_cols - 1)
+            for ps in ([pos[c] for c in s] for s in sets)
+        ):
+            return list(perm)
+    return None
+
+
+def wsc_order_exists(election):
+    """Factorial search for a voter order passing the run-pattern WSC check."""
+    for perm in permutations(range(election.n)):
+        if wsc_order_valid(election, perm):
+            return list(perm)
+    return None
+
+
+# --------------------------------------------------------------------------
+# Domains: the frozenset prefix/suffix layout and the run-pattern WSC check
+# --------------------------------------------------------------------------
+
+
+def recognize_by_sets(election: Election, domain: str):
+    """CEI, VEI and WSC recognition on frozenset families."""
+    if domain == "CEI":
+        layout = prefix_suffix_layout(election.m, list(election.approvals))
+        if layout is None:
+            return None
+        order, side_of = layout
+        sides = tuple(side_of.get(ballot, "prefix") for ballot in election.approvals)
+        return CEIWitness(candidate_order=tuple(order), voter_side=sides)
+    if domain == "VEI":
+        supporter_sets = [
+            mask_to_set(election.candidate_voters[c]) for c in range(election.m)
+        ]
+        layout = prefix_suffix_layout(election.n, supporter_sets)
+        if layout is None:
+            return None
+        order, side_of = layout
+        sides = tuple(side_of.get(s, "prefix") for s in supporter_sets)
+        return VEIWitness(voter_order=tuple(order), candidate_side=sides)
+    if domain == "WSC":
+        return recognize_wsc_by_sets(election)
+    raise ValueError(domain)
+
+
+def verify_by_sets(election: Election, domain: str, witness) -> bool:
+    """The CEI, VEI and WSC branches of ``verify_witness`` on position lists."""
+    n, m = election.n, election.m
+    if domain == "CEI":
+        if not isinstance(witness, CEIWitness) or sorted(witness.candidate_order) != list(range(m)):
+            return False
+        if len(witness.voter_side) != n:
+            return False
+        pos = {c: p for p, c in enumerate(witness.candidate_order)}
+        for ballot, side in zip(election.approvals, witness.voter_side):
+            if side not in ("prefix", "suffix"):
+                return False
+            if not _matches_side([pos[c] for c in ballot], m, side):
+                return False
+        return True
+    if domain == "VEI":
+        if not isinstance(witness, VEIWitness) or sorted(witness.voter_order) != list(range(n)):
+            return False
+        if len(witness.candidate_side) != m:
+            return False
+        pos = {v: p for p, v in enumerate(witness.voter_order)}
+        for c in range(m):
+            side = witness.candidate_side[c]
+            if side not in ("prefix", "suffix"):
+                return False
+            sup = [pos[v] for v in mask_to_set(election.candidate_voters[c])]
+            if not _matches_side(sup, n, side):
+                return False
+        return True
+    if domain == "WSC":
+        if not isinstance(witness, WSCWitness) or sorted(witness.voter_order) != list(range(n)):
+            return False
+        return wsc_order_valid(election, witness.voter_order)
+    raise ValueError(domain)
+
+
+def _matches_side(positions: list[int], total: int, side: str) -> bool:
+    if not positions:
+        return True
+    if max(positions) - min(positions) + 1 != len(positions):
+        return False
+    return min(positions) == 0 if side == "prefix" else max(positions) == total - 1
+
+
+def wsc_order_valid(election: Election, order: Sequence[int]) -> bool:
+    """Direct check of the weakly single-crossing condition for every pair."""
+    n = election.n
+    pos = [0] * n
+    for p, v in enumerate(order):
+        pos[v] = p
+    masks = election.candidate_voters
+    for c in range(election.m):
+        for d in range(c + 1, election.m):
+            only_c = masks[c] & ~masks[d]
+            only_d = masks[d] & ~masks[c]
+            runs = _collapsed_runs(only_c, only_d, pos, n)
+            if runs not in _WSC_RUN_PATTERNS:
+                return False
+    return True
+
+
+def _collapsed_runs(only_c: int, only_d: int, pos: Sequence[int], n: int) -> tuple[int, ...]:
+    symbols = [3] * n
+    mask = only_c
+    while mask:
+        low = mask & -mask
+        symbols[pos[low.bit_length() - 1]] = 1
+        mask ^= low
+    mask = only_d
+    while mask:
+        low = mask & -mask
+        symbols[pos[low.bit_length() - 1]] = 2
+        mask ^= low
+    runs: list[int] = []
+    for s in symbols:
+        if not runs or runs[-1] != s:
+            runs.append(s)
+    return tuple(runs)
+
+
+def _subsequences(seq: tuple[int, ...]) -> set[tuple[int, ...]]:
+    out = {()}
+    for x in seq:
+        out |= {prefix + (x,) for prefix in out}
+    return out
+
+
+_WSC_RUN_PATTERNS = _subsequences((1, 3, 2)) | _subsequences((2, 3, 1))
+
+
+def recognize_wsc_by_sets(election: Election):
+    n = election.n
+    all_mask = election.all_voters_mask()
+    family: list[frozenset[int]] = []
+    seen: set[frozenset[int]] = set()
+    forced_diff: list[tuple[frozenset[int], frozenset[int]]] = []
+
+    def intern(mask: int) -> frozenset[int] | None:
+        if mask == 0 or mask == all_mask:
+            return None  # empty or full sets sit at an end of any order
+        s = mask_to_set(mask)
+        if s not in seen:
+            seen.add(s)
+            family.append(s)
+        return s
+
+    masks = election.candidate_voters
+    for c in range(election.m):
+        for d in range(c + 1, election.m):
+            x = intern(masks[c] & ~masks[d])
+            y = intern(masks[d] & ~masks[c])
+            if x is not None and y is not None:
+                forced_diff.append((x, y))
+    layout = prefix_suffix_layout(n, family, forced_diff)
+    if layout is None:
+        return None
+    order, _ = layout
+    if not wsc_order_valid(election, order):
+        return None
+    return WSCWitness(voter_order=tuple(order))
+
+
+def prefix_suffix_layout(
+    num_columns: int,
+    sets: Sequence[frozenset[int]],
+    forced_diff: Sequence[tuple[frozenset[int], frozenset[int]]] = (),
+) -> tuple[list[int], dict[frozenset[int], str]] | None:
+    """Assign each set to an end ('prefix'/'suffix') of a single column order.
+
+    Two sets can share an end only if nested; sets at opposite ends must
+    intersect in exactly max(0, |A|+|B|-num_columns) columns.  These pairwise
+    constraints induce a parity two-coloring; the order itself follows from
+    the two containment chains.
+    """
+    fam: list[frozenset[int]] = []
+    seen: set[frozenset[int]] = set()
+    for s in sets:
+        if s and s not in seen:
+            seen.add(s)
+            fam.append(s)
+
+    idx = {s: i for i, s in enumerate(fam)}
+    edges: list[list[tuple[int, int]]] = [[] for _ in fam]  # (neighbor, parity)
+
+    def add_edge(i: int, j: int, parity: int) -> None:
+        edges[i].append((j, parity))
+        edges[j].append((i, parity))
+
+    for i in range(len(fam)):
+        for j in range(i + 1, len(fam)):
+            a, b = fam[i], fam[j]
+            same_ok = a <= b or b <= a
+            cross_ok = len(a & b) == max(0, len(a) + len(b) - num_columns)
+            if not same_ok and not cross_ok:
+                return None
+            if same_ok and not cross_ok:
+                add_edge(i, j, 0)
+            elif cross_ok and not same_ok:
+                add_edge(i, j, 1)
+    for a, b in forced_diff:
+        i, j = idx[a], idx[b]
+        if len(a & b) != max(0, len(a) + len(b) - num_columns):
+            return None
+        add_edge(i, j, 1)
+
+    color = [-1] * len(fam)
+    for start in range(len(fam)):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v, parity in edges[u]:
+                want = color[u] ^ parity
+                if color[v] == -1:
+                    color[v] = want
+                    stack.append(v)
+                elif color[v] != want:
+                    return None
+
+    prefixes = sorted((s for i, s in enumerate(fam) if color[i] == 0), key=len)
+    suffixes = sorted((s for i, s in enumerate(fam) if color[i] == 1), key=len)
+
+    def layer(chains: list[frozenset[int]], col: int) -> float:
+        for rank, s in enumerate(chains):
+            if col in s:
+                return rank
+        return float("inf")
+
+    order = sorted(
+        range(num_columns),
+        key=lambda col: (layer(prefixes, col), -layer(suffixes, col), col),
+    )
+    side_of: dict[frozenset[int], str] = {}
+    for i, s in enumerate(fam):
+        side = "prefix" if color[i] == 0 else "suffix"
+        positions = [order.index(col) for col in s]
+        if not _matches_side(positions, num_columns, side):
+            return None  # pairwise-consistent but globally infeasible; caught here
+        side_of[s] = side
+    return order, side_of
 
 
 # --------------------------------------------------------------------------

@@ -267,3 +267,51 @@ def test_experiment_jobs_below_one_exit_two(tmp_path):
         _assert_usage_error(result)
         assert "--jobs" in result.output
     assert not out.exists()
+
+
+def test_experiment_rule_without_weight_exit_two(tmp_path):
+    out = tmp_path / "run"
+    result = CliRunner().invoke(
+        main, ["experiment", "--rules", "geom_pav", "--instances", "1", "--out", str(out)]
+    )
+    _assert_usage_error(result)
+    assert "geom_pav requires a weight base" in result.output
+    assert not out.exists()
+
+
+def test_construct_alpha_tr_malformed_tree_exit_two(tmp_path):
+    from irlab.model import Election
+
+    e = Election.from_approvals([{0}, {0, 1}, {0}, {0, 1}], m=2, k=2)
+    path = _write_profile(tmp_path, e)
+    tree = tmp_path / "tree.json"
+    for text, message in (
+        ("not json", "not a readable JSON file"),
+        ('{"children": [null, 1]}', "'parent' array has 2 entries"),
+        ('{"parent": [null]}', "'parent' array has 2 entries"),
+        ('{"parent": [null, "1"]}', "parent '1' is neither null nor in [1, 2]"),
+        ('{"parent": [null, 0]}', "parent 0 is neither null nor in [1, 2]"),
+        ('{"parent": [null, 3]}', "parent 3 is neither null nor in [1, 2]"),
+    ):
+        tree.write_text(text)
+        result = CliRunner().invoke(
+            main, ["construct", path, "--domain", "alpha-tr", "--tree", str(tree)]
+        )
+        _assert_usage_error(result)
+        assert message in result.output
+    # a cycle is a well-formed file that is no tree: an invalid witness, exit 1
+    tree.write_text('{"parent": [2, 1]}')
+    result = CliRunner().invoke(main, ["construct", path, "--domain", "alpha-tr", "--tree", str(tree)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output.rstrip().splitlines() == ["Error: cycle through candidate 0"]
+
+
+def test_directory_as_profile_or_tree_exit_two(tmp_path):
+    result = CliRunner().invoke(main, ["fvec", str(tmp_path)])
+    _assert_usage_error(result)
+    path = _write_profile(tmp_path, two_camps_with_bridge())
+    result = CliRunner().invoke(
+        main, ["construct", path, "--domain", "alpha-tr", "--tree", str(tmp_path)]
+    )
+    _assert_usage_error(result)
+    assert "not a readable JSON file" in result.output

@@ -3,12 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irlab.cohesion import (
-    f_certificate_vi,
-    f_vector,
-    interval_support,
-    vi_order_positions,
-)
+from irlab.cohesion import f_vector, interval_support, vi_order_positions
 from irlab.model import Election
 from irlab.search import BudgetExceededError
 from irlab.domains import recognize
@@ -76,14 +71,14 @@ def test_witness_is_lexicographically_smallest():
 
 def test_vi_matches_exact_on_bridge_profile():
     e = two_camps_with_bridge()
-    cert = f_certificate_vi(e, IDENTITY8, 3)
+    cert = f_vector(e, "vi", IDENTITY8)[3]
     assert cert.f == 1
     assert cert.verify(e)
 
 
 def test_vi_single_voter_whole_ballot():
     e = Election.from_approvals([{0, 1, 2}], m=3, k=3)
-    cert = f_certificate_vi(e, (0,), 0)
+    cert = f_vector(e, "vi", (0,))[0]
     assert cert.f == 3
 
 
@@ -94,16 +89,17 @@ def test_vi_equals_exact_random():
         witness = recognize(e, "VI")
         assert witness is not None
         exact = f_vector(e)
+        vi = f_vector(e, "vi", witness.voter_order)
         for i in range(e.n):
-            assert f_certificate_vi(e, witness.voter_order, i).f == exact[i].f
+            assert vi[i].f == exact[i].f
 
 
 def test_vi_rejects_non_witness_order():
     e = two_camps_with_bridge()
     with pytest.raises(ValueError):
-        f_certificate_vi(e, (1, 0, 2, 3, 4, 5, 6, 7), 0)
+        f_vector(e, "vi", (1, 0, 2, 3, 4, 5, 6, 7))
     with pytest.raises(ValueError):
-        f_certificate_vi(e, (0, 0, 2, 3, 4, 5, 6, 7), 0)
+        f_vector(e, "vi", (0, 0, 2, 3, 4, 5, 6, 7))
 
 
 def test_witness_supporters_form_interval_on_vi():
@@ -114,7 +110,7 @@ def test_witness_supporters_form_interval_on_vi():
         certs = f_vector(e, "vi", order=witness.voter_order)
         pos = vi_order_positions(e, witness.voter_order)
         for cert in certs:
-            iv = interval_support(pos, cert)
+            iv = interval_support(witness.voter_order, cert)
             assert iv.left <= pos[cert.voter] <= iv.right
 
 

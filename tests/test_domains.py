@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -26,7 +27,13 @@ from instance_gen import (
     random_vi_election,
     random_wsc_election,
 )
-from oracles import consecutive_order_exists
+from oracles import (
+    consecutive_order_exists,
+    ends_order_exists,
+    recognize_by_sets,
+    verify_by_sets,
+    wsc_order_exists,
+)
 from hard_instances import uncoverable_line_instance, two_camps_with_bridge, uneven_cohorts, disjoint_blocks_instance, opposed_ends_instance
 
 
@@ -71,6 +78,90 @@ def test_recognizers_match_factorial_oracle():
         assert (vi is None) == (oracle_vi is None)
         if vi is not None:
             assert verify_witness(e, "VI", vi)
+
+
+def test_ends_and_wsc_recognizers_match_factorial_oracle():
+    rng = random.Random(57)
+    for _ in range(320):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 5)
+        p = rng.choice((0.3, 0.5, 0.7))
+        e = Election.from_approvals(
+            [{c for c in range(m) if rng.random() < p} for _ in range(n)], m=m, k=1
+        )
+        supporter_sets = [{v for v in range(n) if c in e.approvals[v]} for c in range(m)]
+        for domain, exists in (
+            ("CEI", ends_order_exists(m, e.approvals) is not None),
+            ("VEI", ends_order_exists(n, supporter_sets) is not None),
+            ("WSC", wsc_order_exists(e) is not None),
+        ):
+            witness = recognize(e, domain)
+            assert (witness is not None) == exists, (domain, e.approvals)
+            if witness is not None:
+                assert verify_witness(e, domain, witness)
+
+
+def _mixed_ballot_election(rng):
+    """Up to 40 voters drawing from a few ballots, with empty and full ones."""
+    n = rng.randint(1, 40)
+    m = rng.randint(1, 10)
+    pool = [frozenset(c for c in range(m) if rng.random() < 0.5) for _ in range(rng.randint(1, 4))]
+    pool += [frozenset(), frozenset(range(m))]
+    return Election.from_approvals([rng.choice(pool) for _ in range(n)], m=m, k=1)
+
+
+def _perturbed(rng, witness):
+    """The witness with two order entries swapped or, for CEI and VEI, with
+    one side flipped."""
+    fields = list(dataclasses.astuple(witness))  # (order,) or (order, sides)
+    if len(fields) == 1 or rng.random() < 0.5:
+        order = list(fields[0])
+        i, j = rng.randrange(len(order)), rng.randrange(len(order))
+        order[i], order[j] = order[j], order[i]
+        fields[0] = tuple(order)
+    else:
+        sides = list(fields[1])
+        i = rng.randrange(len(sides))
+        sides[i] = "suffix" if sides[i] == "prefix" else "prefix"
+        fields[1] = tuple(sides)
+    return type(witness)(*fields)
+
+
+def test_mask_layout_matches_set_oracle():
+    rng = random.Random(59)
+    makers = (
+        _mixed_ballot_election,
+        lambda r: random_cei_election(r, n_max=40, m_max=10),
+        lambda r: random_vei_election(r, n_max=40, m_max=10),
+        lambda r: random_wsc_election(r, n_max=40, wide_ballots=r.random() < 0.5),
+        lambda r: random_vi_election(r, n_max=40, m_max=8),
+    )
+    members = 0
+    for trial in range(330):
+        e = makers[trial % len(makers)](rng)
+        for domain in ("CEI", "VEI", "WSC"):
+            witness = recognize(e, domain)
+            assert witness == recognize_by_sets(e, domain), (domain, e.approvals)
+            if witness is None:
+                continue
+            members += 1
+            assert verify_witness(e, domain, witness) and verify_by_sets(e, domain, witness)
+            for _ in range(3):
+                other = _perturbed(rng, witness)
+                assert verify_witness(e, domain, other) == verify_by_sets(e, domain, other)
+    assert members > 300
+
+
+def test_interval_recognizers_survive_deep_nesting():
+    """A chain of 1,498 nested ballots (CI) or supporter sets (VI) nests as
+    deep as the profile is wide; the layout must not recurse per level."""
+    m = 1500
+    e = Election.from_approvals([set(range(i + 2)) for i in range(m - 2)], m=m, k=1)
+    witness = recognize(e, "CI")
+    assert witness is not None and verify_witness(e, "CI", witness)
+    e = Election.from_approvals([set(range(max(0, v - 1), m - 2)) for v in range(m)], m=m - 2, k=1)
+    witness = recognize(e, "VI")
+    assert witness is not None and verify_witness(e, "VI", witness)
 
 
 def test_in_domain_instances_recognized():
@@ -118,6 +209,14 @@ def test_verify_tree_rejects_malformed():
         verify_tree(e, TreeWitness(parent=(5, -1)))  # bad index
     with pytest.raises(ValueError):
         verify_tree(e, TreeWitness(parent=(-1,)))  # wrong length
+
+
+def test_construct_atr_rejects_malformed_tree():
+    e = Election.from_approvals([{0}, {0, 1}], m=2, k=1)
+    for parent in ((-1, 5), (1, 0), (-1,)):
+        assert not verify_witness(e, "ALPHA_TR", TreeWitness(parent=parent))
+        with pytest.raises(InvalidWitnessError):
+            construct(e, "ALPHA_TR", TreeWitness(parent=parent))
 
 
 def test_disjoint_blocks_voter_tree_is_not_candidate_tree():

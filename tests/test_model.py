@@ -8,8 +8,10 @@ from irlab.model import (
     Election,
     ProfileFormatError,
     VoterGroup,
+    is_run,
     mask_to_set,
     parse_profile,
+    position_mask,
     serialize_profile,
     supporters,
 )
@@ -139,3 +141,18 @@ def test_voter_group_derived_from_mask():
         assert len(group) == len(mask_to_set(mask))
         assert group == VoterGroup.from_mask(mask)
         assert hash(group) == hash(VoterGroup.from_mask(mask))
+
+
+def test_position_mask_and_run_shapes_match_position_lists():
+    rng = random.Random(9)
+    for _ in range(300):
+        size = rng.randint(1, 9)
+        order = rng.sample(range(size), size)
+        mask = rng.getrandbits(size)
+        pm = position_mask(mask, order)
+        positions = sorted(p for p, item in enumerate(order) if mask >> item & 1)
+        assert pm == sum(1 << p for p in positions)
+        block = positions == list(range(positions[0], positions[-1] + 1)) if positions else True
+        assert is_run(pm) == block
+        assert is_run(pm, "prefix", size) == (block and (not positions or positions[0] == 0))
+        assert is_run(pm, "suffix", size) == (block and (not positions or positions[-1] == size - 1))
