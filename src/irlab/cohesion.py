@@ -15,9 +15,9 @@ whose supporters can claim a seat (|N(C)|*k >= n), bottom-up by LCM's
 prefix-preserving closure extension, and reads every f_i and its
 lexicographically smallest witness off that list.  The problem is NP-hard in
 general, hence the node cap (one node per closed set).  ``f_vector(e, "vi",
-order)`` computes the same values in O(n^2 m) time per voter when a
-voter-interval witness order is available, by scanning all position
-intervals that contain the voter.
+order)`` computes the same values in O(n^2 + nm) time for all voters when a
+voter-interval witness order is available, by one sweep over the left ends
+of the position intervals.
 """
 
 from __future__ import annotations
@@ -217,64 +217,64 @@ def _vi_spans(
     return pos, spans
 
 
-def _vi_certificate_from_positions(
-    election: Election, pos: Sequence[int], voter: int, spans: list[tuple[int, int]]
-) -> CohesionCertificate:
-    """f_i on a voter-interval profile by the interval scan.
+def _vi_sweep(
+    election: Election, pos: Sequence[int], spans: list[tuple[int, int]]
+) -> list[CohesionCertificate]:
+    """All n certificates on a voter-interval profile by one left-end sweep.
 
     Every candidate set's supporters form a contiguous block of the witness
-    order containing the voter, so it suffices to scan all position
-    intervals [xl, xr] around the voter: the interval commonly approves some
-    set S and is large enough to claim l* = floor(len*k/n) seats,
-    contributing min(l*, |S|).  The first interval in scan order (xl
-    ascending, then xr ascending) that attains the maximum provides the
-    witness.
+    order, so f at position p is the best value of a position interval
+    [xl, xr] around p: min(floor(len*k/n), the number of candidates whose
+    span covers it).  The sweep raises xl from 0 and keeps ``ends[xr]``, the
+    candidates with left end <= xl and right end xr; walking xr down from
+    n-1 sums them into common(xl, xr) and carries the suffix maximum of the
+    value over xr >= p, smallest xr on ties, so each p keeps the first
+    interval in (xl, xr) order that attains its maximum.  That interval's
+    smallest f common candidates are the witness.  O(n^2 + nm) in total.
     """
     n, k = election.n, election.k
-    p = pos[voter]
-
-    best = 0
-    best_interval: tuple[int, int] | None = None
-    for xl in range(0, p + 1):
-        for xr in range(p, n):
-            length = xr - xl + 1
-            l_star = (length * k) // n
-            if l_star <= best:
-                continue
-            common = [
-                c for c, (lo, hi) in enumerate(spans) if lo != -1 and lo <= xl and hi >= xr
-            ]
-            value = min(l_star, len(common))
-            if value > best:
-                best = value
-                best_interval = (xl, xr)
-    if best == 0:
-        return CohesionCertificate(
-            voter=voter,
-            f=0,
-            witness_set=frozenset(),
-            witness_supporters=VoterGroup.from_mask(election.all_voters_mask()),
-        )
-    xl, xr = best_interval
-    common = sorted(
-        c for c, (lo, hi) in enumerate(spans) if lo != -1 and lo <= xl and hi >= xr
-    )
-    witness = frozenset(common[:best])
-    supp = election.supporters_mask(witness)
-    return CohesionCertificate(
-        voter=voter,
-        f=best,
-        witness_set=witness,
-        witness_supporters=VoterGroup.from_mask(supp),
-    )
+    starts: list[list[int]] = [[] for _ in range(n)]
+    for lo, hi in spans:
+        if lo != -1:
+            starts[lo].append(hi)
+    seats = [length * k // n for length in range(n + 1)]
+    ends = [0] * n
+    best = [0] * n
+    interval: list[tuple[int, int]] = [(0, 0)] * n
+    for xl in range(n):
+        for hi in starts[xl]:
+            ends[hi] += 1
+        common = top = arg = 0
+        for xr in range(n - 1, xl - 1, -1):
+            common += ends[xr]
+            value = min(seats[xr - xl + 1], common)
+            if value >= top:
+                top, arg = value, xr
+            if top > best[xr]:
+                best[xr] = top
+                interval[xr] = (xl, arg)
+    everyone = VoterGroup.from_mask(election.all_voters_mask())
+    certs = []
+    for voter in range(n):
+        f = best[pos[voter]]
+        if f == 0:
+            certs.append(CohesionCertificate(voter, 0, frozenset(), everyone))
+            continue
+        xl, xr = interval[pos[voter]]
+        common = [c for c, (lo, hi) in enumerate(spans) if lo <= xl and hi >= xr]
+        witness = frozenset(common[:f])
+        group = VoterGroup.from_mask(election.supporters_mask(witness))
+        certs.append(CohesionCertificate(voter, f, witness, group))
+    return certs
 
 
 def interval_support(
-    order: Sequence[int], certificate: CohesionCertificate
+    order: Sequence[int], pos: Sequence[int], certificate: CohesionCertificate
 ) -> IntervalSupport:
     """Locate the witness supporters of ``certificate`` as a position interval
-    of the validated witness ``order`` (:func:`vi_order_positions`)."""
-    p = order.index(certificate.voter)
+    of the validated witness ``order`` with position-of-voter ``pos``
+    (:func:`vi_order_positions`)."""
+    p = pos[certificate.voter]
     pm = position_mask(certificate.witness_supporters.mask, order)
     if not is_run(pm) or not pm >> p & 1:
         raise ValueError("witness supporters do not form an interval containing the voter")
@@ -296,7 +296,8 @@ def f_vector(
     ``"exact"`` enumerates the qualifying closed candidate sets once for all
     voters and raises :class:`~irlab.search.BudgetExceededError` when more
     than ``node_cap`` of them are visited; a wrong answer is never returned.
-    ``"vi"`` runs the interval scan along the witness ``order``.
+    ``"vi"`` sweeps the position intervals of the voter-interval witness
+    ``order`` once for all voters, in O(n^2 + nm) time.
     """
     if method == "exact":
         return _exact_certificates(election, node_cap)
@@ -308,7 +309,7 @@ def f_vector(
 
 
 def vi_certificates(election: Election, order: Sequence[int]) -> list[CohesionCertificate]:
-    """All n certificates by the interval scan along the witness ``order``;
+    """All n certificates by the left-end sweep along the witness ``order``;
     raises ValueError unless it is a voter-interval witness."""
     pos, spans = _vi_spans(election, order)
-    return [_vi_certificate_from_positions(election, pos, i, spans) for i in range(election.n)]
+    return _vi_sweep(election, pos, spans)

@@ -32,8 +32,9 @@ from typing import Literal, Sequence
 from . import c1p
 from .cohesion import (
     CohesionCertificate,
+    _vi_spans,
+    _vi_sweep,
     interval_support,
-    vi_certificates,
     vi_order_positions,
 )
 from .model import (
@@ -477,11 +478,12 @@ def construct_vi(election: Election, witness: VIWitness) -> ConstructResult:
         raise InvalidWitnessError("expected a VIWitness")
     order = list(witness.voter_order)
     try:
-        certs = vi_certificates(election, order)
+        pos, spans = _vi_spans(election, order)
     except ValueError as exc:
         raise InvalidWitnessError(str(exc)) from None
+    certs = _vi_sweep(election, pos, spans)
     n, k = election.n, election.k
-    intervals = [interval_support(order, cert) for cert in certs]
+    intervals = [interval_support(order, pos, cert) for cert in certs]
 
     committee: set[int] = set()
     round1: list[VIRoundStep] = []

@@ -58,18 +58,24 @@ class Election:
             raise ValueError(
                 f"expected {self.n} approval sets, got {len(self.approvals)}"
             )
-        cand_voters = [0] * self.m
-        ballots = []
+        # one '0'/'1' digit per (voter, candidate) and a ',' after each voter;
+        # voters run from n-1 down to 0 and candidates from m-1 down to 0, so
+        # a voter's row and a candidate's strided column are binary numerals,
+        # most significant bit first, that int(..., 2) reads as their masks
+        n, m = self.n, self.m
+        width = m + 1
+        digits = bytearray(b"0" * m + b",") * n
         for i, ballot in enumerate(self.approvals):
-            mask = 0
+            last = (n - i) * width - 2  # voter i's digit for candidate 0
             for c in ballot:
-                if not 0 <= c < self.m:
+                if not 0 <= c < m:
                     raise ValueError(f"voter {i}: candidate index {c} out of range")
-                cand_voters[c] |= 1 << i
-                mask |= 1 << c
-            ballots.append(mask)
-        object.__setattr__(self, "candidate_voters", tuple(cand_voters))
-        object.__setattr__(self, "ballot_masks", tuple(ballots))
+                digits[last - c] = 49  # ord("1")
+        rows = digits.split(b",")[-2::-1]  # voter 0 first, without the empty tail
+        object.__setattr__(
+            self, "candidate_voters", tuple([int(digits[m - 1 - c :: width], 2) for c in range(m)])
+        )
+        object.__setattr__(self, "ballot_masks", tuple([int(row, 2) for row in rows]))
 
     @staticmethod
     def from_approvals(approvals: Iterable[Iterable[int]], m: int, k: int) -> "Election":

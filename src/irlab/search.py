@@ -66,6 +66,25 @@ def max_flow(
         head.append(u)
         residual.append(0)
     total = 0
+    # greedy start: fill free source -> u -> v -> sink paths of given arcs
+    # (even indices), so the breadth-first phases below only repair what the
+    # greedy paths missed
+    for e in out[source]:
+        u = head[e]
+        if e & 1 or u == sink:
+            continue
+        for e2 in out[u]:
+            if not residual[e]:
+                break
+            if residual[e2] and not e2 & 1:
+                for e3 in out[head[e2]]:
+                    if residual[e3] and head[e3] == sink and not e3 & 1:
+                        push = min(residual[e], residual[e2], residual[e3])
+                        for arc in (e, e2, e3):
+                            residual[arc] -= push
+                            residual[arc ^ 1] += push
+                        total += push
+                        break
     while True:
         via = [-1] * size  # the arc a node was first reached by; -2 marks the source
         via[source] = -2

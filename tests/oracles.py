@@ -3,11 +3,12 @@
 Most of these evaluate definitions by full enumeration, deliberately sharing
 no search code with the package: subsets are enumerated without pruning and
 orders by factorial search.  The pruned per-voter entitlement search, the
-Fraction Thiele scorer, the per-voter Fraction seq-Phragmen and Rule X, the
-linear-scan Mallows sampler, Kuhn's recursive quota matching, the separate
-FJR and core deviation searches and the frozenset prefix/suffix layout with
-the run-pattern WSC check are the engines the package replaced; they stay
-here as references for the ones that replaced them.
+per-voter voter-interval scan, the Fraction Thiele scorer, the per-voter
+Fraction seq-Phragmen and Rule X, the linear-scan Mallows sampler, Kuhn's
+recursive quota matching, the separate FJR and core deviation searches and
+the frozenset prefix/suffix layout with the run-pattern WSC check are the
+engines the package replaced; they stay here as references for the ones
+that replaced them.
 """
 
 from fractions import Fraction
@@ -152,6 +153,76 @@ def _lex_min_witness(
         else:
             raise AssertionError("witness reconstruction failed")  # unreachable
     return chosen
+
+
+# --------------------------------------------------------------------------
+# Voter-interval entitlements: the interval scan per voter
+# --------------------------------------------------------------------------
+
+
+def vi_certificates_by_scan(election: Election, order: Sequence[int]) -> list[CohesionCertificate]:
+    """All n certificates along the voter-interval witness ``order`` by
+    scanning, for each voter separately, every position interval around it."""
+    pos = [0] * election.n
+    for p, v in enumerate(order):
+        pos[v] = p
+    spans = []
+    for mask in election.candidate_voters:
+        positions = [pos[v] for v in _iter_bits(mask)]
+        spans.append((min(positions), max(positions)) if positions else (-1, -1))
+    return [_vi_certificate_from_positions(election, pos, i, spans) for i in range(election.n)]
+
+
+def _vi_certificate_from_positions(
+    election: Election, pos: Sequence[int], voter: int, spans: list[tuple[int, int]]
+) -> CohesionCertificate:
+    """f_i on a voter-interval profile by the interval scan.
+
+    Every candidate set's supporters form a contiguous block of the witness
+    order containing the voter, so it suffices to scan all position
+    intervals [xl, xr] around the voter: the interval commonly approves some
+    set S and is large enough to claim l* = floor(len*k/n) seats,
+    contributing min(l*, |S|).  The first interval in scan order (xl
+    ascending, then xr ascending) that attains the maximum provides the
+    witness.
+    """
+    n, k = election.n, election.k
+    p = pos[voter]
+
+    best = 0
+    best_interval: tuple[int, int] | None = None
+    for xl in range(0, p + 1):
+        for xr in range(p, n):
+            length = xr - xl + 1
+            l_star = (length * k) // n
+            if l_star <= best:
+                continue
+            common = [
+                c for c, (lo, hi) in enumerate(spans) if lo != -1 and lo <= xl and hi >= xr
+            ]
+            value = min(l_star, len(common))
+            if value > best:
+                best = value
+                best_interval = (xl, xr)
+    if best == 0:
+        return CohesionCertificate(
+            voter=voter,
+            f=0,
+            witness_set=frozenset(),
+            witness_supporters=VoterGroup.from_mask(election.all_voters_mask()),
+        )
+    xl, xr = best_interval
+    common = sorted(
+        c for c, (lo, hi) in enumerate(spans) if lo != -1 and lo <= xl and hi >= xr
+    )
+    witness = frozenset(common[:best])
+    supp = election.supporters_mask(witness)
+    return CohesionCertificate(
+        voter=voter,
+        f=best,
+        witness_set=witness,
+        witness_supporters=VoterGroup.from_mask(supp),
+    )
 
 
 def brute_ir_committees(election, fvalues):

@@ -10,7 +10,7 @@ from irlab.domains import recognize
 from irlab.gen import GenSpec, generate
 
 from instance_gen import random_election, random_vi_election
-from oracles import brute_f, f_certificate_exact
+from oracles import brute_f, f_certificate_exact, vi_certificates_by_scan
 from hard_instances import two_camps_with_bridge, uneven_cohorts, opposed_ends_instance
 
 IDENTITY8 = tuple(range(8))
@@ -110,8 +110,35 @@ def test_witness_supporters_form_interval_on_vi():
         certs = f_vector(e, "vi", order=witness.voter_order)
         pos = vi_order_positions(e, witness.voter_order)
         for cert in certs:
-            iv = interval_support(witness.voter_order, cert)
+            iv = interval_support(witness.voter_order, pos, cert)
             assert iv.left <= pos[cert.voter] <= iv.right
+
+
+def test_vi_sweep_matches_interval_scan_oracle():
+    # the left-end sweep keeps the per-voter scan's value, witness and
+    # supporters on random VI profiles (n = 1, k = m, empty ballots,
+    # unapproved candidates) and on one profile of the cli_scale vi200 shape
+    rng = random.Random(808)
+    cases = []
+    for t in range(320):
+        e = random_vi_election(rng, n_max=1 if t % 10 == 0 else 30, m_max=12)
+        if t % 4 == 1:
+            e = Election(n=e.n, m=e.m, k=e.m, approvals=e.approvals)
+        cases.append(e)
+    cases.append(generate(GenSpec(model="vi_euclid", n=200, m=20, seed=0), k=8))
+    seen = {"n=1": 0, "k=m": 0, "empty ballot": 0, "unapproved candidate": 0}
+    for e in cases:
+        seen["n=1"] += e.n == 1
+        seen["k=m"] += e.k == e.m
+        seen["empty ballot"] += not all(e.approvals)
+        seen["unapproved candidate"] += not all(e.candidate_voters)
+        order = recognize(e, "VI").voter_order
+        got = f_vector(e, "vi", order)
+        ref = vi_certificates_by_scan(e, order)
+        assert [(c.voter, c.f, c.witness_set, c.witness_supporters.mask) for c in got] == [
+            (c.voter, c.f, c.witness_set, c.witness_supporters.mask) for c in ref
+        ]
+    assert min(seen.values()) >= 10, seen
 
 
 def test_f_equals_k_iff_common_committee():

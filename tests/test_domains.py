@@ -16,6 +16,7 @@ from irlab.domains import (
     verify_tree,
     verify_witness,
 )
+from irlab.gen import GenSpec, generate
 from irlab.model import Election
 from irlab.solver import SolveRequest, find_committee
 
@@ -261,6 +262,23 @@ def _assert_size_lemmas(e, trace):
             "round-2 size lemma violated",
             step,
         )
+
+
+def test_construct_vi_at_scale():
+    # n = 1000, m = 60: the VI entitlements equal the closed-set engine's, the
+    # committee meets (2,4)-IR, counted directly, and both rounds keep the
+    # size lemmas
+    e = generate(GenSpec(model="vi_euclid", n=1000, m=60, seed=4), k=10)
+    witness = recognize(e, "VI")
+    fvec = f_vector(e)
+    assert [c.f for c in f_vector(e, "vi", witness.voter_order)] == [c.f for c in fvec]
+    result = construct_vi(e, witness)
+    assert len(result.committee.members) == e.k
+    assert all(
+        2 * len(result.committee.members & ballot) + 4 >= cert.f
+        for ballot, cert in zip(e.approvals, fvec)
+    )
+    _assert_size_lemmas(e, result.trace)
 
 
 def test_construct_vi_on_opposed_ends():

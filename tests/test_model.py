@@ -131,6 +131,24 @@ def test_election_validation():
         Election.from_approvals([set()], m=3, k=4)
 
 
+def test_election_masks_match_bitwise_definition():
+    # bit i of candidate_voters[c] and bit c of ballot_masks[i] are set
+    # exactly when voter i approves c; the first bad index is the one named
+    rng = random.Random(21)
+    for _ in range(200):
+        n, m = rng.randint(1, 70), rng.randint(1, 70)
+        approvals = [{c for c in range(m) if rng.random() < 0.3} for _ in range(n)]
+        e = Election.from_approvals(approvals, m=m, k=1)
+        assert e.candidate_voters == tuple(
+            sum(1 << i for i in range(n) if c in approvals[i]) for c in range(m)
+        )
+        assert e.ballot_masks == tuple(sum(1 << c for c in a) for a in approvals)
+    with pytest.raises(ValueError, match="^voter 1: candidate index 3 out of range$"):
+        Election.from_approvals([{0}, {3}, {-1}], m=3, k=1)
+    with pytest.raises(ValueError, match="^voter 0: candidate index -1 out of range$"):
+        Election.from_approvals([{-1}, {7}], m=3, k=1)
+
+
 def test_voter_group_derived_from_mask():
     rng = random.Random(8)
     for mask in [0, 1, 0b1011, 1 << 70 | 5] + [rng.getrandbits(40) for _ in range(50)]:
