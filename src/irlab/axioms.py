@@ -8,7 +8,8 @@ arithmetic (``|V|*k >= l*n``), never via n/k as a float.
 
 FJR and core stability run one deviation search that differs only in the
 voters it counts and what each must gain; EJR and PJR share one
-cohesive-set search.  Perfect representation is one maximum flow
+cohesive-set search.  Both keep their path on an explicit stack, so a
+search as deep as a committee of k ~ 1000 is not cut by the recursion limit.  Perfect representation is one maximum flow
 (``search.max_flow``): a Hall violator is the set of voters still on the
 source side of the residual graph.
 """
@@ -245,32 +246,33 @@ def _cohesive_witness(election, voter_mask, level, budget):
         c for c in range(election.m) if (cand_voters[c] & voter_mask).bit_count() * k >= level * n
     ]
     pool.sort(key=lambda c: -(cand_voters[c] & voter_mask).bit_count())
-
-    def dfs(start: int, chosen: list[int], supp: int):
-        budget.tick()
-        if len(chosen) == level:
-            return list(chosen), supp
-        if len(chosen) + (len(pool) - start) < level:
-            return None
-        for idx in range(start, len(pool)):
-            if len(chosen) + (len(pool) - idx) < level:
-                return None
-            new_supp = supp & cand_voters[pool[idx]]
+    # iterative: the path holds pool positions, supps the supporters of each
+    # of its prefixes; one node is ticked per path extension
+    path: list[int] = []
+    supps = [voter_mask]
+    budget.tick()
+    idx = 0  # the next pool position to try below the current node
+    while len(path) < level:
+        while idx < len(pool) and len(path) + len(pool) - idx >= level:
+            new_supp = supps[-1] & cand_voters[pool[idx]]
             if new_supp.bit_count() * k >= level * n:
-                chosen.append(pool[idx])
-                hit = dfs(idx + 1, chosen, new_supp)
-                if hit is not None:
-                    return hit
-                chosen.pop()
-        return None
-
-    found = dfs(0, [], voter_mask)
-    if found is None:
-        return None
-    cand_set, group = found
-    group = mask_to_set(group)
+                path.append(idx)
+                supps.append(new_supp)
+                budget.tick()
+                break
+            idx += 1
+        else:  # no child left: back up to the parent's next candidate
+            if not path:
+                return None
+            supps.pop()
+            idx = path.pop()
+        idx += 1
+    group = mask_to_set(supps[-1])
     return ViolationWitness(
-        group=group, candidate_set=frozenset(cand_set), level=level, deprived=group
+        group=group,
+        candidate_set=frozenset(pool[i] for i in path),
+        level=level,
+        deprived=group,
     )
 
 
@@ -353,30 +355,37 @@ def _deviation_search(election, voters, need, budget):
     for i in voters:
         pool_mask |= ballots[i]
     pool = sorted(mask_to_set(pool_mask))
-
-    def dfs(start: int, chosen: list[int], smask: int):
+    tails = [pool_mask >> c << c for c in pool] + [0]  # the pool from each position on
+    # iterative: ``nexts`` holds, per node of the path, the pool position of
+    # its next child (len(pool) once it has none left); one tick per visit
+    chosen: list[int] = []
+    smask = 0  # ``chosen`` as a candidate mask
+    nexts: list[int] = []
+    start = 0
+    while True:
         budget.tick()
         if chosen:
             group = [i for i in voters if (ballots[i] & smask).bit_count() >= need[i]]
             if len(group) * k >= len(chosen) * n:
                 return frozenset(chosen), frozenset(group)
         if len(chosen) == k:
-            return None
-        rest = smask
-        for idx in range(start, len(pool)):
-            rest |= 1 << pool[idx]
-        attainable = sum(1 for i in voters if (ballots[i] & rest).bit_count() >= need[i])
-        if attainable * k < (len(chosen) + 1) * n:
-            return None
-        for idx in range(start, len(pool)):
-            chosen.append(pool[idx])
-            hit = dfs(idx + 1, chosen, smask | (1 << pool[idx]))
-            if hit is not None:
-                return hit
-            chosen.pop()
-        return None
-
-    return dfs(0, [], 0)
+            start = len(pool)  # a full committee has no children
+        else:
+            rest = smask | tails[start]
+            attainable = sum(1 for i in voters if (ballots[i] & rest).bit_count() >= need[i])
+            if attainable * k < (len(chosen) + 1) * n:
+                start = len(pool)  # too few voters can still gain: cut
+        nexts.append(start)
+        while nexts[-1] == len(pool):  # leave the nodes without children left
+            nexts.pop()
+            if not nexts:
+                return None
+            smask ^= 1 << chosen.pop()
+        idx = nexts[-1]
+        nexts[-1] += 1
+        chosen.append(pool[idx])
+        smask |= 1 << pool[idx]
+        start = idx + 1
 
 
 def _check_perfect(election, committee, axiom):

@@ -8,6 +8,7 @@ usage errors.  Candidate and voter indices are 1-based on this surface.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -311,30 +312,19 @@ def solve_cmd(profile, objective, alpha, beta, cap, expect):
 
 
 def _witness_payload(witness) -> dict:
-    if isinstance(witness, domains.CIWitness):
-        return {"candidate_order": [c + 1 for c in witness.candidate_order]}
-    if isinstance(witness, domains.VIWitness):
-        return {"voter_order": [v + 1 for v in witness.voter_order]}
-    if isinstance(witness, domains.CEIWitness):
-        return {
-            "candidate_order": [c + 1 for c in witness.candidate_order],
-            "voter_side": list(witness.voter_side),
-        }
-    if isinstance(witness, domains.VEIWitness):
-        return {
-            "voter_order": [v + 1 for v in witness.voter_order],
-            "candidate_side": list(witness.candidate_side),
-        }
-    if isinstance(witness, domains.TPartWitness):
-        return {
-            "blocks": [sorted(c + 1 for c in block) for block in witness.blocks],
-            "voter_block": [b + 1 if b >= 0 else None for b in witness.voter_block],
-        }
-    if isinstance(witness, domains.WSCWitness):
-        return {"voter_order": [v + 1 for v in witness.voter_order]}
-    if isinstance(witness, domains.TreeWitness):
-        return {"parent": [p + 1 if p >= 0 else None for p in witness.parent]}
-    raise AssertionError(type(witness))
+    """A domain witness as JSON, one key per field, in field order."""
+    return {
+        f.name: [_payload_item(item) for item in getattr(witness, f.name)]
+        for f in dataclasses.fields(witness)
+    }
+
+
+def _payload_item(item):
+    if isinstance(item, str):
+        return item  # a side: 'prefix' or 'suffix'
+    if isinstance(item, frozenset):
+        return sorted(c + 1 for c in item)  # a t-PART block
+    return item + 1 if item >= 0 else None  # an index; -1 (root, no block) is null
 
 
 @main.command("recognize")

@@ -55,29 +55,6 @@ class CohesionCertificate:
         return mask.bit_count() * election.k >= self.f * election.n
 
 
-@dataclass(frozen=True)
-class IntervalSupport:
-    """Shape of a voter's witness supporters on a voter-interval profile.
-
-    Positions refer to the witness order (0-based).  ``below`` covers
-    positions [left, pos-1], ``above`` covers [pos, right] where ``pos`` is
-    the voter's own position; the two parts are disjoint and contiguous.
-    """
-
-    voter: int
-    pos: int
-    left: int
-    right: int
-
-    @property
-    def below_size(self) -> int:
-        return self.pos - self.left
-
-    @property
-    def above_size(self) -> int:
-        return self.right - self.pos + 1
-
-
 def _closed_sets(election: Election, budget: NodeBudget) -> Iterator[tuple[int, int]]:
     """Every closed candidate set whose supporters can claim a seat.
 
@@ -266,20 +243,6 @@ def _vi_sweep(
         group = VoterGroup.from_mask(election.supporters_mask(witness))
         certs.append(CohesionCertificate(voter, f, witness, group))
     return certs
-
-
-def interval_support(
-    order: Sequence[int], pos: Sequence[int], certificate: CohesionCertificate
-) -> IntervalSupport:
-    """Locate the witness supporters of ``certificate`` as a position interval
-    of the validated witness ``order`` with position-of-voter ``pos``
-    (:func:`vi_order_positions`)."""
-    p = pos[certificate.voter]
-    pm = position_mask(certificate.witness_supporters.mask, order)
-    if not is_run(pm) or not pm >> p & 1:
-        raise ValueError("witness supporters do not form an interval containing the voter")
-    left, right = (pm & -pm).bit_length() - 1, pm.bit_length() - 1
-    return IntervalSupport(voter=certificate.voter, pos=p, left=left, right=right)
 
 
 FMethod = Literal["exact", "vi"]

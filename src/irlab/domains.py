@@ -19,8 +19,8 @@ Recognition, verification and construction work on the voter and candidate
 bitmasks the election already holds (``ballot_masks``, ``candidate_voters``)
 with one interval check: a set's mask is mapped to a mask over the positions
 of an order (:func:`~irlab.model.position_mask`) and tested as an interval,
-a prefix or a suffix (:func:`~irlab.model.is_run`).  Only the CI and VI
-recognizers hand frozensets to the consecutive-ones layout of :mod:`c1p`.
+a prefix or a suffix (:func:`~irlab.model.is_run`).  The CI and VI
+recognizers hand the same masks to the consecutive-ones layout of :mod:`c1p`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .cohesion import (
     CohesionCertificate,
     _vi_spans,
     _vi_sweep,
-    interval_support,
     vi_order_positions,
 )
 from .model import (
@@ -42,7 +41,6 @@ from .model import (
     Election,
     _iter_bits,
     is_run,
-    mask_to_set,
     padding,
     position_mask,
 )
@@ -226,11 +224,10 @@ def recognize(election: Election, domain: DomainId) -> DomainWitness | None:
     rather than searched (use :func:`verify_tree`).
     """
     if domain == "CI":
-        order = c1p.consecutive_ones_order(election.m, election.approvals)
+        order = c1p.consecutive_ones_order(election.m, election.ballot_masks)
         return None if order is None else CIWitness(candidate_order=tuple(order))
     if domain == "VI":
-        supporter_sets = [mask_to_set(mask) for mask in election.candidate_voters]
-        order = c1p.consecutive_ones_order(election.n, supporter_sets)
+        order = c1p.consecutive_ones_order(election.n, election.candidate_voters)
         return None if order is None else VIWitness(voter_order=tuple(order))
     if domain == "CEI":
         layout = _prefix_suffix_layout(election.m, election.ballot_masks)
@@ -483,17 +480,24 @@ def construct_vi(election: Election, witness: VIWitness) -> ConstructResult:
         raise InvalidWitnessError(str(exc)) from None
     certs = _vi_sweep(election, pos, spans)
     n, k = election.n, election.k
-    intervals = [interval_support(order, pos, cert) for cert in certs]
+    # a witness's supporters are the positions its candidates' spans share
+    # (every voter when the witness is empty); |N_<i| and |N_>=i| per voter
+    below, above = [0] * n, [0] * n
+    for cert in certs:
+        lo, hi = 0, n - 1
+        for c in cert.witness_set:
+            lo, hi = max(lo, spans[c][0]), min(hi, spans[c][1])
+        p = pos[cert.voter]
+        below[cert.voter], above[cert.voter] = p - lo, hi - p + 1
 
     committee: set[int] = set()
     round1: list[VIRoundStep] = []
     for p in range(n):
         v = order[p]
-        iv = intervals[v]
         # a wide supporter interval can ask for more than the witness set
         # holds; capping at f_i keeps the request servable (a voter holding
         # all of her witness set is fully represented already)
-        target = min((iv.above_size * k) // (2 * n), certs[v].f)
+        target = min((above[v] * k) // (2 * n), certs[v].f)
         ballot = election.approvals[v]
         have = len(committee & ballot)
         added: tuple[int, ...] = ()
@@ -505,8 +509,8 @@ def construct_vi(election: Election, witness: VIWitness) -> ConstructResult:
             VIRoundStep(
                 voter=v,
                 position=p,
-                support_below=iv.below_size,
-                support_above=iv.above_size,
+                support_below=below[v],
+                support_above=above[v],
                 target=target,
                 added=added,
                 accumulated=len(committee),
@@ -518,8 +522,7 @@ def construct_vi(election: Election, witness: VIWitness) -> ConstructResult:
     round2: list[VIRoundStep] = []
     for p in range(n - 1, -1, -1):
         v = order[p]
-        iv = intervals[v]
-        target = min((iv.below_size * k) // (2 * n), certs[v].f)
+        target = min((below[v] * k) // (2 * n), certs[v].f)
         ballot = election.approvals[v]
         have = len(hat & ballot)
         added = ()
@@ -533,8 +536,8 @@ def construct_vi(election: Election, witness: VIWitness) -> ConstructResult:
             VIRoundStep(
                 voter=v,
                 position=p,
-                support_below=iv.below_size,
-                support_above=iv.above_size,
+                support_below=below[v],
+                support_above=above[v],
                 target=target,
                 added=added,
                 accumulated=len(hat),

@@ -35,8 +35,8 @@ class NodeBudget:
         self.nodes = 0
         self.stage = stage
 
-    def tick(self, amount: int = 1) -> None:
-        self.nodes += amount
+    def tick(self) -> None:
+        self.nodes += 1
         if self.nodes > self.cap:
             raise BudgetExceededError(self.cap, self.nodes, self.stage)
 

@@ -1,7 +1,8 @@
 """Exact existence and approximation search for representative committees.
 
 Deciding whether an IR committee exists is NP-hard, so the search is a
-depth-first branch-and-bound over candidates guarded by a node cap:
+depth-first branch-and-bound over candidates (on an explicit stack, one
+level per seat) guarded by a node cap:
 ``infeasible`` means the whole space was exhausted, ``undecided`` is only
 reported when the cap was hit.  The optimization objectives reduce to
 feasibility solves: MIN_BETA binary-searches the additive slack over the
@@ -89,56 +90,63 @@ def _cover_search(
         if need[i] > 0:
             unmet_mask |= 1 << i
     chosen: list[int] = []
-
-    def include(c: int) -> list[int]:
-        nonlocal unmet_mask
-        decremented = []
-        for i in _iter_bits(cand_voters[c] & unmet_mask):
-            need[i] -= 1
-            decremented.append(i)
-            if need[i] == 0:
-                unmet_mask &= ~(1 << i)
-        chosen.append(c)
-        return decremented
-
-    def undo(c: int, decremented: list[int]) -> None:
-        nonlocal unmet_mask
-        chosen.pop()
-        for i in decremented:
-            if need[i] == 0:
-                unmet_mask |= 1 << i
-            need[i] += 1
-
-    def dfs(pool: int, seats: int) -> bool:
+    # iterative: per open node, its branch candidates, the index of the next
+    # one, the pool left to its later branches and the voters its current
+    # branch topped up (None before the first branch)
+    frames: list[list] = []
+    pool = (1 << m) - 1
+    while True:
         budget.tick()
         if unmet_mask == 0:
-            return True
-        if seats == 0:
-            return False
-        pivot = -1
-        pivot_avail = m + 1
-        for i in _iter_bits(unmet_mask):
-            avail = (ballots[i] & pool).bit_count()
-            if avail < need[i] or need[i] > seats:
-                return False
-            if avail < pivot_avail:
-                pivot, pivot_avail = i, avail
-        options = sorted(
-            _iter_bits(ballots[pivot] & pool),
-            key=lambda c: (-(cand_voters[c] & unmet_mask).bit_count(), c),
-        )
-        sub_pool = pool
-        for c in options:
-            sub_pool &= ~(1 << c)  # later branches must not reuse c
-            decremented = include(c)
-            if dfs(sub_pool, seats - 1):
-                return True
-            undo(c, decremented)
-        return False
+            return chosen
+        seats = k - len(chosen)
+        pivot = _pivot(ballots, need, unmet_mask, pool, seats) if seats else None
+        if pivot is not None:
+            options = sorted(
+                _iter_bits(ballots[pivot] & pool),
+                key=lambda c: (-(cand_voters[c] & unmet_mask).bit_count(), c),
+            )
+            frames.append([options, 0, pool, None])
+        while frames:
+            frame = frames[-1]
+            options, nxt, pool, topped = frame
+            if topped is not None:  # undo the branch just searched
+                chosen.pop()
+                for i in topped:
+                    if need[i] == 0:
+                        unmet_mask |= 1 << i
+                    need[i] += 1
+            if nxt == len(options):
+                frames.pop()
+                continue
+            c = options[nxt]
+            pool &= ~(1 << c)  # later branches must not reuse c
+            topped = list(_iter_bits(cand_voters[c] & unmet_mask))
+            for i in topped:
+                need[i] -= 1
+                if need[i] == 0:
+                    unmet_mask &= ~(1 << i)
+            chosen.append(c)
+            frame[1:] = nxt + 1, pool, topped
+            break
+        else:
+            return None
 
-    if dfs((1 << m) - 1, k):
-        return list(chosen)
-    return None
+
+def _pivot(
+    ballots: Sequence[int], need: Sequence[int], unmet_mask: int, pool: int, seats: int
+) -> int | None:
+    """The first unmet voter with the fewest approved candidates left in
+    ``pool``, or None when some unmet voter cannot be topped up from the
+    pool within ``seats``."""
+    pivot = pivot_avail = None
+    for i in _iter_bits(unmet_mask):
+        avail = (ballots[i] & pool).bit_count()
+        if avail < need[i] or need[i] > seats:
+            return None
+        if pivot is None or avail < pivot_avail:
+            pivot, pivot_avail = i, avail
+    return pivot
 
 
 def demands(fvec: Sequence[CohesionCertificate], objective: str) -> list[int]:

@@ -5,10 +5,11 @@ no search code with the package: subsets are enumerated without pruning and
 orders by factorial search.  The pruned per-voter entitlement search, the
 per-voter voter-interval scan, the Fraction Thiele scorer, the per-voter
 Fraction seq-Phragmen and Rule X, the linear-scan Mallows sampler, Kuhn's
-recursive quota matching, the separate FJR and core deviation searches and
-the frozenset prefix/suffix layout with the run-pattern WSC check are the
-engines the package replaced; they stay here as references for the ones
-that replaced them.
+recursive quota matching, the separate FJR and core deviation searches, the
+recursive EJR/PJR cohesive-set search and cover search, and the frozenset
+prefix/suffix layout with the run-pattern WSC check are the engines the
+package replaced; they stay here as references for the ones that replaced
+them.
 """
 
 from fractions import Fraction
@@ -551,6 +552,124 @@ def wsc_order_exists(election):
     for perm in permutations(range(election.n)):
         if wsc_order_valid(election, perm):
             return list(perm)
+    return None
+
+
+# --------------------------------------------------------------------------
+# EJR/PJR cohesive-set search and the solver's cover search (recursive)
+# --------------------------------------------------------------------------
+
+
+def cohesive_witness(election, voter_mask, level, budget):
+    """A witness naming a size-`level` candidate set jointly approved by
+    >= level*n/k voters from voter_mask, or None.  Depth-first over the
+    candidates each backed by that many of them, most-backed first, with
+    supporter-count pruning."""
+    n, k = election.n, election.k
+    cand_voters = election.candidate_voters
+    pool = [
+        c for c in range(election.m) if (cand_voters[c] & voter_mask).bit_count() * k >= level * n
+    ]
+    pool.sort(key=lambda c: -(cand_voters[c] & voter_mask).bit_count())
+
+    def dfs(start: int, chosen: list[int], supp: int):
+        budget.tick()
+        if len(chosen) == level:
+            return list(chosen), supp
+        if len(chosen) + (len(pool) - start) < level:
+            return None
+        for idx in range(start, len(pool)):
+            if len(chosen) + (len(pool) - idx) < level:
+                return None
+            new_supp = supp & cand_voters[pool[idx]]
+            if new_supp.bit_count() * k >= level * n:
+                chosen.append(pool[idx])
+                hit = dfs(idx + 1, chosen, new_supp)
+                if hit is not None:
+                    return hit
+                chosen.pop()
+        return None
+
+    found = dfs(0, [], voter_mask)
+    if found is None:
+        return None
+    cand_set, group = found
+    group = mask_to_set(group)
+    return ViolationWitness(
+        group=group, candidate_set=frozenset(cand_set), level=level, deprived=group
+    )
+
+
+def cover_search(
+    election: Election, deficits: Sequence[int], budget: NodeBudget
+) -> list[int] | None:
+    """A candidate set of size <= k giving voter i at least deficits[i] of her
+    approved candidates; None when none exists (exact).
+
+    Branches on the candidates of a most-constrained unmet voter, cutting a
+    branch as soon as some unmet voter cannot be topped up from her remaining
+    approved pool within the remaining seats.
+    """
+    n, m, k = election.n, election.m, election.k
+    ballots = election.ballot_masks
+    cand_voters = election.candidate_voters
+    need = list(deficits)
+    if max(need, default=0) > k:
+        return None
+    unmet_mask = 0
+    for i in range(n):
+        if need[i] > 0:
+            unmet_mask |= 1 << i
+    chosen: list[int] = []
+
+    def include(c: int) -> list[int]:
+        nonlocal unmet_mask
+        decremented = []
+        for i in _iter_bits(cand_voters[c] & unmet_mask):
+            need[i] -= 1
+            decremented.append(i)
+            if need[i] == 0:
+                unmet_mask &= ~(1 << i)
+        chosen.append(c)
+        return decremented
+
+    def undo(c: int, decremented: list[int]) -> None:
+        nonlocal unmet_mask
+        chosen.pop()
+        for i in decremented:
+            if need[i] == 0:
+                unmet_mask |= 1 << i
+            need[i] += 1
+
+    def dfs(pool: int, seats: int) -> bool:
+        budget.tick()
+        if unmet_mask == 0:
+            return True
+        if seats == 0:
+            return False
+        pivot = -1
+        pivot_avail = m + 1
+        for i in _iter_bits(unmet_mask):
+            avail = (ballots[i] & pool).bit_count()
+            if avail < need[i] or need[i] > seats:
+                return False
+            if avail < pivot_avail:
+                pivot, pivot_avail = i, avail
+        options = sorted(
+            _iter_bits(ballots[pivot] & pool),
+            key=lambda c: (-(cand_voters[c] & unmet_mask).bit_count(), c),
+        )
+        sub_pool = pool
+        for c in options:
+            sub_pool &= ~(1 << c)  # later branches must not reuse c
+            decremented = include(c)
+            if dfs(sub_pool, seats - 1):
+                return True
+            undo(c, decremented)
+        return False
+
+    if dfs((1 << m) - 1, k):
+        return list(chosen)
     return None
 
 

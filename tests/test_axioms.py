@@ -20,12 +20,14 @@ from irlab.axioms import (
 )
 from irlab.cohesion import f_vector
 from irlab.model import Committee, Election
+from irlab.search import BudgetExceededError, NodeBudget
 
 from instance_gen import random_committee, random_election
 from oracles import (
     bipartite_quota_flow,
     check_core,
     check_fjr,
+    cohesive_witness,
     naive_core,
     naive_ejr,
     naive_fjr,
@@ -193,6 +195,67 @@ def test_fjr_core_match_separate_searches():
                 assert verdict == oracle(e, axiom, counts, cap)
                 seen[verdict.status] = seen.get(verdict.status, 0) + 1
     assert seen["violated"] >= 20 and seen["undecided"] >= 20
+
+
+def test_ejr_pjr_match_recursive_cohesive_search(monkeypatch):
+    # the cohesive-set search runs on an explicit stack; whole EJR and PJR
+    # verdicts, node cost included, equal those of the recursive search,
+    # capped or not
+    rng = random.Random(43)
+    cases = []
+    for _ in range(160):
+        e = random_election(rng, n_max=10, m_max=7, k_max=4, density=rng.choice([0.4, 0.7]))
+        cases.append((e, random_committee(rng, e)))
+
+    def verdicts():
+        return [
+            check(e, w, axiom, node_cap=cap)
+            for e, w in cases
+            for cap in (2, 7, 10**6)
+            for axiom in (EJR, PJR)
+        ]
+
+    got = verdicts()
+    monkeypatch.setattr(axioms, "_cohesive_witness", cohesive_witness)
+    assert got == verdicts()
+    seen = {status: sum(v.status == status for v in got) for status in ("violated", "undecided")}
+    assert min(seen.values()) >= 20, seen
+
+
+def test_cohesive_search_matches_recursive_search_on_random_groups():
+    # the same search on random voter groups and levels: the same witness,
+    # or None, after the same number of nodes, or both capped
+    rng = random.Random(59)
+    seen = {"found": 0, "none": 0, "capped": 0}
+    for _ in range(300):
+        e = random_election(rng, n_max=12, m_max=9, k_max=6, density=rng.choice([0.4, 0.7]))
+        voters = sum(1 << i for i in range(e.n) if rng.random() < 0.8)
+        level = rng.randint(1, min(e.k, 3))
+        for cap in (2, 10**6):
+            outcomes = []
+            for search in (axioms._cohesive_witness, cohesive_witness):
+                budget = NodeBudget(cap, stage="test")
+                try:
+                    hit = search(e, voters, level, budget)
+                except BudgetExceededError:
+                    hit = "capped"
+                outcomes.append((hit, budget.nodes))
+            assert outcomes[0] == outcomes[1], (e.approvals, e.k, voters, level, cap)
+            hit = outcomes[0][0]
+            seen["capped" if hit == "capped" else "none" if hit is None else "found"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_group_searches_at_a_thousand_seats():
+    # EJR, FJR and the core search one candidate deeper per seat; at k = 1000
+    # each finds the 1,000-candidate violation the committee leaves
+    e = Election.from_approvals([set(range(1999))], m=2000, k=1000)
+    w = Committee.of([*range(999), 1999], e)
+    for axiom in (EJR, FJR, CORE):
+        verdict = check(e, w, axiom)
+        assert (verdict.status, verdict.cost) == ("violated", 1001)
+        assert len(verdict.witness.candidate_set) == 1000
+        assert verify_violation(e, w, axiom, verdict.witness)
 
 
 def test_violation_witnesses_recheck():

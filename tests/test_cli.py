@@ -3,7 +3,7 @@ import json
 from click.testing import CliRunner
 
 from irlab.cli import main
-from irlab.model import serialize_profile
+from irlab.model import Election, serialize_profile
 from hard_instances import two_camps_with_bridge, uneven_cohorts
 
 
@@ -315,3 +315,26 @@ def test_directory_as_profile_or_tree_exit_two(tmp_path):
     )
     _assert_usage_error(result)
     assert "not a readable JSON file" in result.output
+
+
+def test_thousand_seat_searches_exit_without_traceback(tmp_path):
+    # EJR, FJR, core and both solves search 1,000 levels deep at k = 1000
+    runner = CliRunner()
+    deep = _write_profile(
+        tmp_path, Election.from_approvals([set(range(1999))], m=2000, k=1000), "deep.avp"
+    )
+    committee = ",".join(str(c) for c in [*range(1, 1000), 2000])
+    for axiom in ("ejr", "fjr", "core"):
+        result = runner.invoke(
+            main, ["check", deep, "--committee", committee, "--axiom", axiom, "--json"]
+        )
+        assert result.exit_code == 0 and result.exception is None, result.output
+        payload = json.loads(result.output)
+        assert (payload["status"], payload["cost"]) == ("violated", 1001)
+    wide = _write_profile(
+        tmp_path, Election.from_approvals([set(range(1000))], m=1200, k=1000), "wide.avp"
+    )
+    for objective in ("ir", "ssjr"):
+        result = runner.invoke(main, ["solve", wide, "--objective", objective])
+        assert result.exit_code == 0 and result.exception is None, result.output
+        assert json.loads(result.output)["status"] == "found"

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irlab.cohesion import f_vector, interval_support, vi_order_positions
-from irlab.model import Election
+from irlab.cohesion import f_vector, vi_order_positions
+from irlab.model import Election, is_run, position_mask
 from irlab.search import BudgetExceededError
 from irlab.domains import recognize
 from irlab.gen import GenSpec, generate
@@ -110,8 +110,10 @@ def test_witness_supporters_form_interval_on_vi():
         certs = f_vector(e, "vi", order=witness.voter_order)
         pos = vi_order_positions(e, witness.voter_order)
         for cert in certs:
-            iv = interval_support(witness.voter_order, pos, cert)
-            assert iv.left <= pos[cert.voter] <= iv.right
+            pm = position_mask(cert.witness_supporters.mask, witness.voter_order)
+            assert is_run(pm)
+            left, right = (pm & -pm).bit_length() - 1, pm.bit_length() - 1
+            assert left <= pos[cert.voter] <= right
 
 
 def test_vi_sweep_matches_interval_scan_oracle():

@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
 from irlab import domains
+from irlab.c1p import consecutive_ones_order, is_consecutive_under
 from irlab.axioms import IR, SSJR, alpha_beta_ir, check
 from irlab.cohesion import f_vector
 from irlab.domains import (
@@ -16,12 +18,13 @@ from irlab.domains import (
     verify_tree,
     verify_witness,
 )
-from irlab.gen import GenSpec, generate
-from irlab.model import Election
+from irlab.gen import MODELS, GenSpec, generate
+from irlab.model import Election, is_run, mask_to_set, position_mask
 from irlab.solver import SolveRequest, find_committee
 
 from instance_gen import (
     random_atr_election,
+    random_election,
     random_cei_election,
     random_tpart_election,
     random_vei_election,
@@ -165,6 +168,74 @@ def test_interval_recognizers_survive_deep_nesting():
     assert witness is not None and verify_witness(e, "VI", witness)
 
 
+# SHA-256 of the CI and VI witnesses of the profiles below, recorded while
+# the consecutive-ones layout still worked on frozensets
+GOLDEN_INTERVAL_WITNESSES_SHA256 = "8b87af2022ee23b32d51ed8d08422c938466dbf9d98ff081f1f37963e3cd582f"
+
+
+def _interval_witness_digest():
+    rng = random.Random(73)
+    profiles = [
+        generate(GenSpec(model=model, n=n, m=m, seed=seed), k=3)
+        for model in MODELS
+        for n, m in ((12, 8), (40, 16))
+        for seed in (1, 2)
+    ]
+    for _ in range(40):
+        profiles += [
+            random_vi_election(rng, n_max=30, m_max=12),
+            random_cei_election(rng, n_max=20, m_max=10),
+            random_vei_election(rng, n_max=20, m_max=10),
+            random_election(rng, n_max=16, m_max=10, density=rng.choice([0.3, 0.5, 0.7])),
+        ]
+    digest = hashlib.sha256()
+    members = 0
+    for e in profiles:
+        for domain in ("CI", "VI"):
+            witness = recognize(e, domain)
+            members += witness is not None
+            digest.update(f"{domain} {witness!r}\n".encode())
+    return digest.hexdigest(), members, 2 * len(profiles)
+
+
+def test_interval_witnesses_match_golden_digest():
+    digest, members, total = _interval_witness_digest()
+    assert 0.3 * total < members < 0.9 * total
+    assert digest == GOLDEN_INTERVAL_WITNESSES_SHA256
+
+
+def test_consecutive_ones_order_matches_factorial_oracle():
+    # column-mask families with duplicate, empty, singleton and full sets;
+    # half are intervals of a hidden column order, so both outcomes occur
+    rng = random.Random(79)
+    seen = {"order": 0, "none": 0, "duplicate": 0, "empty": 0, "singleton": 0, "full": 0}
+    for trial in range(400):
+        cols = rng.randint(1, 6)
+        full = (1 << cols) - 1
+        if trial % 2:
+            hidden = rng.sample(range(cols), cols)
+            masks = []
+            for _ in range(rng.randint(1, 6)):
+                a = rng.randrange(cols)
+                masks.append(sum(1 << c for c in hidden[a : rng.randint(a + 1, cols)]))
+        else:
+            masks = [rng.getrandbits(cols) for _ in range(rng.randint(2, 8))]
+        masks += rng.choices([0, full, 1 << rng.randrange(cols), rng.choice(masks)], k=2)
+        rng.shuffle(masks)
+        seen["duplicate"] += len(set(masks)) < len(masks)
+        seen["empty"] += 0 in masks
+        seen["singleton"] += any(mask.bit_count() == 1 for mask in masks)
+        seen["full"] += full in masks
+        order = consecutive_ones_order(cols, masks)
+        exists = consecutive_order_exists(cols, [mask_to_set(mask) for mask in masks])
+        assert (order is None) == (exists is None), (cols, masks)
+        if order is not None:
+            assert sorted(order) == list(range(cols))
+            assert is_consecutive_under(order, masks)
+        seen["none" if order is None else "order"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
 def test_in_domain_instances_recognized():
     rng = random.Random(53)
     for _ in range(40):
@@ -262,6 +333,26 @@ def _assert_size_lemmas(e, trace):
             "round-2 size lemma violated",
             step,
         )
+
+
+def test_vi_trace_support_is_the_supporter_interval():
+    # the construction reads each witness's supporter interval off its
+    # candidates' spans; it must be the certificate's supporters, located
+    # along the order directly
+    rng = random.Random(67)
+    seen = {"f = 0": 0, "f > 0": 0}
+    for _ in range(300):
+        e = random_vi_election(rng, n_max=30, m_max=10)
+        order = recognize(e, "VI").voter_order
+        trace = construct_vi(e, VIWitness(order)).trace
+        for step in trace.round1 + trace.round2:
+            cert = trace.certificates[step.voter]
+            seen["f = 0" if cert.f == 0 else "f > 0"] += 1
+            pm = position_mask(cert.witness_supporters.mask, order)
+            assert is_run(pm) and pm >> step.position & 1
+            assert step.support_below == step.position - ((pm & -pm).bit_length() - 1)
+            assert step.support_above == pm.bit_length() - step.position
+    assert min(seen.values()) >= 300, seen
 
 
 def test_construct_vi_at_scale():
