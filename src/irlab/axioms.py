@@ -1,27 +1,30 @@
 """Representation axioms with machine-checkable violation witnesses.
 
-Every check decides its axiom exactly.  The group axioms (JR, PJR, EJR, FJR,
-core stability) require exponential search in the worst case; those searches
-run under a node cap and report ``undecided`` instead of guessing when the
-cap is hit.  Cohesiveness thresholds are compared in exact integer
-arithmetic (``|V|*k >= l*n``), never via n/k as a float.
+Every check decides its axiom exactly.  Each axiom is a function that
+returns a violation witness or None; ``check`` alone turns that answer into
+a verdict.  The group axioms (PJR, EJR, FJR, core stability) require
+exponential search in the worst case; ``check`` runs each under one node
+cap and reports ``undecided`` instead of guessing when the cap is hit.
+Cohesiveness thresholds are compared in exact integer arithmetic
+(``|V|*k >= l*n``), never via n/k as a float.
 
 FJR and core stability run one deviation search that differs only in the
 voters it counts and what each must gain; EJR and PJR share one
 cohesive-set search.  Both keep their path on an explicit stack, so a
-search as deep as a committee of k ~ 1000 is not cut by the recursion limit.  Perfect representation is one maximum flow
-(``search.max_flow``): a Hall violator is the set of voters still on the
-source side of the residual graph.
+search as deep as a committee of k ~ 1000 is not cut by the recursion
+limit.  Perfect representation is one maximum flow (``search.max_flow``):
+a Hall violator is the set of voters still on the source side of the
+residual graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cohesion import CohesionCertificate, f_vector
-from .model import Committee, Election, first_unmet, mask_to_set, members_mask
+from .model import Committee, Election, _iter_bits, first_unmet, mask_to_set, members_mask
 from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, max_flow
 
 GROUP_AXIOMS = ("JR", "PJR", "EJR", "FJR", "CORE", "PERFECT_REP")
@@ -101,9 +104,10 @@ def _committee_counts(election: Election, committee: Committee) -> list[int]:
     return [(ballot & wmask).bit_count() for ballot in election.ballot_masks]
 
 
-def _require_full_committee(election: Election, committee: Committee, axiom: AxiomId):
-    if len(committee.members) != election.k:
-        raise ValueError(f"{axiom} is defined for committees of size exactly k")
+def _below(counts: Sequence[int], level: int) -> int:
+    """The mask of voters with fewer than ``level`` approved members."""
+    # one binary digit per voter, voter n-1 first
+    return int("".join(["1" if count < level else "0" for count in reversed(counts)]), 2)
 
 
 def check(
@@ -113,126 +117,104 @@ def check(
     fvec: Sequence[CohesionCertificate] | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> AxiomVerdict:
-    """Decide one axiom for one committee, with a violation witness on failure."""
+    """Decide one axiom for one committee, with a violation witness on failure.
+
+    Each kind is a function that returns a witness or None; this is the one
+    place that opens the node budget and turns its answer into a verdict.
+    """
     kind = axiom.kind
-    if kind in ("JR", "PJR", "EJR", "FJR", "CORE", "PERFECT_REP"):
-        _require_full_committee(election, committee, axiom)
-    if kind in ("IR", "ALPHA_BETA_IR"):
-        if fvec is None:
-            fvec = f_vector(election, "exact", node_cap=node_cap)
+    if kind in GROUP_AXIOMS and len(committee.members) != election.k:
+        raise ValueError(f"{axiom} is defined for committees of size exactly k")
+    if kind in ("IR", "ALPHA_BETA_IR") and fvec is None:
+        fvec = f_vector(election, "exact", node_cap=node_cap)
+    counts = None if kind == "IR" else _committee_counts(election, committee)
+    budget = NodeBudget(node_cap, stage=f"axioms.{kind}")
+    try:
         if kind == "IR":  # an integer comparison decides plain IR
             short = first_unmet(election, committee.mask(), [cert.f for cert in fvec])
-        else:
+            witness = _entitlement_witness(fvec, short)
+        elif kind == "ALPHA_BETA_IR":
             alpha, beta = axiom.alpha, axiom.beta
-            counts = _committee_counts(election, committee)
             short = next(
                 (i for i in range(election.n) if alpha * counts[i] + beta < fvec[i].f), None
             )
-        return _entitlement_verdict(axiom, fvec, short)
-    counts = _committee_counts(election, committee)
-    if kind == "SSJR":
-        return _check_ssjr(election, axiom, counts, fvec)
-    if kind == "JR":
-        return _check_jr(election, axiom, counts)
-    if kind == "EJR":
-        return _check_ejr(election, axiom, counts, node_cap)
-    if kind == "PJR":
-        return _check_pjr(election, committee, axiom, counts, node_cap)
-    if kind == "FJR":
-        return _check_fjr(election, axiom, counts, node_cap)
-    if kind == "CORE":
-        return _check_core(election, axiom, counts, node_cap)
-    if kind == "PERFECT_REP":
-        return _check_perfect(election, committee, axiom)
-    raise AssertionError(kind)
+            witness = _entitlement_witness(fvec, short)
+        elif kind == "SSJR":
+            witness = _ssjr_witness(election, counts, fvec)
+        elif kind == "JR":
+            witness = _jr_witness(election, counts)
+        elif kind == "EJR":
+            witness = _ejr_witness(election, counts, budget)
+        elif kind == "PJR":
+            witness = _pjr_witness(election, committee.mask(), budget)
+        elif kind == "FJR":
+            witness = _fjr_witness(election, counts, budget)
+        elif kind == "CORE":
+            witness = _core_witness(election, counts, budget)
+        else:
+            witness = _perfect_witness(election, committee)
+    except BudgetExceededError:
+        return AxiomVerdict(axiom, "undecided", None, budget.nodes)
+    status = "satisfied" if witness is None else "violated"
+    return AxiomVerdict(axiom, status, witness, election.m if kind == "JR" else budget.nodes)
 
 
-def _entitlement_verdict(axiom, fvec, i):
-    """The verdict when voter ``i`` is the first one short of her entitlement
-    (None: nobody is); her certificate is the witness."""
+def _entitlement_witness(fvec, i):
+    """Voter ``i``'s certificate as the witness that she is short of her
+    entitlement; None when ``i`` is None (nobody is short)."""
     if i is None:
-        return AxiomVerdict(axiom, "satisfied", None, 0)
+        return None
     cert = fvec[i]
-    witness = ViolationWitness(
+    return ViolationWitness(
         group=cert.witness_supporters.members,
         candidate_set=cert.witness_set,
         level=cert.f,
         deprived=frozenset([i]),
     )
-    return AxiomVerdict(axiom, "violated", witness, 0)
 
 
-def _check_ssjr(election, axiom, counts, fvec):
+def _ssjr_witness(election, counts, fvec):
     # f_i >= 1 iff some approved candidate alone is backed by n/k voters,
     # so the full f-vector is not needed
     n, k = election.n, election.k
-    for i in range(election.n):
-        if counts[i] > 0:
+    for i in range(n):
+        if counts[i]:
             continue
         if fvec is not None:
-            if fvec[i].f < 1:
-                continue
-            cert = fvec[i]
-            cand_set = cert.witness_set
-            group = cert.witness_supporters.members
-            level = cert.f
-        else:
-            cand = next(
-                (
-                    c
-                    for c in sorted(election.approvals[i])
-                    if election.candidate_voters[c].bit_count() * k >= n
-                ),
-                None,
-            )
-            if cand is None:
-                continue
-            cand_set = frozenset([cand])
-            group = mask_to_set(election.candidate_voters[cand])
-            level = 1
-        witness = ViolationWitness(
-            group=group, candidate_set=cand_set, level=level, deprived=frozenset([i])
-        )
-        return AxiomVerdict(axiom, "violated", witness, 0)
-    return AxiomVerdict(axiom, "satisfied", None, 0)
+            if fvec[i].f >= 1:
+                return _entitlement_witness(fvec, i)
+            continue
+        for c in sorted(election.approvals[i]):
+            if election.candidate_voters[c].bit_count() * k >= n:
+                group = mask_to_set(election.candidate_voters[c])
+                return ViolationWitness(
+                    group=group, candidate_set=frozenset([c]), level=1, deprived=frozenset([i])
+                )
+    return None
 
 
-def _check_jr(election, axiom, counts):
+def _jr_witness(election, counts):
     n, k = election.n, election.k
-    unrepresented = 0
-    for i in range(n):
-        if counts[i] == 0:
-            unrepresented |= 1 << i
+    unrepresented = _below(counts, 1)
     for c in range(election.m):
         group = election.candidate_voters[c] & unrepresented
         if group.bit_count() * k >= n:
-            witness = ViolationWitness(
-                group=mask_to_set(group),
-                candidate_set=frozenset([c]),
-                level=1,
-                deprived=mask_to_set(group),
+            members = mask_to_set(group)
+            return ViolationWitness(
+                group=members, candidate_set=frozenset([c]), level=1, deprived=members
             )
-            return AxiomVerdict(axiom, "violated", witness, election.m)
-    return AxiomVerdict(axiom, "satisfied", None, election.m)
+    return None
 
 
-def _check_ejr(election, axiom, counts, node_cap):
+def _ejr_witness(election, counts, budget):
     n, k = election.n, election.k
-    budget = NodeBudget(node_cap, stage="axioms.EJR")
-    try:
-        for level in range(1, k + 1):
-            deficient = 0
-            for i in range(n):
-                if counts[i] < level:
-                    deficient |= 1 << i
-            if deficient.bit_count() * k < level * n:
-                continue
+    for level in range(1, k + 1):
+        deficient = _below(counts, level)
+        if deficient.bit_count() * k >= level * n:
             witness = _cohesive_witness(election, deficient, level, budget)
             if witness is not None:
-                return AxiomVerdict(axiom, "violated", witness, budget.nodes)
-    except BudgetExceededError:
-        return AxiomVerdict(axiom, "undecided", None, budget.nodes)
-    return AxiomVerdict(axiom, "satisfied", None, budget.nodes)
+                return witness
+    return None
 
 
 def _cohesive_witness(election, voter_mask, level, budget):
@@ -276,71 +258,52 @@ def _cohesive_witness(election, voter_mask, level, budget):
     )
 
 
-def _check_pjr(election, committee, axiom, counts, node_cap):
+def _pjr_witness(election, wmask, budget):
     n, k = election.n, election.k
-    budget = NodeBudget(node_cap, stage="axioms.PJR")
-    wmask = committee.mask()
-    members = sorted(committee.members)
-    try:
-        # a violating group's committee footprint W' = union of A_i cap W must
-        # have fewer than `level` members; enumerate footprints directly
-        for sub in range(1 << len(members)):
-            budget.tick()
-            submask = 0
-            for j, c in enumerate(members):
-                if sub >> j & 1:
-                    submask |= 1 << c
-            size = submask.bit_count()
-            if size >= k:
-                continue
-            eligible = 0
-            for i in range(n):
-                if election.ballot_masks[i] & wmask & ~submask == 0:
-                    eligible |= 1 << i
+    # a violating group's committee footprint W' = union of A_i cap W must
+    # have fewer than `level` members; enumerate the footprints directly, as
+    # the submasks of W in increasing order
+    sub = 0
+    while True:
+        budget.tick()
+        size = sub.bit_count()
+        if size < k:
+            rest = wmask ^ sub
+            eligible = members_mask(
+                i for i, ballot in enumerate(election.ballot_masks) if ballot & rest == 0
+            )
             for level in range(size + 1, k + 1):
                 if eligible.bit_count() * k < level * n:
                     break
                 witness = _cohesive_witness(election, eligible, level, budget)
                 if witness is not None:
-                    return AxiomVerdict(axiom, "violated", witness, budget.nodes)
-    except BudgetExceededError:
-        return AxiomVerdict(axiom, "undecided", None, budget.nodes)
-    return AxiomVerdict(axiom, "satisfied", None, budget.nodes)
+                    return witness
+        if sub == wmask:
+            return None
+        sub = (sub - wmask) & wmask
 
 
-def _check_fjr(election, axiom, counts, node_cap):
+def _fjr_witness(election, counts, budget):
     n, k = election.n, election.k
-    budget = NodeBudget(node_cap, stage="axioms.FJR")
-    try:
-        for beta in range(1, k + 1):
-            deficient = [i for i in range(n) if counts[i] < beta]
-            if len(deficient) * k < n:  # |S| >= beta >= 1 needs n/k voters
-                continue
-            hit = _deviation_search(election, deficient, [beta] * n, budget)
-            if hit is not None:
-                cand_set, group = hit
-                witness = ViolationWitness(
-                    group=group, candidate_set=cand_set, level=beta, deprived=group
-                )
-                return AxiomVerdict(axiom, "violated", witness, budget.nodes)
-    except BudgetExceededError:
-        return AxiomVerdict(axiom, "undecided", None, budget.nodes)
-    return AxiomVerdict(axiom, "satisfied", None, budget.nodes)
+    for beta in range(1, k + 1):
+        deficient = _below(counts, beta)
+        if deficient.bit_count() * k < n:  # |S| >= beta >= 1 needs n/k voters
+            continue
+        hit = _deviation_search(election, list(_iter_bits(deficient)), [beta] * n, budget)
+        if hit is not None:
+            cand_set, group = hit
+            return ViolationWitness(
+                group=group, candidate_set=cand_set, level=beta, deprived=group
+            )
+    return None
 
 
-def _check_core(election, axiom, counts, node_cap):
-    budget = NodeBudget(node_cap, stage="axioms.CORE")
-    try:
-        hit = _deviation_search(
-            election, range(election.n), [c + 1 for c in counts], budget
-        )
-    except BudgetExceededError:
-        return AxiomVerdict(axiom, "undecided", None, budget.nodes)
+def _core_witness(election, counts, budget):
+    hit = _deviation_search(election, range(election.n), [c + 1 for c in counts], budget)
     if hit is None:
-        return AxiomVerdict(axiom, "satisfied", None, budget.nodes)
+        return None
     cand_set, group = hit
-    witness = ViolationWitness(group=group, candidate_set=cand_set, deprived=group)
-    return AxiomVerdict(axiom, "violated", witness, budget.nodes)
+    return ViolationWitness(group=group, candidate_set=cand_set, deprived=group)
 
 
 def _deviation_search(election, voters, need, budget):
@@ -388,7 +351,7 @@ def _deviation_search(election, voters, need, budget):
         start = idx + 1
 
 
-def _check_perfect(election, committee, axiom):
+def _perfect_witness(election, committee):
     n, k = election.n, election.k
     if n % k != 0:
         raise ValueError("perfect representation requires k to divide n")
@@ -402,10 +365,9 @@ def _check_perfect(election, committee, axiom):
         arcs.extend((v + 2, member_node[c], 1) for c in election.approvals[v] if c in member_node)
     flow_value, source_side = max_flow(n + 2 + len(member_node), arcs, 0, 1)
     if flow_value == n:
-        return AxiomVerdict(axiom, "satisfied", None, 0)
+        return None
     hall = frozenset(v for v in range(n) if v + 2 in source_side)
-    witness = ViolationWitness(group=hall, deprived=hall)
-    return AxiomVerdict(axiom, "violated", witness, 0)
+    return ViolationWitness(group=hall, deprived=hall)
 
 
 IMPLICATION_ARROWS: tuple[tuple[str, str], ...] = (

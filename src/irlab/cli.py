@@ -108,12 +108,6 @@ def _parse_committee(election, text: str) -> Committee:
         raise click.UsageError(str(exc))
 
 
-def _frac(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
-
-
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
@@ -209,7 +203,7 @@ def check_cmd(profile, committee, axiom_name, alpha, beta, expect, as_json, cap)
         axiom = AXIOM_NAMES[axiom_name]
     try:
         verdict = axioms.check(election, w, axiom, node_cap=cap)
-    except ValueError as exc:
+    except (ValueError, BudgetExceededError) as exc:
         raise click.ClickException(str(exc))
     if as_json:
         payload = {
@@ -218,12 +212,7 @@ def check_cmd(profile, committee, axiom_name, alpha, beta, expect, as_json, cap)
             "cost": verdict.cost,
         }
         if verdict.witness is not None:
-            payload["witness"] = {
-                "group": _jsonable(frozenset(v for v in verdict.witness.group)),
-                "candidate_set": _jsonable(verdict.witness.candidate_set),
-                "level": _frac(verdict.witness.level),
-                "deprived": _jsonable(frozenset(v for v in verdict.witness.deprived)),
-            }
+            payload["witness"] = _jsonable(vars(verdict.witness))
         click.echo(json.dumps(payload))
     else:
         click.echo(f"{axiom}: {verdict.status}")
@@ -302,8 +291,8 @@ def solve_cmd(profile, objective, alpha, beta, cap, expect):
         "committee": sorted(c + 1 for c in result.committee.members)
         if result.committee
         else None,
-        "alpha": _frac(result.achieved_alpha) if result.achieved_alpha is not None else None,
-        "beta": _frac(result.achieved_beta) if result.achieved_beta is not None else None,
+        "alpha": _jsonable(result.achieved_alpha),
+        "beta": _jsonable(result.achieved_beta),
         "nodes": result.nodes,
     }
     click.echo(json.dumps(payload))
@@ -386,8 +375,8 @@ def construct_cmd(profile, domain_name, tree):
         "domain": domain,
         "committee": sorted(c + 1 for c in result.committee.members),
         "guarantee": {
-            "alpha": _frac(tag.alpha) if tag.alpha is not None else None,
-            "beta": _frac(tag.beta) if tag.beta is not None else None,
+            "alpha": _jsonable(tag.alpha),
+            "beta": _jsonable(tag.beta),
             "ssjr_guaranteed": tag.ssjr_guaranteed,
         },
     }

@@ -47,8 +47,6 @@ from .model import (
 
 DomainId = Literal["CI", "VI", "CEI", "VEI", "T_PART", "WSC", "ALPHA_TR", "DUE"]
 
-RECOGNIZABLE_DOMAINS: tuple[DomainId, ...] = ("CI", "VI", "CEI", "VEI", "T_PART", "WSC")
-
 
 class InvalidWitnessError(ValueError):
     """The supplied witness does not certify membership in the domain."""
@@ -490,68 +488,48 @@ def construct_vi(election: Election, witness: VIWitness) -> ConstructResult:
         p = pos[cert.voter]
         below[cert.voter], above[cert.voter] = p - lo, hi - p + 1
 
-    committee: set[int] = set()
-    round1: list[VIRoundStep] = []
-    for p in range(n):
-        v = order[p]
-        # a wide supporter interval can ask for more than the witness set
-        # holds; capping at f_i keeps the request servable (a voter holding
-        # all of her witness set is fully represented already)
-        target = min((above[v] * k) // (2 * n), certs[v].f)
-        ballot = election.approvals[v]
-        have = len(committee & ballot)
-        added: tuple[int, ...] = ()
-        if have < target:
-            fresh = sorted(certs[v].witness_set - committee)
-            added = tuple(fresh[: target - have])
-            committee.update(added)
-        round1.append(
-            VIRoundStep(
-                voter=v,
-                position=p,
-                support_below=below[v],
-                support_above=above[v],
-                target=target,
-                added=added,
-                accumulated=len(committee),
+    def vi_round(positions, support, taken):
+        """One pass over ``positions``: each voter is topped up to
+        floor(support * k / 2n) approved picks of the pass from her witness
+        set, candidates outside ``taken`` first."""
+        picked: set[int] = set()
+        steps = []
+        for p in positions:
+            v = order[p]
+            # a wide supporter interval can ask for more than the witness set
+            # holds; capping at f_i keeps the request servable (a voter holding
+            # all of her witness set is fully represented already)
+            target = min((support[v] * k) // (2 * n), certs[v].f)
+            have = len(picked & election.approvals[v])
+            added: tuple[int, ...] = ()
+            if have < target:
+                unpicked = certs[v].witness_set - picked
+                order_of_use = sorted(unpicked - taken) + sorted(unpicked & taken)
+                added = tuple(order_of_use[: target - have])
+                picked.update(added)
+            steps.append(
+                VIRoundStep(
+                    voter=v,
+                    position=p,
+                    support_below=below[v],
+                    support_above=above[v],
+                    target=target,
+                    added=added,
+                    accumulated=len(picked),
+                )
             )
-        )
+        return picked, tuple(steps)
 
-    round1_set = frozenset(committee)
-    hat: set[int] = set()
-    round2: list[VIRoundStep] = []
-    for p in range(n - 1, -1, -1):
-        v = order[p]
-        target = min((below[v] * k) // (2 * n), certs[v].f)
-        ballot = election.approvals[v]
-        have = len(hat & ballot)
-        added = ()
-        if have < target:
-            need = target - have
-            fresh = sorted(certs[v].witness_set - hat - round1_set)
-            overlap = sorted((certs[v].witness_set & round1_set) - hat)
-            added = tuple((fresh + overlap)[:need])
-            hat.update(added)
-        round2.append(
-            VIRoundStep(
-                voter=v,
-                position=p,
-                support_below=below[v],
-                support_above=above[v],
-                target=target,
-                added=added,
-                accumulated=len(hat),
-            )
-        )
-
+    committee, round1 = vi_round(range(n), above, frozenset())
+    hat, round2 = vi_round(range(n - 1, -1, -1), below, frozenset(committee))
     members = committee | hat
     if len(members) > k:
         raise AssertionError("two-pass selection exceeded the committee size")
     pad = padding(election, members)
     members.update(pad)
     trace = VITrace(
-        round1=tuple(round1),
-        round2=tuple(round2),
+        round1=round1,
+        round2=round2,
         padding=pad,
         certificates=tuple(certs),
     )

@@ -119,9 +119,6 @@ class Committee:
     def mask(self) -> int:
         return members_mask(self.members)
 
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
 
 @dataclass(frozen=True)
 class VoterGroup:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
@@ -408,26 +408,22 @@ def _per_voter(election: Election, groups: dict[int, int], scale: int) -> tuple[
 
 
 def _greedy_monroe(election: Election) -> tuple[list[int], list]:
+    """Each seat goes to the free candidate with the most unassigned approvers
+    (lowest index on ties), who takes the first ``quota`` of them."""
     n, k = election.n, election.k
-    remaining_voters = list(range(n))
-    remaining_cands = set(range(election.m))
+    cand_voters = election.candidate_voters
+    remaining = election.all_voters_mask()
+    free = list(range(election.m))
     committee = []
     assignment = []
     for t in range(k):
         quota = n // k + (1 if t < n % k else 0)
-        best_c, best_approvals = -1, -1
-        for c in sorted(remaining_cands):
-            approvals = sum(
-                1 for v in remaining_voters if c in election.approvals[v]
-            )
-            if approvals > best_approvals:
-                best_c, best_approvals = c, approvals
-        approvers = [v for v in remaining_voters if best_c in election.approvals[v]]
-        removed = approvers[:quota]
-        assignment.append((best_c, tuple(removed)))
-        remaining_voters = [v for v in remaining_voters if v not in removed]
-        remaining_cands.remove(best_c)
-        committee.append(best_c)
+        best = max(free, key=lambda c: ((cand_voters[c] & remaining).bit_count(), -c))
+        free.remove(best)
+        removed = tuple(islice(_iter_bits(cand_voters[best] & remaining), quota))
+        remaining &= ~members_mask(removed)
+        assignment.append((best, removed))
+        committee.append(best)
     return committee, assignment
 
 
@@ -543,13 +539,7 @@ def run_rule(election: Election, rule: RuleId, mode: str = "single") -> RuleOutc
             ]
         else:
             committees = [tuple(sorted(mandatory + optional[: k - len(mandatory)]))]
-        diag = {
-            "candidate_scores": tuple(scores),
-            "committee_scores": {
-                w: sum(scores[c] for c in w) for w in committees
-            },
-        }
-        return _outcome(election, rule, committees, diag)
+        return _outcome(election, rule, committees, {"candidate_scores": tuple(scores)})
 
     if rule.kind == "cc":
         best, best_score = _thiele_optimize(election, [1], all_tied)

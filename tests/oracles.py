@@ -4,12 +4,12 @@ Most of these evaluate definitions by full enumeration, deliberately sharing
 no search code with the package: subsets are enumerated without pruning and
 orders by factorial search.  The pruned per-voter entitlement search, the
 per-voter voter-interval scan, the Fraction Thiele scorer, the per-voter
-Fraction seq-Phragmen and Rule X, the linear-scan Mallows sampler, Kuhn's
-recursive quota matching, the separate FJR and core deviation searches, the
-recursive EJR/PJR cohesive-set search and cover search, and the frozenset
-prefix/suffix layout with the run-pattern WSC check are the engines the
-package replaced; they stay here as references for the ones that replaced
-them.
+Fraction seq-Phragmen and Rule X, the ballot-scanning greedy Monroe, the
+linear-scan Mallows sampler, Kuhn's recursive quota matching, the separate
+FJR and core deviation searches, the recursive EJR/PJR cohesive-set search
+and cover search, and the frozenset prefix/suffix layout with the
+run-pattern WSC check are the engines the package replaced; they stay here
+as references for the ones that replaced them.
 """
 
 from fractions import Fraction
@@ -1085,3 +1085,28 @@ def _affordable_rho(election: Election, budgets: list[Fraction], c: int) -> Frac
         poor_paid += sum(budgets[v] for v in newly_poor)
         rich -= newly_poor
     return None
+
+
+def greedy_monroe(election: Election) -> tuple[list[int], list]:
+    """Greedy Monroe by a membership test per seat, candidate and remaining voter."""
+    n, k = election.n, election.k
+    remaining_voters = list(range(n))
+    remaining_cands = set(range(election.m))
+    committee = []
+    assignment = []
+    for t in range(k):
+        quota = n // k + (1 if t < n % k else 0)
+        best_c, best_approvals = -1, -1
+        for c in sorted(remaining_cands):
+            approvals = sum(
+                1 for v in remaining_voters if c in election.approvals[v]
+            )
+            if approvals > best_approvals:
+                best_c, best_approvals = c, approvals
+        approvers = [v for v in remaining_voters if best_c in election.approvals[v]]
+        removed = approvers[:quota]
+        assignment.append((best_c, tuple(removed)))
+        remaining_voters = [v for v in remaining_voters if v not in removed]
+        remaining_cands.remove(best_c)
+        committee.append(best_c)
+    return committee, assignment

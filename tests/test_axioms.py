@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from irlab.axioms import (
     verify_violation,
 )
 from irlab.cohesion import f_vector
+from irlab.gen import MODELS, GenSpec, generate
 from irlab.model import Committee, Election
 from irlab.search import BudgetExceededError, NodeBudget
 
@@ -327,3 +329,47 @@ def test_undecided_under_tiny_cap():
     assert verdict.status == "undecided"
     with pytest.raises(ValueError):
         verdict.satisfied
+
+
+# SHA-256 of (status, witness, cost) of every axiom kind on the set below,
+# recorded while each check still built its own verdict and node budget
+GOLDEN_VERDICTS_SHA256 = "01b840712d7c4e0fd9f44645590e90b47e8439ddaeeb199c3ffe2f8f469b4648"
+
+
+def _verdict_record(election, committee, axiom, fvec, cap):
+    try:
+        verdict = check(election, committee, axiom, fvec=fvec, node_cap=cap)
+    except (ValueError, BudgetExceededError) as exc:
+        return f"{type(exc).__name__} {exc}"
+    w = verdict.witness
+    if w is not None:
+        w = (sorted(w.group), sorted(w.candidate_set), repr(w.level), sorted(w.deprived))
+    return repr((verdict.status, w, verdict.cost))
+
+
+def test_verdicts_match_golden_digest():
+    # six models, a seeded committee, a cap that never binds and two that do;
+    # IR, SSJR and (3/2,1)-IR with and without an f-vector; k = 3 leaves
+    # n = 8 without perfect representation (a ValueError is recorded)
+    digest = hashlib.sha256()
+    rng = random.Random(10)
+    kinds = (IR, SSJR, alpha_beta_ir(Fraction(3, 2), 1), JR, PJR, EJR, FJR, CORE, PERFECT_REP)
+    seen = set()
+    for model in MODELS:
+        for n in (8, 12):
+            for seed in range(4):
+                for k in (2, 3, 4):
+                    e = generate(GenSpec(model=model, n=n, m=6, seed=seed), k=k)
+                    w = Committee.of(rng.sample(range(6), k), e)
+                    fvec = f_vector(e)
+                    for cap in (10**7, 6, 2):
+                        for axiom in kinds:
+                            given = [None, fvec] if axiom in kinds[:3] else [None]
+                            for fv in given:
+                                record = _verdict_record(e, w, axiom, fv, cap)
+                                seen.add((axiom.kind, record.split()[0]))
+                                line = f"{model} {n} {seed} {k} {cap} {axiom} {fv is None} {record}"
+                                digest.update(line.encode() + b"\n")
+    assert {kind for kind, head in seen if head == "('undecided',"} == {"PJR", "EJR", "FJR", "CORE"}
+    assert ("PERFECT_REP", "ValueError") in seen and ("IR", "BudgetExceededError") in seen
+    assert digest.hexdigest() == GOLDEN_VERDICTS_SHA256

@@ -1,8 +1,10 @@
 import json
+import random
 
 from click.testing import CliRunner
 
-from irlab.cli import main
+from irlab.cli import AXIOM_NAMES, RULE_NAMES, main
+from irlab.gen import MODELS, GenSpec, generate
 from irlab.model import Election, serialize_profile
 from hard_instances import two_camps_with_bridge, uneven_cohorts
 
@@ -338,3 +340,97 @@ def test_thousand_seat_searches_exit_without_traceback(tmp_path):
         result = runner.invoke(main, ["solve", wide, "--objective", objective])
         assert result.exit_code == 0 and result.exception is None, result.output
         assert json.loads(result.output)["status"] == "found"
+
+
+def _mutate(rng, text):
+    """One random line- or token-level edit of a profile's text."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    kind = rng.randrange(7)
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(i, lines[i])
+    elif kind == 2 and tokens:
+        tokens[rng.randrange(len(tokens))] = rng.choice(["0", "-1", "x", "99", "1.5", "1e3"])
+        lines[i] = " ".join(tokens)
+    elif kind == 3:
+        header = [rng.choice(["0", "1", "7", "-2", "40"]) for _ in range(rng.randint(2, 4))]
+        lines[0] = " ".join(header)
+    elif kind == 4:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["# note", "", "1 1", "\t3  "]))
+    elif kind == 5:
+        return text[: rng.randrange(len(text))]
+    else:
+        return "\r\n".join(lines) + "\r\n"
+    return "\n".join(lines) + "\n"
+
+
+def _fuzz_calls(rng, path, tree, out, m, k):
+    """Every command on one profile: caps 1-3 and a large cap, every axiom,
+    rule (with and without --all-tied) and construct domain."""
+    committee = ",".join(str(c) for c in rng.sample(range(1, m + 1), rng.choice([k, k, k - 1])))
+    calls = [["recognize", path], ["recognize", path, "--domain", "wsc", "--expect", "member"]]
+    for cap in ("1", "2", "3", "100000"):
+        calls.append(["fvec", path, "--cap", cap])
+        calls.append(["fvec", path, "--method", "vi", "--cap", cap])
+        for axiom in sorted(AXIOM_NAMES):
+            extra = ["--alpha", "3/2", "--beta", "1"] if axiom == "alpha-beta-ir" else []
+            calls.append(
+                ["check", path, "--committee", committee, "--axiom", axiom, "--json", "--cap", cap]
+                + extra
+            )
+        for objective in ("ir", "ssjr", "min-beta", "min-alpha"):
+            calls.append(["solve", path, "--objective", objective, "--cap", cap])
+        calls.append(["experiment", "--models", "ic,urn", "--n", "6", "--m", "4", "--k-min", "2",
+                      "--k-max", "3", "--instances", "1", "--rules", "seq_cc",
+                      "--cap", cap, "--no-timing", "--out", out])
+    for rule in sorted(RULE_NAMES):
+        weight = ["--weight", "1/2"] if rule == "geom_pav" else []
+        calls.append(["rule", path, "--rule", rule, *weight])
+        calls.append(["rule", path, "--rule", rule, "--all-tied", *weight])
+    for domain in ("cei", "tpart", "vei", "vi", "wsc"):
+        calls.append(["construct", path, "--domain", domain])
+    calls.append(["construct", path, "--domain", "alpha-tr", "--tree", tree])
+    calls.append(["gen", "--model", rng.choice(MODELS), "--n", str(rng.randint(-1, 8)),
+                  "--m", str(rng.randint(0, 6)), "--k", str(rng.randint(0, 7))])
+    return calls
+
+
+def test_cli_fuzz_exits_without_traceback(tmp_path):
+    # seeded: six generated profiles get every call, thirty mutations of them
+    # a random tenth of the calls each; every outcome is exit 0, 1 or 2
+    rng = random.Random(67)
+    runner = CliRunner()
+    failures, runs = [], 0
+    for j, model in enumerate(MODELS):
+        m, k = rng.randint(4, 6), rng.randint(2, 4)
+        election = generate(GenSpec(model=model, n=rng.randint(6, 10), m=m, seed=j), k=k)
+        tree = tmp_path / f"tree{j}.json"
+        tree.write_text(json.dumps({"parent": [None] + list(range(1, m))}))
+        text = serialize_profile(election)
+        for variant in range(6):
+            path = tmp_path / f"p{j}_{variant}.avp"
+            path.write_text(_mutate(rng, text) if variant else text)
+            calls = _fuzz_calls(rng, str(path), str(tree), str(tmp_path / f"run{j}"), m, k)
+            for args in calls if variant == 0 else rng.sample(calls, len(calls) // 10):
+                result = runner.invoke(main, args)
+                runs += 1
+                if result.exit_code not in (0, 1, 2) or not (
+                    result.exception is None or isinstance(result.exception, SystemExit)
+                ):
+                    failures.append((args, result.exit_code, repr(result.exception)))
+    assert runs > 800
+    assert not failures, failures
+
+
+def test_check_capped_entitlements_exit_one_with_message(tmp_path):
+    path = _write_profile(tmp_path, generate(GenSpec(model="ic", n=60, m=20, seed=1), k=6))
+    for extra in (["--axiom", "ir"], ["--axiom", "alpha-beta-ir", "--alpha", "3/2", "--beta", "1"]):
+        result = CliRunner().invoke(
+            main, ["check", path, "--committee", "1,2,3,4,5,6", "--cap", "3", *extra]
+        )
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        [line] = result.output.rstrip().splitlines()
+        assert line.startswith("Error: ") and "(cohesion.f_vector stopped after 4 nodes)" in line

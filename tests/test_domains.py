@@ -537,3 +537,34 @@ def test_due_fixture_has_no_ssjr_committee():
     fvec = tuple(f_vector(e))
     res = find_committee(SolveRequest(e, fvec, "FIND_SSJR"))
     assert res.status == "infeasible"
+
+
+# SHA-256 of the construct_vi committee and trace on the profiles below,
+# recorded while the two rounds were separate loops
+GOLDEN_VI_TRACES_SHA256 = "157c71e0951710746e3244c32374cb1193bb0d30bb50b7bd8461a7545193dab1"
+
+
+def test_vi_construction_traces_match_golden_digest():
+    profiles = [
+        generate(GenSpec(model="vi_euclid", n=n, m=10, seed=seed), k=k)
+        for n in (8, 20, 40)
+        for seed in range(4)
+        for k in (2, 3, 5)
+    ]
+    rng = random.Random(23)
+    profiles += [random_vi_election(rng) for _ in range(40)]
+    digest = hashlib.sha256()
+    reused = 0
+    for e in profiles:
+        result = construct_vi(e, recognize(e, "VI"))
+        t = result.trace
+        certs = [
+            (c.voter, c.f, sorted(c.witness_set), c.witness_supporters.mask)
+            for c in t.certificates
+        ]
+        record = (sorted(result.committee.members), t.round1, t.round2, t.padding, certs)
+        digest.update(repr(record).encode() + b"\n")
+        round1 = {c for step in t.round1 for c in step.added}
+        reused += any(set(step.added) & round1 for step in t.round2)
+    assert reused > 0  # some round-2 step had to reuse round-1 picks
+    assert digest.hexdigest() == GOLDEN_VI_TRACES_SHA256

@@ -17,7 +17,7 @@ from irlab.solver import SolveRequest, demands, find_committee, find_ir_and_ssjr
 from instance_gen import random_election
 from oracles import _rule_x as oracle_rule_x
 from oracles import _seq_phragmen as oracle_seq_phragmen
-from oracles import brute_optimum, cc_score, rev_seq_thiele, seq_thiele, thiele_score
+from oracles import brute_optimum, cc_score, greedy_monroe, rev_seq_thiele, seq_thiele, thiele_score
 from hard_instances import (
     hamming_bait_instance,
     load_bait_instance,
@@ -353,6 +353,27 @@ def test_phragmen_rules_match_fraction_oracle():
         else:
             paths["rule_x completion only"] += 1
     assert len(paths) == 4 and min(paths.values()) >= 10, paths
+
+
+def test_greedy_monroe_matches_ballot_scanning_oracle():
+    rng = random.Random(53)
+    profiles = _oracle_elections(rng, 240)
+    for model in MODELS:
+        for seed in range(12):
+            m = rng.randint(3, 12)
+            spec = GenSpec(model=model, n=rng.randint(5, 60), m=m, seed=seed)
+            profiles.append(generate(spec, k=rng.randint(1, m)))
+    paths = Counter()
+    for e in profiles:
+        out = run_rule(e, RuleId("greedy_monroe"))
+        committee, assignment = greedy_monroe(e)
+        assert members(out) == sorted(committee)
+        assert out.diagnostics["assignment"] == tuple(assignment)
+        paths["n % k != 0"] += e.n % e.k != 0
+        paths["empty ballot"] += 0 in e.ballot_masks
+        paths["unapproved candidate"] += 0 in e.candidate_voters
+        paths["k = m"] += e.k == e.m
+    assert len(profiles) >= 300 and min(paths.values()) >= 30, paths
 
 
 def test_phragmen_rules_halve_when_every_voter_is_cloned():
