@@ -12,9 +12,9 @@ FJR and core stability run one deviation search that differs only in the
 voters it counts and what each must gain; EJR and PJR share one
 cohesive-set search.  Both keep their path on an explicit stack, so a
 search as deep as a committee of k ~ 1000 is not cut by the recursion
-limit.  Perfect representation is one maximum flow (``search.max_flow``):
-a Hall violator is the set of voters still on the source side of the
-residual graph.
+limit.  Perfect representation is one quota assignment
+(``search.quota_assignment``, the network Monroe scores with): a Hall
+violator is the set of voters the source still reaches after the flow.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .cohesion import CohesionCertificate, f_vector
 from .model import Committee, Election, _iter_bits, first_unmet, mask_to_set, members_mask
-from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, max_flow
+from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, quota_assignment
 
 GROUP_AXIOMS = ("JR", "PJR", "EJR", "FJR", "CORE", "PERFECT_REP")
 INDIVIDUAL_AXIOMS = ("IR", "SSJR", "ALPHA_BETA_IR")
@@ -352,22 +352,11 @@ def _deviation_search(election, voters, need, budget):
 
 
 def _perfect_witness(election, committee):
-    n, k = election.n, election.k
-    if n % k != 0:
+    if election.n % election.k != 0:
         raise ValueError("perfect representation requires k to divide n")
-    share = n // k
-    # voters 2..n+1 and members n+2.. between source 0 and sink 1; the
-    # voters the source still reaches after a maximum flow violate Hall
-    member_node = {c: n + 2 + j for j, c in enumerate(sorted(committee.members))}
-    arcs = [(member, 1, share) for member in member_node.values()]
-    for v in range(n):
-        arcs.append((0, v + 2, 1))
-        arcs.extend((v + 2, member_node[c], 1) for c in election.approvals[v] if c in member_node)
-    flow_value, source_side = max_flow(n + 2 + len(member_node), arcs, 0, 1)
-    if flow_value == n:
-        return None
-    hall = frozenset(v for v in range(n) if v + 2 in source_side)
-    return ViolationWitness(group=hall, deprived=hall)
+    value, reached = quota_assignment(election, sorted(committee.members))
+    hall = frozenset(reached)
+    return None if value == election.n else ViolationWitness(group=hall, deprived=hall)
 
 
 IMPLICATION_ARROWS: tuple[tuple[str, str], ...] = (

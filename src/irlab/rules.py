@@ -3,10 +3,13 @@
 Sequential rules (seq-PAV, seq-CC, reverse seq-PAV, seq-Phragmen, Rule X,
 greedy Monroe) run their greedy iteration under a fixed tie-break: the
 lowest candidate index wins every tie (for deletion rules the highest index
-is removed, so low indices survive).  Exact optimization rules (AV, SAV,
-PAV, CC, Monroe, minimax-AV, max-Phragmen, geometric PAV) enumerate size-k
-committees in lexicographic order, guarded by a committee-count cap, and can
-report either the lexicographically first optimum or all tied optima.
+is removed, so low indices survive).  Exact optimization rules report the
+lexicographically first optimum or all tied optima.  AV and SAV take them
+from the pool of tied candidates; PAV, CC, geometric PAV, Monroe, minimax-AV
+and max-Phragmen run one bounded search (`_lex_search`) that adds candidates
+in increasing order under a committee-count cap.  It cuts a Thiele prefix
+whose score plus its largest gains cannot reach the best score; the other
+three rules score whole committees only.
 
 Thiele scores (PAV, CC, geometric PAV and their sequential forms) are
 computed as exact integers: the weights are scaled by the lcm of their
@@ -18,7 +21,7 @@ approver of a pick gets the same load or pays the same rho, so the groups
 stay few and a candidate's sum is one popcount per group.  Loads, balances
 and payments are reported as `Fraction`s.  No float enters any decision, so
 ties are detected exactly, which the counterexample fixtures rely on.
-Monroe scores a committee by one maximum flow (``search.max_flow``).
+Monroe scores a committee by one quota assignment (``search.quota_assignment``).
 Whether a rule's winners meet the IR or semi-strong JR demands is decided
 outside this module, by ``experiment.probe_rule``.
 """
@@ -33,7 +36,7 @@ from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .model import Committee, Election, _iter_bits, members_mask
-from .search import max_flow
+from .search import quota_assignment
 
 SEQUENTIAL_RULES = (
     "seq_pav",
@@ -144,38 +147,6 @@ def _sav_candidate_scores(election: Election) -> list[Fraction]:
         for c in ballot:
             scores[c] += share
     return scores
-
-
-def _minimax_score(election: Election, wmask: int) -> int:
-    worst = 0
-    for b in election.ballot_masks:
-        dist = (b & ~wmask).bit_count() + (wmask & ~b).bit_count()
-        worst = max(worst, dist)
-    return worst
-
-
-def _monroe_score(election: Election, members: Sequence[int]) -> int:
-    """Maximum number of voters assigned to an approved committee member under
-    a balanced assignment: member loads are floor(n/k) with n mod k members
-    allowed one extra voter (the unassigned rest never scores)."""
-    n, k = election.n, election.k
-    base, extra = divmod(n, k)
-    source, sink, extra_node = 0, 1, 2
-    member_node = {c: 3 + j for j, c in enumerate(members)}
-    voter_node0 = 3 + len(members)
-    arcs = []
-    for v in range(n):
-        arcs.append((source, voter_node0 + v, 1))
-        for c in election.approvals[v]:
-            if c in member_node:
-                arcs.append((voter_node0 + v, member_node[c], 1))
-    for node in member_node.values():
-        arcs.append((node, sink, base))
-        if extra:
-            arcs.append((node, extra_node, 1))
-    if extra:
-        arcs.append((extra_node, sink, extra))
-    return max_flow(voter_node0 + n, arcs, source, sink)[0]
 
 
 def max_phragmen_load_vector(
@@ -432,77 +403,106 @@ def _greedy_monroe(election: Election) -> tuple[list[int], list]:
 # --------------------------------------------------------------------------
 
 
-def _enumerate_guard(election: Election) -> None:
+def _lex_search(election: Election, push, pop, extend, bound, all_tied: bool) -> tuple:
+    """Maximise a key over all size-k committees, in lexicographic order.
+
+    Candidates are added in increasing order, so committees are visited in
+    `itertools.combinations` order: the first optimum found is the lex-first
+    one and ties are listed in that order.  ``push(c)``/``pop(c)`` add and
+    remove a prefix member; ``extend(c)`` is the key of the prefix plus c as
+    its last member, never pushed.  ``bound(nxt, r)`` (None for no bound)
+    bounds the key of every completion by r members from nxt..m-1 from
+    above; a prefix that cannot beat the best key (or tie it, when all ties
+    are wanted) is cut.  It is asked only with two or more seats left and a
+    pool of at least twice the seats, where a cut outweighs its cost.
+    Returns the optimal committees and their key.
+    """
     m, k = election.m, election.k
     if comb(m, k) > MAX_ENUMERATED_COMMITTEES:
         raise RuntimeError(f"C({m},{k}) exceeds the committee enumeration cap")
-
-
-def _thiele_optimize(
-    election: Election, weights: Sequence[int], all_tied: bool
-) -> tuple[list[tuple[int, ...]], int]:
-    """Maximise a scaled-integer Thiele score over all size-k committees.
-
-    The depth-first search adds candidates in increasing order, so it visits
-    committees in the lexicographic order of `itertools.combinations`: the
-    first optimum found is the lex-first one and ties are listed in that
-    order.  Adding a candidate rescores only the classes approving it; the
-    last member is scored without touching the counts.
-    """
-    _enumerate_guard(election)
-    m, k = election.m, election.k
-    rows, approvers = _thiele_classes(election, weights, k)
-    counts = [0] * len(rows)
-    best, winners = -1, []
+    best, winners = None, []
     chosen: list[int] = []
-    saved: list[int] = []  # the score before each member of `chosen`
-    score = nxt = 0
+    nxt = 0
     while True:
-        depth = len(chosen)
-        if depth < k - 1:
-            if nxt <= m - k + depth:
-                saved.append(score)
-                for i in approvers[nxt]:
-                    score += rows[i][counts[i]]
-                    counts[i] += 1
+        left = k - len(chosen)  # seats still to fill
+        if left > 1:
+            if nxt <= m - left:
+                push(nxt)
                 chosen.append(nxt)
                 nxt += 1
-                continue
+                if m - nxt < 2 * (left - 1) or left < 3 or best is None or bound is None:
+                    continue
+                upper = bound(nxt, left - 1)
+                if upper > best or (upper == best and all_tied):
+                    continue
         else:
-            gains = [row[t] for row, t in zip(rows, counts)]
             for c in range(nxt, m):
-                s = score + sum([gains[i] for i in approvers[c]])
-                if s > best:
-                    best, winners = s, [(*chosen, c)]
-                elif s == best and all_tied:
+                key = extend(c)
+                if best is None or key > best:
+                    best, winners = key, [(*chosen, c)]
+                elif key == best and all_tied:
                     winners.append((*chosen, c))
         if not chosen:
             return winners, best
         last = chosen.pop()
-        for i in approvers[last]:
-            counts[i] -= 1
-        score = saved.pop()
+        pop(last)
         nxt = last + 1
 
 
-def _optimize(
-    election: Election, score, maximize: bool, all_tied: bool
-) -> tuple[list[tuple[int, ...]], object]:
-    """Enumerate size-k committees lexicographically and keep the optimum."""
-    _enumerate_guard(election)
-    best_score = None
-    best: list[tuple[int, ...]] = []
-    for combo in combinations(range(election.m), election.k):
-        s = score(combo)
-        if best_score is None:
-            best_score, best = s, [combo]
-            continue
-        better = s > best_score if maximize else s < best_score
-        if better:
-            best_score, best = s, [combo]
-        elif s == best_score and all_tied:
-            best.append(combo)
-    return best, best_score
+def _thiele_search(election: Election, weights: Sequence[int], all_tied: bool) -> tuple[list, int]:
+    """Maximise a scaled-integer Thiele score with `_lex_search`.
+
+    Adding a member rescores only the classes approving it.  The weights
+    never increase, so a candidate's gain only shrinks as members join: the
+    score plus the r largest current gains bounds every completion by r
+    members.
+    """
+    rows, approvers = _thiele_classes(election, weights, election.k)
+    counts = [0] * len(rows)
+    saved: list[int] = []  # the score before each member pushed
+    score = 0
+
+    def push(c):
+        nonlocal score
+        saved.append(score)
+        for i in approvers[c]:
+            score += rows[i][counts[i]]
+            counts[i] += 1
+
+    def pop(c):
+        nonlocal score
+        score = saved.pop()
+        for i in approvers[c]:
+            counts[i] -= 1
+
+    def extend(c):
+        return score + sum([rows[i][counts[i]] for i in approvers[c]])
+
+    def bound(nxt, r):
+        gains = [row[t] for row, t in zip(rows, counts)]
+        pool = sorted([sum([gains[i] for i in approvers[c]]) for c in range(nxt, election.m)])
+        return score + sum(pool[-r:])
+
+    return _lex_search(election, push, pop, extend, bound, all_tied)
+
+
+def _minimax_key(election: Election, members: Sequence[int]) -> int:
+    """The largest Hamming distance from a ballot to the committee, negated."""
+    wmask = members_mask(members)
+    return -max([(b ^ wmask).bit_count() for b in election.ballot_masks], default=0)
+
+
+def _phragmen_key(election: Election, members: Sequence[int]) -> tuple:
+    """Fewer members without approvers, then the leximax-smaller load vector."""
+    dead, loads, _ = max_phragmen_load_vector(election, members)
+    return -dead, tuple([-x for x in loads])
+
+
+_COMMITTEE_KEYS = {
+    "monroe": lambda election, members: quota_assignment(election, members)[0],
+    "minimax_av": _minimax_key,
+    "max_phragmen": _phragmen_key,
+}
 
 
 # --------------------------------------------------------------------------
@@ -542,34 +542,26 @@ def run_rule(election: Election, rule: RuleId, mode: str = "single") -> RuleOutc
         return _outcome(election, rule, committees, {"candidate_scores": tuple(scores)})
 
     if rule.kind == "cc":
-        best, best_score = _thiele_optimize(election, [1], all_tied)
-        return _outcome(election, rule, best, {"score": best_score})
+        best, top = _thiele_search(election, [1], all_tied)
+        return _outcome(election, rule, best, {"score": top})
     if rule.kind in ("pav", "geom_pav"):
         weights, scale = (
-            _harmonic_weights(k)
-            if rule.kind == "pav"
-            else _geometric_weights(k, rule.weight)
+            _harmonic_weights(k) if rule.kind == "pav" else _geometric_weights(k, rule.weight)
         )
-        best, best_score = _thiele_optimize(election, weights, all_tied)
-        return _outcome(election, rule, best, {"score": Fraction(best_score, scale)})
+        best, top = _thiele_search(election, weights, all_tied)
+        return _outcome(election, rule, best, {"score": Fraction(top, scale)})
 
-    if rule.kind == "monroe":
-        score = lambda combo: _monroe_score(election, combo)
-        best, best_score = _optimize(election, score, maximize=True, all_tied=all_tied)
-        return _outcome(election, rule, best, {"score": best_score})
-
-    if rule.kind == "minimax_av":
-        score = lambda combo: _minimax_score(election, members_mask(combo))
-        best, best_score = _optimize(election, score, maximize=False, all_tied=all_tied)
-        return _outcome(election, rule, best, {"max_hamming": best_score})
-
-    if rule.kind == "max_phragmen":
-        score = lambda combo: max_phragmen_load_vector(election, combo)[:2]
-        best, best_score = _optimize(election, score, maximize=False, all_tied=all_tied)
-        loads = {w: max_phragmen_load_vector(election, w)[2] for w in best}
-        return _outcome(
-            election, rule, best, {"load_vectors": {w: tuple(l) for w, l in loads.items()}}
-        )
+    if rule.kind in ("monroe", "minimax_av", "max_phragmen"):
+        key, members = _COMMITTEE_KEYS[rule.kind], []
+        extend = lambda c: key(election, (*members, c))
+        pop = lambda c: members.pop()
+        best, top = _lex_search(election, members.append, pop, extend, None, all_tied)
+        if rule.kind == "monroe":
+            return _outcome(election, rule, best, {"score": top})
+        if rule.kind == "minimax_av":
+            return _outcome(election, rule, best, {"max_hamming": -top})
+        loads = {w: tuple(max_phragmen_load_vector(election, w)[2]) for w in best}
+        return _outcome(election, rule, best, {"load_vectors": loads})
 
     if rule.kind == "seq_pav":
         chosen, history = _seq_thiele(election, *_harmonic_weights(k))

@@ -1,9 +1,11 @@
-"""Shared search machinery: the node-count budget of the exponential searches
-and the one max-flow routine (Monroe scores, perfect representation)."""
+"""Shared search machinery: the node-count budget of the exponential searches,
+the one max-flow routine and the one quota-assignment network on it."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
+
+from .model import Election, _iter_bits
 
 
 class BudgetExceededError(RuntimeError):
@@ -111,3 +113,20 @@ def max_flow(
             residual[e] -= push
             residual[e ^ 1] += push
         total += push
+
+
+def quota_assignment(election: Election, members: Sequence[int]) -> tuple[int, list[int]]:
+    """Monroe's network: each member takes up to floor(n/k) approving voters
+    and n mod k members one more, through an extra node.  Returns the flow
+    value and, in increasing order, the voters still on the source side:
+    when k divides n and the value is short of n, a Hall violator.
+    """
+    n, k = election.n, election.k
+    base, extra = divmod(n, k)
+    # source 0, sink 1, the extra node 2, voters 3..n+2, members after them
+    arcs = [(0, v + 3, 1) for v in range(n)] + [(2, 1, extra)]
+    for node, c in enumerate(members, n + 3):
+        arcs += [(node, 1, base), (node, 2, 1)]
+        arcs += [(v + 3, node, 1) for v in _iter_bits(election.candidate_voters[c])]
+    value, reached = max_flow(n + 3 + len(members), arcs, 0, 1)
+    return value, [v for v in range(n) if v + 3 in reached]

@@ -14,13 +14,15 @@ as references for the ones that replaced them.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 from typing import Iterable, Sequence
 
 from irlab.cohesion import CohesionCertificate
 from irlab.axioms import AxiomVerdict, ViolationWitness
 from irlab.domains import CEIWitness, VEIWitness, WSCWitness
 from irlab.model import Election, VoterGroup, _iter_bits, mask_to_set, members_mask
-from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget
+from irlab.rules import MAX_ENUMERATED_COMMITTEES, _thiele_classes
+from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, max_flow
 
 
 def brute_f(election, voter):
@@ -967,6 +969,116 @@ def rev_seq_thiele(election, weights):
         committee.remove(drop)
         removals.append((drop, least))
     return committee, removals
+
+
+# --------------------------------------------------------------------------
+# Exact rules: the unbounded engines that `rules._lex_search` replaced
+# --------------------------------------------------------------------------
+
+
+def _minimax_score(election: Election, wmask: int) -> int:
+    worst = 0
+    for b in election.ballot_masks:
+        dist = (b & ~wmask).bit_count() + (wmask & ~b).bit_count()
+        worst = max(worst, dist)
+    return worst
+
+
+def _monroe_score(election: Election, members: Sequence[int]) -> int:
+    """Maximum number of voters assigned to an approved committee member under
+    a balanced assignment: member loads are floor(n/k) with n mod k members
+    allowed one extra voter (the unassigned rest never scores)."""
+    n, k = election.n, election.k
+    base, extra = divmod(n, k)
+    source, sink, extra_node = 0, 1, 2
+    member_node = {c: 3 + j for j, c in enumerate(members)}
+    voter_node0 = 3 + len(members)
+    arcs = []
+    for v in range(n):
+        arcs.append((source, voter_node0 + v, 1))
+        for c in election.approvals[v]:
+            if c in member_node:
+                arcs.append((voter_node0 + v, member_node[c], 1))
+    for node in member_node.values():
+        arcs.append((node, sink, base))
+        if extra:
+            arcs.append((node, extra_node, 1))
+    if extra:
+        arcs.append((extra_node, sink, extra))
+    return max_flow(voter_node0 + n, arcs, source, sink)[0]
+
+
+def _enumerate_guard(election: Election) -> None:
+    m, k = election.m, election.k
+    if comb(m, k) > MAX_ENUMERATED_COMMITTEES:
+        raise RuntimeError(f"C({m},{k}) exceeds the committee enumeration cap")
+
+
+def _thiele_optimize(
+    election: Election, weights: Sequence[int], all_tied: bool
+) -> tuple[list[tuple[int, ...]], int]:
+    """Maximise a scaled-integer Thiele score over all size-k committees.
+
+    The depth-first search adds candidates in increasing order, so it visits
+    committees in the lexicographic order of `itertools.combinations`: the
+    first optimum found is the lex-first one and ties are listed in that
+    order.  Adding a candidate rescores only the classes approving it; the
+    last member is scored without touching the counts.
+    """
+    _enumerate_guard(election)
+    m, k = election.m, election.k
+    rows, approvers = _thiele_classes(election, weights, k)
+    counts = [0] * len(rows)
+    best, winners = -1, []
+    chosen: list[int] = []
+    saved: list[int] = []  # the score before each member of `chosen`
+    score = nxt = 0
+    while True:
+        depth = len(chosen)
+        if depth < k - 1:
+            if nxt <= m - k + depth:
+                saved.append(score)
+                for i in approvers[nxt]:
+                    score += rows[i][counts[i]]
+                    counts[i] += 1
+                chosen.append(nxt)
+                nxt += 1
+                continue
+        else:
+            gains = [row[t] for row, t in zip(rows, counts)]
+            for c in range(nxt, m):
+                s = score + sum([gains[i] for i in approvers[c]])
+                if s > best:
+                    best, winners = s, [(*chosen, c)]
+                elif s == best and all_tied:
+                    winners.append((*chosen, c))
+        if not chosen:
+            return winners, best
+        last = chosen.pop()
+        for i in approvers[last]:
+            counts[i] -= 1
+        score = saved.pop()
+        nxt = last + 1
+
+
+def _optimize(
+    election: Election, score, maximize: bool, all_tied: bool
+) -> tuple[list[tuple[int, ...]], object]:
+    """Enumerate size-k committees lexicographically and keep the optimum."""
+    _enumerate_guard(election)
+    best_score = None
+    best: list[tuple[int, ...]] = []
+    for combo in combinations(range(election.m), election.k):
+        s = score(combo)
+        if best_score is None:
+            best_score, best = s, [combo]
+            continue
+        better = s > best_score if maximize else s < best_score
+        if better:
+            best_score, best = s, [combo]
+        elif s == best_score and all_tied:
+            best.append(combo)
+    return best, best_score
 
 
 # --------------------------------------------------------------------------

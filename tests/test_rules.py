@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,8 +9,8 @@ import pytest
 from irlab import rules
 from irlab.cohesion import f_vector
 from irlab.gen import MODELS, GenSpec, generate
-from irlab.model import Election
-from irlab.experiment import probe_rule
+from irlab.model import Election, members_mask
+from irlab.experiment import DEFAULT_MODELS, DESK_SCALE_GEN_PARAMS, instance_seed, probe_rule
 from irlab.rules import RuleId, run_rule
 from irlab.search import DEFAULT_NODE_CAP
 from irlab.solver import SolveRequest, demands, find_committee, find_ir_and_ssjr
@@ -17,6 +18,10 @@ from irlab.solver import SolveRequest, demands, find_committee, find_ir_and_ssjr
 from instance_gen import random_election
 from oracles import _rule_x as oracle_rule_x
 from oracles import _seq_phragmen as oracle_seq_phragmen
+from oracles import _minimax_score as oracle_minimax_score
+from oracles import _monroe_score as oracle_monroe_score
+from oracles import _optimize as oracle_optimize
+from oracles import _thiele_optimize as oracle_thiele_optimize
 from oracles import brute_optimum, cc_score, greedy_monroe, rev_seq_thiele, seq_thiele, thiele_score
 from hard_instances import (
     hamming_bait_instance,
@@ -284,6 +289,151 @@ def test_thiele_rules_match_fraction_oracle():
                 assert [tuple(sorted(c.members)) for c in out.committees] == combos, (rule, mode)
                 assert out.diagnostics["score"] == best
                 assert type(out.diagnostics["score"]) is type(best), rule
+
+
+def _exact_rule_elections(rng, count, m_max):
+    """Random profiles drawn from a few ballot types, so ballots repeat; one
+    type is empty, every third profile has a candidate nobody approves, and
+    k cycles through 1, m, m - 1 and a random size."""
+    out = []
+    for j in range(count):
+        m = rng.randint(2, m_max)
+        k = (1, m, m - 1, rng.randint(1, m))[j % 4]
+        unapproved = rng.randrange(m) if j % 3 == 0 else None
+        types = [
+            {c for c in range(m) if c != unapproved and rng.random() < density}
+            for density in [rng.random() for _ in range(rng.randint(1, 5))]
+        ] + [set()]
+        approvals = [rng.choice(types) for _ in range(rng.randint(1, 14))]
+        out.append(Election.from_approvals(approvals, m=m, k=k))
+    return out
+
+
+def _replaced_engine(e, rule, all_tied):
+    """Committees and diagnostics of an exact rule by the unbounded engines
+    the lex search replaced, exactly as `run_rule` used to report them."""
+    if rule.kind == "cc":
+        best, top = oracle_thiele_optimize(e, [1], all_tied)
+        return best, {"score": top}
+    if rule.kind in ("pav", "geom_pav"):
+        weights, scale = (
+            rules._harmonic_weights(e.k)
+            if rule.kind == "pav"
+            else rules._geometric_weights(e.k, rule.weight)
+        )
+        best, top = oracle_thiele_optimize(e, weights, all_tied)
+        return best, {"score": Fraction(top, scale)}
+    if rule.kind == "monroe":
+        best, top = oracle_optimize(e, lambda w: oracle_monroe_score(e, w), True, all_tied)
+        return best, {"score": top}
+    if rule.kind == "minimax_av":
+        score = lambda w: oracle_minimax_score(e, members_mask(w))
+        best, top = oracle_optimize(e, score, False, all_tied)
+        return best, {"max_hamming": top}
+    score = lambda w: rules.max_phragmen_load_vector(e, w)[:2]
+    best, _ = oracle_optimize(e, score, False, all_tied)
+    loads = {w: rules.max_phragmen_load_vector(e, w)[2] for w in best}
+    return best, {"load_vectors": {w: tuple(l) for w, l in loads.items()}}
+
+
+def test_lex_search_matches_replaced_engines():
+    """Every exact rule on the one bounded lex search gives the committees,
+    in order, and the diagnostics of the unbounded engines it replaced."""
+    rng = random.Random(61)
+    bases = (Fraction(1, 16), Fraction(1, 2), Fraction(2, 3))
+    thiele = [RuleId("pav"), RuleId("cc")] + [RuleId("geom_pav", weight=b) for b in bases]
+    whole = [RuleId("monroe"), RuleId("minimax_av"), RuleId("max_phragmen")]
+    paths = Counter()
+    for family, m_max in ((thiele, 10), (whole, 7)):
+        profiles = _exact_rule_elections(rng, 320, m_max)
+        for e in profiles:
+            paths["k = 1"] += e.k == 1
+            paths["k = m"] += e.k == e.m
+            paths["k = m - 1"] += e.k == e.m - 1
+            paths["empty ballot"] += 0 in e.ballot_masks
+            paths["repeated ballot"] += len(set(e.ballot_masks)) < e.n
+            paths["unapproved candidate"] += 0 in e.candidate_voters
+            for rule in family:
+                for mode in ("single", "all_tied"):
+                    out = run_rule(e, rule, mode=mode)
+                    best, diagnostics = _replaced_engine(e, rule, mode == "all_tied")
+                    got = [tuple(sorted(c.members)) for c in out.committees]
+                    assert got == best, (rule, mode, e)
+                    assert repr(out.diagnostics) == repr(diagnostics), (rule, mode, e)
+                    paths["tied winners"] += len(best) > 1
+    assert min(paths.values()) >= 40, paths
+
+
+def test_desk_grid_exact_rules_golden_digest():
+    """SHA-256 of the winners and diagnostics of PAV (all tied), CC and
+    geometric PAV (1/2) on one desk-grid instance per model at k = 5..11,
+    the sizes where the search cuts prefixes and no other digest looks."""
+    runs = []
+    for model in DEFAULT_MODELS:
+        for k in range(5, 12):
+            spec = GenSpec(
+                model=model,
+                n=40,
+                m=16,
+                seed=instance_seed(1, model, k, 0),
+                params=dict(DESK_SCALE_GEN_PARAMS.get(model, {})),
+            )
+            e = generate(spec, k=k)
+            for rule, mode in (
+                (RuleId("pav"), "all_tied"),
+                (RuleId("cc"), "single"),
+                (RuleId("geom_pav", weight=Fraction(1, 2)), "single"),
+            ):
+                out = run_rule(e, rule, mode=mode)
+                runs.append(([tuple(sorted(c.members)) for c in out.committees], out.diagnostics))
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == (
+        "30f1144dabb51542a78e7207cca635aab475451ea45e1db5c8f0b80cfbed07c4"
+    )
+
+
+def _metamorphic_profiles():
+    return [
+        generate(GenSpec(model=model, n=n, m=m, seed=3), k=k)
+        for model, n, m, k in (
+            ("vi_euclid", 80, 18, 6),
+            ("urn", 60, 15, 6),
+            ("ic", 100, 16, 5),
+            ("mallows", 60, 18, 8),
+        )
+    ]
+
+
+def test_exact_winners_follow_a_candidate_relabelling():
+    """Relabelling the candidates maps the all-tied winners of PAV, CC and
+    minimax-AV onto the relabelled profile's winners with an equal score,
+    at sizes past the brute-force oracles."""
+    rng = random.Random(71)
+    for e in _metamorphic_profiles():
+        perm = list(range(e.m))
+        rng.shuffle(perm)
+        relabelled = Election.from_approvals(
+            [{perm[c] for c in ballot} for ballot in e.approvals], m=e.m, k=e.k
+        )
+        for rule, key in (("pav", "score"), ("cc", "score"), ("minimax_av", "max_hamming")):
+            if rule == "minimax_av" and e.m > 16:
+                continue
+            one = run_rule(e, RuleId(rule), mode="all_tied")
+            two = run_rule(relabelled, RuleId(rule), mode="all_tied")
+            mapped = sorted(sorted(perm[c] for c in w.members) for w in one.committees)
+            assert mapped == sorted(sorted(w.members) for w in two.committees), rule
+            assert one.diagnostics[key] == two.diagnostics[key], rule
+
+
+def test_exact_winners_survive_cloning_every_voter():
+    """Cloning every voter keeps the all-tied PAV and CC winners, in order,
+    and doubles the score."""
+    for e in _metamorphic_profiles():
+        twice = Election.from_approvals(e.approvals * 2, m=e.m, k=e.k)
+        for rule in ("pav", "cc"):
+            one = run_rule(e, RuleId(rule), mode="all_tied")
+            two = run_rule(twice, RuleId(rule), mode="all_tied")
+            assert two.committees == one.committees, rule
+            assert two.diagnostics["score"] == 2 * one.diagnostics["score"], rule
 
 
 def test_sequential_thiele_rules_match_fraction_reference():
