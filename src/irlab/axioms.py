@@ -9,10 +9,10 @@ Cohesiveness thresholds are compared in exact integer arithmetic
 (``|V|*k >= l*n``), never via n/k as a float.
 
 FJR and core stability run one deviation search that differs only in the
-voters it counts and what each must gain; EJR and PJR share one
-cohesive-set search.  Both keep their path on an explicit stack, so a
-search as deep as a committee of k ~ 1000 is not cut by the recursion
-limit.  Perfect representation is one quota assignment
+voters it counts and what each must gain, held in bit-sliced counters; EJR
+and PJR share one cohesive-set search.  Both keep their path on an explicit
+stack, so a search as deep as a committee of k ~ 1000 is not cut by the
+recursion limit.  Perfect representation is one quota assignment
 (``search.quota_assignment``, the network Monroe scores with): a Hall
 violator is the set of voters the source still reaches after the flow.
 """
@@ -24,8 +24,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cohesion import CohesionCertificate, f_vector
-from .model import Committee, Election, _iter_bits, first_unmet, mask_to_set, members_mask
+from .model import Committee, Election, first_unmet, mask_to_set, members_mask
 from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, quota_assignment
+from .search import at_least, counter, plus
 
 GROUP_AXIOMS = ("JR", "PJR", "EJR", "FJR", "CORE", "PERFECT_REP")
 INDIVIDUAL_AXIOMS = ("IR", "SSJR", "ALPHA_BETA_IR")
@@ -289,7 +290,8 @@ def _fjr_witness(election, counts, budget):
         deficient = _below(counts, beta)
         if deficient.bit_count() * k < n:  # |S| >= beta >= 1 needs n/k voters
             continue
-        hit = _deviation_search(election, list(_iter_bits(deficient)), [beta] * n, budget)
+        need = [deficient * (beta >> b & 1) for b in range(beta.bit_length())]  # beta each
+        hit = _deviation_search(election, deficient, need, budget)
         if hit is not None:
             cand_set, group = hit
             return ViolationWitness(
@@ -299,7 +301,8 @@ def _fjr_witness(election, counts, budget):
 
 
 def _core_witness(election, counts, budget):
-    hit = _deviation_search(election, range(election.n), [c + 1 for c in counts], budget)
+    everyone = (1 << election.n) - 1
+    hit = _deviation_search(election, everyone, counter([c + 1 for c in counts]), budget)
     if hit is None:
         return None
     cand_set, group = hit
@@ -310,44 +313,47 @@ def _deviation_search(election, voters, need, budget):
     """The first candidate set S (|S| <= k, depth-first over the candidates
     the voters approve, in index order) whose voters i with
     |S cap A_i| >= need[i] number at least |S|*n/k, as (S, those voters);
-    None if there is none.  FJR asks beta of every deficient voter, the core
-    counts[i] + 1 of every voter."""
+    None if there is none.  ``voters`` is a mask and ``need`` a counter
+    (``search.counter``): FJR asks beta of every deficient voter, the core
+    counts[i] + 1 of every voter.  |S cap A_i| is one counter per depth and
+    |pool from a position on cap A_i| one per position, so a node's group
+    and its attainable voters are one compare each."""
     n, k = election.n, election.k
-    ballots = election.ballot_masks
-    pool_mask = 0
-    for i in voters:
-        pool_mask |= ballots[i]
-    pool = sorted(mask_to_set(pool_mask))
-    tails = [pool_mask >> c << c for c in pool] + [0]  # the pool from each position on
+    cand_voters = election.candidate_voters
+    pool = [c for c in range(election.m) if cand_voters[c] & voters]
+    tails = [[]]  # tails[p] counts |pool[p:] cap A_i|; built from the end
+    for c in reversed(pool):
+        tails.append(plus(tails[-1], [cand_voters[c]]))
+    tails.reverse()
     # iterative: ``nexts`` holds, per node of the path, the pool position of
     # its next child (len(pool) once it has none left); one tick per visit
     chosen: list[int] = []
-    smask = 0  # ``chosen`` as a candidate mask
+    gains = [[]]  # |S cap A_i| for each prefix of ``chosen``
     nexts: list[int] = []
     start = 0
     while True:
         budget.tick()
         if chosen:
-            group = [i for i in voters if (ballots[i] & smask).bit_count() >= need[i]]
-            if len(group) * k >= len(chosen) * n:
-                return frozenset(chosen), frozenset(group)
+            group = at_least(gains[-1], need, voters)
+            if group.bit_count() * k >= len(chosen) * n:
+                return frozenset(chosen), mask_to_set(group)
         if len(chosen) == k:
             start = len(pool)  # a full committee has no children
         else:
-            rest = smask | tails[start]
-            attainable = sum(1 for i in voters if (ballots[i] & rest).bit_count() >= need[i])
-            if attainable * k < (len(chosen) + 1) * n:
+            attainable = at_least(plus(gains[-1], tails[start]), need, voters)
+            if attainable.bit_count() * k < (len(chosen) + 1) * n:
                 start = len(pool)  # too few voters can still gain: cut
         nexts.append(start)
         while nexts[-1] == len(pool):  # leave the nodes without children left
             nexts.pop()
             if not nexts:
                 return None
-            smask ^= 1 << chosen.pop()
+            chosen.pop()
+            gains.pop()
         idx = nexts[-1]
         nexts[-1] += 1
         chosen.append(pool[idx])
-        smask |= 1 << pool[idx]
+        gains.append(plus(gains[-1], [cand_voters[pool[idx]]]))
         start = idx + 1
 
 

@@ -1,8 +1,15 @@
 """Shared search machinery: the node-count budget of the exponential searches,
-the one max-flow routine and the one quota-assignment network on it."""
+the bit-sliced voter counters they keep per node, the one max-flow routine
+and the one quota-assignment network on it.
+
+A counter is one count per voter, held as voter masks: slice b, least
+significant first, has bit i set iff bit b of voter i's count is set.  Each
+operation costs a few whole-mask operations per slice, whatever the number of
+voters, so a search updates and tests every voter at once."""
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .model import Election, _iter_bits
@@ -44,6 +51,56 @@ class NodeBudget:
 
 
 DEFAULT_NODE_CAP = 10**7
+
+
+def counter(values: Sequence[int]) -> list[int]:
+    """The counter holding ``values[i]`` for voter i (one digit string per slice)."""
+    return [
+        int("".join(["1" if v >> b & 1 else "0" for v in reversed(values)]), 2)
+        for b in range(max(values, default=0).bit_length())
+    ]
+
+
+def sub(slices: Sequence[int], voters: int) -> list[int]:
+    """``slices`` minus one for every voter of the mask ``voters``; each of
+    them must hold at least 1."""
+    out = list(slices)
+    b = 0
+    while voters:
+        s = out[b]
+        out[b] = s ^ voters
+        voters &= ~s  # the borrow
+        b += 1
+    return out
+
+
+def plus(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The voter-wise sum of two counters; ``plus(a, [voters])`` adds one
+    for every voter of the mask ``voters``."""
+    out = []
+    carry = 0
+    for x, y in zip_longest(a, b, fillvalue=0):
+        out.append(x ^ y ^ carry)
+        carry = (x & y) | (carry & (x ^ y))
+    return out + [carry] if carry else out
+
+
+def at_least(a: Sequence[int], b: Sequence[int], voters: int) -> int:
+    """The mask of the voters of ``voters`` counting at least as much in ``a`` as in ``b``."""
+    less = 0  # a < b on the slices seen so far, from the least significant up
+    for x, y in zip_longest(a, b, fillvalue=0):
+        less ^= (less ^ y) & (x ^ y)  # where the bits differ, b's bit decides
+    return voters & ~less
+
+
+def above(slices: Sequence[int], value: int) -> int:
+    """The mask of the voters whose count exceeds ``value``."""
+    if value >> len(slices):
+        return 0
+    more = 0  # count > value on the slices seen so far, from the least significant up
+    for b, s in enumerate(slices):
+        more = more & s if value >> b & 1 else more | s
+    return more
 
 
 def max_flow(

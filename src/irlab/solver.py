@@ -2,12 +2,13 @@
 
 Deciding whether an IR committee exists is NP-hard, so the search is a
 depth-first branch-and-bound over candidates (on an explicit stack, one
-level per seat) guarded by a node cap:
-``infeasible`` means the whole space was exhausted, ``undecided`` is only
-reported when the cap was hit.  The optimization objectives reduce to
-feasibility solves: MIN_BETA binary-searches the additive slack over the
-integers, MIN_ALPHA binary-searches the multiplicative slack over the finite
-grid of ratios (f_i - beta)/q with q <= k.
+level per seat, each voter's state in bit-sliced counters) guarded by a
+node cap: ``infeasible`` means the whole space was exhausted,
+``undecided`` is only reported when the cap was hit.  The optimization
+objectives reduce to feasibility solves: MIN_BETA binary-searches the
+additive slack over the integers, MIN_ALPHA binary-searches the
+multiplicative slack over the finite grid of ratios (f_i - beta)/q with
+q <= k.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 from . import axioms
 from .cohesion import CohesionCertificate
 from .model import Committee, Election, _iter_bits, first_unmet, members_mask, padding
-from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget
+from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, above, at_least, counter, sub
 
 OBJECTIVES = ("FIND_IR", "FIND_SSJR", "MIN_BETA", "MIN_ALPHA")
 
@@ -57,16 +58,12 @@ class SolveResult:
 def _deficits_for(
     fvec: Sequence[CohesionCertificate], alpha: Fraction, beta: Fraction
 ) -> list[int]:
-    """Per-voter demand: the least w with alpha*w + beta >= f_i."""
-    out = []
-    for cert in fvec:
-        need = Fraction(cert.f) - beta
-        if need <= 0:
-            out.append(0)
-        else:
-            q = need / alpha
-            out.append(-(-q.numerator // q.denominator))
-    return out
+    """Per-voter demand: the least w >= 0 with alpha*w + beta >= f_i.  With
+    alpha = a/b and beta = c/d that is ceil((f_i*d - c)*b / (d*a)), in
+    integers."""
+    a, b = alpha.numerator, alpha.denominator
+    c, d = beta.numerator, beta.denominator
+    return [max(0, -((c - cert.f * d) * b // (d * a))) for cert in fvec]
 
 
 def _cover_search(
@@ -77,76 +74,56 @@ def _cover_search(
 
     Branches on the candidates of a most-constrained unmet voter, cutting a
     branch as soon as some unmet voter cannot be topped up from her remaining
-    approved pool within the remaining seats.
+    approved pool within the remaining seats.  Two bit-sliced counters
+    (``search.counter``) carry the state: ``need``, what each voter still
+    lacks, and ``avail``, her approved candidates still in the pool; every
+    test and update is a whole-mask operation on them.
     """
-    n, m, k = election.n, election.m, election.k
-    ballots = election.ballot_masks
+    m, k = election.m, election.k
     cand_voters = election.candidate_voters
-    need = list(deficits)
-    if max(need, default=0) > k:
+    if max(deficits, default=0) > k:
         return None
-    unmet_mask = 0
-    for i in range(n):
-        if need[i] > 0:
-            unmet_mask |= 1 << i
-    chosen: list[int] = []
+    need = counter(deficits)
+    avail = counter([ballot.bit_count() for ballot in election.ballot_masks])
     # iterative: per open node, its branch candidates, the index of the next
-    # one, the pool left to its later branches and the voters its current
-    # branch topped up (None before the first branch)
+    # one, the pool and ``avail`` left to its later branches, and its own
+    # ``need`` and unmet voters, which restore it after each branch
     frames: list[list] = []
     pool = (1 << m) - 1
     while True:
         budget.tick()
-        if unmet_mask == 0:
-            return chosen
-        seats = k - len(chosen)
-        pivot = _pivot(ballots, need, unmet_mask, pool, seats) if seats else None
-        if pivot is not None:
-            options = sorted(
-                _iter_bits(ballots[pivot] & pool),
-                key=lambda c: (-(cand_voters[c] & unmet_mask).bit_count(), c),
+        unmet = 0
+        for s in need:
+            unmet |= s
+        if not unmet:  # each open node's current branch is a member
+            return [options[nxt - 1] for options, nxt, *_ in frames]
+        # branch only if every unmet voter fits in the seats and the pool left
+        if not above(need, k - len(frames)) and at_least(avail, need, unmet) == unmet:
+            pivots = unmet  # narrowed to the fewest available, top slice first
+            for s in reversed(avail):
+                if pivots & ~s:
+                    pivots &= ~s
+            pivot = (pivots & -pivots).bit_length() - 1
+            options = sorted(  # stable: ties stay in index order
+                _iter_bits(election.ballot_masks[pivot] & pool),
+                key=lambda c: -(cand_voters[c] & unmet).bit_count(),
             )
-            frames.append([options, 0, pool, None])
+            frames.append([options, 0, pool, avail, need, unmet])
         while frames:
             frame = frames[-1]
-            options, nxt, pool, topped = frame
-            if topped is not None:  # undo the branch just searched
-                chosen.pop()
-                for i in topped:
-                    if need[i] == 0:
-                        unmet_mask |= 1 << i
-                    need[i] += 1
+            options, nxt, pool, avail, need, unmet = frame  # undoes the last branch
             if nxt == len(options):
                 frames.pop()
                 continue
             c = options[nxt]
             pool &= ~(1 << c)  # later branches must not reuse c
-            topped = list(_iter_bits(cand_voters[c] & unmet_mask))
-            for i in topped:
-                need[i] -= 1
-                if need[i] == 0:
-                    unmet_mask &= ~(1 << i)
-            chosen.append(c)
-            frame[1:] = nxt + 1, pool, topped
+            if len(frames) < k:  # a child with seats left reads ``avail``
+                avail = sub(avail, cand_voters[c])
+            frame[1:4] = nxt + 1, pool, avail
+            need = sub(need, cand_voters[c] & unmet)
             break
         else:
             return None
-
-
-def _pivot(
-    ballots: Sequence[int], need: Sequence[int], unmet_mask: int, pool: int, seats: int
-) -> int | None:
-    """The first unmet voter with the fewest approved candidates left in
-    ``pool``, or None when some unmet voter cannot be topped up from the
-    pool within ``seats``."""
-    pivot = pivot_avail = None
-    for i in _iter_bits(unmet_mask):
-        avail = (ballots[i] & pool).bit_count()
-        if avail < need[i] or need[i] > seats:
-            return None
-        if pivot is None or avail < pivot_avail:
-            pivot, pivot_avail = i, avail
-    return pivot
 
 
 def demands(fvec: Sequence[CohesionCertificate], objective: str) -> list[int]:

@@ -199,6 +199,40 @@ def test_fjr_core_match_separate_searches():
     assert seen["violated"] >= 20 and seen["undecided"] >= 20
 
 
+def _two_camps(rng):
+    """A profile of 65 to 200 voters in two camps over the two halves of the
+    candidates, k >= 9, and a committee leaning to one camp."""
+    n, m, k = rng.randint(65, 200), rng.randint(12, 20), rng.randint(9, 11)
+    half, share = m // 2, rng.uniform(0.2, 0.6)
+    approvals = []
+    for _ in range(n):
+        side = range(half) if rng.random() < share else range(half, m)
+        approvals.append({c for c in side if rng.random() < 0.8} | {c for c in range(m) if rng.random() < 0.1})
+    e = Election.from_approvals(approvals, m=m, k=k)
+    first = rng.choice([max(0, k - (m - half)), min(half, k)])  # the fewest or most from camp one
+    return e, Committee.of(rng.sample(range(half), first) + rng.sample(range(half, m), k - first), e)
+
+
+def test_fjr_core_match_recursive_searches_past_one_word():
+    # voter masks of 65 to 200 bits and one of 1,000, k >= 9, so the core's
+    # counts[i] + 1 and FJR's beta reach four counter slices: the same
+    # verdict, witness and node cost as the recursive searches, or capped
+    # at the same node
+    rng = random.Random(79)
+    cases = [_two_camps(rng) for _ in range(12)]
+    e = generate(GenSpec("vi_euclid", 1000, 60, 5), k=10)
+    cases.append((e, Committee.of(rng.sample(range(e.m), e.k), e)))
+    seen = {"satisfied": 0, "violated": 0, "undecided": 0}
+    for e, w in cases:
+        counts = [len(w.members & a) for a in e.approvals]
+        for cap in (5, 60, 2000):
+            for axiom, oracle in ((FJR, check_fjr), (CORE, check_core)):
+                verdict = check(e, w, axiom, node_cap=cap)
+                assert verdict == oracle(e, axiom, counts, cap), (e.n, e.k, axiom, cap)
+                seen[verdict.status] += 1
+    assert min(seen.values()) >= 8, seen
+
+
 def test_ejr_pjr_match_recursive_cohesive_search(monkeypatch):
     # the cohesive-set search runs on an explicit stack; whole EJR and PJR
     # verdicts, node cost included, equal those of the recursive search,

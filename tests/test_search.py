@@ -1,0 +1,52 @@
+import random
+
+from irlab.search import above, at_least, counter, plus, sub
+
+
+def _values(slices, n):
+    """The per-voter integers a bit-sliced counter holds."""
+    digits = [format(s, f"0{n}b")[::-1] for s in slices]  # digits[b][i]: bit b of voter i
+    return [sum(int(d[i]) << b for b, d in enumerate(digits)) for i in range(n)]
+
+
+def _mask(voters):
+    return sum(1 << i for i in voters)
+
+
+def test_counter_kernel_matches_integer_lists():
+    # every kernel operation against the same operation on a plain list,
+    # at widths inside and well past one machine word
+    rng = random.Random(71)
+    for _ in range(300):
+        n = rng.choice([0, 1, 5, 63, 64, 65, 130, 1000])
+        top = rng.choice([1, 2, 7, 8, 40])
+        a = [rng.randint(0, top) for _ in range(n)]
+        b = [rng.randint(0, top) for _ in range(n)]
+        ca, cb = counter(a), counter(b)
+        assert _values(ca, n) == a and len(ca) == max(a, default=0).bit_length()
+        picked = {i for i in range(n) if rng.random() < 0.5}
+        mask = _mask(picked)
+        assert _values(plus(ca, [mask]), n) == [v + (i in picked) for i, v in enumerate(a)]
+        positive = _mask(i for i in picked if a[i])
+        assert _values(sub(ca, positive), n) == [v - (positive >> i & 1) for i, v in enumerate(a)]
+        assert _values(plus(ca, cb), n) == [x + y for x, y in zip(a, b)]
+        assert at_least(ca, cb, mask) == _mask(i for i in picked if a[i] >= b[i])
+        value = rng.randint(0, top + 2)
+        assert above(ca, value) == _mask(i for i in range(n) if a[i] > value)
+
+
+def test_counter_kernel_edges():
+    # empty counters, a carry past the top slice, and subtracting to zero
+    assert counter([]) == [] and counter([0, 0, 0]) == []
+    assert _values(plus([], [0]), 3) == [0, 0, 0] and plus([], [0b101]) == [0b101]
+    assert plus([], []) == [] and plus([], [0b11]) == [0b11]
+    assert at_least([], [], 0b111) == 0b111 and at_least([], [0b010], 0b111) == 0b101
+    assert above([], 0) == 0 and above(counter([0, 5]), 4) == 0b10
+    full = counter([7, 7, 7, 3])  # voters 0-2 at the top of three slices
+    assert _values(plus(full, [0b0111]), 4) == [8, 8, 8, 3]
+    assert _values(plus(full, full), 4) == [14, 14, 14, 6]
+    down = counter([1, 2, 4])
+    for _ in range(4):
+        down = sub(down, _mask(i for i, v in enumerate(_values(down, 3)) if v))
+    assert _values(down, 3) == [0, 0, 0]
+    assert above(down, 0) == 0 and at_least(down, [], 0b111) == 0b111

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from irlab import solver
+from irlab.axioms import CORE, FJR, check
 from irlab.cohesion import f_vector
-from irlab.model import Election
+from irlab.gen import GenSpec, generate
+from irlab.model import Committee, Election
 from irlab.search import BudgetExceededError, NodeBudget
 from irlab.solver import OBJECTIVES, SolveRequest, enumerate_committees, find_committee
 
@@ -175,6 +178,131 @@ def test_cover_search_matches_recursive_search_on_random_demands():
             hit = outcomes[0][0]
             seen["capped" if hit == "capped" else "infeasible" if hit is None else "found"] += 1
     assert min(seen.values()) >= 50, seen
+
+
+def _wide_election(rng):
+    """A random profile of 65 to 200 voters, past one machine word, with k >= 9."""
+    n, m = rng.randint(65, 200), rng.randint(12, 18)
+    density = rng.choice([0.5, 0.7])
+    approvals = [{c for c in range(m) if rng.random() < density} for _ in range(n)]
+    return Election.from_approvals(approvals, m=m, k=rng.randint(9, m - 2))
+
+
+def test_cover_search_matches_recursive_search_past_one_word():
+    # voter masks of 65 to 200 bits and one of 1,000, k >= 9: demands just
+    # below a hidden committee's counts need four or more counter slices;
+    # raising a few of them by one makes some infeasible; the n = 1,000 search
+    # runs past every cap
+    rng = random.Random(61)
+    elections = [_wide_election(rng) for _ in range(30)] + [generate(GenSpec("ic", 1000, 60, 5), k=20)]
+    seen = {"found": 0, "infeasible": 0, "capped": 0, "four slices": 0}
+    for e in elections:
+        hidden = set(rng.sample(range(e.m), e.k))
+        deficits = [max(0, len(a & hidden) - rng.randint(0, 3)) for a in e.approvals]
+        for i in rng.sample(range(e.n), rng.randint(0, 4)):
+            deficits[i] = min(deficits[i] + 1, len(e.approvals[i]), e.k)
+        seen["four slices"] += max(deficits) >= 8
+        for cap in (5, 50, 400):
+            outcomes = []
+            for search in (solver._cover_search, cover_search):
+                budget = NodeBudget(cap, stage="test")
+                try:
+                    hit = search(e, deficits, budget)
+                except BudgetExceededError:
+                    hit = "capped"
+                outcomes.append((hit, budget.nodes))
+            assert outcomes[0] == outcomes[1], (e.n, e.m, e.k, deficits, cap)
+            hit = outcomes[0][0]
+            seen["capped" if hit == "capped" else "infeasible" if hit is None else "found"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def _scale_cases():
+    """Profiles of 200 to 1,000 voters from every model, each with a random
+    committee: past what the brute-force oracles can check."""
+    rng = random.Random(83)
+    specs = [
+        ("vi_euclid", 1000, 60, 10), ("urn", 1000, 60, 10), ("euclid_2d", 1000, 60, 2),
+        ("ic", 1000, 60, 20), ("mallows", 300, 30, 9), ("ci_euclid", 400, 40, 6),
+        ("ic", 200, 30, 9), ("vi_euclid", 200, 20, 8), ("urn", 200, 20, 6),
+        ("mallows", 600, 40, 12), ("euclid_2d", 200, 30, 4), ("ci_euclid", 200, 20, 9),
+    ]
+    for seed, (model, n, m, k) in enumerate(specs):
+        e = generate(GenSpec(model, n, m, seed), k=k)
+        yield rng, e, rng.sample(range(m), k)
+
+
+def _outcomes(e, members):
+    """(status, nodes, beta reached) of FIND_IR, FIND_SSJR and MIN_BETA and
+    (status, nodes, None) of the core and FJR checks of ``members``, at
+    small caps."""
+    fvec = tuple(f_vector(e))
+    out = []
+    for objective in ("FIND_IR", "FIND_SSJR", "MIN_BETA"):
+        res = find_committee(SolveRequest(e, fvec, objective, node_cap=3000))
+        out.append((res.status, res.nodes, res.achieved_beta))
+    for axiom in (CORE, FJR):
+        verdict = check(e, Committee.of(members, e), axiom, node_cap=3000)
+        out.append((verdict.status, verdict.cost, None))
+    return out
+
+
+def test_decided_statuses_survive_a_voter_relabelling():
+    # relabelling the voters permutes the f-vector and the demands; every
+    # status decided under both labellings is the same, and so is MIN_BETA's
+    # beta
+    seen = {"found": 0, "infeasible": 0, "satisfied": 0, "violated": 0, "undecided": 0}
+    for rng, e, members in _scale_cases():
+        order = list(range(e.n))
+        rng.shuffle(order)
+        relabelled = Election.from_approvals([e.approvals[i] for i in order], m=e.m, k=e.k)
+        for one, two in zip(_outcomes(e, members), _outcomes(relabelled, members)):
+            if "undecided" not in (one[0], two[0]):
+                assert (one[0], one[2]) == (two[0], two[2]), (e.n, e.m, e.k)
+            seen[one[0]] += 1
+    assert min(seen.values()) >= 3, seen
+
+
+def test_outcomes_ignore_an_unapproved_candidate():
+    # a candidate nobody approves never enters a search: every status, node
+    # count and beta is unchanged
+    for _, e, members in _scale_cases():
+        widened = Election.from_approvals(list(e.approvals), m=e.m + 1, k=e.k)
+        assert _outcomes(widened, members) == _outcomes(e, members), (e.n, e.m, e.k)
+
+
+def test_cover_search_pivots_on_the_pool_left_with_one_seat():
+    # k = 2, so the root's children have one seat left; their count of each
+    # voter's candidates still in the pool must drop the candidate just
+    # chosen, or the pivot moves to another voter and the search ticks a
+    # node the recursive search never visits
+    for approvals, m, deficits in (
+        ([{1, 2, 3}, {3}, {3}, {0, 1}, {2, 3}], 4, [0, 1, 0, 1, 2]),
+        ([{0, 4}, {0, 2}, set(), {0, 1, 4}, {2, 3}, {1, 3}, {1}, {1, 4}], 5, [0, 1, 0, 0, 1, 2, 1, 0]),
+    ):
+        e = Election.from_approvals(approvals, m=m, k=2)
+        outcomes = []
+        for search in (solver._cover_search, cover_search):
+            budget = NodeBudget(100, stage="test")
+            outcomes.append((search(e, deficits, budget), budget.nodes))
+        assert outcomes == [(None, 3), (None, 3)]
+
+
+def test_deficits_match_fraction_formula():
+    # the integer demand ceil((f*d - c)*b / (d*a)) for alpha = a/b and
+    # beta = c/d equals the least w with alpha*w + beta >= f, in Fractions
+    rng = random.Random(67)
+    for _ in range(2000):
+        alpha = 1 + Fraction(rng.randint(0, 30), rng.randint(1, 12))
+        beta = Fraction(rng.randint(0, 40), rng.randint(1, 12))
+        fvec = [SimpleNamespace(f=rng.randint(0, 12)) for _ in range(5)]
+        expected = []
+        for cert in fvec:
+            q = (cert.f - beta) / alpha
+            expected.append(max(0, -(-q.numerator // q.denominator)))
+        got = solver._deficits_for(fvec, alpha, beta)
+        assert got == expected, (alpha, beta, fvec)
+        assert all(alpha * w + beta >= c.f and (w == 0 or alpha * (w - 1) + beta < c.f) for w, c in zip(got, fvec))
 
 
 def test_cover_search_at_a_thousand_seats():
