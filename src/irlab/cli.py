@@ -148,11 +148,11 @@ def gen_cmd(model, n, m, k, seed, p, radius_owner, out):
         raise click.UsageError(str(exc))
     text = serialize_profile(election)
     if out == "-":
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        click.echo(f"wrote {out}", err=True)
+        click.echo(f"wrote {out}", file=sys.stderr)
 
 
 @main.command("fvec")
@@ -173,10 +173,11 @@ def fvec_cmd(profile, method, cap):
         certs = f_vector(election, method, order=order, node_cap=cap)
     except BudgetExceededError as exc:
         raise click.ClickException(str(exc))
-    click.echo("voter,f,witness")
-    for cert in certs:
-        witness_text = " ".join(str(c + 1) for c in sorted(cert.witness_set))
-        click.echo(f"{cert.voter + 1},{cert.f},{witness_text}")
+    rows = [
+        f"{cert.voter + 1},{cert.f},{' '.join(str(c + 1) for c in sorted(cert.witness_set))}"
+        for cert in certs
+    ]
+    click.echo("\n".join(["voter,f,witness", *rows]), file=sys.stdout)
 
 
 @main.command("check")
@@ -213,14 +214,15 @@ def check_cmd(profile, committee, axiom_name, alpha, beta, expect, as_json, cap)
         }
         if verdict.witness is not None:
             payload["witness"] = _jsonable(vars(verdict.witness))
-        click.echo(json.dumps(payload))
+        click.echo(json.dumps(payload), file=sys.stdout)
     else:
-        click.echo(f"{axiom}: {verdict.status}")
+        click.echo(f"{axiom}: {verdict.status}", file=sys.stdout)
         if verdict.witness is not None:
             wt = verdict.witness
             click.echo(
                 f"  witness: voters {sorted(v + 1 for v in wt.group)}, "
-                f"candidates {sorted(c + 1 for c in wt.candidate_set)}, level {wt.level}"
+                f"candidates {sorted(c + 1 for c in wt.candidate_set)}, level {wt.level}",
+                file=sys.stdout,
             )
     if expect is not None and verdict.status != expect:
         sys.exit(1)
@@ -252,7 +254,7 @@ def rule_cmd(profile, rule_name, all_tied, weight):
             {k: v for k, v in outcome.diagnostics.items() if k in surface}
         ),
     }
-    click.echo(json.dumps(payload))
+    click.echo(json.dumps(payload), file=sys.stdout)
 
 
 @main.command("solve")
@@ -295,7 +297,7 @@ def solve_cmd(profile, objective, alpha, beta, cap, expect):
         "beta": _jsonable(result.achieved_beta),
         "nodes": result.nodes,
     }
-    click.echo(json.dumps(payload))
+    click.echo(json.dumps(payload), file=sys.stdout)
     if expect is not None and result.status != expect:
         sys.exit(1)
 
@@ -338,7 +340,7 @@ def recognize_cmd(profile, domain_name, expect):
         witness = domains.recognize(election, DOMAIN_NAMES[name])
         payload[name] = None if witness is None else _witness_payload(witness)
         last_member = witness is not None
-    click.echo(json.dumps(payload))
+    click.echo(json.dumps(payload), file=sys.stdout)
     if expect is not None and (expect == "member") != last_member:
         sys.exit(1)
 
@@ -380,7 +382,7 @@ def construct_cmd(profile, domain_name, tree):
             "ssjr_guaranteed": tag.ssjr_guaranteed,
         },
     }
-    click.echo(json.dumps(payload))
+    click.echo(json.dumps(payload), file=sys.stdout)
 
 
 @main.command("experiment")
@@ -430,12 +432,12 @@ def experiment_cmd(models, n, m, k_min, k_max, instances, rule_names, seed, jobs
         raise click.UsageError(str(exc))
     click.echo(
         f"running {len(model_list)} models x {len(spec.k_values)} k x {instances} instances",
-        err=True,
+        file=sys.stderr,
     )
     rows = run_experiment(spec)
     write_outputs(spec, rows, out)
     undecided = sum(1 for r in rows if r.undecided)
-    click.echo(f"done: {len(rows)} rows, {undecided} undecided -> {out}", err=True)
+    click.echo(f"done: {len(rows)} rows, {undecided} undecided -> {out}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -212,56 +212,66 @@ def parse_profile(text: str) -> Election:
     candidate indices approved by voters 1..n (an empty line is an empty
     ballot).  ``#`` starts a comment line, trailing whitespace is ignored,
     LF and CRLF are both accepted.
+
+    One pass over the lines: a ballot is read whole through a table from the
+    canonical tokens ``"1"``..``str(m)`` to indices (one entry per character
+    of ``text`` at most, so a huge m cannot outgrow the input); a line with
+    any other token (``01``, ``+2``, ``x``, an index out of range) or with a
+    repeated index is read token by token, which accepts what ``int`` reads
+    and words every error.
     """
     header: tuple[int, int, int] | None = None
     approvals: list[frozenset[int]] = []
-    header_values: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if line.lstrip().startswith("#"):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if tokens and tokens[0].startswith("#"):
             continue
         if header is None:
-            if not line.strip():
+            if not tokens:
                 continue  # leading blank lines before the header are harmless
-            parts = line.split()
-            if len(parts) != 3:
+            if len(tokens) != 3:
                 raise ProfileFormatError(
                     f"header must be 'n m k', got {line.strip()!r}", lineno
                 )
             try:
-                header_values = [int(p) for p in parts]
+                n, m, k = [int(p) for p in tokens]
             except ValueError:
                 raise ProfileFormatError(
                     f"header must contain integers, got {line.strip()!r}", lineno
                 ) from None
-            n, m, k = header_values
             if n <= 0 or m <= 0:
                 raise ProfileFormatError(f"n and m must be positive, got n={n} m={m}", lineno)
             if not 1 <= k <= m:
                 raise ProfileFormatError(f"k={k} out of range [1, {m}]", lineno)
             header = (n, m, k)
+            index = dict(zip(map(str, range(1, min(m, len(text)) + 1)), range(m))).__getitem__
             continue
-        n, m, k = header
         if len(approvals) == n:
             raise ProfileFormatError(
                 f"unexpected extra content after {n} voter lines: {line.strip()!r}", lineno
             )
-        ballot: set[int] = set()
-        for token in line.split():
-            try:
-                idx = int(token)
-            except ValueError:
-                raise ProfileFormatError(
-                    f"invalid candidate index {token!r}", lineno
-                ) from None
-            if not 1 <= idx <= m:
-                raise ProfileFormatError(
-                    f"candidate index {idx} out of range [1, {m}]", lineno
-                )
-            if idx - 1 in ballot:
-                raise ProfileFormatError(f"duplicate candidate index {idx}", lineno)
-            ballot.add(idx - 1)
-        approvals.append(frozenset(ballot))
+        try:
+            ballot = frozenset(map(index, tokens))
+        except KeyError:
+            ballot = None
+        if ballot is None or len(ballot) != len(tokens):
+            ballot = set()
+            for token in tokens:
+                try:
+                    idx = int(token)
+                except ValueError:
+                    raise ProfileFormatError(
+                        f"invalid candidate index {token!r}", lineno
+                    ) from None
+                if not 1 <= idx <= m:
+                    raise ProfileFormatError(
+                        f"candidate index {idx} out of range [1, {m}]", lineno
+                    )
+                if idx - 1 in ballot:
+                    raise ProfileFormatError(f"duplicate candidate index {idx}", lineno)
+                ballot.add(idx - 1)
+            ballot = frozenset(ballot)
+        approvals.append(ballot)
     if header is None:
         raise ProfileFormatError("missing header line 'n m k'")
     n, m, k = header

@@ -44,9 +44,12 @@ class NodeBudget:
         self.nodes = 0
         self.stage = stage
 
-    def tick(self) -> None:
-        self.nodes += 1
+    def tick(self, count: int = 1) -> None:
+        """Count ``count`` nodes; past the cap, ``nodes`` stops where single
+        ticks would have raised."""
+        self.nodes += count
         if self.nodes > self.cap:
+            self.nodes = max(self.nodes - count, self.cap) + 1
             raise BudgetExceededError(self.cap, self.nodes, self.stage)
 
 

@@ -77,7 +77,12 @@ def _cover_search(
     approved pool within the remaining seats.  Two bit-sliced counters
     (``search.counter``) carry the state: ``need``, what each voter still
     lacks, and ``avail``, her approved candidates still in the pool; every
-    test and update is a whole-mask operation on them.
+    test and update is a whole-mask operation on them.  A node with one seat
+    left that passes the test has only leaves below it, as every unmet voter
+    needs exactly one more: it returns its first option covering every unmet
+    voter (the coverage sort puts those first, in index order), or counts one
+    node per option without building the leaves.  Node counts are those of
+    the search that builds every leaf.
     """
     m, k = election.m, election.k
     cand_voters = election.candidate_voters
@@ -104,11 +109,19 @@ def _cover_search(
                 if pivots & ~s:
                     pivots &= ~s
             pivot = (pivots & -pivots).bit_length() - 1
-            options = sorted(  # stable: ties stay in index order
-                _iter_bits(election.ballot_masks[pivot] & pool),
-                key=lambda c: -(cand_voters[c] & unmet).bit_count(),
-            )
-            frames.append([options, 0, pool, avail, need, unmet])
+            choices = election.ballot_masks[pivot] & pool
+            if len(frames) < k - 1:
+                options = sorted(  # stable: ties stay in index order
+                    _iter_bits(choices),
+                    key=lambda c: -(cand_voters[c] & unmet).bit_count(),
+                )
+                frames.append([options, 0, pool, avail, need, unmet])
+            else:  # last seat: every unmet voter needs 1; the children are leaves
+                for c in _iter_bits(choices):
+                    if not unmet & ~cand_voters[c]:  # sorted first: it covers ``unmet``
+                        budget.tick()
+                        return [options[nxt - 1] for options, nxt, *_ in frames] + [c]
+                budget.tick(choices.bit_count())  # each child cut by the seat test
         while frames:
             frame = frames[-1]
             options, nxt, pool, avail, need, unmet = frame  # undoes the last branch
@@ -117,8 +130,7 @@ def _cover_search(
                 continue
             c = options[nxt]
             pool &= ~(1 << c)  # later branches must not reuse c
-            if len(frames) < k:  # a child with seats left reads ``avail``
-                avail = sub(avail, cand_voters[c])
+            avail = sub(avail, cand_voters[c])
             frame[1:4] = nxt + 1, pool, avail
             need = sub(need, cand_voters[c] & unmet)
             break
@@ -228,9 +240,9 @@ def find_ir_and_ssjr(
 ) -> tuple[SolveResult, SolveResult]:
     """The FIND_IR and the FIND_SSJR result.  An IR committee is semi-strong JR
     too, so once FIND_IR has found one it stands for both and FIND_SSJR is not
-    solved."""
+    solved; nor is it when every f_i <= 1, where its demands are FIND_IR's."""
     ir_res = find_committee(SolveRequest(election, tuple(fvec), "FIND_IR", node_cap=node_cap))
-    if ir_res.status == "found":
+    if ir_res.status == "found" or all(cert.f <= 1 for cert in fvec):
         return ir_res, ir_res
     ssjr_res = find_committee(SolveRequest(election, tuple(fvec), "FIND_SSJR", node_cap=node_cap))
     return ir_res, ssjr_res

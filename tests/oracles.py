@@ -7,9 +7,10 @@ per-voter voter-interval scan, the Fraction Thiele scorer, the per-voter
 Fraction seq-Phragmen and Rule X, the ballot-scanning greedy Monroe, the
 linear-scan Mallows sampler, Kuhn's recursive quota matching, the separate
 FJR and core deviation searches, the recursive EJR/PJR cohesive-set search
-and cover search, and the frozenset prefix/suffix layout with the
-run-pattern WSC check are the engines the package replaced; they stay here
-as references for the ones that replaced them.
+and cover search (which builds every leaf), the frozenset prefix/suffix
+layout with the run-pattern WSC check and the token-by-token ``.avp`` reader
+are the engines the package replaced; they stay here as references for the
+ones that replaced them.
 """
 
 from fractions import Fraction
@@ -20,7 +21,14 @@ from typing import Iterable, Sequence
 from irlab.cohesion import CohesionCertificate
 from irlab.axioms import AxiomVerdict, ViolationWitness
 from irlab.domains import CEIWitness, VEIWitness, WSCWitness
-from irlab.model import Election, VoterGroup, _iter_bits, mask_to_set, members_mask
+from irlab.model import (
+    Election,
+    ProfileFormatError,
+    VoterGroup,
+    _iter_bits,
+    mask_to_set,
+    members_mask,
+)
 from irlab.rules import MAX_ENUMERATED_COMMITTEES, _thiele_classes
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, max_flow
 
@@ -1222,3 +1230,76 @@ def greedy_monroe(election: Election) -> tuple[list[int], list]:
         remaining_cands.remove(best_c)
         committee.append(best_c)
     return committee, assignment
+
+
+# --------------------------------------------------------------------------
+# The .avp format: the token-by-token reader
+# --------------------------------------------------------------------------
+
+
+def parse_profile(text: str) -> Election:
+    """Parse a ``.avp`` character stream into a validated :class:`Election`,
+    reading every ballot token by token with ``int``.
+
+    Format: line 1 is ``n m k``; the next n non-comment lines hold the 1-based
+    candidate indices approved by voters 1..n (an empty line is an empty
+    ballot).  ``#`` starts a comment line, trailing whitespace is ignored,
+    LF and CRLF are both accepted.
+    """
+    header: tuple[int, int, int] | None = None
+    approvals: list[frozenset[int]] = []
+    header_values: list[int] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip()
+        if line.lstrip().startswith("#"):
+            continue
+        if header is None:
+            if not line.strip():
+                continue  # leading blank lines before the header are harmless
+            parts = line.split()
+            if len(parts) != 3:
+                raise ProfileFormatError(
+                    f"header must be 'n m k', got {line.strip()!r}", lineno
+                )
+            try:
+                header_values = [int(p) for p in parts]
+            except ValueError:
+                raise ProfileFormatError(
+                    f"header must contain integers, got {line.strip()!r}", lineno
+                ) from None
+            n, m, k = header_values
+            if n <= 0 or m <= 0:
+                raise ProfileFormatError(f"n and m must be positive, got n={n} m={m}", lineno)
+            if not 1 <= k <= m:
+                raise ProfileFormatError(f"k={k} out of range [1, {m}]", lineno)
+            header = (n, m, k)
+            continue
+        n, m, k = header
+        if len(approvals) == n:
+            raise ProfileFormatError(
+                f"unexpected extra content after {n} voter lines: {line.strip()!r}", lineno
+            )
+        ballot: set[int] = set()
+        for token in line.split():
+            try:
+                idx = int(token)
+            except ValueError:
+                raise ProfileFormatError(
+                    f"invalid candidate index {token!r}", lineno
+                ) from None
+            if not 1 <= idx <= m:
+                raise ProfileFormatError(
+                    f"candidate index {idx} out of range [1, {m}]", lineno
+                )
+            if idx - 1 in ballot:
+                raise ProfileFormatError(f"duplicate candidate index {idx}", lineno)
+            ballot.add(idx - 1)
+        approvals.append(frozenset(ballot))
+    if header is None:
+        raise ProfileFormatError("missing header line 'n m k'")
+    n, m, k = header
+    if len(approvals) < n:
+        raise ProfileFormatError(
+            f"expected {n} voter lines, found only {len(approvals)}"
+        )
+    return Election(n=n, m=m, k=k, approvals=tuple(approvals))

@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import random
 
@@ -37,6 +39,25 @@ def test_unknown_subcommand_exit_two():
     runner = CliRunner()
     result = runner.invoke(main, ["bogus"])
     assert result.exit_code == 2
+
+
+def test_repeated_requests_release_their_output_streams(tmp_path):
+    # click.echo without a file caches the stream it resolves in a weak-key
+    # dictionary whose value is the stream itself, so every in-process request
+    # would keep its output buffers alive
+    path = _write_profile(tmp_path, generate(GenSpec(model="ic", n=30, m=8, seed=1), k=3))
+    runner = CliRunner()
+
+    def live_buffers():
+        gc.collect()
+        return sum(isinstance(obj, io.BytesIO) for obj in gc.get_objects())
+
+    result = runner.invoke(main, ["fvec", path])
+    before = live_buffers()
+    for _ in range(200):
+        result = runner.invoke(main, ["fvec", path])
+    assert result.exit_code == 0
+    assert live_buffers() <= before
 
 
 def test_check_json_witness(tmp_path):

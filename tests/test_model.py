@@ -15,7 +15,10 @@ from irlab.model import (
     serialize_profile,
     supporters,
 )
+import hard_instances
 from hard_instances import two_camps_with_bridge
+from oracles import parse_profile as parse_profile_by_tokens
+from test_cli import _mutate
 
 EX1_TEXT = """8 3 2
 1
@@ -174,3 +177,60 @@ def test_position_mask_and_run_shapes_match_position_lists():
         assert is_run(pm) == block
         assert is_run(pm, "prefix", size) == (block and (not positions or positions[0] == 0))
         assert is_run(pm, "suffix", size) == (block and (not positions or positions[-1] == size - 1))
+
+
+def _parsed(parse, text):
+    """The election a parser returns, or its error's type, message and line."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _noisy_text(rng, election):
+    """``election`` as .avp text with comments, blank lines before the header,
+    CRLF, trailing whitespace, tabs and tokens such as ``01``, ``+2`` or
+    ``002``; a few ballots get a repeated, unknown or out-of-range token."""
+    lines = [f"{election.n} {election.m} {election.k}"]
+    for ballot in election.approvals:
+        tokens = [
+            rng.choice(["{}", "{}", "{}", "0{}", "+{}", "00{}"]).format(c + 1)
+            for c in rng.sample(sorted(ballot), len(ballot))
+        ]
+        if tokens and rng.random() < 0.05:
+            tokens.append(rng.choice([tokens[0], "0", str(election.m + 1), "x", "-1", "1.0"]))
+        lines.append(rng.choice([" ", "  ", "\t"]).join(tokens) + rng.choice(["", "", " ", "\t "]))
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["# note", "  #x", "#", "\t# 1 2"]))
+    head = "\n" * rng.randint(0, 2)
+    return head + rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["\n", "\r\n", ""])
+
+
+def test_parse_profile_matches_token_loop_oracle():
+    # the whole-ballot reader returns the election the token-by-token reader
+    # returns, or raises the same error with the same message and line
+    rng = random.Random(23)
+    fixtures = [
+        fn() for fn in vars(hard_instances).values()
+        if callable(fn) and getattr(fn, "__module__", None) == hard_instances.__name__
+    ]
+    texts = [serialize_profile(e) for e in fixtures]
+    for _ in range(300):
+        n, m = rng.randint(1, 12), rng.randint(1, 25)
+        e = Election.from_approvals(
+            [{c for c in range(m) if rng.random() < 0.4} for _ in range(n)], m=m, k=rng.randint(1, m)
+        )
+        texts.append(_noisy_text(rng, e))
+    for base in list(texts[: len(fixtures)]) + texts[-30:]:
+        texts += [_mutate(rng, base) for _ in range(10)]
+    texts += [
+        "", "\n\n", "# only\n", "2 3 2\n4\n1\n", "1 3 2\n2 2\n", "1 3 4\n1\n", "1 3 0\n1\n",
+        "2 2 1\n1\n", "1 2 1\n1\n2\n", "1 2\n1\n", "a b c\n", "0 2 1\n", "1 -2 1\n",
+        "1 500 1\n300\n", "1 500 1\n499 12 0300\n", "1 3 1\n1 #2\n", "1 3 1\n1\x1c2\n",
+    ]
+    outcomes = {"election": 0, "error": 0}
+    for text in texts:
+        got = _parsed(parse_profile, text)
+        assert got == _parsed(parse_profile_by_tokens, text), repr(text)
+        outcomes["election" if isinstance(got, Election) else "error"] += 1
+    assert min(outcomes.values()) >= 100, outcomes

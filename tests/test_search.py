@@ -1,6 +1,8 @@
 import random
 
-from irlab.search import above, at_least, counter, plus, sub
+import pytest
+
+from irlab.search import BudgetExceededError, NodeBudget, above, at_least, counter, plus, sub
 
 
 def _values(slices, n):
@@ -50,3 +52,26 @@ def test_counter_kernel_edges():
         down = sub(down, _mask(i for i, v in enumerate(_values(down, 3)) if v))
     assert _values(down, 3) == [0, 0, 0]
     assert above(down, 0) == 0 and at_least(down, [], 0b111) == 0b111
+
+
+def test_node_budget_tick_count_stops_where_single_ticks_stop():
+    # tick(count) counts like count single ticks: past the cap it raises
+    # with nodes at cap + 1, where the first single tick over the cap stops
+    for cap in (1, 2, 5):
+        for start in range(cap + 1):
+            for count in range(8):
+                single, batch = NodeBudget(cap, "single"), NodeBudget(cap, "batch")
+                single.nodes = batch.nodes = start
+                single_raised = False
+                try:
+                    for _ in range(count):
+                        single.tick()
+                except BudgetExceededError:
+                    single_raised = True
+                if start + count > cap:
+                    with pytest.raises(BudgetExceededError) as err:
+                        batch.tick(count)
+                    assert batch.nodes == err.value.nodes == cap + 1
+                else:
+                    batch.tick(count)
+                assert (batch.nodes, start + count > cap) == (single.nodes, single_raised)

@@ -180,6 +180,59 @@ def test_cover_search_matches_recursive_search_on_random_demands():
     assert min(seen.values()) >= 50, seen
 
 
+def test_cover_search_matches_recursive_search_at_every_cap():
+    # every cap from 1 to the uncapped node count: the same committee, None
+    # or "capped", and the same node count; a one-seat node counts its
+    # leaves in one tick, which must stop where ticking them one by one does
+    rng = random.Random(59)
+    cases = 0
+    while cases < 20:
+        e = random_election(rng, n_max=10, m_max=9, k_max=5, density=rng.choice([0.3, 0.5]))
+        deficits = (
+            [cert.f for cert in f_vector(e)]
+            if cases % 2
+            else [rng.randint(0, min(len(a), e.k)) for a in e.approvals]
+        )
+        full = NodeBudget(10**6, stage="test")
+        cover_search(e, deficits, full)
+        if full.nodes < 8:
+            continue
+        cases += 1
+        for cap in range(1, full.nodes + 1):
+            outcomes = []
+            for search in (solver._cover_search, cover_search):
+                budget = NodeBudget(cap, stage="test")
+                try:
+                    hit = search(e, deficits, budget)
+                except BudgetExceededError:
+                    hit = "capped"
+                outcomes.append((hit, budget.nodes))
+            assert outcomes[0] == outcomes[1], (e.approvals, e.k, deficits, cap)
+
+
+def test_find_ir_and_ssjr_equals_both_solves_when_every_f_is_at_most_one():
+    # with every f_i <= 1 the FIND_SSJR demands are FIND_IR's, so the pair
+    # reuses the FIND_IR result; it equals a separate FIND_SSJR solve in
+    # status, committee and nodes
+    rng = random.Random(71)
+    elections = [uncoverable_line_instance()] + [
+        random_election(rng, n_max=12, m_max=9, k_max=2, density=0.5) for _ in range(600)
+    ]
+    seen = {"found": 0, "infeasible": 0, "undecided": 0}
+    for e in elections:
+        fvec = tuple(f_vector(e))
+        if max(cert.f for cert in fvec) > 1:
+            continue
+        for cap in (2, 10**6):
+            ir, ssjr = (
+                find_committee(SolveRequest(e, fvec, objective, node_cap=cap))
+                for objective in ("FIND_IR", "FIND_SSJR")
+            )
+            assert solver.find_ir_and_ssjr(e, fvec, cap) == (ir, ssjr)
+            seen[ir.status] += 1
+    assert min(seen.values()) >= 10, seen
+
+
 def _wide_election(rng):
     """A random profile of 65 to 200 voters, past one machine word, with k >= 9."""
     n, m = rng.randint(65, 200), rng.randint(12, 18)
