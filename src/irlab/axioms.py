@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cohesion import CohesionCertificate, f_vector
-from .model import Committee, Election, first_unmet, mask_to_set, members_mask
+from .cohesion import CohesionCertificate, deficits_for, f_vector
+from .model import Committee, Election, _iter_bits, first_unmet, mask_to_set, members_mask
 from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, quota_assignment
 from .search import at_least, counter, plus
 
@@ -126,20 +126,15 @@ def check(
     kind = axiom.kind
     if kind in GROUP_AXIOMS and len(committee.members) != election.k:
         raise ValueError(f"{axiom} is defined for committees of size exactly k")
-    if kind in ("IR", "ALPHA_BETA_IR") and fvec is None:
+    entitled = kind in ("IR", "ALPHA_BETA_IR")
+    if entitled and fvec is None:
         fvec = f_vector(election, "exact", node_cap=node_cap)
-    counts = None if kind == "IR" else _committee_counts(election, committee)
+    counts = None if entitled else _committee_counts(election, committee)
     budget = NodeBudget(node_cap, stage=f"axioms.{kind}")
     try:
-        if kind == "IR":  # an integer comparison decides plain IR
-            short = first_unmet(election, committee.mask(), [cert.f for cert in fvec])
-            witness = _entitlement_witness(fvec, short)
-        elif kind == "ALPHA_BETA_IR":
-            alpha, beta = axiom.alpha, axiom.beta
-            short = next(
-                (i for i in range(election.n) if alpha * counts[i] + beta < fvec[i].f), None
-            )
-            witness = _entitlement_witness(fvec, short)
+        if entitled:  # alpha*|W cap A_i| + beta < f_i: fewer members than the demand
+            demand = deficits_for(fvec, axiom.alpha or 1, axiom.beta or 0)
+            witness = _entitlement_witness(fvec, first_unmet(election, committee.mask(), demand))
         elif kind == "SSJR":
             witness = _ssjr_witness(election, counts, fvec)
         elif kind == "JR":
@@ -264,15 +259,15 @@ def _pjr_witness(election, wmask, budget):
     # a violating group's committee footprint W' = union of A_i cap W must
     # have fewer than `level` members; enumerate the footprints directly, as
     # the submasks of W in increasing order
+    everyone = election.all_voters_mask()
     sub = 0
     while True:
         budget.tick()
         size = sub.bit_count()
         if size < k:
-            rest = wmask ^ sub
-            eligible = members_mask(
-                i for i, ballot in enumerate(election.ballot_masks) if ballot & rest == 0
-            )
+            eligible = everyone  # the voters approving no member outside the footprint
+            for c in _iter_bits(wmask ^ sub):
+                eligible &= ~election.candidate_voters[c]
             for level in range(size + 1, k + 1):
                 if eligible.bit_count() * k < level * n:
                     break

@@ -23,6 +23,7 @@ of the position intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Literal, Sequence
 
@@ -53,6 +54,17 @@ class CohesionCertificate:
         if mask != self.witness_supporters.mask:
             return False
         return mask.bit_count() * election.k >= self.f * election.n
+
+
+def deficits_for(
+    fvec: Sequence[CohesionCertificate], alpha: Fraction | int, beta: Fraction | int
+) -> list[int]:
+    """Per-voter demand: the least w >= 0 with alpha*w + beta >= f_i.  With
+    alpha = a/b and beta = c/d that is ceil((f_i*d - c)*b / (d*a)), in
+    integers."""
+    a, b = alpha.numerator, alpha.denominator
+    c, d = beta.numerator, beta.denominator
+    return [max(0, -((c - cert.f * d) * b // (d * a))) for cert in fvec]
 
 
 def _closed_sets(election: Election, budget: NodeBudget) -> Iterator[tuple[int, int]]:

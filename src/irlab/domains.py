@@ -2,8 +2,11 @@
 
 Recognition decides whether a profile lies in a structured domain and, if so,
 produces a machine-checkable witness (an ordering, a partition or per-set
-end flags).  Constructions consume a witness and build a committee with the
-domain's representation guarantee:
+end flags).  :func:`construct` is the one construction path: it verifies the
+witness (the check behind :func:`verify_witness`), lets the domain's builder
+pick the members its rule calls for, pads them once to k seats with the
+lowest-index unused candidates (:func:`~irlab.model.padding`) and, where the
+table promises semi-strong JR, re-checks it with :func:`irlab.axioms.check`:
 
 =========  =====================  ==================
 domain     committee guarantee    semi-strong JR
@@ -25,27 +28,15 @@ recognizers hand the same masks to the consecutive-ones layout of :mod:`c1p`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from . import c1p
-from .cohesion import (
-    CohesionCertificate,
-    _vi_spans,
-    _vi_sweep,
-    vi_order_positions,
-)
-from .model import (
-    Committee,
-    Election,
-    _iter_bits,
-    is_run,
-    padding,
-    position_mask,
-)
+from . import axioms, c1p
+from .cohesion import CohesionCertificate, _vi_spans, _vi_sweep, vi_order_positions
+from .model import Committee, Election, _iter_bits, is_run, padding, position_mask
 
-DomainId = Literal["CI", "VI", "CEI", "VEI", "T_PART", "WSC", "ALPHA_TR", "DUE"]
+DomainId = Literal["CI", "VI", "CEI", "VEI", "T_PART", "WSC", "ALPHA_TR"]
 
 
 class InvalidWitnessError(ValueError):
@@ -125,6 +116,17 @@ DomainWitness = (
 )
 
 
+WITNESS_TYPES: dict[str, type] = {
+    "CI": CIWitness,
+    "VI": VIWitness,
+    "CEI": CEIWitness,
+    "VEI": VEIWitness,
+    "T_PART": TPartWitness,
+    "WSC": WSCWitness,
+    "ALPHA_TR": TreeWitness,
+}
+
+
 # --------------------------------------------------------------------------
 # witness validity
 # --------------------------------------------------------------------------
@@ -132,64 +134,68 @@ DomainWitness = (
 
 def verify_witness(election: Election, domain: DomainId, witness: DomainWitness) -> bool:
     """Re-check a witness against its domain invariants by direct evaluation."""
+    return _witness_problem(election, domain, witness) is None
+
+
+def _witness_problem(election: Election, domain: DomainId, witness: DomainWitness) -> str | None:
+    """Why ``witness`` does not certify ``domain``, or None when it does."""
+    kind = WITNESS_TYPES.get(domain)
+    if kind is None:
+        raise ValueError(f"no witness verification for domain {domain!r}")
+    if not isinstance(witness, kind):
+        return f"expected a {kind.__name__}"
     n, m = election.n, election.m
+    invalid = f"invalid {'t-PART' if domain == 'T_PART' else domain} witness"
     if domain == "CI":
-        if not isinstance(witness, CIWitness) or sorted(witness.candidate_order) != list(range(m)):
-            return False
-        return c1p.is_consecutive_under(witness.candidate_order, election.ballot_masks)
-    if domain == "VI":
-        if not isinstance(witness, VIWitness):
-            return False
+        order, masks = witness.candidate_order, election.ballot_masks
+        if sorted(order) != list(range(m)) or not c1p.is_consecutive_under(order, masks):
+            return invalid
+    elif domain == "VI":
         try:
             vi_order_positions(election, witness.voter_order)
-        except ValueError:
-            return False
-        return True
-    if domain in ("CEI", "VEI"):
+        except ValueError as exc:
+            return str(exc)
+    elif domain in ("CEI", "VEI"):
         # one side per ballot (CEI) or per candidate (VEI) along the witness order
-        if domain == "CEI" and isinstance(witness, CEIWitness):
-            order, sides, size = witness.candidate_order, witness.voter_side, m
-            masks = election.ballot_masks
-        elif domain == "VEI" and isinstance(witness, VEIWitness):
-            order, sides, size = witness.voter_order, witness.candidate_side, n
-            masks = election.candidate_voters
+        size, masks = _ends_axis(election, domain)
+        if domain == "CEI":
+            order, sides = witness.candidate_order, witness.voter_side
         else:
-            return False
-        if sorted(order) != list(range(size)) or len(sides) != len(masks):
-            return False
-        return all(
+            order, sides = witness.voter_order, witness.candidate_side
+        if sorted(order) != list(range(size)) or len(sides) != len(masks) or not all(
             side in ("prefix", "suffix") and is_run(position_mask(mask, order), side, size)
             for mask, side in zip(masks, sides)
-        )
-    if domain == "T_PART":
-        if not isinstance(witness, TPartWitness):
-            return False
-        union: set[int] = set()
-        for block in witness.blocks:
-            if not block or union & block:
-                return False
-            union |= block
-        if union != set(range(m)) or len(witness.voter_block) != n:
-            return False
-        for ballot, b in zip(election.approvals, witness.voter_block):
-            if b == -1:
-                if ballot:
-                    return False
-            elif not 0 <= b < len(witness.blocks) or ballot != witness.blocks[b]:
-                return False
-        return True
-    if domain == "WSC":
-        if not isinstance(witness, WSCWitness) or sorted(witness.voter_order) != list(range(n)):
-            return False
-        return _wsc_order_valid(election, witness.voter_order)
-    if domain == "ALPHA_TR":
-        if not isinstance(witness, TreeWitness):
-            return False
+        ):
+            return invalid
+    elif domain == "T_PART":
+        # nonempty blocks covering each candidate once; each ballot its block
+        blocks = witness.blocks
+        if not all(blocks) or sorted(c for block in blocks for c in block) != list(range(m)):
+            return invalid
+        if len(witness.voter_block) != n or any(
+            not -1 <= b < len(blocks) or ballot != (blocks[b] if b >= 0 else frozenset())
+            for ballot, b in zip(election.approvals, witness.voter_block)
+        ):
+            return invalid
+    elif domain == "WSC":
+        order = witness.voter_order
+        if sorted(order) != list(range(n)) or not _wsc_order_valid(election, order):
+            return invalid
+    else:
         try:
-            return verify_tree(election, witness)
-        except ValueError:
-            return False
-    raise ValueError(f"no witness verification for domain {domain!r}")
+            if not verify_tree(election, witness):
+                return "ballots are not root paths of the tree"
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def _ends_axis(election: Election, domain: DomainId) -> tuple[int, tuple[int, ...]]:
+    """The column count and the masks laid out at the ends: the ballots over
+    the candidates for CEI, the supporter sets over the voters for VEI."""
+    if domain == "CEI":
+        return election.m, election.ballot_masks
+    return election.n, election.candidate_voters
 
 
 def _wsc_order_valid(election: Election, order: Sequence[int]) -> bool:
@@ -218,8 +224,8 @@ def _wsc_order_valid(election: Election, order: Sequence[int]) -> bool:
 def recognize(election: Election, domain: DomainId) -> DomainWitness | None:
     """Find a domain witness, or None when the profile is provably outside.
 
-    DUE recognition is out of scope and ALPHA_TR witnesses are verified
-    rather than searched (use :func:`verify_tree`).
+    ALPHA_TR witnesses are verified rather than searched (use
+    :func:`verify_tree`).
     """
     if domain == "CI":
         order = c1p.consecutive_ones_order(election.m, election.ballot_masks)
@@ -227,25 +233,19 @@ def recognize(election: Election, domain: DomainId) -> DomainWitness | None:
     if domain == "VI":
         order = c1p.consecutive_ones_order(election.n, election.candidate_voters)
         return None if order is None else VIWitness(voter_order=tuple(order))
-    if domain == "CEI":
-        layout = _prefix_suffix_layout(election.m, election.ballot_masks)
+    if domain in ("CEI", "VEI"):
+        size, masks = _ends_axis(election, domain)
+        layout = _prefix_suffix_layout(size, masks)
         if layout is None:
             return None
         order, side_of = layout
-        sides = tuple(side_of.get(mask, "prefix") for mask in election.ballot_masks)
-        return CEIWitness(candidate_order=tuple(order), voter_side=sides)
-    if domain == "VEI":
-        layout = _prefix_suffix_layout(election.n, election.candidate_voters)
-        if layout is None:
-            return None
-        order, side_of = layout
-        sides = tuple(side_of.get(mask, "prefix") for mask in election.candidate_voters)
-        return VEIWitness(voter_order=tuple(order), candidate_side=sides)
+        sides = tuple(side_of.get(mask, "prefix") for mask in masks)
+        return WITNESS_TYPES[domain](tuple(order), sides)
     if domain == "T_PART":
         return _recognize_tpart(election)
     if domain == "WSC":
         return _recognize_wsc(election)
-    if domain in ("DUE", "ALPHA_TR"):
+    if domain == "ALPHA_TR":
         raise ValueError(f"recognition for domain {domain} is not supported")
     raise ValueError(f"unknown domain {domain!r}")
 
@@ -439,27 +439,43 @@ class ConstructResult:
     committee: Committee
     guarantee: GuaranteeTag
     trace: VITrace | None = None
-    metadata: dict = field(default_factory=dict)
 
 
 def construct(
     election: Election, domain: DomainId, witness: DomainWitness
 ) -> ConstructResult:
-    """Build a committee with the domain's guarantee; the witness is re-verified."""
-    if domain == "VI":
-        return construct_vi(election, witness)
-    if domain in ("CEI", "VEI"):
-        return _construct_ends(election, domain, witness)
-    if domain == "T_PART":
-        return _construct_tpart(election, witness)
-    if domain == "WSC":
-        return _construct_wsc(election, witness)
-    if domain == "ALPHA_TR":
-        return _construct_atr(election, witness)
-    raise ValueError(f"no construction for domain {domain!r}")
+    """Build a committee with the domain's guarantee.
+
+    The one construction path: the witness is re-verified, the domain's
+    builder picks the members its rule guarantees, the lowest-index unused
+    candidates pad them to k seats, and a semi-strong JR guarantee is
+    re-checked on the padded committee.
+    """
+    build = _BUILDERS.get(domain)
+    if build is None:
+        raise ValueError(f"no construction for domain {domain!r}")
+    problem = _witness_problem(election, domain, witness)
+    if problem is not None:
+        raise InvalidWitnessError(problem)
+    members, trace = build(election, witness)
+    if len(members) > election.k:
+        raise AssertionError(f"the {domain} construction exceeded the committee size")
+    pad = padding(election, members)
+    committee = Committee.of([*members, *pad], election)
+    if trace is not None:
+        trace = replace(trace, padding=pad)
+    guarantee = GUARANTEES[domain]
+    if guarantee.ssjr_guaranteed:
+        verdict = axioms.check(election, committee, axioms.SSJR)
+        if verdict.status != "satisfied":
+            (v,) = verdict.witness.deprived
+            raise ConstructionInfeasibleError(
+                f"voter {v} with positive entitlement left unrepresented"
+            )
+    return ConstructResult(committee=committee, guarantee=guarantee, trace=trace)
 
 
-def construct_vi(election: Election, witness: VIWitness) -> ConstructResult:
+def _vi_members(election: Election, witness: VIWitness) -> tuple[set[int], VITrace]:
     """Two-pass committee construction with the (2,4) guarantee on VI profiles.
 
     Round 1 walks the witness order forward and tops up each voter to
@@ -467,15 +483,10 @@ def construct_vi(election: Election, witness: VIWitness) -> ConstructResult:
     the voter's own witness set; round 2 walks backwards with the mirrored
     target floor(|N_<i| * k / 2n), avoiding round-1 picks where possible.
     When a witness set is exhausted the voter already holds all of it, which
-    meets the guarantee outright.
+    meets the guarantee outright.  The trace's padding is left empty.
     """
-    if not isinstance(witness, VIWitness):
-        raise InvalidWitnessError("expected a VIWitness")
     order = list(witness.voter_order)
-    try:
-        pos, spans = _vi_spans(election, order)
-    except ValueError as exc:
-        raise InvalidWitnessError(str(exc)) from None
+    pos, spans = _vi_spans(election, order)
     certs = _vi_sweep(election, pos, spans)
     n, k = election.n, election.k
     # a witness's supporters are the positions its candidates' spans share
@@ -522,46 +533,20 @@ def construct_vi(election: Election, witness: VIWitness) -> ConstructResult:
 
     committee, round1 = vi_round(range(n), above, frozenset())
     hat, round2 = vi_round(range(n - 1, -1, -1), below, frozenset(committee))
-    members = committee | hat
-    if len(members) > k:
-        raise AssertionError("two-pass selection exceeded the committee size")
-    pad = padding(election, members)
-    members.update(pad)
-    trace = VITrace(
-        round1=round1,
-        round2=round2,
-        padding=pad,
-        certificates=tuple(certs),
-    )
-    return ConstructResult(
-        committee=Committee.of(members, election),
-        guarantee=GUARANTEES["VI"],
-        trace=trace,
-    )
+    return committee | hat, VITrace(round1, round2, (), tuple(certs))
 
 
-def _construct_ends(election: Election, domain: DomainId, witness) -> ConstructResult:
+def _ends_members(election: Election, order: Sequence[int]) -> tuple[set[int], None]:
     """CEI and VEI: the first k universally approved candidates when there are
     that many, otherwise the first k//2 and the last k - k//2 candidates of
     the domain's candidate order (the witness's for CEI, `vei_candidate_order`
     for VEI)."""
-    kind = CEIWitness if domain == "CEI" else VEIWitness
-    if not isinstance(witness, kind) or not verify_witness(election, domain, witness):
-        raise InvalidWitnessError(f"invalid {domain} witness")
     k = election.k
     full = election.all_voters_mask()
     common = [c for c in range(election.m) if election.candidate_voters[c] == full]
     if len(common) >= k:
-        members = set(common[:k])
-    else:
-        if domain == "CEI":
-            order = witness.candidate_order
-        else:
-            order = vei_candidate_order(election, witness)
-        members = set(order[: k // 2]) | set(order[len(order) - (k - k // 2) :])
-    return ConstructResult(
-        committee=Committee.of(members, election), guarantee=GUARANTEES[domain]
-    )
+        return set(common[:k]), None
+    return set(order[: k // 2]) | set(order[len(order) - (k - k // 2) :]), None
 
 
 def vei_candidate_order(election: Election, witness: VEIWitness) -> list[int]:
@@ -582,38 +567,22 @@ def vei_candidate_order(election: Election, witness: VEIWitness) -> list[int]:
     return [c for _, c in prefix_cands] + [c for _, c in suffix_cands]
 
 
-def _construct_tpart(election: Election, witness: TPartWitness) -> ConstructResult:
-    if not isinstance(witness, TPartWitness) or not verify_witness(election, "T_PART", witness):
-        raise InvalidWitnessError("invalid t-PART witness")
+def _tpart_members(election: Election, witness: TPartWitness) -> tuple[set[int], None]:
+    """Each block's lowest-index candidates, as many as its supporters' quota."""
     n, k = election.n, election.k
     members: set[int] = set()
     for block in witness.blocks:
         backing = election.supporters_mask(block).bit_count()
         quota = (backing * k) // n
         members.update(sorted(block)[: min(quota, len(block))])
-    if len(members) > k:
-        raise AssertionError("block quotas exceeded the committee size")
-    members.update(padding(election, members))
-    return ConstructResult(
-        committee=Committee.of(members, election), guarantee=GUARANTEES["T_PART"]
-    )
+    return members, None
 
 
-def _singleton_demands(election: Election) -> list[tuple[int, int]]:
-    """(voter, candidate) for single-candidate ballots whose voter has f_i >= 1."""
-    out = []
-    for v, ballot in enumerate(election.approvals):
-        if len(ballot) == 1:
-            c = next(iter(ballot))
-            if election.candidate_voters[c].bit_count() * election.k >= election.n:
-                out.append((v, c))
-    return out
-
-
-def _construct_wsc(election: Election, witness: WSCWitness) -> ConstructResult:
-    if not isinstance(witness, WSCWitness) or not verify_witness(election, "WSC", witness):
-        raise InvalidWitnessError("invalid WSC witness")
-    k = election.k
+def _wsc_members(election: Election, witness: WSCWitness) -> tuple[set[int], None]:
+    """The lowest candidate of the first wide ballot along the order and of the
+    first wide ballot without it, then the candidate of every entitled
+    single-candidate voter."""
+    n, k = election.n, election.k
     members: set[int] = set()
     wide = [v for v in witness.voter_order if len(election.approvals[v]) >= 2]
     if wide:
@@ -626,8 +595,11 @@ def _construct_wsc(election: Election, witness: WSCWitness) -> ConstructResult:
             members.add(min(election.approvals[crossing]))
     # single-candidate voters are excluded from the crossing argument; cover
     # the entitled ones directly while seats remain
-    for v, c in _singleton_demands(election):
-        if c not in members:
+    for v, ballot in enumerate(election.approvals):
+        if len(ballot) != 1:
+            continue
+        (c,) = ballot
+        if c not in members and election.candidate_voters[c].bit_count() * k >= n:
             if len(members) >= k:
                 raise ConstructionInfeasibleError(
                     f"no seat left for entitled single-candidate voter {v}"
@@ -635,40 +607,28 @@ def _construct_wsc(election: Election, witness: WSCWitness) -> ConstructResult:
             members.add(c)
     if len(members) > k:
         raise ConstructionInfeasibleError("guaranteed candidates exceed committee size")
-    members.update(padding(election, members))
-    committee = Committee.of(members, election)
-    # the guarantee is semi-strong JR; re-check it rather than assuming
-    for v, ballot in enumerate(election.approvals):
-        entitled = any(
-            election.candidate_voters[c].bit_count() * k >= election.n for c in ballot
-        )
-        if entitled and not (ballot & committee.members):
-            raise ConstructionInfeasibleError(
-                f"voter {v} with positive entitlement left unrepresented"
-            )
-    return ConstructResult(committee=committee, guarantee=GUARANTEES["WSC"])
+    return members, None
 
 
-def _construct_atr(election: Election, witness: TreeWitness) -> ConstructResult:
-    if not isinstance(witness, TreeWitness):
-        raise InvalidWitnessError("expected a TreeWitness")
-    try:
-        valid = verify_tree(election, witness)
-    except ValueError as exc:
-        raise InvalidWitnessError(str(exc)) from None
-    if not valid:
-        raise InvalidWitnessError("ballots are not root paths of the tree")
+def _atr_members(election: Election, witness: TreeWitness) -> tuple[set[int], None]:
+    """A candidate at depth d (its root path holds d candidates) joins when
+    its supporters can claim d seats."""
     n, k = election.n, election.k
-    # a candidate at depth d (its root path holds d candidates) joins when
-    # its supporters can claim d seats
     members = {
         c
         for c, path in enumerate(_root_paths(witness.parent))
         if election.candidate_voters[c].bit_count() * k >= n * path.bit_count()
     }
-    if len(members) > k:
-        raise AssertionError("tree selection exceeded the committee size")
-    members.update(padding(election, members))
-    return ConstructResult(
-        committee=Committee.of(members, election), guarantee=GUARANTEES["ALPHA_TR"]
-    )
+    return members, None
+
+
+_BUILDERS = {
+    "VI": _vi_members,
+    "CEI": lambda election, witness: _ends_members(election, witness.candidate_order),
+    "VEI": lambda election, witness: _ends_members(
+        election, vei_candidate_order(election, witness)
+    ),
+    "T_PART": _tpart_members,
+    "WSC": _wsc_members,
+    "ALPHA_TR": _atr_members,
+}

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from . import axioms
-from .cohesion import CohesionCertificate
+from .cohesion import CohesionCertificate, deficits_for
 from .model import Committee, Election, _iter_bits, first_unmet, members_mask, padding
 from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, above, at_least, counter, sub
 
@@ -53,17 +53,6 @@ class SolveResult:
     achieved_alpha: Fraction | None
     achieved_beta: Fraction | None
     nodes: int
-
-
-def _deficits_for(
-    fvec: Sequence[CohesionCertificate], alpha: Fraction, beta: Fraction
-) -> list[int]:
-    """Per-voter demand: the least w >= 0 with alpha*w + beta >= f_i.  With
-    alpha = a/b and beta = c/d that is ceil((f_i*d - c)*b / (d*a)), in
-    integers."""
-    a, b = alpha.numerator, alpha.denominator
-    c, d = beta.numerator, beta.denominator
-    return [max(0, -((c - cert.f * d) * b // (d * a))) for cert in fvec]
 
 
 def _cover_search(
@@ -197,7 +186,7 @@ def find_committee(request: SolveRequest) -> SolveResult:
             hit = _least_feasible(
                 election,
                 range(fmax + 1),
-                lambda beta: _deficits_for(fvec, request.alpha, Fraction(beta)),
+                lambda beta: deficits_for(fvec, request.alpha, Fraction(beta)),
                 budget,
             )
             if hit is None:  # beta = fmax collapses every demand
@@ -224,7 +213,7 @@ def find_committee(request: SolveRequest) -> SolveResult:
             | {Fraction(1)}
         )
         hit = _least_feasible(
-            election, grid, lambda alpha: _deficits_for(fvec, alpha, request.beta), budget
+            election, grid, lambda alpha: deficits_for(fvec, alpha, request.beta), budget
         )
         if hit is None:
             return SolveResult("infeasible", None, None, None, budget.nodes)

@@ -223,7 +223,7 @@ def test_criterion_3_constructive_guarantees():
     for _ in range(1000):
         e = random_vi_election(rng, n_max=40, m_max=16, k_max=8)
         witness = domains.recognize(e, "VI")
-        result = domains.construct_vi(e, witness)
+        result = domains.construct(e, "VI", witness)
         assert len(result.committee.members) == e.k
         fvec = f_vector(e)
         assert check(e, result.committee, alpha_beta_ir(2, 4), fvec=fvec).satisfied

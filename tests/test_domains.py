@@ -9,11 +9,12 @@ from irlab.c1p import consecutive_ones_order, is_consecutive_under
 from irlab.axioms import IR, SSJR, alpha_beta_ir, check
 from irlab.cohesion import f_vector
 from irlab.domains import (
+    ConstructionInfeasibleError,
     InvalidWitnessError,
+    TPartWitness,
     TreeWitness,
     VIWitness,
     construct,
-    construct_vi,
     recognize,
     verify_tree,
     verify_witness,
@@ -38,6 +39,7 @@ from oracles import (
     verify_by_sets,
     wsc_order_exists,
 )
+import hard_instances
 from hard_instances import uncoverable_line_instance, two_camps_with_bridge, uneven_cohorts, disjoint_blocks_instance, opposed_ends_instance
 
 
@@ -250,6 +252,27 @@ def test_tpart_rejects_overlapping_ballots():
     assert recognize(e, "T_PART") is None
 
 
+def test_tpart_witness_rejects_malformed_partitions():
+    e = Election.from_approvals([{0, 1}, set(), {2}], m=3, k=1)
+    witness = recognize(e, "T_PART")
+    assert witness == TPartWitness((frozenset({0, 1}), frozenset({2})), (0, -1, 1))
+    assert verify_witness(e, "T_PART", witness)
+    for blocks, voter_block in (
+        (({0, 1}, {1, 2}), (0, -1, 1)),  # overlapping blocks
+        (({0, 1}, {2}, set()), (0, -1, 1)),  # an empty block
+        (({0, 1},), (0, -1, 0)),  # candidate 2 in no block
+        (({0, 1}, {2}), (0, -2, 1)),  # block index out of range
+        (({0, 1}, {2}), (0, -1, 2)),
+        (({0, 1}, {2}), (0, -1)),  # a voter without an entry
+        (({0, 1}, {2}), (0, 0, 1)),  # an empty ballot assigned a block
+        (({0, 1}, {2}), (-1, -1, 1)),  # a nonempty ballot without one
+    ):
+        malformed = TPartWitness(tuple(map(frozenset, blocks)), voter_block)
+        assert not verify_witness(e, "T_PART", malformed), (blocks, voter_block)
+        with pytest.raises(InvalidWitnessError, match="invalid t-PART witness"):
+            construct(e, "T_PART", malformed)
+
+
 def test_recognize_refuses_due_and_tree():
     e = two_camps_with_bridge()
     with pytest.raises(ValueError):
@@ -291,6 +314,37 @@ def test_construct_atr_rejects_malformed_tree():
             construct(e, "ALPHA_TR", TreeWitness(parent=parent))
 
 
+def test_construct_messages_reachable_from_the_cli(monkeypatch):
+    """Every error ``irlab construct`` can print, word for word: the tree
+    checks of alpha-TR and the three WSC infeasibilities."""
+    e = Election.from_approvals([{0}, {0, 1}], m=2, k=1)
+    for parent, message in (
+        ((1, 0), "cycle through candidate 0"),
+        ((-1, 5), "candidate 1: parent index 5 out of range"),
+        ((-1,), "parent vector length differs from candidate count"),
+        ((-1, -1), "ballots are not root paths of the tree"),
+    ):
+        with pytest.raises(InvalidWitnessError) as err:
+            construct(e, "ALPHA_TR", TreeWitness(parent=parent))
+        assert str(err.value) == message
+    cases = [
+        ([{0, 1}, {1}], 2, "no seat left for entitled single-candidate voter 1"),
+        ([{1, 2}, {0, 2}], 3, "guaranteed candidates exceed committee size"),
+    ]
+    for approvals, m, message in cases:
+        e = Election.from_approvals(approvals, m=m, k=1)
+        with pytest.raises(ConstructionInfeasibleError) as err:
+            construct(e, "WSC", recognize(e, "WSC"))
+        assert str(err.value) == message
+    # the semi-strong JR re-check holds for every real WSC committee; a
+    # builder that picks nothing leaves voter 0 behind the padded candidate 0
+    monkeypatch.setitem(domains._BUILDERS, "WSC", lambda election, witness: (set(), None))
+    e = Election.from_approvals([{1}, {1}], m=2, k=1)
+    with pytest.raises(ConstructionInfeasibleError) as err:
+        construct(e, "WSC", recognize(e, "WSC"))
+    assert str(err.value) == "voter 0 with positive entitlement left unrepresented"
+
+
 def test_disjoint_blocks_voter_tree_is_not_candidate_tree():
     # the inapproximability instance has a voter-side tree representation;
     # the candidate-side check must reject a path tree over its candidates
@@ -313,7 +367,7 @@ def test_construct_vi_guarantee_random():
     for _ in range(60):
         e = random_vi_election(rng, n_max=20, m_max=10, k_max=6)
         witness = recognize(e, "VI")
-        result = construct_vi(e, witness)
+        result = construct(e, "VI", witness)
         assert len(result.committee.members) == e.k
         fvec = f_vector(e)
         assert _passes_two_four(e, result.committee, fvec)
@@ -344,7 +398,7 @@ def test_vi_trace_support_is_the_supporter_interval():
     for _ in range(300):
         e = random_vi_election(rng, n_max=30, m_max=10)
         order = recognize(e, "VI").voter_order
-        trace = construct_vi(e, VIWitness(order)).trace
+        trace = construct(e, "VI", VIWitness(order)).trace
         for step in trace.round1 + trace.round2:
             cert = trace.certificates[step.voter]
             seen["f = 0" if cert.f == 0 else "f > 0"] += 1
@@ -363,7 +417,7 @@ def test_construct_vi_at_scale():
     witness = recognize(e, "VI")
     fvec = f_vector(e)
     assert [c.f for c in f_vector(e, "vi", witness.voter_order)] == [c.f for c in fvec]
-    result = construct_vi(e, witness)
+    result = construct(e, "VI", witness)
     assert len(result.committee.members) == e.k
     assert all(
         2 * len(result.committee.members & ballot) + 4 >= cert.f
@@ -375,7 +429,7 @@ def test_construct_vi_at_scale():
 def test_construct_vi_on_opposed_ends():
     e = opposed_ends_instance(k=4, n=8)
     witness = recognize(e, "VI")
-    result = construct_vi(e, witness)
+    result = construct(e, "VI", witness)
     fvec = f_vector(e)
     # end voters stay at |A cap W| <= 2 while f = 3; (2,4) still holds
     assert _passes_two_four(e, result.committee, fvec)
@@ -403,7 +457,7 @@ def test_construct_vi_wide_interval_corner():
     )
     witness = recognize(e, "VI")
     assert witness is not None
-    result = construct_vi(e, witness)
+    result = construct(e, "VI", witness)
     n, k = e.n, e.k
     assert len(result.committee.members) == k
     assert _passes_two_four(e, result.committee, f_vector(e))
@@ -421,7 +475,7 @@ def test_construct_vi_wide_interval_corner():
 def test_construct_vi_rejects_bad_witness():
     e = uneven_cohorts()
     with pytest.raises(InvalidWitnessError):
-        construct_vi(e, VIWitness(voter_order=tuple(range(e.n))))
+        construct(e, "VI", VIWitness(voter_order=tuple(range(e.n))))
 
 
 def test_construct_tpart_exact_ir():
@@ -539,7 +593,7 @@ def test_due_fixture_has_no_ssjr_committee():
     assert res.status == "infeasible"
 
 
-# SHA-256 of the construct_vi committee and trace on the profiles below,
+# SHA-256 of the VI construction's committee and trace on the profiles below,
 # recorded while the two rounds were separate loops
 GOLDEN_VI_TRACES_SHA256 = "157c71e0951710746e3244c32374cb1193bb0d30bb50b7bd8461a7545193dab1"
 
@@ -556,7 +610,7 @@ def test_vi_construction_traces_match_golden_digest():
     digest = hashlib.sha256()
     reused = 0
     for e in profiles:
-        result = construct_vi(e, recognize(e, "VI"))
+        result = construct(e, "VI", recognize(e, "VI"))
         t = result.trace
         certs = [
             (c.voter, c.f, sorted(c.witness_set), c.witness_supporters.mask)
@@ -568,3 +622,114 @@ def test_vi_construction_traces_match_golden_digest():
         reused += any(set(step.added) & round1 for step in t.round2)
     assert reused > 0  # some round-2 step had to reuse round-1 picks
     assert digest.hexdigest() == GOLDEN_VI_TRACES_SHA256
+
+
+# SHA-256 of every ``construct`` outcome on the profiles below: the committee,
+# guarantee and trace, or the error type and message (a wrong-type witness is
+# recorded by its error type alone); recorded while each domain had its own
+# construction function
+GOLDEN_CONSTRUCT_SHA256 = "3eee1e95e78cfb34461df61b7b2493b1e5fcfb1052e3d2f70ef9b4fe2a23ba3a"
+
+CONSTRUCTED = ("VI", "CEI", "VEI", "T_PART", "WSC")
+
+
+def _construct_outcome(e, domain, witness, wrong_type=False):
+    try:
+        result = construct(e, domain, witness)
+    except (InvalidWitnessError, domains.ConstructionInfeasibleError, ValueError) as exc:
+        return type(exc).__name__, "wrong type" if wrong_type else str(exc)
+    committee = (sorted(result.committee.members), result.committee.target_size)
+    return repr((committee, result.guarantee, result.trace))
+
+
+def _perturbed_any(rng, witness):
+    """Two entries of the witness's per-voter or per-candidate vector swapped
+    (the block of each voter for t-PART, the parents for a tree), or the
+    perturbation of ``_perturbed``."""
+    if isinstance(witness, domains.TPartWitness):
+        blocks = list(witness.voter_block)
+        i, j = rng.randrange(len(blocks)), rng.randrange(len(blocks))
+        blocks[i], blocks[j] = blocks[j], blocks[i]
+        return domains.TPartWitness(witness.blocks, tuple(blocks))
+    return _perturbed(rng, witness)
+
+
+HARD_INSTANCE_FIXTURES = (
+    "two_camps_with_bridge",
+    "uneven_cohorts",
+    "ssjr_ejr_clash",
+    "disjoint_blocks_instance",
+    "opposed_ends_instance",
+    "coverage_bait_instance",
+    "load_bait_instance",
+    "hamming_bait_instance",
+    "uncoverable_line_instance",
+    "ssjr_not_pr_instance",
+    "pr_without_ir_instance",
+)
+
+
+def _construct_profiles():
+    rng = random.Random(89)
+    profiles = [
+        generate(GenSpec(model=model, n=n, m=m, seed=seed), k=k)
+        for model in MODELS
+        for n, m in ((10, 6), (30, 10))
+        for seed in (1, 2, 3)
+        for k in (1, 3)
+    ]
+    fixtures = [getattr(hard_instances, name)() for name in HARD_INSTANCE_FIXTURES]
+    for e in fixtures:
+        profiles += [Election.from_approvals(e.approvals, m=e.m, k=k) for k in range(1, e.m + 1)]
+    for _ in range(150):
+        profiles += [
+            random_vi_election(rng, n_max=16, m_max=8),
+            random_cei_election(rng, n_max=12, m_max=8),
+            random_vei_election(rng, n_max=12, m_max=8),
+            random_tpart_election(rng, n_max=12, m_max=8),
+            random_wsc_election(rng, n_max=12, wide_ballots=rng.random() < 0.5),
+            random_election(rng, n_max=8, m_max=6, density=rng.choice([0.3, 0.6])),
+        ]
+    trees = [random_atr_election(rng, n_max=12, m_max=8) for _ in range(150)]
+    return rng, profiles, trees
+
+
+def _construct_digest():
+    rng, profiles, trees = _construct_profiles()
+    digest = hashlib.sha256()
+    seen: dict[str, int] = {}
+
+    def record(e, domain, witness, wrong_type=False):
+        outcome = _construct_outcome(e, domain, witness, wrong_type)
+        kind = "built" if isinstance(outcome, str) else outcome[0]
+        seen[kind] = seen.get(kind, 0) + 1
+        digest.update(f"{domain} {outcome!r}\n".encode())
+
+    for e in profiles:
+        record(e, "CI", recognize(e, "CI"))
+        for domain in CONSTRUCTED:
+            witness = recognize(e, domain)
+            if witness is None:
+                continue
+            record(e, domain, witness)
+            for _ in range(2):
+                record(e, domain, _perturbed_any(rng, witness))
+            other = CONSTRUCTED[(CONSTRUCTED.index(domain) + 1) % len(CONSTRUCTED)]
+            record(e, other, witness, True)  # the next domain's witness type differs
+        for parent in ((-1,) * e.m, tuple(range(-1, e.m - 1))):
+            record(e, "ALPHA_TR", TreeWitness(parent))
+    for e, tree in trees:
+        record(e, "ALPHA_TR", tree)
+        for _ in range(2):
+            record(e, "ALPHA_TR", _perturbed_any(rng, tree))
+        record(e, "ALPHA_TR", TreeWitness(tree.parent[:-1]))
+        record(e, "ALPHA_TR", TreeWitness(tree.parent[:-1] + (e.m,)))
+        record(e, "T_PART", tree, True)
+    return digest.hexdigest(), seen
+
+
+def test_construct_outcomes_match_golden_digest():
+    digest, seen = _construct_digest()
+    assert seen["built"] > 3000 and seen["InvalidWitnessError"] > 1000, seen
+    assert seen["ConstructionInfeasibleError"] > 10 and seen["ValueError"] > 500, seen
+    assert digest == GOLDEN_CONSTRUCT_SHA256, (digest, seen)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from irlab import solver
+from irlab import cohesion, solver
 from irlab.axioms import CORE, FJR, check
 from irlab.cohesion import f_vector
 from irlab.gen import GenSpec, generate
@@ -353,7 +353,7 @@ def test_deficits_match_fraction_formula():
         for cert in fvec:
             q = (cert.f - beta) / alpha
             expected.append(max(0, -(-q.numerator // q.denominator)))
-        got = solver._deficits_for(fvec, alpha, beta)
+        got = cohesion.deficits_for(fvec, alpha, beta)
         assert got == expected, (alpha, beta, fvec)
         assert all(alpha * w + beta >= c.f and (w == 0 or alpha * (w - 1) + beta < c.f) for w, c in zip(got, fvec))
 
