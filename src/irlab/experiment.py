@@ -142,7 +142,7 @@ def _run_instance(args) -> ExperimentRow:
         )
     ir_res, ssjr_res = find_ir_and_ssjr(election, fvec, spec.node_cap)
     undecided = ir_res.status == "undecided" or ssjr_res.status == "undecided"
-    wanted = (demands(fvec, "FIND_IR"), demands(fvec, "FIND_SSJR"))
+    wanted = (demands(fvec, "FIND_IR"), demands(fvec, "FIND_SSJR")) if spec.rules else ()
     rule_hits = tuple(
         (str(rule), *probe_rule(election, rule, wanted)) for rule in spec.rules
     )
@@ -167,7 +167,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
         for k in spec.k_values
         for index in range(spec.instances)
     ]
-    workers = min(spec.jobs, len(tasks), os.cpu_count() or 1)
+    workers = 1 if spec.jobs == 1 else min(spec.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
             rows = pool.map(_run_instance, tasks, chunksize=16)

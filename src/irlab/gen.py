@@ -15,7 +15,6 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate
 from typing import Mapping
 
@@ -144,15 +143,9 @@ def _gen_urn(spec: GenSpec, rng: random.Random) -> list[set[int]]:
     return ballots
 
 
-@lru_cache(maxsize=3)
 def _insertion_table(phi: float, m: int) -> list[tuple[list[float], float]]:
     """For i = 1..m: the running sums of the insertion weights phi^(i-j),
-    j = 1..i, accumulated front to back, and their total `sum(weights)`.
-
-    The cached lists are shared between calls and only ever read.  They are
-    lists, not tuples: freed small tuples stay in the interpreter's tuple
-    free lists, which would keep a few MB resident after a long run.
-    """
+    j = 1..i, accumulated front to back, and their total `sum(weights)`."""
     table = []
     for i in range(1, m + 1):
         weights = [phi ** (i - j) for j in range(1, i + 1)]
@@ -160,20 +153,24 @@ def _insertion_table(phi: float, m: int) -> list[tuple[list[float], float]]:
     return table
 
 
-def _mallows_sample(ref: list[int], phi: float, rng: random.Random) -> list[int]:
+def _mallows_sample(
+    ref: list[int], phi: float, rng: random.Random, table: list | None = None
+) -> list[int]:
     """Repeated-insertion sampling; phi=0 reproduces the reference ranking,
-    phi=1 is a uniformly random permutation."""
+    phi=1 is a uniformly random permutation.  ``table`` is
+    ``_insertion_table(phi, len(ref))``, built here when not given."""
     ranking: list[int] = []
-    table = _insertion_table(phi, len(ref)) if phi < 1.0 else ()
+    if phi < 1.0 and table is None:
+        table = _insertion_table(phi, len(ref))
     for i, item in enumerate(ref, start=1):
         # position j in 1..i (1 = front) has weight phi^(i-j)
         if phi >= 1.0:
             j = rng.randint(1, i)
         else:
             prefix, total = table[i - 1]
-            # the first j whose running sum reaches u; the back if rounding
-            # leaves u above them all
-            j = min(bisect_left(prefix, rng.random() * total) + 1, i)
+            # the first j whose running sum reaches u; past the back (when
+            # rounding leaves u above them all) the insertion appends
+            j = bisect_left(prefix, rng.random() * total) + 1
         ranking.insert(j - 1, item)
     return ranking
 
@@ -183,12 +180,13 @@ def _gen_mallows(spec: GenSpec, rng: random.Random) -> list[set[int]]:
     for _ in range(3):
         base = list(range(spec.m))
         rng.shuffle(base)
-        components.append((base, rng.random()))
+        phi = rng.random()
+        components.append((base, phi, _insertion_table(phi, spec.m)))
     cap = _quarter(spec.m)
     out = []
     for _ in range(spec.n):
-        base, phi = components[rng.randrange(3)]
-        ranking = _mallows_sample(base, phi, rng)
+        base, phi, table = components[rng.randrange(3)]
+        ranking = _mallows_sample(base, phi, rng, table)
         size = rng.randint(1, cap)
         out.append(set(ranking[:size]))
     return out

@@ -8,8 +8,11 @@ lexicographically first optimum or all tied optima.  AV and SAV take them
 from the pool of tied candidates; PAV, CC, geometric PAV, Monroe, minimax-AV
 and max-Phragmen run one bounded search (`_lex_search`) that adds candidates
 in increasing order under a committee-count cap.  It cuts a Thiele prefix
-whose score plus its largest gains cannot reach the best score; the other
-three rules score whole committees only.
+whose score plus its largest gains cannot reach the best score, and once the
+completions of a Thiele prefix fit one block it scores them all at once:
+each completion is one bit of a Python int and the scores are bit-sliced
+counters over those bits (``search.tally``), so a desk-scale profile (m = 16)
+is one block.  The other three rules key one committee per last seat.
 
 Thiele scores (PAV, CC, geometric PAV and their sequential forms) are
 computed as exact integers: the weights are scaled by the lcm of their
@@ -31,12 +34,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import combinations, islice, zip_longest
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .model import Committee, Election, _iter_bits, members_mask
-from .search import quota_assignment
+from .search import add, maximum, quota_assignment, settle
 
 SEQUENTIAL_RULES = (
     "seq_pav",
@@ -128,9 +132,10 @@ def _thiele_classes(
     classes = Counter(b for b in election.ballot_masks if b)
     padded = list(weights[:depth]) + [0] * (depth - len(weights))
     rows = [[mult * w for w in padded] for mult in classes.values()]
-    approvers = [
-        [i for i, b in enumerate(classes) if b >> c & 1] for c in range(election.m)
-    ]
+    approvers: list[list[int]] = [[] for _ in range(election.m)]
+    for i, b in enumerate(classes):
+        for c in _iter_bits(b):
+            approvers[c].append(i)
     return rows, approvers
 
 
@@ -403,50 +408,95 @@ def _greedy_monroe(election: Election) -> tuple[list[int], list]:
 # --------------------------------------------------------------------------
 
 
-def _lex_search(election: Election, push, pop, extend, bound, all_tied: bool) -> tuple:
+def _lex_search(election: Election, push, pop, leaves, fits, bound, all_tied: bool) -> tuple:
     """Maximise a key over all size-k committees, in lexicographic order.
 
     Candidates are added in increasing order, so committees are visited in
     `itertools.combinations` order: the first optimum found is the lex-first
     one and ties are listed in that order.  ``push(c)``/``pop(c)`` add and
-    remove a prefix member; ``extend(c)`` is the key of the prefix plus c as
-    its last member, never pushed.  ``bound(nxt, r)`` (None for no bound)
-    bounds the key of every completion by r members from nxt..m-1 from
-    above; a prefix that cannot beat the best key (or tie it, when all ties
-    are wanted) is cut.  It is asked only with two or more seats left and a
-    pool of at least twice the seats, where a cut outweighs its cost.
-    Returns the optimal committees and their key.
+    remove a prefix member.  Once ``fits(p, r)`` holds for the pool of the p
+    candidates from nxt on and the r seats left, ``leaves(nxt, r)`` scores
+    every completion by r of them as one block: it yields (key, completion)
+    pairs in lex order, and a pair is kept only with a key above the best so
+    far (or equal to it, when all ties are wanted).  ``bound(nxt, r)`` (None
+    for no bound) bounds the key of every completion by r members from
+    nxt..m-1 from above; a prefix that cannot beat the best key (or tie it,
+    when all ties are wanted) is cut.  It is asked only with two or more
+    seats left and a pool of at least twice the seats, where a cut outweighs
+    its cost.  Returns the optimal committees and their key.
     """
     m, k = election.m, election.k
     if comb(m, k) > MAX_ENUMERATED_COMMITTEES:
         raise RuntimeError(f"C({m},{k}) exceeds the committee enumeration cap")
+    # fits(m - nxt, r) holds from nxt = start[r] on, as pools only shrink; a
+    # prefix with no seat left is a block of one committee
+    start = [0] + [
+        next((x for x in range(m - r + 1) if fits(m - x, r)), m) for r in range(1, k + 1)
+    ]
     best, winners = None, []
     chosen: list[int] = []
     nxt = 0
     while True:
         left = k - len(chosen)  # seats still to fill
-        if left > 1:
-            if nxt <= m - left:
-                push(nxt)
-                chosen.append(nxt)
-                nxt += 1
-                if m - nxt < 2 * (left - 1) or left < 3 or best is None or bound is None:
-                    continue
-                upper = bound(nxt, left - 1)
-                if upper > best or (upper == best and all_tied):
-                    continue
-        else:
-            for c in range(nxt, m):
-                key = extend(c)
+        if start[left] <= nxt <= m - left:
+            for key, tail in leaves(nxt, left):
                 if best is None or key > best:
-                    best, winners = key, [(*chosen, c)]
+                    best, winners = key, [(*chosen, *tail)]
                 elif key == best and all_tied:
-                    winners.append((*chosen, c))
+                    winners.append((*chosen, *tail))
+        elif nxt <= m - left:
+            push(nxt)
+            chosen.append(nxt)
+            nxt += 1
+            if m - nxt < 2 * (left - 1) or left < 3 or best is None or bound is None:
+                continue
+            upper = bound(nxt, left - 1)
+            if upper > best or (upper == best and all_tied):
+                continue
         if not chosen:
             return winners, best
         last = chosen.pop()
         pop(last)
         nxt = last + 1
+
+
+_BLOCK_BITS = 1 << 22  # a block's membership table: pool * C(pool, seats) bits
+
+
+@lru_cache(maxsize=32)
+def _memberships(p: int, r: int) -> tuple[int, ...]:
+    """Bit j of masks[c] is set iff c is in the j-th r-subset of range(p), in
+    `itertools.combinations` order.
+
+    Built by the lex split, from the last members up: the t-subsets of the
+    last q members that take the first of them come first, as a block of
+    C(q-1, t-1), and the others follow, shifted up past that block.
+    """
+    rows: list[list[int]] = [[] for _ in range(r + 1)]  # rows[t]: t-subsets of the last q
+    for q in range(1, p + 1):
+        for t in range(min(q, r), max(0, r - p + q) - 1, -1):
+            if t:
+                head = comb(q - 1, t - 1)
+                rest = zip_longest(rows[t - 1], rows[t], fillvalue=0)
+                rows[t] = [(1 << head) - 1] + [a | b << head for a, b in rest]
+            else:
+                rows[0] = [0] * q
+    return tuple(rows[r])
+
+
+def _unrank(j: int, p: int, r: int) -> list[int]:
+    """The j-th r-subset of range(p) in `itertools.combinations` order."""
+    out = []
+    c = 0
+    while r:
+        head = comb(p - c - 1, r - 1)  # the subsets that take c next
+        if j < head:
+            out.append(c)
+            r -= 1
+        else:
+            j -= head
+        c += 1
+    return out
 
 
 def _thiele_search(election: Election, weights: Sequence[int], all_tied: bool) -> tuple[list, int]:
@@ -455,9 +505,17 @@ def _thiele_search(election: Election, weights: Sequence[int], all_tied: bool) -
     Adding a member rescores only the classes approving it.  The weights
     never increase, so a candidate's gain only shrinks as members join: the
     score plus the r largest current gains bounds every completion by r
-    members.
+    members.  A block scores all its completions at once, one lane each, in
+    bit-sliced counters: for a class with t0 approved prefix members, the
+    layer masks G[t] of the completions adding at least t approved members
+    follow from ``G[t] |= G[t-1] & masks[c]`` over its pool members c; the
+    class's voters gain weight t0 + t - 1 on G[t], so they are counted there,
+    and the block's score is those counts times the weights.
     """
-    rows, approvers = _thiele_classes(election, weights, election.k)
+    m, k = election.m, election.k
+    rows, approvers = _thiele_classes(election, weights, k)
+    classes = Counter(b for b in election.ballot_masks if b)  # as in `_thiele_classes`
+    depth = min(len(weights), k)  # weights past it are 0
     counts = [0] * len(rows)
     saved: list[int] = []  # the score before each member pushed
     score = 0
@@ -475,15 +533,49 @@ def _thiele_search(election: Election, weights: Sequence[int], all_tied: bool) -
         for i in approvers[c]:
             counts[i] -= 1
 
-    def extend(c):
-        return score + sum([rows[i][counts[i]] for i in approvers[c]])
+    def leaves(nxt, r):
+        p = m - nxt
+        masks = _memberships(p, r) if r > 1 else ()
+        lanes = (1 << comb(p, r)) - 1
+        gained = [[] for _ in range(depth)]  # per lane, the voters gaining weight j (carry-save)
+        for (ballot, mult), t0 in zip(classes.items(), counts):
+            part = ballot >> nxt
+            most = min(r, depth - t0)  # approved members past it gain nothing
+            if not part or most <= 0:
+                continue
+            if r == 1:  # lane c is the completion by candidate nxt + c
+                layers = [lanes, part]
+            else:
+                layers = [lanes]
+                for c in _iter_bits(part):
+                    mc = masks[c]
+                    t = len(layers) - 1
+                    if t < most:
+                        layers.append(layers[t] & mc)
+                    while t:
+                        layers[t] |= layers[t - 1] & mc
+                        t -= 1
+            for j, layer in enumerate(layers[1:], t0):
+                add(gained[j], mult, layer)
+        total = []
+        for w, voters in zip(weights, gained):
+            for b, s in enumerate(settle(voters)):
+                add(total, w << b, s)
+        value, tied = maximum(settle(total), lanes)
+        if not all_tied:
+            tied &= -tied
+        for j in _iter_bits(tied):
+            yield score + value, [nxt + c for c in _unrank(j, p, r)]
+
+    def fits(p, r):
+        return p * comb(p, r) <= _BLOCK_BITS
 
     def bound(nxt, r):
         gains = [row[t] for row, t in zip(rows, counts)]
         pool = sorted([sum([gains[i] for i in approvers[c]]) for c in range(nxt, election.m)])
         return score + sum(pool[-r:])
 
-    return _lex_search(election, push, pop, extend, bound, all_tied)
+    return _lex_search(election, push, pop, leaves, fits, bound, all_tied)
 
 
 def _minimax_key(election: Election, members: Sequence[int]) -> int:
@@ -553,9 +645,12 @@ def run_rule(election: Election, rule: RuleId, mode: str = "single") -> RuleOutc
 
     if rule.kind in ("monroe", "minimax_av", "max_phragmen"):
         key, members = _COMMITTEE_KEYS[rule.kind], []
-        extend = lambda c: key(election, (*members, c))
         pop = lambda c: members.pop()
-        best, top = _lex_search(election, members.append, pop, extend, None, all_tied)
+        leaves = lambda nxt, r: (
+            (key(election, (*members, c)), (c,)) for c in range(nxt, election.m)
+        )
+        fits = lambda p, r: r == 1
+        best, top = _lex_search(election, members.append, pop, leaves, fits, None, all_tied)
         if rule.kind == "monroe":
             return _outcome(election, rule, best, {"score": top})
         if rule.kind == "minimax_av":

@@ -1,11 +1,13 @@
 """Shared search machinery: the node-count budget of the exponential searches,
-the bit-sliced voter counters they keep per node, the one max-flow routine
-and the one quota-assignment network on it.
+the bit-sliced counters they keep, the one max-flow routine and the one
+quota-assignment network on it.
 
-A counter is one count per voter, held as voter masks: slice b, least
-significant first, has bit i set iff bit b of voter i's count is set.  Each
-operation costs a few whole-mask operations per slice, whatever the number of
-voters, so a search updates and tests every voter at once."""
+A counter is one count per lane, held as lane masks: slice b, least
+significant first, has bit i set iff bit b of lane i's count is set.  A lane
+is a voter in the cover and deviation searches and a committee in the
+Thiele rules' blocks.  Each operation costs a few whole-mask operations per
+slice, whatever the number of lanes, so a search updates and tests every
+lane at once."""
 
 from __future__ import annotations
 
@@ -86,6 +88,54 @@ def plus(a: Sequence[int], b: Sequence[int]) -> list[int]:
         out.append(x ^ y ^ carry)
         carry = (x & y) | (carry & (x ^ y))
     return out + [carry] if carry else out
+
+
+def add(columns: list[list[int]], value: int, lanes: int) -> None:
+    """Add ``value`` to every lane of the mask ``lanes`` in a carry-save
+    counter, in place.
+
+    Column b of ``columns`` holds at most two masks of weight 2^b.  Every set
+    bit of ``value`` puts ``lanes`` in its column; a column that reaches
+    three masks is folded by a full adder into one, carrying into the next,
+    so a long run of additions costs about one full adder each.
+    """
+    while len(columns) < value.bit_length():
+        columns.append([])
+    b = 0
+    while value:
+        if value & 1:
+            x, j, col = lanes, b, columns[b]
+            while len(col) == 2:
+                y, z = col
+                half = y ^ z
+                col[:] = [half ^ x]
+                x = (y & z) | (half & x)
+                j += 1
+                if j == len(columns):
+                    columns.append([])
+                col = columns[j]
+            col.append(x)
+        value >>= 1
+        b += 1
+
+
+def settle(columns: Sequence[Sequence[int]]) -> list[int]:
+    """The counter a carry-save counter holds."""
+    first = [col[0] if col else 0 for col in columns]
+    second = [col[1] if len(col) == 2 else 0 for col in columns]
+    return plus(first, second)
+
+
+def maximum(slices: Sequence[int], lanes: int) -> tuple[int, int]:
+    """The largest count among the lanes of the non-empty mask ``lanes``, and
+    the mask of the lanes holding it."""
+    value = 0
+    for b in range(len(slices) - 1, -1, -1):
+        hit = lanes & slices[b]
+        if hit:
+            lanes = hit
+            value |= 1 << b
+    return value, lanes
 
 
 def at_least(a: Sequence[int], b: Sequence[int], voters: int) -> int:

@@ -4,13 +4,13 @@ Most of these evaluate definitions by full enumeration, deliberately sharing
 no search code with the package: subsets are enumerated without pruning and
 orders by factorial search.  The pruned per-voter entitlement search, the
 per-voter voter-interval scan, the Fraction Thiele scorer, the per-voter
-Fraction seq-Phragmen and Rule X, the ballot-scanning greedy Monroe, the
-linear-scan Mallows sampler, Kuhn's recursive quota matching, the separate
-FJR and core deviation searches, the recursive EJR/PJR cohesive-set search
-and cover search (which builds every leaf), the frozenset prefix/suffix
-layout with the run-pattern WSC check and the token-by-token ``.avp`` reader
-are the engines the package replaced; they stay here as references for the
-ones that replaced them.
+Fraction seq-Phragmen and Rule X, the per-leaf bounded Thiele search, the
+ballot-scanning greedy Monroe, the linear-scan Mallows sampler, Kuhn's
+recursive quota matching, the separate FJR and core deviation searches, the
+recursive EJR/PJR cohesive-set search and cover search (which builds every
+leaf), the frozenset prefix/suffix layout with the run-pattern WSC check and
+the token-by-token ``.avp`` reader are the engines the package replaced; they
+stay here as references for the ones that replaced them.
 """
 
 from fractions import Fraction
@@ -1087,6 +1087,95 @@ def _optimize(
         elif s == best_score and all_tied:
             best.append(combo)
     return best, best_score
+
+
+# --------------------------------------------------------------------------
+# Thiele rules: the bounded lex search that scored one committee per leaf,
+# before the bit-sliced blocks
+# --------------------------------------------------------------------------
+
+
+def _lex_search(election: Election, push, pop, extend, bound, all_tied: bool) -> tuple:
+    """Maximise a key over all size-k committees, in lexicographic order.
+
+    Candidates are added in increasing order, so committees are visited in
+    `itertools.combinations` order: the first optimum found is the lex-first
+    one and ties are listed in that order.  ``push(c)``/``pop(c)`` add and
+    remove a prefix member; ``extend(c)`` is the key of the prefix plus c as
+    its last member, never pushed.  ``bound(nxt, r)`` (None for no bound)
+    bounds the key of every completion by r members from nxt..m-1 from
+    above; a prefix that cannot beat the best key (or tie it, when all ties
+    are wanted) is cut.  It is asked only with two or more seats left and a
+    pool of at least twice the seats, where a cut outweighs its cost.
+    Returns the optimal committees and their key.
+    """
+    m, k = election.m, election.k
+    if comb(m, k) > MAX_ENUMERATED_COMMITTEES:
+        raise RuntimeError(f"C({m},{k}) exceeds the committee enumeration cap")
+    best, winners = None, []
+    chosen: list[int] = []
+    nxt = 0
+    while True:
+        left = k - len(chosen)  # seats still to fill
+        if left > 1:
+            if nxt <= m - left:
+                push(nxt)
+                chosen.append(nxt)
+                nxt += 1
+                if m - nxt < 2 * (left - 1) or left < 3 or best is None or bound is None:
+                    continue
+                upper = bound(nxt, left - 1)
+                if upper > best or (upper == best and all_tied):
+                    continue
+        else:
+            for c in range(nxt, m):
+                key = extend(c)
+                if best is None or key > best:
+                    best, winners = key, [(*chosen, c)]
+                elif key == best and all_tied:
+                    winners.append((*chosen, c))
+        if not chosen:
+            return winners, best
+        last = chosen.pop()
+        pop(last)
+        nxt = last + 1
+
+
+def _thiele_search(election: Election, weights: Sequence[int], all_tied: bool) -> tuple[list, int]:
+    """Maximise a scaled-integer Thiele score with `_lex_search`.
+
+    Adding a member rescores only the classes approving it.  The weights
+    never increase, so a candidate's gain only shrinks as members join: the
+    score plus the r largest current gains bounds every completion by r
+    members.
+    """
+    rows, approvers = _thiele_classes(election, weights, election.k)
+    counts = [0] * len(rows)
+    saved: list[int] = []  # the score before each member pushed
+    score = 0
+
+    def push(c):
+        nonlocal score
+        saved.append(score)
+        for i in approvers[c]:
+            score += rows[i][counts[i]]
+            counts[i] += 1
+
+    def pop(c):
+        nonlocal score
+        score = saved.pop()
+        for i in approvers[c]:
+            counts[i] -= 1
+
+    def extend(c):
+        return score + sum([rows[i][counts[i]] for i in approvers[c]])
+
+    def bound(nxt, r):
+        gains = [row[t] for row, t in zip(rows, counts)]
+        pool = sorted([sum([gains[i] for i in approvers[c]]) for c in range(nxt, election.m)])
+        return score + sum(pool[-r:])
+
+    return _lex_search(election, push, pop, extend, bound, all_tied)
 
 
 # --------------------------------------------------------------------------

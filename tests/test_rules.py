@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -22,6 +23,7 @@ from oracles import _minimax_score as oracle_minimax_score
 from oracles import _monroe_score as oracle_monroe_score
 from oracles import _optimize as oracle_optimize
 from oracles import _thiele_optimize as oracle_thiele_optimize
+from oracles import _thiele_search as oracle_thiele_search
 from oracles import brute_optimum, cc_score, greedy_monroe, rev_seq_thiele, seq_thiele, thiele_score
 from hard_instances import (
     hamming_bait_instance,
@@ -362,6 +364,52 @@ def test_lex_search_matches_replaced_engines():
                     assert repr(out.diagnostics) == repr(diagnostics), (rule, mode, e)
                     paths["tied winners"] += len(best) > 1
     assert min(paths.values()) >= 40, paths
+
+
+def test_thiele_blocks_match_the_per_leaf_search(monkeypatch):
+    """PAV, CC and geometric PAV scored in bit-sliced blocks give the
+    committees, in order, and the diagnostics of the bounded search that
+    scored one committee per leaf: with the whole space as one block, and
+    with lex prefixes that end in small blocks or in single committees."""
+    rng = random.Random(67)
+    bases = (Fraction(1, 16), Fraction(1, 2), Fraction(2, 3))
+    family = [RuleId("pav"), RuleId("cc")] + [RuleId("geom_pav", weight=b) for b in bases]
+    paths = Counter()
+    for j, e in enumerate(_exact_rule_elections(rng, 300, 10)):
+        block_bits = (rules._BLOCK_BITS, 24, 1)[j % 3]
+        monkeypatch.setattr(rules, "_BLOCK_BITS", block_bits)
+        paths["one block"] += e.m * comb(e.m, e.k) <= block_bits
+        paths["prefixes, then blocks"] += e.m * comb(e.m, e.k) > block_bits > 1
+        paths["one committee per block"] += block_bits == 1 and e.k < e.m
+        for rule in family:
+            if rule.kind == "pav":
+                weights, scale = rules._harmonic_weights(e.k)
+            elif rule.kind == "cc":
+                weights, scale = [1], 1
+            else:
+                weights, scale = rules._geometric_weights(e.k, rule.weight)
+            for mode in ("single", "all_tied"):
+                out = run_rule(e, rule, mode=mode)
+                best, top = oracle_thiele_search(e, weights, mode == "all_tied")
+                score = top if rule.kind == "cc" else Fraction(top, scale)
+                got = [tuple(sorted(c.members)) for c in out.committees]
+                assert got == best, (rule, mode, block_bits, e)
+                assert repr(out.diagnostics) == repr({"score": score}), (rule, mode, e)
+                paths["tied winners"] += len(best) > 1
+    assert min(paths.values()) >= 40, paths
+
+
+def test_memberships_follow_combinations_order():
+    # bit j of masks[c] is set iff c is in the j-th subset of combinations order
+    for p in range(11):
+        for r in range(p + 1):
+            subsets = list(combinations(range(p), r))
+            masks = rules._memberships(p, r)
+            assert len(masks) == p
+            for c in range(p):
+                assert masks[c] == members_mask(j for j, s in enumerate(subsets) if c in s)
+            for j, subset in enumerate(subsets):
+                assert tuple(rules._unrank(j, p, r)) == subset
 
 
 def test_desk_grid_exact_rules_golden_digest():

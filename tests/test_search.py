@@ -2,7 +2,18 @@ import random
 
 import pytest
 
-from irlab.search import BudgetExceededError, NodeBudget, above, at_least, counter, plus, sub
+from irlab.search import (
+    BudgetExceededError,
+    NodeBudget,
+    above,
+    add,
+    at_least,
+    counter,
+    maximum,
+    plus,
+    settle,
+    sub,
+)
 
 
 def _values(slices, n):
@@ -52,6 +63,40 @@ def test_counter_kernel_edges():
         down = sub(down, _mask(i for i, v in enumerate(_values(down, 3)) if v))
     assert _values(down, 3) == [0, 0, 0]
     assert above(down, 0) == 0 and at_least(down, [], 0b111) == 0b111
+
+
+def test_carry_save_adds_and_maximum_match_integer_lists():
+    # scalar additions on lane masks into a carry-save counter, the counter
+    # it settles to, and the largest count with its lanes, against plain
+    # lists, at widths inside and well past one machine word
+    rng = random.Random(73)
+    for _ in range(200):
+        n = rng.choice([1, 5, 63, 64, 65, 130, 1000])
+        columns, values = [], [0] * n
+        for _ in range(rng.randint(0, 30)):
+            value = rng.choice([0, 1, 1, 3, rng.randint(0, 10**6), 2**40 + rng.randint(0, 9)])
+            lanes = rng.getrandbits(n)
+            add(columns, value, lanes)
+            values = [v + (value if lanes >> i & 1 else 0) for i, v in enumerate(values)]
+            assert all(len(col) <= 2 for col in columns)
+        slices = settle(columns)
+        assert _values(slices, n) == values
+        lanes = rng.getrandbits(n) or 1
+        picked = [i for i in range(n) if lanes >> i & 1]
+        best = max(values[i] for i in picked)
+        assert maximum(slices, lanes) == (best, _mask(i for i in picked if values[i] == best))
+
+
+def test_carry_save_edges():
+    assert settle([]) == [] and maximum([], 0b101) == (0, 0b101)
+    columns = []
+    add(columns, 0, 0b111)
+    add(columns, 5, 0)
+    assert _values(settle(columns), 3) == [0, 0, 0]
+    for _ in range(7):  # a carry through three columns
+        add(columns, 1, 0b11)
+    assert _values(settle(columns), 2) == [7, 7]
+    assert maximum(settle([[0b10]]), 0b01) == (0, 0b01)
 
 
 def test_node_budget_tick_count_stops_where_single_ticks_stop():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -322,6 +323,37 @@ def test_outcomes_ignore_an_unapproved_candidate():
     for _, e, members in _scale_cases():
         widened = Election.from_approvals(list(e.approvals), m=e.m + 1, k=e.k)
         assert _outcomes(widened, members) == _outcomes(e, members), (e.n, e.m, e.k)
+
+
+def test_entitlements_survive_a_candidate_relabelling():
+    # the f-vector speaks of voters only: renaming the candidates keeps every f_i
+    for rng, e, _ in _scale_cases():
+        perm = list(range(e.m))
+        rng.shuffle(perm)
+        relabelled = Election.from_approvals(
+            [{perm[c] for c in ballot} for ballot in e.approvals], m=e.m, k=e.k
+        )
+        assert [c.f for c in f_vector(relabelled)] == [c.f for c in f_vector(e)], (e.n, e.m)
+
+
+def test_cloning_every_voter_keeps_entitlements_and_decided_statuses():
+    # with every voter twice, each group and n double together: every f_i is
+    # kept (by both copies), and so is every status FIND_IR and FIND_SSJR
+    # decide under both profiles
+    seen = Counter()
+    for _, e, _ in _scale_cases():
+        cloned = Election.from_approvals(list(e.approvals) * 2, m=e.m, k=e.k)
+        fvec, twice = tuple(f_vector(e)), tuple(f_vector(cloned))
+        assert [c.f for c in twice] == [c.f for c in fvec] * 2, (e.n, e.m, e.k)
+        for objective in ("FIND_IR", "FIND_SSJR"):
+            one, two = (
+                find_committee(SolveRequest(x, f, objective, node_cap=3000)).status
+                for x, f in ((e, fvec), (cloned, twice))
+            )
+            if "undecided" not in (one, two):
+                assert one == two, (objective, e.n, e.m, e.k)
+            seen[one] += 1
+    assert min(seen[s] for s in ("found", "infeasible")) >= 3, seen
 
 
 def test_cover_search_pivots_on_the_pool_left_with_one_seat():
