@@ -434,7 +434,10 @@ def experiment_cmd(models, n, m, k_min, k_max, instances, rule_names, seed, jobs
         f"running {len(model_list)} models x {len(spec.k_values)} k x {instances} instances",
         file=sys.stderr,
     )
-    rows = run_experiment(spec)
+    try:
+        rows = run_experiment(spec)
+    except RuntimeError as exc:  # an exact rule probe over the enumeration cap
+        raise click.ClickException(str(exc))
     write_outputs(spec, rows, out)
     undecided = sum(1 for r in rows if r.undecided)
     click.echo(f"done: {len(rows)} rows, {undecided} undecided -> {out}", file=sys.stderr)

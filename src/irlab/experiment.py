@@ -3,12 +3,14 @@
 For every (model, committee size, instance) triple the harness generates a
 profile, computes the exact entitlement vector, decides IR and semi-strong JR
 existence, and optionally probes a list of voting rules with
-:func:`probe_rule`, the one place that checks rule winners against the
-entitlement demands.  Results stream into a CSV whose rows are keyed by a
-per-instance seed derived from the base seed, so output is byte-identical
-across runs and independent of the parallelism degree (rows are
-order-normalized before writing; the worker pool is never larger than the
-number of instances or of CPUs).
+:func:`probe_rule`: per rule, ``rules.probe`` says whether some winner meets
+the IR demands and whether some winner meets the semi-strong JR demands,
+testing tied winners on the lanes of the rule's search rather than listing
+them.  Results stream into a CSV whose rows are keyed by a per-instance seed
+derived from the base seed, so output is byte-identical across runs and
+independent of the parallelism degree (rows are order-normalized before
+writing; the worker pool is never larger than the number of instances or of
+CPUs).
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import Mapping, Sequence
 from .cohesion import f_vector
 from .search import BudgetExceededError
 from .gen import GenSpec, generate
-from .model import Election, first_unmet
-from .rules import RuleId, run_rule
+from .model import Election
+from .rules import RuleId, probe
 from .solver import demands, find_ir_and_ssjr
 
 DEFAULT_MODELS = ("vi_euclid", "ci_euclid", "euclid_2d", "ic", "urn", "mallows")
@@ -100,16 +102,10 @@ def probe_rule(
     election: Election, rule: RuleId, wanted: Sequence[Sequence[int]]
 ) -> tuple[bool, ...]:
     """For each demand vector in ``wanted``, whether some winner of ``rule``
-    gives every voter i at least that many approved members.
-
-    Exact rules are probed over all tied winners, sequential rules over their
-    single fixed-tie-break output.
-    """
-    mode = "single" if rule.is_sequential else "all_tied"
-    wmasks = [w.mask() for w in run_rule(election, rule, mode=mode).committees]
-    return tuple(
-        any(first_unmet(election, w, demand) is None for w in wmasks) for demand in wanted
-    )
+    gives every voter i at least that many approved members: exact rules over
+    all tied winners, sequential rules over their single output
+    (`rules.probe`, which builds no winner it does not need)."""
+    return probe(election, rule, wanted)
 
 
 def _run_instance(args) -> ExperimentRow:

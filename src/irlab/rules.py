@@ -11,22 +11,30 @@ in increasing order under a committee-count cap.  It cuts a Thiele prefix
 whose score plus its largest gains cannot reach the best score, and once the
 completions of a Thiele prefix fit one block it scores them all at once:
 each completion is one bit of a Python int and the scores are bit-sliced
-counters over those bits (``search.tally``), so a desk-scale profile (m = 16)
-is one block.  The other three rules key one committee per last seat.
+counters over those bits (``search.add``, ``settle``, ``maximum``), so a
+desk-scale profile (m = 16) is one block.  The other three rules key one
+committee per last seat.
 
-Thiele scores (PAV, CC, geometric PAV and their sequential forms) are
-computed as exact integers: the weights are scaled by the lcm of their
-denominators and identical ballots are collapsed into one class with a
-multiplicity.  They are reported as `fractions.Fraction` values (CC scores
-as `int`s).  seq-Phragmen loads and Rule X budgets are integer numerators
-over one common denominator, grouped by value into voter bitmasks: every
-approver of a pick gets the same load or pays the same rho, so the groups
-stay few and a candidate's sum is one popcount per group.  Loads, balances
-and payments are reported as `Fraction`s.  No float enters any decision, so
-ties are detected exactly, which the counterexample fixtures rely on.
-Monroe scores a committee by one quota assignment (``search.quota_assignment``).
-Whether a rule's winners meet the IR or semi-strong JR demands is decided
-outside this module, by ``experiment.probe_rule``.
+Every kernel works on integers.  Thiele scores (PAV, CC, geometric PAV and
+their sequential forms) are scaled by the lcm of the weights' denominators;
+identical ballots are collapsed into one class with a multiplicity, and
+seq-PAV and seq-CC hold the voters in masks by how many picks they approve.
+AV and SAV rank approval counts and SAV shares as numerators over the lcm
+of the ballot sizes.  seq-Phragmen loads and Rule X budgets are integer
+numerators over one common denominator, grouped by value into voter
+bitmasks: every approver of a pick gets the same load or pays the same rho,
+so the groups stay few and a candidate's sum is one popcount per group.
+Only `run_rule` turns these into `fractions.Fraction` diagnostics (CC
+scores stay `int`s) and `Committee`s.  No float enters any decision, so ties
+are detected exactly, which the counterexample fixtures rely on.  Monroe
+scores a committee by one quota assignment (``search.quota_assignment``).
+
+`probe` is the experiment's question: per demand vector, does some winner
+give every voter that many approved members?  It runs the same kernels and
+builds no `Committee` and no `Fraction`.  Sequential rules and Monroe,
+minimax-AV and max-Phragmen test each winner's mask.  The Thiele searches,
+and AV and SAV as a weightless search over their tied pool, test the demands
+on the tied lanes of each block, so a tied winner is never listed.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from itertools import combinations, islice, zip_longest
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
-from .model import Committee, Election, _iter_bits, members_mask
+from .model import Committee, Election, _iter_bits, first_unmet, members_mask
 from .search import add, maximum, quota_assignment, settle
 
 SEQUENTIAL_RULES = (
@@ -119,39 +127,60 @@ def _geometric_weights(upto: int, base: Fraction) -> tuple[list[int], int]:
     return [p**t * q ** (upto - 1 - t) for t in range(upto)], q ** (upto - 1)
 
 
+def _ballot_classes(
+    election: Election, wanted: Sequence[Sequence[int]] = ()
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Voters with one ballot (and one demand in each vector of ``wanted``)
+    collapsed into (ballot mask, multiplicity, demands) classes."""
+    counted = Counter(zip(election.ballot_masks, *wanted))
+    return [(key[0], mult, key[1:]) for key, mult in counted.items()]
+
+
 def _thiele_classes(
-    election: Election, weights: Sequence[int], depth: int
+    m: int, classes: Sequence[tuple[int, int, tuple]], weights: Sequence[int], depth: int
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """Collapse identical non-empty ballots into classes and tabulate their gains.
+    """Tabulate the gains of the classes of `_ballot_classes`.
 
     Returns (rows, approvers): rows[i][t] is the scaled score class i gains
     when a committee member becomes its (t+1)-th approved one (t < depth;
     weights beyond the given ones are 0), and approvers[c] lists the classes
-    approving candidate c.
+    approving candidate c < m.
     """
-    classes = Counter(b for b in election.ballot_masks if b)
     padded = list(weights[:depth]) + [0] * (depth - len(weights))
-    rows = [[mult * w for w in padded] for mult in classes.values()]
-    approvers: list[list[int]] = [[] for _ in range(election.m)]
-    for i, b in enumerate(classes):
+    rows = [[mult * w for w in padded] for _, mult, _ in classes]
+    approvers: list[list[int]] = [[] for _ in range(m)]
+    for i, (b, _, _) in enumerate(classes):
         for c in _iter_bits(b):
             approvers[c].append(i)
     return rows, approvers
 
 
-def _av_candidate_scores(election: Election) -> list[Fraction]:
-    return [Fraction(m.bit_count()) for m in election.candidate_voters]
+def _approval_ranking(
+    election: Election, kind: str, all_tied: bool
+) -> tuple[list[int], int, list[int], list[int]]:
+    """AV or SAV scores as integer numerators over one denominator (1 for
+    AV; for SAV the lcm of the non-empty ballot sizes), the candidates
+    scoring above the k-th best score, and those tied with it.
 
-
-def _sav_candidate_scores(election: Election) -> list[Fraction]:
-    scores = [Fraction(0)] * election.m
-    for ballot in election.approvals:
-        if not ballot:
-            continue
-        share = Fraction(1, len(ballot))
-        for c in ballot:
-            scores[c] += share
-    return scores
+    Raises when all tied winners are wanted and they are too many to list.
+    """
+    m, k = election.m, election.k
+    if kind == "av":
+        scores, scale = [v.bit_count() for v in election.candidate_voters], 1
+    else:
+        classes = [(b, mult) for b, mult, _ in _ballot_classes(election) if b]
+        scale = lcm(*[b.bit_count() for b, _ in classes])
+        scores = [0] * m
+        for b, mult in classes:
+            share = scale // b.bit_count() * mult
+            for c in _iter_bits(b):
+                scores[c] += share
+    threshold = sorted(scores, reverse=True)[k - 1]
+    mandatory = [c for c in range(m) if scores[c] > threshold]
+    optional = [c for c in range(m) if scores[c] == threshold]
+    if all_tied and comb(len(optional), k - len(mandatory)) > MAX_ENUMERATED_COMMITTEES:
+        raise RuntimeError("too many tied committees")
+    return scores, scale, mandatory, optional
 
 
 def max_phragmen_load_vector(
@@ -209,34 +238,47 @@ def max_phragmen_load_vector(
 # --------------------------------------------------------------------------
 
 
-def _seq_thiele(election: Election, weights: Sequence[int], scale: int) -> tuple[list[int], list]:
-    m, k = election.m, election.k
-    rows, approvers = _thiele_classes(election, weights, k)
-    counts = [0] * len(rows)
-    chosen_mask = 0
+def _seq_thiele(election: Election, weights: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The picks in order and their scaled gains.
+
+    Voters are held in layer masks by how many picks they approve (layer t:
+    exactly t), so a candidate's gain is one masked popcount per layer that
+    still gains weight.
+    """
+    cv = election.candidate_voters
+    layers = [election.all_voters_mask()]
+    free = list(range(election.m))
     chosen: list[int] = []
-    history = []
-    for _ in range(k):
+    gains = []
+    for _ in range(election.k):
+        active = [(w, layer) for w, layer in zip(weights, layers) if layer]
         best_c, best_gain = -1, -1
-        for c in range(m):
-            if chosen_mask >> c & 1:
-                continue
-            gain = sum([rows[i][counts[i]] for i in approvers[c]])
+        for c in free:
+            voters = cv[c]
+            gain = sum([w * (voters & layer).bit_count() for w, layer in active])
             if gain > best_gain:
                 best_c, best_gain = c, gain
         chosen.append(best_c)
-        chosen_mask |= 1 << best_c
-        for i in approvers[best_c]:
-            counts[i] += 1
-        history.append((best_c, Fraction(best_gain, scale)))
-    return chosen, history
+        free.remove(best_c)
+        gains.append(best_gain)
+        # the approvers of the pick move up one layer
+        sup = cv[best_c]
+        layers.append(0)
+        for t in range(len(layers) - 1, 0, -1):
+            layers[t] = layers[t] & ~sup | layers[t - 1] & sup
+        layers[0] &= ~sup
+    return chosen, gains
 
 
-def _rev_seq_thiele(election: Election) -> tuple[list[int], list]:
-    """Reverse seq-PAV: drop the member whose removal loses the least score."""
+def _rev_seq_thiele(election: Election) -> tuple[list[int], list[tuple[int, int]], int]:
+    """Reverse seq-PAV: drop the member whose removal loses the least score.
+
+    Returns the committee, the (dropped candidate, scaled loss) pairs in
+    order and the scale.
+    """
     depth = max(b.bit_count() for b in election.ballot_masks)
     weights, scale = _harmonic_weights(depth)
-    rows, approvers = _thiele_classes(election, weights, depth)
+    rows, approvers = _thiele_classes(election.m, _ballot_classes(election), weights, depth)
     counts = [0] * len(rows)
     for c in range(election.m):
         for i in approvers[c]:
@@ -253,8 +295,8 @@ def _rev_seq_thiele(election: Election) -> tuple[list[int], list]:
         committee.remove(drop)
         for i in approvers[drop]:
             counts[i] -= 1
-        history.append((drop, Fraction(min_loss, scale)))
-    return committee, history
+        history.append((drop, min_loss))
+    return committee, history, scale
 
 
 def _common_scale(scale: int, num: int, den: int) -> tuple[int, int, int]:
@@ -312,7 +354,9 @@ def _seq_phragmen(
     return committee, groups, scale
 
 
-def _rule_x(election: Election) -> tuple[list[int], dict]:
+def _rule_x(
+    election: Election,
+) -> tuple[list[int], dict[int, int], int, list[tuple[int, int]], bool]:
     """Method of Equal Shares with unit prices and k/n starting budgets,
     completed by continuing seq-Phragmen on the residual budgets.
 
@@ -321,14 +365,16 @@ def _rule_x(election: Election) -> tuple[list[int], dict]:
     A candidate's payment rho, the smallest with sum_{approvers} min(b_v,
     rho) = 1, is a/(scale*rich): walking the groups in increasing budget
     order, a group whose budget p has p*rich < a pays all it has and leaves
-    the rich.
+    the rich.  Returns the committee, the final budget groups and their
+    scale, each pick's rho as a (numerator, denominator) pair, and whether
+    seq-Phragmen completed the committee.
     """
     n, k = election.n, election.k
     cv = election.candidate_voters
     groups, scale = {k: election.all_voters_mask()}, n
     committee: list[int] = []
     remaining = [c for c in range(election.m) if cv[c]]
-    rhos: list[Fraction] = []
+    rhos: list[tuple[int, int]] = []
     while len(committee) < k:
         ordered = sorted(groups.items())
         best_c, best_a, best_r = -1, 0, 1
@@ -349,7 +395,7 @@ def _rule_x(election: Election) -> tuple[list[int], dict]:
             break  # no candidate affordable; complete via seq-Phragmen
         committee.append(best_c)
         remaining.remove(best_c)
-        rhos.append(Fraction(best_a, scale * best_r))
+        rhos.append((best_a, scale * best_r))
         # every approver pays min(b_v, rho), on a common scale
         scale, factor, rho = _common_scale(scale, best_a, scale * best_r)
         sup = cv[best_c]
@@ -360,17 +406,11 @@ def _rule_x(election: Election) -> tuple[list[int], dict]:
                 if part and left > 0:
                     paid[left] = paid.get(left, 0) | part
         groups = paid
-    completed = False
-    if len(committee) < k:
-        completed = True
+    completed = len(committee) < k
+    if completed:
         negated = {-value: mask for value, mask in groups.items()}
         committee, _, _ = _seq_phragmen(election, negated, scale, partial=committee)
-    meta = {
-        "balances": _per_voter(election, groups, scale),
-        "rhos": tuple(rhos),
-        "completion": "seq_phragmen" if completed else None,
-    }
-    return committee, meta
+    return committee, groups, scale, rhos, completed
 
 
 def _per_voter(election: Election, groups: dict[int, int], scale: int) -> tuple[Fraction, ...]:
@@ -408,24 +448,23 @@ def _greedy_monroe(election: Election) -> tuple[list[int], list]:
 # --------------------------------------------------------------------------
 
 
-def _lex_search(election: Election, push, pop, leaves, fits, bound, all_tied: bool) -> tuple:
-    """Maximise a key over all size-k committees, in lexicographic order.
+def _lex_search(m: int, k: int, push, pop, leaves, fits, bound, all_tied: bool) -> tuple:
+    """Maximise a key over all k-subsets of range(m), in lexicographic order.
 
     Candidates are added in increasing order, so committees are visited in
     `itertools.combinations` order: the first optimum found is the lex-first
     one and ties are listed in that order.  ``push(c)``/``pop(c)`` add and
     remove a prefix member.  Once ``fits(p, r)`` holds for the pool of the p
-    candidates from nxt on and the r seats left, ``leaves(nxt, r)`` scores
-    every completion by r of them as one block: it yields (key, completion)
-    pairs in lex order, and a pair is kept only with a key above the best so
-    far (or equal to it, when all ties are wanted).  ``bound(nxt, r)`` (None
-    for no bound) bounds the key of every completion by r members from
-    nxt..m-1 from above; a prefix that cannot beat the best key (or tie it,
-    when all ties are wanted) is cut.  It is asked only with two or more
-    seats left and a pool of at least twice the seats, where a cut outweighs
-    its cost.  Returns the optimal committees and their key.
+    candidates from nxt on and the r seats left, ``leaves(prefix, nxt, r)``
+    scores every completion of the prefix by r of them as one block: it
+    yields (key, winner) pairs in lex order, and a winner is kept only with a
+    key above the best so far (or equal to it, when all ties are wanted).
+    ``bound(nxt, r)`` (None for no bound) bounds the key of every completion
+    by r members from nxt..m-1 from above; a prefix that cannot beat the best
+    key (or tie it, when all ties are wanted) is cut.  It is asked only with
+    two or more seats left and a pool of at least twice the seats, where a
+    cut outweighs its cost.  Returns the kept winners and their key.
     """
-    m, k = election.m, election.k
     if comb(m, k) > MAX_ENUMERATED_COMMITTEES:
         raise RuntimeError(f"C({m},{k}) exceeds the committee enumeration cap")
     # fits(m - nxt, r) holds from nxt = start[r] on, as pools only shrink; a
@@ -439,11 +478,11 @@ def _lex_search(election: Election, push, pop, leaves, fits, bound, all_tied: bo
     while True:
         left = k - len(chosen)  # seats still to fill
         if start[left] <= nxt <= m - left:
-            for key, tail in leaves(nxt, left):
+            for key, winner in leaves(chosen, nxt, left):
                 if best is None or key > best:
-                    best, winners = key, [(*chosen, *tail)]
+                    best, winners = key, [winner]
                 elif key == best and all_tied:
-                    winners.append((*chosen, *tail))
+                    winners.append(winner)
         elif nxt <= m - left:
             push(nxt)
             chosen.append(nxt)
@@ -499,29 +538,71 @@ def _unrank(j: int, p: int, r: int) -> list[int]:
     return out
 
 
-def _thiele_search(election: Election, weights: Sequence[int], all_tied: bool) -> tuple[list, int]:
-    """Maximise a scaled-integer Thiele score with `_lex_search`.
+def _layers(lanes: int, masks: Sequence[int], part: int, r: int, top: int) -> list[int]:
+    """The layer masks G[0..top] of a block of r-subsets (lanes ``lanes``,
+    membership table ``masks``; r >= 1, top >= 1): G[t] holds the lanes that
+    take at least t members of ``part``.  The list stops early once t
+    exceeds |part| (or r), where G[t] is empty.
 
-    Adding a member rescores only the classes approving it.  The weights
-    never increase, so a candidate's gain only shrinks as members join: the
-    score plus the r largest current gains bounds every completion by r
-    members.  A block scores all its completions at once, one lane each, in
-    bit-sliced counters: for a class with t0 approved prefix members, the
-    layer masks G[t] of the completions adding at least t approved members
-    follow from ``G[t] |= G[t-1] & masks[c]`` over its pool members c; the
-    class's voters gain weight t0 + t - 1 on G[t], so they are counted there,
-    and the block's score is those counts times the weights.
+    Each member c of part moves lanes up one layer: G[t] |= G[t-1] & masks[c].
     """
-    m, k = election.m, election.k
-    rows, approvers = _thiele_classes(election, weights, k)
-    classes = Counter(b for b in election.ballot_masks if b)  # as in `_thiele_classes`
+    if r == 1:  # lane c is the completion by pool member c
+        return [lanes, part]
+    layers = [lanes]
+    for c in _iter_bits(part):
+        mc = masks[c]
+        t = len(layers) - 1
+        if t < top:
+            layers.append(layers[t] & mc)
+        while t:
+            layers[t] |= layers[t - 1] & mc
+            t -= 1
+    return layers
+
+
+def _thiele_search(
+    m: int,
+    k: int,
+    classes: Sequence[tuple[int, int, tuple[int, ...]]],
+    weights: Sequence[int],
+    all_tied: bool,
+    fixed: Sequence[int] = (),
+    width: int | None = None,
+) -> tuple[list, int]:
+    """Maximise a scaled-integer Thiele score over the k-subsets of range(m)
+    with `_lex_search`.  ``classes`` come from `_ballot_classes`; ``fixed``
+    counts each class's approved members fixed outside range(m) (none by
+    default).
+
+    Adding a member rescores only the classes approving it; that gain table
+    is built by the first push, as a search that is one block never needs
+    it.  The weights never increase, so a candidate's gain only shrinks as
+    members join: the score plus the r largest current gains bounds every
+    completion by r members.  A block scores all its completions at once,
+    one lane each, in bit-sliced counters: a class with t0 approved prefix
+    members gains weight t0 + t - 1 on the lanes of its layer G[t]
+    (`_layers`), so its voters are counted there, and the block's score is
+    those counts times the weights.
+
+    Given the ``width`` of the classes' demand vectors, the search probes
+    instead of listing winners: a block yields one pair, its best key and,
+    per demand vector, whether a tied lane meets every class's demand d,
+    that is, lies in G[d - t0] of every class.  The kept pairs are the
+    blocks that hold the tied winners.
+    """
     depth = min(len(weights), k)  # weights past it are 0
-    counts = [0] * len(rows)
+    counts = list(fixed) or [0] * len(classes)
+    reach = k + max(counts, default=0)  # counts start at the fixed members
+    deepest = [max(need, default=0) for _, _, need in classes]
     saved: list[int] = []  # the score before each member pushed
     score = 0
+    table: list = []  # the gain rows and the approvers, built by the first push
 
     def push(c):
         nonlocal score
+        if not table:
+            table.extend(_thiele_classes(m, classes, weights, reach))
+        rows, approvers = table
         saved.append(score)
         for i in approvers[c]:
             score += rows[i][counts[i]]
@@ -530,52 +611,59 @@ def _thiele_search(election: Election, weights: Sequence[int], all_tied: bool) -
     def pop(c):
         nonlocal score
         score = saved.pop()
-        for i in approvers[c]:
+        for i in table[1][c]:
             counts[i] -= 1
 
-    def leaves(nxt, r):
+    def leaves(prefix, nxt, r):
         p = m - nxt
         masks = _memberships(p, r) if r > 1 else ()
         lanes = (1 << comb(p, r)) - 1
         gained = [[] for _ in range(depth)]  # per lane, the voters gaining weight j (carry-save)
-        for (ballot, mult), t0 in zip(classes.items(), counts):
+        hits = [lanes] * (width or 0)
+        for (ballot, mult, need), t0, deep in zip(classes, counts, deepest):
             part = ballot >> nxt
             most = min(r, depth - t0)  # approved members past it gain nothing
-            if not part or most <= 0:
-                continue
-            if r == 1:  # lane c is the completion by candidate nxt + c
-                layers = [lanes, part]
-            else:
-                layers = [lanes]
-                for c in _iter_bits(part):
-                    mc = masks[c]
-                    t = len(layers) - 1
-                    if t < most:
-                        layers.append(layers[t] & mc)
-                    while t:
-                        layers[t] |= layers[t - 1] & mc
-                        t -= 1
-            for j, layer in enumerate(layers[1:], t0):
-                add(gained[j], mult, layer)
+            top = min(r, max(most, deep - t0)) if part else 0
+            layers = _layers(lanes, masks, part, r, top) if top > 0 else [lanes]
+            if most > 0:
+                for j, layer in enumerate(layers[1 : most + 1], t0):
+                    add(gained[j], mult, layer)
+            if deep > t0:
+                for j, d in enumerate(need):
+                    if d > t0:
+                        hits[j] &= layers[d - t0] if d - t0 < len(layers) else 0
         total = []
         for w, voters in zip(weights, gained):
             for b, s in enumerate(settle(voters)):
                 add(total, w << b, s)
         value, tied = maximum(settle(total), lanes)
+        if width is not None:
+            yield score + value, [bool(tied & h) for h in hits]
+            return
         if not all_tied:
             tied &= -tied
         for j in _iter_bits(tied):
-            yield score + value, [nxt + c for c in _unrank(j, p, r)]
+            yield score + value, (*prefix, *[nxt + c for c in _unrank(j, p, r)])
 
     def fits(p, r):
         return p * comb(p, r) <= _BLOCK_BITS
 
     def bound(nxt, r):
+        rows, approvers = table
         gains = [row[t] for row, t in zip(rows, counts)]
-        pool = sorted([sum([gains[i] for i in approvers[c]]) for c in range(nxt, election.m)])
+        pool = sorted([sum([gains[i] for i in approvers[c]]) for c in range(nxt, m)])
         return score + sum(pool[-r:])
 
-    return _lex_search(election, push, pop, leaves, fits, bound, all_tied)
+    return _lex_search(m, k, push, pop, leaves, fits, bound if depth else None, all_tied)
+
+
+def _thiele_weights(rule: RuleId, k: int) -> tuple[list[int], int]:
+    """The scaled weights of CC, PAV or geometric PAV up to k, and their scale."""
+    if rule.kind == "cc":
+        return [1], 1
+    if rule.kind == "pav":
+        return _harmonic_weights(k)
+    return _geometric_weights(k, rule.weight)
 
 
 def _minimax_key(election: Election, members: Sequence[int]) -> int:
@@ -597,8 +685,32 @@ _COMMITTEE_KEYS = {
 }
 
 
+def _committee_search(election: Election, kind: str, all_tied: bool) -> tuple[list, object]:
+    """Monroe, minimax-AV or max-Phragmen: `_lex_search` keys one committee per last seat."""
+    key = _COMMITTEE_KEYS[kind]
+
+    def leaves(prefix, nxt, r):
+        for c in range(nxt, election.m):
+            members = (*prefix, c)
+            yield key(election, members), members
+
+    skip = lambda c: None
+    fits = lambda p, r: r == 1
+    return _lex_search(election.m, election.k, skip, skip, leaves, fits, None, all_tied)
+
+
+_SEQUENTIAL = {
+    "seq_pav": lambda election: _seq_thiele(election, _harmonic_weights(election.k)[0]),
+    "seq_cc": lambda election: _seq_thiele(election, [1]),
+    "rev_seq_pav": _rev_seq_thiele,
+    "seq_phragmen": _seq_phragmen,
+    "rule_x": _rule_x,
+    "greedy_monroe": _greedy_monroe,
+}
+
+
 # --------------------------------------------------------------------------
-# entry point
+# entry points
 # --------------------------------------------------------------------------
 
 
@@ -612,45 +724,21 @@ def run_rule(election: Election, rule: RuleId, mode: str = "single") -> RuleOutc
     k = election.k
 
     if rule.kind in ("av", "sav"):
-        scores = (
-            _av_candidate_scores(election)
-            if rule.kind == "av"
-            else _sav_candidate_scores(election)
-        )
-        ranked = sorted(range(election.m), key=lambda c: (-scores[c], c))
-        threshold = scores[ranked[k - 1]]
-        mandatory = [c for c in range(election.m) if scores[c] > threshold]
-        optional = [c for c in range(election.m) if scores[c] == threshold]
-        if all_tied:
-            slots = k - len(mandatory)
-            if comb(len(optional), slots) > MAX_ENUMERATED_COMMITTEES:
-                raise RuntimeError("too many tied committees")
-            committees = [
-                tuple(sorted(mandatory + list(extra)))
-                for extra in combinations(optional, slots)
-            ]
-        else:
-            committees = [tuple(sorted(mandatory + optional[: k - len(mandatory)]))]
-        return _outcome(election, rule, committees, {"candidate_scores": tuple(scores)})
+        scores, scale, mandatory, optional = _approval_ranking(election, rule.kind, all_tied)
+        slots = k - len(mandatory)
+        extras = combinations(optional, slots) if all_tied else [optional[:slots]]
+        committees = [tuple(sorted(mandatory + list(extra))) for extra in extras]
+        exact = tuple([Fraction(s, scale) for s in scores])
+        return _outcome(election, rule, committees, {"candidate_scores": exact})
 
-    if rule.kind == "cc":
-        best, top = _thiele_search(election, [1], all_tied)
-        return _outcome(election, rule, best, {"score": top})
-    if rule.kind in ("pav", "geom_pav"):
-        weights, scale = (
-            _harmonic_weights(k) if rule.kind == "pav" else _geometric_weights(k, rule.weight)
-        )
-        best, top = _thiele_search(election, weights, all_tied)
-        return _outcome(election, rule, best, {"score": Fraction(top, scale)})
+    if rule.kind in ("pav", "cc", "geom_pav"):
+        weights, scale = _thiele_weights(rule, k)
+        best, top = _thiele_search(election.m, k, _ballot_classes(election), weights, all_tied)
+        score = top if rule.kind == "cc" else Fraction(top, scale)
+        return _outcome(election, rule, best, {"score": score})
 
-    if rule.kind in ("monroe", "minimax_av", "max_phragmen"):
-        key, members = _COMMITTEE_KEYS[rule.kind], []
-        pop = lambda c: members.pop()
-        leaves = lambda nxt, r: (
-            (key(election, (*members, c)), (c,)) for c in range(nxt, election.m)
-        )
-        fits = lambda p, r: r == 1
-        best, top = _lex_search(election, members.append, pop, leaves, fits, None, all_tied)
+    if rule.kind in _COMMITTEE_KEYS:
+        best, top = _committee_search(election, rule.kind, all_tied)
         if rule.kind == "monroe":
             return _outcome(election, rule, best, {"score": top})
         if rule.kind == "minimax_av":
@@ -658,32 +746,73 @@ def run_rule(election: Election, rule: RuleId, mode: str = "single") -> RuleOutc
         loads = {w: tuple(max_phragmen_load_vector(election, w)[2]) for w in best}
         return _outcome(election, rule, best, {"load_vectors": loads})
 
-    if rule.kind == "seq_pav":
-        chosen, history = _seq_thiele(election, *_harmonic_weights(k))
-        return _outcome(election, rule, [tuple(sorted(chosen))], {"picks": history})
-    if rule.kind == "seq_cc":
-        chosen, history = _seq_thiele(election, [1], 1)
-        return _outcome(election, rule, [tuple(sorted(chosen))], {"picks": history})
-    if rule.kind == "rev_seq_pav":
-        chosen, history = _rev_seq_thiele(election)
-        return _outcome(election, rule, [tuple(sorted(chosen))], {"removals": history})
-    if rule.kind == "seq_phragmen":
-        chosen, groups, scale = _seq_phragmen(election)
-        loads = _per_voter(election, groups, scale)
-        return _outcome(
-            election, rule, [tuple(sorted(chosen))], {"loads": loads, "order": tuple(chosen)}
-        )
-    if rule.kind == "rule_x":
-        chosen, meta = _rule_x(election)
-        return _outcome(election, rule, [tuple(sorted(chosen))], meta)
-    if rule.kind == "greedy_monroe":
-        chosen, assignment = _greedy_monroe(election)
-        return _outcome(
-            election, rule, [tuple(sorted(chosen))], {"assignment": tuple(assignment)}
-        )
-    raise AssertionError(rule.kind)
+    chosen, *raw = _SEQUENTIAL[rule.kind](election)
+    if rule.kind in ("seq_pav", "seq_cc"):
+        scale = _harmonic_weights(k)[1] if rule.kind == "seq_pav" else 1
+        diagnostics = {"picks": [(c, Fraction(g, scale)) for c, g in zip(chosen, raw[0])]}
+    elif rule.kind == "rev_seq_pav":
+        history, scale = raw
+        diagnostics = {"removals": [(c, Fraction(loss, scale)) for c, loss in history]}
+    elif rule.kind == "seq_phragmen":
+        groups, scale = raw
+        diagnostics = {"loads": _per_voter(election, groups, scale), "order": tuple(chosen)}
+    elif rule.kind == "rule_x":
+        groups, scale, rhos, completed = raw
+        diagnostics = {
+            "balances": _per_voter(election, groups, scale),
+            "rhos": tuple([Fraction(a, d) for a, d in rhos]),
+            "completion": "seq_phragmen" if completed else None,
+        }
+    else:
+        diagnostics = {"assignment": tuple(raw[0])}
+    return _outcome(election, rule, [tuple(sorted(chosen))], diagnostics)
 
 
 def _outcome(election, rule, combos, diagnostics) -> RuleOutcome:
     committees = tuple(Committee.of(c, election) for c in combos)
     return RuleOutcome(rule=rule, committees=committees, diagnostics=diagnostics)
+
+
+def probe(election: Election, rule: RuleId, wanted: Sequence[Sequence[int]]) -> tuple[bool, ...]:
+    """For each demand vector in ``wanted``, whether some winner of ``rule``
+    gives every voter i at least that many approved members.
+
+    Exact rules are probed over all their tied winners, and raise where
+    ``run_rule(..., "all_tied")`` does; sequential rules over their single
+    output.  No `Committee` and no `Fraction` is built.  Monroe, minimax-AV
+    and max-Phragmen test each tied winner's mask.  PAV, CC and geometric
+    PAV test the demands on the tied lanes of their blocks.  So do AV and
+    SAV: their tied winners are the mandatory members plus any completion
+    from the tied pool, the lanes of a weightless Thiele search over that
+    pool with the mandatory members fixed.
+    """
+    if any(len(demand) != election.n for demand in wanted):
+        raise ValueError("a demand vector needs one demand per voter")
+    if rule.is_sequential:
+        wmask = members_mask(_SEQUENTIAL[rule.kind](election)[0])
+        return tuple(first_unmet(election, wmask, demand) is None for demand in wanted)
+    if rule.kind in _COMMITTEE_KEYS:
+        wmasks = [members_mask(w) for w in _committee_search(election, rule.kind, True)[0]]
+        return tuple(
+            any(first_unmet(election, w, demand) is None for w in wmasks) for demand in wanted
+        )
+    # the voters of one class are met together
+    classes = _ballot_classes(election, wanted)
+    if rule.kind in ("av", "sav"):
+        _, _, mandatory, optional = _approval_ranking(election, rule.kind, True)
+        held, tied = members_mask(mandatory), members_mask(optional)
+        place = {c: 1 << j for j, c in enumerate(optional)}
+        pool, fixed = [], []
+        for ballot, mult, need in classes:
+            t0 = (ballot & held).bit_count()
+            if need and max(need) > t0:  # the mandatory members fall short
+                pool.append((sum([place[c] for c in _iter_bits(ballot & tied)]), mult, need))
+                fixed.append(t0)
+        slots = election.k - len(mandatory)
+        hits, _ = _thiele_search(len(optional), slots, pool, (), True, fixed, len(wanted))
+    else:
+        weights, _ = _thiele_weights(rule, election.k)
+        hits, _ = _thiele_search(
+            election.m, election.k, classes, weights, True, width=len(wanted)
+        )
+    return tuple(any(h[j] for h in hits) for j in range(len(wanted)))

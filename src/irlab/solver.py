@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Sequence
 
 from . import axioms
 from .cohesion import CohesionCertificate, deficits_for
-from .model import Committee, Election, _iter_bits, first_unmet, members_mask, padding
+from .model import Committee, Election, _iter_bits, padding
 from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, above, at_least, counter, sub
 
 OBJECTIVES = ("FIND_IR", "FIND_SSJR", "MIN_BETA", "MIN_ALPHA")
@@ -251,20 +250,3 @@ def _assert_entitled(
     verdict = axioms.check(request.election, committee, axiom, fvec=request.fvec)
     if verdict.status != "satisfied":
         raise AssertionError(f"solver returned a committee failing {axiom}")
-
-
-def enumerate_committees(
-    election: Election,
-    fvec: Sequence[CohesionCertificate],
-    objective: str = "FIND_IR",
-) -> list[Committee]:
-    """All size-k committees meeting the objective, by full enumeration.
-
-    Exponential; intended for fixtures and as an oracle for the search.
-    """
-    wanted = demands(fvec, objective)
-    return [
-        Committee.of(combo, election)
-        for combo in combinations(range(election.m), election.k)
-        if first_unmet(election, members_mask(combo), wanted) is None
-    ]

@@ -8,9 +8,11 @@ Fraction seq-Phragmen and Rule X, the per-leaf bounded Thiele search, the
 ballot-scanning greedy Monroe, the linear-scan Mallows sampler, Kuhn's
 recursive quota matching, the separate FJR and core deviation searches, the
 recursive EJR/PJR cohesive-set search and cover search (which builds every
-leaf), the frozenset prefix/suffix layout with the run-pattern WSC check and
-the token-by-token ``.avp`` reader are the engines the package replaced; they
-stay here as references for the ones that replaced them.
+leaf), the frozenset prefix/suffix layout with the run-pattern WSC check,
+the token-by-token ``.avp`` reader and the rule probe that lists every winner
+are the engines the package replaced; they stay here as references for the
+ones that replaced them.  ``enumerate_committees`` lists every committee
+meeting a solver objective, for fixtures.
 """
 
 from fractions import Fraction
@@ -22,15 +24,18 @@ from irlab.cohesion import CohesionCertificate
 from irlab.axioms import AxiomVerdict, ViolationWitness
 from irlab.domains import CEIWitness, VEIWitness, WSCWitness
 from irlab.model import (
+    Committee,
     Election,
     ProfileFormatError,
     VoterGroup,
     _iter_bits,
+    first_unmet,
     mask_to_set,
     members_mask,
 )
-from irlab.rules import MAX_ENUMERATED_COMMITTEES, _thiele_classes
+from irlab.rules import MAX_ENUMERATED_COMMITTEES, RuleId, run_rule
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, max_flow
+from irlab.solver import demands
 
 
 def brute_f(election, voter):
@@ -244,6 +249,20 @@ def brute_ir_committees(election, fvalues):
         if all(len(w & a) >= f for a, f in zip(election.approvals, fvalues)):
             out.append(frozenset(combo))
     return out
+
+
+def enumerate_committees(
+    election: Election,
+    fvec: Sequence[CohesionCertificate],
+    objective: str = "FIND_IR",
+) -> list[Committee]:
+    """All size-k committees meeting the objective, by full enumeration."""
+    wanted = demands(fvec, objective)
+    return [
+        Committee.of(combo, election)
+        for combo in combinations(range(election.m), election.k)
+        if first_unmet(election, members_mask(combo), wanted) is None
+    ]
 
 
 def brute_ssjr_committees(election, fvalues):
@@ -1014,6 +1033,35 @@ def _monroe_score(election: Election, members: Sequence[int]) -> int:
     if extra:
         arcs.append((extra_node, sink, extra))
     return max_flow(voter_node0 + n, arcs, source, sink)[0]
+
+
+def probe_rule(election: Election, rule: RuleId, wanted) -> tuple[bool, ...]:
+    """The rule probe that lists every winner: `run_rule` (all tied winners of
+    an exact rule) and a demand test on each winner's mask."""
+    mode = "single" if rule.is_sequential else "all_tied"
+    wmasks = [w.mask() for w in run_rule(election, rule, mode=mode).committees]
+    return tuple(
+        any(first_unmet(election, w, demand) is None for w in wmasks) for demand in wanted
+    )
+
+
+def _thiele_classes(
+    election: Election, weights: Sequence[int], depth: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Identical non-empty ballots as classes: rows[i][t] is the scaled score
+    class i gains from its (t+1)-th approved member (t < depth), and
+    approvers[c] lists the classes approving c."""
+    classes = {}
+    for b in election.ballot_masks:
+        if b:
+            classes[b] = classes.get(b, 0) + 1
+    padded = list(weights[:depth]) + [0] * (depth - len(weights))
+    rows = [[mult * w for w in padded] for mult in classes.values()]
+    approvers = [[] for _ in range(election.m)]
+    for i, b in enumerate(classes):
+        for c in _iter_bits(b):
+            approvers[c].append(i)
+    return rows, approvers
 
 
 def _enumerate_guard(election: Election) -> None:

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from irlab import axioms, domains, rules, solver
+from irlab import axioms, domains
 from irlab.axioms import CORE, EJR, IR, JR, PJR, SSJR, alpha_beta_ir, check, implication_report
 from irlab.cohesion import f_vector
 from irlab.experiment import ExperimentSpec, existence_rates, run_experiment
@@ -30,6 +30,7 @@ from instance_gen import (
 from oracles import (
     brute_ir_committees,
     consecutive_order_exists,
+    enumerate_committees,
     naive_core,
     naive_ejr,
     naive_jr,
@@ -63,7 +64,7 @@ def test_criterion_1_fixture_exactness():
     assert [c.f for c in fv1] == [1] * 8
     res = find_committee(SolveRequest(e1, fv1))
     assert res.status == "found" and res.committee.members == {0, 1}
-    assert [sorted(c.members) for c in solver.enumerate_committees(e1, fv1)] == [[0, 1]]
+    assert [sorted(c.members) for c in enumerate_committees(e1, fv1)] == [[0, 1]]
     for kind, mode in (
         ("av", "all_tied"),
         ("sav", "all_tied"),
@@ -82,7 +83,7 @@ def test_criterion_1_fixture_exactness():
     fv2 = tuple(f_vector(e2))
     res = find_committee(SolveRequest(e2, fv2))
     assert res.committee.members == {0, 1, 2, 3, 8, 9}
-    assert len(solver.enumerate_committees(e2, fv2)) == 1
+    assert len(enumerate_committees(e2, fv2)) == 1
     verdict = check(e2, Committee.of({0, 1, 2, 3, 8, 9}, e2), CORE)
     assert verdict.status == "violated"
     assert verdict.witness.group == frozenset(range(4, 12))
@@ -91,7 +92,7 @@ def test_criterion_1_fixture_exactness():
     # clash instance: semi-strong JR committees and EJR committees disjoint
     ep = ssjr_ejr_clash()
     fvp = tuple(f_vector(ep))
-    ssjr_set = {c.members for c in solver.enumerate_committees(ep, fvp, "FIND_SSJR")}
+    ssjr_set = {c.members for c in enumerate_committees(ep, fvp, "FIND_SSJR")}
     ejr_set = {
         frozenset(combo)
         for combo in combinations(range(ep.m), ep.k)
@@ -120,7 +121,7 @@ def test_criterion_1_fixture_exactness():
     # rule counterexamples: optimizers drawn away from the entitled committee
     eb = coverage_bait_instance()
     fvb = tuple(f_vector(eb))
-    unique_ir = solver.enumerate_committees(eb, fvb)
+    unique_ir = enumerate_committees(eb, fvb)
     assert [sorted(c.members) for c in unique_ir] == [[0, 1, 2, 4]]
     for rule in (RuleId("cc"), RuleId("monroe"), RuleId("geom_pav", weight=Fraction(1, 16))):
         outcome = run_rule(eb, rule, mode="all_tied")
@@ -129,7 +130,7 @@ def test_criterion_1_fixture_exactness():
     ephr = load_bait_instance()
     fphr = tuple(f_vector(ephr))
     outcome = run_rule(ephr, RuleId("max_phragmen"), mode="all_tied")
-    ir_committees = {c.members for c in solver.enumerate_committees(ephr, fphr)}
+    ir_committees = {c.members for c in enumerate_committees(ephr, fphr)}
     assert ir_committees == {frozenset({0, 1, 4}), frozenset({0, 1, 5})}
     assert all(w.members not in ir_committees for w in outcome.committees)
     single = run_rule(ephr, RuleId("max_phragmen"))

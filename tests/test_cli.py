@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import inspect
 import io
 import json
 import random
@@ -8,6 +10,7 @@ from click.testing import CliRunner
 from irlab.cli import AXIOM_NAMES, RULE_NAMES, main
 from irlab.gen import MODELS, GenSpec, generate
 from irlab.model import Election, serialize_profile
+import hard_instances
 from hard_instances import two_camps_with_bridge, uneven_cohorts
 
 
@@ -199,6 +202,18 @@ def test_experiment_cli_deterministic(tmp_path):
     r2 = runner.invoke(main, args + ["--out", str(out2), "--jobs", "2"])
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert (out1 / "results.csv").read_text() == (out2 / "results.csv").read_text()
+
+
+def test_experiment_rule_over_enumeration_cap_exit_one(tmp_path):
+    # C(40, 12) committees exceed the cap of the exact PAV probe
+    args = "experiment --models ic --n 10 --m 40 --k-min 12 --k-max 12 --instances 1"
+    result = CliRunner().invoke(
+        main, args.split() + ["--rules", "pav", "--no-timing", "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 1
+    assert not isinstance(result.exception, RuntimeError)
+    assert "Traceback" not in result.output
+    assert "C(40,12) exceeds the committee enumeration cap" in result.output
 
 
 def test_gen_rejects_bad_model():
@@ -455,3 +470,30 @@ def test_check_capped_entitlements_exit_one_with_message(tmp_path):
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         [line] = result.output.rstrip().splitlines()
         assert line.startswith("Error: ") and "(cohesion.f_vector stopped after 4 nodes)" in line
+
+
+GOLDEN_RULE_OUTPUT_SHA256 = "b52a10d79a18ef347becd7bedb8770b8d381b64950786d432bccf073ada7bf0f"
+
+
+def test_rule_output_matches_golden_digest(tmp_path):
+    """`irlab rule` stdout for every rule, single and all-tied, on every shared
+    fixture (sequential rules exit 1 under --all-tied)."""
+    digest = hashlib.sha256()
+    runs = 0
+    fixtures = [
+        (name, fn)
+        for name, fn in inspect.getmembers(hard_instances, inspect.isfunction)
+        if fn.__module__ == "hard_instances"
+    ]
+    for name, fixture in fixtures:
+        path = _write_profile(tmp_path, fixture(), f"{name}.avp")
+        for rule in sorted(RULE_NAMES):
+            weight = ["--weight", "1/2"] if rule == "geom_pav" else []
+            for tied in ([], ["--all-tied"]):
+                result = CliRunner().invoke(main, ["rule", path, "--rule", rule, *weight, *tied])
+                digest.update(f"{name} {rule} {tied} {result.exit_code}\n".encode())
+                if result.exit_code == 0:
+                    digest.update(result.stdout.encode())
+                runs += 1
+    assert runs == 11 * len(RULE_NAMES) * 2
+    assert digest.hexdigest() == GOLDEN_RULE_OUTPUT_SHA256

@@ -11,7 +11,7 @@ from irlab import rules
 from irlab.cohesion import f_vector
 from irlab.gen import MODELS, GenSpec, generate
 from irlab.model import Election, members_mask
-from irlab.experiment import DEFAULT_MODELS, DESK_SCALE_GEN_PARAMS, instance_seed, probe_rule
+from irlab.experiment import DEFAULT_MODELS, DEFAULT_RULES, DESK_SCALE_GEN_PARAMS, instance_seed, probe_rule
 from irlab.rules import RuleId, run_rule
 from irlab.search import DEFAULT_NODE_CAP
 from irlab.solver import SolveRequest, demands, find_committee, find_ir_and_ssjr
@@ -25,6 +25,7 @@ from oracles import _optimize as oracle_optimize
 from oracles import _thiele_optimize as oracle_thiele_optimize
 from oracles import _thiele_search as oracle_thiele_search
 from oracles import brute_optimum, cc_score, greedy_monroe, rev_seq_thiele, seq_thiele, thiele_score
+from oracles import probe_rule as oracle_probe_rule
 from hard_instances import (
     hamming_bait_instance,
     load_bait_instance,
@@ -410,6 +411,92 @@ def test_memberships_follow_combinations_order():
                 assert masks[c] == members_mask(j for j, s in enumerate(subsets) if c in s)
             for j, subset in enumerate(subsets):
                 assert tuple(rules._unrank(j, p, r)) == subset
+
+
+def test_probe_matches_testing_every_winner(monkeypatch):
+    """`rules.probe` answers as listing every winner with `run_rule` and
+    testing each: for every rule the experiment can probe, on tie-heavy
+    profiles with k = 1, m - 1 and m and empty ballots, and for the rules
+    probed on lanes also on generated profiles with few ties; with
+    whole-space blocks as well as small blocks below lex prefixes, where a
+    later block may beat or tie the best key of the earlier ones.  The
+    demands are the entitlement ones, random per-voter ones, the counts of a
+    random committee (met by it, and by a winner only if one gives every
+    voter as much), and a winner's own counts with and without one voter
+    asking for one member more (met only if another winner gives it)."""
+    rng = random.Random(71)
+    family = [RuleId(r) for r in DEFAULT_RULES + ("sav", "cc", "monroe", "minimax_av")]
+    family.append(RuleId("geom_pav", weight=Fraction(1, 2)))
+    on_lanes = [rule for rule in family if rule.kind in ("av", "sav", "pav", "cc", "geom_pav")]
+    cases = [(e, family) for e in _exact_rule_elections(rng, 300, 7)]
+    for j in range(60):
+        m = rng.randint(6, 10)
+        spec = GenSpec(model=("ic", "urn", "vi_euclid")[j % 3], n=20, m=m, seed=j)
+        cases.append((generate(spec, k=rng.randint(2, m - 1)), on_lanes))
+    paths = Counter()
+    real_search = rules._lex_search
+
+    def traced_search(m, k, push, pop, leaves, *rest):
+        keys = []
+
+        def seen(prefix, nxt, r):
+            for key, winner in leaves(prefix, nxt, r):
+                keys.append(key)
+                yield key, winner
+
+        winners, best = real_search(m, k, push, pop, seen, *rest)
+        if winners and isinstance(winners[0], list):  # a probing Thiele search
+            paths["blocks below a prefix"] += len(keys) > 1
+            paths["a block beats the best key"] += any(
+                key > max(keys[:j]) for j, key in enumerate(keys) if j
+            )
+            paths["tied blocks"] += len(winners) > 1
+        return winners, best
+
+    monkeypatch.setattr(rules, "_lex_search", traced_search)
+    for j, (e, probed) in enumerate(cases):
+        monkeypatch.setattr(rules, "_BLOCK_BITS", (rules._BLOCK_BITS, 12, 1)[j % 3])
+        fvec = tuple(f_vector(e))
+        other = set(rng.sample(range(e.m), e.k))
+        shared = (
+            demands(fvec, "FIND_IR"),
+            demands(fvec, "FIND_SSJR"),
+            [rng.randint(0, min(len(a), e.k) + 1) for a in e.approvals],
+            [len(a & other) for a in e.approvals],
+        )
+        paths["k = m - 1"] += e.k == e.m - 1
+        paths["empty ballot"] += any(not a for a in e.approvals)
+        for rule in probed:
+            mode = "single" if rule.is_sequential else "all_tied"
+            w = rng.choice(run_rule(e, rule, mode=mode).committees).members
+            tight = [len(a & w) for a in e.approvals]
+            bumped = list(tight)
+            short = [i for i, a in enumerate(e.approvals) if len(a & w) < min(len(a), e.k)]
+            if short:
+                bumped[rng.choice(short)] += 1
+            wanted = (*shared, tight, bumped)
+            got = rules.probe(e, rule, wanted)
+            assert got == oracle_probe_rule(e, rule, wanted), (rule, e, wanted)
+            paths["a random committee's counts unmet"] += not got[3]
+            paths["a bump met by another winner"] += bool(short) and got[5]
+            paths["a bump unmet"] += not got[5]
+    assert min(paths.values()) >= 40, paths
+
+
+def test_probe_raises_where_listing_every_winner_raises():
+    # C(40, 12) committees: every exact rule is over the enumeration cap, and
+    # with no approvals AV and SAV tie all 40 candidates for 12 seats
+    e = Election.from_approvals([set()] * 5, m=40, k=12)
+    wanted = ([0] * 5,)
+    with pytest.raises(ValueError, match="one demand per voter"):
+        rules.probe(e, RuleId("av"), ([0] * 4,))
+    for kind in rules.EXACT_RULES:
+        rule = RuleId(kind, weight=Fraction(1, 2) if kind == "geom_pav" else None)
+        with pytest.raises(RuntimeError) as listed:
+            run_rule(e, rule, mode="all_tied")
+        with pytest.raises(RuntimeError) as probed:
+            rules.probe(e, rule, wanted)
+        assert str(probed.value) == str(listed.value), kind
 
 
 def test_desk_grid_exact_rules_golden_digest():

@@ -11,10 +11,10 @@ from irlab.cohesion import f_vector
 from irlab.gen import GenSpec, generate
 from irlab.model import Committee, Election
 from irlab.search import BudgetExceededError, NodeBudget
-from irlab.solver import OBJECTIVES, SolveRequest, enumerate_committees, find_committee
+from irlab.solver import OBJECTIVES, SolveRequest, find_committee
 
 from instance_gen import random_election
-from oracles import brute_ir_committees, cover_search
+from oracles import brute_ir_committees, cover_search, enumerate_committees
 from hard_instances import (
     uncoverable_line_instance,
     two_camps_with_bridge,
