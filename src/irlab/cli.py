@@ -99,9 +99,13 @@ def _parse_committee(election, text: str) -> Committee:
         indices = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise click.UsageError(f"cannot parse committee {text!r}")
+    seen = set()
     for i in indices:
         if not 1 <= i <= election.m:
             raise click.UsageError(f"candidate index {i} out of range [1, {election.m}]")
+        if i in seen:
+            raise click.UsageError(f"duplicate candidate index {i} in committee")
+        seen.add(i)
     try:
         return Committee.of([i - 1 for i in indices], election)
     except ValueError as exc:

@@ -18,6 +18,14 @@ general, hence the node cap (one node per closed set).  ``f_vector(e, "vi",
 order)`` computes the same values in O(n^2 + nm) time for all voters when a
 voter-interval witness order is available, by one sweep over the left ends
 of the position intervals.
+
+:func:`entitlements` computes the values alone, with the same walk cut below
+every *saturated* closed set C, one with |C| >= floor(|N(C)|*k/n): its value
+is then floor(|N(C)|*k/n), and every closed set D in its subtree has
+N(D) inside N(C) and a value of at most floor(|N(D)|*k/n) <= v(C), so D
+raises no voter's maximum.  Witnesses cannot take that cut: a pruned D can
+hold a lexicographically smaller prefix of the same value than C does (C =
+{2, 9}, D = {2, 5, 9}), so the certificates keep the full walk.
 """
 
 from __future__ import annotations
@@ -67,7 +75,9 @@ def deficits_for(
     return [max(0, -((c - cert.f * d) * b // (d * a))) for cert in fvec]
 
 
-def _closed_sets(election: Election, budget: NodeBudget) -> Iterator[tuple[int, int]]:
+def _closed_sets(
+    election: Election, budget: NodeBudget, stop_saturated: bool = False
+) -> Iterator[tuple[int, int]]:
     """Every closed candidate set whose supporters can claim a seat.
 
     Yields (C, N(C)) as bitmasks for each C = clo(C) with |N(C)|*k >= n,
@@ -77,7 +87,9 @@ def _closed_sets(election: Election, budget: NodeBudget) -> Iterator[tuple[int, 
     candidate `core` has the children clo(C + e) for e > core, e not in C,
     that add no candidate below e; each closed set has exactly one parent.
     Support only shrinks along an extension, so cutting an extension whose
-    supporters drop below the seat threshold loses no qualifying set.  One
+    supporters drop below the seat threshold loses no qualifying set.  With
+    ``stop_saturated`` the walk does not extend a closed set C with
+    |C| >= floor(|N(C)|*k/n), whose subtree raises no voter's value.  One
     budget node is ticked per closed set visited.
     """
     n, k = election.n, election.k
@@ -96,6 +108,8 @@ def _closed_sets(election: Election, budget: NodeBudget) -> Iterator[tuple[int, 
         closed, supp, core, pool = stack.pop()
         budget.tick()
         yield closed, supp
+        if stop_saturated and closed.bit_count() >= supp.bit_count() * k // n:
+            continue
         # supporters shrink along extensions, so only the parent's pool can extend C
         ext = []
         for c, cv in pool:
@@ -172,6 +186,30 @@ def _exact_certificates(election: Election, node_cap: int) -> list[CohesionCerti
         for i in _iter_bits(unassigned):
             certs[i] = CohesionCertificate(i, 0, frozenset(), group)
     return certs
+
+
+def entitlements(election: Election, node_cap: int = DEFAULT_NODE_CAP) -> list[int]:
+    """Every f_i, in voter order, without witnesses.
+
+    Walks the qualifying closed sets, stopping below saturated ones, and ORs
+    the supporters of each set into the voter mask of its value; f_i is the
+    highest value whose mask holds voter i.  Raises
+    :class:`~irlab.search.BudgetExceededError` (stage ``cohesion.entitlements``)
+    when more than ``node_cap`` sets are visited; it visits no set that
+    :func:`f_vector`'s walk skips, so it raises only where that one does."""
+    n, k = election.n, election.k
+    budget = NodeBudget(node_cap, stage="cohesion.entitlements")
+    layers = [0] * (k + 1)  # layers[v]: the supporters of some set of value v
+    for closed, supp in _closed_sets(election, budget, stop_saturated=True):
+        layers[min(closed.bit_count(), supp.bit_count() * k // n)] |= supp
+    f = [0] * n
+    unassigned = election.all_voters_mask()
+    for value in range(k, 0, -1):
+        taken = layers[value] & unassigned
+        unassigned ^= taken
+        for i in _iter_bits(taken):
+            f[i] = value
+    return f
 
 
 def vi_order_positions(election: Election, order: Sequence[int]) -> list[int]:

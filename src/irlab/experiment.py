@@ -1,12 +1,13 @@
 """Batch experiment harness: existence rates and rule hit rates over models.
 
 For every (model, committee size, instance) triple the harness generates a
-profile, computes the exact entitlement vector, decides IR and semi-strong JR
-existence, and optionally probes a list of voting rules with
-:func:`probe_rule`: per rule, ``rules.probe`` says whether some winner meets
-the IR demands and whether some winner meets the semi-strong JR demands,
-testing tied winners on the lanes of the rule's search rather than listing
-them.  Results stream into a CSV whose rows are keyed by a per-instance seed
+profile, computes the exact entitlements f_i (``cohesion.entitlements``: the
+values alone, no witness certificates), decides IR and semi-strong JR
+existence on them (``solver.find_ir_and_ssjr``), and optionally probes a list
+of voting rules with :func:`probe_rule`: per rule, ``rules.probe`` says
+whether some winner meets the demands f and whether some winner meets the
+semi-strong JR demands min(f, 1), testing tied winners on the lanes of the
+rule's search rather than listing them.  Results stream into a CSV whose rows are keyed by a per-instance seed
 derived from the base seed, so output is byte-identical across runs and
 independent of the parallelism degree (rows are order-normalized before
 writing; the worker pool is never larger than the number of instances or of
@@ -25,7 +26,7 @@ from multiprocessing import Pool
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .cohesion import f_vector
+from .cohesion import entitlements
 from .search import BudgetExceededError
 from .gen import GenSpec, generate
 from .model import Election
@@ -121,7 +122,7 @@ def _run_instance(args) -> ExperimentRow:
     )
     election = generate(gspec, k=k)
     try:
-        fvec = tuple(f_vector(election, node_cap=spec.node_cap))
+        f = entitlements(election, spec.node_cap)
     except BudgetExceededError:
         # without entitlements nothing about this instance is decidable;
         # record the row as undecided rather than aborting the batch
@@ -136,9 +137,9 @@ def _run_instance(args) -> ExperimentRow:
             undecided=True,
             ms=ms,
         )
-    ir_res, ssjr_res = find_ir_and_ssjr(election, fvec, spec.node_cap)
+    ir_res, ssjr_res = find_ir_and_ssjr(election, f, spec.node_cap)
     undecided = ir_res.status == "undecided" or ssjr_res.status == "undecided"
-    wanted = (demands(fvec, "FIND_IR"), demands(fvec, "FIND_SSJR")) if spec.rules else ()
+    wanted = (f, demands(f, "FIND_SSJR")) if spec.rules else ()
     rule_hits = tuple(
         (str(rule), *probe_rule(election, rule, wanted)) for rule in spec.rules
     )

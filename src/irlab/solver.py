@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from . import axioms
 from .cohesion import CohesionCertificate, deficits_for
-from .model import Committee, Election, _iter_bits, padding
+from .model import Committee, Election, _iter_bits, first_unmet, padding
 from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, above, at_least, counter, sub
 
 OBJECTIVES = ("FIND_IR", "FIND_SSJR", "MIN_BETA", "MIN_ALPHA")
@@ -126,12 +126,12 @@ def _cover_search(
             return None
 
 
-def demands(fvec: Sequence[CohesionCertificate], objective: str) -> list[int]:
+def demands(f: Sequence[int], objective: str) -> list[int]:
     """Per-voter approved-member demand: f_i for FIND_IR, min(f_i, 1) for FIND_SSJR."""
     if objective == "FIND_IR":
-        return [cert.f for cert in fvec]
+        return list(f)
     if objective == "FIND_SSJR":
-        return [min(cert.f, 1) for cert in fvec]
+        return [min(value, 1) for value in f]
     raise ValueError("demands are defined for FIND_IR and FIND_SSJR only")
 
 
@@ -168,18 +168,30 @@ def _least_feasible(
     return grid[lo], best
 
 
+def _find(election: Election, wanted: Sequence[int], node_cap: int) -> SolveResult:
+    """FIND_IR or FIND_SSJR for the per-voter demands ``wanted``: the cover
+    search under a budget of its own, the padded committee re-checked by
+    direct count (the count ``axioms.check`` runs for IR and SSJR)."""
+    budget = NodeBudget(node_cap, stage="solver.find_committee")
+    try:
+        committee = _feasible(election, wanted, budget)
+    except BudgetExceededError:
+        return SolveResult("undecided", None, None, None, budget.nodes)
+    if committee is None:
+        return SolveResult("infeasible", None, None, None, budget.nodes)
+    if first_unmet(election, committee.mask(), wanted) is not None:  # a bug
+        raise AssertionError("solver returned a committee failing its demands")
+    return SolveResult("found", committee, Fraction(1), Fraction(0), budget.nodes)
+
+
 def find_committee(request: SolveRequest) -> SolveResult:
     """Solve the request exactly; `undecided` is only ever due to the node cap."""
     election, fvec = request.election, request.fvec
+    if request.objective in ("FIND_IR", "FIND_SSJR"):
+        f = [cert.f for cert in fvec]
+        return _find(election, demands(f, request.objective), request.node_cap)
     budget = NodeBudget(request.node_cap, stage="solver.find_committee")
     try:
-        if request.objective in ("FIND_IR", "FIND_SSJR"):
-            committee = _feasible(election, demands(fvec, request.objective), budget)
-            if committee is None:
-                return SolveResult("infeasible", None, None, None, budget.nodes)
-            _assert_entitled(request, committee, Fraction(1), Fraction(0), ssjr=request.objective == "FIND_SSJR")
-            return SolveResult("found", committee, Fraction(1), Fraction(0), budget.nodes)
-
         if request.objective == "MIN_BETA":
             fmax = max((cert.f for cert in fvec), default=0)
             hit = _least_feasible(
@@ -224,29 +236,26 @@ def find_committee(request: SolveRequest) -> SolveResult:
 
 
 def find_ir_and_ssjr(
-    election: Election, fvec: Sequence[CohesionCertificate], node_cap: int
+    election: Election, f: Sequence[int], node_cap: int
 ) -> tuple[SolveResult, SolveResult]:
-    """The FIND_IR and the FIND_SSJR result.  An IR committee is semi-strong JR
-    too, so once FIND_IR has found one it stands for both and FIND_SSJR is not
-    solved; nor is it when every f_i <= 1, where its demands are FIND_IR's."""
-    ir_res = find_committee(SolveRequest(election, tuple(fvec), "FIND_IR", node_cap=node_cap))
-    if ir_res.status == "found" or all(cert.f <= 1 for cert in fvec):
+    """The FIND_IR and the FIND_SSJR result for the entitlements ``f`` (as
+    :func:`~irlab.cohesion.entitlements` gives them), each equal to what
+    :func:`find_committee` returns.  An IR committee is semi-strong JR too, so
+    once FIND_IR has found one it stands for both and FIND_SSJR is not solved;
+    nor is it when every f_i <= 1, where its demands are FIND_IR's."""
+    if len(f) != election.n:
+        raise ValueError("f-vector length must equal the number of voters")
+    ir_res = _find(election, demands(f, "FIND_IR"), node_cap)
+    if ir_res.status == "found" or all(value <= 1 for value in f):
         return ir_res, ir_res
-    ssjr_res = find_committee(SolveRequest(election, tuple(fvec), "FIND_SSJR", node_cap=node_cap))
-    return ir_res, ssjr_res
+    return ir_res, _find(election, demands(f, "FIND_SSJR"), node_cap)
 
 
 def _assert_entitled(
-    request: SolveRequest,
-    committee: Committee,
-    alpha: Fraction,
-    beta: Fraction,
-    ssjr: bool = False,
+    request: SolveRequest, committee: Committee, alpha: Fraction, beta: Fraction
 ) -> None:
     # independent re-check through the axioms module; a failure is a bug
-    axiom = axioms.SSJR if ssjr else (
-        axioms.IR if alpha == 1 and beta == 0 else axioms.alpha_beta_ir(alpha, beta)
-    )
+    axiom = axioms.IR if alpha == 1 and beta == 0 else axioms.alpha_beta_ir(alpha, beta)
     verdict = axioms.check(request.election, committee, axiom, fvec=request.fvec)
     if verdict.status != "satisfied":
         raise AssertionError(f"solver returned a committee failing {axiom}")

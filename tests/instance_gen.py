@@ -4,6 +4,7 @@ import random
 
 from irlab.model import Election
 from irlab.domains import TreeWitness
+from irlab.gen import GenSpec, generate
 
 
 def random_election(rng: random.Random, n_max=12, m_max=8, k_max=None, density=0.4):
@@ -152,3 +153,18 @@ def random_committee(rng: random.Random, election):
     from irlab.model import Committee
 
     return Committee.of(members, election)
+
+
+def scale_cases():
+    """Profiles of 200 to 1,000 voters from every model, each with a random
+    committee: past what the brute-force oracles can check."""
+    rng = random.Random(83)
+    specs = [
+        ("vi_euclid", 1000, 60, 10), ("urn", 1000, 60, 10), ("euclid_2d", 1000, 60, 2),
+        ("ic", 1000, 60, 20), ("mallows", 300, 30, 9), ("ci_euclid", 400, 40, 6),
+        ("ic", 200, 30, 9), ("vi_euclid", 200, 20, 8), ("urn", 200, 20, 6),
+        ("mallows", 600, 40, 12), ("euclid_2d", 200, 30, 4), ("ci_euclid", 200, 20, 9),
+    ]
+    for seed, (model, n, m, k) in enumerate(specs):
+        e = generate(GenSpec(model, n, m, seed), k=k)
+        yield rng, e, rng.sample(range(m), k)

@@ -12,7 +12,9 @@ leaf), the frozenset prefix/suffix layout with the run-pattern WSC check,
 the token-by-token ``.avp`` reader and the rule probe that lists every winner
 are the engines the package replaced; they stay here as references for the
 ones that replaced them.  ``enumerate_committees`` lists every committee
-meeting a solver objective, for fixtures.
+meeting a solver objective, for fixtures; ``closed_set_walk`` lists the closed
+sets the entitlement walk visits; ``run_instance_by_certificates`` is the
+experiment's instance path over ``f_vector`` certificates.
 """
 
 from fractions import Fraction
@@ -20,9 +22,11 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Sequence
 
-from irlab.cohesion import CohesionCertificate
+from irlab.cohesion import CohesionCertificate, f_vector
 from irlab.axioms import AxiomVerdict, ViolationWitness
 from irlab.domains import CEIWitness, VEIWitness, WSCWitness
+from irlab.experiment import ExperimentRow, instance_seed
+from irlab.gen import GenSpec, generate
 from irlab.model import (
     Committee,
     Election,
@@ -33,9 +37,9 @@ from irlab.model import (
     mask_to_set,
     members_mask,
 )
-from irlab.rules import MAX_ENUMERATED_COMMITTEES, RuleId, run_rule
+from irlab.rules import MAX_ENUMERATED_COMMITTEES, RuleId, probe, run_rule
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, max_flow
-from irlab.solver import demands
+from irlab.solver import SolveRequest, demands, find_committee
 
 
 def brute_f(election, voter):
@@ -52,6 +56,43 @@ def brute_f(election, voter):
                 best = size
                 break
     return best
+
+
+def closed_set_walk(election: Election, stop_saturated: bool) -> set[int]:
+    """The closed candidate sets (as masks) that ``cohesion._closed_sets``
+    visits, from their definition instead of by walking.
+
+    Every closure clo(S) with |N(S)|*k >= n is found by trying all 2^m sets S.
+    The LCM parent of a closed set D other than clo(∅) is clo(D ∩ [0, e)) for
+    its core e, the least e with clo(D ∩ [0, e]) = D.  The walk visits D
+    unless ``stop_saturated`` holds and some strict ancestor C of D is
+    saturated: |C| >= floor(|N(C)|*k/n).
+    """
+    n, m, k = election.n, election.m, election.k
+
+    def clo(s: int) -> int:
+        supp = election.supporters_mask(_iter_bits(s))
+        return sum(1 << c for c in range(m) if not supp & ~election.candidate_voters[c])
+
+    def stops_below(c: int) -> bool:
+        seats = election.supporters_mask(_iter_bits(c)).bit_count() * k // n
+        return stop_saturated and c.bit_count() >= seats
+
+    qualifying = {
+        clo(s)
+        for s in range(1 << m)
+        if election.supporters_mask(_iter_bits(s)).bit_count() * k >= n
+    }
+    visited = {clo(0): True}
+
+    def visits(d: int) -> bool:
+        if d not in visited:
+            core = next(e for e in range(m) if clo(d & ((2 << e) - 1)) == d)
+            parent = clo(d & ((1 << core) - 1))
+            visited[d] = visits(parent) and not stops_below(parent)
+        return visited[d]
+
+    return {d for d in qualifying if visits(d)}
 
 
 # --------------------------------------------------------------------------
@@ -257,7 +298,7 @@ def enumerate_committees(
     objective: str = "FIND_IR",
 ) -> list[Committee]:
     """All size-k committees meeting the objective, by full enumeration."""
-    wanted = demands(fvec, objective)
+    wanted = demands([cert.f for cert in fvec], objective)
     return [
         Committee.of(combo, election)
         for combo in combinations(range(election.m), election.k)
@@ -1043,6 +1084,31 @@ def probe_rule(election: Election, rule: RuleId, wanted) -> tuple[bool, ...]:
     return tuple(
         any(first_unmet(election, w, demand) is None for w in wmasks) for demand in wanted
     )
+
+
+def run_instance_by_certificates(args) -> ExperimentRow:
+    """One experiment row as ``experiment._run_instance`` made it over the
+    ``f_vector`` certificates: FIND_IR and, unless it found a committee or
+    every f_i <= 1, FIND_SSJR through ``find_committee``; ``ms`` is 0."""
+    spec, model, k, index = args
+    seed = instance_seed(spec.seed, model, k, index)
+    params = dict(spec.gen_params.get(model, {}))
+    election = generate(GenSpec(model=model, n=spec.n, m=spec.m, seed=seed, params=params), k=k)
+    try:
+        fvec = tuple(f_vector(election, node_cap=spec.node_cap))
+    except BudgetExceededError:
+        hits = tuple((str(rule), False, False) for rule in spec.rules)
+        return ExperimentRow(model, k, seed, None, None, hits, True, 0)
+    ir_res = find_committee(SolveRequest(election, fvec, "FIND_IR", node_cap=spec.node_cap))
+    ssjr_res = ir_res
+    if ir_res.status != "found" and any(cert.f > 1 for cert in fvec):
+        ssjr_res = find_committee(SolveRequest(election, fvec, "FIND_SSJR", node_cap=spec.node_cap))
+    f = [cert.f for cert in fvec]
+    wanted = (demands(f, "FIND_IR"), demands(f, "FIND_SSJR"))
+    hits = tuple((str(rule), *probe(election, rule, wanted)) for rule in spec.rules)
+    found = lambda res: None if res.status == "undecided" else res.status == "found"
+    undecided = "undecided" in (ir_res.status, ssjr_res.status)
+    return ExperimentRow(model, k, seed, found(ir_res), found(ssjr_res), hits, undecided, 0)
 
 
 def _thiele_classes(

@@ -253,6 +253,15 @@ def test_check_committee_larger_than_k_exit_two(tmp_path):
     assert "committee has 3 members" in result.output
 
 
+def test_check_repeated_committee_index_exit_two(tmp_path):
+    # a repeated index is named, not silently dropped into a smaller committee
+    path = _write_profile(tmp_path, two_camps_with_bridge())
+    for axiom in ("ir", "jr"):
+        result = CliRunner().invoke(main, ["check", path, "--committee", "1,1", "--axiom", axiom])
+        _assert_usage_error(result)
+        assert "duplicate candidate index 1 in committee" in result.output
+
+
 def test_check_alpha_not_rational_exit_two(tmp_path):
     path = _write_profile(tmp_path, two_camps_with_bridge())
     result = CliRunner().invoke(

@@ -3,14 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irlab.cohesion import f_vector, vi_order_positions
+from irlab.cohesion import _closed_sets, entitlements, f_vector, vi_order_positions
 from irlab.model import Election, is_run, position_mask
-from irlab.search import BudgetExceededError
+from irlab.search import BudgetExceededError, NodeBudget
 from irlab.domains import recognize
 from irlab.gen import GenSpec, generate
 
-from instance_gen import random_election, random_vi_election
-from oracles import brute_f, f_certificate_exact, vi_certificates_by_scan
+from instance_gen import random_election, random_vi_election, scale_cases
+from oracles import brute_f, closed_set_walk, f_certificate_exact, vi_certificates_by_scan
 from hard_instances import two_camps_with_bridge, uneven_cohorts, opposed_ends_instance
 
 IDENTITY8 = tuple(range(8))
@@ -208,10 +208,27 @@ def _edge_case_election(rng):
     return Election.from_approvals(ballots, m=m, k=k)
 
 
-def test_f_vector_matches_dfs_oracle():
+def _dfs_oracle_profiles():
     rng = random.Random(2004)
-    for _ in range(300):
-        e = _edge_case_election(rng)
+    return [_edge_case_election(rng) for _ in range(300)]
+
+
+def _many_closed_sets_profiles():
+    # each voter misses a candidate of its own, so every nonempty voter group
+    # supports a closed set: 8191 of them, enough to cut the ranking list back
+    rng = random.Random(11)
+    return [
+        Election.from_approvals(
+            [set(range(13)) - {i} - set(rng.sample(range(13), extra)) for i in range(13)],
+            m=13,
+            k=13,
+        )
+        for extra in (0, 1, 2)
+    ]
+
+
+def test_f_vector_matches_dfs_oracle():
+    for e in _dfs_oracle_profiles():
         for i, cert in enumerate(f_vector(e)):
             ref = f_certificate_exact(e, i)
             assert (cert.voter, cert.f, cert.witness_set, cert.witness_supporters) == (
@@ -224,14 +241,7 @@ def test_f_vector_matches_dfs_oracle():
 
 
 def test_f_vector_many_closed_sets_matches_dfs_oracle():
-    # each voter misses a candidate of its own, so every nonempty voter group
-    # supports a closed set: 8191 of them, enough to cut the ranking list back
-    rng = random.Random(11)
-    for extra in (0, 1, 2):
-        ballots = [
-            set(range(13)) - {i} - set(rng.sample(range(13), extra)) for i in range(13)
-        ]
-        e = Election.from_approvals(ballots, m=13, k=13)
+    for e in _many_closed_sets_profiles():
         for i, cert in enumerate(f_vector(e)):
             ref = f_certificate_exact(e, i)
             assert (cert.f, cert.witness_set, cert.witness_supporters) == (
@@ -247,3 +257,52 @@ def test_f_vector_decides_large_euclid_2d():
     certs = f_vector(e, node_cap=10**6)
     assert [c.voter for c in certs] == list(range(e.n))
     assert all(c.verify(e) for c in certs)
+
+
+def _assert_visits(e, walk, nodes, stage):
+    """``walk(e, node_cap=nodes)`` succeeds, one node less raises at ``stage``."""
+    result = walk(e, node_cap=nodes)
+    if nodes > 1:
+        with pytest.raises(BudgetExceededError) as info:
+            walk(e, node_cap=nodes - 1)
+        assert (info.value.nodes, info.value.stage) == (nodes, stage)
+    return result
+
+
+def test_entitlements_match_f_vector_and_visit_the_cut_walk():
+    # the values are f_vector's; the walk visits exactly the closed sets
+    # below no saturated one (counted by definition, independent of the
+    # walk), never more than f_vector's, and past the cap it raises
+    rng = random.Random(1717)
+    wide = []
+    for _ in range(60):
+        n, m = rng.randint(65, 130), rng.randint(1, 8)
+        k = rng.choice([1, m, rng.randint(1, m)])
+        base = [{c for c in range(m) if rng.random() < 0.5} for _ in range(rng.randint(1, 6))]
+        ballots = [set() if rng.random() < 0.1 else set(rng.choice(base)) for _ in range(n)]
+        wide.append(Election.from_approvals(ballots, m=m, k=k))
+    cases = [*_dfs_oracle_profiles(), *_many_closed_sets_profiles(), *wide]
+    seen = {"k=1": 0, "k=m": 0, "empty ballot": 0, "n>64": 0, "cut": 0, "f>1": 0}
+    for e in cases:
+        full, cut = (len(closed_set_walk(e, stop)) for stop in (False, True))
+        certs = _assert_visits(e, f_vector, full, "cohesion.f_vector")
+        assert _assert_visits(e, entitlements, cut, "cohesion.entitlements") == [c.f for c in certs]
+        assert cut <= full
+        seen["k=1"] += e.k == 1
+        seen["k=m"] += e.k == e.m
+        seen["empty ballot"] += not all(e.approvals)
+        seen["n>64"] += e.n > 64
+        seen["cut"] += cut < full
+        seen["f>1"] += max(c.f for c in certs) > 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_entitlements_match_f_vector_at_scale():
+    # the twelve 200- to 1,000-voter profiles: the same values, and the cut
+    # walk visits no more closed sets than f_vector's walk does
+    for _, e, _ in scale_cases():
+        full = sum(1 for _ in _closed_sets(e, NodeBudget(10**9, stage="test")))
+        cut = sum(1 for _ in _closed_sets(e, NodeBudget(10**9, stage="test"), stop_saturated=True))
+        assert cut <= full
+        f = _assert_visits(e, entitlements, cut, "cohesion.entitlements")
+        assert f == [c.f for c in f_vector(e, node_cap=full)], (e.n, e.m, e.k)

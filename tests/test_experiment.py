@@ -18,6 +18,8 @@ from irlab.experiment import (
 )
 from irlab.rules import RuleId
 
+from oracles import run_instance_by_certificates
+
 SMALL = ExperimentSpec(
     models=("ic", "urn"),
     n=12,
@@ -177,6 +179,39 @@ def test_tiny_node_cap_records_undecided_without_aborting():
     assert all(r.ir_exists is None and r.ssjr_exists is None for r in rows)
     text = rows_to_csv(spec, rows)
     assert ",,," in text  # empty existence cells survive the round trip
+
+
+def test_rows_match_the_certificate_path_at_every_cap():
+    """The entitlements path decides every cell that the path over f_vector
+    certificates decides, the same way, and leaves a row undecided only where
+    that path does: its walk never visits more closed sets."""
+    undecided = {}
+    for cap in (2, 3, 5, 10, 30, 10**6):
+        spec = ExperimentSpec(
+            instances=5,
+            rules=(RuleId("av"), RuleId("seq_phragmen")),
+            node_cap=cap,
+            include_timing=False,
+        )
+        tasks = [
+            (spec, model, k, index)
+            for model in spec.models
+            for k in spec.k_values
+            for index in range(spec.instances)
+        ]
+        old = [run_instance_by_certificates(task) for task in tasks]
+        new = run_experiment(spec)
+        for before, after in zip(old, new, strict=True):
+            assert (after.model, after.k, after.seed) == (before.model, before.k, before.seed)
+            for cell in ("ir_exists", "ssjr_exists"):
+                if getattr(before, cell) is not None:
+                    assert getattr(after, cell) == getattr(before, cell), (cap, before)
+            assert before.undecided or not after.undecided, (cap, before)
+            if not before.undecided:
+                assert after.rule_hits == before.rule_hits, (cap, before)
+        undecided[cap] = (sum(r.undecided for r in old), sum(r.undecided for r in new))
+    assert undecided[10**6] == (0, 0), undecided
+    assert any(after < before for before, after in undecided.values()), undecided
 
 
 def test_seed_derivation_stable():

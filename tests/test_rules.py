@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from irlab import rules
-from irlab.cohesion import f_vector
+from irlab.cohesion import entitlements, f_vector
 from irlab.gen import MODELS, GenSpec, generate
 from irlab.model import Election, members_mask
 from irlab.experiment import DEFAULT_MODELS, DEFAULT_RULES, DESK_SCALE_GEN_PARAMS, instance_seed, probe_rule
@@ -224,12 +224,11 @@ def test_committee_sizes_exact():
             assert len(out.committee.members) == e.k, kind
 
 
-def _probe(e, rule, fvec):
-    """The rule probe and the existence solves of one experiment instance."""
-    found_ir, found_ssjr = probe_rule(
-        e, rule, (demands(fvec, "FIND_IR"), demands(fvec, "FIND_SSJR"))
-    )
-    ir_res, ssjr_res = find_ir_and_ssjr(e, fvec, DEFAULT_NODE_CAP)
+def _probe(e, rule, f):
+    """The rule probe and the existence solves of one experiment instance,
+    on the entitlements ``f``."""
+    found_ir, found_ssjr = probe_rule(e, rule, (f, demands(f, "FIND_SSJR")))
+    ir_res, ssjr_res = find_ir_and_ssjr(e, f, DEFAULT_NODE_CAP)
     return {
         "rule_found_ir": found_ir,
         "rule_found_ssjr": found_ssjr,
@@ -241,8 +240,7 @@ def _probe(e, rule, fvec):
 
 def test_probe_bridge_profile_seq_phragmen():
     e = two_camps_with_bridge()
-    fvec = tuple(f_vector(e))
-    probe = _probe(e, RuleId("seq_phragmen"), fvec)
+    probe = _probe(e, RuleId("seq_phragmen"), entitlements(e))
     assert probe == {
         "rule_found_ir": False,
         "rule_found_ssjr": False,
@@ -254,8 +252,7 @@ def test_probe_bridge_profile_seq_phragmen():
 
 def test_probe_trivial_when_entitlements_zero():
     e = Election.from_approvals([set()] * 4, m=4, k=2)
-    fvec = tuple(f_vector(e))
-    probe = _probe(e, RuleId("av"), fvec)
+    probe = _probe(e, RuleId("av"), entitlements(e))
     assert probe["rule_found_ir"] and probe["ir_exists"]
 
 
@@ -456,11 +453,11 @@ def test_probe_matches_testing_every_winner(monkeypatch):
     monkeypatch.setattr(rules, "_lex_search", traced_search)
     for j, (e, probed) in enumerate(cases):
         monkeypatch.setattr(rules, "_BLOCK_BITS", (rules._BLOCK_BITS, 12, 1)[j % 3])
-        fvec = tuple(f_vector(e))
+        f = entitlements(e)
         other = set(rng.sample(range(e.m), e.k))
         shared = (
-            demands(fvec, "FIND_IR"),
-            demands(fvec, "FIND_SSJR"),
+            f,
+            demands(f, "FIND_SSJR"),
             [rng.randint(0, min(len(a), e.k) + 1) for a in e.approvals],
             [len(a & other) for a in e.approvals],
         )
@@ -706,7 +703,7 @@ def test_probe_matches_both_solves():
         ir = find_committee(SolveRequest(e, fvec, "FIND_IR"))
         ssjr = find_committee(SolveRequest(e, fvec, "FIND_SSJR"))
         for rule in (RuleId("seq_phragmen"), RuleId("av")):
-            probe = _probe(e, rule, fvec)
+            probe = _probe(e, rule, [cert.f for cert in fvec])
             assert probe["ir_exists"] == (ir.status == "found")
             assert probe["ssjr_exists"] == (ssjr.status == "found")
             assert probe["undecided"] == ("undecided" in (ir.status, ssjr.status))

@@ -8,12 +8,13 @@ import pytest
 from irlab import cohesion, solver
 from irlab.axioms import CORE, FJR, check
 from irlab.cohesion import f_vector
+from irlab.experiment import DESK_SCALE_GEN_PARAMS
 from irlab.gen import GenSpec, generate
 from irlab.model import Committee, Election
 from irlab.search import BudgetExceededError, NodeBudget
 from irlab.solver import OBJECTIVES, SolveRequest, find_committee
 
-from instance_gen import random_election
+from instance_gen import random_election, scale_cases
 from oracles import brute_ir_committees, cover_search, enumerate_committees
 from hard_instances import (
     uncoverable_line_instance,
@@ -229,9 +230,42 @@ def test_find_ir_and_ssjr_equals_both_solves_when_every_f_is_at_most_one():
                 find_committee(SolveRequest(e, fvec, objective, node_cap=cap))
                 for objective in ("FIND_IR", "FIND_SSJR")
             )
-            assert solver.find_ir_and_ssjr(e, fvec, cap) == (ir, ssjr)
+            assert solver.find_ir_and_ssjr(e, [cert.f for cert in fvec], cap) == (ir, ssjr)
             seen[ir.status] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def test_find_ir_and_ssjr_equals_find_committee_when_some_f_exceeds_one():
+    # here the two demand vectors differ: the pair solves FIND_SSJR unless
+    # FIND_IR found a committee, which then stands for both; each result
+    # equals find_committee's over the certificates in status, committee and
+    # nodes, at caps that leave some searches undecided
+    rng = random.Random(73)
+    desk = lambda model, seed: GenSpec(model, 40, 16, seed, dict(DESK_SCALE_GEN_PARAMS.get(model, {})))
+    elections = [
+        generate(desk(model, seed), k=k)
+        for model in ("urn", "euclid_2d", "ci_euclid", "mallows")
+        for k in (3, 4, 5, 6)
+        for seed in range(5)
+    ] + [random_election(rng, n_max=12, m_max=9, k_max=5, density=0.6) for _ in range(400)]
+    seen = Counter()
+    for e in elections:
+        fvec = tuple(f_vector(e))
+        f = [cert.f for cert in fvec]
+        if max(f) <= 1:
+            continue
+        assert cohesion.entitlements(e) == f
+        for cap in (3, 10**6):
+            ir, ssjr = (
+                find_committee(SolveRequest(e, fvec, objective, node_cap=cap))
+                for objective in ("FIND_IR", "FIND_SSJR")
+            )
+            expected = (ir, ir) if ir.status == "found" else (ir, ssjr)
+            assert solver.find_ir_and_ssjr(e, f, cap) == expected
+            seen[ir.status if ir.status != "infeasible" else f"infeasible, ssJR {ssjr.status}"] += 1
+    assert min(seen[key] for key in ("found", "undecided", "infeasible, ssJR found")) >= 10, seen
+    with pytest.raises(ValueError, match="f-vector length"):
+        solver.find_ir_and_ssjr(e, f[:-1], 10)
 
 
 def _wide_election(rng):
@@ -271,21 +305,6 @@ def test_cover_search_matches_recursive_search_past_one_word():
     assert min(seen.values()) >= 10, seen
 
 
-def _scale_cases():
-    """Profiles of 200 to 1,000 voters from every model, each with a random
-    committee: past what the brute-force oracles can check."""
-    rng = random.Random(83)
-    specs = [
-        ("vi_euclid", 1000, 60, 10), ("urn", 1000, 60, 10), ("euclid_2d", 1000, 60, 2),
-        ("ic", 1000, 60, 20), ("mallows", 300, 30, 9), ("ci_euclid", 400, 40, 6),
-        ("ic", 200, 30, 9), ("vi_euclid", 200, 20, 8), ("urn", 200, 20, 6),
-        ("mallows", 600, 40, 12), ("euclid_2d", 200, 30, 4), ("ci_euclid", 200, 20, 9),
-    ]
-    for seed, (model, n, m, k) in enumerate(specs):
-        e = generate(GenSpec(model, n, m, seed), k=k)
-        yield rng, e, rng.sample(range(m), k)
-
-
 def _outcomes(e, members):
     """(status, nodes, beta reached) of FIND_IR, FIND_SSJR and MIN_BETA and
     (status, nodes, None) of the core and FJR checks of ``members``, at
@@ -306,7 +325,7 @@ def test_decided_statuses_survive_a_voter_relabelling():
     # status decided under both labellings is the same, and so is MIN_BETA's
     # beta
     seen = {"found": 0, "infeasible": 0, "satisfied": 0, "violated": 0, "undecided": 0}
-    for rng, e, members in _scale_cases():
+    for rng, e, members in scale_cases():
         order = list(range(e.n))
         rng.shuffle(order)
         relabelled = Election.from_approvals([e.approvals[i] for i in order], m=e.m, k=e.k)
@@ -320,14 +339,14 @@ def test_decided_statuses_survive_a_voter_relabelling():
 def test_outcomes_ignore_an_unapproved_candidate():
     # a candidate nobody approves never enters a search: every status, node
     # count and beta is unchanged
-    for _, e, members in _scale_cases():
+    for _, e, members in scale_cases():
         widened = Election.from_approvals(list(e.approvals), m=e.m + 1, k=e.k)
         assert _outcomes(widened, members) == _outcomes(e, members), (e.n, e.m, e.k)
 
 
 def test_entitlements_survive_a_candidate_relabelling():
     # the f-vector speaks of voters only: renaming the candidates keeps every f_i
-    for rng, e, _ in _scale_cases():
+    for rng, e, _ in scale_cases():
         perm = list(range(e.m))
         rng.shuffle(perm)
         relabelled = Election.from_approvals(
@@ -341,7 +360,7 @@ def test_cloning_every_voter_keeps_entitlements_and_decided_statuses():
     # kept (by both copies), and so is every status FIND_IR and FIND_SSJR
     # decide under both profiles
     seen = Counter()
-    for _, e, _ in _scale_cases():
+    for _, e, _ in scale_cases():
         cloned = Election.from_approvals(list(e.approvals) * 2, m=e.m, k=e.k)
         fvec, twice = tuple(f_vector(e)), tuple(f_vector(cloned))
         assert [c.f for c in twice] == [c.f for c in fvec] * 2, (e.n, e.m, e.k)
