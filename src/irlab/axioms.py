@@ -133,7 +133,7 @@ def check(
     budget = NodeBudget(node_cap, stage=f"axioms.{kind}")
     try:
         if entitled:  # alpha*|W cap A_i| + beta < f_i: fewer members than the demand
-            demand = deficits_for(fvec, axiom.alpha or 1, axiom.beta or 0)
+            demand = deficits_for([cert.f for cert in fvec], axiom.alpha or 1, axiom.beta or 0)
             witness = _entitlement_witness(fvec, first_unmet(election, committee.mask(), demand))
         elif kind == "SSJR":
             witness = _ssjr_witness(election, counts, fvec)

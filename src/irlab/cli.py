@@ -16,7 +16,7 @@ from fractions import Fraction
 import click
 
 from . import axioms, domains, rules, solver
-from .cohesion import f_vector
+from .cohesion import entitlements, f_vector
 from .experiment import (
     DEFAULT_MODELS,
     DEFAULT_RULES,
@@ -177,11 +177,15 @@ def fvec_cmd(profile, method, cap):
         certs = f_vector(election, method, order=order, node_cap=cap)
     except BudgetExceededError as exc:
         raise click.ClickException(str(exc))
-    rows = [
-        f"{cert.voter + 1},{cert.f},{' '.join(str(c + 1) for c in sorted(cert.witness_set))}"
-        for cert in certs
-    ]
-    click.echo("\n".join(["voter,f,witness", *rows]), file=sys.stdout)
+    # many voters share a witness, so each distinct one is formatted once
+    texts: dict[frozenset[int], str] = {}
+    rows = ["voter,f,witness"]
+    for cert in certs:
+        w = cert.witness_set
+        if w not in texts:
+            texts[w] = " ".join(str(c + 1) for c in sorted(w))
+        rows.append(f"{cert.voter + 1},{cert.f},{texts[w]}")
+    click.echo("\n".join(rows), file=sys.stdout)
 
 
 @main.command("check")
@@ -271,19 +275,21 @@ def rule_cmd(profile, rule_name, all_tied, weight):
 )
 @click.option("--alpha", type=RATIONAL, default="1", show_default=True)
 @click.option("--beta", type=RATIONAL, default="0", show_default=True)
-@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_NODE_CAP, show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_NODE_CAP, show_default=True,
+              help="node cap of the entitlement walk (one node per closed candidate set) "
+              "and, separately, of the committee search")
 @click.option("--expect", type=click.Choice(["found", "infeasible"]), default=None)
 def solve_cmd(profile, objective, alpha, beta, cap, expect):
     """Exact committee search (existence or best approximation)."""
     election = _load(profile)
     try:
-        fvec = tuple(f_vector(election, node_cap=cap))
+        f = entitlements(election, node_cap=cap)
     except BudgetExceededError as exc:
         raise click.ClickException(str(exc))
     try:
         request = solver.SolveRequest(
             election=election,
-            fvec=fvec,
+            fvec=tuple(f),
             objective={"ir": "FIND_IR", "ssjr": "FIND_SSJR", "min-beta": "MIN_BETA", "min-alpha": "MIN_ALPHA"}[objective],
             alpha=alpha,
             beta=beta,

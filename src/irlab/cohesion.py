@@ -64,15 +64,13 @@ class CohesionCertificate:
         return mask.bit_count() * election.k >= self.f * election.n
 
 
-def deficits_for(
-    fvec: Sequence[CohesionCertificate], alpha: Fraction | int, beta: Fraction | int
-) -> list[int]:
+def deficits_for(f: Sequence[int], alpha: Fraction | int, beta: Fraction | int) -> list[int]:
     """Per-voter demand: the least w >= 0 with alpha*w + beta >= f_i.  With
     alpha = a/b and beta = c/d that is ceil((f_i*d - c)*b / (d*a)), in
     integers."""
     a, b = alpha.numerator, alpha.denominator
     c, d = beta.numerator, beta.denominator
-    return [max(0, -((c - cert.f * d) * b // (d * a))) for cert in fvec]
+    return [max(0, -((c - value * d) * b // (d * a))) for value in f]
 
 
 def _closed_sets(

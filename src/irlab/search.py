@@ -58,12 +58,20 @@ class NodeBudget:
 DEFAULT_NODE_CAP = 10**7
 
 
+# _DIGITS[b] maps a byte to the character of its bit b, "0" or "1"
+_DIGITS = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
+
+
 def counter(values: Sequence[int]) -> list[int]:
-    """The counter holding ``values[i]`` for voter i (one digit string per slice)."""
-    return [
-        int("".join(["1" if v >> b & 1 else "0" for v in reversed(values)]), 2)
-        for b in range(max(values, default=0).bit_length())
-    ]
+    """The counter holding ``values[i]`` for voter i.  Below 256 the values
+    are one byte string and each slice one translation of it into binary
+    digits; wider values are split into their low byte and the rest."""
+    top = max(values, default=0)
+    if top < 256:
+        data = bytes(values)[::-1]  # voter n-1 first, as in a binary numeral
+        return [int(data.translate(_DIGITS[b]), 2) for b in range(top.bit_length())]
+    low = counter([v & 255 for v in values])
+    return low + [0] * (8 - len(low)) + counter([v >> 8 for v in values])
 
 
 def sub(slices: Sequence[int], voters: int) -> list[int]:
@@ -74,7 +82,7 @@ def sub(slices: Sequence[int], voters: int) -> list[int]:
     while voters:
         s = out[b]
         out[b] = s ^ voters
-        voters &= ~s  # the borrow
+        voters ^= voters & s  # the borrow
         b += 1
     return out
 
@@ -141,9 +149,18 @@ def maximum(slices: Sequence[int], lanes: int) -> tuple[int, int]:
 def at_least(a: Sequence[int], b: Sequence[int], voters: int) -> int:
     """The mask of the voters of ``voters`` counting at least as much in ``a`` as in ``b``."""
     less = 0  # a < b on the slices seen so far, from the least significant up
-    for x, y in zip_longest(a, b, fillvalue=0):
+    for x, y in zip(a, b):
         less ^= (less ^ y) & (x ^ y)  # where the bits differ, b's bit decides
-    return voters & ~less
+    # past the common slices the longer counter's bits alone decide
+    if len(a) > len(b):
+        more = 0
+        for x in a[len(b):]:
+            more |= x
+        less ^= less & more
+    else:
+        for y in b[len(a):]:
+            less |= y
+    return voters ^ (voters & less)
 
 
 def above(slices: Sequence[int], value: int) -> int:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import axioms
 from .cohesion import CohesionCertificate, deficits_for
 from .model import Committee, Election, _iter_bits, first_unmet, padding
 from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, above, at_least, counter, sub
@@ -27,8 +26,13 @@ OBJECTIVES = ("FIND_IR", "FIND_SSJR", "MIN_BETA", "MIN_ALPHA")
 
 @dataclass(frozen=True)
 class SolveRequest:
+    """One solve.  ``fvec`` holds voter i's entitlement f_i at index i, as
+    the integers of :func:`~irlab.cohesion.entitlements` or as the
+    certificates of :func:`~irlab.cohesion.f_vector`; the request keeps the
+    integers alone."""
+
     election: Election
-    fvec: tuple[CohesionCertificate, ...]
+    fvec: tuple[int, ...]
     objective: str = "FIND_IR"
     alpha: Fraction = Fraction(1)  # fixed multiplicative slack for MIN_BETA
     beta: Fraction = Fraction(0)  # fixed additive slack for MIN_ALPHA
@@ -37,7 +41,9 @@ class SolveRequest:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if len(self.fvec) != self.election.n:
+        f = tuple(v.f if isinstance(v, CohesionCertificate) else v for v in self.fvec)
+        object.__setattr__(self, "fvec", f)
+        if len(f) != self.election.n:
             raise ValueError("f-vector length must equal the number of voters")
         if self.node_cap <= 0:
             raise ValueError("node cap must be positive")
@@ -65,12 +71,14 @@ def _cover_search(
     approved pool within the remaining seats.  Two bit-sliced counters
     (``search.counter``) carry the state: ``need``, what each voter still
     lacks, and ``avail``, her approved candidates still in the pool; every
-    test and update is a whole-mask operation on them.  A node with one seat
-    left that passes the test has only leaves below it, as every unmet voter
-    needs exactly one more: it returns its first option covering every unmet
-    voter (the coverage sort puts those first, in index order), or counts one
-    node per option without building the leaves.  Node counts are those of
-    the search that builds every leaf.
+    test and update is a whole-mask operation on them.  Only the counts of
+    unmet voters are read, and a voter met at a node stays met below it, so
+    a candidate leaving the pool is taken off ``avail`` for the unmet voters
+    alone.  A node with one seat left that passes the test has only leaves
+    below it, as every unmet voter needs exactly one more: it returns its
+    first option covering every unmet voter (the coverage sort puts those
+    first, in index order), or counts one node per option without building
+    the leaves.  Node counts are those of the search that builds every leaf.
     """
     m, k = election.m, election.k
     cand_voters = election.candidate_voters
@@ -78,9 +86,10 @@ def _cover_search(
         return None
     need = counter(deficits)
     avail = counter([ballot.bit_count() for ballot in election.ballot_masks])
-    # iterative: per open node, its branch candidates, the index of the next
-    # one, the pool and ``avail`` left to its later branches, and its own
-    # ``need`` and unmet voters, which restore it after each branch
+    # iterative: per open node, its branch options as (-coverage, candidate),
+    # the index of the next one, the pool and ``avail`` left to its later
+    # branches, and its own ``need`` and unmet voters, which restore it after
+    # each branch
     frames: list[list] = []
     pool = (1 << m) - 1
     while True:
@@ -89,26 +98,27 @@ def _cover_search(
         for s in need:
             unmet |= s
         if not unmet:  # each open node's current branch is a member
-            return [options[nxt - 1] for options, nxt, *_ in frames]
+            return [options[nxt - 1][1] for options, nxt, *_ in frames]
         # branch only if every unmet voter fits in the seats and the pool left
         if not above(need, k - len(frames)) and at_least(avail, need, unmet) == unmet:
             pivots = unmet  # narrowed to the fewest available, top slice first
             for s in reversed(avail):
-                if pivots & ~s:
-                    pivots &= ~s
+                rest = pivots ^ (pivots & s)
+                if rest:
+                    pivots = rest
             pivot = (pivots & -pivots).bit_length() - 1
             choices = election.ballot_masks[pivot] & pool
             if len(frames) < k - 1:
-                options = sorted(  # stable: ties stay in index order
-                    _iter_bits(choices),
-                    key=lambda c: -(cand_voters[c] & unmet).bit_count(),
+                # most unmet voters covered first, ties in index order
+                options = sorted(
+                    [(-(cand_voters[c] & unmet).bit_count(), c) for c in _iter_bits(choices)]
                 )
                 frames.append([options, 0, pool, avail, need, unmet])
             else:  # last seat: every unmet voter needs 1; the children are leaves
                 for c in _iter_bits(choices):
-                    if not unmet & ~cand_voters[c]:  # sorted first: it covers ``unmet``
+                    if unmet & cand_voters[c] == unmet:  # sorted first: it covers ``unmet``
                         budget.tick()
-                        return [options[nxt - 1] for options, nxt, *_ in frames] + [c]
+                        return [options[nxt - 1][1] for options, nxt, *_ in frames] + [c]
                 budget.tick(choices.bit_count())  # each child cut by the seat test
         while frames:
             frame = frames[-1]
@@ -116,11 +126,12 @@ def _cover_search(
             if nxt == len(options):
                 frames.pop()
                 continue
-            c = options[nxt]
-            pool &= ~(1 << c)  # later branches must not reuse c
-            avail = sub(avail, cand_voters[c])
+            c = options[nxt][1]
+            covered = cand_voters[c] & unmet
+            pool ^= 1 << c  # later branches must not reuse c
+            avail = sub(avail, covered)  # met voters' counts are not read again
             frame[1:4] = nxt + 1, pool, avail
-            need = sub(need, cand_voters[c] & unmet)
+            need = sub(need, covered)
             break
         else:
             return None
@@ -142,6 +153,14 @@ def _feasible(
     if hit is None:
         return None
     return Committee.of([*hit, *padding(election, hit)], election)
+
+
+def _recheck(election: Election, committee: Committee, wanted: Sequence[int]) -> None:
+    """Re-check a committee by direct count against the per-voter demands,
+    the count ``axioms.check`` runs for IR, semi-strong JR and (alpha,
+    beta)-IR; a failure is a bug."""
+    if first_unmet(election, committee.mask(), wanted) is not None:
+        raise AssertionError("solver returned a committee failing its demands")
 
 
 def _least_feasible(
@@ -171,7 +190,7 @@ def _least_feasible(
 def _find(election: Election, wanted: Sequence[int], node_cap: int) -> SolveResult:
     """FIND_IR or FIND_SSJR for the per-voter demands ``wanted``: the cover
     search under a budget of its own, the padded committee re-checked by
-    direct count (the count ``axioms.check`` runs for IR and SSJR)."""
+    direct count."""
     budget = NodeBudget(node_cap, stage="solver.find_committee")
     try:
         committee = _feasible(election, wanted, budget)
@@ -179,38 +198,33 @@ def _find(election: Election, wanted: Sequence[int], node_cap: int) -> SolveResu
         return SolveResult("undecided", None, None, None, budget.nodes)
     if committee is None:
         return SolveResult("infeasible", None, None, None, budget.nodes)
-    if first_unmet(election, committee.mask(), wanted) is not None:  # a bug
-        raise AssertionError("solver returned a committee failing its demands")
+    _recheck(election, committee, wanted)
     return SolveResult("found", committee, Fraction(1), Fraction(0), budget.nodes)
 
 
 def find_committee(request: SolveRequest) -> SolveResult:
     """Solve the request exactly; `undecided` is only ever due to the node cap."""
-    election, fvec = request.election, request.fvec
+    election, f = request.election, request.fvec
     if request.objective in ("FIND_IR", "FIND_SSJR"):
-        f = [cert.f for cert in fvec]
         return _find(election, demands(f, request.objective), request.node_cap)
     budget = NodeBudget(request.node_cap, stage="solver.find_committee")
     try:
         if request.objective == "MIN_BETA":
-            fmax = max((cert.f for cert in fvec), default=0)
             hit = _least_feasible(
                 election,
-                range(fmax + 1),
-                lambda beta: deficits_for(fvec, request.alpha, Fraction(beta)),
+                range(max(f, default=0) + 1),
+                lambda beta: deficits_for(f, request.alpha, beta),
                 budget,
             )
             if hit is None:  # beta = fmax collapses every demand
                 raise AssertionError("beta = max f_i must be feasible")
             beta, best = hit
-            _assert_entitled(request, best, request.alpha, Fraction(beta))
+            _recheck(election, best, deficits_for(f, request.alpha, beta))
             return SolveResult("found", best, request.alpha, Fraction(beta), budget.nodes)
 
         # MIN_ALPHA: the attainable values of max_i (f_i - beta)/|W cap A_i|
         # live on the grid {p/q : p = f_i - beta > 0, 1 <= q <= k}
-        numerators = sorted(
-            {cert.f - request.beta for cert in fvec if cert.f - request.beta > 0}
-        )
+        numerators = sorted({value - request.beta for value in f if value - request.beta > 0})
         if not numerators:
             committee = Committee.of(padding(election, ()), election)
             return SolveResult("found", committee, Fraction(1), request.beta, budget.nodes)
@@ -224,12 +238,12 @@ def find_committee(request: SolveRequest) -> SolveResult:
             | {Fraction(1)}
         )
         hit = _least_feasible(
-            election, grid, lambda alpha: deficits_for(fvec, alpha, request.beta), budget
+            election, grid, lambda alpha: deficits_for(f, alpha, request.beta), budget
         )
         if hit is None:
             return SolveResult("infeasible", None, None, None, budget.nodes)
         alpha, best = hit
-        _assert_entitled(request, best, alpha, request.beta)
+        _recheck(election, best, deficits_for(f, alpha, request.beta))
         return SolveResult("found", best, alpha, request.beta, budget.nodes)
     except BudgetExceededError:
         return SolveResult("undecided", None, None, None, budget.nodes)
@@ -249,13 +263,3 @@ def find_ir_and_ssjr(
     if ir_res.status == "found" or all(value <= 1 for value in f):
         return ir_res, ir_res
     return ir_res, _find(election, demands(f, "FIND_SSJR"), node_cap)
-
-
-def _assert_entitled(
-    request: SolveRequest, committee: Committee, alpha: Fraction, beta: Fraction
-) -> None:
-    # independent re-check through the axioms module; a failure is a bug
-    axiom = axioms.IR if alpha == 1 and beta == 0 else axioms.alpha_beta_ir(alpha, beta)
-    verdict = axioms.check(request.election, committee, axiom, fvec=request.fvec)
-    if verdict.status != "satisfied":
-        raise AssertionError(f"solver returned a committee failing {axiom}")

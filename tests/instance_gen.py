@@ -17,6 +17,33 @@ def random_election(rng: random.Random, n_max=12, m_max=8, k_max=None, density=0
     return Election.from_approvals(approvals, m=m, k=k)
 
 
+def edge_case_election(rng: random.Random):
+    """Random profile with repeated and empty ballots, candidates approved by
+    everyone, and k drawn from {1, m, anything}."""
+    n, m = rng.randint(1, 12), rng.randint(1, 8)
+    k = rng.choice([1, m, rng.randint(1, m)])
+    ballots = []
+    for _ in range(n):
+        roll = rng.random()
+        if ballots and roll < 0.3:
+            ballots.append(set(rng.choice(ballots)))
+        elif roll < 0.4:
+            ballots.append(set())
+        else:
+            ballots.append({c for c in range(m) if rng.random() < 0.5})
+    for c in range(m):
+        if rng.random() < 0.15:
+            for ballot in ballots:
+                ballot.add(c)
+    return Election.from_approvals(ballots, m=m, k=k)
+
+
+def dfs_oracle_profiles():
+    """The 300 edge-case profiles the entitlement oracles are run on."""
+    rng = random.Random(2004)
+    return [edge_case_election(rng) for _ in range(300)]
+
+
 def random_vi_election(rng: random.Random, n_max=24, m_max=12, k_max=None):
     """Random voter-interval profile: per-candidate supporter intervals on a
     hidden voter order, then voter labels shuffled."""

@@ -5,11 +5,15 @@ import io
 import json
 import random
 
+import pytest
 from click.testing import CliRunner
 
+from irlab import cli
 from irlab.cli import AXIOM_NAMES, RULE_NAMES, main
+from irlab.cohesion import f_vector
 from irlab.gen import MODELS, GenSpec, generate
 from irlab.model import Election, serialize_profile
+from irlab.search import BudgetExceededError
 import hard_instances
 from hard_instances import two_camps_with_bridge, uneven_cohorts
 
@@ -481,6 +485,61 @@ def test_check_capped_entitlements_exit_one_with_message(tmp_path):
         assert line.startswith("Error: ") and "(cohesion.f_vector stopped after 4 nodes)" in line
 
 
+def _fixtures():
+    return [
+        (name, fn)
+        for name, fn in inspect.getmembers(hard_instances, inspect.isfunction)
+        if fn.__module__ == "hard_instances"
+    ]
+
+
+def test_solve_over_entitlements_prints_what_the_certificates_give(tmp_path, monkeypatch):
+    # `irlab solve` reads the integer entitlements; on every shared fixture,
+    # for every objective, its exit code and stdout equal those of the same
+    # command over the f_vector certificates
+    objectives = [["--objective", name] for name in ("ir", "ssjr", "min-beta", "min-alpha")]
+    objectives += [
+        ["--objective", "min-beta", "--alpha", "3/2"],
+        ["--objective", "min-alpha", "--beta", "1"],
+    ]
+    paths = [_write_profile(tmp_path, fixture(), f"{name}.avp") for name, fixture in _fixtures()]
+    runner = CliRunner()
+
+    def outputs():
+        return [
+            (result.exit_code, result.stdout)
+            for path in paths
+            for args in objectives
+            for result in [runner.invoke(main, ["solve", path, *args])]
+        ]
+
+    by_ints = outputs()
+    monkeypatch.setattr(cli, "entitlements", lambda e, node_cap: f_vector(e, node_cap=node_cap))
+    assert outputs() == by_ints
+    assert len(by_ints) == 11 * 6 and {code for code, _ in by_ints} == {0}
+    assert {json.loads(out)["status"] for _, out in by_ints} == {"found", "infeasible"}
+
+
+def test_solve_decides_where_the_certificate_walk_hits_the_cap(tmp_path):
+    # six voters, each missing a candidate of its own, k = 6: f_vector's walk
+    # visits all 63 closed sets, the entitlement walk stops below the
+    # saturated ones after 42, so --cap 42 decides and --cap 41 exits 1
+    # naming the entitlement walk
+    election = Election.from_approvals([set(range(6)) - {i} for i in range(6)], m=6, k=6)
+    path = _write_profile(tmp_path, election)
+    with pytest.raises(BudgetExceededError):
+        f_vector(election, node_cap=42)
+    result = CliRunner().invoke(main, ["solve", path, "--cap", "42"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout) == {
+        "status": "found", "committee": [1, 2, 3, 4, 5, 6], "alpha": "1", "beta": "0", "nodes": 5
+    }
+    result = CliRunner().invoke(main, ["solve", path, "--cap", "41"])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    [line] = result.output.rstrip().splitlines()
+    assert line.startswith("Error: ") and "(cohesion.entitlements stopped after 42 nodes)" in line
+
+
 GOLDEN_RULE_OUTPUT_SHA256 = "b52a10d79a18ef347becd7bedb8770b8d381b64950786d432bccf073ada7bf0f"
 
 
@@ -489,12 +548,7 @@ def test_rule_output_matches_golden_digest(tmp_path):
     fixture (sequential rules exit 1 under --all-tied)."""
     digest = hashlib.sha256()
     runs = 0
-    fixtures = [
-        (name, fn)
-        for name, fn in inspect.getmembers(hard_instances, inspect.isfunction)
-        if fn.__module__ == "hard_instances"
-    ]
-    for name, fixture in fixtures:
+    for name, fixture in _fixtures():
         path = _write_profile(tmp_path, fixture(), f"{name}.avp")
         for rule in sorted(RULE_NAMES):
             weight = ["--weight", "1/2"] if rule == "geom_pav" else []

@@ -9,7 +9,7 @@ from irlab.search import BudgetExceededError, NodeBudget
 from irlab.domains import recognize
 from irlab.gen import GenSpec, generate
 
-from instance_gen import random_election, random_vi_election, scale_cases
+from instance_gen import dfs_oracle_profiles, random_election, random_vi_election, scale_cases
 from oracles import brute_f, closed_set_walk, f_certificate_exact, vi_certificates_by_scan
 from hard_instances import two_camps_with_bridge, uneven_cohorts, opposed_ends_instance
 
@@ -187,32 +187,6 @@ def test_all_empty_profile_zero_vector():
     assert [c.f for c in f_vector(e)] == [0, 0, 0]
 
 
-def _edge_case_election(rng):
-    """Random profile with repeated and empty ballots, candidates approved by
-    everyone, and k drawn from {1, m, anything}."""
-    n, m = rng.randint(1, 12), rng.randint(1, 8)
-    k = rng.choice([1, m, rng.randint(1, m)])
-    ballots = []
-    for _ in range(n):
-        roll = rng.random()
-        if ballots and roll < 0.3:
-            ballots.append(set(rng.choice(ballots)))
-        elif roll < 0.4:
-            ballots.append(set())
-        else:
-            ballots.append({c for c in range(m) if rng.random() < 0.5})
-    for c in range(m):
-        if rng.random() < 0.15:
-            for ballot in ballots:
-                ballot.add(c)
-    return Election.from_approvals(ballots, m=m, k=k)
-
-
-def _dfs_oracle_profiles():
-    rng = random.Random(2004)
-    return [_edge_case_election(rng) for _ in range(300)]
-
-
 def _many_closed_sets_profiles():
     # each voter misses a candidate of its own, so every nonempty voter group
     # supports a closed set: 8191 of them, enough to cut the ranking list back
@@ -228,7 +202,7 @@ def _many_closed_sets_profiles():
 
 
 def test_f_vector_matches_dfs_oracle():
-    for e in _dfs_oracle_profiles():
+    for e in dfs_oracle_profiles():
         for i, cert in enumerate(f_vector(e)):
             ref = f_certificate_exact(e, i)
             assert (cert.voter, cert.f, cert.witness_set, cert.witness_supporters) == (
@@ -281,7 +255,7 @@ def test_entitlements_match_f_vector_and_visit_the_cut_walk():
         base = [{c for c in range(m) if rng.random() < 0.5} for _ in range(rng.randint(1, 6))]
         ballots = [set() if rng.random() < 0.1 else set(rng.choice(base)) for _ in range(n)]
         wide.append(Election.from_approvals(ballots, m=m, k=k))
-    cases = [*_dfs_oracle_profiles(), *_many_closed_sets_profiles(), *wide]
+    cases = [*dfs_oracle_profiles(), *_many_closed_sets_profiles(), *wide]
     seen = {"k=1": 0, "k=m": 0, "empty ballot": 0, "n>64": 0, "cut": 0, "f>1": 0}
     for e in cases:
         full, cut = (len(closed_set_walk(e, stop)) for stop in (False, True))

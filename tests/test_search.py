@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,8 @@ from irlab.search import (
     settle,
     sub,
 )
+
+from oracles import at_least_padded, counter_by_digits
 
 
 def _values(slices, n):
@@ -46,6 +49,38 @@ def test_counter_kernel_matches_integer_lists():
         assert at_least(ca, cb, mask) == _mask(i for i in picked if a[i] >= b[i])
         value = rng.randint(0, top + 2)
         assert above(ca, value) == _mask(i for i in range(n) if a[i] > value)
+
+
+def test_counter_at_least_and_sub_match_the_replaced_kernels():
+    # the byte-table counter and the compare that folds the longer counter's
+    # extra slices, against the digit-string counter, the zero-padded compare
+    # and plain integers: unequal slice counts both ways (zero top slices
+    # too, as ``sub`` leaves them), empty counters, values past one byte and
+    # masks past one machine word
+    rng = random.Random(79)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.choice([0, 1, 7, 64, 65, 200, 1000])
+        a, b = (
+            [rng.randint(0, top) for _ in range(n)]
+            for top in rng.sample([0, 1, 3, 8, 40, 255, 256, 1000], 2)
+        )
+        ca, cb = counter(a), counter(b)
+        assert ca == counter_by_digits(a) and cb == counter_by_digits(b)
+        assert _values(ca, n) == a and _values(cb, n) == b
+        ca += [0] * rng.choice([0, 0, 1, 3])
+        voters = rng.getrandbits(n) if n else 0
+        for x, y, cx, cy in ((a, b, ca, cb), (b, a, cb, ca)):
+            expected = _mask(i for i in range(n) if voters >> i & 1 and x[i] >= y[i])
+            assert at_least(cx, cy, voters) == at_least_padded(cx, cy, voters) == expected
+        picked = _mask(i for i in range(n) if a[i] and rng.random() < 0.5)
+        assert _values(sub(ca, picked), n) == [v - (picked >> i & 1) for i, v in enumerate(a)]
+        seen["a longer"] += len(ca) > len(cb)
+        seen["b longer"] += len(cb) > len(ca)
+        seen["an empty counter"] += not ca or not cb
+        seen["past one byte"] += max(a + b, default=0) > 255
+        seen["n > 64"] += n > 64
+    assert min(seen.values()) >= 40, seen
 
 
 def test_counter_kernel_edges():

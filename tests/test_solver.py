@@ -1,20 +1,19 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from irlab import cohesion, solver
-from irlab.axioms import CORE, FJR, check
+from irlab.axioms import CORE, FJR, alpha_beta_ir, check
 from irlab.cohesion import f_vector
 from irlab.experiment import DESK_SCALE_GEN_PARAMS
 from irlab.gen import GenSpec, generate
 from irlab.model import Committee, Election
-from irlab.search import BudgetExceededError, NodeBudget
+from irlab.search import BudgetExceededError, NodeBudget, counter
 from irlab.solver import OBJECTIVES, SolveRequest, find_committee
 
-from instance_gen import random_election, scale_cases
+from instance_gen import dfs_oracle_profiles, random_election, scale_cases
 from oracles import brute_ir_committees, cover_search, enumerate_committees
 from hard_instances import (
     uncoverable_line_instance,
@@ -182,24 +181,50 @@ def test_cover_search_matches_recursive_search_on_random_demands():
     assert min(seen.values()) >= 50, seen
 
 
+def _clustered_election(rng, n, m, k):
+    """``n`` voters whose ballots are a few random base ballots, each with
+    one candidate flipped at random now and then."""
+    base = [{c for c in range(m) if rng.random() < 0.5} for _ in range(rng.randint(2, 4))]
+    ballots = [
+        set(rng.choice(base)) ^ ({rng.randrange(m)} if rng.random() < 0.3 else set())
+        for _ in range(n)
+    ]
+    return Election.from_approvals(ballots, m=m, k=k)
+
+
 def test_cover_search_matches_recursive_search_at_every_cap():
     # every cap from 1 to the uncapped node count: the same committee, None
     # or "capped", and the same node count; a one-seat node counts its
-    # leaves in one tick, which must stop where ticking them one by one does
+    # leaves in one tick, which must stop where ticking them one by one does.
+    # Profiles of up to 10 voters and of 65 to 130, past one machine word,
+    # and demand vectors with more counter slices than the ballot sizes have,
+    # which the root cuts (or the seat count before it)
     rng = random.Random(59)
-    cases = 0
-    while cases < 20:
-        e = random_election(rng, n_max=10, m_max=9, k_max=5, density=rng.choice([0.3, 0.5]))
+    seen = Counter()
+    while seen["small"] < 20 or seen["n > 64"] < 10 or seen["more slices"] < 5:
+        kind = rng.choice(["small", "n > 64", "more slices"])
+        if kind == "small":
+            e = random_election(rng, n_max=10, m_max=9, k_max=5, density=rng.choice([0.3, 0.5]))
+        elif kind == "n > 64":
+            e = _clustered_election(rng, rng.randint(65, 130), rng.randint(6, 9), rng.randint(2, 5))
+        else:
+            m = rng.randint(4, 9)
+            n = rng.randint(2, 80)
+            ballots = [set(rng.sample(range(m), rng.randint(0, 3))) for _ in range(n)]
+            e = Election.from_approvals(ballots, m=m, k=rng.randint(4, m))
         deficits = (
             [cert.f for cert in f_vector(e)]
-            if cases % 2
+            if kind != "more slices" and rng.random() < 0.5
             else [rng.randint(0, min(len(a), e.k)) for a in e.approvals]
         )
+        if kind == "more slices":
+            deficits[rng.randrange(e.n)] = rng.randint(4, 7)
+            assert len(counter(deficits)) > len(counter([len(a) for a in e.approvals]))
         full = NodeBudget(10**6, stage="test")
         cover_search(e, deficits, full)
-        if full.nodes < 8:
+        if kind != "more slices" and not 8 <= full.nodes <= 200:
             continue
-        cases += 1
+        seen[kind] += 1
         for cap in range(1, full.nodes + 1):
             outcomes = []
             for search in (solver._cover_search, cover_search):
@@ -210,6 +235,9 @@ def test_cover_search_matches_recursive_search_at_every_cap():
                     hit = "capped"
                 outcomes.append((hit, budget.nodes))
             assert outcomes[0] == outcomes[1], (e.approvals, e.k, deficits, cap)
+        if kind == "more slices":
+            assert full.nodes <= 1
+            assert solver._cover_search(e, deficits, NodeBudget(2, "test")) is None
 
 
 def test_find_ir_and_ssjr_equals_both_solves_when_every_f_is_at_most_one():
@@ -399,14 +427,14 @@ def test_deficits_match_fraction_formula():
     for _ in range(2000):
         alpha = 1 + Fraction(rng.randint(0, 30), rng.randint(1, 12))
         beta = Fraction(rng.randint(0, 40), rng.randint(1, 12))
-        fvec = [SimpleNamespace(f=rng.randint(0, 12)) for _ in range(5)]
+        f = [rng.randint(0, 12) for _ in range(5)]
         expected = []
-        for cert in fvec:
-            q = (cert.f - beta) / alpha
+        for value in f:
+            q = (value - beta) / alpha
             expected.append(max(0, -(-q.numerator // q.denominator)))
-        got = cohesion.deficits_for(fvec, alpha, beta)
-        assert got == expected, (alpha, beta, fvec)
-        assert all(alpha * w + beta >= c.f and (w == 0 or alpha * (w - 1) + beta < c.f) for w, c in zip(got, fvec))
+        got = cohesion.deficits_for(f, alpha, beta)
+        assert got == expected, (alpha, beta, f)
+        assert all(alpha * w + beta >= v and (w == 0 or alpha * (w - 1) + beta < v) for w, v in zip(got, f))
 
 
 def test_cover_search_at_a_thousand_seats():
@@ -418,6 +446,40 @@ def test_cover_search_at_a_thousand_seats():
     assert ir.committee.members == frozenset(range(1000))
     ssjr, _ = _solve(e, "FIND_SSJR")
     assert (ssjr.status, ssjr.nodes) == ("found", 2)
+
+
+def test_integer_requests_equal_certificate_requests():
+    # a request over the integer entitlements is the request over the
+    # certificates, reduced to the same integers; for every objective, slack
+    # and cap the result is the same in status, committee, alpha, beta and
+    # nodes, and a committee MIN_BETA or MIN_ALPHA finds passes the
+    # certificate-based (alpha, beta)-IR check of ``axioms.check``; on the
+    # DFS-oracle profiles and the infeasible fixtures
+    fixtures = [uncoverable_line_instance(), *(disjoint_blocks_instance(k) for k in (2, 3, 4))]
+    seen = Counter()
+    for e in dfs_oracle_profiles() + fixtures:
+        certs = tuple(f_vector(e))
+        f = tuple(cohesion.entitlements(e))
+        assert f == tuple(cert.f for cert in certs)
+        for objective, alpha, beta in (
+            *((objective, Fraction(1), Fraction(0)) for objective in OBJECTIVES),
+            ("MIN_BETA", Fraction(3, 2), Fraction(0)),
+            ("MIN_ALPHA", Fraction(1), Fraction(1)),
+        ):
+            for cap in (1, 2, 5, 10**6):
+                by_ints, by_certs = (
+                    SolveRequest(e, fvec, objective, alpha, beta, node_cap=cap)
+                    for fvec in (f, certs)
+                )
+                assert by_ints == by_certs and by_certs.fvec == f
+                result = find_committee(by_ints)
+                assert find_committee(by_certs) == result
+                if objective.startswith("MIN") and result.status == "found":
+                    axiom = alpha_beta_ir(result.achieved_alpha, result.achieved_beta)
+                    assert check(e, result.committee, axiom, fvec=certs).satisfied
+                seen[objective, result.status] += 1
+    assert min(seen[key] for key in seen if key[1] != "infeasible") >= 200, seen
+    assert len(seen) == 11 and ("MIN_BETA", "infeasible") not in seen, seen
 
 
 def test_undecided_under_cap():
