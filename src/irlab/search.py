@@ -149,17 +149,8 @@ def maximum(slices: Sequence[int], lanes: int) -> tuple[int, int]:
 def at_least(a: Sequence[int], b: Sequence[int], voters: int) -> int:
     """The mask of the voters of ``voters`` counting at least as much in ``a`` as in ``b``."""
     less = 0  # a < b on the slices seen so far, from the least significant up
-    for x, y in zip(a, b):
+    for x, y in zip_longest(a, b, fillvalue=0):
         less ^= (less ^ y) & (x ^ y)  # where the bits differ, b's bit decides
-    # past the common slices the longer counter's bits alone decide
-    if len(a) > len(b):
-        more = 0
-        for x in a[len(b):]:
-            more |= x
-        less ^= less & more
-    else:
-        for y in b[len(a):]:
-            less |= y
     return voters ^ (voters & less)
 
 

@@ -26,13 +26,14 @@ OBJECTIVES = ("FIND_IR", "FIND_SSJR", "MIN_BETA", "MIN_ALPHA")
 
 @dataclass(frozen=True)
 class SolveRequest:
-    """One solve.  ``fvec`` holds voter i's entitlement f_i at index i, as
+    """One solve.  ``fvec`` gives voter i's entitlement f_i at index i, as
     the integers of :func:`~irlab.cohesion.entitlements` or as the
-    certificates of :func:`~irlab.cohesion.f_vector`; the request keeps the
-    integers alone."""
+    certificates of :func:`~irlab.cohesion.f_vector`; ``__post_init__``
+    stores the integers alone, so a constructed request's ``fvec`` is a
+    tuple of ints."""
 
     election: Election
-    fvec: tuple[int, ...]
+    fvec: tuple[int | CohesionCertificate, ...]
     objective: str = "FIND_IR"
     alpha: Fraction = Fraction(1)  # fixed multiplicative slack for MIN_BETA
     beta: Fraction = Fraction(0)  # fixed additive slack for MIN_ALPHA

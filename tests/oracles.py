@@ -8,9 +8,9 @@ Fraction seq-Phragmen and Rule X, the per-leaf bounded Thiele search, the
 ballot-scanning greedy Monroe, the linear-scan Mallows sampler, Kuhn's
 recursive quota matching, the separate FJR and core deviation searches, the
 recursive EJR/PJR cohesive-set search and cover search (which builds every
-leaf), the digit-string counter and the zero-padded counter compare, the
-frozenset prefix/suffix layout with the run-pattern WSC check, the
-token-by-token ``.avp`` reader and the rule probe that lists every winner
+leaf), the digit-string counter, the frozenset prefix/suffix layout with
+the run-pattern WSC check, the token-by-token ``.avp`` reader and the rule
+probe that lists every winner
 are the engines the package replaced; they stay here as references for the
 ones that replaced them.  ``enumerate_committees`` lists every committee
 meeting a solver objective, for fixtures; ``closed_set_walk`` lists the closed
@@ -19,7 +19,7 @@ experiment's instance path over ``f_vector`` certificates.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations, zip_longest
+from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -750,15 +750,6 @@ def counter_by_digits(values: Sequence[int]) -> list[int]:
         int("".join(["1" if v >> b & 1 else "0" for v in reversed(values)]), 2)
         for b in range(max(values, default=0).bit_length())
     ]
-
-
-def at_least_padded(a: Sequence[int], b: Sequence[int], voters: int) -> int:
-    """The voters of ``voters`` counting at least as much in ``a`` as in
-    ``b``, the shorter counter padded with zero slices."""
-    less = 0  # a < b on the slices seen so far, from the least significant up
-    for x, y in zip_longest(a, b, fillvalue=0):
-        less ^= (less ^ y) & (x ^ y)  # where the bits differ, b's bit decides
-    return voters & ~less
 
 
 # --------------------------------------------------------------------------

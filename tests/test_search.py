@@ -16,7 +16,7 @@ from irlab.search import (
     sub,
 )
 
-from oracles import at_least_padded, counter_by_digits
+from oracles import counter_by_digits
 
 
 def _values(slices, n):
@@ -51,12 +51,12 @@ def test_counter_kernel_matches_integer_lists():
         assert above(ca, value) == _mask(i for i in range(n) if a[i] > value)
 
 
-def test_counter_at_least_and_sub_match_the_replaced_kernels():
-    # the byte-table counter and the compare that folds the longer counter's
-    # extra slices, against the digit-string counter, the zero-padded compare
-    # and plain integers: unequal slice counts both ways (zero top slices
-    # too, as ``sub`` leaves them), empty counters, values past one byte and
-    # masks past one machine word
+def test_counter_at_least_and_sub_match_plain_integers():
+    # the byte-table counter against the digit-string counter it replaced,
+    # and the counter, the compare and the subtraction against plain
+    # integers: unequal slice counts both ways (zero top slices too, as
+    # ``sub`` leaves them), empty counters, values past one byte and masks
+    # past one machine word
     rng = random.Random(79)
     seen = Counter()
     for _ in range(400):
@@ -72,7 +72,7 @@ def test_counter_at_least_and_sub_match_the_replaced_kernels():
         voters = rng.getrandbits(n) if n else 0
         for x, y, cx, cy in ((a, b, ca, cb), (b, a, cb, ca)):
             expected = _mask(i for i in range(n) if voters >> i & 1 and x[i] >= y[i])
-            assert at_least(cx, cy, voters) == at_least_padded(cx, cy, voters) == expected
+            assert at_least(cx, cy, voters) == expected
         picked = _mask(i for i in range(n) if a[i] and rng.random() < 0.5)
         assert _values(sub(ca, picked), n) == [v - (picked >> i & 1) for i, v in enumerate(a)]
         seen["a longer"] += len(ca) > len(cb)

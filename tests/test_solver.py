@@ -196,48 +196,60 @@ def test_cover_search_matches_recursive_search_at_every_cap():
     # every cap from 1 to the uncapped node count: the same committee, None
     # or "capped", and the same node count; a one-seat node counts its
     # leaves in one tick, which must stop where ticking them one by one does.
-    # Profiles of up to 10 voters and of 65 to 130, past one machine word,
-    # and demand vectors with more counter slices than the ballot sizes have,
-    # which the root cuts (or the seat count before it)
+    # Profiles of up to 10 voters with at least 8 nodes; deep searches of 50
+    # to 200 nodes, mostly infeasible, where the search backtracks most;
+    # profiles of 65 to 130 voters, past one machine word, with 8 to 200
+    # nodes (every cap is a search of its own); and demand vectors with more
+    # counter slices than the ballot sizes have, which the root cuts (or the
+    # seat count before it)
     rng = random.Random(59)
-    seen = Counter()
-    while seen["small"] < 20 or seen["n > 64"] < 10 or seen["more slices"] < 5:
-        kind = rng.choice(["small", "n > 64", "more slices"])
-        if kind == "small":
-            e = random_election(rng, n_max=10, m_max=9, k_max=5, density=rng.choice([0.3, 0.5]))
-        elif kind == "n > 64":
-            e = _clustered_election(rng, rng.randint(65, 130), rng.randint(6, 9), rng.randint(2, 5))
-        else:
-            m = rng.randint(4, 9)
-            n = rng.randint(2, 80)
-            ballots = [set(rng.sample(range(m), rng.randint(0, 3))) for _ in range(n)]
-            e = Election.from_approvals(ballots, m=m, k=rng.randint(4, m))
-        deficits = (
-            [cert.f for cert in f_vector(e)]
-            if kind != "more slices" and rng.random() < 0.5
-            else [rng.randint(0, min(len(a), e.k)) for a in e.approvals]
-        )
-        if kind == "more slices":
-            deficits[rng.randrange(e.n)] = rng.randint(4, 7)
-            assert len(counter(deficits)) > len(counter([len(a) for a in e.approvals]))
-        full = NodeBudget(10**6, stage="test")
-        cover_search(e, deficits, full)
-        if kind != "more slices" and not 8 <= full.nodes <= 200:
-            continue
-        seen[kind] += 1
-        for cap in range(1, full.nodes + 1):
-            outcomes = []
-            for search in (solver._cover_search, cover_search):
-                budget = NodeBudget(cap, stage="test")
-                try:
-                    hit = search(e, deficits, budget)
-                except BudgetExceededError:
-                    hit = "capped"
-                outcomes.append((hit, budget.nodes))
-            assert outcomes[0] == outcomes[1], (e.approvals, e.k, deficits, cap)
-        if kind == "more slices":
-            assert full.nodes <= 1
-            assert solver._cover_search(e, deficits, NodeBudget(2, "test")) is None
+    for kind, quota in (("small", 20), ("deep", 5), ("n > 64", 10), ("more slices", 5)):
+        cases = 0
+        while cases < quota:
+            if kind == "small":
+                e = random_election(rng, n_max=10, m_max=9, k_max=5, density=rng.choice([0.3, 0.5]))
+            elif kind == "deep":
+                m, k = rng.randint(10, 16), rng.randint(4, 7)
+                ballots = [set(rng.sample(range(m), rng.randint(3, 6))) for _ in range(rng.randint(10, 16))]
+                e = Election.from_approvals(ballots, m=m, k=k)
+            elif kind == "n > 64":
+                e = _clustered_election(rng, rng.randint(65, 130), rng.randint(6, 9), rng.randint(2, 5))
+            else:
+                m = rng.randint(4, 9)
+                n = rng.randint(2, 80)
+                ballots = [set(rng.sample(range(m), rng.randint(0, 3))) for _ in range(n)]
+                e = Election.from_approvals(ballots, m=m, k=rng.randint(4, m))
+            if kind == "deep":
+                deficits = [rng.randint(1, min(len(a), e.k) - 1) for a in e.approvals]
+            elif kind != "more slices" and rng.random() < 0.5:
+                deficits = [cert.f for cert in f_vector(e)]
+            else:
+                deficits = [rng.randint(0, min(len(a), e.k)) for a in e.approvals]
+            if kind == "more slices":
+                deficits[rng.randrange(e.n)] = rng.randint(4, 7)
+                assert len(counter(deficits)) > len(counter([len(a) for a in e.approvals]))
+            full = NodeBudget(10**6, stage="test")
+            cover_search(e, deficits, full)
+            if (
+                kind == "small" and full.nodes < 8
+                or kind == "deep" and not 50 <= full.nodes <= 200
+                or kind == "n > 64" and not 8 <= full.nodes <= 200
+            ):
+                continue
+            cases += 1
+            for cap in range(1, full.nodes + 1):
+                outcomes = []
+                for search in (solver._cover_search, cover_search):
+                    budget = NodeBudget(cap, stage="test")
+                    try:
+                        hit = search(e, deficits, budget)
+                    except BudgetExceededError:
+                        hit = "capped"
+                    outcomes.append((hit, budget.nodes))
+                assert outcomes[0] == outcomes[1], (e.approvals, e.k, deficits, cap)
+            if kind == "more slices":
+                assert full.nodes <= 1
+                assert solver._cover_search(e, deficits, NodeBudget(2, "test")) is None
 
 
 def test_find_ir_and_ssjr_equals_both_solves_when_every_f_is_at_most_one():
