@@ -58,24 +58,32 @@ class Election:
             raise ValueError(
                 f"expected {self.n} approval sets, got {len(self.approvals)}"
             )
-        # one '0'/'1' digit per (voter, candidate) and a ',' after each voter;
-        # voters run from n-1 down to 0 and candidates from m-1 down to 0, so
-        # a voter's row and a candidate's strided column are binary numerals,
-        # most significant bit first, that int(..., 2) reads as their masks
-        n, m = self.n, self.m
-        width = m + 1
-        digits = bytearray(b"0" * m + b",") * n
-        for i, ballot in enumerate(self.approvals):
-            last = (n - i) * width - 2  # voter i's digit for candidate 0
+        # one '0'/'1' row per distinct ballot (classes maps each ballot to its
+        # row), candidates from m-1 down to 0, so int(row, 2) is its mask; the
+        # voters' rows joined from voter n-1 down to 0 make each candidate's
+        # strided column a binary numeral, most significant bit first
+        approvals, m = self.approvals, self.m
+        classes = dict.fromkeys(approvals)
+        digits = bytearray(b"0" * m + b",") * len(classes)
+        last = m - 1  # the row's digit for candidate 0
+        for row, ballot in enumerate(classes):
+            classes[ballot] = row
             for c in ballot:
                 if not 0 <= c < m:
-                    raise ValueError(f"voter {i}: candidate index {c} out of range")
+                    raise ValueError(
+                        f"voter {approvals.index(ballot)}: candidate index {c} out of range"
+                    )
                 digits[last - c] = 49  # ord("1")
-        rows = digits.split(b",")[-2::-1]  # voter 0 first, without the empty tail
+            last += m + 1
+        rows = digits.split(b",")
+        rows.pop()  # the empty tail after the last ','
+        voter_rows = list(map(classes.__getitem__, approvals))
+        column = b"".join(map(rows.__getitem__, reversed(voter_rows)))
+        masks = [int(row, 2) for row in rows]
         object.__setattr__(
-            self, "candidate_voters", tuple([int(digits[m - 1 - c :: width], 2) for c in range(m)])
+            self, "candidate_voters", tuple([int(column[m - 1 - c :: m], 2) for c in range(m)])
         )
-        object.__setattr__(self, "ballot_masks", tuple([int(row, 2) for row in rows]))
+        object.__setattr__(self, "ballot_masks", tuple(map(masks.__getitem__, voter_rows)))
 
     @staticmethod
     def from_approvals(approvals: Iterable[Iterable[int]], m: int, k: int) -> "Election":
@@ -218,11 +226,18 @@ def parse_profile(text: str) -> Election:
     of ``text`` at most, so a huge m cannot outgrow the input); a line with
     any other token (``01``, ``+2``, ``x``, an index out of range) or with a
     repeated index is read token by token, which accepts what ``int`` reads
-    and words every error.
+    and words every error.  Each distinct ballot line is read once: ``seen``
+    maps a validated line's text to its ballot, and a repeat of it before
+    the n-th ballot appends that ballot as it is.
     """
     header: tuple[int, int, int] | None = None
     approvals: list[frozenset[int]] = []
+    seen: dict[str, frozenset[int]] = {}  # empty until the header sets n
     for lineno, line in enumerate(text.splitlines(), start=1):
+        ballot = seen.get(line)
+        if ballot is not None and len(approvals) < n:
+            approvals.append(ballot)
+            continue
         tokens = line.split()
         if tokens and tokens[0].startswith("#"):
             continue
@@ -272,6 +287,7 @@ def parse_profile(text: str) -> Election:
                 ballot.add(idx - 1)
             ballot = frozenset(ballot)
         approvals.append(ballot)
+        seen[line] = ballot
     if header is None:
         raise ProfileFormatError("missing header line 'n m k'")
     n, m, k = header

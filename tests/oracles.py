@@ -9,8 +9,8 @@ ballot-scanning greedy Monroe, the linear-scan Mallows sampler, Kuhn's
 recursive quota matching, the separate FJR and core deviation searches, the
 recursive EJR/PJR cohesive-set search and cover search (which builds every
 leaf), the digit-string counter, the frozenset prefix/suffix layout with
-the run-pattern WSC check, the token-by-token ``.avp`` reader and the rule
-probe that lists every winner
+the run-pattern WSC check, the token-by-token ``.avp`` reader, the
+voter-by-voter mask builder and the rule probe that lists every winner
 are the engines the package replaced; they stay here as references for the
 ones that replaced them.  ``enumerate_committees`` lists every committee
 meeting a solver objective, for fixtures; ``closed_set_walk`` lists the closed
@@ -1515,3 +1515,31 @@ def parse_profile(text: str) -> Election:
             f"expected {n} voter lines, found only {len(approvals)}"
         )
     return Election(n=n, m=m, k=k, approvals=tuple(approvals))
+
+
+# --------------------------------------------------------------------------
+# Election masks: the voter-by-voter digit builder
+# --------------------------------------------------------------------------
+
+
+def election_masks(
+    n: int, m: int, approvals: Sequence[Iterable[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(candidate_voters, ballot_masks)`` for these ballots, one digit
+    written per approval, voter by voter; raises the ``ValueError`` that
+    :class:`Election` raises for the first voter with an out-of-range index."""
+    # one '0'/'1' digit per (voter, candidate) and a ',' after each voter;
+    # voters run from n-1 down to 0 and candidates from m-1 down to 0, so
+    # a voter's row and a candidate's strided column are binary numerals,
+    # most significant bit first, that int(..., 2) reads as their masks
+    width = m + 1
+    digits = bytearray(b"0" * m + b",") * n
+    for i, ballot in enumerate(approvals):
+        last = (n - i) * width - 2  # voter i's digit for candidate 0
+        for c in ballot:
+            if not 0 <= c < m:
+                raise ValueError(f"voter {i}: candidate index {c} out of range")
+            digits[last - c] = 49  # ord("1")
+    rows = digits.split(b",")[-2::-1]  # voter 0 first, without the empty tail
+    candidate_voters = tuple(int(digits[m - 1 - c :: width], 2) for c in range(m))
+    return candidate_voters, tuple(int(row, 2) for row in rows)

@@ -17,7 +17,8 @@ from irlab.model import (
 )
 import hard_instances
 from hard_instances import two_camps_with_bridge
-from oracles import parse_profile as parse_profile_by_tokens
+from instance_gen import scale_cases
+from oracles import election_masks, parse_profile as parse_profile_by_tokens
 from test_cli import _mutate
 
 EX1_TEXT = """8 3 2
@@ -86,11 +87,14 @@ def test_round_trip_random_elections(data):
     n = data.draw(st.integers(1, 10))
     m = data.draw(st.integers(1, 8))
     k = data.draw(st.integers(1, m))
-    approvals = [
-        data.draw(st.sets(st.integers(0, m - 1))) for _ in range(n)
-    ]
+    # ballots come from a pool of at most three, so most profiles repeat a
+    # ballot and the parser's line memo and Election's ballot rows both work
+    pool = data.draw(st.lists(st.sets(st.integers(0, m - 1)), min_size=1, max_size=3))
+    approvals = [data.draw(st.sampled_from(pool)) for _ in range(n)]
     e = Election.from_approvals(approvals, m=m, k=k)
-    assert parse_profile(serialize_profile(e)) == e
+    got = parse_profile(serialize_profile(e))
+    assert got == e
+    assert (got.candidate_voters, got.ballot_masks) == election_masks(n, m, approvals)
 
 
 def test_supporters_examples():
@@ -152,6 +156,40 @@ def test_election_masks_match_bitwise_definition():
         Election.from_approvals([{-1}, {7}], m=3, k=1)
 
 
+def test_election_masks_match_voter_by_voter_oracle():
+    # one digit row per distinct ballot gives the masks one digit per
+    # approval gives, on shared, empty, distinct and generated ballots
+    rng = random.Random(19)
+    cases = [
+        ([{0, 2}] * 9, 3), ([set()] * 7, 4), ([{0}], 1), ([set()], 1), ([{0}] * 5, 1),
+        ([set(range(6))] * 4 + [set()] * 3, 6), ([{c} for c in range(8)], 8),
+    ]
+    for _ in range(100):
+        n, m = rng.randint(1, 60), rng.randint(1, 40)
+        pool = [{c for c in range(m) if rng.random() < 0.3} for _ in range(rng.randint(1, 4))]
+        cases.append(([rng.choice(pool) for _ in range(n)], m))  # urn-like
+        ballots = [frozenset(rng.sample(range(m), rng.randint(0, m))) for _ in range(n)]
+        cases.append((ballots, m))
+        cases.append((list(set(ballots)), m))  # all distinct
+    for approvals, m in cases:
+        for k in {1, m}:
+            e = Election.from_approvals(approvals, m=m, k=k)
+            assert (e.candidate_voters, e.ballot_masks) == election_masks(e.n, m, approvals)
+    for _, e, _ in scale_cases():
+        assert (e.candidate_voters, e.ballot_masks) == election_masks(e.n, e.m, e.approvals)
+    # a bad ballot shared by several voters is named by its first voter,
+    # with the message the voter-by-voter builder gives
+    for approvals, voter in (
+        ([{0}, {5}, {5}], 1), ([{5}, {0}, {5}], 0), ([{0}, {0}, {1}, {5}, {5}], 3),
+        ([{2, 9}, {0}] * 3, 0),
+    ):
+        message = f"^voter {voter}: candidate index {max(approvals[voter])} out of range$"
+        with pytest.raises(ValueError, match=message):
+            election_masks(len(approvals), 3, approvals)
+        with pytest.raises(ValueError, match=message):
+            Election.from_approvals(approvals, m=3, k=1)
+
+
 def test_voter_group_derived_from_mask():
     rng = random.Random(8)
     for mask in [0, 1, 0b1011, 1 << 70 | 5] + [rng.getrandbits(40) for _ in range(50)]:
@@ -180,11 +218,13 @@ def test_position_mask_and_run_shapes_match_position_lists():
 
 
 def _parsed(parse, text):
-    """The election a parser returns, or its error's type, message and line."""
+    """The election a parser returns with its two mask tuples, or its
+    error's type, message and line."""
     try:
-        return parse(text)
+        e = parse(text)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
+    return e, e.candidate_voters, e.ballot_masks
 
 
 def _noisy_text(rng, election):
@@ -227,10 +267,22 @@ def test_parse_profile_matches_token_loop_oracle():
         "", "\n\n", "# only\n", "2 3 2\n4\n1\n", "1 3 2\n2 2\n", "1 3 4\n1\n", "1 3 0\n1\n",
         "2 2 1\n1\n", "1 2 1\n1\n2\n", "1 2\n1\n", "a b c\n", "0 2 1\n", "1 -2 1\n",
         "1 500 1\n300\n", "1 500 1\n499 12 0300\n", "1 3 1\n1 #2\n", "1 3 1\n1\x1c2\n",
+        # repeated ballot lines: split by comments and blank lines, one ballot
+        # written several ways, a repeated invalid line (named at its first
+        # occurrence) and a repeated valid line after the n-th ballot
+        "7 3 1\n1 2\n# 1 2\n1 2\n\n1 2\n  # x\n\n3\n1 2\n",
+        "6 3 2\n1 2\n2  1\n1 2 \t\r\n1 2\r\n\t1\t2\n2 1\n",
+        "4 3 1\n1\n4 1\n1\n4 1\n", "4 3 1\n2\n1 1\n1 1\n2\n", "3 3 1\nx\nx\n1\n",
+        "2 3 1\n1 3\n1 3\n1 3\n", "2 3 1\n1 3\n2\n1 3\n", "1 3 1\n\n\n",
     ]
     outcomes = {"election": 0, "error": 0}
     for text in texts:
         got = _parsed(parse_profile, text)
         assert got == _parsed(parse_profile_by_tokens, text), repr(text)
-        outcomes["election" if isinstance(got, Election) else "error"] += 1
+        if isinstance(got[0], Election):
+            e = got[0]
+            assert got[1:] == election_masks(e.n, e.m, e.approvals), repr(text)
+            outcomes["election"] += 1
+        else:
+            outcomes["error"] += 1
     assert min(outcomes.values()) >= 100, outcomes
