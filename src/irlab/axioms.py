@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cohesion import CohesionCertificate, deficits_for, f_vector
+from .cohesion import CohesionCertificate, certificate, deficits_for, entitlements, f_vector
 from .model import Committee, Election, _iter_bits, first_unmet, mask_to_set, members_mask
 from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, quota_assignment
 from .search import at_least, counter, plus
@@ -121,21 +121,21 @@ def check(
     """Decide one axiom for one committee, with a violation witness on failure.
 
     Each kind is a function that returns a witness or None; this is the one
-    place that opens the node budget and turns its answer into a verdict.
+    place that turns its answer into a verdict.  The searches run under one
+    node budget and are undecided past it; the entitlement walks that IR and
+    (alpha, beta)-IR need without ``fvec`` have caps of their own and raise
+    past them, as :func:`~irlab.cohesion.f_vector` does.
     """
     kind = axiom.kind
     if kind in GROUP_AXIOMS and len(committee.members) != election.k:
         raise ValueError(f"{axiom} is defined for committees of size exactly k")
-    entitled = kind in ("IR", "ALPHA_BETA_IR")
-    if entitled and fvec is None:
-        fvec = f_vector(election, "exact", node_cap=node_cap)
-    counts = None if entitled else _committee_counts(election, committee)
+    if kind in ("IR", "ALPHA_BETA_IR"):
+        witness = _entitlement_witness(election, committee, axiom, fvec, node_cap)
+        return AxiomVerdict(axiom, "satisfied" if witness is None else "violated", witness, 0)
+    counts = _committee_counts(election, committee)
     budget = NodeBudget(node_cap, stage=f"axioms.{kind}")
     try:
-        if entitled:  # alpha*|W cap A_i| + beta < f_i: fewer members than the demand
-            demand = deficits_for([cert.f for cert in fvec], axiom.alpha or 1, axiom.beta or 0)
-            witness = _entitlement_witness(fvec, first_unmet(election, committee.mask(), demand))
-        elif kind == "SSJR":
+        if kind == "SSJR":
             witness = _ssjr_witness(election, counts, fvec)
         elif kind == "JR":
             witness = _jr_witness(election, counts)
@@ -155,12 +155,20 @@ def check(
     return AxiomVerdict(axiom, status, witness, election.m if kind == "JR" else budget.nodes)
 
 
-def _entitlement_witness(fvec, i):
-    """Voter ``i``'s certificate as the witness that she is short of her
-    entitlement; None when ``i`` is None (nobody is short)."""
+def _entitlement_witness(election, committee, axiom, fvec, node_cap):
+    """The first voter with alpha*|W cap A_i| + beta < f_i, fewer members than
+    her demand, with her certificate as the witness; None when nobody is
+    short.  Without ``fvec`` the values are :func:`~irlab.cohesion.entitlements`
+    and only that voter's certificate is built."""
+    f = entitlements(election, node_cap) if fvec is None else [cert.f for cert in fvec]
+    i = first_unmet(election, committee.mask(), deficits_for(f, axiom.alpha or 1, axiom.beta or 0))
     if i is None:
         return None
-    cert = fvec[i]
+    return _certificate_witness(certificate(election, i, node_cap) if fvec is None else fvec[i], i)
+
+
+def _certificate_witness(cert, i):
+    """Voter ``i``'s certificate as the witness that she is short of her entitlement."""
     return ViolationWitness(
         group=cert.witness_supporters.members,
         candidate_set=cert.witness_set,
@@ -178,7 +186,7 @@ def _ssjr_witness(election, counts, fvec):
             continue
         if fvec is not None:
             if fvec[i].f >= 1:
-                return _entitlement_witness(fvec, i)
+                return _certificate_witness(fvec[i], i)
             continue
         for c in sorted(election.approvals[i]):
             if election.candidate_voters[c].bit_count() * k >= n:

@@ -74,7 +74,7 @@ def deficits_for(f: Sequence[int], alpha: Fraction | int, beta: Fraction | int) 
 
 
 def _closed_sets(
-    election: Election, budget: NodeBudget, stop_saturated: bool = False
+    election: Election, budget: NodeBudget, stop_saturated: bool = False, within: int = -1
 ) -> Iterator[tuple[int, int]]:
     """Every closed candidate set whose supporters can claim a seat.
 
@@ -87,8 +87,11 @@ def _closed_sets(
     Support only shrinks along an extension, so cutting an extension whose
     supporters drop below the seat threshold loses no qualifying set.  With
     ``stop_saturated`` the walk does not extend a closed set C with
-    |C| >= floor(|N(C)|*k/n), whose subtree raises no voter's value.  One
-    budget node is ticked per closed set visited.
+    |C| >= floor(|N(C)|*k/n), whose subtree raises no voter's value.  With
+    the candidate mask ``within`` set to a voter's ballot it visits the
+    closed sets inside it alone: their ancestors lie inside it too, and a
+    candidate off it joins no closure the voter supports.  One budget node
+    is ticked per closed set visited.
     """
     n, k = election.n, election.k
     everyone = election.all_voters_mask()
@@ -97,7 +100,7 @@ def _closed_sets(
     for c, cv in enumerate(election.candidate_voters):
         if cv == everyone:
             root |= 1 << c
-        elif cv.bit_count() * k >= n:
+        elif cv.bit_count() * k >= n and within >> c & 1:
             items.append((c, cv))
     # (C, N(C), the candidate that generated C, the candidates outside C
     # that keep a seat's worth of supporters within N(parent))
@@ -184,6 +187,27 @@ def _exact_certificates(election: Election, node_cap: int) -> list[CohesionCerti
         for i in _iter_bits(unassigned):
             certs[i] = CohesionCertificate(i, 0, frozenset(), group)
     return certs
+
+
+def certificate(
+    election: Election, voter: int, node_cap: int = DEFAULT_NODE_CAP
+) -> CohesionCertificate:
+    """Voter ``voter``'s certificate, equal to ``f_vector(election)[voter]``,
+    from the walk over the closed sets inside her ballot alone: f_i is their
+    best value and the witness the least prefix of that value.  Those sets
+    are the ones :func:`f_vector` ranks for her, and a subset of what it
+    visits, so this raises (stage ``cohesion.certificate``) only where that
+    one does."""
+    n, k = election.n, election.k
+    budget = NodeBudget(node_cap, stage="cohesion.certificate")
+    best = (0, ())
+    for closed, supp in _closed_sets(election, budget, within=election.ballot_masks[voter]):
+        v = min(closed.bit_count(), supp.bit_count() * k // n)
+        if v:
+            best = min(best, (-v, tuple(islice(_iter_bits(closed), v))))
+    neg_v, prefix = best
+    group = VoterGroup.from_mask(election.supporters_mask(prefix))
+    return CohesionCertificate(voter, -neg_v, frozenset(prefix), group)
 
 
 def entitlements(election: Election, node_cap: int = DEFAULT_NODE_CAP) -> list[int]:

@@ -71,22 +71,34 @@ def _cover_search(
     branch as soon as some unmet voter cannot be topped up from her remaining
     approved pool within the remaining seats.  Two bit-sliced counters
     (``search.counter``) carry the state: ``need``, what each voter still
-    lacks, and ``avail``, her approved candidates still in the pool; every
-    test and update is a whole-mask operation on them.  Only the counts of
-    unmet voters are read, and a voter met at a node stays met below it, so
-    a candidate leaving the pool is taken off ``avail`` for the unmet voters
-    alone.  A node with one seat left that passes the test has only leaves
-    below it, as every unmet voter needs exactly one more: it returns its
-    first option covering every unmet voter (the coverage sort puts those
-    first, in index order), or counts one node per option without building
-    the leaves.  Node counts are those of the search that builds every leaf.
+    lacks, cut to the slices its largest count spans, and ``avail``, her
+    approved candidates still in the pool; every test and update is a
+    whole-mask operation on them.  Only the counts of unmet voters are read,
+    and a voter met at a node stays met below it, so a candidate leaving the
+    pool is taken off ``avail`` for the unmet voters alone.  The scan that
+    narrows the unmet voters to those with the fewest available candidates
+    (the pivot is the first of them) also reads off that fewest count,
+    ``least``.  A node with none is cut; when ``need`` has one slice every
+    unmet voter lacks exactly one member and a node always has a seat, so
+    that is the whole test, and the seat and pool tests (``above``,
+    ``at_least``) run only for demands of two slices or more.  Branch options
+    are the pivot's approved candidates in the pool, most unmet voters
+    covered first, ties in index order.  A node with one seat left that
+    passes the test has only leaves below it, as every unmet voter needs
+    exactly one more: it returns its first option covering every unmet
+    voter, looking only at the options on a second unmet voter's ballot, in
+    index order (the coverage sort puts those first), or counts ``least``
+    nodes, one per option (``avail`` is exact for the pivot), without
+    building the leaves.  Node counts are those of the search that builds
+    every leaf.
     """
     m, k = election.m, election.k
+    approvals, ballot_masks = election.approvals, election.ballot_masks
     cand_voters = election.candidate_voters
     if max(deficits, default=0) > k:
         return None
     need = counter(deficits)
-    avail = counter([ballot.bit_count() for ballot in election.ballot_masks])
+    avail = counter([ballot.bit_count() for ballot in ballot_masks])
     # iterative: per open node, its branch options as (-coverage, candidate),
     # the index of the next one, the pool and ``avail`` left to its later
     # branches, and its own ``need`` and unmet voters, which restore it after
@@ -100,27 +112,41 @@ def _cover_search(
             unmet |= s
         if not unmet:  # each open node's current branch is a member
             return [options[nxt - 1][1] for options, nxt, *_ in frames]
-        # branch only if every unmet voter fits in the seats and the pool left
-        if not above(need, k - len(frames)) and at_least(avail, need, unmet) == unmet:
-            pivots = unmet  # narrowed to the fewest available, top slice first
-            for s in reversed(avail):
-                rest = pivots ^ (pivots & s)
-                if rest:
-                    pivots = rest
+        # narrow the unmet voters to those with the fewest available
+        # candidates, top slice first, and read that fewest count off
+        pivots, least = unmet, 0
+        for s in reversed(avail):
+            rest = pivots ^ (pivots & s)
+            if rest:
+                pivots, least = rest, least << 1
+            else:
+                least = least << 1 | 1
+        # branch only if every unmet voter fits in the seats and the pool
+        # left; with one ``need`` slice every unmet voter lacks one member
+        # and a node always has a seat, so ``least`` decides alone
+        if least and (
+            len(need) == 1
+            or not above(need, k - len(frames)) and at_least(avail, need, unmet) == unmet
+        ):
             pivot = (pivots & -pivots).bit_length() - 1
-            choices = election.ballot_masks[pivot] & pool
             if len(frames) < k - 1:
                 # most unmet voters covered first, ties in index order
                 options = sorted(
-                    [(-(cand_voters[c] & unmet).bit_count(), c) for c in _iter_bits(choices)]
+                    [
+                        (-(cand_voters[c] & unmet).bit_count(), c)
+                        for c in approvals[pivot]
+                        if pool >> c & 1
+                    ]
                 )
                 frames.append([options, 0, pool, avail, need, unmet])
-            else:  # last seat: every unmet voter needs 1; the children are leaves
-                for c in _iter_bits(choices):
+            else:  # last seat: every unmet voter needs 1; the ``least`` children are leaves
+                # a child covering ``unmet`` is also on a second unmet voter's ballot
+                covers = ballot_masks[pivot] & pool & ballot_masks[unmet.bit_length() - 1]
+                for c in _iter_bits(covers):
                     if unmet & cand_voters[c] == unmet:  # sorted first: it covers ``unmet``
                         budget.tick()
                         return [options[nxt - 1][1] for options, nxt, *_ in frames] + [c]
-                budget.tick(choices.bit_count())  # each child cut by the seat test
+                budget.tick(least)  # each child cut by the seat test
         while frames:
             frame = frames[-1]
             options, nxt, pool, avail, need, unmet = frame  # undoes the last branch
@@ -133,6 +159,8 @@ def _cover_search(
             avail = sub(avail, covered)  # met voters' counts are not read again
             frame[1:4] = nxt + 1, pool, avail
             need = sub(need, covered)
+            if not need[-1]:  # the largest demand left fits one slice fewer
+                need.pop()
             break
         else:
             return None

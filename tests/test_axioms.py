@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -366,8 +367,12 @@ def test_undecided_under_tiny_cap():
 
 
 # SHA-256 of (status, witness, cost) of every axiom kind on the set below,
-# recorded while each check still built its own verdict and node budget
-GOLDEN_VERDICTS_SHA256 = "01b840712d7c4e0fd9f44645590e90b47e8439ddaeeb199c3ffe2f8f469b4648"
+# recorded while each check still built its own verdict and node budget, and
+# recorded again once IR and (alpha, beta)-IR without an f-vector took their
+# values from the saturation-cut walk: 109 capped records then named that
+# walk (or the one-voter certificate walk) instead of cohesion.f_vector, and
+# 19 capped records were decided, each as at the never-binding cap
+GOLDEN_VERDICTS_SHA256 = "5828a437747ee068a0b8738d09dade1284a411505b57002cdc7e0787dbb3f098"
 
 
 def _verdict_record(election, committee, axiom, fvec, cap):
@@ -399,11 +404,19 @@ def test_verdicts_match_golden_digest():
                     for cap in (10**7, 6, 2):
                         for axiom in kinds:
                             given = [None, fvec] if axiom in kinds[:3] else [None]
+                            records = []
                             for fv in given:
                                 record = _verdict_record(e, w, axiom, fv, cap)
+                                records.append(record)
                                 seen.add((axiom.kind, record.split()[0]))
                                 line = f"{model} {n} {seed} {k} {cap} {axiom} {fv is None} {record}"
                                 digest.update(line.encode() + b"\n")
+                            if axiom.kind in ("IR", "ALPHA_BETA_IR"):
+                                # without the f-vector: the same verdict, or a capped walk
+                                alone, with_f = records
+                                assert alone == with_f or re.search(
+                                    r"BudgetExceededError .*\(cohesion\.(entitlements|certificate) ", alone
+                                ), (alone, with_f)
     assert {kind for kind, head in seen if head == "('undecided',"} == {"PJR", "EJR", "FJR", "CORE"}
     assert ("PERFECT_REP", "ValueError") in seen and ("IR", "BudgetExceededError") in seen
     assert digest.hexdigest() == GOLDEN_VERDICTS_SHA256

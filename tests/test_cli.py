@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -482,7 +483,7 @@ def test_check_capped_entitlements_exit_one_with_message(tmp_path):
         )
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         [line] = result.output.rstrip().splitlines()
-        assert line.startswith("Error: ") and "(cohesion.f_vector stopped after 4 nodes)" in line
+        assert line.startswith("Error: ") and "(cohesion.entitlements stopped after 4 nodes)" in line
 
 
 def _fixtures():
@@ -518,6 +519,44 @@ def test_solve_over_entitlements_prints_what_the_certificates_give(tmp_path, mon
     assert outputs() == by_ints
     assert len(by_ints) == 11 * 6 and {code for code, _ in by_ints} == {0}
     assert {json.loads(out)["status"] for _, out in by_ints} == {"found", "infeasible"}
+
+
+def test_check_ir_prints_what_the_certificates_give(tmp_path, monkeypatch):
+    # `irlab check` for IR and (alpha, beta)-IR reads the integer
+    # entitlements and builds the first short voter's certificate alone; on
+    # every shared fixture and the twelve 200- to 1,000-voter profiles, each
+    # with a committee drawn at random, its exit code and stdout (plain and
+    # --json) equal those of the same command over all n f_vector
+    # certificates
+    from instance_gen import scale_cases
+
+    rng = random.Random(29)
+    cases = [(fixture(), None) for _, fixture in _fixtures()]
+    cases += [(e, members) for _, e, members in scale_cases()]
+    runs = []
+    for index, (election, members) in enumerate(cases):
+        path = _write_profile(tmp_path, election, f"p{index}.avp")
+        members = members or rng.sample(range(election.m), election.k)
+        committee = ",".join(str(c + 1) for c in sorted(members))
+        for axiom in (["ir"], ["alpha-beta-ir", "--alpha", "3/2", "--beta", "1"]):
+            for fmt in ([], ["--json"]):
+                runs.append(["check", path, "--committee", committee, "--axiom", *axiom, *fmt])
+    runner = CliRunner()
+
+    def outputs():
+        return [(r.exit_code, r.stdout) for args in runs for r in [runner.invoke(main, args)]]
+
+    by_ints = outputs()
+    check = cli.axioms.check
+    monkeypatch.setattr(
+        cli.axioms,
+        "check",
+        lambda e, w, axiom, node_cap: check(e, w, axiom, f_vector(e, node_cap=node_cap), node_cap),
+    )
+    assert outputs() == by_ints
+    assert {code for code, _ in by_ints} == {0}
+    statuses = Counter(json.loads(out)["status"] for _, out in by_ints[1::2])
+    assert statuses["violated"] >= 12 and statuses["satisfied"] >= 6, statuses
 
 
 def test_solve_decides_where_the_certificate_walk_hits_the_cap(tmp_path):

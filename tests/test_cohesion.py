@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irlab.cohesion import _closed_sets, entitlements, f_vector, vi_order_positions
+from irlab.cohesion import _closed_sets, certificate, entitlements, f_vector, vi_order_positions
 from irlab.model import Election, is_run, position_mask
 from irlab.search import BudgetExceededError, NodeBudget
 from irlab.domains import recognize
@@ -280,3 +280,42 @@ def test_entitlements_match_f_vector_at_scale():
         assert cut <= full
         f = _assert_visits(e, entitlements, cut, "cohesion.entitlements")
         assert f == [c.f for c in f_vector(e, node_cap=full)], (e.n, e.m, e.k)
+
+
+def test_certificate_matches_f_vector_and_the_dfs_oracle():
+    # one voter's certificate is her f_vector certificate and the per-ballot
+    # DFS oracle's (value, lex-min witness and its supporters); its walk
+    # visits exactly the closed sets inside her ballot (counted by definition)
+    # and past the cap it raises.  On the twelve 200- to 1,000-voter
+    # profiles: the first voter the random committee leaves short of her
+    # entitlement, and four more at random
+    seen = {"f=0": 0, "f=1": 0, "f>1": 0, "cut": 0}
+    for e in dfs_oracle_profiles():
+        walk = closed_set_walk(e, False)
+        for i, cert in enumerate(f_vector(e)):
+            inside = sum(1 for closed in walk if not closed & ~e.ballot_masks[i])
+            got = _assert_visits(
+                e, lambda e, node_cap: certificate(e, i, node_cap), inside, "cohesion.certificate"
+            )
+            ref = f_certificate_exact(e, i)
+            assert got == cert, (e.approvals, e.k, i)
+            assert (got.f, got.witness_set, got.witness_supporters) == (
+                ref.f, ref.witness_set, ref.witness_supporters
+            )
+            seen["f=0" if not cert.f else "f=1" if cert.f == 1 else "f>1"] += 1
+            seen["cut"] += inside < len(walk)
+    assert min(seen.values()) >= 100, seen
+    shorts = 0
+    for rng, e, members in scale_cases():
+        certs = f_vector(e)
+        wmask = sum(1 << c for c in members)
+        short = [i for i, b in enumerate(e.ballot_masks) if (b & wmask).bit_count() < certs[i].f]
+        shorts += bool(short)
+        for i in short[:1] + rng.sample(range(e.n), 4):
+            got = certificate(e, i)
+            ref = f_certificate_exact(e, i)
+            assert got == certs[i], (e.n, e.m, e.k, i)
+            assert (got.f, got.witness_set, got.witness_supporters) == (
+                ref.f, ref.witness_set, ref.witness_supporters
+            )
+    assert shorts == 12, shorts

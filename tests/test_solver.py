@@ -192,6 +192,35 @@ def _clustered_election(rng, n, m, k):
     return Election.from_approvals(ballots, m=m, k=k)
 
 
+def _profile_with_clones(rng, n, m, k):
+    """``n`` voters on a dozen or so random ballots of 2 to 4 of ``m``
+    candidates, then a clone (approved by the same voters, numbered from
+    ``m`` on) of up to half the candidates; returns the election and the
+    clone of each cloned candidate."""
+    base = [set(rng.sample(range(m), rng.randint(2, 4))) for _ in range(rng.randint(12, 20))]
+    ballots = [set(rng.choice(base)) for _ in range(n)]
+    clone = {c: m + j for j, c in enumerate(rng.sample(range(m), rng.randint(0, m // 2)))}
+    for ballot in ballots:
+        ballot |= {clone[c] for c in ballot if c in clone}
+    return Election.from_approvals(ballots, m=m + len(clone), k=k), clone
+
+
+def _last_seat_covers(e, deficits, hit, clone):
+    """How many candidates cover the voters left unmet at the last-seat node
+    that returned ``hit``: "two or more" when its last member has a clone
+    (the clone sorts after it at every node, so it is still in the pool),
+    "one" when no candidate outside ``hit`` above it covers them (one below
+    it in the pool would have been returned first), otherwise None."""
+    if hit is None or len(hit) < e.k:
+        return None
+    *rest, last = hit
+    unmet = [a for a, d in zip(e.approvals, deficits) if len(a.intersection(rest)) < d]
+    if last in clone:
+        return "two or more"
+    above = [c for c in range(last + 1, e.m) if c not in hit and all(c in a for a in unmet)]
+    return None if above else "one"
+
+
 def test_cover_search_matches_recursive_search_at_every_cap():
     # every cap from 1 to the uncapped node count: the same committee, None
     # or "capped", and the same node count; a one-seat node counts its
@@ -199,11 +228,16 @@ def test_cover_search_matches_recursive_search_at_every_cap():
     # Profiles of up to 10 voters with at least 8 nodes; deep searches of 50
     # to 200 nodes, mostly infeasible, where the search backtracks most;
     # profiles of 65 to 130 voters, past one machine word, with 8 to 200
-    # nodes (every cap is a search of its own); and demand vectors with more
+    # nodes (every cap is a search of its own); demand vectors with more
     # counter slices than the ballot sizes have, which the root cuts (or the
-    # seat count before it)
+    # seat count before it); and 0/1 demands, min(f_i, 1) or drawn at random,
+    # on 65 to 130 voters with 4 to 200 nodes, where the one ``need`` slice
+    # lets the pivot scan decide each node: searches that return at a
+    # last-seat node with two or more covering candidates, with exactly one,
+    # and searches that return elsewhere or not at all
     rng = random.Random(59)
-    for kind, quota in (("small", 20), ("deep", 5), ("n > 64", 10), ("more slices", 5)):
+    covers_quota = {"two or more": 6, "one": 6, None: 6}
+    for kind, quota in (("small", 20), ("deep", 5), ("n > 64", 10), ("more slices", 5), ("0/1", 18)):
         cases = 0
         while cases < quota:
             if kind == "small":
@@ -214,6 +248,8 @@ def test_cover_search_matches_recursive_search_at_every_cap():
                 e = Election.from_approvals(ballots, m=m, k=k)
             elif kind == "n > 64":
                 e = _clustered_election(rng, rng.randint(65, 130), rng.randint(6, 9), rng.randint(2, 5))
+            elif kind == "0/1":
+                e, clone = _profile_with_clones(rng, rng.randint(65, 130), rng.randint(9, 13), rng.randint(4, 6))
             else:
                 m = rng.randint(4, 9)
                 n = rng.randint(2, 80)
@@ -221,6 +257,11 @@ def test_cover_search_matches_recursive_search_at_every_cap():
                 e = Election.from_approvals(ballots, m=m, k=rng.randint(4, m))
             if kind == "deep":
                 deficits = [rng.randint(1, min(len(a), e.k) - 1) for a in e.approvals]
+            elif kind == "0/1":
+                if rng.random() < 0.5:
+                    deficits = [min(cert.f, 1) for cert in f_vector(e)]
+                else:
+                    deficits = [rng.randint(0, 1) for _ in range(e.n)]
             elif kind != "more slices" and rng.random() < 0.5:
                 deficits = [cert.f for cert in f_vector(e)]
             else:
@@ -229,13 +270,19 @@ def test_cover_search_matches_recursive_search_at_every_cap():
                 deficits[rng.randrange(e.n)] = rng.randint(4, 7)
                 assert len(counter(deficits)) > len(counter([len(a) for a in e.approvals]))
             full = NodeBudget(10**6, stage="test")
-            cover_search(e, deficits, full)
+            hit = cover_search(e, deficits, full)
             if (
                 kind == "small" and full.nodes < 8
                 or kind == "deep" and not 50 <= full.nodes <= 200
                 or kind == "n > 64" and not 8 <= full.nodes <= 200
+                or kind == "0/1" and not 4 <= full.nodes <= 200
             ):
                 continue
+            if kind == "0/1":
+                covers = _last_seat_covers(e, deficits, hit, clone)
+                if not covers_quota.get(covers) or hit and len(hit) == e.k and covers is None:
+                    continue  # its class is full, or it is unknown
+                covers_quota[covers] -= 1
             cases += 1
             for cap in range(1, full.nodes + 1):
                 outcomes = []
@@ -250,6 +297,23 @@ def test_cover_search_matches_recursive_search_at_every_cap():
             if kind == "more slices":
                 assert full.nodes <= 1
                 assert solver._cover_search(e, deficits, NodeBudget(2, "test")) is None
+    assert not any(covers_quota.values()), covers_quota
+
+
+def test_cover_search_matches_recursive_search_on_a_capped_thousand_voter_profile():
+    # the n = 1,000, m = 60, k = 20 ic profile (every f_i = 1): the search
+    # is capped at every cap here, after as many nodes as the recursive one
+    e = generate(GenSpec(model="ic", n=1000, m=60, seed=3), k=20)
+    deficits = cohesion.entitlements(e)
+    assert set(deficits) == {1}
+    for cap in (1000, 5000, 20000):
+        nodes = []
+        for search in (solver._cover_search, cover_search):
+            budget = NodeBudget(cap, stage="test")
+            with pytest.raises(BudgetExceededError):
+                search(e, deficits, budget)
+            nodes.append(budget.nodes)
+        assert nodes == [cap + 1, cap + 1], (cap, nodes)
 
 
 def test_find_ir_and_ssjr_equals_both_solves_when_every_f_is_at_most_one():
