@@ -599,3 +599,39 @@ def test_rule_output_matches_golden_digest(tmp_path):
                 runs += 1
     assert runs == 11 * len(RULE_NAMES) * 2
     assert digest.hexdigest() == GOLDEN_RULE_OUTPUT_SHA256
+
+
+GOLDEN_CLI_SHA256 = "d944245619f3a7fa668cec7da6de61872260bf990f37eda41fb78e50b938e103"
+
+
+def test_entitlement_commands_match_golden_digest(tmp_path):
+    """Exit code and stdout of `irlab fvec` (exact at caps 1, 3 and the
+    default, and vi), `irlab check --json` for IR, semi-strong JR and
+    (3/2, 1)-IR (default cap and cap 3) and `irlab solve` (ir and ssjr
+    objectives) on every shared fixture and six generated profiles."""
+    rng = random.Random(53)
+    profiles = [(name, fixture()) for name, fixture in _fixtures()]
+    profiles += [
+        (model, generate(GenSpec(model=model, n=24, m=8, seed=5), k=3 + index % 2))
+        for index, model in enumerate(MODELS)
+    ]
+    digest = hashlib.sha256()
+    codes = Counter()
+    for name, election in profiles:
+        path = _write_profile(tmp_path, election, f"{name}.avp")
+        committee = ",".join(str(c + 1) for c in sorted(rng.sample(range(election.m), election.k)))
+        runs = [["fvec", path, "--method", "exact", *cap] for cap in (["--cap", "1"], ["--cap", "3"], [])]
+        runs.append(["fvec", path, "--method", "vi"])
+        for axiom in (["ir"], ["ssjr"], ["alpha-beta-ir", "--alpha", "3/2", "--beta", "1"]):
+            for cap in ([], ["--cap", "3"]):
+                runs.append(["check", path, "--committee", committee, "--axiom", *axiom, "--json", *cap])
+        runs += [["solve", path, "--objective", objective] for objective in ("ir", "ssjr")]
+        for args in runs:
+            result = CliRunner().invoke(main, args)
+            codes[args[0], result.exit_code] += 1
+            digest.update(f"{name} {' '.join(args[2:])} {result.exit_code}\n".encode())
+            digest.update(result.stdout.encode())
+    # capped walks and non-VI profiles exit 1; solve always decides here
+    assert codes[("fvec", 0)] > len(profiles) and codes[("fvec", 1)] and codes[("check", 1)]
+    assert codes[("solve", 0)] == 2 * len(profiles)
+    assert digest.hexdigest() == GOLDEN_CLI_SHA256
