@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cohesion import CohesionCertificate, certificate, deficits_for, entitlements, f_vector
+from .cohesion import certificate, deficits_for, entitlements
 from .model import Committee, Election, _iter_bits, first_unmet, mask_to_set, members_mask
 from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, quota_assignment
 from .search import at_least, counter, plus
@@ -115,28 +115,28 @@ def check(
     election: Election,
     committee: Committee,
     axiom: AxiomId,
-    fvec: Sequence[CohesionCertificate] | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> AxiomVerdict:
     """Decide one axiom for one committee, with a violation witness on failure.
 
     Each kind is a function that returns a witness or None; this is the one
     place that turns its answer into a verdict.  The searches run under one
-    node budget and are undecided past it; the entitlement walks that IR and
-    (alpha, beta)-IR need without ``fvec`` have caps of their own and raise
-    past them, as :func:`~irlab.cohesion.f_vector` does.
+    node budget and are undecided past it.  IR and (alpha, beta)-IR walk the
+    closed candidate sets instead, for the entitlements and then for one
+    voter's certificate; each walk has ``node_cap`` of its own and raises
+    :class:`~irlab.search.BudgetExceededError` past it.
     """
     kind = axiom.kind
     if kind in GROUP_AXIOMS and len(committee.members) != election.k:
         raise ValueError(f"{axiom} is defined for committees of size exactly k")
     if kind in ("IR", "ALPHA_BETA_IR"):
-        witness = _entitlement_witness(election, committee, axiom, fvec, node_cap)
+        witness = _entitlement_witness(election, committee, axiom, node_cap)
         return AxiomVerdict(axiom, "satisfied" if witness is None else "violated", witness, 0)
     counts = _committee_counts(election, committee)
     budget = NodeBudget(node_cap, stage=f"axioms.{kind}")
     try:
         if kind == "SSJR":
-            witness = _ssjr_witness(election, counts, fvec)
+            witness = _ssjr_witness(election, counts)
         elif kind == "JR":
             witness = _jr_witness(election, counts)
         elif kind == "EJR":
@@ -155,20 +155,16 @@ def check(
     return AxiomVerdict(axiom, status, witness, election.m if kind == "JR" else budget.nodes)
 
 
-def _entitlement_witness(election, committee, axiom, fvec, node_cap):
+def _entitlement_witness(election, committee, axiom, node_cap):
     """The first voter with alpha*|W cap A_i| + beta < f_i, fewer members than
     her demand, with her certificate as the witness; None when nobody is
-    short.  Without ``fvec`` the values are :func:`~irlab.cohesion.entitlements`
-    and only that voter's certificate is built."""
-    f = entitlements(election, node_cap) if fvec is None else [cert.f for cert in fvec]
+    short.  The values are :func:`~irlab.cohesion.entitlements`, and only
+    that voter's certificate is built."""
+    f = entitlements(election, node_cap)
     i = first_unmet(election, committee.mask(), deficits_for(f, axiom.alpha or 1, axiom.beta or 0))
     if i is None:
         return None
-    return _certificate_witness(certificate(election, i, node_cap) if fvec is None else fvec[i], i)
-
-
-def _certificate_witness(cert, i):
-    """Voter ``i``'s certificate as the witness that she is short of her entitlement."""
+    cert = certificate(election, i, node_cap)
     return ViolationWitness(
         group=cert.witness_supporters.members,
         candidate_set=cert.witness_set,
@@ -177,16 +173,12 @@ def _certificate_witness(cert, i):
     )
 
 
-def _ssjr_witness(election, counts, fvec):
+def _ssjr_witness(election, counts):
     # f_i >= 1 iff some approved candidate alone is backed by n/k voters,
     # so the full f-vector is not needed
     n, k = election.n, election.k
     for i in range(n):
         if counts[i]:
-            continue
-        if fvec is not None:
-            if fvec[i].f >= 1:
-                return _certificate_witness(fvec[i], i)
             continue
         for c in sorted(election.approvals[i]):
             if election.candidate_voters[c].bit_count() * k >= n:
@@ -383,19 +375,13 @@ IMPLICATION_ARROWS: tuple[tuple[str, str], ...] = (
 def implication_report(
     election: Election,
     committee: Committee,
-    fvec: Sequence[CohesionCertificate] | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> Mapping[AxiomId, AxiomVerdict]:
     """All axiom verdicts for one committee (PERFECT_REP only when k | n)."""
-    if fvec is None:
-        fvec = f_vector(election, "exact", node_cap=node_cap)
     axioms = [IR, SSJR, JR, PJR, EJR, FJR, CORE]
     if election.n % election.k == 0:
         axioms.append(PERFECT_REP)
-    return {
-        axiom: check(election, committee, axiom, fvec=fvec, node_cap=node_cap)
-        for axiom in axioms
-    }
+    return {axiom: check(election, committee, axiom, node_cap=node_cap) for axiom in axioms}
 
 
 def verify_violation(

@@ -16,7 +16,7 @@ from fractions import Fraction
 import click
 
 from . import axioms, domains, rules, solver
-from .cohesion import entitlements, f_vector
+from .cohesion import entitlements, f_vector, vi_certificates
 from .experiment import (
     DEFAULT_MODELS,
     DEFAULT_RULES,
@@ -167,16 +167,16 @@ def gen_cmd(model, n, m, k, seed, p, radius_owner, out):
 def fvec_cmd(profile, method, cap):
     """Per-voter entitlements as CSV voter,f,witness (1-based indices)."""
     election = _load(profile)
-    order = None
     if method == "vi":
         witness = domains.recognize(election, "VI")
         if witness is None:
             raise click.ClickException("profile is not voter-interval")
-        order = witness.voter_order
-    try:
-        certs = f_vector(election, method, order=order, node_cap=cap)
-    except BudgetExceededError as exc:
-        raise click.ClickException(str(exc))
+        certs = vi_certificates(election, witness.voter_order)
+    else:
+        try:
+            certs = f_vector(election, node_cap=cap)
+        except BudgetExceededError as exc:
+            raise click.ClickException(str(exc))
     # many voters share a witness, so each distinct one is formatted once
     texts: dict[frozenset[int], str] = {}
     rows = ["voter,f,witness"]

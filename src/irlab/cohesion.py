@@ -10,14 +10,14 @@ voter of N(C).  Since S is inside clo(S) and N(clo(S)) = N(S),
 
     f_i = max { min(|C|, floor(|N(C)|*k/n)) : C closed, C subseteq A_i },
 
-so the ``"exact"`` method enumerates, once for all voters, the closed sets
-whose supporters can claim a seat (|N(C)|*k >= n), bottom-up by LCM's
+so :func:`f_vector` enumerates, once for all voters, the closed sets whose
+supporters can claim a seat (|N(C)|*k >= n), bottom-up by LCM's
 prefix-preserving closure extension, and reads every f_i and its
 lexicographically smallest witness off that list.  The problem is NP-hard in
-general, hence the node cap (one node per closed set).  ``f_vector(e, "vi",
-order)`` computes the same values in O(n^2 + nm) time for all voters when a
-voter-interval witness order is available, by one sweep over the left ends
-of the position intervals.
+general, hence the node cap (one node per closed set).  When a
+voter-interval witness order is available, :func:`vi_certificates` computes
+the same values for all voters in O(n^2 + nm) time, by one sweep over the
+left ends of the position intervals.
 
 :func:`entitlements` computes the values alone, with the same walk cut below
 every *saturated* closed set C, one with |C| >= floor(|N(C)|*k/n): its value
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Sequence
 
 from .model import Election, VoterGroup, _iter_bits, is_run, position_mask
 from .search import DEFAULT_NODE_CAP, NodeBudget
@@ -147,8 +147,10 @@ def _first_takers(ranked: list, everyone: int) -> list:
     return kept
 
 
-def _exact_certificates(election: Election, node_cap: int) -> list[CohesionCertificate]:
-    """All n certificates from one enumeration of the qualifying closed sets.
+def f_vector(election: Election, node_cap: int = DEFAULT_NODE_CAP) -> list[CohesionCertificate]:
+    """All n certificates, in voter order, from one enumeration of the
+    qualifying closed sets; raises :class:`~irlab.search.BudgetExceededError`
+    when more than ``node_cap`` of them are visited, never a wrong answer.
 
     A closed set C offers every voter of N(C) the value
     v(C) = min(|C|, floor(|N(C)|*k/n)), witnessed by its v smallest members.
@@ -234,15 +236,6 @@ def entitlements(election: Election, node_cap: int = DEFAULT_NODE_CAP) -> list[i
     return f
 
 
-def vi_order_positions(election: Election, order: Sequence[int]) -> list[int]:
-    """Validate ``order`` as a voter-interval witness and return position-of-voter.
-
-    Raises ValueError if ``order`` is not a permutation of the voters or some
-    candidate's supporters are not contiguous under it.
-    """
-    return _vi_spans(election, order)[0]
-
-
 def _vi_spans(
     election: Election, order: Sequence[int]
 ) -> tuple[list[int], list[tuple[int, int]]]:
@@ -315,32 +308,6 @@ def _vi_sweep(
         group = VoterGroup.from_mask(election.supporters_mask(witness))
         certs.append(CohesionCertificate(voter, f, witness, group))
     return certs
-
-
-FMethod = Literal["exact", "vi"]
-
-
-def f_vector(
-    election: Election,
-    method: FMethod = "exact",
-    order: Sequence[int] | None = None,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> list[CohesionCertificate]:
-    """All n certificates, in voter order.
-
-    ``"exact"`` enumerates the qualifying closed candidate sets once for all
-    voters and raises :class:`~irlab.search.BudgetExceededError` when more
-    than ``node_cap`` of them are visited; a wrong answer is never returned.
-    ``"vi"`` sweeps the position intervals of the voter-interval witness
-    ``order`` once for all voters, in O(n^2 + nm) time.
-    """
-    if method == "exact":
-        return _exact_certificates(election, node_cap)
-    if method == "vi":
-        if order is None:
-            raise ValueError("method 'vi' requires a witness order")
-        return vi_certificates(election, order)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def vi_certificates(election: Election, order: Sequence[int]) -> list[CohesionCertificate]:

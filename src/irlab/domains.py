@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from . import axioms, c1p
-from .cohesion import CohesionCertificate, _vi_spans, _vi_sweep, vi_order_positions
+from .cohesion import CohesionCertificate, _vi_spans, _vi_sweep
 from .model import Committee, Election, _iter_bits, is_run, padding, position_mask
 
 DomainId = Literal["CI", "VI", "CEI", "VEI", "T_PART", "WSC", "ALPHA_TR"]
@@ -152,7 +152,7 @@ def _witness_problem(election: Election, domain: DomainId, witness: DomainWitnes
             return invalid
     elif domain == "VI":
         try:
-            vi_order_positions(election, witness.voter_order)
+            _vi_spans(election, witness.voter_order)
         except ValueError as exc:
             return str(exc)
     elif domain in ("CEI", "VEI"):

@@ -4,10 +4,12 @@ For every (model, committee size, instance) triple the harness generates a
 profile, computes the exact entitlements f_i (``cohesion.entitlements``: the
 values alone, no witness certificates), decides IR and semi-strong JR
 existence on them (``solver.find_ir_and_ssjr``), and optionally probes a list
-of voting rules with :func:`probe_rule`: per rule, ``rules.probe`` says
-whether some winner meets the demands f and whether some winner meets the
-semi-strong JR demands min(f, 1), testing tied winners on the lanes of the
-rule's search rather than listing them.  Results stream into a CSV whose rows are keyed by a per-instance seed
+of voting rules: per rule, ``rules.probe`` says whether some winner meets the
+demands f and whether some winner meets the semi-strong JR demands
+min(f, 1), testing tied winners on the lanes of the rule's search rather
+than listing them.
+
+Results stream into a CSV whose rows are keyed by a per-instance seed
 derived from the base seed, so output is byte-identical across runs and
 independent of the parallelism degree (rows are order-normalized before
 writing; the worker pool is never larger than the number of instances or of
@@ -29,7 +31,6 @@ from typing import Mapping, Sequence
 from .cohesion import entitlements
 from .search import BudgetExceededError
 from .gen import GenSpec, generate
-from .model import Election
 from .rules import RuleId, probe
 from .solver import demands, find_ir_and_ssjr
 
@@ -99,16 +100,6 @@ def instance_seed(base_seed: int, model: str, k: int, index: int) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") >> 1
 
 
-def probe_rule(
-    election: Election, rule: RuleId, wanted: Sequence[Sequence[int]]
-) -> tuple[bool, ...]:
-    """For each demand vector in ``wanted``, whether some winner of ``rule``
-    gives every voter i at least that many approved members: exact rules over
-    all tied winners, sequential rules over their single output
-    (`rules.probe`, which builds no winner it does not need)."""
-    return probe(election, rule, wanted)
-
-
 def _run_instance(args) -> ExperimentRow:
     spec, model, k, index = args
     seed = instance_seed(spec.seed, model, k, index)
@@ -140,9 +131,7 @@ def _run_instance(args) -> ExperimentRow:
     ir_res, ssjr_res = find_ir_and_ssjr(election, f, spec.node_cap)
     undecided = ir_res.status == "undecided" or ssjr_res.status == "undecided"
     wanted = (f, demands(f, "FIND_SSJR")) if spec.rules else ()
-    rule_hits = tuple(
-        (str(rule), *probe_rule(election, rule, wanted)) for rule in spec.rules
-    )
+    rule_hits = tuple((str(rule), *probe(election, rule, wanted)) for rule in spec.rules)
     ms = int((time.perf_counter() - t0) * 1000)
     return ExperimentRow(
         model=model,

@@ -15,7 +15,8 @@ are the engines the package replaced; they stay here as references for the
 ones that replaced them.  ``enumerate_committees`` lists every committee
 meeting a solver objective, for fixtures; ``closed_set_walk`` lists the closed
 sets the entitlement walk visits; ``run_instance_by_certificates`` is the
-experiment's instance path over ``f_vector`` certificates.
+experiment's instance path over ``f_vector`` certificates, and
+``check_given_certificates`` the IR and semi-strong JR checks over them.
 """
 
 from fractions import Fraction
@@ -23,8 +24,8 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterable, Sequence
 
-from irlab.cohesion import CohesionCertificate, f_vector
-from irlab.axioms import AxiomVerdict, ViolationWitness
+from irlab.cohesion import CohesionCertificate, deficits_for, f_vector
+from irlab.axioms import AxiomId, AxiomVerdict, ViolationWitness
 from irlab.domains import CEIWitness, VEIWitness, WSCWitness
 from irlab.experiment import ExperimentRow, instance_seed
 from irlab.gen import GenSpec, generate
@@ -1118,6 +1119,35 @@ def run_instance_by_certificates(args) -> ExperimentRow:
     found = lambda res: None if res.status == "undecided" else res.status == "found"
     undecided = "undecided" in (ir_res.status, ssjr_res.status)
     return ExperimentRow(model, k, seed, found(ir_res), found(ssjr_res), hits, undecided, 0)
+
+
+def check_given_certificates(
+    election: Election, committee: Committee, axiom: AxiomId, fvec: Sequence[CohesionCertificate]
+) -> AxiomVerdict:
+    """IR, (alpha, beta)-IR or semi-strong JR read off all n certificates
+    ``fvec``: the first voter with fewer approved members than her demand
+    (the least w with alpha*w + beta >= f_i, or min(f_i, 1) for semi-strong
+    JR), with her certificate as the witness, at cost 0.  ``axioms.check``
+    takes the values from the entitlement walk and builds that voter's
+    certificate alone; for semi-strong JR it names an approved singleton."""
+    f = [cert.f for cert in fvec]
+    if axiom.kind == "SSJR":
+        wanted = demands(f, "FIND_SSJR")
+    elif axiom.kind in ("IR", "ALPHA_BETA_IR"):
+        wanted = deficits_for(f, axiom.alpha or 1, axiom.beta or 0)
+    else:
+        raise ValueError(f"{axiom} is not read off the certificates")
+    i = first_unmet(election, committee.mask(), wanted)
+    if i is None:
+        return AxiomVerdict(axiom, "satisfied", None, 0)
+    cert = fvec[i]
+    witness = ViolationWitness(
+        group=cert.witness_supporters.members,
+        candidate_set=cert.witness_set,
+        level=cert.f,
+        deprived=frozenset([i]),
+    )
+    return AxiomVerdict(axiom, "violated", witness, 0)
 
 
 def _thiele_classes(

@@ -11,7 +11,7 @@ from itertools import combinations
 
 from irlab import axioms, domains
 from irlab.axioms import CORE, EJR, IR, JR, PJR, SSJR, alpha_beta_ir, check, implication_report
-from irlab.cohesion import f_vector
+from irlab.cohesion import f_vector, vi_certificates
 from irlab.experiment import ExperimentSpec, existence_rates, run_experiment
 from irlab.model import Committee, Election
 from irlab.rules import RuleId, run_rule
@@ -76,7 +76,7 @@ def test_criterion_1_fixture_exactness():
         outcome = run_rule(e1, RuleId(kind), mode=mode)
         for w in outcome.committees:
             assert 2 in w.members, kind
-            assert not check(e1, w, IR, fvec=fv1).satisfied
+            assert not check(e1, w, IR).satisfied
 
     # uneven cohorts: unique IR committee; core violation witness V={5..12}, S={c5..c8}
     e2 = uneven_cohorts()
@@ -138,11 +138,10 @@ def test_criterion_1_fixture_exactness():
     assert loads == (Fraction(3, 5), Fraction(0), Fraction(3, 5), Fraction(3, 5), Fraction(3, 5), Fraction(3, 5))
 
     em = hamming_bait_instance()
-    fvm = tuple(f_vector(em))
     outcome = run_rule(em, RuleId("minimax_av"), mode="all_tied")
     for w in outcome.committees:
         assert not w.members & {0, 1}
-        assert not check(em, w, IR, fvec=fvm).satisfied
+        assert not check(em, w, IR).satisfied
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"fixture suite took {elapsed:.2f}s (budget 1s)"
@@ -163,7 +162,7 @@ def test_criterion_2_oracle_equivalence():
         e = random_vi_election(rng, n_max=24, m_max=12)
         witness = domains.recognize(e, "VI")
         assert witness is not None
-        vi_certs = f_vector(e, "vi", order=witness.voter_order)
+        vi_certs = vi_certificates(e, witness.voter_order)
         exact = f_vector(e)
         for i in range(e.n):
             assert vi_certs[i].f == exact[i].f
@@ -226,8 +225,7 @@ def test_criterion_3_constructive_guarantees():
         witness = domains.recognize(e, "VI")
         result = domains.construct(e, "VI", witness)
         assert len(result.committee.members) == e.k
-        fvec = f_vector(e)
-        assert check(e, result.committee, alpha_beta_ir(2, 4), fvec=fvec).satisfied
+        assert check(e, result.committee, alpha_beta_ir(2, 4)).satisfied
         n, k = e.n, e.k
         for step in result.trace.round1:
             i = step.position + 1
@@ -240,38 +238,35 @@ def test_criterion_3_constructive_guarantees():
         e = random_tpart_election(rng)
         w = domains.recognize(e, "T_PART")
         result = domains.construct(e, "T_PART", w)
-        assert check(e, result.committee, IR, fvec=f_vector(e)).satisfied
+        assert check(e, result.committee, IR).satisfied
 
         e, tree = random_atr_election(rng)
         result = domains.construct(e, "ALPHA_TR", tree)
-        assert check(e, result.committee, IR, fvec=f_vector(e)).satisfied
+        assert check(e, result.committee, IR).satisfied
 
         e = random_cei_election(rng)
         w = domains.recognize(e, "CEI")
         result = domains.construct(e, "CEI", w)
-        fvec = f_vector(e)
-        assert check(e, result.committee, alpha_beta_ir(2, 0), fvec=fvec).satisfied
-        assert check(e, result.committee, SSJR, fvec=fvec).satisfied
+        assert check(e, result.committee, alpha_beta_ir(2, 0)).satisfied
+        assert check(e, result.committee, SSJR).satisfied
 
         e = random_vei_election(rng)
         w = domains.recognize(e, "VEI")
         result = domains.construct(e, "VEI", w)
-        fvec = f_vector(e)
-        assert check(e, result.committee, alpha_beta_ir(2, 0), fvec=fvec).satisfied
-        assert check(e, result.committee, SSJR, fvec=fvec).satisfied
+        assert check(e, result.committee, alpha_beta_ir(2, 0)).satisfied
+        assert check(e, result.committee, SSJR).satisfied
 
         e = random_wsc_election(rng, wide_ballots=True)
         w = domains.recognize(e, "WSC")
         result = domains.construct(e, "WSC", w)
-        assert check(e, result.committee, SSJR, fvec=f_vector(e)).satisfied
+        assert check(e, result.committee, SSJR).satisfied
 
     # (c) implication arrows on 10^4 random (election, committee) pairs
     violations = 0
     for _ in range(10_000):
         e = random_election(rng, n_max=9, m_max=6, k_max=4)
-        fvec = f_vector(e)
         w = random_committee(rng, e)
-        report = implication_report(e, w, fvec=fvec)
+        report = implication_report(e, w)
         by_kind = {a.kind: v for a, v in report.items()}
         for src, dst in axioms.IMPLICATION_ARROWS:
             if src in by_kind and dst in by_kind:

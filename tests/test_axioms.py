@@ -20,7 +20,7 @@ from irlab.axioms import (
     implication_report,
     verify_violation,
 )
-from irlab.cohesion import f_vector
+from irlab.cohesion import entitlements, f_vector
 from irlab.gen import MODELS, GenSpec, generate
 from irlab.model import Committee, Election
 from irlab.search import BudgetExceededError, NodeBudget
@@ -30,6 +30,7 @@ from oracles import (
     bipartite_quota_flow,
     check_core,
     check_fjr,
+    check_given_certificates,
     cohesive_witness,
     naive_core,
     naive_ejr,
@@ -91,12 +92,11 @@ def test_trivial_one_kminus1_ir():
     rng = random.Random(11)
     for _ in range(40):
         e = random_election(rng, n_max=8, m_max=6)
-        fvec = f_vector(e)
-        if max(c.f for c in fvec) >= e.k:
+        if max(entitlements(e)) >= e.k:
             continue
         w = random_committee(rng, e)
         axiom = alpha_beta_ir(1, e.k - 1)
-        assert check(e, w, axiom, fvec=fvec).satisfied
+        assert check(e, w, axiom).satisfied
 
 
 def test_pr_ssjr_fixture():
@@ -301,10 +301,9 @@ def test_violation_witnesses_recheck():
     seen_violations = 0
     for _ in range(80):
         e = random_election(rng, n_max=10, m_max=7, k_max=4)
-        fvec = f_vector(e)
         w = random_committee(rng, e)
         for axiom in axioms_under_test:
-            verdict = check(e, w, axiom, fvec=fvec)
+            verdict = check(e, w, axiom)
             if verdict.status == "violated":
                 seen_violations += 1
                 assert verify_violation(e, w, axiom, verdict.witness), (
@@ -319,9 +318,8 @@ def test_implication_arrows_random():
     rng = random.Random(37)
     for _ in range(150):
         e = random_election(rng, n_max=9, m_max=6, k_max=4)
-        fvec = f_vector(e)
         w = random_committee(rng, e)
-        report = implication_report(e, w, fvec=fvec)
+        report = implication_report(e, w)
         by_kind = {a.kind: v for a, v in report.items()}
         for src, dst in axioms.IMPLICATION_ARROWS:
             if src not in by_kind or dst not in by_kind:
@@ -334,13 +332,12 @@ def test_alpha_beta_monotonicity():
     rng = random.Random(41)
     for _ in range(60):
         e = random_election(rng, n_max=8, m_max=6)
-        fvec = f_vector(e)
         w = random_committee(rng, e)
         alpha = Fraction(rng.randint(1, 3))
         beta = Fraction(rng.randint(0, 3))
         weaker = alpha_beta_ir(alpha + 1, beta + 1)
-        if check(e, w, alpha_beta_ir(alpha, beta), fvec=fvec).satisfied:
-            assert check(e, w, weaker, fvec=fvec).satisfied
+        if check(e, w, alpha_beta_ir(alpha, beta)).satisfied:
+            assert check(e, w, weaker).satisfied
 
 
 def test_vacuous_on_empty_profile():
@@ -371,19 +368,25 @@ def test_undecided_under_tiny_cap():
 # recorded again once IR and (alpha, beta)-IR without an f-vector took their
 # values from the saturation-cut walk: 109 capped records then named that
 # walk (or the one-voter certificate walk) instead of cohesion.f_vector, and
-# 19 capped records were decided, each as at the never-binding cap
+# 19 capped records were decided, each as at the never-binding cap; the
+# records with an f-vector are read off it by oracles.check_given_certificates
 GOLDEN_VERDICTS_SHA256 = "5828a437747ee068a0b8738d09dade1284a411505b57002cdc7e0787dbb3f098"
 
 
 def _verdict_record(election, committee, axiom, fvec, cap):
+    """The record line of one verdict and the verdict (None on an error);
+    with ``fvec`` the verdict is read off those certificates."""
     try:
-        verdict = check(election, committee, axiom, fvec=fvec, node_cap=cap)
+        if fvec is None:
+            verdict = check(election, committee, axiom, node_cap=cap)
+        else:
+            verdict = check_given_certificates(election, committee, axiom, fvec)
     except (ValueError, BudgetExceededError) as exc:
-        return f"{type(exc).__name__} {exc}"
+        return f"{type(exc).__name__} {exc}", None
     w = verdict.witness
     if w is not None:
         w = (sorted(w.group), sorted(w.candidate_set), repr(w.level), sorted(w.deprived))
-    return repr((verdict.status, w, verdict.cost))
+    return repr((verdict.status, w, verdict.cost)), verdict
 
 
 def test_verdicts_match_golden_digest():
@@ -404,10 +407,11 @@ def test_verdicts_match_golden_digest():
                     for cap in (10**7, 6, 2):
                         for axiom in kinds:
                             given = [None, fvec] if axiom in kinds[:3] else [None]
-                            records = []
+                            records, verdicts = [], []
                             for fv in given:
-                                record = _verdict_record(e, w, axiom, fv, cap)
+                                record, verdict = _verdict_record(e, w, axiom, fv, cap)
                                 records.append(record)
+                                verdicts.append(verdict)
                                 seen.add((axiom.kind, record.split()[0]))
                                 line = f"{model} {n} {seed} {k} {cap} {axiom} {fv is None} {record}"
                                 digest.update(line.encode() + b"\n")
@@ -417,6 +421,15 @@ def test_verdicts_match_golden_digest():
                                 assert alone == with_f or re.search(
                                     r"BudgetExceededError .*\(cohesion\.(entitlements|certificate) ", alone
                                 ), (alone, with_f)
+                            elif axiom.kind == "SSJR":
+                                # the singleton scan and the certificates name the same
+                                # short voter, and both witnesses re-verify
+                                alone, with_f = verdicts
+                                assert alone.status == with_f.status, records
+                                if alone.witness is not None:
+                                    assert alone.witness.deprived == with_f.witness.deprived, records
+                                    for verdict in verdicts:
+                                        assert verify_violation(e, w, axiom, verdict.witness), records
     assert {kind for kind, head in seen if head == "('undecided',"} == {"PJR", "EJR", "FJR", "CORE"}
     assert ("PERFECT_REP", "ValueError") in seen and ("IR", "BudgetExceededError") in seen
     assert digest.hexdigest() == GOLDEN_VERDICTS_SHA256

@@ -526,9 +526,10 @@ def test_check_ir_prints_what_the_certificates_give(tmp_path, monkeypatch):
     # entitlements and builds the first short voter's certificate alone; on
     # every shared fixture and the twelve 200- to 1,000-voter profiles, each
     # with a committee drawn at random, its exit code and stdout (plain and
-    # --json) equal those of the same command over all n f_vector
-    # certificates
+    # --json) equal those of the same command read off all n f_vector
+    # certificates by the oracle
     from instance_gen import scale_cases
+    from oracles import check_given_certificates
 
     rng = random.Random(29)
     cases = [(fixture(), None) for _, fixture in _fixtures()]
@@ -547,11 +548,12 @@ def test_check_ir_prints_what_the_certificates_give(tmp_path, monkeypatch):
         return [(r.exit_code, r.stdout) for args in runs for r in [runner.invoke(main, args)]]
 
     by_ints = outputs()
-    check = cli.axioms.check
     monkeypatch.setattr(
         cli.axioms,
         "check",
-        lambda e, w, axiom, node_cap: check(e, w, axiom, f_vector(e, node_cap=node_cap), node_cap),
+        lambda e, w, axiom, node_cap: check_given_certificates(
+            e, w, axiom, f_vector(e, node_cap=node_cap)
+        ),
     )
     assert outputs() == by_ints
     assert {code for code, _ in by_ints} == {0}

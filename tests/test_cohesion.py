@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irlab.cohesion import _closed_sets, certificate, entitlements, f_vector, vi_order_positions
+from irlab.cohesion import _closed_sets, certificate, entitlements, f_vector, vi_certificates
 from irlab.model import Election, is_run, position_mask
 from irlab.search import BudgetExceededError, NodeBudget
 from irlab.domains import recognize
@@ -71,14 +71,14 @@ def test_witness_is_lexicographically_smallest():
 
 def test_vi_matches_exact_on_bridge_profile():
     e = two_camps_with_bridge()
-    cert = f_vector(e, "vi", IDENTITY8)[3]
+    cert = vi_certificates(e, IDENTITY8)[3]
     assert cert.f == 1
     assert cert.verify(e)
 
 
 def test_vi_single_voter_whole_ballot():
     e = Election.from_approvals([{0, 1, 2}], m=3, k=3)
-    cert = f_vector(e, "vi", (0,))[0]
+    cert = vi_certificates(e, (0,))[0]
     assert cert.f == 3
 
 
@@ -89,7 +89,7 @@ def test_vi_equals_exact_random():
         witness = recognize(e, "VI")
         assert witness is not None
         exact = f_vector(e)
-        vi = f_vector(e, "vi", witness.voter_order)
+        vi = vi_certificates(e, witness.voter_order)
         for i in range(e.n):
             assert vi[i].f == exact[i].f
 
@@ -97,9 +97,9 @@ def test_vi_equals_exact_random():
 def test_vi_rejects_non_witness_order():
     e = two_camps_with_bridge()
     with pytest.raises(ValueError):
-        f_vector(e, "vi", (1, 0, 2, 3, 4, 5, 6, 7))
+        vi_certificates(e, (1, 0, 2, 3, 4, 5, 6, 7))
     with pytest.raises(ValueError):
-        f_vector(e, "vi", (0, 0, 2, 3, 4, 5, 6, 7))
+        vi_certificates(e, (0, 0, 2, 3, 4, 5, 6, 7))
 
 
 def test_witness_supporters_form_interval_on_vi():
@@ -107,8 +107,8 @@ def test_witness_supporters_form_interval_on_vi():
     for _ in range(40):
         e = random_vi_election(rng, n_max=12, m_max=7)
         witness = recognize(e, "VI")
-        certs = f_vector(e, "vi", order=witness.voter_order)
-        pos = vi_order_positions(e, witness.voter_order)
+        certs = vi_certificates(e, witness.voter_order)
+        pos = {voter: p for p, voter in enumerate(witness.voter_order)}
         for cert in certs:
             pm = position_mask(cert.witness_supporters.mask, witness.voter_order)
             assert is_run(pm)
@@ -135,7 +135,7 @@ def test_vi_sweep_matches_interval_scan_oracle():
         seen["empty ballot"] += not all(e.approvals)
         seen["unapproved candidate"] += not all(e.candidate_voters)
         order = recognize(e, "VI").voter_order
-        got = f_vector(e, "vi", order)
+        got = vi_certificates(e, order)
         ref = vi_certificates_by_scan(e, order)
         assert [(c.voter, c.f, c.witness_set, c.witness_supporters.mask) for c in got] == [
             (c.voter, c.f, c.witness_set, c.witness_supporters.mask) for c in ref

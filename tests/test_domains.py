@@ -7,7 +7,7 @@ import pytest
 from irlab import domains
 from irlab.c1p import consecutive_ones_order, is_consecutive_under
 from irlab.axioms import IR, SSJR, alpha_beta_ir, check
-from irlab.cohesion import f_vector
+from irlab.cohesion import f_vector, vi_certificates
 from irlab.domains import (
     ConstructionInfeasibleError,
     InvalidWitnessError,
@@ -358,10 +358,6 @@ def test_disjoint_blocks_voter_tree_is_not_candidate_tree():
 # ---------------------------------------------------------------------------
 
 
-def _passes_two_four(e, committee, fvec):
-    return check(e, committee, alpha_beta_ir(2, 4), fvec=fvec).satisfied
-
-
 def test_construct_vi_guarantee_random():
     rng = random.Random(61)
     for _ in range(60):
@@ -369,8 +365,7 @@ def test_construct_vi_guarantee_random():
         witness = recognize(e, "VI")
         result = construct(e, "VI", witness)
         assert len(result.committee.members) == e.k
-        fvec = f_vector(e)
-        assert _passes_two_four(e, result.committee, fvec)
+        assert check(e, result.committee, alpha_beta_ir(2, 4)).satisfied
         _assert_size_lemmas(e, result.trace)
 
 
@@ -416,7 +411,7 @@ def test_construct_vi_at_scale():
     e = generate(GenSpec(model="vi_euclid", n=1000, m=60, seed=4), k=10)
     witness = recognize(e, "VI")
     fvec = f_vector(e)
-    assert [c.f for c in f_vector(e, "vi", witness.voter_order)] == [c.f for c in fvec]
+    assert [c.f for c in vi_certificates(e, witness.voter_order)] == [c.f for c in fvec]
     result = construct(e, "VI", witness)
     assert len(result.committee.members) == e.k
     assert all(
@@ -430,9 +425,8 @@ def test_construct_vi_on_opposed_ends():
     e = opposed_ends_instance(k=4, n=8)
     witness = recognize(e, "VI")
     result = construct(e, "VI", witness)
-    fvec = f_vector(e)
     # end voters stay at |A cap W| <= 2 while f = 3; (2,4) still holds
-    assert _passes_two_four(e, result.committee, fvec)
+    assert check(e, result.committee, alpha_beta_ir(2, 4)).satisfied
 
 
 def test_construct_vi_wide_interval_corner():
@@ -460,7 +454,7 @@ def test_construct_vi_wide_interval_corner():
     result = construct(e, "VI", witness)
     n, k = e.n, e.k
     assert len(result.committee.members) == k
-    assert _passes_two_four(e, result.committee, f_vector(e))
+    assert check(e, result.committee, alpha_beta_ir(2, 4)).satisfied
     # final-step bounds, which the size argument rests on
     assert 2 * result.trace.round1[-1].accumulated <= k
     assert 2 * result.trace.round2[-1].accumulated < k or result.trace.round2[-1].accumulated == 0
@@ -485,7 +479,7 @@ def test_construct_tpart_exact_ir():
         witness = recognize(e, "T_PART")
         result = construct(e, "T_PART", witness)
         assert len(result.committee.members) == e.k
-        assert check(e, result.committee, IR, fvec=f_vector(e)).satisfied
+        assert check(e, result.committee, IR).satisfied
 
 
 def test_construct_tpart_symmetric_two_blocks():
@@ -493,8 +487,7 @@ def test_construct_tpart_symmetric_two_blocks():
     e = Election.from_approvals([{0, 1}, {0, 1}, {2, 3}, {2, 3}], m=4, k=2)
     witness = recognize(e, "T_PART")
     result = construct(e, "T_PART", witness)
-    fvec = f_vector(e)
-    assert check(e, result.committee, IR, fvec=fvec).satisfied
+    assert check(e, result.committee, IR).satisfied
     assert len(result.committee.members & {0, 1}) == 1
     assert len(result.committee.members & {2, 3}) == 1
 
@@ -504,7 +497,7 @@ def test_construct_tpart_quota_exceeding_block():
     e = Election.from_approvals([{0}] * 4, m=3, k=3)
     witness = recognize(e, "T_PART")
     result = construct(e, "T_PART", witness)
-    assert check(e, result.committee, IR, fvec=f_vector(e)).satisfied
+    assert check(e, result.committee, IR).satisfied
 
 
 def test_construct_atr_exact_ir():
@@ -513,7 +506,7 @@ def test_construct_atr_exact_ir():
         e, tree = random_atr_election(rng)
         result = construct(e, "ALPHA_TR", tree)
         assert len(result.committee.members) == e.k
-        assert check(e, result.committee, IR, fvec=f_vector(e)).satisfied
+        assert check(e, result.committee, IR).satisfied
 
 
 def test_construct_atr_star():
@@ -525,7 +518,7 @@ def test_construct_atr_star():
     tree = TreeWitness(parent=(-1,) * k)
     result = construct(e, "ALPHA_TR", tree)
     assert result.committee.members == frozenset(range(k))
-    assert check(e, result.committee, IR, fvec=f_vector(e)).satisfied
+    assert check(e, result.committee, IR).satisfied
 
 
 def test_construct_cei_vei_guarantees():
@@ -534,16 +527,14 @@ def test_construct_cei_vei_guarantees():
         e = random_cei_election(rng)
         witness = recognize(e, "CEI")
         result = construct(e, "CEI", witness)
-        fvec = f_vector(e)
-        assert check(e, result.committee, alpha_beta_ir(2, 0), fvec=fvec).satisfied
-        assert check(e, result.committee, SSJR, fvec=fvec).satisfied
+        assert check(e, result.committee, alpha_beta_ir(2, 0)).satisfied
+        assert check(e, result.committee, SSJR).satisfied
     for _ in range(60):
         e = random_vei_election(rng)
         witness = recognize(e, "VEI")
         result = construct(e, "VEI", witness)
-        fvec = f_vector(e)
-        assert check(e, result.committee, alpha_beta_ir(2, 0), fvec=fvec).satisfied
-        assert check(e, result.committee, SSJR, fvec=fvec).satisfied
+        assert check(e, result.committee, alpha_beta_ir(2, 0)).satisfied
+        assert check(e, result.committee, SSJR).satisfied
 
 
 def test_construct_wsc_ssjr():
@@ -552,7 +543,7 @@ def test_construct_wsc_ssjr():
         e = random_wsc_election(rng)
         witness = recognize(e, "WSC")
         result = construct(e, "WSC", witness)
-        assert check(e, result.committee, SSJR, fvec=f_vector(e)).satisfied
+        assert check(e, result.committee, SSJR).satisfied
 
 
 def test_wsc_singleton_voters_covered_when_space_permits():
@@ -564,7 +555,7 @@ def test_wsc_singleton_voters_covered_when_space_permits():
     assert witness is not None
     result = construct(e, "WSC", witness)
     assert 2 in result.committee.members
-    assert check(e, result.committee, SSJR, fvec=f_vector(e)).satisfied
+    assert check(e, result.committee, SSJR).satisfied
 
 
 def test_guarantee_tags_match_table():

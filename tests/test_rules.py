@@ -11,8 +11,8 @@ from irlab import rules
 from irlab.cohesion import entitlements, f_vector
 from irlab.gen import MODELS, GenSpec, generate
 from irlab.model import Election, members_mask
-from irlab.experiment import DEFAULT_MODELS, DEFAULT_RULES, DESK_SCALE_GEN_PARAMS, instance_seed, probe_rule
-from irlab.rules import RuleId, run_rule
+from irlab.experiment import DEFAULT_MODELS, DEFAULT_RULES, DESK_SCALE_GEN_PARAMS, instance_seed
+from irlab.rules import RuleId, probe, run_rule
 from irlab.search import DEFAULT_NODE_CAP
 from irlab.solver import SolveRequest, demands, find_committee, find_ir_and_ssjr
 
@@ -227,7 +227,7 @@ def test_committee_sizes_exact():
 def _probe(e, rule, f):
     """The rule probe and the existence solves of one experiment instance,
     on the entitlements ``f``."""
-    found_ir, found_ssjr = probe_rule(e, rule, (f, demands(f, "FIND_SSJR")))
+    found_ir, found_ssjr = probe(e, rule, (f, demands(f, "FIND_SSJR")))
     ir_res, ssjr_res = find_ir_and_ssjr(e, f, DEFAULT_NODE_CAP)
     return {
         "rule_found_ir": found_ir,

@@ -14,7 +14,7 @@ from irlab.search import BudgetExceededError, NodeBudget, counter
 from irlab.solver import OBJECTIVES, SolveRequest, find_committee
 
 from instance_gen import dfs_oracle_profiles, random_election, scale_cases
-from oracles import brute_ir_committees, cover_search, enumerate_committees
+from oracles import brute_ir_committees, check_given_certificates, cover_search, enumerate_committees
 from hard_instances import (
     uncoverable_line_instance,
     two_camps_with_bridge,
@@ -529,7 +529,7 @@ def test_integer_requests_equal_certificate_requests():
     # certificates, reduced to the same integers; for every objective, slack
     # and cap the result is the same in status, committee, alpha, beta and
     # nodes, and a committee MIN_BETA or MIN_ALPHA finds passes the
-    # certificate-based (alpha, beta)-IR check of ``axioms.check``; on the
+    # (alpha, beta)-IR check read off the certificates; on the
     # DFS-oracle profiles and the infeasible fixtures
     fixtures = [uncoverable_line_instance(), *(disjoint_blocks_instance(k) for k in (2, 3, 4))]
     seen = Counter()
@@ -552,7 +552,7 @@ def test_integer_requests_equal_certificate_requests():
                 assert find_committee(by_certs) == result
                 if objective.startswith("MIN") and result.status == "found":
                     axiom = alpha_beta_ir(result.achieved_alpha, result.achieved_beta)
-                    assert check(e, result.committee, axiom, fvec=certs).satisfied
+                    assert check_given_certificates(e, result.committee, axiom, certs).satisfied
                 seen[objective, result.status] += 1
     assert min(seen[key] for key in seen if key[1] != "infeasible") >= 200, seen
     assert len(seen) == 11 and ("MIN_BETA", "infeasible") not in seen, seen
