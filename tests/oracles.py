@@ -10,7 +10,8 @@ recursive quota matching, the separate FJR and core deviation searches, the
 recursive EJR/PJR cohesive-set search and cover search (which builds every
 leaf), the digit-string counter, the frozenset prefix/suffix layout with
 the run-pattern WSC check, the token-by-token ``.avp`` reader, the
-voter-by-voter mask builder and the rule probe that lists every winner
+voter-by-voter and the row-per-distinct-ballot mask builders, the
+set-building generators and the rule probe that lists every winner
 are the engines the package replaced; they stay here as references for the
 ones that replaced them.  ``enumerate_committees`` lists every committee
 meeting a solver objective, for fixtures; ``closed_set_walk`` lists the closed
@@ -19,8 +20,11 @@ experiment's instance path over ``f_vector`` certificates, and
 ``check_given_certificates`` the IR and semi-strong JR checks over them.
 """
 
+import math
+import random
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -1357,6 +1361,90 @@ def mallows_sample(ref, phi, rng):
 
 
 # --------------------------------------------------------------------------
+# Generators: the set-based builders
+# --------------------------------------------------------------------------
+
+
+def generate_by_sets(spec: GenSpec) -> list[frozenset[int]]:
+    """The ballots of ``gen.generate(spec)`` as frozensets, drawn by the
+    set-building generator bodies (one set comprehension per voter) from the
+    same random stream; Mallows insertions bisect a table of running weight
+    sums built row by row."""
+    rng = random.Random(spec.seed)
+    n, m, params = spec.n, spec.m, spec.params
+    cap = max(1, m // 4)
+    if spec.model == "vi_euclid":
+        sigma = float(params.get("sigma", 0.15))
+        voters = [rng.random() for _ in range(n)]
+        cands = [rng.random() for _ in range(m)]
+        radii = [abs(rng.gauss(0.0, sigma)) for _ in range(m)]
+        ballots = [{c for c in range(m) if abs(x - cands[c]) <= radii[c]} for x in voters]
+    elif spec.model == "ci_euclid":
+        sigma = float(params.get("sigma", 0.15))
+        voters = [rng.random() for _ in range(n)]
+        cands = [rng.random() for _ in range(m)]
+        radii = [abs(rng.gauss(0.0, sigma)) for _ in range(n)]
+        ballots = [
+            {c for c in range(m) if abs(voters[v] - cands[c]) <= radii[v]} for v in range(n)
+        ]
+    elif spec.model == "euclid_2d":
+        num_centers = rng.randint(1, 5)
+        centers = [(rng.random(), rng.random()) for _ in range(num_centers)]
+        spread = float(params.get("sigma", 0.2))
+        radius_sigma = float(params.get("radius_sigma", 0.5))
+        owner = params.get("radius_owner", "candidate")
+
+        def sample_point() -> tuple[float, float]:
+            cx, cy = centers[rng.randrange(num_centers)]
+            return rng.gauss(cx, spread), rng.gauss(cy, spread)
+
+        vpts = [sample_point() for _ in range(n)]
+        cpts = [sample_point() for _ in range(m)]
+        radii = [abs(rng.gauss(0.0, radius_sigma)) for _ in range(m if owner == "candidate" else n)]
+        ballots = [
+            {
+                c
+                for c in range(m)
+                if math.dist(vpts[v], cpts[c]) <= radii[c if owner == "candidate" else v]
+            }
+            for v in range(n)
+        ]
+    elif spec.model == "ic":
+        p = float(params.get("p", 0.15))
+        ballots = [{c for c in range(m) if rng.random() < p} for _ in range(n)]
+    elif spec.model == "urn":
+        replace = rng.randint(1, cap)
+        ballots = []
+        for t in range(n):
+            u = rng.random() * (1 + replace * t)
+            if u < 1:
+                ballots.append(set(rng.sample(range(m), rng.randint(1, cap))))
+            else:
+                ballots.append(set(ballots[int((u - 1) // replace)]))
+    else:  # mallows
+        components = []
+        for _ in range(3):
+            base = list(range(m))
+            rng.shuffle(base)
+            phi = rng.random()
+            table = []
+            for i in range(1, m + 1):
+                weights = [phi ** (i - j) for j in range(1, i + 1)]
+                table.append((list(accumulate(weights)), sum(weights)))
+            components.append((base, table))
+        ballots = []
+        for _ in range(n):
+            base, table = components[rng.randrange(3)]
+            ranking = []
+            for i, item in enumerate(base, start=1):
+                prefix, total = table[i - 1]
+                j = bisect_left(prefix, rng.random() * total) + 1
+                ranking.insert(j - 1, item)
+            ballots.append(set(ranking[: rng.randint(1, cap)]))
+    return [frozenset(b) for b in ballots]
+
+
+# --------------------------------------------------------------------------
 # seq-Phragmen and Rule X: per-voter Fraction loads and budgets
 # --------------------------------------------------------------------------
 
@@ -1544,7 +1632,7 @@ def parse_profile(text: str) -> Election:
         raise ProfileFormatError(
             f"expected {n} voter lines, found only {len(approvals)}"
         )
-    return Election(n=n, m=m, k=k, approvals=tuple(approvals))
+    return Election.from_approvals(approvals, m=m, k=k)
 
 
 # --------------------------------------------------------------------------
@@ -1573,3 +1661,35 @@ def election_masks(
     rows = digits.split(b",")[-2::-1]  # voter 0 first, without the empty tail
     candidate_voters = tuple(int(digits[m - 1 - c :: width], 2) for c in range(m))
     return candidate_voters, tuple(int(row, 2) for row in rows)
+
+
+def election_rows(
+    n: int, m: int, approvals: Sequence[Iterable[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(candidate_voters, ballot_masks)`` for these ballots, one digit row
+    written per distinct ballot; raises the ``ValueError`` that
+    :class:`Election` raises, naming a bad ballot's first voter."""
+    # classes maps each distinct ballot to its row; candidates run from m-1
+    # down to 0, so int(row, 2) is its mask, and the voters' rows joined from
+    # voter n-1 down to 0 make each candidate's strided column a binary
+    # numeral, most significant bit first
+    approvals = [frozenset(a) for a in approvals]
+    classes = dict.fromkeys(approvals)
+    digits = bytearray(b"0" * m + b",") * len(classes)
+    last = m - 1  # the row's digit for candidate 0
+    for row, ballot in enumerate(classes):
+        classes[ballot] = row
+        for c in ballot:
+            if not 0 <= c < m:
+                raise ValueError(
+                    f"voter {approvals.index(ballot)}: candidate index {c} out of range"
+                )
+            digits[last - c] = 49  # ord("1")
+        last += m + 1
+    rows = digits.split(b",")
+    rows.pop()  # the empty tail after the last ','
+    voter_rows = list(map(classes.__getitem__, approvals))
+    column = b"".join(map(rows.__getitem__, reversed(voter_rows)))
+    masks = [int(row, 2) for row in rows]
+    candidate_voters = tuple([int(column[m - 1 - c :: m], 2) for c in range(m)])
+    return candidate_voters, tuple(map(masks.__getitem__, voter_rows))

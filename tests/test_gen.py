@@ -3,9 +3,11 @@ import random
 import statistics
 
 from irlab.domains import recognize
+from irlab.experiment import DESK_SCALE_GEN_PARAMS
 from irlab.gen import GenSpec, MODELS, _mallows_sample, generate
+from irlab.model import Election
 
-from oracles import mallows_sample
+from oracles import election_rows, generate_by_sets, mallows_sample
 
 
 def test_seed_determinism_all_models():
@@ -115,6 +117,52 @@ def test_spec_validation():
         GenSpec(model="ic", n=0, m=5, seed=1)
     with pytest.raises(ValueError):
         GenSpec(model="ic", n=5, m=5, seed=1, params={"p": 1.5})
+
+
+def _oracle_specs():
+    """1,000 desk profiles per model at the experiment's parameters, then
+    edge shapes: one voter, one candidate, empty and full ic ballots, the
+    voter-owned 2D radii and the generator-default radius scales."""
+    specs = [
+        GenSpec(model=model, n=40, m=16, seed=seed, params=DESK_SCALE_GEN_PARAMS.get(model, {}))
+        for model in MODELS
+        for seed in range(1000)
+    ]
+    for seed in range(20):
+        specs += [GenSpec(model=model, n=n, m=m, seed=seed)
+                  for model in MODELS for n, m in ((1, 1), (1, 16), (40, 1), (7, 3), (200, 60))]
+        specs += [GenSpec(model="ic", n=30, m=9, seed=seed, params={"p": p}) for p in (0.0, 1.0)]
+    specs += [
+        GenSpec(model="euclid_2d", n=40, m=16, seed=seed, params={"radius_owner": "voter"})
+        for seed in range(200)
+    ]
+    return specs
+
+
+def test_generated_profiles_match_set_based_generators():
+    """Each generator gives the ballots the set-building bodies draw from the
+    same random stream, and its Election has the masks, equality, hash and
+    repr of one built from those sets by one digit row per distinct ballot."""
+    previous = None
+    for spec in _oracle_specs():
+        election = generate(spec, k=1)
+        approvals = tuple(generate_by_sets(spec))
+        assert election.approvals == approvals, spec
+        assert (election.candidate_voters, election.ballot_masks) == election_rows(
+            spec.n, spec.m, approvals
+        ), spec
+        rebuilt = Election.from_approvals(approvals, m=spec.m, k=1)
+        assert election == rebuilt and hash(election) == hash(rebuilt), spec
+        # the dataclass repr of the set-built election, up to the order in which
+        # a frozenset lists its members (that follows its insertion history)
+        text = f"Election(n={spec.n}, m={spec.m}, k=1, approvals={election.approvals!r})"
+        assert repr(election) == text == repr(rebuilt), spec
+        if previous is not None:
+            # equal exactly when the ballots (and n, m, k) are equal
+            other, other_approvals = previous
+            same = (other.m, other_approvals) == (spec.m, approvals)
+            assert (election == other) == same, spec
+        previous = (election, approvals)
 
 
 # SHA-256 of the profiles below, recorded with the linear-scan Mallows
