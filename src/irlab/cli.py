@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from . import axioms, domains, rules, solver
 from .cohesion import entitlements, f_vector, vi_certificates
@@ -166,6 +167,9 @@ def gen_cmd(model, n, m, k, seed, p, radius_owner, out):
               help="most closed candidate sets the exact method may visit; one node is one closed set")
 def fvec_cmd(profile, method, cap):
     """Per-voter entitlements as CSV voter,f,witness (1-based indices)."""
+    source = click.get_current_context().get_parameter_source("cap")
+    if method == "vi" and source is not ParameterSource.DEFAULT:
+        raise click.UsageError("--cap bounds --method exact only; --method vi takes no cap")
     election = _load(profile)
     if method == "vi":
         witness = domains.recognize(election, "VI")

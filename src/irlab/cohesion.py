@@ -54,7 +54,8 @@ class CohesionCertificate:
 
     def verify(self, election: Election) -> bool:
         """Re-check the certificate by direct counting, independent of the search."""
-        if self.witness_set - election.approvals[self.voter]:
+        ballot = election.ballot_masks[self.voter]
+        if any(c < 0 or not ballot >> c & 1 for c in self.witness_set):
             return False
         if len(self.witness_set) != self.f:
             return False

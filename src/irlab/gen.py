@@ -7,6 +7,8 @@ and a three-component Mallows mixture with top-prefix approvals.
 
 Every generator is a pure function of its spec: the same seed yields the
 same profile.  Randomness comes from ``random.Random`` seeded per call.
+Each model's builder returns one ballot mask per voter (bit c for candidate
+c), and ``generate`` builds the :class:`Election` from those masks.
 """
 
 from __future__ import annotations
@@ -56,33 +58,33 @@ def generate(spec: GenSpec, k: int = 1) -> Election:
         "urn": _gen_urn,
         "mallows": _gen_mallows,
     }[spec.model]
-    approvals = builder(spec, rng)
-    return Election.from_approvals(approvals, m=spec.m, k=k)
+    return Election(n=spec.n, m=spec.m, k=k, ballot_masks=tuple(builder(spec, rng)))
 
 
-def _gen_vi_euclid(spec: GenSpec, rng: random.Random) -> list[set[int]]:
+def _bits(m: int) -> list[int]:
+    """The one-candidate masks 1 << c, c = 0..m-1."""
+    return [1 << c for c in range(m)]
+
+
+def _gen_vi_euclid(spec: GenSpec, rng: random.Random) -> list[int]:
     sigma = float(spec.params.get("sigma", 0.15))
     voters = [rng.random() for _ in range(spec.n)]
     cands = [rng.random() for _ in range(spec.m)]
     radii = [abs(rng.gauss(0.0, sigma)) for _ in range(spec.m)]
-    return [
-        {c for c in range(spec.m) if abs(x - cands[c]) <= radii[c]}
-        for x in voters
-    ]
+    spans = list(zip(_bits(spec.m), cands, radii))
+    return [sum([bit for bit, c, r in spans if abs(x - c) <= r]) for x in voters]
 
 
-def _gen_ci_euclid(spec: GenSpec, rng: random.Random) -> list[set[int]]:
+def _gen_ci_euclid(spec: GenSpec, rng: random.Random) -> list[int]:
     sigma = float(spec.params.get("sigma", 0.15))
     voters = [rng.random() for _ in range(spec.n)]
     cands = [rng.random() for _ in range(spec.m)]
     radii = [abs(rng.gauss(0.0, sigma)) for _ in range(spec.n)]
-    return [
-        {c for c in range(spec.m) if abs(voters[v] - cands[c]) <= radii[v]}
-        for v in range(spec.n)
-    ]
+    points = list(zip(_bits(spec.m), cands))
+    return [sum([bit for bit, c in points if abs(x - c) <= r]) for x, r in zip(voters, radii)]
 
 
-def _gen_euclid_2d(spec: GenSpec, rng: random.Random) -> list[set[int]]:
+def _gen_euclid_2d(spec: GenSpec, rng: random.Random) -> list[int]:
     num_centers = rng.randint(1, 5)
     centers = [(rng.random(), rng.random()) for _ in range(num_centers)]
     spread = float(spec.params.get("sigma", 0.2))
@@ -97,58 +99,50 @@ def _gen_euclid_2d(spec: GenSpec, rng: random.Random) -> list[set[int]]:
 
     voters = [sample_point() for _ in range(spec.n)]
     cands = [sample_point() for _ in range(spec.m)]
+    dist = math.dist
     if radius_owner == "candidate":
         radii = [abs(rng.gauss(0.0, radius_sigma)) for _ in range(spec.m)]
-        return [
-            {
-                c
-                for c in range(spec.m)
-                if math.dist(voters[v], cands[c]) <= radii[c]
-            }
-            for v in range(spec.n)
-        ]
+        disks = list(zip(_bits(spec.m), cands, radii))
+        return [sum([bit for bit, c, r in disks if dist(x, c) <= r]) for x in voters]
     if radius_owner == "voter":
         radii = [abs(rng.gauss(0.0, radius_sigma)) for _ in range(spec.n)]
+        points = list(zip(_bits(spec.m), cands))
         return [
-            {
-                c
-                for c in range(spec.m)
-                if math.dist(voters[v], cands[c]) <= radii[v]
-            }
-            for v in range(spec.n)
+            sum([bit for bit, c in points if dist(x, c) <= r]) for x, r in zip(voters, radii)
         ]
     raise ValueError(f"radius_owner must be 'candidate' or 'voter', got {radius_owner!r}")
 
 
-def _gen_ic(spec: GenSpec, rng: random.Random) -> list[set[int]]:
+def _gen_ic(spec: GenSpec, rng: random.Random) -> list[int]:
     p = float(spec.params.get("p", 0.15))
-    return [
-        {c for c in range(spec.m) if rng.random() < p} for _ in range(spec.n)
-    ]
+    bits, random_ = _bits(spec.m), rng.random
+    return [sum([bit for bit in bits if random_() < p]) for _ in range(spec.n)]
 
 
-def _gen_urn(spec: GenSpec, rng: random.Random) -> list[set[int]]:
+def _gen_urn(spec: GenSpec, rng: random.Random) -> list[int]:
     """Polya urn over complete ballots: a fresh uniform ballot starts with
     weight 1; every drawn ballot is returned with `replace` extra copies."""
     cap = _quarter(spec.m)
     replace = rng.randint(1, cap)
-    ballots: list[set[int]] = []
+    bits = _bits(spec.m)
+    ballots: list[int] = []
     for t in range(spec.n):
         u = rng.random() * (1 + replace * t)
         if u < 1:
             size = rng.randint(1, cap)
-            ballots.append(set(rng.sample(range(spec.m), size)))
+            ballots.append(sum(map(bits.__getitem__, rng.sample(range(spec.m), size))))
         else:
-            ballots.append(set(ballots[int((u - 1) // replace)]))
+            ballots.append(ballots[int((u - 1) // replace)])
     return ballots
 
 
 def _insertion_table(phi: float, m: int) -> list[tuple[list[float], float]]:
     """For i = 1..m: the running sums of the insertion weights phi^(i-j),
     j = 1..i, accumulated front to back, and their total `sum(weights)`."""
+    powers = [phi**e for e in range(m)]
     table = []
     for i in range(1, m + 1):
-        weights = [phi ** (i - j) for j in range(1, i + 1)]
+        weights = powers[i - 1 :: -1]  # phi^(i-j) for j = 1..i
         table.append((list(accumulate(weights)), sum(weights)))
     return table
 
@@ -160,22 +154,24 @@ def _mallows_sample(
     phi=1 is a uniformly random permutation.  ``table`` is
     ``_insertion_table(phi, len(ref))``, built here when not given."""
     ranking: list[int] = []
-    if phi < 1.0 and table is None:
+    insert = ranking.insert
+    if phi >= 1.0:
+        randint = rng.randint
+        for i, item in enumerate(ref, start=1):
+            insert(randint(1, i) - 1, item)  # every position equally likely
+        return ranking
+    if table is None:
         table = _insertion_table(phi, len(ref))
-    for i, item in enumerate(ref, start=1):
-        # position j in 1..i (1 = front) has weight phi^(i-j)
-        if phi >= 1.0:
-            j = rng.randint(1, i)
-        else:
-            prefix, total = table[i - 1]
-            # the first j whose running sum reaches u; past the back (when
-            # rounding leaves u above them all) the insertion appends
-            j = bisect_left(prefix, rng.random() * total) + 1
-        ranking.insert(j - 1, item)
+    random_ = rng.random
+    # item i goes to position j in 1..i (1 = front), of weight phi^(i-j): the
+    # first j whose running sum reaches u; past the back (when rounding leaves
+    # u above them all) the insertion appends
+    for (prefix, total), item in zip(table, ref):
+        insert(bisect_left(prefix, random_() * total), item)
     return ranking
 
 
-def _gen_mallows(spec: GenSpec, rng: random.Random) -> list[set[int]]:
+def _gen_mallows(spec: GenSpec, rng: random.Random) -> list[int]:
     components = []
     for _ in range(3):
         base = list(range(spec.m))
@@ -183,10 +179,11 @@ def _gen_mallows(spec: GenSpec, rng: random.Random) -> list[set[int]]:
         phi = rng.random()
         components.append((base, phi, _insertion_table(phi, spec.m)))
     cap = _quarter(spec.m)
+    bits = _bits(spec.m)
+    randrange, randint = rng.randrange, rng.randint
     out = []
     for _ in range(spec.n):
-        base, phi, table = components[rng.randrange(3)]
+        base, phi, table = components[randrange(3)]
         ranking = _mallows_sample(base, phi, rng, table)
-        size = rng.randint(1, cap)
-        out.append(set(ranking[:size]))
+        out.append(sum(map(bits.__getitem__, ranking[: randint(1, cap)])))
     return out

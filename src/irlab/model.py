@@ -3,6 +3,9 @@
 Conventions used throughout the package:
 
 * candidate and voter indices are 0-based in memory and 1-based in ``.avp`` files;
+* a ballot is a candidate bitmask (bit c for candidate c): an :class:`Election`
+  is built from its ballot masks, which are canonical, and derives the
+  frozen-set ``approvals`` on first read;
 * all proportionality thresholds are evaluated with exact integer arithmetic,
   i.e. ``|V| >= l*n/k`` is always written as ``|V|*k >= l*n`` (n/k is never
   materialized as a float);
@@ -17,6 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -31,21 +35,22 @@ class ProfileFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Election:
     """An approval-based committee election: n voters, m candidates, committee size k.
 
-    ``approvals[i]`` is the (frozen) set of candidate indices approved by voter i.
+    ``ballot_masks[i]`` is voter i's ballot as a candidate bitmask (bit c for
+    candidate c); the masks are the canonical data, and equality and hashing
+    compare them together with n, m and k.  ``candidate_voters[c]`` is the
+    transpose (bit i for voter i), built with the election.  ``approvals[i]``,
+    the ballot as a frozen set of candidate indices, is derived on first read.
     """
 
     n: int
     m: int
     k: int
-    approvals: tuple[frozenset[int], ...]
-
-    # bitmask caches, derived in __post_init__ (voter bit i / candidate bit c)
-    candidate_voters: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    ballot_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    ballot_masks: tuple[int, ...]
+    candidate_voters: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.n <= 0:
@@ -54,41 +59,52 @@ class Election:
             raise ValueError(f"candidate count must be positive, got {self.m}")
         if not 1 <= self.k <= self.m:
             raise ValueError(f"committee size k={self.k} not in [1, {self.m}]")
-        if len(self.approvals) != self.n:
-            raise ValueError(
-                f"expected {self.n} approval sets, got {len(self.approvals)}"
-            )
-        # one '0'/'1' row per distinct ballot (classes maps each ballot to its
-        # row), candidates from m-1 down to 0, so int(row, 2) is its mask; the
+        masks, m = self.ballot_masks, self.m
+        if len(masks) != self.n:
+            raise ValueError(f"expected {self.n} approval sets, got {len(masks)}")
+        distinct = set(masks)
+        if min(distinct) < 0 or max(distinct) >> m:
+            for i, mask in enumerate(masks):
+                if mask < 0:
+                    raise ValueError(f"voter {i}: ballot mask {mask} is negative")
+                if mask >> m:
+                    raise ValueError(
+                        f"voter {i}: candidate index {mask.bit_length() - 1} out of range"
+                    )
+        # one m-digit row per distinct mask, candidates from m-1 down to 0 (a
+        # leading 1 bit keeps the zeros, ``[3:]`` drops it with '0b'); the
         # voters' rows joined from voter n-1 down to 0 make each candidate's
         # strided column a binary numeral, most significant bit first
-        approvals, m = self.approvals, self.m
-        classes = dict.fromkeys(approvals)
-        digits = bytearray(b"0" * m + b",") * len(classes)
-        last = m - 1  # the row's digit for candidate 0
-        for row, ballot in enumerate(classes):
-            classes[ballot] = row
-            for c in ballot:
-                if not 0 <= c < m:
-                    raise ValueError(
-                        f"voter {approvals.index(ballot)}: candidate index {c} out of range"
-                    )
-                digits[last - c] = 49  # ord("1")
-            last += m + 1
-        rows = digits.split(b",")
-        rows.pop()  # the empty tail after the last ','
-        voter_rows = list(map(classes.__getitem__, approvals))
-        column = b"".join(map(rows.__getitem__, reversed(voter_rows)))
-        masks = [int(row, 2) for row in rows]
+        top = 1 << m
+        rows = {mask: bin(mask | top)[3:] for mask in distinct}
+        column = "".join(map(rows.__getitem__, reversed(masks)))
         object.__setattr__(
             self, "candidate_voters", tuple([int(column[m - 1 - c :: m], 2) for c in range(m)])
         )
-        object.__setattr__(self, "ballot_masks", tuple(map(masks.__getitem__, voter_rows)))
+
+    @cached_property
+    def approvals(self) -> tuple[frozenset[int], ...]:
+        """``approvals[i]``: the candidates voter i approves, one frozen set per
+        distinct ballot mask, built when first read."""
+        sets = {mask: mask_to_set(mask) for mask in set(self.ballot_masks)}
+        return tuple(map(sets.__getitem__, self.ballot_masks))
+
+    def __repr__(self) -> str:
+        return f"Election(n={self.n}, m={self.m}, k={self.k}, approvals={self.approvals!r})"
 
     @staticmethod
     def from_approvals(approvals: Iterable[Iterable[int]], m: int, k: int) -> "Election":
-        sets = tuple(frozenset(a) for a in approvals)
-        return Election(n=len(sets), m=m, k=k, approvals=sets)
+        """The election of these ballots (candidate index collections): one
+        mask per distinct ballot; the first voter of a ballot with an index
+        outside [0, m) is named in the ``ValueError``."""
+        sets = [frozenset(a) for a in approvals]
+        masks = dict.fromkeys(sets, 0)
+        for ballot in masks:
+            for c in ballot:
+                if not 0 <= c < m:
+                    raise ValueError(f"voter {sets.index(ballot)}: candidate index {c} out of range")
+                masks[ballot] |= 1 << c
+        return Election(n=len(sets), m=m, k=k, ballot_masks=tuple(map(masks.__getitem__, sets)))
 
     def all_voters_mask(self) -> int:
         return (1 << self.n) - 1
@@ -226,17 +242,20 @@ def parse_profile(text: str) -> Election:
     of ``text`` at most, so a huge m cannot outgrow the input); a line with
     any other token (``01``, ``+2``, ``x``, an index out of range) or with a
     repeated index is read token by token, which accepts what ``int`` reads
-    and words every error.  Each distinct ballot line is read once: ``seen``
-    maps a validated line's text to its ballot, and a repeat of it before
-    the n-th ballot appends that ballot as it is.
+    and words every error.  Each distinct ballot line is read once, into its
+    frozen set and its mask: ``seen`` maps a validated line's text to its
+    mask and ``ballots`` a mask to its set, and a repeat of the line before
+    the n-th ballot appends that mask as it is.  The election is built from
+    the masks and holds the frozen sets as its ``approvals``.
     """
     header: tuple[int, int, int] | None = None
-    approvals: list[frozenset[int]] = []
-    seen: dict[str, frozenset[int]] = {}  # empty until the header sets n
+    masks: list[int] = []  # one per voter
+    ballots: dict[int, frozenset[int]] = {}
+    seen: dict[str, int] = {}  # empty until the header sets n
     for lineno, line in enumerate(text.splitlines(), start=1):
-        ballot = seen.get(line)
-        if ballot is not None and len(approvals) < n:
-            approvals.append(ballot)
+        mask = seen.get(line)
+        if mask is not None and len(masks) < n:
+            masks.append(mask)
             continue
         tokens = line.split()
         if tokens and tokens[0].startswith("#"):
@@ -260,8 +279,11 @@ def parse_profile(text: str) -> Election:
                 raise ProfileFormatError(f"k={k} out of range [1, {m}]", lineno)
             header = (n, m, k)
             index = dict(zip(map(str, range(1, min(m, len(text)) + 1)), range(m))).__getitem__
+            # bit c of a mask for the first candidates (at most 1024 of them,
+            # so a huge m cannot make the table quadratic)
+            bit = [1 << c for c in range(min(m, 1024))].__getitem__
             continue
-        if len(approvals) == n:
+        if len(masks) == n:
             raise ProfileFormatError(
                 f"unexpected extra content after {n} voter lines: {line.strip()!r}", lineno
             )
@@ -286,21 +308,35 @@ def parse_profile(text: str) -> Election:
                     raise ProfileFormatError(f"duplicate candidate index {idx}", lineno)
                 ballot.add(idx - 1)
             ballot = frozenset(ballot)
-        approvals.append(ballot)
-        seen[line] = ballot
+        try:
+            mask = sum(map(bit, ballot))
+        except IndexError:  # a candidate past the table
+            mask = members_mask(ballot)
+        masks.append(mask)
+        seen[line] = mask
+        ballots[mask] = ballot
     if header is None:
         raise ProfileFormatError("missing header line 'n m k'")
     n, m, k = header
-    if len(approvals) < n:
+    if len(masks) < n:
         raise ProfileFormatError(
-            f"expected {n} voter lines, found only {len(approvals)}"
+            f"expected {n} voter lines, found only {len(masks)}"
         )
-    return Election(n=n, m=m, k=k, approvals=tuple(approvals))
+    election = Election(n=n, m=m, k=k, ballot_masks=tuple(masks))
+    # the sets are built here already: hand them to the cached property
+    election.__dict__["approvals"] = tuple(map(ballots.__getitem__, masks))
+    return election
 
 
 def serialize_profile(election: Election) -> str:
-    """Canonical ``.avp`` text: sorted 1-based indices, one voter per line."""
+    """Canonical ``.avp`` text: sorted 1-based indices, one voter per line.
+
+    Each distinct ballot mask is formatted once."""
+    labels = [str(c + 1) for c in range(election.m)]
+    texts = {
+        mask: " ".join(map(labels.__getitem__, _iter_bits(mask)))
+        for mask in set(election.ballot_masks)
+    }
     lines = [f"{election.n} {election.m} {election.k}"]
-    for ballot in election.approvals:
-        lines.append(" ".join(str(c + 1) for c in sorted(ballot)))
+    lines += map(texts.__getitem__, election.ballot_masks)
     return "\n".join(lines) + "\n"

@@ -93,7 +93,7 @@ def _cover_search(
     every leaf.
     """
     m, k = election.m, election.k
-    approvals, ballot_masks = election.approvals, election.ballot_masks
+    ballot_masks = election.ballot_masks
     cand_voters = election.candidate_voters
     if max(deficits, default=0) > k:
         return None
@@ -134,8 +134,7 @@ def _cover_search(
                 options = sorted(
                     [
                         (-(cand_voters[c] & unmet).bit_count(), c)
-                        for c in approvals[pivot]
-                        if pool >> c & 1
+                        for c in _iter_bits(ballot_masks[pivot] & pool)
                     ]
                 )
                 frames.append([options, 0, pool, avail, need, unmet])

@@ -14,7 +14,7 @@ from irlab.cli import AXIOM_NAMES, RULE_NAMES, main
 from irlab.cohesion import f_vector
 from irlab.gen import MODELS, GenSpec, generate
 from irlab.model import Election, serialize_profile
-from irlab.search import BudgetExceededError
+from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError
 import hard_instances
 from hard_instances import two_camps_with_bridge, uneven_cohorts
 
@@ -98,6 +98,18 @@ def test_fvec_vi_method(tmp_path):
     result = runner.invoke(main, ["fvec", path, "--method", "vi"])
     assert result.exit_code == 0
     assert all(line.split(",")[1] == "1" for line in result.output.strip().splitlines()[1:])
+
+
+def test_fvec_vi_method_rejects_cap(tmp_path):
+    # the vi method runs no capped walk, so a cap given with it is a usage
+    # error naming the method it bounds, even at the default value
+    path = _write_profile(tmp_path, two_camps_with_bridge())
+    for cap in (["--cap", "1"], ["--cap", str(DEFAULT_NODE_CAP)]):
+        for args in (["--method", "vi", *cap], [*cap, "--method", "vi"]):
+            result = CliRunner().invoke(main, ["fvec", path, *args])
+            assert result.exit_code == 2 and not result.stdout, args
+            assert "--cap bounds --method exact only" in result.stderr, args
+    assert CliRunner().invoke(main, ["fvec", path, "--method", "exact", "--cap", "1"]).exit_code == 1
 
 
 def test_solve_objectives(tmp_path):
@@ -422,9 +434,9 @@ def _fuzz_calls(rng, path, tree, out, m, k):
     rule (with and without --all-tied) and construct domain."""
     committee = ",".join(str(c) for c in rng.sample(range(1, m + 1), rng.choice([k, k, k - 1])))
     calls = [["recognize", path], ["recognize", path, "--domain", "wsc", "--expect", "member"]]
+    calls.append(["fvec", path, "--method", "vi"])
     for cap in ("1", "2", "3", "100000"):
         calls.append(["fvec", path, "--cap", cap])
-        calls.append(["fvec", path, "--method", "vi", "--cap", cap])
         for axiom in sorted(AXIOM_NAMES):
             extra = ["--alpha", "3/2", "--beta", "1"] if axiom == "alpha-beta-ir" else []
             calls.append(

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -46,6 +47,11 @@ def test_certificates_verify_and_match_oracle():
         for i, cert in enumerate(f_vector(e)):
             assert cert.verify(e)
             assert cert.f == brute_f(e, i)
+    # a witness reaching outside the voter's ballot or outside [0, m) fails
+    e = two_camps_with_bridge()
+    cert = f_vector(e)[0]
+    for outside in (cert.witness_set | {1}, frozenset({-1}), frozenset({e.m})):
+        assert not dataclasses.replace(cert, witness_set=outside).verify(e)
 
 
 @settings(max_examples=150, deadline=None)
@@ -125,7 +131,7 @@ def test_vi_sweep_matches_interval_scan_oracle():
     for t in range(320):
         e = random_vi_election(rng, n_max=1 if t % 10 == 0 else 30, m_max=12)
         if t % 4 == 1:
-            e = Election(n=e.n, m=e.m, k=e.m, approvals=e.approvals)
+            e = Election.from_approvals(e.approvals, m=e.m, k=e.m)
         cases.append(e)
     cases.append(generate(GenSpec(model="vi_euclid", n=200, m=20, seed=0), k=8))
     seen = {"n=1": 0, "k=m": 0, "empty ballot": 0, "unapproved candidate": 0}

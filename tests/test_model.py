@@ -136,6 +136,13 @@ def test_election_validation():
         Election.from_approvals([{5}], m=3, k=1)
     with pytest.raises(ValueError):
         Election.from_approvals([set()], m=3, k=4)
+    # masks given directly: a bit at or past m names its highest index
+    with pytest.raises(ValueError, match="^voter 1: candidate index 4 out of range$"):
+        Election(n=3, m=3, k=1, ballot_masks=(0b101, 0b11001, 0b1000))
+    with pytest.raises(ValueError, match="^voter 0: ballot mask -1 is negative$"):
+        Election(n=1, m=3, k=1, ballot_masks=(-1,))
+    with pytest.raises(ValueError, match="^expected 2 approval sets, got 1$"):
+        Election(n=2, m=3, k=1, ballot_masks=(1,))
 
 
 def test_election_masks_match_bitwise_definition():
@@ -274,6 +281,8 @@ def test_parse_profile_matches_token_loop_oracle():
         "6 3 2\n1 2\n2  1\n1 2 \t\r\n1 2\r\n\t1\t2\n2 1\n",
         "4 3 1\n1\n4 1\n1\n4 1\n", "4 3 1\n2\n1 1\n1 1\n2\n", "3 3 1\nx\nx\n1\n",
         "2 3 1\n1 3\n1 3\n1 3\n", "2 3 1\n1 3\n2\n1 3\n", "1 3 1\n\n\n",
+        # a text long enough for canonical tokens past candidate 1024
+        "#" + "." * 1500 + "\n3 1500 2\n1 1500 1025\n1024 1025\n1500 1025 1\n",
     ]
     outcomes = {"election": 0, "error": 0}
     for text in texts:
