@@ -98,12 +98,12 @@ class Election:
         mask per distinct ballot; the first voter of a ballot with an index
         outside [0, m) is named in the ``ValueError``."""
         sets = [frozenset(a) for a in approvals]
-        masks = dict.fromkeys(sets, 0)
+        masks = dict.fromkeys(sets)
         for ballot in masks:
             for c in ballot:
                 if not 0 <= c < m:
                     raise ValueError(f"voter {sets.index(ballot)}: candidate index {c} out of range")
-                masks[ballot] |= 1 << c
+            masks[ballot] = members_mask(ballot)
         return Election(n=len(sets), m=m, k=k, ballot_masks=tuple(map(masks.__getitem__, sets)))
 
     def all_voters_mask(self) -> int:
@@ -279,9 +279,9 @@ def parse_profile(text: str) -> Election:
                 raise ProfileFormatError(f"k={k} out of range [1, {m}]", lineno)
             header = (n, m, k)
             index = dict(zip(map(str, range(1, min(m, len(text)) + 1)), range(m))).__getitem__
-            # bit c of a mask for the first candidates (at most 1024 of them,
-            # so a huge m cannot make the table quadratic)
-            bit = [1 << c for c in range(min(m, 1024))].__getitem__
+            # bit c for each candidate makes a mask one C-level sum; the table
+            # holds m ints of up to m bits, so a wider profile uses members_mask
+            bit = [1 << c for c in range(m)].__getitem__ if m <= 1024 else None
             continue
         if len(masks) == n:
             raise ProfileFormatError(
@@ -308,10 +308,7 @@ def parse_profile(text: str) -> Election:
                     raise ProfileFormatError(f"duplicate candidate index {idx}", lineno)
                 ballot.add(idx - 1)
             ballot = frozenset(ballot)
-        try:
-            mask = sum(map(bit, ballot))
-        except IndexError:  # a candidate past the table
-            mask = members_mask(ballot)
+        mask = sum(map(bit, ballot)) if bit else members_mask(ballot)
         masks.append(mask)
         seen[line] = mask
         ballots[mask] = ballot

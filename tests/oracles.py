@@ -1661,35 +1661,3 @@ def election_masks(
     rows = digits.split(b",")[-2::-1]  # voter 0 first, without the empty tail
     candidate_voters = tuple(int(digits[m - 1 - c :: width], 2) for c in range(m))
     return candidate_voters, tuple(int(row, 2) for row in rows)
-
-
-def election_rows(
-    n: int, m: int, approvals: Sequence[Iterable[int]]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(candidate_voters, ballot_masks)`` for these ballots, one digit row
-    written per distinct ballot; raises the ``ValueError`` that
-    :class:`Election` raises, naming a bad ballot's first voter."""
-    # classes maps each distinct ballot to its row; candidates run from m-1
-    # down to 0, so int(row, 2) is its mask, and the voters' rows joined from
-    # voter n-1 down to 0 make each candidate's strided column a binary
-    # numeral, most significant bit first
-    approvals = [frozenset(a) for a in approvals]
-    classes = dict.fromkeys(approvals)
-    digits = bytearray(b"0" * m + b",") * len(classes)
-    last = m - 1  # the row's digit for candidate 0
-    for row, ballot in enumerate(classes):
-        classes[ballot] = row
-        for c in ballot:
-            if not 0 <= c < m:
-                raise ValueError(
-                    f"voter {approvals.index(ballot)}: candidate index {c} out of range"
-                )
-            digits[last - c] = 49  # ord("1")
-        last += m + 1
-    rows = digits.split(b",")
-    rows.pop()  # the empty tail after the last ','
-    voter_rows = list(map(classes.__getitem__, approvals))
-    column = b"".join(map(rows.__getitem__, reversed(voter_rows)))
-    masks = [int(row, 2) for row in rows]
-    candidate_voters = tuple([int(column[m - 1 - c :: m], 2) for c in range(m)])
-    return candidate_voters, tuple(map(masks.__getitem__, voter_rows))

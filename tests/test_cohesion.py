@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irlab.cohesion import _closed_sets, certificate, entitlements, f_vector, vi_certificates
-from irlab.model import Election, is_run, position_mask
+from irlab.model import Election, VoterGroup, is_run, position_mask
 from irlab.search import BudgetExceededError, NodeBudget
 from irlab.domains import recognize
 from irlab.gen import GenSpec, generate
@@ -47,9 +47,15 @@ def test_certificates_verify_and_match_oracle():
         for i, cert in enumerate(f_vector(e)):
             assert cert.verify(e)
             assert cert.f == brute_f(e, i)
-    # a witness reaching outside the voter's ballot or outside [0, m) fails
+    # a witness reaching outside the voter's ballot or outside [0, m) fails;
+    # {1} has voter 0's f = 1 members and its own supporters, so only the
+    # ballot test can reject it
     e = two_camps_with_bridge()
     cert = f_vector(e)[0]
+    assert cert.f == 1 and not e.ballot_masks[0] >> 1 & 1
+    assert not dataclasses.replace(
+        cert, witness_set=frozenset({1}), witness_supporters=VoterGroup(e.candidate_voters[1])
+    ).verify(e)
     for outside in (cert.witness_set | {1}, frozenset({-1}), frozenset({e.m})):
         assert not dataclasses.replace(cert, witness_set=outside).verify(e)
 

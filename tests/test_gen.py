@@ -7,7 +7,7 @@ from irlab.experiment import DESK_SCALE_GEN_PARAMS
 from irlab.gen import GenSpec, MODELS, _mallows_sample, generate
 from irlab.model import Election
 
-from oracles import election_rows, generate_by_sets, mallows_sample
+from oracles import election_masks, generate_by_sets, mallows_sample
 
 
 def test_seed_determinism_all_models():
@@ -142,13 +142,13 @@ def _oracle_specs():
 def test_generated_profiles_match_set_based_generators():
     """Each generator gives the ballots the set-building bodies draw from the
     same random stream, and its Election has the masks, equality, hash and
-    repr of one built from those sets by one digit row per distinct ballot."""
+    repr of one built from those sets by the voter-by-voter digit builder."""
     previous = None
     for spec in _oracle_specs():
         election = generate(spec, k=1)
         approvals = tuple(generate_by_sets(spec))
         assert election.approvals == approvals, spec
-        assert (election.candidate_voters, election.ballot_masks) == election_rows(
+        assert (election.candidate_voters, election.ballot_masks) == election_masks(
             spec.n, spec.m, approvals
         ), spec
         rebuilt = Election.from_approvals(approvals, m=spec.m, k=1)

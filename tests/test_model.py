@@ -281,7 +281,7 @@ def test_parse_profile_matches_token_loop_oracle():
         "6 3 2\n1 2\n2  1\n1 2 \t\r\n1 2\r\n\t1\t2\n2 1\n",
         "4 3 1\n1\n4 1\n1\n4 1\n", "4 3 1\n2\n1 1\n1 1\n2\n", "3 3 1\nx\nx\n1\n",
         "2 3 1\n1 3\n1 3\n1 3\n", "2 3 1\n1 3\n2\n1 3\n", "1 3 1\n\n\n",
-        # a text long enough for canonical tokens past candidate 1024
+        # a profile wider than parse_profile's bit table (m = 1500)
         "#" + "." * 1500 + "\n3 1500 2\n1 1500 1025\n1024 1025\n1500 1025 1\n",
     ]
     outcomes = {"election": 0, "error": 0}
