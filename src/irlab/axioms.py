@@ -180,7 +180,7 @@ def _ssjr_witness(election, counts):
     for i in range(n):
         if counts[i]:
             continue
-        for c in sorted(election.approvals[i]):
+        for c in _iter_bits(election.ballot_masks[i]):
             if election.candidate_voters[c].bit_count() * k >= n:
                 group = mask_to_set(election.candidate_voters[c])
                 return ViolationWitness(
@@ -407,8 +407,9 @@ def verify_violation(
             return False
         if len(witness.candidate_set) != level:
             return False
+        smask = members_mask(witness.candidate_set)
         for i in witness.deprived:
-            if not witness.candidate_set <= election.approvals[i]:
+            if smask & ~election.ballot_masks[i]:  # S is not within A_i
                 return False
             if kind == "SSJR":
                 if counts[i] >= 1:
@@ -422,8 +423,9 @@ def verify_violation(
             return False
         if len(witness.group) * k < level * n:
             return False
+        smask = members_mask(witness.candidate_set)
         for i in witness.group:
-            if not witness.candidate_set <= election.approvals[i]:
+            if smask & ~election.ballot_masks[i]:
                 return False
             if counts[i] >= level:
                 return False
@@ -434,9 +436,10 @@ def verify_violation(
             return False
         if len(witness.group) * k < level * n:
             return False
+        smask = members_mask(witness.candidate_set)
         union = 0
         for i in witness.group:
-            if not witness.candidate_set <= election.approvals[i]:
+            if smask & ~election.ballot_masks[i]:
                 return False
             union |= election.ballot_masks[i]
         return (union & committee.mask()).bit_count() < level
@@ -466,8 +469,8 @@ def verify_violation(
         hall = witness.group
         if not hall:
             return False
-        neighbors = {
-            c for i in hall for c in election.approvals[i] if c in committee.members
-        }
-        return len(neighbors) * share < len(hall)
+        union = 0
+        for i in hall:
+            union |= election.ballot_masks[i]
+        return (union & committee.mask()).bit_count() * share < len(hall)
     raise ValueError(f"no witness verification for {kind}")

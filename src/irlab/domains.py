@@ -34,7 +34,8 @@ from typing import Literal, Sequence
 
 from . import axioms, c1p
 from .cohesion import CohesionCertificate, _vi_spans, _vi_sweep
-from .model import Committee, Election, _iter_bits, is_run, padding, position_mask
+from .model import Committee, Election, _iter_bits, is_run, mask_to_set, members_mask
+from .model import padding, position_mask
 
 DomainId = Literal["CI", "VI", "CEI", "VEI", "T_PART", "WSC", "ALPHA_TR"]
 
@@ -172,9 +173,10 @@ def _witness_problem(election: Election, domain: DomainId, witness: DomainWitnes
         blocks = witness.blocks
         if not all(blocks) or sorted(c for block in blocks for c in block) != list(range(m)):
             return invalid
+        block_masks = [*map(members_mask, blocks), 0]  # index -1: the empty ballot
         if len(witness.voter_block) != n or any(
-            not -1 <= b < len(blocks) or ballot != (blocks[b] if b >= 0 else frozenset())
-            for ballot, b in zip(election.approvals, witness.voter_block)
+            not -1 <= b < len(blocks) or ballot != block_masks[b]
+            for ballot, b in zip(election.ballot_masks, witness.voter_block)
         ):
             return invalid
     elif domain == "WSC":
@@ -251,24 +253,23 @@ def recognize(election: Election, domain: DomainId) -> DomainWitness | None:
 
 
 def _recognize_tpart(election: Election) -> TPartWitness | None:
-    blocks: list[frozenset[int]] = []
-    index_of: dict[frozenset[int], int] = {}
-    voter_block: list[int] = []
-    for ballot in election.approvals:
-        if not ballot:
-            voter_block.append(-1)
-            continue
-        if ballot not in index_of:
-            for other in blocks:
-                if other & ballot and other != ballot:
-                    return None
-            index_of[ballot] = len(blocks)
-            blocks.append(ballot)
-        voter_block.append(index_of[ballot])
-    leftover = frozenset(range(election.m)) - frozenset().union(*blocks)
+    """The distinct nonempty ballots, in order of first appearance, are the
+    blocks when no two of them overlap; the candidates no ballot names form
+    one more block."""
+    masks = election.ballot_masks
+    blocks = [ballot for ballot in dict.fromkeys(masks) if ballot]
+    covered = 0
+    for block in blocks:
+        if block & covered:
+            return None
+        covered |= block
+    index_of = {block: b for b, block in enumerate(blocks)}
+    index_of[0] = -1
+    voter_block = tuple(map(index_of.__getitem__, masks))
+    leftover = ~covered & ((1 << election.m) - 1)
     if leftover:
         blocks.append(leftover)
-    return TPartWitness(blocks=tuple(blocks), voter_block=tuple(voter_block))
+    return TPartWitness(blocks=tuple(map(mask_to_set, blocks)), voter_block=voter_block)
 
 
 def _recognize_wsc(election: Election) -> WSCWitness | None:

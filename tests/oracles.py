@@ -9,10 +9,10 @@ ballot-scanning greedy Monroe, the linear-scan Mallows sampler, Kuhn's
 recursive quota matching, the separate FJR and core deviation searches, the
 recursive EJR/PJR cohesive-set search and cover search (which builds every
 leaf), the digit-string counter, the frozenset prefix/suffix layout with
-the run-pattern WSC check, the token-by-token ``.avp`` reader, the
-voter-by-voter and the row-per-distinct-ballot mask builders, the
-set-building generators and the rule probe that lists every winner
-are the engines the package replaced; they stay here as references for the
+the run-pattern WSC check, the frozen-set t-PART recognizer and witness
+check, the token-by-token ``.avp`` reader, the voter-by-voter and the
+row-per-distinct-ballot mask builders, the set-building generators and the
+rule probe that lists every winner are the engines the package replaced; they stay here as references for the
 ones that replaced them.  ``enumerate_committees`` lists every committee
 meeting a solver objective, for fixtures; ``closed_set_walk`` lists the closed
 sets the entitlement walk visits; ``run_instance_by_certificates`` is the
@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 from irlab.cohesion import CohesionCertificate, deficits_for, f_vector
 from irlab.axioms import AxiomId, AxiomVerdict, ViolationWitness
-from irlab.domains import CEIWitness, VEIWitness, WSCWitness
+from irlab.domains import CEIWitness, TPartWitness, VEIWitness, WSCWitness
 from irlab.experiment import ExperimentRow, instance_seed
 from irlab.gen import GenSpec, generate
 from irlab.model import (
@@ -758,8 +758,43 @@ def counter_by_digits(values: Sequence[int]) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# Domains: the frozenset prefix/suffix layout and the run-pattern WSC check
+# Domains: the frozenset t-PART blocks, the frozenset prefix/suffix layout and
+# the run-pattern WSC check
 # --------------------------------------------------------------------------
+
+
+def recognize_tpart_by_sets(election: Election) -> TPartWitness | None:
+    """t-PART recognition on frozen-set ballots: each new nonempty ballot
+    becomes a block unless it overlaps an earlier one."""
+    blocks: list[frozenset[int]] = []
+    index_of: dict[frozenset[int], int] = {}
+    voter_block: list[int] = []
+    for ballot in election.approvals:
+        if not ballot:
+            voter_block.append(-1)
+            continue
+        if ballot not in index_of:
+            for other in blocks:
+                if other & ballot and other != ballot:
+                    return None
+            index_of[ballot] = len(blocks)
+            blocks.append(ballot)
+        voter_block.append(index_of[ballot])
+    leftover = frozenset(range(election.m)) - frozenset().union(*blocks)
+    if leftover:
+        blocks.append(leftover)
+    return TPartWitness(blocks=tuple(blocks), voter_block=tuple(voter_block))
+
+
+def verify_tpart_by_sets(election: Election, witness: TPartWitness) -> bool:
+    """The t-PART branch of ``verify_witness`` on frozen sets."""
+    blocks = witness.blocks
+    if not all(blocks) or sorted(c for block in blocks for c in block) != list(range(election.m)):
+        return False
+    return len(witness.voter_block) == election.n and all(
+        -1 <= b < len(blocks) and ballot == (blocks[b] if b >= 0 else frozenset())
+        for ballot, b in zip(election.approvals, witness.voter_block)
+    )
 
 
 def recognize_by_sets(election: Election, domain: str):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import re
@@ -15,6 +16,7 @@ from irlab.axioms import (
     PERFECT_REP,
     PJR,
     SSJR,
+    ViolationWitness,
     alpha_beta_ir,
     check,
     implication_report,
@@ -159,6 +161,7 @@ def test_perfect_rep_matches_kuhn_oracle():
     # equal those of the recursive slot matching the flow replaced
     rng = random.Random(29)
     tried = violated = 0
+    gaps = set()  # seats minus group size of the random groups
     while tried < 300:
         e = random_election(rng, n_max=30, m_max=8, density=rng.choice((0.2, 0.4)))
         if e.n % e.k != 0:
@@ -172,7 +175,15 @@ def test_perfect_rep_matches_kuhn_oracle():
             violated += 1
             assert verdict.witness.group == verdict.witness.deprived == frozenset(hall)
             assert verify_violation(e, w, PERFECT_REP, verdict.witness)
+        # any voter set is a Hall violator when the members its ballots
+        # approve seat fewer than all of it (counted on the frozen sets)
+        group = frozenset(rng.sample(range(e.n), rng.randint(1, e.n)))
+        seats = len({c for i in group for c in e.approvals[i] if c in w.members}) * (e.n // e.k)
+        witness = ViolationWitness(group=group, deprived=group)
+        assert verify_violation(e, w, PERFECT_REP, witness) == (seats < len(group))
+        gaps.add(seats - len(group))
     assert violated >= 50
+    assert {-1, 0} <= gaps  # groups just short of their seats and just seated
 
 
 def test_perfect_rep_long_chain():
@@ -296,12 +307,19 @@ def test_group_searches_at_a_thousand_seats():
 
 
 def test_violation_witnesses_recheck():
+    # each witness passes; naming one more short voter who does not approve
+    # the whole candidate set (as the deprived voter of IR and semi-strong
+    # JR, in the group of JR, EJR and PJR) breaks it.  In the first profile
+    # voters 0-2 lack a member and approve {0}, and voter 3 lacks one too
     rng = random.Random(31)
     axioms_under_test = (JR, EJR, PJR, FJR, CORE, SSJR, IR)
     seen_violations = 0
-    for _ in range(80):
-        e = random_election(rng, n_max=10, m_max=7, k_max=4)
-        w = random_committee(rng, e)
+    broken = set()
+    first = Election.from_approvals([{0, 1}] * 3 + [{4}, {2}, {3}], m=5, k=2)
+    for trial in range(81):
+        e = random_election(rng, n_max=10, m_max=7, k_max=4) if trial else first
+        w = random_committee(rng, e) if trial else Committee.of({2, 3}, e)
+        counts = [len(ballot & w.members) for ballot in e.approvals]
         for axiom in axioms_under_test:
             verdict = check(e, w, axiom)
             if verdict.status == "violated":
@@ -311,7 +329,24 @@ def test_violation_witnesses_recheck():
                     e.approvals,
                     sorted(w.members),
                 )
+                wit = verdict.witness
+                if axiom.kind in ("FJR", "CORE"):
+                    continue
+                outside = [
+                    j for j in range(e.n)
+                    if counts[j] < wit.level and not wit.candidate_set <= e.approvals[j]
+                ]
+                if not outside:
+                    continue
+                j = rng.choice(outside)
+                if axiom.kind in ("IR", "SSJR"):
+                    wit = dataclasses.replace(wit, deprived=frozenset([j]))
+                else:
+                    wit = dataclasses.replace(wit, group=wit.group | {j})
+                assert not verify_violation(e, w, axiom, wit), (axiom, e.approvals, j)
+                broken.add(axiom.kind)
     assert seen_violations > 50
+    assert broken == {"JR", "EJR", "PJR", "SSJR", "IR"}
 
 
 def test_implication_arrows_random():

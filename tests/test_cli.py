@@ -13,7 +13,7 @@ from irlab import cli
 from irlab.cli import AXIOM_NAMES, RULE_NAMES, main
 from irlab.cohesion import f_vector
 from irlab.gen import MODELS, GenSpec, generate
-from irlab.model import Election, serialize_profile
+from irlab.model import MAX_CANDIDATES, Election, serialize_profile
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError
 import hard_instances
 from hard_instances import two_camps_with_bridge, uneven_cohorts
@@ -246,6 +246,16 @@ def test_malformed_profile_exit_two_without_traceback(tmp_path):
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert "bad.avp" in result.output
+
+
+def test_check_refuses_a_header_m_above_the_limit(tmp_path):
+    # the header's m alone would cost time and memory linear in it
+    path = tmp_path / "wide.avp"
+    path.write_text(f"1 {MAX_CANDIDATES + 1} 1\n1\n")
+    result = CliRunner().invoke(main, ["check", str(path), "--committee", "1", "--axiom", "jr"])
+    _assert_usage_error(result)
+    assert "Traceback" not in result.output
+    assert f"wide.avp: line 1: m={MAX_CANDIDATES + 1} exceeds the limit" in result.output
 
 
 def _assert_usage_error(result):

@@ -36,7 +36,9 @@ from oracles import (
     consecutive_order_exists,
     ends_order_exists,
     recognize_by_sets,
+    recognize_tpart_by_sets,
     verify_by_sets,
+    verify_tpart_by_sets,
     wsc_order_exists,
 )
 import hard_instances
@@ -250,6 +252,57 @@ def test_in_domain_instances_recognized():
 def test_tpart_rejects_overlapping_ballots():
     e = Election.from_approvals([{0, 1}, {1, 2}], m=3, k=1)
     assert recognize(e, "T_PART") is None
+
+
+def _tpart_like_election(rng):
+    """Up to 30 voters drawing from the blocks of a partition of some of the
+    candidates (the rest left over), the empty ballot and, now and then, a
+    random ballot that may overlap the blocks."""
+    m = rng.randint(1, 9)
+    cands = rng.sample(range(m), rng.randint(0, m))
+    parts = rng.randint(1, max(1, len(cands)))
+    pool = [frozenset(cands[b::parts]) for b in range(parts)] + [frozenset()]
+    if rng.random() < 0.4:
+        pool.append(frozenset(c for c in range(m) if rng.random() < 0.5))
+    return Election.from_approvals(
+        [rng.choice(pool) for _ in range(rng.randint(1, 30))], m=m, k=1
+    )
+
+
+def _perturbed_tpart(rng, witness):
+    """The witness with one voter's block index or one candidate's block changed."""
+    blocks = [set(block) for block in witness.blocks]
+    voter_block = list(witness.voter_block)
+    if rng.random() < 0.5:
+        voter_block[rng.randrange(len(voter_block))] = rng.randrange(-2, len(blocks) + 1)
+    else:
+        c = rng.choice([c for block in blocks for c in block])
+        for block in blocks:
+            block.discard(c)
+        (blocks + [set()])[rng.randrange(len(blocks) + 1)].add(c)
+    return TPartWitness(tuple(map(frozenset, blocks)), tuple(voter_block))
+
+
+def test_tpart_masks_match_set_oracle():
+    rng = random.Random(61)
+    seen = dict.fromkeys(("outside", "member", "empty", "repeated", "m=1", "leftover"), 0)
+    for _ in range(600):
+        e = _tpart_like_election(rng)
+        witness = recognize(e, "T_PART")
+        assert witness == recognize_tpart_by_sets(e), e.approvals
+        seen["empty"] += 0 in e.ballot_masks
+        seen["repeated"] += len(set(e.ballot_masks)) < e.n
+        seen["m=1"] += e.m == 1
+        if witness is None:
+            seen["outside"] += 1
+            continue
+        seen["member"] += 1
+        seen["leftover"] += witness.blocks[-1] not in e.approvals
+        assert verify_witness(e, "T_PART", witness) and verify_tpart_by_sets(e, witness)
+        for _ in range(3):
+            other = _perturbed_tpart(rng, witness)
+            assert verify_witness(e, "T_PART", other) == verify_tpart_by_sets(e, other)
+    assert min(seen.values()) >= 30, seen
 
 
 def test_tpart_witness_rejects_malformed_partitions():

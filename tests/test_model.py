@@ -3,7 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from irlab import axioms, domains
+from irlab.cohesion import entitlements, f_vector
+from irlab.experiment import DEFAULT_RULES
+from irlab.gen import GenSpec, generate
 from irlab.model import (
+    MAX_CANDIDATES,
     Committee,
     Election,
     ProfileFormatError,
@@ -15,6 +20,8 @@ from irlab.model import (
     serialize_profile,
     supporters,
 )
+from irlab.rules import RuleId, run_rule
+from irlab.solver import OBJECTIVES, SolveRequest, find_committee
 import hard_instances
 from hard_instances import two_camps_with_bridge
 from instance_gen import scale_cases
@@ -284,14 +291,76 @@ def test_parse_profile_matches_token_loop_oracle():
         # a profile wider than parse_profile's bit table (m = 1500)
         "#" + "." * 1500 + "\n3 1500 2\n1 1500 1025\n1024 1025\n1500 1025 1\n",
     ]
+    # repeated indices whose bit sum the bit-count test must refuse: a carry
+    # onto the next bit (1 1), onto an existing bit (1 1 2), a repeat apart
+    # (2 1 2), a repeat spelled two ways (1 01) and one at the table's end
+    duplicates = ["1 3 1\n1 1\n", "1 3 1\n2 1 2\n", "1 3 1\n1 1 2\n", "1 3 1\n1 01\n",
+                  "1 40 1\n40 40\n"]
+    for text in duplicates:
+        with pytest.raises(ProfileFormatError, match="line 2: duplicate candidate index"):
+            parse_profile(text)
     outcomes = {"election": 0, "error": 0}
-    for text in texts:
-        got = _parsed(parse_profile, text)
-        assert got == _parsed(parse_profile_by_tokens, text), repr(text)
+    for text in texts + duplicates:
+        got, want = _parsed(parse_profile, text), _parsed(parse_profile_by_tokens, text)
+        assert got == want, repr(text)
         if isinstance(got[0], Election):
             e = got[0]
+            assert "approvals" not in e.__dict__, repr(text)  # parsing builds no set
+            assert e.approvals == want[0].approvals, repr(text)
             assert got[1:] == election_masks(e.n, e.m, e.approvals), repr(text)
             outcomes["election"] += 1
         else:
             outcomes["error"] += 1
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_parse_profile_refuses_a_header_m_above_the_limit():
+    # reading costs time and memory linear in m, so the header's m is bounded
+    e = parse_profile(f"1 {MAX_CANDIDATES} 1\n1 {MAX_CANDIDATES}\n")
+    assert (e.m, e.ballot_masks) == (MAX_CANDIDATES, (1 | 1 << (MAX_CANDIDATES - 1),))
+    with pytest.raises(ProfileFormatError) as info:
+        parse_profile(f"1 {MAX_CANDIDATES + 1} 1\n1\n")
+    assert info.value.line == 1
+    assert str(info.value) == (
+        f"line 1: m={MAX_CANDIDATES + 1} exceeds the limit of {MAX_CANDIDATES} candidates"
+    )
+
+
+def test_request_paths_never_derive_approvals():
+    # every check, recognizer and witness test, the entitlements, f-vector,
+    # solver and default rules read a parsed profile's masks alone; only the
+    # constructions (not run here) read its frozen sets
+    profiles = [
+        EX1_TEXT,
+        serialize_profile(hard_instances.disjoint_blocks_instance()),
+        "6 6 2\n1 2\n1 2\n3\n\n3\n4 5\n",  # t-PART with an empty ballot, 6 left over
+        "5 5 4\n1 4 5\n1 4 5\n1 4 5\n2 3 5\n2 3 5\n",  # VEI and WSC
+        serialize_profile(generate(GenSpec(model="vi_euclid", n=24, m=8, seed=5), k=4)),
+        serialize_profile(generate(GenSpec(model="ic", n=20, m=7, seed=6), k=4)),
+    ]
+    violated, members = set(), set()
+    for text in profiles:
+        e = parse_profile(text)
+        f = entitlements(e)
+        assert [cert.f for cert in f_vector(e)] == f
+        for objective in OBJECTIVES:
+            find_committee(SolveRequest(e, tuple(f), objective))
+        for rule in DEFAULT_RULES:
+            run_rule(e, RuleId(rule))
+        committee = Committee.of(range(e.k), e)
+        for axiom in (axioms.IR, axioms.SSJR, axioms.alpha_beta_ir(1, 1), axioms.JR, axioms.PJR,
+                      axioms.EJR, axioms.FJR, axioms.CORE, axioms.PERFECT_REP):
+            if axiom == axioms.PERFECT_REP and e.n % e.k:
+                continue  # perfect representation needs k to divide n
+            verdict = axioms.check(e, committee, axiom)
+            if verdict.status == "violated":
+                assert axioms.verify_violation(e, committee, axiom, verdict.witness)
+                violated.add(axiom.kind)
+        for domain in ("CI", "VI", "CEI", "VEI", "T_PART", "WSC"):
+            witness = domains.recognize(e, domain)
+            if witness is not None:
+                assert domains.verify_witness(e, domain, witness)
+                members.add(domain)
+        assert "approvals" not in e.__dict__, text
+    assert violated == set(axioms.GROUP_AXIOMS + axioms.INDIVIDUAL_AXIOMS)
+    assert members == {"CI", "VI", "CEI", "VEI", "T_PART", "WSC"}, members
