@@ -489,7 +489,7 @@ def _vi_members(election: Election, witness: VIWitness) -> tuple[set[int], VITra
     order = list(witness.voter_order)
     pos, spans = _vi_spans(election, order)
     certs = _vi_sweep(election, pos, spans)
-    n, k = election.n, election.k
+    n, k, ballots = election.n, election.k, election.ballot_masks
     # a witness's supporters are the positions its candidates' spans share
     # (every voter when the witness is empty); |N_<i| and |N_>=i| per voter
     below, above = [0] * n, [0] * n
@@ -505,6 +505,7 @@ def _vi_members(election: Election, witness: VIWitness) -> tuple[set[int], VITra
         floor(support * k / 2n) approved picks of the pass from her witness
         set, candidates outside ``taken`` first."""
         picked: set[int] = set()
+        picked_mask = 0
         steps = []
         for p in positions:
             v = order[p]
@@ -512,13 +513,14 @@ def _vi_members(election: Election, witness: VIWitness) -> tuple[set[int], VITra
             # holds; capping at f_i keeps the request servable (a voter holding
             # all of her witness set is fully represented already)
             target = min((support[v] * k) // (2 * n), certs[v].f)
-            have = len(picked & election.approvals[v])
+            have = (picked_mask & ballots[v]).bit_count()
             added: tuple[int, ...] = ()
             if have < target:
                 unpicked = certs[v].witness_set - picked
                 order_of_use = sorted(unpicked - taken) + sorted(unpicked & taken)
                 added = tuple(order_of_use[: target - have])
                 picked.update(added)
+                picked_mask |= members_mask(added)
             steps.append(
                 VIRoundStep(
                     voter=v,
@@ -583,23 +585,21 @@ def _wsc_members(election: Election, witness: WSCWitness) -> tuple[set[int], Non
     """The lowest candidate of the first wide ballot along the order and of the
     first wide ballot without it, then the candidate of every entitled
     single-candidate voter."""
-    n, k = election.n, election.k
+    n, k, ballots = election.n, election.k, election.ballot_masks
     members: set[int] = set()
-    wide = [v for v in witness.voter_order if len(election.approvals[v]) >= 2]
+    wide = [ballots[v] for v in witness.voter_order if ballots[v].bit_count() >= 2]
     if wide:
-        c_star = min(election.approvals[wide[0]])
+        c_star = (wide[0] & -wide[0]).bit_length() - 1  # its lowest candidate
         members.add(c_star)
-        crossing = next(
-            (v for v in wide if c_star not in election.approvals[v]), None
-        )
-        if crossing is not None:
-            members.add(min(election.approvals[crossing]))
+        crossing = next((b for b in wide if not b >> c_star & 1), 0)
+        if crossing:
+            members.add((crossing & -crossing).bit_length() - 1)
     # single-candidate voters are excluded from the crossing argument; cover
     # the entitled ones directly while seats remain
-    for v, ballot in enumerate(election.approvals):
-        if len(ballot) != 1:
+    for v, ballot in enumerate(ballots):
+        if ballot.bit_count() != 1:
             continue
-        (c,) = ballot
+        c = ballot.bit_length() - 1
         if c not in members and election.candidate_voters[c].bit_count() * k >= n:
             if len(members) >= k:
                 raise ConstructionInfeasibleError(

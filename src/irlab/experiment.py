@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cohesion import entitlements
 from .search import BudgetExceededError
@@ -81,6 +81,8 @@ class ExperimentSpec:
         for k in self.k_values:
             if not 1 <= k <= self.m:
                 raise ValueError(f"k={k} outside [1, {self.m}]")
+        for model in self.models:  # the generators' checks: model name, m at most their limit
+            GenSpec(model=model, n=self.n, m=self.m, seed=0, params=self.gen_params.get(model, {}))
 
 
 @dataclass(frozen=True)
@@ -117,31 +119,23 @@ def _run_instance(args) -> ExperimentRow:
     except BudgetExceededError:
         # without entitlements nothing about this instance is decidable;
         # record the row as undecided rather than aborting the batch
-        ms = int((time.perf_counter() - t0) * 1000)
-        return ExperimentRow(
-            model=model,
-            k=k,
-            seed=seed,
-            ir_exists=None,
-            ssjr_exists=None,
-            rule_hits=tuple((str(rule), False, False) for rule in spec.rules),
-            undecided=True,
-            ms=ms,
-        )
-    ir_res, ssjr_res = find_ir_and_ssjr(election, f, spec.node_cap)
-    undecided = ir_res.status == "undecided" or ssjr_res.status == "undecided"
-    wanted = (f, demands(f, "FIND_SSJR")) if spec.rules else ()
-    rule_hits = tuple((str(rule), *probe(election, rule, wanted)) for rule in spec.rules)
-    ms = int((time.perf_counter() - t0) * 1000)
+        ir_exists = ssjr_exists = None
+        rule_hits = tuple((str(rule), False, False) for rule in spec.rules)
+    else:
+        ir_res, ssjr_res = find_ir_and_ssjr(election, f, spec.node_cap)
+        ir_exists = None if ir_res.status == "undecided" else ir_res.status == "found"
+        ssjr_exists = None if ssjr_res.status == "undecided" else ssjr_res.status == "found"
+        wanted = (f, demands(f, "FIND_SSJR")) if spec.rules else ()
+        rule_hits = tuple((str(rule), *probe(election, rule, wanted)) for rule in spec.rules)
     return ExperimentRow(
         model=model,
         k=k,
         seed=seed,
-        ir_exists=None if ir_res.status == "undecided" else ir_res.status == "found",
-        ssjr_exists=None if ssjr_res.status == "undecided" else ssjr_res.status == "found",
+        ir_exists=ir_exists,
+        ssjr_exists=ssjr_exists,
         rule_hits=rule_hits,
-        undecided=undecided,
-        ms=ms,
+        undecided=ir_exists is None or ssjr_exists is None,
+        ms=int((time.perf_counter() - t0) * 1000),
     )
 
 
@@ -196,39 +190,43 @@ def rows_to_csv(spec: ExperimentSpec, rows: Sequence[ExperimentRow]) -> str:
     return buf.getvalue()
 
 
+EXISTENCE_RATES = ("ir_rate", "ssjr_rate", "undecided_rate")
+RULE_RATES = ("ir_found_rate", "ssjr_found_rate")
+
+
+def _flag_shares(keyed_flags: Iterable[tuple[tuple, tuple]], names: Sequence[str]) -> dict:
+    """Per key: the share of its flag tuples with each flag set, under ``names``."""
+    grouped: dict[tuple, list[tuple]] = {}
+    for key, flags in keyed_flags:
+        grouped.setdefault(key, []).append(flags)
+    return {
+        key: {name: sum(1 for f in bucket if f[j]) / len(bucket) for j, name in enumerate(names)}
+        for key, bucket in grouped.items()
+    }
+
+
 def existence_rates(rows: Sequence[ExperimentRow]) -> dict[tuple[str, int], dict[str, float]]:
     """Per (model, k): fraction of instances admitting IR / semi-strong JR.
 
     Undecided instances count toward the denominator and never the numerator.
     """
-    grouped: dict[tuple[str, int], list[ExperimentRow]] = {}
-    for row in rows:
-        grouped.setdefault((row.model, row.k), []).append(row)
-    out = {}
-    for key, bucket in grouped.items():
-        total = len(bucket)
-        out[key] = {
-            "ir_rate": sum(1 for r in bucket if r.ir_exists) / total,
-            "ssjr_rate": sum(1 for r in bucket if r.ssjr_exists) / total,
-            "undecided_rate": sum(1 for r in bucket if r.undecided) / total,
-        }
-    return out
+    flags = (((r.model, r.k), (r.ir_exists, r.ssjr_exists, r.undecided)) for r in rows)
+    return _flag_shares(flags, EXISTENCE_RATES)
 
 
 def rule_rates(rows: Sequence[ExperimentRow]) -> dict[tuple[str, str], dict[str, float]]:
     """Per (model, rule), averaged over all k: hit ratio for IR and ssJR."""
-    grouped: dict[tuple[str, str], list[tuple[bool, bool]]] = {}
-    for row in rows:
-        for rule, found_ir, found_ssjr in row.rule_hits:
-            grouped.setdefault((row.model, rule), []).append((found_ir, found_ssjr))
-    out = {}
-    for key, hits in grouped.items():
-        total = len(hits)
-        out[key] = {
-            "ir_found_rate": sum(1 for ir, _ in hits if ir) / total,
-            "ssjr_found_rate": sum(1 for _, ss in hits if ss) / total,
-        }
-    return out
+    flags = (((r.model, rule), hits) for r in rows for rule, *hits in r.rule_hits)
+    return _flag_shares(flags, RULE_RATES)
+
+
+def _write_summary(path: Path, key_columns: Sequence[str], names: Sequence[str], rates) -> None:
+    """One row per key in sorted order: the key, then each rate to 4 places."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([*key_columns, *names])
+        for key in sorted(rates):
+            writer.writerow([*key, *(f"{rates[key][name]:.4f}" for name in names)])
 
 
 def write_outputs(spec: ExperimentSpec, rows: Sequence[ExperimentRow], out_dir) -> None:
@@ -236,34 +234,15 @@ def write_outputs(spec: ExperimentSpec, rows: Sequence[ExperimentRow], out_dir) 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text(rows_to_csv(spec, rows))
-
     rates = existence_rates(rows)
-    with (out / "summary_existence.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "k", "ir_rate", "ssjr_rate", "undecided_rate"])
-        for (model, k) in sorted(rates):
-            r = rates[(model, k)]
-            writer.writerow(
-                [model, k, f"{r['ir_rate']:.4f}", f"{r['ssjr_rate']:.4f}", f"{r['undecided_rate']:.4f}"]
-            )
-
+    _write_summary(out / "summary_existence.csv", ("model", "k"), EXISTENCE_RATES, rates)
     if spec.rules:
-        rrates = rule_rates(rows)
-        with (out / "summary_rules.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["model", "rule", "ir_found_rate", "ssjr_found_rate"])
-            for (model, rule) in sorted(rrates):
-                r = rrates[(model, rule)]
-                writer.writerow(
-                    [model, rule, f"{r['ir_found_rate']:.4f}", f"{r['ssjr_found_rate']:.4f}"]
-                )
+        _write_summary(out / "summary_rules.csv", ("model", "rule"), RULE_RATES, rule_rates(rows))
 
-    for metric in ("ir_rate", "ssjr_rate"):
-        name = "plot_ir_existence.dat" if metric == "ir_rate" else "plot_ssjr_existence.dat"
+    plots = (("ir_rate", "plot_ir_existence.dat"), ("ssjr_rate", "plot_ssjr_existence.dat"))
+    for metric, name in plots:
         with (out / name).open("w") as fh:
             fh.write(f"# columns: k then {metric} per model: {' '.join(spec.models)}\n")
             for k in spec.k_values:
-                cells = [str(k)]
-                for model in spec.models:
-                    cells.append(f"{rates[(model, k)][metric]:.4f}")
-                fh.write(" ".join(cells) + "\n")
+                cells = [f"{rates[(model, k)][metric]:.4f}" for model in spec.models]
+                fh.write(" ".join([str(k), *cells]) + "\n")

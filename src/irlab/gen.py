@@ -24,6 +24,12 @@ from .model import Election
 
 MODELS = ("vi_euclid", "ci_euclid", "euclid_2d", "ic", "urn", "mallows")
 
+MAX_GEN_CANDIDATES = 1024
+"""The largest m a generator takes.  The builders' memory grows with m²: the
+one-candidate bit table holds m ints of up to m bits, and each Mallows
+component m(m+1)/2 insertion weights.  At the bound Mallows peaks at about
+80 MB (n = 1 or 1000); at m = 4096 it passed 1 GB."""
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -38,6 +44,10 @@ class GenSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be at least 1")
+        if self.m > MAX_GEN_CANDIDATES:
+            raise ValueError(
+                f"m={self.m} exceeds the generators' limit of {MAX_GEN_CANDIDATES} candidates"
+            )
         p = self.params.get("p")
         if p is not None and not 0 <= p <= 1:
             raise ValueError("approval probability must lie in [0, 1]")

@@ -47,7 +47,7 @@ from itertools import combinations, islice, zip_longest
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
-from .model import Committee, Election, _iter_bits, first_unmet, members_mask
+from .model import Committee, Election, _iter_bits, first_unmet, members_mask, padding
 from .search import add, maximum, quota_assignment, settle
 
 SEQUENTIAL_RULES = (
@@ -201,18 +201,17 @@ def max_phragmen_load_vector(
     dead = len(members) - len(active)
     remaining_voters = election.all_voters_mask()
     remaining = list(active)
+    # no subset's union is empty: a member left after a bottleneck X* is
+    # removed keeps an approver outside N(X*), or X* plus it had a higher ratio
     while remaining:
-        best_ratio: Fraction | None = None
-        best_union = 0
+        best_ratio, best_union, best_sub = Fraction(0), 0, set()
         for r in range(1, len(remaining) + 1):
             for sub in combinations(remaining, r):
                 union = 0
                 for c in sub:
                     union |= election.candidate_voters[c] & remaining_voters
-                if union == 0:
-                    continue
                 ratio = Fraction(len(sub), union.bit_count())
-                if best_ratio is None or ratio > best_ratio:
+                if ratio > best_ratio:
                     best_ratio, best_union, best_sub = ratio, union, set(sub)
                 elif ratio == best_ratio:
                     # tight sets are closed under union; accumulate the maximal one
@@ -220,12 +219,6 @@ def max_phragmen_load_vector(
                     merged_sub = best_sub | set(sub)
                     if Fraction(len(merged_sub), merged.bit_count()) == ratio:
                         best_union, best_sub = merged, merged_sub
-        if best_ratio is None:
-            # remaining members have no remaining approvers; their load is
-            # forced onto already-saturated voters, which max-Phragmen
-            # never prefers when any alternative exists
-            dead += len(remaining)
-            break
         for v in _iter_bits(best_union):
             loads[v] = best_ratio
         remaining_voters &= ~best_union
@@ -324,16 +317,13 @@ def _seq_phragmen(
     other voter has load 0).  A pick gives all its approvers the same load,
     so the groups stay few and a candidate's load sum is one masked popcount
     per group.  New loads num/(scale*w) are compared by cross-multiplying.
-    An unapproved candidate is taken only when no approved one is left.
+    Once no approved candidate is left, `padding` fills the other seats.
     """
     cv = election.candidate_voters
     groups = groups or {}
     committee = list(partial)
     remaining = [c for c in range(election.m) if cv[c] and c not in committee]
-    while len(committee) < election.k:
-        if not remaining:  # only unapproved candidates are left
-            committee.append(next(c for c in range(election.m) if c not in committee))
-            continue
+    while remaining and len(committee) < election.k:
         items = list(groups.items())
         best_c, best_num, best_w = -1, 0, 1
         for c in remaining:
@@ -351,6 +341,7 @@ def _seq_phragmen(
         groups = {value: mask for value, mask in rest.items() if mask}
         if load:
             groups[load] = groups.get(load, 0) | sup
+    committee.extend(padding(election, committee))
     return committee, groups, scale
 
 

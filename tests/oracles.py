@@ -312,17 +312,6 @@ def enumerate_committees(
     ]
 
 
-def brute_ssjr_committees(election, fvalues):
-    out = []
-    for combo in combinations(range(election.m), election.k):
-        w = set(combo)
-        if all(
-            len(w & a) >= 1 for a, f in zip(election.approvals, fvalues) if f >= 1
-        ):
-            out.append(frozenset(combo))
-    return out
-
-
 def _subsets(items):
     for size in range(1, len(items) + 1):
         yield from combinations(items, size)

@@ -349,6 +349,79 @@ def test_violation_witnesses_recheck():
     assert broken == {"JR", "EJR", "PJR", "SSJR", "IR"}
 
 
+def _witness(group=(), candidate_set=(), level=None, deprived=()):
+    return ViolationWitness(frozenset(group), frozenset(candidate_set), level, frozenset(deprived))
+
+
+# n = 6, k = 3: a group claims |S| seats when it has at least 2|S| voters.
+# Under W = {2, 4, 5} voters 0-2 hold no member, voter 3 holds 4 and voter
+# 5 holds none; N({0, 1}) = {0, 1, 2, 3} and N({3}) = {5}.
+TAMPER_PROFILE = ([{0, 1}] * 3 + [{0, 1, 4}, {2}, {3}], 6, 3)
+TAMPER_COMMITTEE = {2, 4, 5}
+SOUND = _witness(range(4), {0, 1}, 2, range(4))
+# (axiom, a witness that verifies, witnesses each wrong in one respect only:
+# every other check of verify_violation passes, so each is caught by one check)
+TAMPERED_WITNESSES = (
+    (IR, SOUND, (
+        _witness(range(4), {0, 1}, 2),  # no deprived voter
+        _witness(range(3), {0, 1}, 2, range(3)),  # the group is not N(S)
+        _witness({5}, {3}, 1, {5}),  # N(S) too small for |S| seats
+        _witness(range(4), {0, 1}, 3, range(4)),  # the level is not |S|
+        _witness(range(4), {0, 1}, 2, {0, 5}),  # voter 5 does not approve S
+        _witness(range(4), {0}, 1, {3}),  # voter 3 holds the level
+    )),
+    (alpha_beta_ir(Fraction(3, 2), 0), _witness(range(4), {0, 1}, 2, {3}), (
+        _witness(range(4), {0}, 1, {3}),  # 3/2 * 1 meets the level
+    )),
+    (SSJR, _witness(range(4), {0, 1}, 2, range(3)), (
+        _witness(range(4), {0, 1}, 2, {3}),  # voter 3 holds a member
+    )),
+    (EJR, SOUND, (
+        _witness(range(3), {0, 1}, 1),  # the level is not |S|
+        _witness((), (), 0),  # no group
+        _witness({0}, {0}, 1),  # one voter cannot claim a seat
+        _witness({0, 1, 2, 5}, {0, 1}, 2),  # voter 5 does not approve S
+        _witness(range(4), {0}, 1),  # voter 3 holds the level
+    )),
+    (JR, _witness(range(3), {0}, 1), (
+        _witness(range(4), {0}, 1),  # voter 3 holds a member
+    )),
+    (PJR, SOUND, (
+        _witness(range(4), {0}, 2),  # the level is not |S|
+        _witness({0}, {0}, 1),  # one voter cannot claim a seat
+        _witness({0, 1, 2, 5}, {0, 1}, 2),  # voter 5 does not approve S
+        _witness(range(4), {0}, 1),  # voter 3's member 4 meets the level
+    )),
+    (FJR, SOUND, (
+        _witness({0}, {0, 1}, 2),  # one voter cannot claim two seats
+        _witness({0, 1, 2, 5}, {0, 1}, 2),  # voter 5 approves no member of S
+        _witness(range(4), {0}, 1),  # voter 3 holds the level
+        _witness((), (), 0),  # no group
+    )),
+    (CORE, SOUND, (
+        _witness(),  # no group and no candidates
+        _witness({0}, {0, 1}),  # one voter cannot claim two seats
+        _witness({0, 1, 2, 5}, {0, 1}),  # voter 5 gains nothing from S
+    )),
+    (PERFECT_REP, _witness(range(4)), (
+        _witness(),  # no Hall violator (0 seats for 0 voters rejects it too)
+        _witness({4, 5}),  # member 2 serves the two of them, n/k = 2 each
+    )),
+)
+
+
+@pytest.mark.parametrize(
+    "axiom, sound, tampered", TAMPERED_WITNESSES, ids=[str(a) for a, _, _ in TAMPERED_WITNESSES]
+)
+def test_verify_violation_rejects_each_tampered_witness(axiom, sound, tampered):
+    approvals, m, k = TAMPER_PROFILE
+    e = Election.from_approvals(approvals, m=m, k=k)
+    w = Committee.of(TAMPER_COMMITTEE, e)
+    assert verify_violation(e, w, axiom, sound)
+    for witness in tampered:
+        assert not verify_violation(e, w, axiom, witness), witness
+
+
 def test_implication_arrows_random():
     rng = random.Random(37)
     for _ in range(150):
@@ -404,8 +477,21 @@ def test_undecided_under_tiny_cap():
 # values from the saturation-cut walk: 109 capped records then named that
 # walk (or the one-voter certificate walk) instead of cohesion.f_vector, and
 # 19 capped records were decided, each as at the never-binding cap; the
-# records with an f-vector are read off it by oracles.check_given_certificates
-GOLDEN_VERDICTS_SHA256 = "5828a437747ee068a0b8738d09dade1284a411505b57002cdc7e0787dbb3f098"
+# records with an f-vector are read off it by oracles.check_given_certificates.
+# One digest per axiom kind, over that kind's record lines in order, so a
+# change to one search moves its own digest only (the single digest over all
+# lines was 5828a437...)
+GOLDEN_VERDICTS_SHA256 = {
+    "IR": "d102f44220935de936d766655395568b9039f738f14d9651a54bf97d46152f2a",
+    "SSJR": "ac35e6ffe1a9558f07466cf44b402455697ba589a2364d41e57bf2c06071ad33",
+    "ALPHA_BETA_IR": "834bd9f66b6432a91e8741b316f25374659161f636047b0c471f156dce6fca25",
+    "JR": "44d2e4edcb3defaefa41bc14d228e94fd9a88760f32db092b0893c2466034e40",
+    "PJR": "306c246c52b4e72f3bfe15c0e374b9b0ce102074843c2f12658fa8570a3c1351",
+    "EJR": "a8691f3ec0fd1ae954c04342bc0b58829ccb9e638349f69d9d9286617d8eee83",
+    "FJR": "b3f598300069e2e3a3106877b5aee2419615bfb772b70ae79a75b703d3ad592f",
+    "CORE": "485eba517353e63eb32a23dd648b23159296ae9fe9aa868a074c7f38d056a25f",
+    "PERFECT_REP": "051e190e343089e8c1f01919e670108673935f6c0bd7b6042e356d1da5906247",
+}
 
 
 def _verdict_record(election, committee, axiom, fvec, cap):
@@ -428,9 +514,9 @@ def test_verdicts_match_golden_digest():
     # six models, a seeded committee, a cap that never binds and two that do;
     # IR, SSJR and (3/2,1)-IR with and without an f-vector; k = 3 leaves
     # n = 8 without perfect representation (a ValueError is recorded)
-    digest = hashlib.sha256()
     rng = random.Random(10)
     kinds = (IR, SSJR, alpha_beta_ir(Fraction(3, 2), 1), JR, PJR, EJR, FJR, CORE, PERFECT_REP)
+    digests = {axiom.kind: hashlib.sha256() for axiom in kinds}
     seen = set()
     for model in MODELS:
         for n in (8, 12):
@@ -449,7 +535,7 @@ def test_verdicts_match_golden_digest():
                                 verdicts.append(verdict)
                                 seen.add((axiom.kind, record.split()[0]))
                                 line = f"{model} {n} {seed} {k} {cap} {axiom} {fv is None} {record}"
-                                digest.update(line.encode() + b"\n")
+                                digests[axiom.kind].update(line.encode() + b"\n")
                             if axiom.kind in ("IR", "ALPHA_BETA_IR"):
                                 # without the f-vector: the same verdict, or a capped walk
                                 alone, with_f = records
@@ -467,4 +553,4 @@ def test_verdicts_match_golden_digest():
                                         assert verify_violation(e, w, axiom, verdict.witness), records
     assert {kind for kind, head in seen if head == "('undecided',"} == {"PJR", "EJR", "FJR", "CORE"}
     assert ("PERFECT_REP", "ValueError") in seen and ("IR", "BudgetExceededError") in seen
-    assert digest.hexdigest() == GOLDEN_VERDICTS_SHA256
+    assert {kind: d.hexdigest() for kind, d in digests.items()} == GOLDEN_VERDICTS_SHA256

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from irlab import cli
 from irlab.cli import AXIOM_NAMES, RULE_NAMES, main
 from irlab.cohesion import f_vector
-from irlab.gen import MODELS, GenSpec, generate
+from irlab.gen import MAX_GEN_CANDIDATES, MODELS, GenSpec, generate
 from irlab.model import MAX_CANDIDATES, Election, serialize_profile
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError
 import hard_instances
@@ -312,6 +312,32 @@ def test_gen_zero_voters_exit_two():
     result = CliRunner().invoke(main, ["gen", "--model", "ic", "--n", "0", "--m", "3"])
     _assert_usage_error(result)
     assert "n and m must be at least 1" in result.output
+
+
+def test_gen_and_experiment_refuse_m_above_the_generators_limit(tmp_path):
+    # the builders' memory grows with m squared (Mallows passed 1 GB at m = 4096)
+    wide = str(MAX_GEN_CANDIDATES + 1)
+    result = CliRunner().invoke(main, ["gen", "--model", "ic", "--n", "1", "--m", wide])
+    _assert_usage_error(result)
+    assert f"m={wide} exceeds the generators' limit of {MAX_GEN_CANDIDATES} candidates" in result.output
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["experiment", "--m", wide, "--instances", "1", "--out", str(out)])
+    _assert_usage_error(result)
+    assert f"m={wide} exceeds the generators' limit" in result.output and not out.exists()
+    result = CliRunner().invoke(main, ["gen", "--model", "ic", "--n", "2", "--m", str(MAX_GEN_CANDIDATES)])
+    assert result.exit_code == 0 and result.stdout.startswith(f"2 {MAX_GEN_CANDIDATES} 1\n")
+
+
+def test_experiment_unknown_model_or_rule_exit_two(tmp_path):
+    out = tmp_path / "run"
+    for option, value, message in (
+        ("--models", "ic,bogus", "unknown model 'bogus'"),
+        ("--rules", "pav,bogus", "--rules bogus: unknown rule 'bogus'"),
+    ):
+        result = CliRunner().invoke(main, ["experiment", option, value, "--out", str(out)])
+        _assert_usage_error(result)
+        assert message in result.output
+    assert not out.exists()
 
 
 def test_gen_k_above_m_exit_two():

@@ -4,7 +4,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irlab.cohesion import _closed_sets, certificate, entitlements, f_vector, vi_certificates
+from irlab.cohesion import (
+    CohesionCertificate,
+    _closed_sets,
+    certificate,
+    entitlements,
+    f_vector,
+    vi_certificates,
+)
 from irlab.model import Election, VoterGroup, is_run, position_mask
 from irlab.search import BudgetExceededError, NodeBudget
 from irlab.domains import recognize
@@ -58,6 +65,22 @@ def test_certificates_verify_and_match_oracle():
     ).verify(e)
     for outside in (cert.witness_set | {1}, frozenset({-1}), frozenset({e.m})):
         assert not dataclasses.replace(cert, witness_set=outside).verify(e)
+
+
+def test_certificate_verify_rejects_each_tampered_field():
+    # voters 0-3 approve {0, 1} and n = 6, k = 3: four voters claim two seats.
+    # Each tampered certificate is wrong in one respect only, so each is
+    # caught by one check of verify alone
+    e = Election.from_approvals([{0, 1}] * 4 + [{2}, {3}], m=4, k=3)
+    cert = CohesionCertificate(0, 2, frozenset({0, 1}), VoterGroup(0b1111))
+    assert cert.verify(e)
+    for tampered in (
+        dataclasses.replace(cert, voter=5),  # voter 5 approves 3 alone
+        dataclasses.replace(cert, f=1),  # f is not the witness's size
+        dataclasses.replace(cert, witness_supporters=VoterGroup(0b111)),  # not N(S)
+        CohesionCertificate(4, 1, frozenset({2}), VoterGroup(0b10000)),  # one voter, no seat
+    ):
+        assert not tampered.verify(e), tampered
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,6 +9,7 @@ from irlab.c1p import consecutive_ones_order, is_consecutive_under
 from irlab.axioms import IR, SSJR, alpha_beta_ir, check
 from irlab.cohesion import f_vector, vi_certificates
 from irlab.domains import (
+    CIWitness,
     ConstructionInfeasibleError,
     InvalidWitnessError,
     TPartWitness,
@@ -170,6 +171,16 @@ def test_interval_recognizers_survive_deep_nesting():
     e = Election.from_approvals([set(range(max(0, v - 1), m - 2)) for v in range(m)], m=m - 2, k=1)
     witness = recognize(e, "VI")
     assert witness is not None and verify_witness(e, "VI", witness)
+
+
+def test_ci_witness_check_rejects_each_tampered_order():
+    # the ballots {0, 1} and {1, 2} are runs of the order 0, 1, 2; the first
+    # tampered order repeats 1 (both ballots still cover runs of it), the
+    # second is a permutation that splits {1, 2}
+    e = Election.from_approvals([{0, 1}, {1, 2}], m=3, k=1)
+    assert verify_witness(e, "CI", CIWitness((0, 1, 2)))
+    for order in ((0, 1, 1), (1, 0, 2)):
+        assert not verify_witness(e, "CI", CIWitness(order)), order
 
 
 # SHA-256 of the CI and VI witnesses of the profiles below, recorded while

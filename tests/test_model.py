@@ -15,6 +15,7 @@ from irlab.model import (
     VoterGroup,
     is_run,
     mask_to_set,
+    members_mask,
     parse_profile,
     position_mask,
     serialize_profile,
@@ -295,7 +296,7 @@ def test_parse_profile_matches_token_loop_oracle():
     # onto the next bit (1 1), onto an existing bit (1 1 2), a repeat apart
     # (2 1 2), a repeat spelled two ways (1 01) and one at the table's end
     duplicates = ["1 3 1\n1 1\n", "1 3 1\n2 1 2\n", "1 3 1\n1 1 2\n", "1 3 1\n1 01\n",
-                  "1 40 1\n40 40\n"]
+                  "1 40 1\n40 40\n", "1 1500 1\n1200 9 1200\n"]
     for text in duplicates:
         with pytest.raises(ProfileFormatError, match="line 2: duplicate candidate index"):
             parse_profile(text)
@@ -312,6 +313,18 @@ def test_parse_profile_matches_token_loop_oracle():
         else:
             outcomes["error"] += 1
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_members_mask_with_a_width_sets_the_same_bits():
+    # the bytearray path of wide masks against one OR per index: both ends of
+    # a byte, the width's last index and repeated indices
+    rng = random.Random(7)
+    for width in (1, 7, 8, 9, 64, 1025, 4099):
+        for _ in range(20):
+            indices = [rng.randrange(width) for _ in range(rng.randint(0, 12))]
+            indices += rng.sample([0, 7, 8, width - 1], 2)
+            indices = [i for i in indices if i < width]
+            assert members_mask(indices, width) == members_mask(indices), (width, indices)
 
 
 def test_parse_profile_refuses_a_header_m_above_the_limit():
