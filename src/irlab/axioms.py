@@ -189,16 +189,22 @@ def _ssjr_witness(election, counts):
     return None
 
 
+def _group_witness(mask, cands, level):
+    """The JR, EJR, PJR, FJR and core witness: the voters of ``mask`` are
+    both the group and the deprived voters, ``cands`` the candidate set S."""
+    group = mask_to_set(mask)
+    return ViolationWitness(
+        group=group, candidate_set=frozenset(cands), level=level, deprived=group
+    )
+
+
 def _jr_witness(election, counts):
     n, k = election.n, election.k
     unrepresented = _below(counts, 1)
     for c in range(election.m):
         group = election.candidate_voters[c] & unrepresented
         if group.bit_count() * k >= n:
-            members = mask_to_set(group)
-            return ViolationWitness(
-                group=members, candidate_set=frozenset([c]), level=1, deprived=members
-            )
+            return _group_witness(group, [c], 1)
     return None
 
 
@@ -245,13 +251,7 @@ def _cohesive_witness(election, voter_mask, level, budget):
             supps.pop()
             idx = path.pop()
         idx += 1
-    group = mask_to_set(supps[-1])
-    return ViolationWitness(
-        group=group,
-        candidate_set=frozenset(pool[i] for i in path),
-        level=level,
-        deprived=group,
-    )
+    return _group_witness(supps[-1], [pool[i] for i in path], level)
 
 
 def _pjr_witness(election, wmask, budget):
@@ -288,26 +288,20 @@ def _fjr_witness(election, counts, budget):
         need = [deficient * (beta >> b & 1) for b in range(beta.bit_length())]  # beta each
         hit = _deviation_search(election, deficient, need, budget)
         if hit is not None:
-            cand_set, group = hit
-            return ViolationWitness(
-                group=group, candidate_set=cand_set, level=beta, deprived=group
-            )
+            return _group_witness(*hit, beta)
     return None
 
 
 def _core_witness(election, counts, budget):
     everyone = (1 << election.n) - 1
     hit = _deviation_search(election, everyone, counter([c + 1 for c in counts]), budget)
-    if hit is None:
-        return None
-    cand_set, group = hit
-    return ViolationWitness(group=group, candidate_set=cand_set, deprived=group)
+    return None if hit is None else _group_witness(*hit, None)
 
 
 def _deviation_search(election, voters, need, budget):
     """The first candidate set S (|S| <= k, depth-first over the candidates
     the voters approve, in index order) whose voters i with
-    |S cap A_i| >= need[i] number at least |S|*n/k, as (S, those voters);
+    |S cap A_i| >= need[i] number at least |S|*n/k, as (their mask, S);
     None if there is none.  ``voters`` is a mask and ``need`` a counter
     (``search.counter``): FJR asks beta of every deficient voter, the core
     counts[i] + 1 of every voter.  |S cap A_i| is one counter per depth and
@@ -331,7 +325,7 @@ def _deviation_search(election, voters, need, budget):
         if chosen:
             group = at_least(gains[-1], need, voters)
             if group.bit_count() * k >= len(chosen) * n:
-                return frozenset(chosen), mask_to_set(group)
+                return group, chosen
         if len(chosen) == k:
             start = len(pool)  # a full committee has no children
         else:
@@ -390,87 +384,49 @@ def verify_violation(
     axiom: AxiomId,
     witness: ViolationWitness,
 ) -> bool:
-    """Re-check a violation witness by direct counting, independent of search."""
+    """Re-check a violation witness by direct counting, independent of search.
+
+    Perfect representation: the group's ballots reach too few members to
+    seat it, n/k voters each.  Every other kind names voters (``deprived``
+    for the individual kinds, ``group`` for the others) backed by a ``group``
+    of |S|*n/k voters, which must be N(S) for the individual kinds; all but
+    FJR and the core need |S| = ``level`` and S inside each named ballot.
+    Then each named voter passes its kind's test on the committee members it
+    holds (PJR's voters pass theirs together).
+    """
     n, k = election.n, election.k
-    counts = _committee_counts(election, committee)
-    kind = axiom.kind
-    if kind in ("IR", "ALPHA_BETA_IR", "SSJR"):
-        alpha = axiom.alpha if kind == "ALPHA_BETA_IR" else Fraction(1)
-        beta = axiom.beta if kind == "ALPHA_BETA_IR" else Fraction(0)
-        if not witness.deprived:
-            return False
-        level = witness.level
-        supp = election.supporters_mask(witness.candidate_set)
-        if mask_to_set(supp) != witness.group:
-            return False
-        if supp.bit_count() * k < len(witness.candidate_set) * n:
-            return False
-        if len(witness.candidate_set) != level:
-            return False
-        smask = members_mask(witness.candidate_set)
-        for i in witness.deprived:
-            if smask & ~election.ballot_masks[i]:  # S is not within A_i
-                return False
-            if kind == "SSJR":
-                if counts[i] >= 1:
-                    return False
-            elif alpha * counts[i] + beta >= level:
-                return False
-        return True
-    if kind in ("JR", "EJR"):
-        level = witness.level
-        if len(witness.candidate_set) != level or not witness.group:
-            return False
-        if len(witness.group) * k < level * n:
-            return False
-        smask = members_mask(witness.candidate_set)
-        for i in witness.group:
-            if smask & ~election.ballot_masks[i]:
-                return False
-            if counts[i] >= level:
-                return False
-        return True
-    if kind == "PJR":
-        level = witness.level
-        if len(witness.candidate_set) != level or not witness.group:
-            return False
-        if len(witness.group) * k < level * n:
-            return False
-        smask = members_mask(witness.candidate_set)
-        union = 0
-        for i in witness.group:
-            if smask & ~election.ballot_masks[i]:
-                return False
-            union |= election.ballot_masks[i]
-        return (union & committee.mask()).bit_count() < level
-    if kind == "FJR":
-        beta = witness.level
-        if len(witness.group) * k < len(witness.candidate_set) * n:
-            return False
-        smask = members_mask(witness.candidate_set)
-        for i in witness.group:
-            if (election.ballot_masks[i] & smask).bit_count() < beta:
-                return False
-            if counts[i] >= beta:
-                return False
-        return bool(witness.group)
-    if kind == "CORE":
-        if not witness.group or not witness.candidate_set:
-            return False
-        if len(witness.group) * k < len(witness.candidate_set) * n:
-            return False
-        smask = members_mask(witness.candidate_set)
-        for i in witness.group:
-            if (election.ballot_masks[i] & smask).bit_count() <= counts[i]:
-                return False
-        return True
+    ballots, wmask = election.ballot_masks, committee.mask()
+    kind, cands, level = axiom.kind, witness.candidate_set, witness.level
     if kind == "PERFECT_REP":
-        share = n // k
-        hall = witness.group
-        if not hall:
+        return _footprint(ballots, witness.group, wmask) * (n // k) < len(witness.group)
+    individual = kind in INDIVIDUAL_AXIOMS
+    named = witness.deprived if individual else witness.group
+    if not named or (individual and mask_to_set(election.supporters_mask(cands)) != witness.group):
+        return False
+    if len(witness.group) * k < len(cands) * n:
+        return False
+    smask = members_mask(cands)
+    if kind not in ("FJR", "CORE"):
+        if len(cands) != level or any(smask & ~ballots[i] for i in named):
             return False
-        union = 0
-        for i in hall:
-            union |= election.ballot_masks[i]
-        return (union & committee.mask()).bit_count() * share < len(hall)
-    raise ValueError(f"no witness verification for {kind}")
+        if kind == "PJR":
+            return _footprint(ballots, named, wmask) < level
+    alpha, beta = axiom.alpha or 1, axiom.beta or 0
+
+    def holds(i):
+        held = (ballots[i] & wmask).bit_count()
+        if kind == "CORE":
+            return (ballots[i] & smask).bit_count() > held
+        if kind == "FJR":
+            return (ballots[i] & smask).bit_count() >= level > held
+        return held == 0 if kind == "SSJR" else alpha * held + beta < level
+
+    return all(map(holds, named))
+
+
+def _footprint(ballots, voters, wmask):
+    """How many committee members the voters' ballots reach together."""
+    union = 0
+    for i in voters:
+        union |= ballots[i]
+    return (union & wmask).bit_count()

@@ -274,19 +274,18 @@ def _recognize_tpart(election: Election) -> TPartWitness | None:
 
 def _recognize_wsc(election: Election) -> WSCWitness | None:
     """The order comes from laying out the pairwise differences N(c) - N(d)
-    and N(d) - N(c) at opposite ends; empty and full differences sit at an
-    end of any order, so only the other pairs are forced apart."""
+    and N(d) - N(c) at opposite ends.  Empty and full differences sit at an
+    end of any order and drop out; the two sets of any other pair are
+    disjoint, so the layout's pairwise test finds them not nested but
+    crossing, and that alone puts them at opposite ends."""
     full = election.all_voters_mask()
     masks = election.candidate_voters
     family: list[int] = []
-    forced_diff: list[tuple[int, int]] = []
     for c in range(election.m):
         for d in range(c + 1, election.m):
             pair = (masks[c] & ~masks[d], masks[d] & ~masks[c])
             family += (x for x in pair if x != full)
-            if 0 not in pair and full not in pair:
-                forced_diff.append(pair)
-    layout = _prefix_suffix_layout(election.n, family, forced_diff)
+    layout = _prefix_suffix_layout(election.n, family)
     if layout is None:
         return None
     order, _ = layout
@@ -296,9 +295,7 @@ def _recognize_wsc(election: Election) -> WSCWitness | None:
 
 
 def _prefix_suffix_layout(
-    num_columns: int,
-    masks: Sequence[int],
-    forced_diff: Sequence[tuple[int, int]] = (),
+    num_columns: int, masks: Sequence[int]
 ) -> tuple[list[int], dict[int, str]] | None:
     """Assign each column mask to an end ('prefix'/'suffix') of a single column order.
 
@@ -309,29 +306,17 @@ def _prefix_suffix_layout(
     """
     fam = [mask for mask in dict.fromkeys(masks) if mask]
     size = [mask.bit_count() for mask in fam]
-    idx = {mask: i for i, mask in enumerate(fam)}
     edges: list[list[tuple[int, int]]] = [[] for _ in fam]  # (neighbor, parity)
-
-    def add_edge(i: int, j: int, parity: int) -> None:
-        edges[i].append((j, parity))
-        edges[j].append((i, parity))
-
-    def cross_ok(i: int, j: int) -> bool:
-        return (fam[i] & fam[j]).bit_count() == max(0, size[i] + size[j] - num_columns)
-
     for i in range(len(fam)):
         for j in range(i + 1, len(fam)):
-            same = fam[i] & fam[j] in (fam[i], fam[j])
-            cross = cross_ok(i, j)
+            common = fam[i] & fam[j]
+            same = common in (fam[i], fam[j])
+            cross = common.bit_count() == max(0, size[i] + size[j] - num_columns)
             if not same and not cross:
                 return None
             if same != cross:
-                add_edge(i, j, int(cross))
-    for a, b in forced_diff:
-        i, j = idx[a], idx[b]
-        if not cross_ok(i, j):
-            return None
-        add_edge(i, j, 1)
+                edges[i].append((j, int(cross)))
+                edges[j].append((i, int(cross)))
 
     color = [-1] * len(fam)
     for start in range(len(fam)):

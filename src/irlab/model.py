@@ -246,6 +246,14 @@ header of a tiny file could otherwise ask for gigabytes; at the bound a
 one-voter profile parses in about 0.3 s on a 2-core VM, and one whose ballot
 lists every candidate in about 2 s."""
 
+MAX_CELLS = 1 << 26
+"""The largest n*m a ``.avp`` header may declare.  An :class:`Election`
+transposes its ballots through one string of n*m characters, so a small
+file with many voters and a wide header could otherwise ask for gigabytes;
+at the bound, 1,024 voters over 2^16 candidates parse in about 0.7 s at
+80 MB peak RSS on a 2-core VM.  It admits the one-voter profile at
+:data:`MAX_CANDIDATES`."""
+
 
 def parse_profile(text: str) -> Election:
     """Parse a ``.avp`` character stream into a validated :class:`Election`.
@@ -254,7 +262,7 @@ def parse_profile(text: str) -> Election:
     candidate indices approved by voters 1..n (an empty line is an empty
     ballot).  ``#`` starts a comment line, trailing whitespace is ignored,
     LF and CRLF are both accepted.  A header m above :data:`MAX_CANDIDATES`
-    is refused.
+    or n*m above :data:`MAX_CELLS` is refused.
 
     One pass over the lines, each distinct ballot line read once, into its
     mask alone: ``seen`` maps a read line's text to its mask, and a repeat of
@@ -300,6 +308,10 @@ def parse_profile(text: str) -> Election:
             if m > MAX_CANDIDATES:
                 raise ProfileFormatError(
                     f"m={m} exceeds the limit of {MAX_CANDIDATES} candidates", lineno
+                )
+            if n * m > MAX_CELLS:
+                raise ProfileFormatError(
+                    f"n*m={n * m} exceeds the limit of {MAX_CELLS} voter-candidate cells", lineno
                 )
             if not 1 <= k <= m:
                 raise ProfileFormatError(f"k={k} out of range [1, {m}]", lineno)

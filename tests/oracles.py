@@ -17,7 +17,9 @@ ones that replaced them.  ``enumerate_committees`` lists every committee
 meeting a solver objective, for fixtures; ``closed_set_walk`` lists the closed
 sets the entitlement walk visits; ``run_instance_by_certificates`` is the
 experiment's instance path over ``f_vector`` certificates, and
-``check_given_certificates`` the IR and semi-strong JR checks over them.
+``check_given_certificates`` the IR and semi-strong JR checks over them;
+``verify_violation_per_kind`` is the witness re-check with one branch per
+axiom kind that ``axioms.verify_violation`` replaced.
 """
 
 import math
@@ -1176,6 +1178,101 @@ def check_given_certificates(
         deprived=frozenset([i]),
     )
     return AxiomVerdict(axiom, "violated", witness, 0)
+
+
+def verify_violation_per_kind(
+    election: Election,
+    committee: Committee,
+    axiom: AxiomId,
+    witness: ViolationWitness,
+) -> bool:
+    """Re-check a violation witness by direct counting, one branch per kind
+    with its own group, backing and S-within-the-ballot tests.
+    ``axioms.verify_violation`` runs the shared tests once."""
+    n, k = election.n, election.k
+    wmask = committee.mask()
+    counts = [(ballot & wmask).bit_count() for ballot in election.ballot_masks]
+    kind = axiom.kind
+    if kind in ("IR", "ALPHA_BETA_IR", "SSJR"):
+        alpha = axiom.alpha if kind == "ALPHA_BETA_IR" else Fraction(1)
+        beta = axiom.beta if kind == "ALPHA_BETA_IR" else Fraction(0)
+        if not witness.deprived:
+            return False
+        level = witness.level
+        supp = election.supporters_mask(witness.candidate_set)
+        if mask_to_set(supp) != witness.group:
+            return False
+        if supp.bit_count() * k < len(witness.candidate_set) * n:
+            return False
+        if len(witness.candidate_set) != level:
+            return False
+        smask = members_mask(witness.candidate_set)
+        for i in witness.deprived:
+            if smask & ~election.ballot_masks[i]:  # S is not within A_i
+                return False
+            if kind == "SSJR":
+                if counts[i] >= 1:
+                    return False
+            elif alpha * counts[i] + beta >= level:
+                return False
+        return True
+    if kind in ("JR", "EJR"):
+        level = witness.level
+        if len(witness.candidate_set) != level or not witness.group:
+            return False
+        if len(witness.group) * k < level * n:
+            return False
+        smask = members_mask(witness.candidate_set)
+        for i in witness.group:
+            if smask & ~election.ballot_masks[i]:
+                return False
+            if counts[i] >= level:
+                return False
+        return True
+    if kind == "PJR":
+        level = witness.level
+        if len(witness.candidate_set) != level or not witness.group:
+            return False
+        if len(witness.group) * k < level * n:
+            return False
+        smask = members_mask(witness.candidate_set)
+        union = 0
+        for i in witness.group:
+            if smask & ~election.ballot_masks[i]:
+                return False
+            union |= election.ballot_masks[i]
+        return (union & wmask).bit_count() < level
+    if kind == "FJR":
+        beta = witness.level
+        if len(witness.group) * k < len(witness.candidate_set) * n:
+            return False
+        smask = members_mask(witness.candidate_set)
+        for i in witness.group:
+            if (election.ballot_masks[i] & smask).bit_count() < beta:
+                return False
+            if counts[i] >= beta:
+                return False
+        return bool(witness.group)
+    if kind == "CORE":
+        if not witness.group or not witness.candidate_set:
+            return False
+        if len(witness.group) * k < len(witness.candidate_set) * n:
+            return False
+        smask = members_mask(witness.candidate_set)
+        for i in witness.group:
+            if (election.ballot_masks[i] & smask).bit_count() <= counts[i]:
+                return False
+        return True
+    if kind == "PERFECT_REP":
+        share = n // k
+        hall = witness.group
+        if not hall:
+            return False
+        union = 0
+        for i in hall:
+            union |= election.ballot_masks[i]
+        return (union & wmask).bit_count() * share < len(hall)
+    raise ValueError(f"no witness verification for {kind}")
 
 
 def _thiele_classes(

@@ -24,7 +24,7 @@ from irlab.axioms import (
 )
 from irlab.cohesion import entitlements, f_vector
 from irlab.gen import MODELS, GenSpec, generate
-from irlab.model import Committee, Election
+from irlab.model import Committee, Election, mask_to_set
 from irlab.search import BudgetExceededError, NodeBudget
 
 from instance_gen import random_committee, random_election
@@ -40,6 +40,7 @@ from oracles import (
     naive_jr,
     naive_perfect,
     naive_pjr,
+    verify_violation_per_kind,
 )
 from hard_instances import (
     two_camps_with_bridge,
@@ -420,6 +421,67 @@ def test_verify_violation_rejects_each_tampered_witness(axiom, sound, tampered):
     assert verify_violation(e, w, axiom, sound)
     for witness in tampered:
         assert not verify_violation(e, w, axiom, witness), witness
+
+
+def _outcome(verify, *args):
+    """The verdict, or the type of the error raised: FJR compares a core
+    witness's level None with a count."""
+    try:
+        return verify(*args)
+    except TypeError as exc:
+        return type(exc)
+
+
+def test_verify_violation_matches_per_kind_oracle():
+    # the shared re-check against the per-kind one, for every kind, on every
+    # witness check finds for the profile (whichever kind found it), copies
+    # of its own kind's witness with one field perturbed, and random
+    # witnesses (S, a group that is N(S) or random, a level that is |S| or
+    # random, deprived voters inside the group or random).  In the first
+    # profile the EJR witness's voters hold one member each and two together,
+    # which PJR's footprint rejects
+    rng = random.Random(2511)
+    kinds = (IR, SSJR, JR, EJR, PJR, FJR, CORE)
+    kinds += (alpha_beta_ir(Fraction(3, 2), Fraction(1, 2)), alpha_beta_ir(1, 1))
+    verdicts = violations = 0
+    first = Election.from_approvals([{0, 1, 2}, {0, 1, 3}, {0, 1}, {0, 1}], m=4, k=2)
+
+    def subset(items, share):
+        return frozenset(x for x in items if rng.random() < share)
+
+    def toggled(items, universe):
+        return items ^ {rng.choice(universe)}
+
+    for trial in range(1000):
+        e = random_election(rng, n_max=8, m_max=6, k_max=4) if trial else first
+        w = random_committee(rng, e) if trial else Committee.of({2, 3}, e)
+        axes = kinds + ((PERFECT_REP,) if e.n % e.k == 0 else ())
+        found = {axiom: check(e, w, axiom).witness for axiom in axes}
+        for axiom in axes:
+            witnesses = [wit for wit in found.values() if wit is not None]
+            own = found[axiom]
+            if own is not None:
+                witnesses += [
+                    dataclasses.replace(own, group=toggled(own.group, range(e.n))),
+                    dataclasses.replace(own, deprived=toggled(own.deprived, range(e.n))),
+                    dataclasses.replace(own, candidate_set=toggled(own.candidate_set, range(e.m))),
+                    dataclasses.replace(own, level=(own.level or 0) + rng.choice((-1, 1))),
+                ]
+            for _ in range(4):
+                cands = subset(range(e.m), 0.3)
+                group = e.supporters_mask(cands) if rng.random() < 0.5 else None
+                group = subset(range(e.n), 0.5) if group is None else mask_to_set(group)
+                level = len(cands) if rng.random() < 0.5 else rng.randint(0, e.k)
+                deprived = subset(group if rng.random() < 0.5 else range(e.n), 0.3)
+                witnesses.append(ViolationWitness(group, cands, level, deprived))
+            for witness in witnesses:
+                expected = _outcome(verify_violation_per_kind, e, w, axiom, witness)
+                assert _outcome(verify_violation, e, w, axiom, witness) == expected, (
+                    axiom, e.approvals, sorted(w.members), witness
+                )
+                verdicts += 1
+                violations += expected is True
+    assert verdicts >= 40_000 and violations >= 2_000, (verdicts, violations)
 
 
 def test_implication_arrows_random():

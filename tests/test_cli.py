@@ -13,7 +13,7 @@ from irlab import cli
 from irlab.cli import AXIOM_NAMES, RULE_NAMES, main
 from irlab.cohesion import f_vector
 from irlab.gen import MAX_GEN_CANDIDATES, MODELS, GenSpec, generate
-from irlab.model import MAX_CANDIDATES, Election, serialize_profile
+from irlab.model import MAX_CANDIDATES, MAX_CELLS, Election, serialize_profile
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError
 import hard_instances
 from hard_instances import two_camps_with_bridge, uneven_cohorts
@@ -256,6 +256,17 @@ def test_check_refuses_a_header_m_above_the_limit(tmp_path):
     _assert_usage_error(result)
     assert "Traceback" not in result.output
     assert f"wide.avp: line 1: m={MAX_CANDIDATES + 1} exceeds the limit" in result.output
+
+
+def test_check_refuses_a_header_n_m_above_the_cell_limit(tmp_path):
+    # 1,000 voters over 2^17 candidates in 2 KB: the transposition alone
+    # would cost memory in n*m
+    path = tmp_path / "wide.avp"
+    path.write_text(f"1000 {1 << 17} 1\n" + "1\n" * 1000)
+    result = CliRunner().invoke(main, ["check", str(path), "--committee", "1", "--axiom", "jr"])
+    _assert_usage_error(result)
+    assert "Traceback" not in result.output
+    assert f"wide.avp: line 1: n*m={1000 << 17} exceeds the limit of {MAX_CELLS}" in result.output
 
 
 def _assert_usage_error(result):

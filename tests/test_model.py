@@ -9,6 +9,7 @@ from irlab.experiment import DEFAULT_RULES
 from irlab.gen import GenSpec, generate
 from irlab.model import (
     MAX_CANDIDATES,
+    MAX_CELLS,
     Committee,
     Election,
     ProfileFormatError,
@@ -337,6 +338,23 @@ def test_parse_profile_refuses_a_header_m_above_the_limit():
     assert str(info.value) == (
         f"line 1: m={MAX_CANDIDATES + 1} exceeds the limit of {MAX_CANDIDATES} candidates"
     )
+
+
+def test_parse_profile_refuses_a_header_n_m_above_the_cell_limit():
+    # an Election transposes n*m cells, so the header's n*m is bounded; the
+    # header at the bound is read on (the missing ballots are the error), the
+    # one above it, or a 2 KB file of 1,000 voters over 2^17 candidates, is not
+    assert MAX_CELLS >= MAX_CANDIDATES
+    n = MAX_CELLS // MAX_CANDIDATES
+    with pytest.raises(ProfileFormatError, match=f"^expected {n} voter lines, found only 1$"):
+        parse_profile(f"{n} {MAX_CANDIDATES} 1\n1\n")
+    for n, m in ((n + 1, MAX_CANDIDATES), (1000, 1 << 17)):
+        with pytest.raises(ProfileFormatError) as info:
+            parse_profile(f"{n} {m} 1\n" + "1\n" * n)
+        assert info.value.line == 1
+        assert str(info.value) == (
+            f"line 1: n*m={n * m} exceeds the limit of {MAX_CELLS} voter-candidate cells"
+        )
 
 
 def test_request_paths_never_derive_approvals():
