@@ -8,6 +8,8 @@ cap and reports ``undecided`` instead of guessing when the cap is hit.
 Cohesiveness thresholds are compared in exact integer arithmetic
 (``|V|*k >= l*n``), never via n/k as a float.
 
+``check`` counts the committee once, |W cap A_i| in one bit-sliced counter
+(``search.counter``) that JR, semi-strong JR, EJR, FJR and the core read.
 FJR and core stability run one deviation search that differs only in the
 voters it counts and what each must gain, held in bit-sliced counters; EJR
 and PJR share one cohesive-set search.  Both keep their path on an explicit
@@ -21,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .cohesion import certificate, deficits_for, entitlements
-from .model import Committee, Election, _iter_bits, first_unmet, mask_to_set, members_mask
+from .model import Committee, Election, _iter_bits, first_unmet, index_set, mask_to_set
+from .model import members_mask
 from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, quota_assignment
-from .search import at_least, counter, plus
+from .search import above, at_least, counter, plus
 
 GROUP_AXIOMS = ("JR", "PJR", "EJR", "FJR", "CORE", "PERFECT_REP")
 INDIVIDUAL_AXIOMS = ("IR", "SSJR", "ALPHA_BETA_IR")
@@ -100,17 +103,6 @@ class AxiomVerdict:
         return self.status == "satisfied"
 
 
-def _committee_counts(election: Election, committee: Committee) -> list[int]:
-    wmask = committee.mask()
-    return [(ballot & wmask).bit_count() for ballot in election.ballot_masks]
-
-
-def _below(counts: Sequence[int], level: int) -> int:
-    """The mask of voters with fewer than ``level`` approved members."""
-    # one binary digit per voter, voter n-1 first
-    return int("".join(["1" if count < level else "0" for count in reversed(counts)]), 2)
-
-
 def check(
     election: Election,
     committee: Committee,
@@ -132,21 +124,22 @@ def check(
     if kind in ("IR", "ALPHA_BETA_IR"):
         witness = _entitlement_witness(election, committee, axiom, node_cap)
         return AxiomVerdict(axiom, "satisfied" if witness is None else "violated", witness, 0)
-    counts = _committee_counts(election, committee)
+    wmask = committee.mask()
+    held = counter([(ballot & wmask).bit_count() for ballot in election.ballot_masks])
     budget = NodeBudget(node_cap, stage=f"axioms.{kind}")
     try:
         if kind == "SSJR":
-            witness = _ssjr_witness(election, counts)
+            witness = _ssjr_witness(election, held)
         elif kind == "JR":
-            witness = _jr_witness(election, counts)
+            witness = _jr_witness(election, held)
         elif kind == "EJR":
-            witness = _ejr_witness(election, counts, budget)
+            witness = _ejr_witness(election, held, budget)
         elif kind == "PJR":
-            witness = _pjr_witness(election, committee.mask(), budget)
+            witness = _pjr_witness(election, wmask, budget)
         elif kind == "FJR":
-            witness = _fjr_witness(election, counts, budget)
+            witness = _fjr_witness(election, held, budget)
         elif kind == "CORE":
-            witness = _core_witness(election, counts, budget)
+            witness = _core_witness(election, held, budget)
         else:
             witness = _perfect_witness(election, committee)
     except BudgetExceededError:
@@ -173,13 +166,11 @@ def _entitlement_witness(election, committee, axiom, node_cap):
     )
 
 
-def _ssjr_witness(election, counts):
+def _ssjr_witness(election, held):
     # f_i >= 1 iff some approved candidate alone is backed by n/k voters,
     # so the full f-vector is not needed
     n, k = election.n, election.k
-    for i in range(n):
-        if counts[i]:
-            continue
+    for i in _iter_bits(election.all_voters_mask() ^ above(held, 0)):  # holding no member
         for c in _iter_bits(election.ballot_masks[i]):
             if election.candidate_voters[c].bit_count() * k >= n:
                 group = mask_to_set(election.candidate_voters[c])
@@ -198,9 +189,9 @@ def _group_witness(mask, cands, level):
     )
 
 
-def _jr_witness(election, counts):
+def _jr_witness(election, held):
     n, k = election.n, election.k
-    unrepresented = _below(counts, 1)
+    unrepresented = election.all_voters_mask() ^ above(held, 0)
     for c in range(election.m):
         group = election.candidate_voters[c] & unrepresented
         if group.bit_count() * k >= n:
@@ -208,10 +199,10 @@ def _jr_witness(election, counts):
     return None
 
 
-def _ejr_witness(election, counts, budget):
+def _ejr_witness(election, held, budget):
     n, k = election.n, election.k
     for level in range(1, k + 1):
-        deficient = _below(counts, level)
+        deficient = election.all_voters_mask() ^ above(held, level - 1)
         if deficient.bit_count() * k >= level * n:
             witness = _cohesive_witness(election, deficient, level, budget)
             if witness is not None:
@@ -279,10 +270,10 @@ def _pjr_witness(election, wmask, budget):
         sub = (sub - wmask) & wmask
 
 
-def _fjr_witness(election, counts, budget):
+def _fjr_witness(election, held, budget):
     n, k = election.n, election.k
     for beta in range(1, k + 1):
-        deficient = _below(counts, beta)
+        deficient = election.all_voters_mask() ^ above(held, beta - 1)
         if deficient.bit_count() * k < n:  # |S| >= beta >= 1 needs n/k voters
             continue
         need = [deficient * (beta >> b & 1) for b in range(beta.bit_length())]  # beta each
@@ -292,9 +283,9 @@ def _fjr_witness(election, counts, budget):
     return None
 
 
-def _core_witness(election, counts, budget):
-    everyone = (1 << election.n) - 1
-    hit = _deviation_search(election, everyone, counter([c + 1 for c in counts]), budget)
+def _core_witness(election, held, budget):
+    everyone = election.all_voters_mask()
+    hit = _deviation_search(election, everyone, plus(held, [everyone]), budget)
     return None if hit is None else _group_witness(*hit, None)
 
 
@@ -304,7 +295,7 @@ def _deviation_search(election, voters, need, budget):
     |S cap A_i| >= need[i] number at least |S|*n/k, as (their mask, S);
     None if there is none.  ``voters`` is a mask and ``need`` a counter
     (``search.counter``): FJR asks beta of every deficient voter, the core
-    counts[i] + 1 of every voter.  |S cap A_i| is one counter per depth and
+    |W cap A_i| + 1 of every voter.  |S cap A_i| is one counter per depth and
     |pool from a position on cap A_i| one per position, so a node's group
     and its attainable voters are one compare each."""
     n, k = election.n, election.k
@@ -392,11 +383,19 @@ def verify_violation(
     of |S|*n/k voters, which must be N(S) for the individual kinds; all but
     FJR and the core need |S| = ``level`` and S inside each named ballot.
     Then each named voter passes its kind's test on the committee members it
-    holds (PJR's voters pass theirs together).
+    holds (PJR's voters pass theirs together).  A malformed witness fails
+    first: voters and candidates not sets of ints in [0, n) and [0, m), or a
+    ``level`` not a positive int (or integral Fraction) where the kind reads one.
     """
     n, k = election.n, election.k
     ballots, wmask = election.ballot_masks, committee.mask()
     kind, cands, level = axiom.kind, witness.candidate_set, witness.level
+    fields = ((witness.group, n), (witness.deprived, n), (cands, election.m))
+    if not all(index_set(ids, bound) for ids, bound in fields):
+        return False
+    whole = type(level) in (int, Fraction) and level.denominator == 1
+    if kind not in ("CORE", "PERFECT_REP") and not (whole and level > 0):
+        return False
     if kind == "PERFECT_REP":
         return _footprint(ballots, witness.group, wmask) * (n // k) < len(witness.group)
     individual = kind in INDIVIDUAL_AXIOMS

@@ -125,6 +125,13 @@ def _jsonable(obj):
     return obj
 
 
+def _refuse_unused(name: str, unused: bool, message: str) -> None:
+    """Exit 2 with ``message`` when option ``name`` is given but ``unused``."""
+    source = click.get_current_context().get_parameter_source(name)
+    if unused and source is not ParameterSource.DEFAULT:
+        raise click.UsageError(message)
+
+
 @click.group()
 def main():
     """Individual representation toolkit for approval-based committee elections."""
@@ -167,9 +174,8 @@ def gen_cmd(model, n, m, k, seed, p, radius_owner, out):
               help="most closed candidate sets the exact method may visit; one node is one closed set")
 def fvec_cmd(profile, method, cap):
     """Per-voter entitlements as CSV voter,f,witness (1-based indices)."""
-    source = click.get_current_context().get_parameter_source("cap")
-    if method == "vi" and source is not ParameterSource.DEFAULT:
-        raise click.UsageError("--cap bounds --method exact only; --method vi takes no cap")
+    message = "--cap bounds --method exact only; --method vi takes no cap"
+    _refuse_unused("cap", method == "vi", message)
     election = _load(profile)
     if method == "vi":
         witness = domains.recognize(election, "VI")
@@ -203,6 +209,9 @@ def fvec_cmd(profile, method, cap):
 @click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_NODE_CAP, show_default=True)
 def check_cmd(profile, committee, axiom_name, alpha, beta, expect, as_json, cap):
     """Decide one axiom for one committee."""
+    for name in ("alpha", "beta"):
+        message = f"--{name} is for --axiom alpha-beta-ir only"
+        _refuse_unused(name, axiom_name != "alpha-beta-ir", message)
     election = _load(profile)
     w = _parse_committee(election, committee)
     if axiom_name == "alpha-beta-ir":
@@ -285,6 +294,8 @@ def rule_cmd(profile, rule_name, all_tied, weight):
 @click.option("--expect", type=click.Choice(["found", "infeasible"]), default=None)
 def solve_cmd(profile, objective, alpha, beta, cap, expect):
     """Exact committee search (existence or best approximation)."""
+    for name, owner in (("alpha", "min-beta"), ("beta", "min-alpha")):
+        _refuse_unused(name, objective != owner, f"--{name} is for --objective {owner} only")
     election = _load(profile)
     try:
         f = entitlements(election, node_cap=cap)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .model import Election, VoterGroup, _iter_bits, is_run, position_mask
+from .model import Election, VoterGroup, _iter_bits, index_set, is_run, position_mask
 from .search import DEFAULT_NODE_CAP, NodeBudget
 
 
@@ -53,14 +53,15 @@ class CohesionCertificate:
     witness_supporters: VoterGroup
 
     def verify(self, election: Election) -> bool:
-        """Re-check the certificate by direct counting, independent of the search."""
-        ballot = election.ballot_masks[self.voter]
-        if any(c < 0 or not ballot >> c & 1 for c in self.witness_set):
+        """Re-check the certificate by direct counting, independent of the
+        search; a field of the wrong type or out of range fails it."""
+        voter, cands = self.voter, self.witness_set
+        if type(voter) is not int or not 0 <= voter < election.n or type(self.f) is not int:
             return False
-        if len(self.witness_set) != self.f:
+        if not index_set(cands, election.m) or len(cands) != self.f:
             return False
-        mask = election.supporters_mask(self.witness_set)
-        if mask != self.witness_supporters.mask:
+        mask = election.supporters_mask(cands)  # holds the voter iff S is inside her ballot
+        if not mask >> voter & 1 or mask != getattr(self.witness_supporters, "mask", None):
             return False
         return mask.bit_count() * election.k >= self.f * election.n
 

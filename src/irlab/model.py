@@ -194,6 +194,11 @@ def members_mask(indices: Iterable[int], width: int = 0) -> int:
     return mask
 
 
+def index_set(ids: object, bound: int) -> bool:
+    """Whether ``ids`` is a set of ints in [0, ``bound``), as witness fields are."""
+    return isinstance(ids, (set, frozenset)) and all(type(i) is int and 0 <= i < bound for i in ids)
+
+
 def mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(_iter_bits(mask))
 

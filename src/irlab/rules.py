@@ -10,15 +10,16 @@ and max-Phragmen run one bounded search (`_lex_search`) that adds candidates
 in increasing order under a committee-count cap.  It cuts a Thiele prefix
 whose score plus its largest gains cannot reach the best score, and once the
 completions of a Thiele prefix fit one block it scores them all at once:
-each completion is one bit of a Python int and the scores are bit-sliced
-counters over those bits (``search.add``, ``settle``, ``maximum``), so a
-desk-scale profile (m = 16) is one block.  The other three rules key one
-committee per last seat.
+each completion is one bit of a Python int, the layers of its members come
+from ``search.lift`` and the scores are bit-sliced counters over those bits
+(``search.add``, ``settle``, ``maximum``), so a desk-scale profile (m = 16)
+is one block.  The other three rules key one committee per last seat.
 
 Every kernel works on integers.  Thiele scores (PAV, CC, geometric PAV and
 their sequential forms) are scaled by the lcm of the weights' denominators;
 identical ballots are collapsed into one class with a multiplicity, and
-seq-PAV and seq-CC hold the voters in masks by how many picks they approve.
+seq-PAV and seq-CC hold the voters in the same at-least layers
+(``search.lift``) by how many picks they approve.
 AV and SAV rank approval counts and SAV shares as numerators over the lcm
 of the ballot sizes.  seq-Phragmen loads and Rule X budgets are integer
 numerators over one common denominator, grouped by value into voter
@@ -42,13 +43,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, islice, zip_longest
+from itertools import combinations, islice
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .model import Committee, Election, _iter_bits, first_unmet, members_mask, padding
-from .search import add, maximum, quota_assignment, settle
+from .search import add, lift, maximum, memberships, quota_assignment, settle, unrank
 
 SEQUENTIAL_RULES = (
     "seq_pav",
@@ -234,17 +234,18 @@ def max_phragmen_load_vector(
 def _seq_thiele(election: Election, weights: Sequence[int]) -> tuple[list[int], list[int]]:
     """The picks in order and their scaled gains.
 
-    Voters are held in layer masks by how many picks they approve (layer t:
-    exactly t), so a candidate's gain is one masked popcount per layer that
-    still gains weight.
+    Voters are held in at-least layers by how many picks they approve, and
+    each pick lifts its approvers (`search.lift`).  The voters approving
+    exactly t picks are held[t] ^ held[t + 1], so a candidate's gain is one
+    masked popcount per such layer that still gains weight.
     """
     cv = election.candidate_voters
-    layers = [election.all_voters_mask()]
+    held = [election.all_voters_mask()]
     free = list(range(election.m))
     chosen: list[int] = []
     gains = []
     for _ in range(election.k):
-        active = [(w, layer) for w, layer in zip(weights, layers) if layer]
+        active = [(w, lo ^ hi) for w, lo, hi in zip(weights, held, held[1:] + [0]) if lo != hi]
         best_c, best_gain = -1, -1
         for c in free:
             voters = cv[c]
@@ -254,12 +255,7 @@ def _seq_thiele(election: Election, weights: Sequence[int]) -> tuple[list[int], 
         chosen.append(best_c)
         free.remove(best_c)
         gains.append(best_gain)
-        # the approvers of the pick move up one layer
-        sup = cv[best_c]
-        layers.append(0)
-        for t in range(len(layers) - 1, 0, -1):
-            layers[t] = layers[t] & ~sup | layers[t - 1] & sup
-        layers[0] &= ~sup
+        lift(held, cv, 1 << best_c, len(weights))
     return chosen, gains
 
 
@@ -271,11 +267,9 @@ def _rev_seq_thiele(election: Election) -> tuple[list[int], list[tuple[int, int]
     """
     depth = max(b.bit_count() for b in election.ballot_masks)
     weights, scale = _harmonic_weights(depth)
-    rows, approvers = _thiele_classes(election.m, _ballot_classes(election), weights, depth)
-    counts = [0] * len(rows)
-    for c in range(election.m):
-        for i in approvers[c]:
-            counts[i] += 1
+    classes = _ballot_classes(election)
+    rows, approvers = _thiele_classes(election.m, classes, weights, depth)
+    counts = [ballot.bit_count() for ballot, _, _ in classes]
     committee = list(range(election.m))
     history = []
     while len(committee) > election.k:
@@ -493,64 +487,6 @@ def _lex_search(m: int, k: int, push, pop, leaves, fits, bound, all_tied: bool) 
 _BLOCK_BITS = 1 << 22  # a block's membership table: pool * C(pool, seats) bits
 
 
-@lru_cache(maxsize=32)
-def _memberships(p: int, r: int) -> tuple[int, ...]:
-    """Bit j of masks[c] is set iff c is in the j-th r-subset of range(p), in
-    `itertools.combinations` order.
-
-    Built by the lex split, from the last members up: the t-subsets of the
-    last q members that take the first of them come first, as a block of
-    C(q-1, t-1), and the others follow, shifted up past that block.
-    """
-    rows: list[list[int]] = [[] for _ in range(r + 1)]  # rows[t]: t-subsets of the last q
-    for q in range(1, p + 1):
-        for t in range(min(q, r), max(0, r - p + q) - 1, -1):
-            if t:
-                head = comb(q - 1, t - 1)
-                rest = zip_longest(rows[t - 1], rows[t], fillvalue=0)
-                rows[t] = [(1 << head) - 1] + [a | b << head for a, b in rest]
-            else:
-                rows[0] = [0] * q
-    return tuple(rows[r])
-
-
-def _unrank(j: int, p: int, r: int) -> list[int]:
-    """The j-th r-subset of range(p) in `itertools.combinations` order."""
-    out = []
-    c = 0
-    while r:
-        head = comb(p - c - 1, r - 1)  # the subsets that take c next
-        if j < head:
-            out.append(c)
-            r -= 1
-        else:
-            j -= head
-        c += 1
-    return out
-
-
-def _layers(lanes: int, masks: Sequence[int], part: int, r: int, top: int) -> list[int]:
-    """The layer masks G[0..top] of a block of r-subsets (lanes ``lanes``,
-    membership table ``masks``; r >= 1, top >= 1): G[t] holds the lanes that
-    take at least t members of ``part``.  The list stops early once t
-    exceeds |part| (or r), where G[t] is empty.
-
-    Each member c of part moves lanes up one layer: G[t] |= G[t-1] & masks[c].
-    """
-    if r == 1:  # lane c is the completion by pool member c
-        return [lanes, part]
-    layers = [lanes]
-    for c in _iter_bits(part):
-        mc = masks[c]
-        t = len(layers) - 1
-        if t < top:
-            layers.append(layers[t] & mc)
-        while t:
-            layers[t] |= layers[t - 1] & mc
-            t -= 1
-    return layers
-
-
 def _thiele_search(
     m: int,
     k: int,
@@ -571,9 +507,9 @@ def _thiele_search(
     members join: the score plus the r largest current gains bounds every
     completion by r members.  A block scores all its completions at once,
     one lane each, in bit-sliced counters: a class with t0 approved prefix
-    members gains weight t0 + t - 1 on the lanes of its layer G[t]
-    (`_layers`), so its voters are counted there, and the block's score is
-    those counts times the weights.
+    members gains weight t0 + t - 1 on the lanes of its at-least layer G[t]
+    (`search.lift` over the block's `search.memberships`), so its voters are
+    counted there, and the block's score is those counts times the weights.
 
     Given the ``width`` of the classes' demand vectors, the search probes
     instead of listing winners: a block yields one pair, its best key and,
@@ -607,7 +543,7 @@ def _thiele_search(
 
     def leaves(prefix, nxt, r):
         p = m - nxt
-        masks = _memberships(p, r) if r > 1 else ()
+        masks = memberships(p, r) if r > 1 else ()
         lanes = (1 << comb(p, r)) - 1
         gained = [[] for _ in range(depth)]  # per lane, the voters gaining weight j (carry-save)
         hits = [lanes] * (width or 0)
@@ -615,7 +551,9 @@ def _thiele_search(
             part = ballot >> nxt
             most = min(r, depth - t0)  # approved members past it gain nothing
             top = min(r, max(most, deep - t0)) if part else 0
-            layers = _layers(lanes, masks, part, r, top) if top > 0 else [lanes]
+            layers = [lanes, part] if r == 1 and top else [lanes]  # r = 1: lane c is c alone
+            if r > 1 and top:
+                lift(layers, masks, part, top)
             if most > 0:
                 for j, layer in enumerate(layers[1 : most + 1], t0):
                     add(gained[j], mult, layer)
@@ -634,7 +572,7 @@ def _thiele_search(
         if not all_tied:
             tied &= -tied
         for j in _iter_bits(tied):
-            yield score + value, (*prefix, *[nxt + c for c in _unrank(j, p, r)])
+            yield score + value, (*prefix, *[nxt + c for c in unrank(j, p, r)])
 
     def fits(p, r):
         return p * comb(p, r) <= _BLOCK_BITS

@@ -1,17 +1,20 @@
 """Shared search machinery: the node-count budget of the exponential searches,
-the bit-sliced counters they keep, the one max-flow routine and the one
-quota-assignment network on it.
+the bit-sliced counters they keep, the lane kernel that feeds them
+(``memberships``, ``unrank``, ``lift``), the one max-flow routine and the
+one quota-assignment network on it.
 
 A counter is one count per lane, held as lane masks: slice b, least
 significant first, has bit i set iff bit b of lane i's count is set.  A lane
-is a voter in the cover and deviation searches and a committee in the
-Thiele rules' blocks.  Each operation costs a few whole-mask operations per
-slice, whatever the number of lanes, so a search updates and tests every
-lane at once."""
+is a voter in the axiom checks and the cover and deviation searches, and a
+committee in the Thiele rules' blocks.  Each operation costs a few whole-mask
+operations per slice, whatever the number of lanes, so a search updates and
+tests every lane at once; ``lift`` keeps lanes in at-least layers instead."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import zip_longest
+from math import comb
 from typing import Iterable, Sequence
 
 from .model import Election, _iter_bits
@@ -162,6 +165,57 @@ def above(slices: Sequence[int], value: int) -> int:
     for b, s in enumerate(slices):
         more = more & s if value >> b & 1 else more | s
     return more
+
+
+@lru_cache(maxsize=32)
+def memberships(p: int, r: int) -> tuple[int, ...]:
+    """Bit j of masks[c] is set iff c is in the j-th r-subset of range(p), in
+    `itertools.combinations` order.
+
+    Built by the lex split, from the last members up: the t-subsets of the
+    last q members that take the first of them come first, as a block of
+    C(q-1, t-1), and the others follow, shifted up past that block.
+    """
+    rows: list[list[int]] = [[] for _ in range(r + 1)]  # rows[t]: t-subsets of the last q
+    for q in range(1, p + 1):
+        for t in range(min(q, r), max(0, r - p + q) - 1, -1):
+            if t:
+                head = comb(q - 1, t - 1)
+                rest = zip_longest(rows[t - 1], rows[t], fillvalue=0)
+                rows[t] = [(1 << head) - 1] + [a | b << head for a, b in rest]
+            else:
+                rows[0] = [0] * q
+    return tuple(rows[r])
+
+
+def unrank(j: int, p: int, r: int) -> list[int]:
+    """The j-th r-subset of range(p) in `itertools.combinations` order."""
+    out = []
+    c = 0
+    while r:
+        head = comb(p - c - 1, r - 1)  # the subsets that take c next
+        if j < head:
+            out.append(c)
+            r -= 1
+        else:
+            j -= head
+        c += 1
+    return out
+
+
+def lift(held: list[int], masks: Sequence[int], part: int, top: int) -> None:
+    """Add the members of the mask ``part`` to the at-least layers ``held``
+    in place (held[t]: the lanes holding t members or more; masks[c]: the
+    lanes that take member c).  Each member lifts its lanes one layer,
+    held[t] |= held[t-1] & masks[c], and opens a new top layer up to held[top]."""
+    for c in _iter_bits(part):
+        mc = masks[c]
+        t = len(held) - 1
+        if t < top:
+            held.append(held[t] & mc)
+        while t:
+            held[t] |= held[t - 1] & mc
+            t -= 1
 
 
 def max_flow(

@@ -22,7 +22,7 @@ from irlab.axioms import (
     implication_report,
     verify_violation,
 )
-from irlab.cohesion import entitlements, f_vector
+from irlab.cohesion import certificate, entitlements, f_vector
 from irlab.gen import MODELS, GenSpec, generate
 from irlab.model import Committee, Election, mask_to_set
 from irlab.search import BudgetExceededError, NodeBudget
@@ -476,12 +476,60 @@ def test_verify_violation_matches_per_kind_oracle():
                 witnesses.append(ViolationWitness(group, cands, level, deprived))
             for witness in witnesses:
                 expected = _outcome(verify_violation_per_kind, e, w, axiom, witness)
+                # the oracle reads the level as given: FJR compares None with a
+                # count (TypeError) and semi-strong JR accepts S = {} at level
+                # 0; the re-check refuses both witnesses as malformed
+                if expected is TypeError or (axiom.kind == "SSJR" and witness.level == 0):
+                    expected = False
                 assert _outcome(verify_violation, e, w, axiom, witness) == expected, (
                     axiom, e.approvals, sorted(w.members), witness
                 )
                 verdicts += 1
                 violations += expected is True
     assert verdicts >= 40_000 and violations >= 2_000, (verdicts, violations)
+
+
+def test_malformed_witnesses_neither_raise_nor_verify():
+    # every field of each kind's own witness, and of a certificate, made
+    # malformed in one way: an index negative (-n wraps to a real voter), at
+    # n or m, None, a float or a str, or the field no set at all; the level,
+    # where the kind reads it, not positive, None, a float or a str
+    approvals, m, k = TAMPER_PROFILE
+    e = Election.from_approvals(approvals, m=m, k=k)
+    w = Committee.of(TAMPER_COMMITTEE, e)
+    n = e.n
+    kinds = (IR, SSJR, JR, EJR, PJR, FJR, CORE, PERFECT_REP)
+    kinds += (alpha_beta_ir(Fraction(3, 2), Fraction(1, 2)), alpha_beta_ir(1, 1))
+
+    def malformed_sets(items, bound):
+        return [items | {x} for x in (-1, -n, bound, None, 0.5, "0")] + [None, 0.5, "0", [0]]
+
+    for axiom in kinds:
+        sound = check(e, w, axiom).witness
+        assert sound is not None and verify_violation(e, w, axiom, sound), axiom
+        if sound.level is not None:  # a level read back from JSON as a Fraction
+            read_back = dataclasses.replace(sound, level=Fraction(sound.level))
+            assert verify_violation(e, w, axiom, read_back), axiom
+        fields = {name: malformed_sets(getattr(sound, name), n) for name in ("group", "deprived")}
+        fields["candidate_set"] = malformed_sets(sound.candidate_set, m)
+        if axiom.kind not in ("CORE", "PERFECT_REP"):
+            level = sound.level
+            fields["level"] = [-1, 0, None, float(level), str(level), level + Fraction(1, 2)]
+        for name, values in fields.items():
+            for value in values:
+                witness = dataclasses.replace(sound, **{name: value})
+                assert verify_violation(e, w, axiom, witness) is False, (axiom, name, value)
+    cert = certificate(e, 0)
+    assert cert.f == 2 and cert.verify(e)
+    fields = {
+        "voter": [-1, -n, n, None, 0.5, "0"],
+        "f": [-1, None, float(cert.f), str(cert.f)],
+        "witness_set": malformed_sets(cert.witness_set, m),
+        "witness_supporters": [None, 0.5, "0", cert.witness_supporters.mask],
+    }
+    for name, values in fields.items():
+        for value in values:
+            assert dataclasses.replace(cert, **{name: value}).verify(e) is False, (name, value)
 
 
 def test_implication_arrows_random():

@@ -284,6 +284,28 @@ def test_solve_min_beta_alpha_below_one_exit_two(tmp_path):
     assert "alpha must be >= 1" in result.output
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["check", "--committee", "1,2", "--axiom", "ir", "--alpha", "3/2"],
+         "--alpha is for --axiom alpha-beta-ir only"),
+        (["check", "--committee", "1,2", "--axiom", "jr", "--beta", "0"],
+         "--beta is for --axiom alpha-beta-ir only"),
+        (["solve", "--alpha", "1"], "--alpha is for --objective min-beta only"),
+        (["solve", "--objective", "min-beta", "--beta", "0"],
+         "--beta is for --objective min-alpha only"),
+    ],
+    ids=["check-alpha", "check-beta", "solve-alpha", "solve-beta"],
+)
+def test_option_the_request_does_not_read_exit_two(tmp_path, args, message):
+    # an option the request would ignore is refused, even at its default value
+    path = _write_profile(tmp_path, two_camps_with_bridge())
+    command, *rest = args
+    result = CliRunner().invoke(main, [command, path, *rest])
+    _assert_usage_error(result)
+    assert message in result.output
+
+
 def test_check_committee_larger_than_k_exit_two(tmp_path):
     path = _write_profile(tmp_path, two_camps_with_bridge())
     result = CliRunner().invoke(main, ["check", path, "--committee", "1,2,3", "--axiom", "ir"])

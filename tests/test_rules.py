@@ -13,7 +13,7 @@ from irlab.gen import MODELS, GenSpec, generate
 from irlab.model import Election, members_mask
 from irlab.experiment import DEFAULT_MODELS, DEFAULT_RULES, DESK_SCALE_GEN_PARAMS, instance_seed
 from irlab.rules import RuleId, probe, run_rule
-from irlab.search import DEFAULT_NODE_CAP
+from irlab.search import DEFAULT_NODE_CAP, memberships, unrank
 from irlab.solver import SolveRequest, demands, find_committee, find_ir_and_ssjr
 
 from instance_gen import random_election
@@ -402,12 +402,12 @@ def test_memberships_follow_combinations_order():
     for p in range(11):
         for r in range(p + 1):
             subsets = list(combinations(range(p), r))
-            masks = rules._memberships(p, r)
+            masks = memberships(p, r)
             assert len(masks) == p
             for c in range(p):
                 assert masks[c] == members_mask(j for j, s in enumerate(subsets) if c in s)
             for j, subset in enumerate(subsets):
-                assert tuple(rules._unrank(j, p, r)) == subset
+                assert tuple(unrank(j, p, r)) == subset
 
 
 def test_probe_matches_testing_every_winner(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -10,12 +11,15 @@ from irlab.search import (
     add,
     at_least,
     counter,
+    lift,
     maximum,
+    memberships,
     plus,
     settle,
     sub,
 )
 
+from instance_gen import random_election
 from oracles import counter_by_digits
 
 
@@ -132,6 +136,40 @@ def test_carry_save_edges():
         add(columns, 1, 0b11)
     assert _values(settle(columns), 2) == [7, 7]
     assert maximum(settle([[0b10]]), 0b01) == (0, 0b01)
+
+
+def test_lift_matches_direct_counts():
+    # the at-least layers lift keeps against each lane's members counted
+    # directly, on voter lanes (candidate_voters, random committees) and on
+    # block lanes (the r-subsets of memberships(p, r), counted on
+    # itertools.combinations); the members arrive in two calls on the same
+    # list, as seq-Thiele lifts one pick after another, and either may be
+    # empty; ``top`` is often below the largest count
+    rng = random.Random(83)
+    seen = Counter()
+    for trial in range(400):
+        if trial % 2:
+            e = random_election(rng, n_max=70, m_max=8)
+            masks, width = e.candidate_voters, e.m
+            lanes = [e.ballot_masks[i] for i in range(e.n)]  # a lane's candidates, as a mask
+        else:
+            p = rng.randint(1, 8)
+            r = rng.randint(1, p)
+            masks, width = memberships(p, r), p
+            lanes = [_mask(subset) for subset in combinations(range(p), r)]
+        top = rng.randint(1, width)
+        held = [_mask(range(len(lanes)))]
+        done = 0  # the members lifted so far, as a mask
+        for _ in range(2):
+            part = _mask(c for c in range(width) if rng.random() < 0.4 and not done >> c & 1)
+            lift(held, masks, part, top)
+            done |= part
+            counts = [(lane & done).bit_count() for lane in lanes]
+            expected = [_mask(j for j, v in enumerate(counts) if v >= t) for t in range(top + 1)]
+            assert held == expected[: done.bit_count() + 1], (trial, top, part, done)
+            seen["empty part"] += not part
+            seen["top below the largest count"] += top < max(counts)
+    assert min(seen.values()) >= 40, seen
 
 
 def test_node_budget_tick_count_stops_where_single_ticks_stop():
