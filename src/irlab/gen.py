@@ -51,6 +51,9 @@ class GenSpec:
         p = self.params.get("p")
         if p is not None and not 0 <= p <= 1:
             raise ValueError("approval probability must lie in [0, 1]")
+        owner = self.params.get("radius_owner", "candidate")
+        if owner not in ("candidate", "voter"):
+            raise ValueError(f"radius_owner must be 'candidate' or 'voter', got {owner!r}")
 
 
 def _quarter(m: int) -> int:
@@ -99,9 +102,6 @@ def _gen_euclid_2d(spec: GenSpec, rng: random.Random) -> list[int]:
     centers = [(rng.random(), rng.random()) for _ in range(num_centers)]
     spread = float(spec.params.get("sigma", 0.2))
     radius_sigma = float(spec.params.get("radius_sigma", 0.5))
-    # 'candidate' reading: every candidate has a radius and attracts the
-    # voters inside it; 'voter' is the alternative reading of the model
-    radius_owner = spec.params.get("radius_owner", "candidate")
 
     def sample_point() -> tuple[float, float]:
         cx, cy = centers[rng.randrange(num_centers)]
@@ -110,17 +110,17 @@ def _gen_euclid_2d(spec: GenSpec, rng: random.Random) -> list[int]:
     voters = [sample_point() for _ in range(spec.n)]
     cands = [sample_point() for _ in range(spec.m)]
     dist = math.dist
-    if radius_owner == "candidate":
-        radii = [abs(rng.gauss(0.0, radius_sigma)) for _ in range(spec.m)]
-        disks = list(zip(_bits(spec.m), cands, radii))
-        return [sum([bit for bit, c, r in disks if dist(x, c) <= r]) for x in voters]
-    if radius_owner == "voter":
+    # 'candidate' reading: every candidate has a radius and attracts the
+    # voters inside it; 'voter' is the alternative reading of the model
+    if spec.params.get("radius_owner", "candidate") == "voter":
         radii = [abs(rng.gauss(0.0, radius_sigma)) for _ in range(spec.n)]
         points = list(zip(_bits(spec.m), cands))
         return [
             sum([bit for bit, c in points if dist(x, c) <= r]) for x, r in zip(voters, radii)
         ]
-    raise ValueError(f"radius_owner must be 'candidate' or 'voter', got {radius_owner!r}")
+    radii = [abs(rng.gauss(0.0, radius_sigma)) for _ in range(spec.m)]
+    disks = list(zip(_bits(spec.m), cands, radii))
+    return [sum([bit for bit, c, r in disks if dist(x, c) <= r]) for x in voters]
 
 
 def _gen_ic(spec: GenSpec, rng: random.Random) -> list[int]:

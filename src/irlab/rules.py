@@ -193,10 +193,11 @@ def max_phragmen_load_vector(
     in descending order, the per-voter loads in voter order).  The optimal
     distribution is found by repeatedly extracting the bottleneck subset
     X maximizing |X| / |supporters(X)|; those supporters all carry exactly
-    that ratio.
+    that ratio.  Ratios are compared by cross-multiplication.  The subsets
+    at the largest ratio λ are closed under union (|X| - λ|N(X)| is
+    supermodular and at most 0), so the bottleneck is the union of them all.
     """
-    n = election.n
-    loads = [Fraction(0)] * n
+    loads = [Fraction(0)] * election.n
     active = [c for c in members if election.candidate_voters[c] != 0]
     dead = len(members) - len(active)
     remaining_voters = election.all_voters_mask()
@@ -204,23 +205,21 @@ def max_phragmen_load_vector(
     # no subset's union is empty: a member left after a bottleneck X* is
     # removed keeps an approver outside N(X*), or X* plus it had a higher ratio
     while remaining:
-        best_ratio, best_union, best_sub = Fraction(0), 0, set()
+        size, backers, best_union, best_sub = 0, 1, 0, set()  # the best ratio size/backers
         for r in range(1, len(remaining) + 1):
             for sub in combinations(remaining, r):
                 union = 0
                 for c in sub:
                     union |= election.candidate_voters[c] & remaining_voters
-                ratio = Fraction(len(sub), union.bit_count())
-                if ratio > best_ratio:
-                    best_ratio, best_union, best_sub = ratio, union, set(sub)
-                elif ratio == best_ratio:
-                    # tight sets are closed under union; accumulate the maximal one
-                    merged = best_union | union
-                    merged_sub = best_sub | set(sub)
-                    if Fraction(len(merged_sub), merged.bit_count()) == ratio:
-                        best_union, best_sub = merged, merged_sub
+                count = union.bit_count()
+                if r * backers > size * count:
+                    size, backers, best_union, best_sub = r, count, union, set(sub)
+                elif r * backers == size * count:
+                    best_union |= union
+                    best_sub.update(sub)
+        load = Fraction(size, backers)
         for v in _iter_bits(best_union):
-            loads[v] = best_ratio
+            loads[v] = load
         remaining_voters &= ~best_union
         remaining = [c for c in remaining if c not in best_sub]
     return dead, tuple(sorted(loads, reverse=True)), loads
@@ -493,13 +492,10 @@ def _thiele_search(
     classes: Sequence[tuple[int, int, tuple[int, ...]]],
     weights: Sequence[int],
     all_tied: bool,
-    fixed: Sequence[int] = (),
     width: int | None = None,
 ) -> tuple[list, int]:
     """Maximise a scaled-integer Thiele score over the k-subsets of range(m)
-    with `_lex_search`.  ``classes`` come from `_ballot_classes`; ``fixed``
-    counts each class's approved members fixed outside range(m) (none by
-    default).
+    with `_lex_search`.  ``classes`` come from `_ballot_classes`.
 
     Adding a member rescores only the classes approving it; that gain table
     is built by the first push, as a search that is one block never needs
@@ -518,8 +514,7 @@ def _thiele_search(
     blocks that hold the tied winners.
     """
     depth = min(len(weights), k)  # weights past it are 0
-    counts = list(fixed) or [0] * len(classes)
-    reach = k + max(counts, default=0)  # counts start at the fixed members
+    counts = [0] * len(classes)
     deepest = [max(need, default=0) for _, _, need in classes]
     saved: list[int] = []  # the score before each member pushed
     score = 0
@@ -528,7 +523,7 @@ def _thiele_search(
     def push(c):
         nonlocal score
         if not table:
-            table.extend(_thiele_classes(m, classes, weights, reach))
+            table.extend(_thiele_classes(m, classes, weights, k))
         rows, approvers = table
         saved.append(score)
         for i in approvers[c]:
@@ -713,7 +708,8 @@ def probe(election: Election, rule: RuleId, wanted: Sequence[Sequence[int]]) -> 
     PAV test the demands on the tied lanes of their blocks.  So do AV and
     SAV: their tied winners are the mandatory members plus any completion
     from the tied pool, the lanes of a weightless Thiele search over that
-    pool with the mandatory members fixed.
+    pool in which each class demands what the mandatory members leave it
+    short, max(0, d - t0) for t0 mandatory members on its ballot.
     """
     if any(len(demand) != election.n for demand in wanted):
         raise ValueError("a demand vector needs one demand per voter")
@@ -731,14 +727,14 @@ def probe(election: Election, rule: RuleId, wanted: Sequence[Sequence[int]]) -> 
         _, _, mandatory, optional = _approval_ranking(election, rule.kind, True)
         held, tied = members_mask(mandatory), members_mask(optional)
         place = {c: 1 << j for j, c in enumerate(optional)}
-        pool, fixed = [], []
+        pool = []
         for ballot, mult, need in classes:
             t0 = (ballot & held).bit_count()
             if need and max(need) > t0:  # the mandatory members fall short
-                pool.append((sum([place[c] for c in _iter_bits(ballot & tied)]), mult, need))
-                fixed.append(t0)
+                short = tuple([max(0, d - t0) for d in need])
+                pool.append((sum([place[c] for c in _iter_bits(ballot & tied)]), mult, short))
         slots = election.k - len(mandatory)
-        hits, _ = _thiele_search(len(optional), slots, pool, (), True, fixed, len(wanted))
+        hits, _ = _thiele_search(len(optional), slots, pool, (), True, width=len(wanted))
     else:
         weights, _ = _thiele_weights(rule, election.k)
         hits, _ = _thiele_search(

@@ -4,11 +4,12 @@ Deciding whether an IR committee exists is NP-hard, so the search is a
 depth-first branch-and-bound over candidates (on an explicit stack, one
 level per seat, each voter's state in bit-sliced counters) guarded by a
 node cap: ``infeasible`` means the whole space was exhausted,
-``undecided`` is only reported when the cap was hit.  The optimization
-objectives reduce to feasibility solves: MIN_BETA binary-searches the
-additive slack over the integers, MIN_ALPHA binary-searches the
-multiplicative slack over the finite grid of ratios (f_i - beta)/q with
-q <= k.
+``undecided`` is only reported when the cap was hit.  Every objective is
+the least feasible value of an ascending grid, found on one path under one
+budget: FIND_IR and FIND_SSJR are a one-point grid, MIN_BETA the additive
+slacks 0..max f_i and MIN_ALPHA the multiplicative slacks (f_i - beta)/q >= 1
+with q <= k.  The top value is solved first and the rest bisected; the last
+cover found is padded to k seats and re-checked by direct count.
 """
 
 from __future__ import annotations
@@ -174,15 +175,6 @@ def demands(f: Sequence[int], objective: str) -> list[int]:
     raise ValueError("demands are defined for FIND_IR and FIND_SSJR only")
 
 
-def _feasible(
-    election: Election, deficits: Sequence[int], budget: NodeBudget
-) -> Committee | None:
-    hit = _cover_search(election, deficits, budget)
-    if hit is None:
-        return None
-    return Committee.of([*hit, *padding(election, hit)], election)
-
-
 def _recheck(election: Election, committee: Committee, wanted: Sequence[int]) -> None:
     """Re-check a committee by direct count against the per-voter demands,
     the count ``axioms.check`` runs for IR, semi-strong JR and (alpha,
@@ -191,90 +183,76 @@ def _recheck(election: Election, committee: Committee, wanted: Sequence[int]) ->
         raise AssertionError("solver returned a committee failing its demands")
 
 
-def _least_feasible(
+def _solve(
     election: Election,
     grid: Sequence,
     deficits_at: Callable[[object], list[int]],
-    budget: NodeBudget,
-) -> tuple[object, Committee] | None:
+    slack: Callable[[object], tuple[Fraction, Fraction]],
+    node_cap: int,
+) -> SolveResult:
     """The least value of the ascending ``grid`` whose demands are feasible,
-    with its committee; None when the top value is not.  Feasibility is
-    monotone along the grid, so the top is solved first and the rest is a
-    bisection."""
+    under one budget: ``infeasible`` when the top value is not, ``found``
+    with the padded cover of the least value, re-checked by direct count,
+    and its ``slack`` (alpha, beta).  Feasibility is monotone along the grid,
+    so the top is solved first and the rest is a bisection."""
+    budget = NodeBudget(node_cap, stage="solver.find_committee")
     lo, hi = 0, len(grid) - 1
-    best = _feasible(election, deficits_at(grid[hi]), budget)
-    if best is None:
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        committee = _feasible(election, deficits_at(grid[mid]), budget)
-        if committee is not None:
-            best, hi = committee, mid
-        else:
-            lo = mid + 1
-    return grid[lo], best
+    try:
+        hit = _cover_search(election, deficits_at(grid[hi]), budget)
+        while hit is not None and lo < hi:
+            mid = (lo + hi) // 2
+            lower = _cover_search(election, deficits_at(grid[mid]), budget)
+            if lower is None:
+                lo = mid + 1
+            else:
+                hit, hi = lower, mid
+    except BudgetExceededError:
+        return SolveResult("undecided", None, None, None, budget.nodes)
+    if hit is None:
+        return SolveResult("infeasible", None, None, None, budget.nodes)
+    committee = Committee.of([*hit, *padding(election, hit)], election)
+    _recheck(election, committee, deficits_at(grid[lo]))
+    return SolveResult("found", committee, *slack(grid[lo]), budget.nodes)
 
 
 def _find(election: Election, wanted: Sequence[int], node_cap: int) -> SolveResult:
-    """FIND_IR or FIND_SSJR for the per-voter demands ``wanted``: the cover
-    search under a budget of its own, the padded committee re-checked by
-    direct count."""
-    budget = NodeBudget(node_cap, stage="solver.find_committee")
-    try:
-        committee = _feasible(election, wanted, budget)
-    except BudgetExceededError:
-        return SolveResult("undecided", None, None, None, budget.nodes)
-    if committee is None:
-        return SolveResult("infeasible", None, None, None, budget.nodes)
-    _recheck(election, committee, wanted)
-    return SolveResult("found", committee, Fraction(1), Fraction(0), budget.nodes)
+    """FIND_IR or FIND_SSJR for the per-voter demands ``wanted``: a one-point grid."""
+    return _solve(election, [wanted], lambda d: d, lambda _: (Fraction(1), Fraction(0)), node_cap)
 
 
 def find_committee(request: SolveRequest) -> SolveResult:
     """Solve the request exactly; `undecided` is only ever due to the node cap."""
-    election, f = request.election, request.fvec
+    election, f, alpha, beta = request.election, request.fvec, request.alpha, request.beta
     if request.objective in ("FIND_IR", "FIND_SSJR"):
         return _find(election, demands(f, request.objective), request.node_cap)
-    budget = NodeBudget(request.node_cap, stage="solver.find_committee")
-    try:
-        if request.objective == "MIN_BETA":
-            hit = _least_feasible(
-                election,
-                range(max(f, default=0) + 1),
-                lambda beta: deficits_for(f, request.alpha, beta),
-                budget,
-            )
-            if hit is None:  # beta = fmax collapses every demand
-                raise AssertionError("beta = max f_i must be feasible")
-            beta, best = hit
-            _recheck(election, best, deficits_for(f, request.alpha, beta))
-            return SolveResult("found", best, request.alpha, Fraction(beta), budget.nodes)
-
-        # MIN_ALPHA: the attainable values of max_i (f_i - beta)/|W cap A_i|
-        # live on the grid {p/q : p = f_i - beta > 0, 1 <= q <= k}
-        numerators = sorted({value - request.beta for value in f if value - request.beta > 0})
-        if not numerators:
-            committee = Committee.of(padding(election, ()), election)
-            return SolveResult("found", committee, Fraction(1), request.beta, budget.nodes)
-        grid = sorted(
-            {
-                Fraction(p) / q
-                for p in numerators
-                for q in range(1, election.k + 1)
-                if Fraction(p) / q >= 1
-            }
-            | {Fraction(1)}
+    if request.objective == "MIN_BETA":
+        result = _solve(
+            election,
+            range(max(f, default=0) + 1),
+            lambda value: deficits_for(f, alpha, value),
+            lambda value: (alpha, Fraction(value)),
+            request.node_cap,
         )
-        hit = _least_feasible(
-            election, grid, lambda alpha: deficits_for(f, alpha, request.beta), budget
-        )
-        if hit is None:
-            return SolveResult("infeasible", None, None, None, budget.nodes)
-        alpha, best = hit
-        _recheck(election, best, deficits_for(f, alpha, request.beta))
-        return SolveResult("found", best, alpha, request.beta, budget.nodes)
-    except BudgetExceededError:
-        return SolveResult("undecided", None, None, None, budget.nodes)
+        if result.status == "infeasible":  # beta = fmax collapses every demand
+            raise AssertionError("beta = max f_i must be feasible")
+        return result
+    # MIN_ALPHA: the attainable values of max_i (f_i - beta)/|W cap A_i|
+    # live on the grid {p/q : p = f_i - beta > 0, 1 <= q <= k}
+    numerators = {value - beta for value in f if value > beta}
+    if not numerators:
+        committee = Committee.of(padding(election, ()), election)
+        return SolveResult("found", committee, Fraction(1), beta, 0)
+    grid = sorted(
+        {Fraction(p) / q for p in numerators for q in range(1, election.k + 1) if p >= q}
+        | {Fraction(1)}
+    )
+    return _solve(
+        election,
+        grid,
+        lambda value: deficits_for(f, value, beta),
+        lambda value: (value, beta),
+        request.node_cap,
+    )
 
 
 def find_ir_and_ssjr(

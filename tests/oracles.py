@@ -19,7 +19,11 @@ sets the entitlement walk visits; ``run_instance_by_certificates`` is the
 experiment's instance path over ``f_vector`` certificates, and
 ``check_given_certificates`` the IR and semi-strong JR checks over them;
 ``verify_violation_per_kind`` is the witness re-check with one branch per
-axiom kind that ``axioms.verify_violation`` replaced.
+axiom kind that ``axioms.verify_violation`` replaced;
+``find_committee_per_objective`` is the solver with one result path per
+objective, and ``max_phragmen_load_vector_by_merge_test`` the load vector
+with `Fraction` ratios and a re-tested merge, that the grid solve and the
+cross-multiplied bottleneck replaced.
 """
 
 import math
@@ -44,10 +48,11 @@ from irlab.model import (
     first_unmet,
     mask_to_set,
     members_mask,
+    padding,
 )
 from irlab.rules import MAX_ENUMERATED_COMMITTEES, RuleId, probe, run_rule
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, max_flow
-from irlab.solver import SolveRequest, demands, find_committee
+from irlab.solver import SolveRequest, SolveResult, _cover_search, demands, find_committee
 
 
 def brute_f(election, voter):
@@ -1187,12 +1192,19 @@ def verify_violation_per_kind(
     witness: ViolationWitness,
 ) -> bool:
     """Re-check a violation witness by direct counting, one branch per kind
-    with its own group, backing and S-within-the-ballot tests.
+    with its own group, backing and S-within-the-ballot tests; every kind
+    that reads ``level`` refuses one that is not a positive whole number.
     ``axioms.verify_violation`` runs the shared tests once."""
     n, k = election.n, election.k
     wmask = committee.mask()
     counts = [(ballot & wmask).bit_count() for ballot in election.ballot_masks]
     kind = axiom.kind
+    if kind not in ("CORE", "PERFECT_REP"):
+        level = witness.level
+        if isinstance(level, bool) or not isinstance(level, (int, Fraction)):
+            return False
+        if level < 1 or level != int(level):
+            return False
     if kind in ("IR", "ALPHA_BETA_IR", "SSJR"):
         alpha = axiom.alpha if kind == "ALPHA_BETA_IR" else Fraction(1)
         beta = axiom.beta if kind == "ALPHA_BETA_IR" else Fraction(0)
@@ -1782,3 +1794,119 @@ def election_masks(
     rows = digits.split(b",")[-2::-1]  # voter 0 first, without the empty tail
     candidate_voters = tuple(int(digits[m - 1 - c :: width], 2) for c in range(m))
     return candidate_voters, tuple(int(row, 2) for row in rows)
+
+
+def _feasible_committee(election: Election, deficits, budget: NodeBudget) -> Committee | None:
+    hit = _cover_search(election, deficits, budget)
+    if hit is None:
+        return None
+    return Committee.of([*hit, *padding(election, hit)], election)
+
+
+def _recheck_demands(election: Election, committee: Committee, wanted) -> None:
+    if first_unmet(election, committee.mask(), wanted) is not None:
+        raise AssertionError("solver returned a committee failing its demands")
+
+
+def _least_feasible(election: Election, grid, deficits_at, budget: NodeBudget):
+    lo, hi = 0, len(grid) - 1
+    best = _feasible_committee(election, deficits_at(grid[hi]), budget)
+    if best is None:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        committee = _feasible_committee(election, deficits_at(grid[mid]), budget)
+        if committee is not None:
+            best, hi = committee, mid
+        else:
+            lo = mid + 1
+    return grid[lo], best
+
+
+def find_committee_per_objective(request: SolveRequest) -> SolveResult:
+    """``solver.find_committee`` with one result path per objective: FIND_IR
+    and FIND_SSJR solve once, MIN_BETA and MIN_ALPHA each run their own
+    bisection, re-check and result under a budget of their own, padding
+    every feasible committee met on the way."""
+    election, f = request.election, request.fvec
+    budget = NodeBudget(request.node_cap, stage="solver.find_committee")
+    if request.objective in ("FIND_IR", "FIND_SSJR"):
+        wanted = demands(f, request.objective)
+        try:
+            committee = _feasible_committee(election, wanted, budget)
+        except BudgetExceededError:
+            return SolveResult("undecided", None, None, None, budget.nodes)
+        if committee is None:
+            return SolveResult("infeasible", None, None, None, budget.nodes)
+        _recheck_demands(election, committee, wanted)
+        return SolveResult("found", committee, Fraction(1), Fraction(0), budget.nodes)
+    try:
+        if request.objective == "MIN_BETA":
+            hit = _least_feasible(
+                election,
+                range(max(f, default=0) + 1),
+                lambda beta: deficits_for(f, request.alpha, beta),
+                budget,
+            )
+            if hit is None:
+                raise AssertionError("beta = max f_i must be feasible")
+            beta, best = hit
+            _recheck_demands(election, best, deficits_for(f, request.alpha, beta))
+            return SolveResult("found", best, request.alpha, Fraction(beta), budget.nodes)
+        numerators = sorted({value - request.beta for value in f if value - request.beta > 0})
+        if not numerators:
+            committee = Committee.of(padding(election, ()), election)
+            return SolveResult("found", committee, Fraction(1), request.beta, budget.nodes)
+        grid = sorted(
+            {
+                Fraction(p) / q
+                for p in numerators
+                for q in range(1, election.k + 1)
+                if Fraction(p) / q >= 1
+            }
+            | {Fraction(1)}
+        )
+        hit = _least_feasible(
+            election, grid, lambda alpha: deficits_for(f, alpha, request.beta), budget
+        )
+        if hit is None:
+            return SolveResult("infeasible", None, None, None, budget.nodes)
+        alpha, best = hit
+        _recheck_demands(election, best, deficits_for(f, alpha, request.beta))
+        return SolveResult("found", best, alpha, request.beta, budget.nodes)
+    except BudgetExceededError:
+        return SolveResult("undecided", None, None, None, budget.nodes)
+
+
+def max_phragmen_load_vector_by_merge_test(
+    election: Election, members: Sequence[int]
+) -> tuple[int, tuple[Fraction, ...], list[Fraction]]:
+    """``rules.max_phragmen_load_vector`` comparing `Fraction` ratios, and
+    merging a tied subset into the bottleneck only once the merged ratio is
+    re-tested equal."""
+    n = election.n
+    loads = [Fraction(0)] * n
+    active = [c for c in members if election.candidate_voters[c] != 0]
+    dead = len(members) - len(active)
+    remaining_voters = election.all_voters_mask()
+    remaining = list(active)
+    while remaining:
+        best_ratio, best_union, best_sub = Fraction(0), 0, set()
+        for r in range(1, len(remaining) + 1):
+            for sub in combinations(remaining, r):
+                union = 0
+                for c in sub:
+                    union |= election.candidate_voters[c] & remaining_voters
+                ratio = Fraction(len(sub), union.bit_count())
+                if ratio > best_ratio:
+                    best_ratio, best_union, best_sub = ratio, union, set(sub)
+                elif ratio == best_ratio:
+                    merged = best_union | union
+                    merged_sub = best_sub | set(sub)
+                    if Fraction(len(merged_sub), merged.bit_count()) == ratio:
+                        best_union, best_sub = merged, merged_sub
+        for v in _iter_bits(best_union):
+            loads[v] = best_ratio
+        remaining_voters &= ~best_union
+        remaining = [c for c in remaining if c not in best_sub]
+    return dead, tuple(sorted(loads, reverse=True)), loads

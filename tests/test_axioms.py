@@ -423,15 +423,6 @@ def test_verify_violation_rejects_each_tampered_witness(axiom, sound, tampered):
         assert not verify_violation(e, w, axiom, witness), witness
 
 
-def _outcome(verify, *args):
-    """The verdict, or the type of the error raised: FJR compares a core
-    witness's level None with a count."""
-    try:
-        return verify(*args)
-    except TypeError as exc:
-        return type(exc)
-
-
 def test_verify_violation_matches_per_kind_oracle():
     # the shared re-check against the per-kind one, for every kind, on every
     # witness check finds for the profile (whichever kind found it), copies
@@ -475,13 +466,8 @@ def test_verify_violation_matches_per_kind_oracle():
                 deprived = subset(group if rng.random() < 0.5 else range(e.n), 0.3)
                 witnesses.append(ViolationWitness(group, cands, level, deprived))
             for witness in witnesses:
-                expected = _outcome(verify_violation_per_kind, e, w, axiom, witness)
-                # the oracle reads the level as given: FJR compares None with a
-                # count (TypeError) and semi-strong JR accepts S = {} at level
-                # 0; the re-check refuses both witnesses as malformed
-                if expected is TypeError or (axiom.kind == "SSJR" and witness.level == 0):
-                    expected = False
-                assert _outcome(verify_violation, e, w, axiom, witness) == expected, (
+                expected = verify_violation_per_kind(e, w, axiom, witness)
+                assert verify_violation(e, w, axiom, witness) == expected, (
                     axiom, e.approvals, sorted(w.members), witness
                 )
                 verdicts += 1

@@ -306,6 +306,46 @@ def test_option_the_request_does_not_read_exit_two(tmp_path, args, message):
     assert message in result.output
 
 
+_IC_P = GenSpec(model="ic", n=12, m=6, seed=4, params={"p": 0.3})
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["check", "{profile}", "--committee", "1,x", "--axiom", "ir"], 2,
+         "cannot parse committee '1,x'"),
+        (["check", "{profile}", "--committee", "1,9", "--axiom", "ir"], 2,
+         "candidate index 9 out of range [1, 3]"),
+        (["check", "{profile}", "--committee", "1,2", "--axiom", "alpha-beta-ir", "--alpha", "1"],
+         2, "alpha-beta-ir requires --alpha and --beta"),
+        (["check", "{profile}", "--committee", "1,2", "--axiom", "alpha-beta-ir", "--alpha", "1/2",
+          "--beta", "0"], 2, "requires alpha >= 1 and beta >= 0"),
+        (["rule", "{profile}", "--rule", "pav", "--weight", "1/2"], 2, "pav does not take a weight"),
+        (["recognize", "{profile}", "--expect", "member"], 2, "--expect requires a single --domain"),
+        (["construct", "{profile}", "--domain", "alpha-tr"], 2, "alpha-tr requires --tree"),
+        (["solve", "{blocks}", "--expect", "found"], 1, '"status": "infeasible"'),
+        (["gen", "--model", "ic", "--n", "12", "--m", "6", "--seed", "4", "--p", "0.3"], 0,
+         serialize_profile(generate(_IC_P))),
+    ],
+    ids=["committee-token", "committee-index", "beta-missing", "alpha-below-one", "rule-weight",
+         "recognize-expect-all", "construct-tree-missing", "solve-expect-found", "gen-p"],
+)
+def test_cli_exit_contract(tmp_path, args, code, message):
+    # each exit code with its message: 2 for a usage error, 1 for an unmet
+    # --expect, 0 with the profile ``gen`` samples at the given --p
+    paths = {
+        "profile": _write_profile(tmp_path, two_camps_with_bridge()),
+        "blocks": _write_profile(tmp_path, hard_instances.disjoint_blocks_instance(3), "blocks.avp"),
+    }
+    result = CliRunner().invoke(main, [arg.format(**paths) for arg in args])
+    assert result.exit_code == code, result.output
+    assert message in result.output
+    if code:
+        assert isinstance(result.exception, SystemExit)
+    else:
+        assert result.exception is None and result.stdout == message
+
+
 def test_check_committee_larger_than_k_exit_two(tmp_path):
     path = _write_profile(tmp_path, two_camps_with_bridge())
     result = CliRunner().invoke(main, ["check", path, "--committee", "1,2,3", "--axiom", "ir"])
@@ -687,17 +727,23 @@ def test_rule_output_matches_golden_digest(tmp_path):
 GOLDEN_CLI_SHA256 = "d944245619f3a7fa668cec7da6de61872260bf990f37eda41fb78e50b938e103"
 
 
+def _golden_profiles():
+    """Every shared fixture and six generated profiles, one per model."""
+    profiles = [(name, fixture()) for name, fixture in _fixtures()]
+    profiles += [
+        (model, generate(GenSpec(model=model, n=24, m=8, seed=5), k=3 + index % 2))
+        for index, model in enumerate(MODELS)
+    ]
+    return profiles
+
+
 def test_entitlement_commands_match_golden_digest(tmp_path):
     """Exit code and stdout of `irlab fvec` (exact at caps 1, 3 and the
     default, and vi), `irlab check --json` for IR, semi-strong JR and
     (3/2, 1)-IR (default cap and cap 3) and `irlab solve` (ir and ssjr
     objectives) on every shared fixture and six generated profiles."""
     rng = random.Random(53)
-    profiles = [(name, fixture()) for name, fixture in _fixtures()]
-    profiles += [
-        (model, generate(GenSpec(model=model, n=24, m=8, seed=5), k=3 + index % 2))
-        for index, model in enumerate(MODELS)
-    ]
+    profiles = _golden_profiles()
     digest = hashlib.sha256()
     codes = Counter()
     for name, election in profiles:
@@ -718,3 +764,35 @@ def test_entitlement_commands_match_golden_digest(tmp_path):
     assert codes[("fvec", 0)] > len(profiles) and codes[("fvec", 1)] and codes[("check", 1)]
     assert codes[("solve", 0)] == 2 * len(profiles)
     assert digest.hexdigest() == GOLDEN_CLI_SHA256
+
+
+GOLDEN_SLACK_SHA256 = "3fa3c29260c07c9f35d30441b6280ecadccd805432509006c3e8292afaa307ae"
+
+
+def test_slack_objectives_match_golden_digest(tmp_path):
+    """Exit code and stdout of `irlab solve` for min-beta (alpha 1 and 3/2)
+    and min-alpha (beta 0 and 1), at the default cap and at caps 1 and 3,
+    on every shared fixture and six generated profiles."""
+    objectives = (
+        ["--objective", "min-beta"],
+        ["--objective", "min-beta", "--alpha", "3/2"],
+        ["--objective", "min-alpha"],
+        ["--objective", "min-alpha", "--beta", "1"],
+    )
+    digest = hashlib.sha256()
+    statuses = Counter()
+    for name, election in _golden_profiles():
+        path = _write_profile(tmp_path, election, f"{name}.avp")
+        for objective in objectives:
+            for cap in ([], ["--cap", "1"], ["--cap", "3"]):
+                args = ["solve", path, *objective, *cap]
+                result = CliRunner().invoke(main, args)
+                digest.update(f"{name} {' '.join(args[2:])} {result.exit_code}\n".encode())
+                digest.update(result.stdout.encode())
+                status = json.loads(result.stdout)["status"] if result.exit_code == 0 else None
+                statuses[result.exit_code, status] += 1
+    # caps 1 and 3 mostly stop the entitlement walk (exit 1); every status occurs
+    assert statuses == {
+        (0, "found"): 76, (0, "infeasible"): 4, (0, "undecided"): 4, (1, None): 120
+    }
+    assert digest.hexdigest() == GOLDEN_SLACK_SHA256

@@ -119,6 +119,17 @@ def test_spec_validation():
         GenSpec(model="ic", n=5, m=5, seed=1, params={"p": 1.5})
 
 
+def test_unknown_radius_owner_fails_when_the_spec_is_built():
+    import pytest
+
+    from irlab.experiment import ExperimentSpec
+
+    with pytest.raises(ValueError, match="radius_owner must be 'candidate' or 'voter', got 'both'"):
+        GenSpec(model="euclid_2d", n=5, m=5, seed=1, params={"radius_owner": "both"})
+    with pytest.raises(ValueError, match="radius_owner"):
+        ExperimentSpec(gen_params={"euclid_2d": {"radius_owner": "both"}})
+
+
 def _oracle_specs():
     """1,000 desk profiles per model at the experiment's parameters, then
     edge shapes: one voter, one candidate, empty and full ic ballots, the

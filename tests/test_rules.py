@@ -25,6 +25,7 @@ from oracles import _optimize as oracle_optimize
 from oracles import _thiele_optimize as oracle_thiele_optimize
 from oracles import _thiele_search as oracle_thiele_search
 from oracles import brute_optimum, cc_score, greedy_monroe, rev_seq_thiele, seq_thiele, thiele_score
+from oracles import max_phragmen_load_vector_by_merge_test
 from oracles import probe_rule as oracle_probe_rule
 from hard_instances import (
     hamming_bait_instance,
@@ -330,9 +331,9 @@ def _replaced_engine(e, rule, all_tied):
         score = lambda w: oracle_minimax_score(e, members_mask(w))
         best, top = oracle_optimize(e, score, False, all_tied)
         return best, {"max_hamming": top}
-    score = lambda w: rules.max_phragmen_load_vector(e, w)[:2]
+    score = lambda w: max_phragmen_load_vector_by_merge_test(e, w)[:2]
     best, _ = oracle_optimize(e, score, False, all_tied)
-    loads = {w: rules.max_phragmen_load_vector(e, w)[2] for w in best}
+    loads = {w: max_phragmen_load_vector_by_merge_test(e, w)[2] for w in best}
     return best, {"load_vectors": {w: tuple(l) for w, l in loads.items()}}
 
 
@@ -711,3 +712,19 @@ def test_probe_matches_both_solves():
                 assert probe["ir_exists"] and probe["rule_found_ssjr"]
         statuses[ir.status] += 1
     assert statuses["found"] and statuses["infeasible"], statuses
+
+
+def test_max_phragmen_load_vector_matches_the_merge_test():
+    # the cross-multiplied bottleneck that ORs every tight subset in against
+    # the Fraction one that re-tests each merge: the dead members, the sorted
+    # and the per-voter loads, on random committees of up to 7 members
+    # (members no voter approves and tied bottlenecks included)
+    rng = random.Random(2702)
+    tied = 0
+    for _ in range(1200):
+        e = random_election(rng, n_max=10, m_max=9, density=rng.choice((0.2, 0.4, 0.7)))
+        members = rng.sample(range(e.m), rng.randint(1, min(e.m, 7)))
+        got = rules.max_phragmen_load_vector(e, members)
+        assert got == max_phragmen_load_vector_by_merge_test(e, members), (e.approvals, members)
+        tied += len(set(got[1]) - {0}) < len([c for c in members if e.candidate_voters[c]])
+    assert tied >= 100, tied

@@ -6,15 +6,16 @@ import pytest
 
 from irlab import cohesion, solver
 from irlab.axioms import CORE, FJR, alpha_beta_ir, check
-from irlab.cohesion import f_vector
+from irlab.cohesion import entitlements, f_vector
 from irlab.experiment import DESK_SCALE_GEN_PARAMS
 from irlab.gen import GenSpec, generate
 from irlab.model import Committee, Election
-from irlab.search import BudgetExceededError, NodeBudget, counter
+from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, counter
 from irlab.solver import OBJECTIVES, SolveRequest, find_committee
 
-from instance_gen import dfs_oracle_profiles, random_election, scale_cases
+from instance_gen import dfs_oracle_profiles, edge_case_election, random_election, scale_cases
 from oracles import brute_ir_committees, check_given_certificates, cover_search, enumerate_committees
+from oracles import find_committee_per_objective
 from hard_instances import (
     uncoverable_line_instance,
     two_camps_with_bridge,
@@ -575,3 +576,37 @@ def test_request_validation():
         SolveRequest(e, fvec[:-1])
     with pytest.raises(ValueError):
         SolveRequest(e, fvec, alpha=Fraction(1, 2))
+
+
+def test_grid_solve_matches_the_per_objective_paths():
+    # every objective (MIN_BETA at alpha 1 and 3/2, MIN_ALPHA at beta 0 and
+    # 1) at caps 1, 2, 3, 5 and the default: the same status, committee,
+    # slack and node count as the solver with one result path per objective,
+    # on random, edge-case and clustered profiles and the shared fixtures
+    rng = random.Random(2701)
+    profiles = [random_election(rng) for _ in range(150)]
+    profiles += [edge_case_election(rng) for _ in range(100)]
+    profiles += [
+        _clustered_election(rng, rng.randint(6, 30), rng.randint(4, 12), rng.randint(1, 4))
+        for _ in range(100)
+    ]
+    profiles += [fixture() for fixture in (
+        uncoverable_line_instance, two_camps_with_bridge, uneven_cohorts, ssjr_ejr_clash
+    )]
+    profiles += [disjoint_blocks_instance(3), opposed_ends_instance(4, 8)]
+    settings = [("FIND_IR", {}), ("FIND_SSJR", {}), ("MIN_BETA", {}), ("MIN_ALPHA", {})]
+    settings += [("MIN_BETA", {"alpha": Fraction(3, 2)}), ("MIN_ALPHA", {"beta": Fraction(1)})]
+    seen = Counter()
+    for e in profiles:
+        f = tuple(entitlements(e))
+        for objective, slack in settings:
+            for cap in (1, 2, 3, 5, DEFAULT_NODE_CAP):
+                request = SolveRequest(e, f, objective, node_cap=cap, **slack)
+                got, want = find_committee(request), find_committee_per_objective(request)
+                assert got == want, (e.approvals, e.k, objective, slack, cap)
+                seen[objective, got.status] += 1
+    assert len(profiles) >= 300
+    for objective in OBJECTIVES:
+        assert seen[objective, "found"] and seen[objective, "undecided"], (objective, seen)
+    for objective in ("FIND_IR", "FIND_SSJR", "MIN_ALPHA"):
+        assert seen[objective, "infeasible"], (objective, seen)
