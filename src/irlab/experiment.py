@@ -7,7 +7,11 @@ existence on them (``solver.find_ir_and_ssjr``), and optionally probes a list
 of voting rules: per rule, ``rules.probe`` says whether some winner meets the
 demands f and whether some winner meets the semi-strong JR demands
 min(f, 1), testing tied winners on the lanes of the rule's search rather
-than listing them.
+than listing them.  Only the vectors the solver left open are probed: one it
+proved infeasible is met by no k-committee, so by no winner, and its hits are
+False unprobed (no committee meeting min(f, 1) means none meets f either);
+where every f_i <= 1 the two vectors are one and are probed once.  So the
+rows are the ones probing both vectors would give.
 
 Results stream into a CSV whose rows are keyed by a per-instance seed
 derived from the base seed, so output is byte-identical across runs and
@@ -31,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 from .cohesion import entitlements
 from .search import BudgetExceededError
 from .gen import GenSpec, generate
-from .rules import RuleId, probe
+from .rules import RuleId, enumeration_guard, probe
 from .solver import demands, find_ir_and_ssjr
 
 DEFAULT_MODELS = ("vi_euclid", "ci_euclid", "euclid_2d", "ic", "urn", "mallows")
@@ -83,6 +87,9 @@ class ExperimentSpec:
                 raise ValueError(f"k={k} outside [1, {self.m}]")
         for model in self.models:  # the generators' checks: model name, m at most their limit
             GenSpec(model=model, n=self.n, m=self.m, seed=0, params=self.gen_params.get(model, {}))
+        for j, rule in enumerate(self.rules):
+            if rule in self.rules[:j]:
+                raise ValueError(f"rule {rule} is listed twice")
 
 
 @dataclass(frozen=True)
@@ -125,8 +132,9 @@ def _run_instance(args) -> ExperimentRow:
         ir_res, ssjr_res = find_ir_and_ssjr(election, f, spec.node_cap)
         ir_exists = None if ir_res.status == "undecided" else ir_res.status == "found"
         ssjr_exists = None if ssjr_res.status == "undecided" else ssjr_res.status == "found"
-        wanted = (f, demands(f, "FIND_SSJR")) if spec.rules else ()
-        rule_hits = tuple((str(rule), *probe(election, rule, wanted)) for rule in spec.rules)
+        rule_hits = (
+            _probe_open(election, spec.rules, f, ir_exists, ssjr_exists) if spec.rules else ()
+        )
     return ExperimentRow(
         model=model,
         k=k,
@@ -139,8 +147,35 @@ def _run_instance(args) -> ExperimentRow:
     )
 
 
+def _probe_open(
+    election, rules: Sequence[RuleId], f: list[int], ir_exists, ssjr_exists
+) -> tuple[tuple[str, bool, bool], ...]:
+    """Per rule, (rule, found_ir, found_ssjr), probing only the demand
+    vectors the verdicts leave open (see the module docstring): min(f, 1)
+    infeasible closes f too, as f_i >= min(f_i, 1), and None closes nothing.
+    """
+    if ssjr_exists is False:
+        return tuple((str(rule), False, False) for rule in rules)
+    ssjr = demands(f, "FIND_SSJR")
+    if ir_exists is False:
+        return tuple((str(rule), False, *probe(election, rule, (ssjr,))) for rule in rules)
+    if ssjr == f:
+        return tuple((str(rule), *probe(election, rule, (f,)) * 2) for rule in rules)
+    return tuple((str(rule), *probe(election, rule, (f, ssjr))) for rule in rules)
+
+
 def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
-    """All rows, ordered by (model, k, instance index) regardless of jobs."""
+    """All rows, ordered by (model, k, instance index) regardless of jobs.
+
+    Raises RuntimeError before any instance runs when an exact rule's search
+    over all C(m, k) committees exceeds the enumeration cap at some k, so
+    whether a run aborts does not depend on which instances are probed.
+    The AV and SAV probes search only their tied pool: their cap depends on
+    the ties and is checked in the probe.
+    """
+    for rule in spec.rules:
+        for k in spec.k_values:
+            enumeration_guard(rule, spec.m, k)
     tasks = [
         (spec, model, k, index)
         for model in spec.models

@@ -7,9 +7,10 @@ is removed, so low indices survive).  Exact optimization rules report the
 lexicographically first optimum or all tied optima.  AV and SAV take them
 from the pool of tied candidates; PAV, CC, geometric PAV, Monroe, minimax-AV
 and max-Phragmen run one bounded search (`_lex_search`) that adds candidates
-in increasing order under a committee-count cap.  It cuts a Thiele prefix
-whose score plus its largest gains cannot reach the best score, and once the
-completions of a Thiele prefix fit one block it scores them all at once:
+in increasing order under a committee-count cap (`enumeration_guard`).  It
+cuts a Thiele prefix whose score plus its largest gains cannot reach the
+best score, and once the completions of a Thiele prefix fit one block it
+scores them all at once:
 each completion is one bit of a Python int, the layers of its members come
 from ``search.lift`` and the scores are bit-sliced counters over those bits
 (``search.add``, ``settle``, ``maximum``), so a desk-scale profile (m = 16)
@@ -432,6 +433,18 @@ def _greedy_monroe(election: Election) -> tuple[list[int], list]:
 # --------------------------------------------------------------------------
 
 
+def enumeration_guard(rule: RuleId, m: int, k: int) -> None:
+    """Raise, as `run_rule` and `probe` do first, when ``rule`` would search
+    more than MAX_ENUMERATED_COMMITTEES committees on any profile with m
+    candidates and committee size k: PAV, CC, geometric PAV, Monroe,
+    minimax-AV and max-Phragmen search all C(m, k).  Sequential rules search
+    none, and AV and SAV only their tied pool, so their cap depends on the
+    profile (`_approval_ranking`)."""
+    searches_all = rule.kind in EXACT_RULES and rule.kind not in ("av", "sav")
+    if searches_all and comb(m, k) > MAX_ENUMERATED_COMMITTEES:
+        raise RuntimeError(f"C({m},{k}) exceeds the committee enumeration cap")
+
+
 def _lex_search(m: int, k: int, push, pop, leaves, fits, bound, all_tied: bool) -> tuple:
     """Maximise a key over all k-subsets of range(m), in lexicographic order.
 
@@ -449,8 +462,6 @@ def _lex_search(m: int, k: int, push, pop, leaves, fits, bound, all_tied: bool) 
     two or more seats left and a pool of at least twice the seats, where a
     cut outweighs its cost.  Returns the kept winners and their key.
     """
-    if comb(m, k) > MAX_ENUMERATED_COMMITTEES:
-        raise RuntimeError(f"C({m},{k}) exceeds the committee enumeration cap")
     # fits(m - nxt, r) holds from nxt = start[r] on, as pools only shrink; a
     # prefix with no seat left is a block of one committee
     start = [0] + [
@@ -644,6 +655,7 @@ def run_rule(election: Election, rule: RuleId, mode: str = "single") -> RuleOutc
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "all_tied" and rule.is_sequential:
         raise ValueError(f"{rule} is sequential; all_tied applies to exact rules only")
+    enumeration_guard(rule, election.m, election.k)
     all_tied = mode == "all_tied"
     k = election.k
 
@@ -713,6 +725,7 @@ def probe(election: Election, rule: RuleId, wanted: Sequence[Sequence[int]]) -> 
     """
     if any(len(demand) != election.n for demand in wanted):
         raise ValueError("a demand vector needs one demand per voter")
+    enumeration_guard(rule, election.m, election.k)
     if rule.is_sequential:
         wmask = members_mask(_SEQUENTIAL[rule.kind](election)[0])
         return tuple(first_unmet(election, wmask, demand) is None for demand in wanted)

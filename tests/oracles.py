@@ -16,8 +16,10 @@ rule probe that lists every winner are the engines the package replaced; they st
 ones that replaced them.  ``enumerate_committees`` lists every committee
 meeting a solver objective, for fixtures; ``closed_set_walk`` lists the closed
 sets the entitlement walk visits; ``run_instance_by_certificates`` is the
-experiment's instance path over ``f_vector`` certificates, and
-``check_given_certificates`` the IR and semi-strong JR checks over them;
+experiment's instance path over ``f_vector`` certificates,
+``run_instance_probing_all`` the one that probes both demand vectors of
+every instance, and ``check_given_certificates`` the IR and semi-strong JR
+checks over the certificates;
 ``verify_violation_per_kind`` is the witness re-check with one branch per
 axiom kind that ``axioms.verify_violation`` replaced;
 ``find_committee_per_objective`` is the solver with one result path per
@@ -34,7 +36,7 @@ from itertools import accumulate, combinations, permutations
 from math import comb
 from typing import Iterable, Sequence
 
-from irlab.cohesion import CohesionCertificate, deficits_for, f_vector
+from irlab.cohesion import CohesionCertificate, deficits_for, entitlements, f_vector
 from irlab.axioms import AxiomId, AxiomVerdict, ViolationWitness
 from irlab.domains import CEIWitness, TPartWitness, VEIWitness, WSCWitness
 from irlab.experiment import ExperimentRow, instance_seed
@@ -52,7 +54,14 @@ from irlab.model import (
 )
 from irlab.rules import MAX_ENUMERATED_COMMITTEES, RuleId, probe, run_rule
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, max_flow
-from irlab.solver import SolveRequest, SolveResult, _cover_search, demands, find_committee
+from irlab.solver import (
+    SolveRequest,
+    SolveResult,
+    _cover_search,
+    demands,
+    find_committee,
+    find_ir_and_ssjr,
+)
 
 
 def brute_f(election, voter):
@@ -1154,6 +1163,38 @@ def run_instance_by_certificates(args) -> ExperimentRow:
     found = lambda res: None if res.status == "undecided" else res.status == "found"
     undecided = "undecided" in (ir_res.status, ssjr_res.status)
     return ExperimentRow(model, k, seed, found(ir_res), found(ssjr_res), hits, undecided, 0)
+
+
+def run_instance_probing_all(args) -> ExperimentRow:
+    """One experiment row as ``experiment._run_instance`` made it before it
+    skipped the demand vectors the solver proved infeasible: every rule is
+    probed on both f and min(f, 1) whenever the entitlements are decided;
+    ``ms`` is 0."""
+    spec, model, k, index = args
+    seed = instance_seed(spec.seed, model, k, index)
+    params = dict(spec.gen_params.get(model, {}))
+    election = generate(GenSpec(model=model, n=spec.n, m=spec.m, seed=seed, params=params), k=k)
+    try:
+        f = entitlements(election, spec.node_cap)
+    except BudgetExceededError:
+        ir_exists = ssjr_exists = None
+        rule_hits = tuple((str(rule), False, False) for rule in spec.rules)
+    else:
+        ir_res, ssjr_res = find_ir_and_ssjr(election, f, spec.node_cap)
+        ir_exists = None if ir_res.status == "undecided" else ir_res.status == "found"
+        ssjr_exists = None if ssjr_res.status == "undecided" else ssjr_res.status == "found"
+        wanted = (f, demands(f, "FIND_SSJR")) if spec.rules else ()
+        rule_hits = tuple((str(rule), *probe(election, rule, wanted)) for rule in spec.rules)
+    return ExperimentRow(
+        model=model,
+        k=k,
+        seed=seed,
+        ir_exists=ir_exists,
+        ssjr_exists=ssjr_exists,
+        rule_hits=rule_hits,
+        undecided=ir_exists is None or ssjr_exists is None,
+        ms=0,
+    )
 
 
 def check_given_certificates(

@@ -233,6 +233,17 @@ def test_experiment_rule_over_enumeration_cap_exit_one(tmp_path):
     assert "C(40,12) exceeds the committee enumeration cap" in result.output
 
 
+def test_experiment_rule_listed_twice_exit_two(tmp_path):
+    args = "experiment --models ic --n 6 --m 4 --k-min 2 --k-max 2 --instances 1"
+    result = CliRunner().invoke(
+        main, args.split() + ["--rules", "av,seq_cc,av", "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "rule av is listed twice" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_rejects_bad_model():
     runner = CliRunner()
     result = runner.invoke(main, ["gen", "--model", "zipf", "--n", "5", "--m", "5"])

@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import io
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -17,8 +20,9 @@ from irlab.experiment import (
     write_outputs,
 )
 from irlab.rules import RuleId
+from irlab.solver import SolveResult
 
-from oracles import run_instance_by_certificates
+from oracles import run_instance_by_certificates, run_instance_probing_all
 
 SMALL = ExperimentSpec(
     models=("ic", "urn"),
@@ -212,6 +216,95 @@ def test_rows_match_the_certificate_path_at_every_cap():
         undecided[cap] = (sum(r.undecided for r in old), sum(r.undecided for r in new))
     assert undecided[10**6] == (0, 0), undecided
     assert any(after < before for before, after in undecided.values()), undecided
+
+
+def test_rows_match_probing_every_vector(monkeypatch):
+    """Skipping the demand vectors the solver proved infeasible changes no
+    field of any row but ``ms``, at caps that leave rows undecided and at
+    the default cap; every pruning branch is taken."""
+    rules = tuple(RuleId(r) for r in (*DEFAULT_RULES, "sav", "cc"))
+    branches = Counter()
+    widths = []  # the number of vectors of each probe of the current instance
+    real_probe, real_instance = experiment.probe, experiment._run_instance
+
+    def counted_probe(election, rule, wanted):
+        widths.append(len(wanted))
+        return real_probe(election, rule, wanted)
+
+    def instance(task):
+        widths.clear()
+        row = real_instance(task)
+        assert len(widths) in (0, len(rules)) and len(set(widths)) <= 1, widths
+        if not widths:
+            closed = row.ssjr_exists is False
+            branches["both infeasible" if closed else "entitlements capped"] += 1
+        elif widths[0] == 2:
+            branches["both probed"] += 1
+        else:
+            branches["IR alone infeasible" if row.ir_exists is False else "equal vectors"] += 1
+        branches["undecided, probed"] += bool(widths) and row.undecided
+        return row
+
+    monkeypatch.setattr(experiment, "probe", counted_probe)
+    monkeypatch.setattr(experiment, "_run_instance", instance)
+    for cap in (2, 5, 30, 10**6):
+        spec = ExperimentSpec(
+            k_values=(2, 3, 4, 12), instances=3, rules=rules, node_cap=cap, include_timing=False
+        )
+        tasks = [
+            (spec, model, k, index)
+            for model in spec.models
+            for k in spec.k_values
+            for index in range(spec.instances)
+        ]
+        expected = [run_instance_probing_all(task) for task in tasks]
+        assert [replace(row, ms=0) for row in run_experiment(spec)] == expected, cap
+    # an undecided verdict closes no vector: with every solve undecided the
+    # hits are still the ones probing both vectors gives
+    undecided = (SolveResult("undecided", None, None, None, 0),) * 2
+    monkeypatch.setattr(experiment, "find_ir_and_ssjr", lambda *args: undecided)
+    assert [row.rule_hits for row in run_experiment(spec)] == [row.rule_hits for row in expected]
+    assert any(found for row in expected for _, *hits in row.rule_hits for found in hits)
+    for branch in (
+        "both infeasible",
+        "IR alone infeasible",
+        "equal vectors",
+        "both probed",
+        "undecided, probed",
+    ):
+        assert branches[branch] >= 1, branches
+
+
+def test_rule_listed_twice_rejected():
+    for names in (("av", "av"), ("seq_cc", "pav", "seq_cc")):
+        with pytest.raises(ValueError, match=f"rule {names[-1]} is listed twice"):
+            ExperimentSpec(**{**SMALL.__dict__, "rules": tuple(RuleId(r) for r in names)})
+    half, third = (RuleId("geom_pav", weight=Fraction(1, q)) for q in (2, 3))
+    with pytest.raises(ValueError, match=r"rule geom_pav\[1/2\] is listed twice"):
+        ExperimentSpec(**{**SMALL.__dict__, "rules": (half, third, half)})
+    assert ExperimentSpec(**{**SMALL.__dict__, "rules": (half, third)}).rules == (half, third)
+
+
+def test_enumeration_cap_checked_before_any_instance(monkeypatch):
+    """An exact rule over the committee cap at some k aborts the run before
+    the first instance, whatever the instances would have probed; AV, SAV
+    and the sequential rules search no C(m, k) committees and pass."""
+    ran = []
+    monkeypatch.setattr(experiment, "_run_instance", ran.append)
+    capped = [RuleId(kind) for kind in ("pav", "cc", "monroe", "minimax_av", "max_phragmen")]
+    for rule in (*capped, RuleId("geom_pav", weight=Fraction(1, 2))):
+        spec = ExperimentSpec(
+            models=("ic",), n=10, m=40, k_values=(1, 12), instances=1, rules=(rule,)
+        )
+        with pytest.raises(RuntimeError, match=r"C\(40,12\) exceeds the committee enumeration"):
+            run_experiment(spec)
+    assert ran == []
+    for kind in ("av", "sav", "seq_pav"):
+        spec = ExperimentSpec(
+            models=("ic",), n=10, m=40, k_values=(12,), instances=1, rules=(RuleId(kind),)
+        )
+        run_experiment(spec)
+    assert len(ran) == 3
 
 
 def test_seed_derivation_stable():

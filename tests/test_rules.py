@@ -714,6 +714,39 @@ def test_probe_matches_both_solves():
     assert statuses["found"] and statuses["infeasible"], statuses
 
 
+def test_no_winner_meets_a_vector_the_solver_proved_infeasible():
+    """The fact the experiment's pruning rests on: where `find_committee`
+    finds no k-committee meeting f or min(f, 1), `probe` reports no winner
+    of any rule the experiment can probe meeting it.  Small random profiles
+    and generated ones; candidate-interval profiles with wide radii make
+    most of the infeasible vectors.  max-Phragmen only at m <= 7."""
+    rng = random.Random(29)
+    family = [RuleId(r) for r in DEFAULT_RULES + ("sav", "cc", "monroe", "minimax_av")]
+    family += [RuleId("geom_pav", weight=Fraction(1, 2)), RuleId("max_phragmen")]
+    cases = _exact_rule_elections(rng, 100, 7)
+    for j in range(240):
+        model, params = (
+            ("ci_euclid", {"sigma": 0.7}),
+            ("ci_euclid", {"sigma": 0.45}),
+            ("ic", {}),
+            ("mallows", {}),
+        )[j % 4]
+        m = rng.randint(5, 8)
+        spec = GenSpec(model=model, n=rng.choice((12, 20, 30)), m=m, seed=j, params=params)
+        cases.append(generate(spec, k=rng.randint(2, m - 1)))
+    met = Counter()
+    for e in cases:
+        f = entitlements(e)
+        for objective in ("FIND_IR", "FIND_SSJR"):
+            if find_committee(SolveRequest(e, f, objective)).status != "infeasible":
+                continue
+            for rule in family:
+                if rule.kind != "max_phragmen" or e.m <= 7:
+                    assert probe(e, rule, (demands(f, objective),)) == (False,), (rule, e)
+                    met[str(rule)] += 1
+    assert len(met) == len(family) and min(met.values()) >= 20, met
+
+
 def test_max_phragmen_load_vector_matches_the_merge_test():
     # the cross-multiplied bottleneck that ORs every tight subset in against
     # the Fraction one that re-tests each merge: the dead members, the sorted
