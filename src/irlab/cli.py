@@ -2,8 +2,10 @@
 domain recognition/construction and the batch experiment harness.
 
 Machine-readable output goes to stdout, progress logs to stderr.  Exit codes:
-0 on success, 1 when a result requested via ``--expect`` is not met, 2 on
-usage errors.  Candidate and voter indices are 1-based on this surface.
+0 on success; 1 when a result requested via ``--expect`` is not met or the
+request has no answer (a search stopped at its node cap or the enumeration
+cap, or the profile is outside the domain asked for); 2 on usage errors.
+Candidate and voter indices are 1-based on this surface.
 """
 
 from __future__ import annotations
@@ -225,7 +227,9 @@ def check_cmd(profile, committee, axiom_name, alpha, beta, expect, as_json, cap)
         axiom = AXIOM_NAMES[axiom_name]
     try:
         verdict = axioms.check(election, w, axiom, node_cap=cap)
-    except (ValueError, BudgetExceededError) as exc:
+    except ValueError as exc:  # a committee size or k the axiom is not defined for
+        raise click.UsageError(str(exc))
+    except BudgetExceededError as exc:
         raise click.ClickException(str(exc))
     if as_json:
         payload = {

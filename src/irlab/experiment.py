@@ -7,11 +7,13 @@ existence on them (``solver.find_ir_and_ssjr``), and optionally probes a list
 of voting rules: per rule, ``rules.probe`` says whether some winner meets the
 demands f and whether some winner meets the semi-strong JR demands
 min(f, 1), testing tied winners on the lanes of the rule's search rather
-than listing them.  Only the vectors the solver left open are probed: one it
-proved infeasible is met by no k-committee, so by no winner, and its hits are
-False unprobed (no committee meeting min(f, 1) means none meets f either);
-where every f_i <= 1 the two vectors are one and are probed once.  So the
-rows are the ones probing both vectors would give.
+than listing them.  Only the vectors whose answer is open are probed.  Where
+no voter is entitled to a seat (every f_i = 0) both vectors are all zero,
+every k-committee meets them, and every hit is True unprobed.  A vector the
+solver proved infeasible is met by no k-committee, so by no winner, and its
+hits are False unprobed (no committee meeting min(f, 1) means none meets f
+either); where every f_i <= 1 the two vectors are one and are probed once.
+So the rows are the ones probing both vectors would give.
 
 Results stream into a CSV whose rows are keyed by a per-instance seed
 derived from the base seed, so output is byte-identical across runs and
@@ -151,9 +153,14 @@ def _probe_open(
     election, rules: Sequence[RuleId], f: list[int], ir_exists, ssjr_exists
 ) -> tuple[tuple[str, bool, bool], ...]:
     """Per rule, (rule, found_ir, found_ssjr), probing only the demand
-    vectors the verdicts leave open (see the module docstring): min(f, 1)
-    infeasible closes f too, as f_i >= min(f_i, 1), and None closes nothing.
+    vectors whose answer is open (see the module docstring): all-zero f
+    closes both, met by every committee; min(f, 1) infeasible closes f too,
+    as f_i >= min(f_i, 1), and a None verdict closes nothing.  A closed
+    instance runs no probe, so it never raises what the probe would (the
+    AV/SAV tie cap).
     """
+    if not any(f):
+        return tuple((str(rule), True, True) for rule in rules)
     if ssjr_exists is False:
         return tuple((str(rule), False, False) for rule in rules)
     ssjr = demands(f, "FIND_SSJR")
@@ -171,7 +178,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     over all C(m, k) committees exceeds the enumeration cap at some k, so
     whether a run aborts does not depend on which instances are probed.
     The AV and SAV probes search only their tied pool: their cap depends on
-    the ties and is checked in the probe.
+    the ties and is checked in the probe, so only on the instances that
+    probe something (not where every f_i = 0 or the solver proved
+    min(f, 1) infeasible).
     """
     for rule in spec.rules:
         for k in spec.k_values:

@@ -350,9 +350,12 @@ def _rule_x(
     A candidate's payment rho, the smallest with sum_{approvers} min(b_v,
     rho) = 1, is a/(scale*rich): walking the groups in increasing budget
     order, a group whose budget p has p*rich < a pays all it has and leaves
-    the rich.  Returns the committee, the final budget groups and their
-    scale, each pick's rho as a (numerator, denominator) pair, and whether
-    seq-Phragmen completed the committee.
+    the rich.  Budgets only shrink (an approver pays min(b_v, rho), everyone
+    else keeps theirs), so a candidate found unaffordable stays so: each scan
+    tests only the candidates the last one found affordable, less the pick.
+    Returns the committee, the final budget groups and their scale, each
+    pick's rho as a (numerator, denominator) pair, and whether seq-Phragmen
+    completed the committee.
     """
     n, k = election.n, election.k
     cv = election.candidate_voters
@@ -363,11 +366,13 @@ def _rule_x(
     while len(committee) < k:
         ordered = sorted(groups.items())
         best_c, best_a, best_r = -1, 0, 1
+        affordable = []
         for c in remaining:
             sup = cv[c]
             counts = [(value, (sup & mask).bit_count()) for value, mask in ordered]
             if sum([value * cnt for value, cnt in counts]) < scale:
-                continue  # the approvers cannot afford c
+                continue  # the approvers cannot afford c, now or after any pick
+            affordable.append(c)
             a, rich = scale, sum([cnt for _, cnt in counts])
             for value, cnt in counts:
                 if value * rich >= a:
@@ -379,7 +384,8 @@ def _rule_x(
         if best_c == -1:
             break  # no candidate affordable; complete via seq-Phragmen
         committee.append(best_c)
-        remaining.remove(best_c)
+        affordable.remove(best_c)
+        remaining = affordable
         rhos.append((best_a, scale * best_r))
         # every approver pays min(b_v, rho), on a common scale
         scale, factor, rho = _common_scale(scale, best_a, scale * best_r)

@@ -25,7 +25,8 @@ axiom kind that ``axioms.verify_violation`` replaced;
 ``find_committee_per_objective`` is the solver with one result path per
 objective, and ``max_phragmen_load_vector_by_merge_test`` the load vector
 with `Fraction` ratios and a re-tested merge, that the grid solve and the
-cross-multiplied bottleneck replaced.
+cross-multiplied bottleneck replaced; ``rule_x_rescanning`` is the grouped
+integer Rule X that re-tests every unpicked approved candidate at each pick.
 """
 
 import math
@@ -53,6 +54,7 @@ from irlab.model import (
     padding,
 )
 from irlab.rules import MAX_ENUMERATED_COMMITTEES, RuleId, probe, run_rule
+from irlab.rules import _common_scale, _seq_phragmen as grouped_seq_phragmen
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, max_flow
 from irlab.solver import (
     SolveRequest,
@@ -1951,3 +1953,53 @@ def max_phragmen_load_vector_by_merge_test(
         remaining_voters &= ~best_union
         remaining = [c for c in remaining if c not in best_sub]
     return dead, tuple(sorted(loads, reverse=True)), loads
+
+
+def rule_x_rescanning(
+    election: Election,
+) -> tuple[list[int], dict[int, int], int, list[tuple[int, int]], bool]:
+    """``rules._rule_x`` testing the affordability of every unpicked
+    approved candidate at every pick, including those an earlier scan found
+    unaffordable; the same five return values."""
+    n, k = election.n, election.k
+    cv = election.candidate_voters
+    groups, scale = {k: election.all_voters_mask()}, n
+    committee: list[int] = []
+    remaining = [c for c in range(election.m) if cv[c]]
+    rhos: list[tuple[int, int]] = []
+    while len(committee) < k:
+        ordered = sorted(groups.items())
+        best_c, best_a, best_r = -1, 0, 1
+        for c in remaining:
+            sup = cv[c]
+            counts = [(value, (sup & mask).bit_count()) for value, mask in ordered]
+            if sum([value * cnt for value, cnt in counts]) < scale:
+                continue  # the approvers cannot afford c
+            a, rich = scale, sum([cnt for _, cnt in counts])
+            for value, cnt in counts:
+                if value * rich >= a:
+                    break
+                a -= value * cnt
+                rich -= cnt
+            if best_c < 0 or a * best_r < best_a * rich:
+                best_c, best_a, best_r = c, a, rich
+        if best_c == -1:
+            break  # no candidate affordable; complete via seq-Phragmen
+        committee.append(best_c)
+        remaining.remove(best_c)
+        rhos.append((best_a, scale * best_r))
+        # every approver pays min(b_v, rho), on a common scale
+        scale, factor, rho = _common_scale(scale, best_a, scale * best_r)
+        sup = cv[best_c]
+        paid: dict[int, int] = {}
+        for value, mask in groups.items():
+            value *= factor
+            for left, part in ((value, mask & ~sup), (value - rho, mask & sup)):
+                if part and left > 0:
+                    paid[left] = paid.get(left, 0) | part
+        groups = paid
+    completed = len(committee) < k
+    if completed:
+        negated = {-value: mask for value, mask in groups.items()}
+        committee, _, _ = grouped_seq_phragmen(election, negated, scale, partial=committee)
+    return committee, groups, scale, rhos, completed

@@ -334,12 +334,17 @@ _IC_P = GenSpec(model="ic", n=12, m=6, seed=4, params={"p": 0.3})
         (["rule", "{profile}", "--rule", "pav", "--weight", "1/2"], 2, "pav does not take a weight"),
         (["recognize", "{profile}", "--expect", "member"], 2, "--expect requires a single --domain"),
         (["construct", "{profile}", "--domain", "alpha-tr"], 2, "alpha-tr requires --tree"),
+        (["check", "{profile}", "--committee", "1", "--axiom", "ejr"], 2,
+         "EJR is defined for committees of size exactly k"),
+        (["check", "{odd}", "--committee", "1,2", "--axiom", "pr"], 2,
+         "perfect representation requires k to divide n"),
         (["solve", "{blocks}", "--expect", "found"], 1, '"status": "infeasible"'),
         (["gen", "--model", "ic", "--n", "12", "--m", "6", "--seed", "4", "--p", "0.3"], 0,
          serialize_profile(generate(_IC_P))),
     ],
     ids=["committee-token", "committee-index", "beta-missing", "alpha-below-one", "rule-weight",
-         "recognize-expect-all", "construct-tree-missing", "solve-expect-found", "gen-p"],
+         "recognize-expect-all", "construct-tree-missing", "group-axiom-size", "pr-k-not-dividing-n",
+         "solve-expect-found", "gen-p"],
 )
 def test_cli_exit_contract(tmp_path, args, code, message):
     # each exit code with its message: 2 for a usage error, 1 for an unmet
@@ -347,6 +352,7 @@ def test_cli_exit_contract(tmp_path, args, code, message):
     paths = {
         "profile": _write_profile(tmp_path, two_camps_with_bridge()),
         "blocks": _write_profile(tmp_path, hard_instances.disjoint_blocks_instance(3), "blocks.avp"),
+        "odd": _write_profile(tmp_path, Election.from_approvals([{0}, {1}, {0, 1}], m=2, k=2), "odd.avp"),
     }
     result = CliRunner().invoke(main, [arg.format(**paths) for arg in args])
     assert result.exit_code == code, result.output

@@ -219,9 +219,10 @@ def test_rows_match_the_certificate_path_at_every_cap():
 
 
 def test_rows_match_probing_every_vector(monkeypatch):
-    """Skipping the demand vectors the solver proved infeasible changes no
-    field of any row but ``ms``, at caps that leave rows undecided and at
-    the default cap; every pruning branch is taken."""
+    """Skipping the demand vectors the solver proved infeasible, and both
+    vectors where no voter has a positive demand, changes no field of any
+    row but ``ms``, at caps that leave rows undecided and at the default
+    cap; every pruning branch is taken."""
     rules = tuple(RuleId(r) for r in (*DEFAULT_RULES, "sav", "cc"))
     branches = Counter()
     widths = []  # the number of vectors of each probe of the current instance
@@ -236,8 +237,12 @@ def test_rows_match_probing_every_vector(monkeypatch):
         row = real_instance(task)
         assert len(widths) in (0, len(rules)) and len(set(widths)) <= 1, widths
         if not widths:
-            closed = row.ssjr_exists is False
-            branches["both infeasible" if closed else "entitlements capped"] += 1
+            if row.ssjr_exists is False:
+                branches["both infeasible"] += 1
+            elif all(found for _, *hits in row.rule_hits for found in hits):
+                branches["no positive demand"] += 1
+            else:
+                branches["entitlements capped"] += 1
         elif widths[0] == 2:
             branches["both probed"] += 1
         else:
@@ -266,6 +271,7 @@ def test_rows_match_probing_every_vector(monkeypatch):
     assert [row.rule_hits for row in run_experiment(spec)] == [row.rule_hits for row in expected]
     assert any(found for row in expected for _, *hits in row.rule_hits for found in hits)
     for branch in (
+        "no positive demand",
         "both infeasible",
         "IR alone infeasible",
         "equal vectors",

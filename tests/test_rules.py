@@ -25,7 +25,7 @@ from oracles import _optimize as oracle_optimize
 from oracles import _thiele_optimize as oracle_thiele_optimize
 from oracles import _thiele_search as oracle_thiele_search
 from oracles import brute_optimum, cc_score, greedy_monroe, rev_seq_thiele, seq_thiele, thiele_score
-from oracles import max_phragmen_load_vector_by_merge_test
+from oracles import max_phragmen_load_vector_by_merge_test, rule_x_rescanning
 from oracles import probe_rule as oracle_probe_rule
 from hard_instances import (
     hamming_bait_instance,
@@ -638,6 +638,51 @@ def test_phragmen_rules_match_fraction_oracle():
     assert len(paths) == 4 and min(paths.values()) >= 10, paths
 
 
+def test_rule_x_matches_the_rescanning_oracle():
+    """Dropping the candidates a scan found unaffordable changes none of
+    Rule X's five return values: the committee, the budget groups and their
+    scale, the payments and the completion flag."""
+    rng = random.Random(59)
+    profiles = _phragmen_elections(rng, 840)
+    for model in MODELS:
+        for seed in range(30):
+            m = rng.randint(2, 14)
+            spec = GenSpec(model=model, n=rng.randint(2, 50), m=m, seed=seed)
+            profiles.append(generate(spec, k=rng.randint(1, m)))
+    paths = Counter()
+    for e in profiles:
+        got = rules._rule_x(e)
+        assert got == rule_x_rescanning(e)
+        assert [type(x) for x in got] == [list, dict, int, list, bool]
+        backing = [approvers.bit_count() * e.k for approvers in e.candidate_voters]
+        paths["empty ballot"] += 0 in e.ballot_masks
+        paths["k = m"] += e.k == e.m
+        paths["n < k"] += e.n < e.k
+        paths["none affordable"] += max(backing) < e.n
+        paths["all affordable"] += min(backing) >= e.n
+        paths["picks, then completion"] += bool(got[3]) and got[4]
+        paths["a later scan drops a candidate"] += _drops_later(e, got)
+    assert len(profiles) >= 1000 and min(paths.values()) >= 20, paths
+
+
+def _drops_later(election, result) -> bool:
+    """Whether a scan after the first skips a candidate the rescanning Rule X
+    still tests: one with approvers that an earlier scan found unaffordable.
+    Replays the per-voter budgets from the payments, in `Fraction`s."""
+    committee, _, _, rhos, completed = result
+    cv = election.candidate_voters
+    budgets = [Fraction(election.k, election.n)] * election.n
+    scans = len(rhos) + completed
+    for s, (pick, (a, d)) in enumerate(zip(committee[: scans - 1], rhos)):
+        for c in set(range(election.m)) - set(committee[:s]):
+            if cv[c] and sum([budgets[v] for v in range(election.n) if cv[c] >> v & 1]) < 1:
+                return True
+        for v in range(election.n):
+            if cv[pick] >> v & 1:
+                budgets[v] -= min(budgets[v], Fraction(a, d))
+    return False
+
+
 def test_greedy_monroe_matches_ballot_scanning_oracle():
     rng = random.Random(53)
     profiles = _oracle_elections(rng, 240)
@@ -745,6 +790,32 @@ def test_no_winner_meets_a_vector_the_solver_proved_infeasible():
                     assert probe(e, rule, (demands(f, objective),)) == (False,), (rule, e)
                     met[str(rule)] += 1
     assert len(met) == len(family) and min(met.values()) >= 20, met
+
+
+def test_every_winner_meets_a_vector_with_no_positive_demand():
+    """The fact the experiment's closure of all-zero entitlements rests on:
+    every k-committee meets the all-zero demand vector, so `probe` reports it
+    met for every rule the experiment can probe.  Small random profiles and
+    generated ones, many of them with every f_i = 0 (small k against n).
+    max-Phragmen only at m <= 7."""
+    rng = random.Random(31)
+    family = [RuleId(r) for r in DEFAULT_RULES + ("sav", "cc", "monroe", "minimax_av")]
+    family += [RuleId("geom_pav", weight=Fraction(1, 2)), RuleId("max_phragmen")]
+    cases = _exact_rule_elections(rng, 100, 7)
+    for j in range(240):
+        model = ("ic", "mallows", "urn", "euclid_2d")[j % 4]
+        m = rng.randint(5, 8)
+        spec = GenSpec(model=model, n=rng.choice((12, 20, 30)), m=m, seed=j)
+        cases.append(generate(spec, k=rng.randint(1, m - 1)))
+    met, no_entitlement = Counter(), 0
+    for e in cases:
+        no_entitlement += not any(entitlements(e))
+        for rule in family:
+            if rule.kind != "max_phragmen" or e.m <= 7:
+                assert probe(e, rule, ([0] * e.n,)) == (True,), (rule, e)
+                met[str(rule)] += 1
+    assert len(cases) >= 300 and no_entitlement >= 50, no_entitlement
+    assert len(met) == len(family) and min(met.values()) >= 100, met
 
 
 def test_max_phragmen_load_vector_matches_the_merge_test():
