@@ -4,7 +4,8 @@ domain recognition/construction and the batch experiment harness.
 Machine-readable output goes to stdout, progress logs to stderr.  Exit codes:
 0 on success; 1 when a result requested via ``--expect`` is not met or the
 request has no answer (a search stopped at its node cap or the enumeration
-cap, or the profile is outside the domain asked for); 2 on usage errors.
+cap, or the profile is outside the domain asked for); 2 on usage errors
+(``--all-tied`` on a sequential rule among them).
 Candidate and voter indices are 1-based on this surface.
 """
 
@@ -267,7 +268,9 @@ def rule_cmd(profile, rule_name, all_tied, weight):
         raise click.UsageError(str(exc))
     try:
         outcome = rules.run_rule(election, rule, mode="all_tied" if all_tied else "single")
-    except (RuntimeError, ValueError) as exc:
+    except ValueError as exc:  # --all-tied on a sequential rule
+        raise click.UsageError(str(exc))
+    except RuntimeError as exc:
         raise click.ClickException(str(exc))
     # per-voter vectors and scalar scores only; structural fields carry
     # internal 0-based indices and stay out of the surface payload

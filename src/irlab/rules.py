@@ -5,16 +5,17 @@ greedy Monroe) run their greedy iteration under a fixed tie-break: the
 lowest candidate index wins every tie (for deletion rules the highest index
 is removed, so low indices survive).  Exact optimization rules report the
 lexicographically first optimum or all tied optima.  AV and SAV take them
-from the pool of tied candidates; PAV, CC, geometric PAV, Monroe, minimax-AV
-and max-Phragmen run one bounded search (`_lex_search`) that adds candidates
-in increasing order under a committee-count cap (`enumeration_guard`).  It
-cuts a Thiele prefix whose score plus its largest gains cannot reach the
-best score, and once the completions of a Thiele prefix fit one block it
-scores them all at once:
+from the pool of tied candidates.  The other six visit the committees in
+`itertools.combinations` order under a committee-count cap
+(`enumeration_guard`).  PAV, CC and geometric PAV walk lex prefixes
+(`_thiele_search`): a prefix whose score plus its largest gains cannot reach
+the best score is cut, and once the completions of a prefix fit one block
+they are scored all at once:
 each completion is one bit of a Python int, the layers of its members come
 from ``search.lift`` and the scores are bit-sliced counters over those bits
 (``search.add``, ``settle``, ``maximum``), so a desk-scale profile (m = 16)
-is one block.  The other three rules key one committee per last seat.
+is one block.  Monroe, minimax-AV and max-Phragmen key every committee
+(`_committee_search`).
 
 Every kernel works on integers.  Thiele scores (PAV, CC, geometric PAV and
 their sequential forms) are scaled by the lcm of the weights' denominators;
@@ -451,55 +452,6 @@ def enumeration_guard(rule: RuleId, m: int, k: int) -> None:
         raise RuntimeError(f"C({m},{k}) exceeds the committee enumeration cap")
 
 
-def _lex_search(m: int, k: int, push, pop, leaves, fits, bound, all_tied: bool) -> tuple:
-    """Maximise a key over all k-subsets of range(m), in lexicographic order.
-
-    Candidates are added in increasing order, so committees are visited in
-    `itertools.combinations` order: the first optimum found is the lex-first
-    one and ties are listed in that order.  ``push(c)``/``pop(c)`` add and
-    remove a prefix member.  Once ``fits(p, r)`` holds for the pool of the p
-    candidates from nxt on and the r seats left, ``leaves(prefix, nxt, r)``
-    scores every completion of the prefix by r of them as one block: it
-    yields (key, winner) pairs in lex order, and a winner is kept only with a
-    key above the best so far (or equal to it, when all ties are wanted).
-    ``bound(nxt, r)`` (None for no bound) bounds the key of every completion
-    by r members from nxt..m-1 from above; a prefix that cannot beat the best
-    key (or tie it, when all ties are wanted) is cut.  It is asked only with
-    two or more seats left and a pool of at least twice the seats, where a
-    cut outweighs its cost.  Returns the kept winners and their key.
-    """
-    # fits(m - nxt, r) holds from nxt = start[r] on, as pools only shrink; a
-    # prefix with no seat left is a block of one committee
-    start = [0] + [
-        next((x for x in range(m - r + 1) if fits(m - x, r)), m) for r in range(1, k + 1)
-    ]
-    best, winners = None, []
-    chosen: list[int] = []
-    nxt = 0
-    while True:
-        left = k - len(chosen)  # seats still to fill
-        if start[left] <= nxt <= m - left:
-            for key, winner in leaves(chosen, nxt, left):
-                if best is None or key > best:
-                    best, winners = key, [winner]
-                elif key == best and all_tied:
-                    winners.append(winner)
-        elif nxt <= m - left:
-            push(nxt)
-            chosen.append(nxt)
-            nxt += 1
-            if m - nxt < 2 * (left - 1) or left < 3 or best is None or bound is None:
-                continue
-            upper = bound(nxt, left - 1)
-            if upper > best or (upper == best and all_tied):
-                continue
-        if not chosen:
-            return winners, best
-        last = chosen.pop()
-        pop(last)
-        nxt = last + 1
-
-
 _BLOCK_BITS = 1 << 22  # a block's membership table: pool * C(pool, seats) bits
 
 
@@ -511,49 +463,45 @@ def _thiele_search(
     all_tied: bool,
     width: int | None = None,
 ) -> tuple[list, int]:
-    """Maximise a scaled-integer Thiele score over the k-subsets of range(m)
-    with `_lex_search`.  ``classes`` come from `_ballot_classes`.
+    """Maximise a scaled-integer Thiele score over the k-subsets of range(m).
+    ``classes`` come from `_ballot_classes`.
 
-    Adding a member rescores only the classes approving it; that gain table
-    is built by the first push, as a search that is one block never needs
-    it.  The weights never increase, so a candidate's gain only shrinks as
-    members join: the score plus the r largest current gains bounds every
-    completion by r members.  A block scores all its completions at once,
-    one lane each, in bit-sliced counters: a class with t0 approved prefix
-    members gains weight t0 + t - 1 on the lanes of its at-least layer G[t]
-    (`search.lift` over the block's `search.memberships`), so its voters are
-    counted there, and the block's score is those counts times the weights.
+    Candidates join a prefix in increasing order, so committees are visited
+    in `itertools.combinations` order: the first optimum found is the
+    lex-first one and ties are listed in that order.  Adding a member
+    rescores only the classes approving it; that gain table is built by the
+    first push, as a search that is one block never needs it.  The weights
+    never increase, so a candidate's gain only shrinks as members join: the
+    score plus the r largest current gains bounds every completion by r
+    members, and a prefix that cannot beat the best key (or tie it, when all
+    ties are wanted) is cut.  The bound is asked only for two or more seats
+    left, a pool of at least twice the seats, a best key so far and some
+    weight, where a cut outweighs its cost.
+
+    Once the pool of the p candidates past a prefix and its r seats left fit
+    one block (p * C(p, r) membership bits at most `_BLOCK_BITS`), the block
+    scores all its completions at once, one lane each, in bit-sliced
+    counters: a class with t0 approved prefix members gains weight t0 + t - 1
+    on the lanes of its at-least layer G[t] (`search.lift` over the block's
+    `search.memberships`), so its voters are counted there, and the block's
+    score is those counts times the weights.  A winner is kept only with a
+    key above the best so far (or equal to it, when all ties are wanted).
 
     Given the ``width`` of the classes' demand vectors, the search probes
     instead of listing winners: a block yields one pair, its best key and,
     per demand vector, whether a tied lane meets every class's demand d,
     that is, lies in G[d - t0] of every class.  The kept pairs are the
-    blocks that hold the tied winners.
+    blocks that hold the tied winners.  Returns the kept winners (or pairs)
+    and the best key.
     """
     depth = min(len(weights), k)  # weights past it are 0
     counts = [0] * len(classes)
     deepest = [max(need, default=0) for _, _, need in classes]
     saved: list[int] = []  # the score before each member pushed
     score = 0
-    table: list = []  # the gain rows and the approvers, built by the first push
+    rows, approvers = [], []  # the gain table, built by the first push
 
-    def push(c):
-        nonlocal score
-        if not table:
-            table.extend(_thiele_classes(m, classes, weights, k))
-        rows, approvers = table
-        saved.append(score)
-        for i in approvers[c]:
-            score += rows[i][counts[i]]
-            counts[i] += 1
-
-    def pop(c):
-        nonlocal score
-        score = saved.pop()
-        for i in table[1][c]:
-            counts[i] -= 1
-
-    def leaves(prefix, nxt, r):
+    def block(nxt, r):
         p = m - nxt
         masks = memberships(p, r) if r > 1 else ()
         lanes = (1 << comb(p, r)) - 1
@@ -584,18 +532,48 @@ def _thiele_search(
         if not all_tied:
             tied &= -tied
         for j in _iter_bits(tied):
-            yield score + value, (*prefix, *[nxt + c for c in unrank(j, p, r)])
+            yield score + value, (*chosen, *[nxt + c for c in unrank(j, p, r)])
 
-    def fits(p, r):
-        return p * comb(p, r) <= _BLOCK_BITS
-
-    def bound(nxt, r):
-        rows, approvers = table
-        gains = [row[t] for row, t in zip(rows, counts)]
-        pool = sorted([sum([gains[i] for i in approvers[c]]) for c in range(nxt, m)])
-        return score + sum(pool[-r:])
-
-    return _lex_search(m, k, push, pop, leaves, fits, bound if depth else None, all_tied)
+    # a prefix with r seats left is one block from nxt = start[r] on, as
+    # pools only shrink; a prefix with no seat left is a block of one committee
+    start = [0] + [
+        next((x for x in range(m - r + 1) if (m - x) * comb(m - x, r) <= _BLOCK_BITS), m)
+        for r in range(1, k + 1)
+    ]
+    best, winners = None, []
+    chosen: list[int] = []
+    nxt = 0
+    while True:
+        left = k - len(chosen)  # seats still to fill
+        if start[left] <= nxt <= m - left:
+            for key, winner in block(nxt, left):
+                if best is None or key > best:
+                    best, winners = key, [winner]
+                elif key == best and all_tied:
+                    winners.append(winner)
+        elif nxt <= m - left:
+            if not approvers:
+                rows, approvers = _thiele_classes(m, classes, weights, k)
+            saved.append(score)
+            for i in approvers[nxt]:
+                score += rows[i][counts[i]]
+                counts[i] += 1
+            chosen.append(nxt)
+            nxt += 1
+            if m - nxt < 2 * (left - 1) or left < 3 or best is None or not depth:
+                continue
+            gains = [row[t] for row, t in zip(rows, counts)]
+            pool = sorted([sum([gains[i] for i in approvers[c]]) for c in range(nxt, m)])
+            upper = score + sum(pool[-(left - 1) :])
+            if upper > best or (upper == best and all_tied):
+                continue
+        if not chosen:
+            return winners, best
+        last = chosen.pop()
+        score = saved.pop()
+        for i in approvers[last]:
+            counts[i] -= 1
+        nxt = last + 1
 
 
 def _thiele_weights(rule: RuleId, k: int) -> tuple[list[int], int]:
@@ -627,17 +605,18 @@ _COMMITTEE_KEYS = {
 
 
 def _committee_search(election: Election, kind: str, all_tied: bool) -> tuple[list, object]:
-    """Monroe, minimax-AV or max-Phragmen: `_lex_search` keys one committee per last seat."""
+    """Monroe, minimax-AV or max-Phragmen: the committees of the largest key
+    over all k-subsets, the lex-first alone or all of them in
+    `itertools.combinations` order, and that key."""
     key = _COMMITTEE_KEYS[kind]
-
-    def leaves(prefix, nxt, r):
-        for c in range(nxt, election.m):
-            members = (*prefix, c)
-            yield key(election, members), members
-
-    skip = lambda c: None
-    fits = lambda p, r: r == 1
-    return _lex_search(election.m, election.k, skip, skip, leaves, fits, None, all_tied)
+    best, winners = None, []
+    for members in combinations(range(election.m), election.k):
+        value = key(election, members)
+        if best is None or value > best:
+            best, winners = value, [members]
+        elif value == best and all_tied:
+            winners.append(members)
+    return winners, best
 
 
 _SEQUENTIAL = {

@@ -26,7 +26,11 @@ axiom kind that ``axioms.verify_violation`` replaced;
 objective, and ``max_phragmen_load_vector_by_merge_test`` the load vector
 with `Fraction` ratios and a re-tested merge, that the grid solve and the
 cross-multiplied bottleneck replaced; ``rule_x_rescanning`` is the grouped
-integer Rule X that re-tests every unpicked approved candidate at each pick.
+integer Rule X that re-tests every unpicked approved candidate at each pick;
+``lex_search_by_callbacks`` is the lex walk driven by push, pop, block, fit
+and bound callbacks that ``thiele_search_by_callbacks`` and
+``committee_search_by_callbacks`` ran before the Thiele search walked its
+own prefixes and the keyed rules looped over ``combinations``.
 """
 
 import math
@@ -53,9 +57,11 @@ from irlab.model import (
     members_mask,
     padding,
 )
+from irlab import rules
 from irlab.rules import MAX_ENUMERATED_COMMITTEES, RuleId, probe, run_rule
 from irlab.rules import _common_scale, _seq_phragmen as grouped_seq_phragmen
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, max_flow
+from irlab.search import add, lift, maximum, memberships, settle, unrank
 from irlab.solver import (
     SolveRequest,
     SolveResult,
@@ -1096,7 +1102,7 @@ def rev_seq_thiele(election, weights):
 
 
 # --------------------------------------------------------------------------
-# Exact rules: the unbounded engines that `rules._lex_search` replaced
+# Exact rules: the unbounded engines that the bounded lex search replaced
 # --------------------------------------------------------------------------
 
 
@@ -2003,3 +2009,156 @@ def rule_x_rescanning(
         negated = {-value: mask for value, mask in groups.items()}
         committee, _, _ = grouped_seq_phragmen(election, negated, scale, partial=committee)
     return committee, groups, scale, rhos, completed
+
+
+# --------------------------------------------------------------------------
+# Exact rules: the lex search driven by five callbacks, before the Thiele
+# search walked its own prefixes and the keyed rules looped over combinations
+# --------------------------------------------------------------------------
+
+
+def lex_search_by_callbacks(m: int, k: int, push, pop, leaves, fits, bound, all_tied: bool) -> tuple:
+    """Maximise a key over all k-subsets of range(m), in lexicographic order.
+
+    Candidates are added in increasing order, so committees are visited in
+    `itertools.combinations` order: the first optimum found is the lex-first
+    one and ties are listed in that order.  ``push(c)``/``pop(c)`` add and
+    remove a prefix member.  Once ``fits(p, r)`` holds for the pool of the p
+    candidates from nxt on and the r seats left, ``leaves(prefix, nxt, r)``
+    scores every completion of the prefix by r of them as one block: it
+    yields (key, winner) pairs in lex order, and a winner is kept only with a
+    key above the best so far (or equal to it, when all ties are wanted).
+    ``bound(nxt, r)`` (None for no bound) bounds the key of every completion
+    by r members from nxt..m-1 from above; a prefix that cannot beat the best
+    key (or tie it, when all ties are wanted) is cut.  It is asked only with
+    two or more seats left and a pool of at least twice the seats.  Returns
+    the kept winners and their key.
+    """
+    # fits(m - nxt, r) holds from nxt = start[r] on, as pools only shrink; a
+    # prefix with no seat left is a block of one committee
+    start = [0] + [
+        next((x for x in range(m - r + 1) if fits(m - x, r)), m) for r in range(1, k + 1)
+    ]
+    best, winners = None, []
+    chosen: list[int] = []
+    nxt = 0
+    while True:
+        left = k - len(chosen)  # seats still to fill
+        if start[left] <= nxt <= m - left:
+            for key, winner in leaves(chosen, nxt, left):
+                if best is None or key > best:
+                    best, winners = key, [winner]
+                elif key == best and all_tied:
+                    winners.append(winner)
+        elif nxt <= m - left:
+            push(nxt)
+            chosen.append(nxt)
+            nxt += 1
+            if m - nxt < 2 * (left - 1) or left < 3 or best is None or bound is None:
+                continue
+            upper = bound(nxt, left - 1)
+            if upper > best or (upper == best and all_tied):
+                continue
+        if not chosen:
+            return winners, best
+        last = chosen.pop()
+        pop(last)
+        nxt = last + 1
+
+
+def thiele_search_by_callbacks(
+    m: int,
+    k: int,
+    classes: Sequence[tuple[int, int, tuple[int, ...]]],
+    weights: Sequence[int],
+    all_tied: bool,
+    width: int | None = None,
+) -> tuple[list, int]:
+    """`rules._thiele_search` as push, pop, block, fit and bound callbacks of
+    `lex_search_by_callbacks`; blocks are as large as ``rules._BLOCK_BITS``
+    at call time, and ``width`` probes as there."""
+    depth = min(len(weights), k)  # weights past it are 0
+    counts = [0] * len(classes)
+    deepest = [max(need, default=0) for _, _, need in classes]
+    saved: list[int] = []  # the score before each member pushed
+    score = 0
+    table: list = []  # the gain rows and the approvers, built by the first push
+
+    def push(c):
+        nonlocal score
+        if not table:
+            table.extend(rules._thiele_classes(m, classes, weights, k))
+        rows, approvers = table
+        saved.append(score)
+        for i in approvers[c]:
+            score += rows[i][counts[i]]
+            counts[i] += 1
+
+    def pop(c):
+        nonlocal score
+        score = saved.pop()
+        for i in table[1][c]:
+            counts[i] -= 1
+
+    def leaves(prefix, nxt, r):
+        p = m - nxt
+        masks = memberships(p, r) if r > 1 else ()
+        lanes = (1 << comb(p, r)) - 1
+        gained = [[] for _ in range(depth)]  # per lane, the voters gaining weight j (carry-save)
+        hits = [lanes] * (width or 0)
+        for (ballot, mult, need), t0, deep in zip(classes, counts, deepest):
+            part = ballot >> nxt
+            most = min(r, depth - t0)  # approved members past it gain nothing
+            top = min(r, max(most, deep - t0)) if part else 0
+            layers = [lanes, part] if r == 1 and top else [lanes]  # r = 1: lane c is c alone
+            if r > 1 and top:
+                lift(layers, masks, part, top)
+            if most > 0:
+                for j, layer in enumerate(layers[1 : most + 1], t0):
+                    add(gained[j], mult, layer)
+            if deep > t0:
+                for j, d in enumerate(need):
+                    if d > t0:
+                        hits[j] &= layers[d - t0] if d - t0 < len(layers) else 0
+        total = []
+        for w, voters in zip(weights, gained):
+            for b, s in enumerate(settle(voters)):
+                add(total, w << b, s)
+        value, tied = maximum(settle(total), lanes)
+        if width is not None:
+            yield score + value, [bool(tied & h) for h in hits]
+            return
+        if not all_tied:
+            tied &= -tied
+        for j in _iter_bits(tied):
+            yield score + value, (*prefix, *[nxt + c for c in unrank(j, p, r)])
+
+    def fits(p, r):
+        return p * comb(p, r) <= rules._BLOCK_BITS
+
+    def bound(nxt, r):
+        rows, approvers = table
+        gains = [row[t] for row, t in zip(rows, counts)]
+        pool = sorted([sum([gains[i] for i in approvers[c]]) for c in range(nxt, m)])
+        return score + sum(pool[-r:])
+
+    return lex_search_by_callbacks(
+        m, k, push, pop, leaves, fits, bound if depth else None, all_tied
+    )
+
+
+def committee_search_by_callbacks(election: Election, kind: str, all_tied: bool) -> tuple:
+    """Monroe, minimax-AV or max-Phragmen: `lex_search_by_callbacks` keys one
+    committee per last seat."""
+    key = rules._COMMITTEE_KEYS[kind]
+
+    def leaves(prefix, nxt, r):
+        for c in range(nxt, election.m):
+            members = (*prefix, c)
+            yield key(election, members), members
+
+    skip = lambda c: None
+    fits = lambda p, r: r == 1
+    return lex_search_by_callbacks(
+        election.m, election.k, skip, skip, leaves, fits, None, all_tied
+    )

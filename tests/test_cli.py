@@ -332,6 +332,8 @@ _IC_P = GenSpec(model="ic", n=12, m=6, seed=4, params={"p": 0.3})
         (["check", "{profile}", "--committee", "1,2", "--axiom", "alpha-beta-ir", "--alpha", "1/2",
           "--beta", "0"], 2, "requires alpha >= 1 and beta >= 0"),
         (["rule", "{profile}", "--rule", "pav", "--weight", "1/2"], 2, "pav does not take a weight"),
+        (["rule", "{profile}", "--rule", "seq_pav", "--all-tied"], 2,
+         "seq_pav is sequential; all_tied applies to exact rules only"),
         (["recognize", "{profile}", "--expect", "member"], 2, "--expect requires a single --domain"),
         (["construct", "{profile}", "--domain", "alpha-tr"], 2, "alpha-tr requires --tree"),
         (["check", "{profile}", "--committee", "1", "--axiom", "ejr"], 2,
@@ -343,8 +345,8 @@ _IC_P = GenSpec(model="ic", n=12, m=6, seed=4, params={"p": 0.3})
          serialize_profile(generate(_IC_P))),
     ],
     ids=["committee-token", "committee-index", "beta-missing", "alpha-below-one", "rule-weight",
-         "recognize-expect-all", "construct-tree-missing", "group-axiom-size", "pr-k-not-dividing-n",
-         "solve-expect-found", "gen-p"],
+         "rule-all-tied-sequential", "recognize-expect-all", "construct-tree-missing",
+         "group-axiom-size", "pr-k-not-dividing-n", "solve-expect-found", "gen-p"],
 )
 def test_cli_exit_contract(tmp_path, args, code, message):
     # each exit code with its message: 2 for a usage error, 1 for an unmet
@@ -719,12 +721,12 @@ def test_solve_decides_where_the_certificate_walk_hits_the_cap(tmp_path):
     assert line.startswith("Error: ") and "(cohesion.entitlements stopped after 42 nodes)" in line
 
 
-GOLDEN_RULE_OUTPUT_SHA256 = "b52a10d79a18ef347becd7bedb8770b8d381b64950786d432bccf073ada7bf0f"
+GOLDEN_RULE_OUTPUT_SHA256 = "489442adefb4fa88ae2ee09b14cff5abc78a68938bdc0e0f2abc3c5ba6212b6d"
 
 
 def test_rule_output_matches_golden_digest(tmp_path):
     """`irlab rule` stdout for every rule, single and all-tied, on every shared
-    fixture (sequential rules exit 1 under --all-tied)."""
+    fixture (sequential rules exit 2 under --all-tied)."""
     digest = hashlib.sha256()
     runs = 0
     for name, fixture in _fixtures():

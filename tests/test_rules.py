@@ -24,6 +24,8 @@ from oracles import _monroe_score as oracle_monroe_score
 from oracles import _optimize as oracle_optimize
 from oracles import _thiele_optimize as oracle_thiele_optimize
 from oracles import _thiele_search as oracle_thiele_search
+from oracles import committee_search_by_callbacks as oracle_committee_by_callbacks
+from oracles import thiele_search_by_callbacks as oracle_thiele_by_callbacks
 from oracles import brute_optimum, cc_score, greedy_monroe, rev_seq_thiele, seq_thiele, thiele_score
 from oracles import max_phragmen_load_vector_by_merge_test, rule_x_rescanning
 from oracles import probe_rule as oracle_probe_rule
@@ -374,8 +376,9 @@ def test_thiele_blocks_match_the_per_leaf_search(monkeypatch):
     bases = (Fraction(1, 16), Fraction(1, 2), Fraction(2, 3))
     family = [RuleId("pav"), RuleId("cc")] + [RuleId("geom_pav", weight=b) for b in bases]
     paths = Counter()
+    whole = rules._BLOCK_BITS
     for j, e in enumerate(_exact_rule_elections(rng, 300, 10)):
-        block_bits = (rules._BLOCK_BITS, 24, 1)[j % 3]
+        block_bits = (whole, 24, 1)[j % 3]
         monkeypatch.setattr(rules, "_BLOCK_BITS", block_bits)
         paths["one block"] += e.m * comb(e.m, e.k) <= block_bits
         paths["prefixes, then blocks"] += e.m * comb(e.m, e.k) > block_bits > 1
@@ -395,6 +398,58 @@ def test_thiele_blocks_match_the_per_leaf_search(monkeypatch):
                 assert got == best, (rule, mode, block_bits, e)
                 assert repr(out.diagnostics) == repr({"score": score}), (rule, mode, e)
                 paths["tied winners"] += len(best) > 1
+    assert min(paths.values()) >= 40, paths
+
+
+def test_thiele_walk_matches_the_callback_engine(monkeypatch):
+    """`rules._thiele_search`, walking its own prefixes, returns what the lex
+    search driven by push, pop, block, fit and bound callbacks returned: the
+    winners and the best key when listing, the kept pairs and the best key
+    when probing.  Every call `run_rule` and `probe` make is compared, for
+    PAV, CC and geometric PAV 1/2 and for the weightless AV/SAV search over
+    the tied pool with residual demands, with whole-space blocks, small
+    blocks and one committee per block.  Monroe, minimax-AV and max-Phragmen,
+    keyed over `combinations`, list what the callback engine listed."""
+    rng = random.Random(73)
+    whole = rules._BLOCK_BITS
+    real_search = rules._thiele_search
+    paths = Counter()
+
+    def compared(m, k, classes, weights, all_tied, width=None):
+        got = real_search(m, k, classes, weights, all_tied, width)
+        want = oracle_thiele_by_callbacks(m, k, classes, weights, all_tied, width)
+        assert got == want, (m, k, classes, weights, all_tied, width)
+        paths["listing" if width is None else "probing"] += 1
+        paths["weightless pool"] += not weights
+        paths["tied winners"] += len(got[0]) > 1
+        return got
+
+    monkeypatch.setattr(rules, "_thiele_search", compared)
+    thiele = [RuleId("pav"), RuleId("cc"), RuleId("geom_pav", weight=Fraction(1, 2))]
+    for j, e in enumerate(_exact_rule_elections(rng, 300, 10)):
+        block_bits = (whole, 24, 1)[j % 3]
+        monkeypatch.setattr(rules, "_BLOCK_BITS", block_bits)
+        paths["one block"] += e.m * comb(e.m, e.k) <= block_bits
+        paths["prefixes, then blocks"] += e.m * comb(e.m, e.k) > block_bits > 1
+        paths["one committee per block"] += block_bits == 1 and e.k < e.m
+        paths["k = 1"] += e.k == 1
+        paths["k = m"] += e.k == e.m
+        paths["k = m - 1"] += e.k == e.m - 1
+        paths["empty ballot"] += 0 in e.ballot_masks
+        f = entitlements(e)
+        randoms = [rng.randint(0, min(len(a), e.k) + 1) for a in e.approvals]
+        wanted = (f, demands(f, "FIND_SSJR"), randoms)
+        for rule in thiele:
+            for mode in ("single", "all_tied"):
+                run_rule(e, rule, mode=mode)
+        for rule in thiele + [RuleId("av"), RuleId("sav")]:
+            rules.probe(e, rule, wanted)
+        if e.m <= 7:
+            for kind in ("monroe", "minimax_av", "max_phragmen"):
+                for all_tied in (False, True):
+                    got = rules._committee_search(e, kind, all_tied)
+                    assert got == oracle_committee_by_callbacks(e, kind, all_tied), (kind, e)
+                    paths["keyed, tied winners"] += len(got[0]) > 1
     assert min(paths.values()) >= 40, paths
 
 
@@ -432,28 +487,39 @@ def test_probe_matches_testing_every_winner(monkeypatch):
         spec = GenSpec(model=("ic", "urn", "vi_euclid")[j % 3], n=20, m=m, seed=j)
         cases.append((generate(spec, k=rng.randint(2, m - 1)), on_lanes))
     paths = Counter()
-    real_search = rules._lex_search
+    whole = rules._BLOCK_BITS
+    real_search, real_maximum = rules._thiele_search, rules.maximum
+    values = []  # per scored block, its best value over the prefix's score
 
-    def traced_search(m, k, push, pop, leaves, *rest):
-        keys = []
+    def traced_maximum(counters, lanes):
+        value, tied = real_maximum(counters, lanes)
+        values.append(value)
+        return value, tied
 
-        def seen(prefix, nxt, r):
-            for key, winner in leaves(prefix, nxt, r):
-                keys.append(key)
-                yield key, winner
-
-        winners, best = real_search(m, k, push, pop, seen, *rest)
-        if winners and isinstance(winners[0], list):  # a probing Thiele search
-            paths["blocks below a prefix"] += len(keys) > 1
-            paths["a block beats the best key"] += any(
-                key > max(keys[:j]) for j, key in enumerate(keys) if j
+    def traced_search(m, k, classes, weights, all_tied, width=None):
+        values.clear()
+        kept, best = real_search(m, k, classes, weights, all_tied, width)
+        if width is not None:
+            # the first block completes range(x), the shortest prefix whose
+            # completions fit one block; a later block beat the best key so
+            # far if and only if the first block's key is below the best
+            x = next(
+                x for x in range(k + 1)
+                if x == k or (m - x) * comb(m - x, k - x) <= rules._BLOCK_BITS
             )
-            paths["tied blocks"] += len(winners) > 1
-        return winners, best
+            prefix = sum(
+                mult * sum(weights[: (ballot & ((1 << x) - 1)).bit_count()])
+                for ballot, mult, _ in classes
+            )
+            paths["blocks below a prefix"] += len(values) > 1
+            paths["a block beats the best key"] += prefix + values[0] < best
+            paths["tied blocks"] += len(kept) > 1
+        return kept, best
 
-    monkeypatch.setattr(rules, "_lex_search", traced_search)
+    monkeypatch.setattr(rules, "maximum", traced_maximum)
+    monkeypatch.setattr(rules, "_thiele_search", traced_search)
     for j, (e, probed) in enumerate(cases):
-        monkeypatch.setattr(rules, "_BLOCK_BITS", (rules._BLOCK_BITS, 12, 1)[j % 3])
+        monkeypatch.setattr(rules, "_BLOCK_BITS", (whole, 12, 1)[j % 3])
         f = entitlements(e)
         other = set(rng.sample(range(e.m), e.k))
         shared = (
