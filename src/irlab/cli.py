@@ -152,11 +152,11 @@ def main():
 @click.option("-o", "--out", type=click.Path(writable=True), default="-")
 def gen_cmd(model, n, m, k, seed, p, radius_owner, out):
     """Sample an approval profile and write it as .avp text."""
-    params = {}
+    _refuse_unused("p", model != "ic", "--p is for --model ic only")
+    _refuse_unused("radius_owner", model != "euclid_2d", "--radius-owner is for --model euclid_2d only")
+    params = {"radius_owner": radius_owner}  # read by euclid_2d alone
     if p is not None:
         params["p"] = p
-    if model == "euclid_2d":
-        params["radius_owner"] = radius_owner
     try:
         election = generate(GenSpec(model=model, n=n, m=m, seed=seed, params=params), k=k)
     except ValueError as exc:
@@ -389,6 +389,7 @@ def recognize_cmd(profile, domain_name, expect):
               help="JSON file with a 1-based 'parent' array (alpha-tr only)")
 def construct_cmd(profile, domain_name, tree):
     """Construct a committee with the domain's representation guarantee."""
+    _refuse_unused("tree", domain_name != "alpha-tr", "--tree is for --domain alpha-tr only")
     election = _load(profile)
     if domain_name == "alpha-tr":
         if tree is None:

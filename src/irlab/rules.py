@@ -8,11 +8,11 @@ lexicographically first optimum or all tied optima.  AV and SAV take them
 from the pool of tied candidates.  The other six visit the committees in
 `itertools.combinations` order under a committee-count cap
 (`enumeration_guard`).  PAV, CC and geometric PAV walk lex prefixes
-(`_thiele_search`): a prefix whose score plus its largest gains cannot reach
-the best score is cut, and once the completions of a prefix fit one block
-they are scored all at once:
-each completion is one bit of a Python int, the layers of its members come
-from ``search.lift`` and the scores are bit-sliced counters over those bits
+(`_thiele_search`), holding the prefix alone: a prefix whose score plus its
+largest gains cannot reach the best score is cut, and once the completions
+of a prefix fit one block they are scored all at once: each completion is
+one bit of a Python int, the layers of its members come from
+``search.lift`` and the scores are bit-sliced counters over those bits
 (``search.add``, ``settle``, ``maximum``), so a desk-scale profile (m = 16)
 is one block.  Monroe, minimax-AV and max-Phragmen key every committee
 (`_committee_search`).
@@ -20,8 +20,8 @@ is one block.  Monroe, minimax-AV and max-Phragmen key every committee
 Every kernel works on integers.  Thiele scores (PAV, CC, geometric PAV and
 their sequential forms) are scaled by the lcm of the weights' denominators;
 identical ballots are collapsed into one class with a multiplicity, and
-seq-PAV and seq-CC hold the voters in the same at-least layers
-(``search.lift``) by how many picks they approve.
+seq-PAV, seq-CC and reverse seq-PAV hold the voters in the same at-least
+layers (``search.lift``) by how many members they approve.
 AV and SAV rank approval counts and SAV shares as numerators over the lcm
 of the ballot sizes.  seq-Phragmen loads and Rule X budgets are integer
 numerators over one common denominator, grouped by value into voter
@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
@@ -136,25 +136,6 @@ def _ballot_classes(
     collapsed into (ballot mask, multiplicity, demands) classes."""
     counted = Counter(zip(election.ballot_masks, *wanted))
     return [(key[0], mult, key[1:]) for key, mult in counted.items()]
-
-
-def _thiele_classes(
-    m: int, classes: Sequence[tuple[int, int, tuple]], weights: Sequence[int], depth: int
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Tabulate the gains of the classes of `_ballot_classes`.
-
-    Returns (rows, approvers): rows[i][t] is the scaled score class i gains
-    when a committee member becomes its (t+1)-th approved one (t < depth;
-    weights beyond the given ones are 0), and approvers[c] lists the classes
-    approving candidate c < m.
-    """
-    padded = list(weights[:depth]) + [0] * (depth - len(weights))
-    rows = [[mult * w for w in padded] for _, mult, _ in classes]
-    approvers: list[list[int]] = [[] for _ in range(m)]
-    for i, (b, _, _) in enumerate(classes):
-        for c in _iter_bits(b):
-            approvers[c].append(i)
-    return rows, approvers
 
 
 def _approval_ranking(
@@ -263,26 +244,27 @@ def _seq_thiele(election: Election, weights: Sequence[int]) -> tuple[list[int], 
 def _rev_seq_thiele(election: Election) -> tuple[list[int], list[tuple[int, int]], int]:
     """Reverse seq-PAV: drop the member whose removal loses the least score.
 
-    Returns the committee, the (dropped candidate, scaled loss) pairs in
-    order and the scale.
+    Voters are held in `_seq_thiele`'s at-least layers, lifted once by all m
+    candidates: a voter approving exactly t members loses the t-th weight
+    when one of them is dropped, and a drop moves its approvers down one
+    layer.  Returns the committee, the (dropped candidate, scaled loss)
+    pairs in order and the scale.
     """
+    cv = election.candidate_voters
     depth = max(b.bit_count() for b in election.ballot_masks)
     weights, scale = _harmonic_weights(depth)
-    classes = _ballot_classes(election)
-    rows, approvers = _thiele_classes(election.m, classes, weights, depth)
-    counts = [ballot.bit_count() for ballot, _, _ in classes]
+    held = [election.all_voters_mask()]
+    lift(held, cv, (1 << election.m) - 1, depth)
     committee = list(range(election.m))
     history = []
     while len(committee) > election.k:
-        losses = [
-            (sum([rows[i][counts[i] - 1] for i in approvers[c]]), c) for c in committee
-        ]
+        exact = [(w, lo ^ hi) for w, lo, hi in zip(weights, held[1:], held[2:] + [0])]
+        losses = [(sum([w * (cv[c] & x).bit_count() for w, x in exact]), c) for c in committee]
         min_loss = min(loss for loss, _ in losses)
         # remove the largest index among least-loss candidates: low indices survive
         drop = max(c for loss, c in losses if loss == min_loss)
         committee.remove(drop)
-        for i in approvers[drop]:
-            counts[i] -= 1
+        held[1:] = [lo & ~cv[drop] | hi & cv[drop] for lo, hi in zip(held[1:], held[2:] + [0])]
         history.append((drop, min_loss))
     return committee, history, scale
 
@@ -468,15 +450,15 @@ def _thiele_search(
 
     Candidates join a prefix in increasing order, so committees are visited
     in `itertools.combinations` order: the first optimum found is the
-    lex-first one and ties are listed in that order.  Adding a member
-    rescores only the classes approving it; that gain table is built by the
-    first push, as a search that is one block never needs it.  The weights
-    never increase, so a candidate's gain only shrinks as members join: the
-    score plus the r largest current gains bounds every completion by r
-    members, and a prefix that cannot beat the best key (or tie it, when all
-    ties are wanted) is cut.  The bound is asked only for two or more seats
-    left, a pool of at least twice the seats, a best key so far and some
-    weight, where a cut outweighs its cost.
+    lex-first one and ties are listed in that order.  The walk holds the
+    prefix alone: a class's t0 approved prefix members are one popcount under
+    the prefix mask, and its voters score the first t0 weights each.  The
+    weights never increase, so a candidate's gain only shrinks as members
+    join: the prefix score plus the r largest gains past it bounds every
+    completion by r members, and a prefix that cannot beat the best key (or
+    tie it, when all ties are wanted) is cut.  The bound is asked only for
+    two or more seats left, a pool of at least twice the seats, a best key so
+    far and some weight, where a cut outweighs its cost.
 
     Once the pool of the p candidates past a prefix and its r seats left fit
     one block (p * C(p, r) membership bits at most `_BLOCK_BITS`), the block
@@ -495,13 +477,19 @@ def _thiele_search(
     and the best key.
     """
     depth = min(len(weights), k)  # weights past it are 0
-    counts = [0] * len(classes)
+    score_of = list(accumulate([*weights[:depth]] + [0] * (k - depth), initial=0))
     deepest = [max(need, default=0) for _, _, need in classes]
-    saved: list[int] = []  # the score before each member pushed
-    score = 0
-    rows, approvers = [], []  # the gain table, built by the first push
+
+    def prefix_counts():
+        """Each class's approved prefix members, and the prefix's score."""
+        if not chosen:  # the one prefix a one-block search asks about
+            return [0] * len(classes), 0
+        prefix = members_mask(chosen)
+        counts = [(ballot & prefix).bit_count() for ballot, _, _ in classes]
+        return counts, sum([mult * score_of[t] for (_, mult, _), t in zip(classes, counts)])
 
     def block(nxt, r):
+        counts, score = prefix_counts()
         p = m - nxt
         masks = memberships(p, r) if r > 1 else ()
         lanes = (1 << comb(p, r)) - 1
@@ -552,28 +540,24 @@ def _thiele_search(
                 elif key == best and all_tied:
                     winners.append(winner)
         elif nxt <= m - left:
-            if not approvers:
-                rows, approvers = _thiele_classes(m, classes, weights, k)
-            saved.append(score)
-            for i in approvers[nxt]:
-                score += rows[i][counts[i]]
-                counts[i] += 1
             chosen.append(nxt)
             nxt += 1
             if m - nxt < 2 * (left - 1) or left < 3 or best is None or not depth:
                 continue
-            gains = [row[t] for row, t in zip(rows, counts)]
-            pool = sorted([sum([gains[i] for i in approvers[c]]) for c in range(nxt, m)])
+            counts, score = prefix_counts()
+            pool = [0] * (m - nxt)
+            for (ballot, mult, _), t in zip(classes, counts):
+                if t < depth:
+                    gain = mult * weights[t]
+                    for c in _iter_bits(ballot >> nxt):
+                        pool[c] += gain
+            pool.sort()
             upper = score + sum(pool[-(left - 1) :])
             if upper > best or (upper == best and all_tied):
                 continue
         if not chosen:
             return winners, best
-        last = chosen.pop()
-        score = saved.pop()
-        for i in approvers[last]:
-            counts[i] -= 1
-        nxt = last + 1
+        nxt = chosen.pop() + 1
 
 
 def _thiele_weights(rule: RuleId, k: int) -> tuple[list[int], int]:

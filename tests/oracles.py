@@ -2066,6 +2066,22 @@ def lex_search_by_callbacks(m: int, k: int, push, pop, leaves, fits, bound, all_
         nxt = last + 1
 
 
+def _thiele_gain_table(
+    m: int, classes: Sequence[tuple[int, int, tuple]], weights: Sequence[int], depth: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The gain table of the callback engine: rows[i][t] is the scaled score
+    class i gains when a committee member becomes its (t+1)-th approved one
+    (t < depth; weights beyond the given ones are 0), and approvers[c] lists
+    the classes approving candidate c < m."""
+    padded = list(weights[:depth]) + [0] * (depth - len(weights))
+    rows = [[mult * w for w in padded] for _, mult, _ in classes]
+    approvers: list[list[int]] = [[] for _ in range(m)]
+    for i, (b, _, _) in enumerate(classes):
+        for c in _iter_bits(b):
+            approvers[c].append(i)
+    return rows, approvers
+
+
 def thiele_search_by_callbacks(
     m: int,
     k: int,
@@ -2087,7 +2103,7 @@ def thiele_search_by_callbacks(
     def push(c):
         nonlocal score
         if not table:
-            table.extend(rules._thiele_classes(m, classes, weights, k))
+            table.extend(_thiele_gain_table(m, classes, weights, k))
         rows, approvers = table
         saved.append(score)
         for i in approvers[c]:

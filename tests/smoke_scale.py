@@ -1,7 +1,8 @@
 """Large committee space smoke: time and peak RSS at scale.
 
 C(30, 7) = 2,035,800 committees: the Thiele search scores them in
-bit-sliced blocks under the lex prefixes, and the rule probe tests
+bit-sliced blocks under the lex prefixes (PAV all-tied and CC single
+within 1 s together, about 0.04 s on a 2-core VM), and the rule probe tests
 the IR and semi-strong JR demands on the tied lanes without
 listing the winners; the saturation-cut entitlements equal the
 f_vector values there and on a 1,000-voter profile; a capped
@@ -47,10 +48,14 @@ from irlab.solver import SolveRequest, demands, find_committee
 
 def smoke() -> None:
     e = generate(GenSpec(model="ic", n=40, m=30, seed=1), k=7)
+    walk = 0.0
     for rule, mode in (("pav", "all_tied"), ("cc", "single")):
         t = time.perf_counter()
         out = run_rule(e, RuleId(rule), mode=mode)
-        print(rule, mode, len(out.committees), "winners", f"{time.perf_counter() - t:.2f} s")
+        took = time.perf_counter() - t
+        walk += took
+        print(rule, mode, len(out.committees), "winners", f"{took:.2f} s")
+    assert walk < 1.0, "the Thiele lex walk over C(30, 7) is too slow"
     for model in MODELS:
         t = time.perf_counter()
         g = generate(GenSpec(model=model, n=1000, m=60, seed=0), k=5)

@@ -305,14 +305,23 @@ def test_solve_min_beta_alpha_below_one_exit_two(tmp_path):
         (["solve", "--alpha", "1"], "--alpha is for --objective min-beta only"),
         (["solve", "--objective", "min-beta", "--beta", "0"],
          "--beta is for --objective min-alpha only"),
+        (["construct", "--domain", "vi", "--tree", "{tree}"], "--tree is for --domain alpha-tr only"),
+        (["gen", "--model", "urn", "--p", "0.9"], "--p is for --model ic only"),
+        (["gen", "--model", "ic", "--radius-owner", "candidate"],
+         "--radius-owner is for --model euclid_2d only"),
     ],
-    ids=["check-alpha", "check-beta", "solve-alpha", "solve-beta"],
+    ids=["check-alpha", "check-beta", "solve-alpha", "solve-beta", "construct-tree",
+         "gen-p", "gen-radius-owner"],
 )
 def test_option_the_request_does_not_read_exit_two(tmp_path, args, message):
     # an option the request would ignore is refused, even at its default value
     path = _write_profile(tmp_path, two_camps_with_bridge())
+    tree = tmp_path / "tree.json"
+    tree.write_text('{"parent": [null, 1, 1]}')
     command, *rest = args
-    result = CliRunner().invoke(main, [command, path, *rest])
+    rest = [a.format(tree=tree) for a in rest]
+    target = ["--n", "4", "--m", "3"] if command == "gen" else [path]
+    result = CliRunner().invoke(main, [command, *target, *rest])
     _assert_usage_error(result)
     assert message in result.output
 

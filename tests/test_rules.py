@@ -637,7 +637,12 @@ def test_exact_winners_survive_cloning_every_voter():
 
 def test_sequential_thiele_rules_match_fraction_reference():
     rng = random.Random(43)
-    for e in _oracle_elections(rng, 60):
+    edges = [
+        Election.from_approvals([set(), set(), set()], m=4, k=2),  # no layer above the first
+        Election.from_approvals([set(range(5)), {0, 3}, {4}, set()], m=5, k=2),  # all m: deepest
+        Election.from_approvals([{0, 1}, {1}, {2}], m=4, k=4),  # k = m: nothing is dropped
+    ]
+    for e in _oracle_elections(rng, 60) + edges:
         harmonic = [Fraction(1, t) for t in range(1, e.m + 1)]
         for kind, weights in (("seq_pav", harmonic), ("seq_cc", [Fraction(1)])):
             out = run_rule(e, RuleId(kind))
