@@ -84,14 +84,20 @@ class ExperimentSpec:
             raise ValueError("instances must be at least 1")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if not self.models:
+            raise ValueError("no model given")
+        if not self.k_values:
+            raise ValueError("no k value given")
         for k in self.k_values:
             if not 1 <= k <= self.m:
                 raise ValueError(f"k={k} outside [1, {self.m}]")
         for model in self.models:  # the generators' checks: model name, m at most their limit
             GenSpec(model=model, n=self.n, m=self.m, seed=0, params=self.gen_params.get(model, {}))
-        for j, rule in enumerate(self.rules):
-            if rule in self.rules[:j]:
-                raise ValueError(f"rule {rule} is listed twice")
+        # a repeat would run (or probe) the same instances twice
+        for label, values in (("model {}", self.models), ("k={}", self.k_values), ("rule {}", self.rules)):
+            for j, value in enumerate(values):
+                if value in values[:j]:
+                    raise ValueError(f"{label.format(value)} is listed twice")
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,26 @@ Every generator is a pure function of its spec: the same seed yields the
 same profile.  Randomness comes from ``random.Random`` seeded per call.
 Each model's builder returns one ballot mask per voter (bit c for candidate
 c), and ``generate`` builds the :class:`Election` from those masks.
+
+Costs for n voters and m candidates.  vi_euclid sorts the voters, finds
+each candidate's run of approvers with two bisections and builds the ballots
+in one XOR sweep: O((n + m) log n) comparisons.  ci_euclid sorts the
+candidates, finds each voter's run with two bisections and reads the ballot
+off a prefix-OR array: O((n + m) log m).  euclid_2d and ic test all n·m
+voter-candidate pairs; urn draws at most m // 4 candidates per fresh
+ballot.  Mallows builds per component O(m²) weight totals and about m²/4
+running sums, then per voter draws m random numbers and inserts only the items that
+land in the top m // 4 positions, the only ones a ballot reads.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import or_, xor
 from typing import Mapping
 
 from .model import Election
@@ -27,8 +38,8 @@ MODELS = ("vi_euclid", "ci_euclid", "euclid_2d", "ic", "urn", "mallows")
 MAX_GEN_CANDIDATES = 1024
 """The largest m a generator takes.  The builders' memory grows with m²: the
 one-candidate bit table holds m ints of up to m bits, and each Mallows
-component m(m+1)/2 insertion weights.  At the bound Mallows peaks at about
-80 MB (n = 1 or 1000); at m = 4096 it passed 1 GB."""
+component keeps the first m // 4 running insertion weights of each of its m
+items.  At the bound Mallows peaks at about 42 MB (n = 1 or 1000)."""
 
 
 @dataclass(frozen=True)
@@ -84,8 +95,21 @@ def _gen_vi_euclid(spec: GenSpec, rng: random.Random) -> list[int]:
     voters = [rng.random() for _ in range(spec.n)]
     cands = [rng.random() for _ in range(spec.m)]
     radii = [abs(rng.gauss(0.0, sigma)) for _ in range(spec.m)]
-    spans = list(zip(_bits(spec.m), cands, radii))
-    return [sum([bit for bit, c, r in spans if abs(x - c) <= r]) for x in voters]
+    # under round-to-nearest fl(x - y) is monotone in x, so the voters with
+    # |fl(x - y)| <= r are one run of the sorted voters (equal positions fall
+    # on the same side); candidate c's bit is toggled where its run starts
+    # and where it ends
+    order = sorted(range(spec.n), key=voters.__getitem__)
+    axis = [voters[v] for v in order]
+    toggles = [0] * (spec.n + 1)
+    for c, (y, r) in enumerate(zip(cands, radii)):
+        gap = lambda x: x - y
+        toggles[bisect_left(axis, -r, key=gap)] ^= 1 << c
+        toggles[bisect_right(axis, r, key=gap)] ^= 1 << c
+    out = [0] * spec.n
+    for v, ballot in zip(order, accumulate(toggles, xor)):
+        out[v] = ballot
+    return out
 
 
 def _gen_ci_euclid(spec: GenSpec, rng: random.Random) -> list[int]:
@@ -93,8 +117,16 @@ def _gen_ci_euclid(spec: GenSpec, rng: random.Random) -> list[int]:
     voters = [rng.random() for _ in range(spec.n)]
     cands = [rng.random() for _ in range(spec.m)]
     radii = [abs(rng.gauss(0.0, sigma)) for _ in range(spec.n)]
-    points = list(zip(_bits(spec.m), cands))
-    return [sum([bit for bit, c in points if abs(x - c) <= r]) for x, r in zip(voters, radii)]
+    # fl(c - x) = -fl(x - c) is monotone in c, so each voter's ballot is one
+    # run of the sorted candidates, the XOR of two prefix ORs over them
+    order = sorted(range(spec.m), key=cands.__getitem__)
+    axis = [cands[c] for c in order]
+    run = list(accumulate((1 << c for c in order), or_, initial=0))
+    out = []
+    for x, r in zip(voters, radii):
+        gap = lambda c: c - x
+        out.append(run[bisect_right(axis, r, key=gap)] ^ run[bisect_left(axis, -r, key=gap)])
+    return out
 
 
 def _gen_euclid_2d(spec: GenSpec, rng: random.Random) -> list[int]:
@@ -146,54 +178,52 @@ def _gen_urn(spec: GenSpec, rng: random.Random) -> list[int]:
     return ballots
 
 
-def _insertion_table(phi: float, m: int) -> list[tuple[list[float], float]]:
-    """For i = 1..m: the running sums of the insertion weights phi^(i-j),
-    j = 1..i, accumulated front to back, and their total `sum(weights)`."""
-    powers = [phi**e for e in range(m)]
-    table = []
-    for i in range(1, m + 1):
+def _top_rows(ref: list[int], phi: float, cap: int) -> list[tuple[list[float], float, float, int]]:
+    """One row per item i = 1..m of ``ref`` for `_top_sample`: the first
+    min(i, cap) running sums of its insertion weights phi^(i-j), j = 1..i,
+    accumulated front to back; their total `sum(weights)`; the most
+    ``u * total`` may be for the item to land in the top cap positions
+    (+inf while i <= cap); and the item."""
+    powers = [phi**e for e in range(len(ref))]
+    rows = []
+    for i, item in enumerate(ref, start=1):
         weights = powers[i - 1 :: -1]  # phi^(i-j) for j = 1..i
-        table.append((list(accumulate(weights)), sum(weights)))
-    return table
+        head = list(accumulate(weights[:cap]))
+        rows.append((head, sum(weights), head[-1] if i > cap else math.inf, item))
+    return rows
 
 
-def _mallows_sample(
-    ref: list[int], phi: float, rng: random.Random, table: list | None = None
-) -> list[int]:
-    """Repeated-insertion sampling; phi=0 reproduces the reference ranking,
-    phi=1 is a uniformly random permutation.  ``table`` is
-    ``_insertion_table(phi, len(ref))``, built here when not given."""
-    ranking: list[int] = []
-    insert = ranking.insert
-    if phi >= 1.0:
-        randint = rng.randint
-        for i, item in enumerate(ref, start=1):
-            insert(randint(1, i) - 1, item)  # every position equally likely
-        return ranking
-    if table is None:
-        table = _insertion_table(phi, len(ref))
-    random_ = rng.random
-    # item i goes to position j in 1..i (1 = front), of weight phi^(i-j): the
-    # first j whose running sum reaches u; past the back (when rounding leaves
-    # u above them all) the insertion appends
-    for (prefix, total), item in zip(table, ref):
-        insert(bisect_left(prefix, random_() * total), item)
-    return ranking
+def _top_sample(rows: list, random_) -> list[int]:
+    """Repeated-insertion Mallows sampling (Doignon, Pekec & Regenwetter
+    2004) for phi < 1, kept to the top cap positions of `_top_rows`: the
+    first cap items returned are those of the full ranking.  Item i goes to
+    position j in 1..i (1 = front), of weight phi^(i-j): the first j whose
+    running sum reaches u = random() * total (the back when rounding leaves
+    u above them all).  An item inserted behind the top cap positions only
+    moves further back, so it is dropped; one random() is drawn per item.
+    Position j is at most cap exactly when u is at most the running sum at
+    position cap, so bisecting the first cap sums finds it; an item i <= cap
+    always lands within the first i positions."""
+    head: list[int] = []
+    insert = head.insert
+    for prefix, total, lim, item in rows:
+        x = random_() * total
+        if x <= lim:
+            insert(bisect_left(prefix, x), item)
+    return head
 
 
 def _gen_mallows(spec: GenSpec, rng: random.Random) -> list[int]:
+    cap = _quarter(spec.m)
     components = []
     for _ in range(3):
         base = list(range(spec.m))
         rng.shuffle(base)
-        phi = rng.random()
-        components.append((base, phi, _insertion_table(phi, spec.m)))
-    cap = _quarter(spec.m)
+        components.append(_top_rows(base, rng.random(), cap))  # phi = random() < 1
     bits = _bits(spec.m)
-    randrange, randint = rng.randrange, rng.randint
+    random_, randrange, randint = rng.random, rng.randrange, rng.randint
     out = []
     for _ in range(spec.n):
-        base, phi, table = components[randrange(3)]
-        ranking = _mallows_sample(base, phi, rng, table)
-        out.append(sum(map(bits.__getitem__, ranking[: randint(1, cap)])))
+        head = _top_sample(components[randrange(3)], random_)
+        out.append(sum(map(bits.__getitem__, head[: randint(1, cap)])))
     return out

@@ -5,7 +5,8 @@ no search code with the package: subsets are enumerated without pruning and
 orders by factorial search.  The pruned per-voter entitlement search, the
 per-voter voter-interval scan, the Fraction Thiele scorer, the per-voter
 Fraction seq-Phragmen and Rule X, the per-leaf bounded Thiele search, the
-ballot-scanning greedy Monroe, the linear-scan Mallows sampler, Kuhn's
+ballot-scanning greedy Monroe, the linear-scan and the full-ranking
+bisected Mallows samplers, Kuhn's
 recursive quota matching, the separate FJR and core deviation searches, the
 recursive EJR/PJR cohesive-set search and cover search (which builds every
 leaf), the digit-string counter, the frozenset prefix/suffix layout with
@@ -1518,7 +1519,8 @@ def _thiele_search(election: Election, weights: Sequence[int], all_tied: bool) -
 
 
 # --------------------------------------------------------------------------
-# Mallows repeated insertion: a linear scan of freshly built weights
+# Mallows repeated insertion: a linear scan of freshly built weights, and
+# the full ranking drawn by bisecting a table of running weight sums
 # --------------------------------------------------------------------------
 
 
@@ -1539,6 +1541,41 @@ def mallows_sample(ref, phi, rng):
                     j = idx
                     break
         ranking.insert(j - 1, item)
+    return ranking
+
+
+def insertion_table(phi: float, m: int) -> list[tuple[list[float], float]]:
+    """For i = 1..m: the running sums of the insertion weights phi^(i-j),
+    j = 1..i, accumulated front to back, and their total `sum(weights)`."""
+    powers = [phi**e for e in range(m)]
+    table = []
+    for i in range(1, m + 1):
+        weights = powers[i - 1 :: -1]  # phi^(i-j) for j = 1..i
+        table.append((list(accumulate(weights)), sum(weights)))
+    return table
+
+
+def mallows_sample_bisected(
+    ref: list[int], phi: float, rng: random.Random, table: list | None = None
+) -> list[int]:
+    """Repeated-insertion sampling of the full ranking; phi=0 reproduces the
+    reference ranking, phi=1 is a uniformly random permutation.  ``table`` is
+    ``insertion_table(phi, len(ref))``, built here when not given."""
+    ranking: list[int] = []
+    insert = ranking.insert
+    if phi >= 1.0:
+        randint = rng.randint
+        for i, item in enumerate(ref, start=1):
+            insert(randint(1, i) - 1, item)  # every position equally likely
+        return ranking
+    if table is None:
+        table = insertion_table(phi, len(ref))
+    random_ = rng.random
+    # item i goes to position j in 1..i (1 = front), of weight phi^(i-j): the
+    # first j whose running sum reaches u; past the back (when rounding leaves
+    # u above them all) the insertion appends
+    for (prefix, total), item in zip(table, ref):
+        insert(bisect_left(prefix, random_() * total), item)
     return ranking
 
 

@@ -350,12 +350,16 @@ _IC_P = GenSpec(model="ic", n=12, m=6, seed=4, params={"p": 0.3})
         (["check", "{odd}", "--committee", "1,2", "--axiom", "pr"], 2,
          "perfect representation requires k to divide n"),
         (["solve", "{blocks}", "--expect", "found"], 1, '"status": "infeasible"'),
+        (["experiment", "--models", "ic,ic", "--k-min", "2", "--k-max", "2", "--instances", "2",
+          "--no-timing", "--out", "{out}"], 2, "model ic is listed twice"),
+        (["experiment", "--models", ",", "--out", "{out}"], 2, "no model given"),
         (["gen", "--model", "ic", "--n", "12", "--m", "6", "--seed", "4", "--p", "0.3"], 0,
          serialize_profile(generate(_IC_P))),
     ],
     ids=["committee-token", "committee-index", "beta-missing", "alpha-below-one", "rule-weight",
          "rule-all-tied-sequential", "recognize-expect-all", "construct-tree-missing",
-         "group-axiom-size", "pr-k-not-dividing-n", "solve-expect-found", "gen-p"],
+         "group-axiom-size", "pr-k-not-dividing-n", "solve-expect-found", "experiment-model-twice",
+         "experiment-no-model", "gen-p"],
 )
 def test_cli_exit_contract(tmp_path, args, code, message):
     # each exit code with its message: 2 for a usage error, 1 for an unmet
@@ -364,12 +368,14 @@ def test_cli_exit_contract(tmp_path, args, code, message):
         "profile": _write_profile(tmp_path, two_camps_with_bridge()),
         "blocks": _write_profile(tmp_path, hard_instances.disjoint_blocks_instance(3), "blocks.avp"),
         "odd": _write_profile(tmp_path, Election.from_approvals([{0}, {1}, {0, 1}], m=2, k=2), "odd.avp"),
+        "out": str(tmp_path / "run"),
     }
     result = CliRunner().invoke(main, [arg.format(**paths) for arg in args])
     assert result.exit_code == code, result.output
     assert message in result.output
     if code:
         assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "run").exists()
     else:
         assert result.exception is None and result.stdout == message
 
@@ -416,7 +422,7 @@ def test_gen_zero_voters_exit_two():
 
 
 def test_gen_and_experiment_refuse_m_above_the_generators_limit(tmp_path):
-    # the builders' memory grows with m squared (Mallows passed 1 GB at m = 4096)
+    # the builders' memory grows with m squared
     wide = str(MAX_GEN_CANDIDATES + 1)
     result = CliRunner().invoke(main, ["gen", "--model", "ic", "--n", "1", "--m", wide])
     _assert_usage_error(result)

@@ -291,6 +291,20 @@ def test_rule_listed_twice_rejected():
     assert ExperimentSpec(**{**SMALL.__dict__, "rules": (half, third)}).rules == (half, third)
 
 
+def test_empty_or_repeated_models_and_k_values_rejected():
+    # a repeat would write every row of its instances twice, with the same seed
+    for field, value, message in (
+        ("models", ("ic", "ic"), "model ic is listed twice"),
+        ("models", ("urn", "ic", "urn"), "model urn is listed twice"),
+        ("models", (), "no model given"),
+        ("k_values", (2, 3, 2), "k=2 is listed twice"),
+        ("k_values", (), "no k value given"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(**{**SMALL.__dict__, field: value})
+    assert ExperimentSpec(**{**SMALL.__dict__, "k_values": (3, 2)}).k_values == (3, 2)
+
+
 def test_enumeration_cap_checked_before_any_instance(monkeypatch):
     """An exact rule over the committee cap at some k aborts the run before
     the first instance, whatever the instances would have probed; AV, SAV

@@ -4,10 +4,11 @@ import statistics
 
 from irlab.domains import recognize
 from irlab.experiment import DESK_SCALE_GEN_PARAMS
-from irlab.gen import GenSpec, MODELS, _mallows_sample, generate
+from irlab import gen
+from irlab.gen import GenSpec, MODELS, _top_rows, _top_sample, generate
 from irlab.model import Election
 
-from oracles import election_masks, generate_by_sets, mallows_sample
+from oracles import election_masks, generate_by_sets, mallows_sample, mallows_sample_bisected
 
 
 def test_seed_determinism_all_models():
@@ -49,6 +50,43 @@ def test_ci_generator_output_is_ci():
         assert recognize(e, "CI") is not None
 
 
+class _ScriptedRandom:
+    """Stands in for ``random.Random``: ``random()`` and ``gauss()`` return
+    the given values in order."""
+
+    def __init__(self, uniforms, normals):
+        self.random = iter(uniforms).__next__
+        self._normals = iter(normals)
+
+    def gauss(self, mu, sigma):
+        return next(self._normals)
+
+
+def test_sorted_runs_match_pairwise_tests_on_tied_positions():
+    """Positions on a coarse grid tie voters with voters and candidates, and
+    radii that are differences of grid points put voters on the boundary,
+    where rounding decides; the run builders approve exactly the pairs with
+    abs(x - c) <= r."""
+    grid = [i / 10 for i in range(11)] + [i / 8 for i in range(9)] + [1 / 3, 2 / 3]
+    radii = [0.0] + [a - b for a in grid for b in grid if a != b]
+    pick = random.Random(11)
+    for trial in range(400):
+        n, m = pick.randint(1, 12), pick.randint(1, 12)
+        voters = [pick.choice(grid) for _ in range(n)]
+        cands = [pick.choice(grid) for _ in range(m)]
+        spec = GenSpec(model="vi_euclid", n=n, m=m, seed=0)
+        r = [pick.choice(radii) for _ in range(m)]  # a radius is abs(gauss)
+        got = gen._gen_vi_euclid(spec, _ScriptedRandom(voters + cands, r))
+        assert got == [
+            sum(1 << c for c in range(m) if abs(x - cands[c]) <= abs(r[c])) for x in voters
+        ], trial
+        r = [pick.choice(radii) for _ in range(n)]
+        got = gen._gen_ci_euclid(spec, _ScriptedRandom(voters + cands, r))
+        assert got == [
+            sum(1 << c for c in range(m) if abs(x - cands[c]) <= abs(rv)) for x, rv in zip(voters, r)
+        ], trial
+
+
 def test_urn_ballot_sizes_bounded():
     for seed in range(30):
         e = generate(GenSpec(model="urn", n=30, m=16, seed=seed))
@@ -71,20 +109,26 @@ def _kendall_tau_to_reference(ranking):
     return inv
 
 
+def _full_ranking(ref, phi, rng):
+    """The top-cap sampler with cap = m, which keeps the whole ranking."""
+    return _top_sample(_top_rows(ref, phi, len(ref)), rng.random)
+
+
 def test_mallows_dispersion_extremes():
     rng = random.Random(5)
     ref = list(range(8))
-    assert _mallows_sample(ref, 0.0, rng) == ref
+    assert _full_ranking(ref, 0.0, rng) == ref
     # at phi=1 rankings are uniform: mean Kendall tau to the reference is
-    # m(m-1)/4 = 14; allow a generous band around it
+    # m(m-1)/4 = 14; allow a generous band around it (the generator never
+    # draws phi = 1, so this runs on the full-ranking oracle)
     taus = [
-        _kendall_tau_to_reference(_mallows_sample(ref, 1.0, rng))
+        _kendall_tau_to_reference(mallows_sample_bisected(ref, 1.0, rng))
         for _ in range(400)
     ]
     assert abs(statistics.mean(taus) - 14) <= 1.5
     # low dispersion keeps rankings close to the reference
     taus_low = [
-        _kendall_tau_to_reference(_mallows_sample(ref, 0.2, rng))
+        _kendall_tau_to_reference(_full_ranking(ref, 0.2, rng))
         for _ in range(400)
     ]
     assert statistics.mean(taus_low) < statistics.mean(taus) / 2
@@ -92,14 +136,30 @@ def test_mallows_dispersion_extremes():
 
 def test_mallows_sample_matches_linear_scan():
     """The bisected insertion table draws the same positions from the same
-    random stream as a linear scan of freshly built weights."""
+    random stream as a linear scan of freshly built weights, and for phi < 1
+    the top-cap sampler keeps the first cap items of that ranking, drawing
+    one random() per item as well."""
     for phi in (0.0, 1e-9, 0.2, 0.5, 0.999, 1.0):
         for m in (1, 5, 16, 60):
             ref = list(range(m))
             rng, oracle_rng = random.Random(m), random.Random(m)
             for _ in range(20):
-                assert _mallows_sample(ref, phi, rng) == mallows_sample(ref, phi, oracle_rng)
+                assert mallows_sample_bisected(ref, phi, rng) == mallows_sample(ref, phi, oracle_rng)
             assert rng.random() == oracle_rng.random()
+            if phi == 1.0:
+                continue
+            for cap in sorted({1, max(1, m // 4), max(1, m - 1), m}):
+                rows = _top_rows(ref, phi, cap)
+                rng, oracle_rng = random.Random(m + cap), random.Random(m + cap)
+                for _ in range(20):
+                    top = _top_sample(rows, rng.random)[:cap]
+                    assert top == mallows_sample(ref, phi, oracle_rng)[:cap], (phi, m, cap)
+                assert rng.random() == oracle_rng.random()
+                # at phi = 0 every running sum but the last is 0, so a draw of 0
+                # lands on an item's limit itself
+                draws = [0.0, 0.5, 1 - 2**-53] * m
+                top = _top_sample(rows, iter(draws).__next__)[:cap]
+                assert top == mallows_sample(ref, phi, _ScriptedRandom(draws, ()))[:cap], (phi, m, cap)
 
 
 def test_2d_radius_owner_switch():
@@ -133,7 +193,8 @@ def test_unknown_radius_owner_fails_when_the_spec_is_built():
 def _oracle_specs():
     """1,000 desk profiles per model at the experiment's parameters, then
     edge shapes: one voter, one candidate, empty and full ic ballots, the
-    voter-owned 2D radii and the generator-default radius scales."""
+    voter-owned 2D radii, the generator-default radius scales, zero and
+    wide 1D radii, small Mallows m and n = 1000, m = 60."""
     specs = [
         GenSpec(model=model, n=40, m=16, seed=seed, params=DESK_SCALE_GEN_PARAMS.get(model, {}))
         for model in MODELS
@@ -147,6 +208,17 @@ def _oracle_specs():
         GenSpec(model="euclid_2d", n=40, m=16, seed=seed, params={"radius_owner": "voter"})
         for seed in range(200)
     ]
+    # zero radii and radii approving most pairs for the sorted-run builders;
+    # Mallows at small m, where the items i <= cap = max(1, m // 4) and the
+    # first items past the cap make up most of each ranking; the CLI shape
+    specs += [
+        GenSpec(model=model, n=40, m=16, seed=seed, params={"sigma": sigma})
+        for model in ("vi_euclid", "ci_euclid")
+        for sigma in (0.0, 5.0)
+        for seed in range(20)
+    ]
+    specs += [GenSpec(model="mallows", n=30, m=m, seed=seed) for m in (2, 4, 5, 8) for seed in range(20)]
+    specs += [GenSpec(model=model, n=1000, m=60, seed=seed) for model in MODELS for seed in range(3)]
     return specs
 
 
@@ -176,14 +248,16 @@ def test_generated_profiles_match_set_based_generators():
         previous = (election, approvals)
 
 
-# SHA-256 of the profiles below, recorded with the linear-scan Mallows
-# sampler (`oracles.mallows_sample`); any change to a random stream shows here
-GOLDEN_PROFILES_SHA256 = "2f0d11af59223f18766a29c262cfbbcda02273553bef7b4498f9acac6e5b5523"
+# SHA-256 of the profiles below, recorded with generators that test every
+# voter-candidate pair and sample whole Mallows rankings; any change to a
+# random stream shows here
+GOLDEN_PROFILES_SHA256 = "de1efe6a214cde2db888f11d51de4747ace7dc43449592904860cebefd2a7729"
 
 
 def _golden_specs():
     specs = [GenSpec(model=model, n=40, m=16, seed=seed) for model in MODELS for seed in (1, 2, 3)]
     specs += [GenSpec(model=model, n=200, m=60, seed=7) for model in MODELS]
+    specs += [GenSpec(model=model, n=1000, m=60, seed=0) for model in MODELS]
     specs.append(
         GenSpec(model="euclid_2d", n=40, m=16, seed=4, params={"radius_owner": "voter"})
     )
