@@ -2,10 +2,13 @@
 domain recognition/construction and the batch experiment harness.
 
 Machine-readable output goes to stdout, progress logs to stderr.  Exit codes:
-0 on success; 1 when a result requested via ``--expect`` is not met or the
-request has no answer (a search stopped at its node cap or the enumeration
-cap, or the profile is outside the domain asked for); 2 on usage errors
-(``--all-tied`` on a sequential rule among them).
+0 on success, an ``undecided`` status among them (the committee search of
+``solve`` or of ``check`` on a group axiom stopped at its node cap); 1 when a
+result requested via ``--expect`` is not met or the request has no answer: an
+entitlement walk (``fvec``, ``solve``, ``check --axiom ir|alpha-beta-ir``)
+stopped at its node cap, named in the message, ``rule`` or ``experiment`` met
+the enumeration or tie cap, or the profile is outside the domain asked for;
+2 on usage errors.  :class:`_Command` maps the library's errors to 1 and 2.
 Candidate and voter indices are 1-based on this surface.
 """
 
@@ -30,7 +33,7 @@ from .experiment import (
 )
 from .gen import MODELS, GenSpec, generate
 from .model import Committee, ProfileFormatError, parse_profile, serialize_profile
-from .search import DEFAULT_NODE_CAP, BudgetExceededError
+from .search import DEFAULT_NODE_CAP
 
 RULE_NAMES = rules.SEQUENTIAL_RULES + rules.EXACT_RULES
 
@@ -110,10 +113,7 @@ def _parse_committee(election, text: str) -> Committee:
         if i in seen:
             raise click.UsageError(f"duplicate candidate index {i} in committee")
         seen.add(i)
-    try:
-        return Committee.of([i - 1 for i in indices], election)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    return Committee.of([i - 1 for i in indices], election)
 
 
 def _jsonable(obj):
@@ -135,9 +135,27 @@ def _refuse_unused(name: str, unused: bool, message: str) -> None:
         raise click.UsageError(message)
 
 
+class _Command(click.Command):
+    """The one exit policy for the library's errors: a ValueError is a refused
+    request (exit 2, with the usage line), a RuntimeError one with no answer
+    (exit 1).  click's Exit and Abort are RuntimeErrors too, so no command
+    may call ``ctx.exit`` or prompt."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx)
+        except RuntimeError as exc:
+            raise click.ClickException(str(exc))
+
+
 @click.group()
 def main():
     """Individual representation toolkit for approval-based committee elections."""
+
+
+main.command_class = _Command
 
 
 @main.command("gen")
@@ -154,13 +172,10 @@ def gen_cmd(model, n, m, k, seed, p, radius_owner, out):
     """Sample an approval profile and write it as .avp text."""
     _refuse_unused("p", model != "ic", "--p is for --model ic only")
     _refuse_unused("radius_owner", model != "euclid_2d", "--radius-owner is for --model euclid_2d only")
-    params = {"radius_owner": radius_owner}  # read by euclid_2d alone
+    params = {"radius_owner": radius_owner} if model == "euclid_2d" else {}
     if p is not None:
         params["p"] = p
-    try:
-        election = generate(GenSpec(model=model, n=n, m=m, seed=seed, params=params), k=k)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    election = generate(GenSpec(model=model, n=n, m=m, seed=seed, params=params), k=k)
     text = serialize_profile(election)
     if out == "-":
         click.echo(text, nl=False, file=sys.stdout)
@@ -186,10 +201,7 @@ def fvec_cmd(profile, method, cap):
             raise click.ClickException("profile is not voter-interval")
         certs = vi_certificates(election, witness.voter_order)
     else:
-        try:
-            certs = f_vector(election, node_cap=cap)
-        except BudgetExceededError as exc:
-            raise click.ClickException(str(exc))
+        certs = f_vector(election, node_cap=cap)
     # many voters share a witness, so each distinct one is formatted once
     texts: dict[frozenset[int], str] = {}
     rows = ["voter,f,witness"]
@@ -220,18 +232,10 @@ def check_cmd(profile, committee, axiom_name, alpha, beta, expect, as_json, cap)
     if axiom_name == "alpha-beta-ir":
         if alpha is None or beta is None:
             raise click.UsageError("alpha-beta-ir requires --alpha and --beta")
-        try:
-            axiom = axioms.alpha_beta_ir(alpha, beta)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        axiom = axioms.alpha_beta_ir(alpha, beta)
     else:
         axiom = AXIOM_NAMES[axiom_name]
-    try:
-        verdict = axioms.check(election, w, axiom, node_cap=cap)
-    except ValueError as exc:  # a committee size or k the axiom is not defined for
-        raise click.UsageError(str(exc))
-    except BudgetExceededError as exc:
-        raise click.ClickException(str(exc))
+    verdict = axioms.check(election, w, axiom, node_cap=cap)
     if as_json:
         payload = {
             "axiom": str(axiom),
@@ -262,16 +266,8 @@ def check_cmd(profile, committee, axiom_name, alpha, beta, expect, as_json, cap)
 def rule_cmd(profile, rule_name, all_tied, weight):
     """Run one ABC voting rule; prints committees and diagnostics as JSON."""
     election = _load(profile)
-    try:
-        rule = rules.RuleId(rule_name, weight=weight)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        outcome = rules.run_rule(election, rule, mode="all_tied" if all_tied else "single")
-    except ValueError as exc:  # --all-tied on a sequential rule
-        raise click.UsageError(str(exc))
-    except RuntimeError as exc:
-        raise click.ClickException(str(exc))
+    rule = rules.RuleId(rule_name, weight=weight)
+    outcome = rules.run_rule(election, rule, mode="all_tied" if all_tied else "single")
     # per-voter vectors and scalar scores only; structural fields carry
     # internal 0-based indices and stay out of the surface payload
     surface = ("loads", "balances", "rhos", "score", "max_hamming", "completion", "candidate_scores")
@@ -304,21 +300,15 @@ def solve_cmd(profile, objective, alpha, beta, cap, expect):
     for name, owner in (("alpha", "min-beta"), ("beta", "min-alpha")):
         _refuse_unused(name, objective != owner, f"--{name} is for --objective {owner} only")
     election = _load(profile)
-    try:
-        f = entitlements(election, node_cap=cap)
-    except BudgetExceededError as exc:
-        raise click.ClickException(str(exc))
-    try:
-        request = solver.SolveRequest(
-            election=election,
-            fvec=tuple(f),
-            objective={"ir": "FIND_IR", "ssjr": "FIND_SSJR", "min-beta": "MIN_BETA", "min-alpha": "MIN_ALPHA"}[objective],
-            alpha=alpha,
-            beta=beta,
-            node_cap=cap,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    f = entitlements(election, node_cap=cap)
+    request = solver.SolveRequest(
+        election=election,
+        fvec=tuple(f),
+        objective={"ir": "FIND_IR", "ssjr": "FIND_SSJR", "min-beta": "MIN_BETA", "min-alpha": "MIN_ALPHA"}[objective],
+        alpha=alpha,
+        beta=beta,
+        node_cap=cap,
+    )
     result = solver.find_committee(request)
     payload = {
         "status": result.status,
@@ -403,7 +393,7 @@ def construct_cmd(profile, domain_name, tree):
             raise click.ClickException(f"profile is not in domain {domain}")
     try:
         result = domains.construct(election, domain, witness)
-    except (domains.InvalidWitnessError, domains.ConstructionInfeasibleError) as exc:
+    except domains.InvalidWitnessError as exc:  # outside the tree's domain: no answer, not misuse
         raise click.ClickException(str(exc))
     tag = result.guarantee
     payload = {
@@ -443,29 +433,23 @@ def experiment_cmd(models, n, m, k_min, k_max, instances, rule_names, seed, jobs
             raise click.UsageError(f"--rules {name}: {exc}")
     if k_min > k_max:
         raise click.UsageError(f"--k-min {k_min} exceeds --k-max {k_max}")
-    try:
-        spec = ExperimentSpec(
-            models=model_list,
-            n=n,
-            m=m,
-            k_values=tuple(range(k_min, k_max + 1)),
-            instances=instances,
-            rules=tuple(rule_list),
-            seed=seed,
-            jobs=jobs,
-            node_cap=cap,
-            include_timing=timing,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    spec = ExperimentSpec(
+        models=model_list,
+        n=n,
+        m=m,
+        k_values=tuple(range(k_min, k_max + 1)),
+        instances=instances,
+        rules=tuple(rule_list),
+        seed=seed,
+        jobs=jobs,
+        node_cap=cap,
+        include_timing=timing,
+    )
     click.echo(
         f"running {len(model_list)} models x {len(spec.k_values)} k x {instances} instances",
         file=sys.stderr,
     )
-    try:
-        rows = run_experiment(spec)
-    except RuntimeError as exc:  # an exact rule probe over the enumeration cap
-        raise click.ClickException(str(exc))
+    rows = run_experiment(spec)
     write_outputs(spec, rows, out)
     undecided = sum(1 for r in rows if r.undecided)
     click.echo(f"done: {len(rows)} rows, {undecided} undecided -> {out}", file=sys.stderr)

@@ -91,7 +91,7 @@ class ExperimentSpec:
         for k in self.k_values:
             if not 1 <= k <= self.m:
                 raise ValueError(f"k={k} outside [1, {self.m}]")
-        for model in self.models:  # the generators' checks: model name, m at most their limit
+        for model in dict.fromkeys((*self.models, *self.gen_params)):  # the generators' checks
             GenSpec(model=model, n=self.n, m=self.m, seed=0, params=self.gen_params.get(model, {}))
         # a repeat would run (or probe) the same instances twice
         for label, values in (("model {}", self.models), ("k={}", self.k_values), ("rule {}", self.rules)):

@@ -33,7 +33,17 @@ from typing import Mapping
 
 from .model import Election
 
-MODELS = ("vi_euclid", "ci_euclid", "euclid_2d", "ic", "urn", "mallows")
+PARAMS = {
+    "vi_euclid": ("sigma",),
+    "ci_euclid": ("sigma",),
+    "euclid_2d": ("sigma", "radius_sigma", "radius_owner"),
+    "ic": ("p",),
+    "urn": (),
+    "mallows": (),
+}
+"""The parameters each model's builder reads; a spec with any other is refused."""
+
+MODELS = tuple(PARAMS)
 
 MAX_GEN_CANDIDATES = 1024
 """The largest m a generator takes.  The builders' memory grows with m²: the
@@ -53,6 +63,9 @@ class GenSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
+        for key in self.params:
+            if key not in PARAMS[self.model]:
+                raise ValueError(f"model {self.model} takes no parameter {key!r}")
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be at least 1")
         if self.m > MAX_GEN_CANDIDATES:

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from irlab import cli
 from irlab.cli import AXIOM_NAMES, RULE_NAMES, main
 from irlab.cohesion import f_vector
+from irlab.domains import InvalidWitnessError
 from irlab.gen import MAX_GEN_CANDIDATES, MODELS, GenSpec, generate
 from irlab.model import MAX_CANDIDATES, MAX_CELLS, Election, serialize_profile
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError
@@ -327,6 +328,10 @@ def test_option_the_request_does_not_read_exit_two(tmp_path, args, message):
 
 
 _IC_P = GenSpec(model="ic", n=12, m=6, seed=4, params={"p": 0.3})
+# 6 voters, 4 candidates, k = 2: the entitlement walk of the first takes 2
+# nodes; that of the second 1, its committee search 2
+_WALK_OF_TWO = GenSpec(model="vi_euclid", n=6, m=4, seed=0)
+_SEARCH_OF_TWO = GenSpec(model="urn", n=6, m=4, seed=2)
 
 
 @pytest.mark.parametrize(
@@ -355,19 +360,30 @@ _IC_P = GenSpec(model="ic", n=12, m=6, seed=4, params={"p": 0.3})
         (["experiment", "--models", ",", "--out", "{out}"], 2, "no model given"),
         (["gen", "--model", "ic", "--n", "12", "--m", "6", "--seed", "4", "--p", "0.3"], 0,
          serialize_profile(generate(_IC_P))),
+        (["check", "{walk}", "--committee", "1,2", "--axiom", "core", "--cap", "1", "--json"], 0,
+         '{"axiom": "CORE", "status": "undecided", "cost": 2}\n'),
+        (["check", "{walk}", "--committee", "1,2", "--axiom", "ir", "--cap", "1"], 1,
+         "(cohesion.entitlements stopped after 2 nodes)"),
+        (["solve", "{walk}", "--cap", "1"], 1, "(cohesion.entitlements stopped after 2 nodes)"),
+        (["solve", "{search}", "--cap", "1"], 0,
+         '{"status": "undecided", "committee": null, "alpha": null, "beta": null, "nodes": 2}\n'),
     ],
     ids=["committee-token", "committee-index", "beta-missing", "alpha-below-one", "rule-weight",
          "rule-all-tied-sequential", "recognize-expect-all", "construct-tree-missing",
          "group-axiom-size", "pr-k-not-dividing-n", "solve-expect-found", "experiment-model-twice",
-         "experiment-no-model", "gen-p"],
+         "experiment-no-model", "gen-p", "check-core-capped", "check-ir-walk-capped",
+         "solve-walk-capped", "solve-search-capped"],
 )
 def test_cli_exit_contract(tmp_path, args, code, message):
     # each exit code with its message: 2 for a usage error, 1 for an unmet
-    # --expect, 0 with the profile ``gen`` samples at the given --p
+    # --expect or a capped entitlement walk, 0 with the profile ``gen``
+    # samples at the given --p or an undecided capped committee search
     paths = {
         "profile": _write_profile(tmp_path, two_camps_with_bridge()),
         "blocks": _write_profile(tmp_path, hard_instances.disjoint_blocks_instance(3), "blocks.avp"),
         "odd": _write_profile(tmp_path, Election.from_approvals([{0}, {1}, {0, 1}], m=2, k=2), "odd.avp"),
+        "walk": _write_profile(tmp_path, generate(_WALK_OF_TWO, k=2), "walk.avp"),
+        "search": _write_profile(tmp_path, generate(_SEARCH_OF_TWO, k=2), "search.avp"),
         "out": str(tmp_path / "run"),
     }
     result = CliRunner().invoke(main, [arg.format(**paths) for arg in args])
@@ -378,6 +394,50 @@ def test_cli_exit_contract(tmp_path, args, code, message):
         assert not (tmp_path / "run").exists()
     else:
         assert result.exception is None and result.stdout == message
+
+
+# each command, the library call it makes and its arguments
+_LIBRARY_CALLS = {
+    "gen": ("irlab.cli.generate", ["--model", "ic", "--n", "4", "--m", "3"]),
+    "fvec": ("irlab.cli.f_vector", ["{profile}"]),
+    "check": ("irlab.axioms.check", ["{profile}", "--committee", "1,2", "--axiom", "jr"]),
+    "rule": ("irlab.rules.run_rule", ["{profile}", "--rule", "av"]),
+    "solve": ("irlab.cli.entitlements", ["{profile}"]),
+    "recognize": ("irlab.domains.recognize", ["{profile}", "--domain", "vi"]),
+    "construct": ("irlab.domains.construct", ["{profile}", "--domain", "alpha-tr", "--tree", "{tree}"]),
+    "experiment": ("irlab.cli.run_experiment", ["--models", "ic", "--n", "4", "--m", "3", "--k-min",
+                                                "2", "--k-max", "2", "--instances", "1", "--out", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_LIBRARY_CALLS))
+def test_library_errors_exit_by_one_policy(tmp_path, monkeypatch, command):
+    # a ValueError from the library is a usage error (exit 2, under the
+    # command's usage line), a RuntimeError a request with no answer (exit 1),
+    # and so is construct's InvalidWitnessError; an AssertionError (a failed
+    # re-check) is a bug and is not caught
+    target, args = _LIBRARY_CALLS[command]
+    tree = tmp_path / "tree.json"
+    tree.write_text('{"parent": [null, 1, 1]}')
+    paths = {"profile": _write_profile(tmp_path, two_camps_with_bridge()), "tree": tree,
+             "out": tmp_path / "run"}
+    args = [command, *(arg.format(**paths) for arg in args)]
+    errors = [(ValueError, 2), (RuntimeError, 1), (AssertionError, None)]
+    if command == "construct":
+        errors.append((InvalidWitnessError, 1))
+    for error, code in errors:
+        def fail(*_args, **_kwargs):
+            raise error("refused")
+
+        monkeypatch.setattr(target, fail)
+        result = CliRunner().invoke(main, args)
+        if code is None:
+            assert type(result.exception) is error
+            continue
+        assert result.exit_code == code and isinstance(result.exception, SystemExit), result.output
+        lines = result.output.rstrip().splitlines()
+        assert lines[-1] == "Error: refused"
+        assert any(line.startswith(f"Usage: main {command} ") for line in lines) == (code == 2)
 
 
 def test_check_committee_larger_than_k_exit_two(tmp_path):

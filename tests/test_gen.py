@@ -5,7 +5,7 @@ import statistics
 from irlab.domains import recognize
 from irlab.experiment import DESK_SCALE_GEN_PARAMS
 from irlab import gen
-from irlab.gen import GenSpec, MODELS, _top_rows, _top_sample, generate
+from irlab.gen import GenSpec, MODELS, PARAMS, _top_rows, _top_sample, generate
 from irlab.model import Election
 
 from oracles import election_masks, generate_by_sets, mallows_sample, mallows_sample_bisected
@@ -188,6 +188,29 @@ def test_unknown_radius_owner_fails_when_the_spec_is_built():
         GenSpec(model="euclid_2d", n=5, m=5, seed=1, params={"radius_owner": "both"})
     with pytest.raises(ValueError, match="radius_owner"):
         ExperimentSpec(gen_params={"euclid_2d": {"radius_owner": "both"}})
+
+
+def test_parameters_no_builder_reads_fail_when_the_spec_is_built():
+    import pytest
+
+    from irlab.experiment import ExperimentSpec
+
+    with pytest.raises(ValueError, match="model ic takes no parameter 'sigma'"):
+        GenSpec(model="ic", n=20, m=8, seed=1, params={"sigma": 0.9, "typo": 1})
+    # every entry is checked, also those of models the experiment does not run
+    with pytest.raises(ValueError, match="model ic takes no parameter 'sigmaa'"):
+        ExperimentSpec(models=("urn",), gen_params={"ic": {"sigmaa": 3}})
+    with pytest.raises(ValueError, match="unknown model 'nosuch'"):
+        ExperimentSpec(gen_params={"nosuch": {}})
+
+
+def test_every_listed_parameter_is_read():
+    # each key of PARAMS changes the profile its model samples
+    values = {"sigma": 0.9, "radius_sigma": 0.05, "radius_owner": "voter", "p": 0.9}
+    for model, keys in PARAMS.items():
+        plain = generate(GenSpec(model=model, n=20, m=8, seed=1))
+        for key in keys:
+            assert generate(GenSpec(model=model, n=20, m=8, seed=1, params={key: values[key]})) != plain
 
 
 def _oracle_specs():
