@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .model import _iter_bits, is_run, position_mask
+from .model import _iter_bits, is_run, position_masks
 
 
-def is_consecutive_under(order: Sequence[int], masks: Iterable[int]) -> bool:
+def is_consecutive_under(order: Sequence[int], masks: Sequence[int]) -> bool:
     """True if every column mask occupies consecutive positions of the column order."""
-    return all(is_run(position_mask(mask, order)) for mask in masks)
+    return all(map(is_run, position_masks(masks, order)))
 
 
 def _strictly_overlap(a: int, b: int) -> bool:

@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .model import Election, VoterGroup, _iter_bits, index_set, is_run, position_mask
+from .model import Election, VoterGroup, _iter_bits, index_set, is_run, position_masks
 from .search import DEFAULT_NODE_CAP, NodeBudget
 
 
@@ -248,8 +248,7 @@ def _vi_spans(
     if sorted(order) != list(range(n)):
         raise ValueError("order is not a permutation of the voters")
     spans = []
-    for c, mask in enumerate(election.candidate_voters):
-        pm = position_mask(mask, order)
+    for c, pm in enumerate(position_masks(election.candidate_voters, order)):
         if not is_run(pm):
             raise ValueError(
                 f"order is not a VI witness: supporters of candidate {c} are not contiguous"

@@ -20,10 +20,10 @@ WSC        none                   yes
 
 Recognition, verification and construction work on the voter and candidate
 bitmasks the election already holds (``ballot_masks``, ``candidate_voters``)
-with one interval check: a set's mask is mapped to a mask over the positions
-of an order (:func:`~irlab.model.position_mask`) and tested as an interval,
-a prefix or a suffix (:func:`~irlab.model.is_run`).  The CI and VI
-recognizers hand the same masks to the consecutive-ones layout of :mod:`c1p`.
+with one interval check: a family's masks are mapped to order positions in
+one batch (:func:`~irlab.model.position_masks`) and each result is tested as
+an interval, a prefix or a suffix (:func:`~irlab.model.is_run`).  The CI and
+VI recognizers hand the same masks to the consecutive-ones layout of :mod:`c1p`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Literal, Sequence
 from . import axioms, c1p
 from .cohesion import CohesionCertificate, _vi_spans, _vi_sweep
 from .model import Committee, Election, _iter_bits, is_run, mask_to_set, members_mask
-from .model import padding, position_mask
+from .model import padding, position_masks
 
 DomainId = Literal["CI", "VI", "CEI", "VEI", "T_PART", "WSC", "ALPHA_TR"]
 
@@ -164,8 +164,8 @@ def _witness_problem(election: Election, domain: DomainId, witness: DomainWitnes
         else:
             order, sides = witness.voter_order, witness.candidate_side
         if sorted(order) != list(range(size)) or len(sides) != len(masks) or not all(
-            side in ("prefix", "suffix") and is_run(position_mask(mask, order), side, size)
-            for mask, side in zip(masks, sides)
+            side in ("prefix", "suffix") and is_run(pm, side, size)
+            for pm, side in zip(position_masks(masks, order), sides)
         ):
             return invalid
     elif domain == "T_PART":
@@ -205,7 +205,7 @@ def _wsc_order_valid(election: Election, order: Sequence[int]) -> bool:
     along the order, the voters approving only c and those approving only d
     must form a prefix and a suffix, one each."""
     n = election.n
-    along = [position_mask(mask, order) for mask in election.candidate_voters]
+    along = position_masks(election.candidate_voters, order)
     for c in range(election.m):
         for d in range(c + 1, election.m):
             only_c = along[c] & ~along[d]
@@ -349,11 +349,11 @@ def _prefix_suffix_layout(
     prefix_rank, suffix_rank = layers(0), layers(1)
     order = sorted(range(num_columns), key=lambda col: (prefix_rank[col], -suffix_rank[col], col))
     side_of: dict[int, str] = {}
-    for i, mask in enumerate(fam):
+    for i, pm in enumerate(position_masks(fam, order)):
         side = "suffix" if color[i] else "prefix"
-        if not is_run(position_mask(mask, order), side, num_columns):
+        if not is_run(pm, side, num_columns):
             return None  # pairwise-consistent but globally infeasible; caught here
-        side_of[mask] = side
+        side_of[fam[i]] = side
     return order, side_of
 
 
@@ -544,8 +544,7 @@ def vei_candidate_order(election: Election, witness: VEIWitness) -> list[int]:
     n = election.n
     prefix_cands: list[tuple[int, int]] = []
     suffix_cands: list[tuple[int, int]] = []
-    for c, mask in enumerate(election.candidate_voters):
-        pm = position_mask(mask, witness.voter_order)
+    for c, pm in enumerate(position_masks(election.candidate_voters, witness.voter_order)):
         if not pm or witness.candidate_side[c] == "prefix" or pm & 1 and pm >> (n - 1):
             prefix_cands.append((pm.bit_length() - 1, c))  # -1 when unsupported
         else:

@@ -31,7 +31,7 @@ from itertools import accumulate
 from operator import or_, xor
 from typing import Mapping
 
-from .model import Election
+from .model import MAX_CELLS, Election
 
 PARAMS = {
     "vi_euclid": ("sigma",),
@@ -71,6 +71,10 @@ class GenSpec:
         if self.m > MAX_GEN_CANDIDATES:
             raise ValueError(
                 f"m={self.m} exceeds the generators' limit of {MAX_GEN_CANDIDATES} candidates"
+            )
+        if self.n * self.m > MAX_CELLS:
+            raise ValueError(
+                f"n*m={self.n * self.m} exceeds the limit of {MAX_CELLS} voter-candidate cells"
             )
         p = self.params.get("p")
         if p is not None and not 0 <= p <= 1:

@@ -17,7 +17,7 @@ from itertools import zip_longest
 from math import comb
 from typing import Iterable, Sequence
 
-from .model import Election, _iter_bits
+from .model import Election, _iter_bits, transpose
 
 
 class BudgetExceededError(RuntimeError):
@@ -61,20 +61,10 @@ class NodeBudget:
 DEFAULT_NODE_CAP = 10**7
 
 
-# _DIGITS[b] maps a byte to the character of its bit b, "0" or "1"
-_DIGITS = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
-
-
 def counter(values: Sequence[int]) -> list[int]:
-    """The counter holding ``values[i]`` for voter i.  Below 256 the values
-    are one byte string and each slice one translation of it into binary
-    digits; wider values are split into their low byte and the rest."""
-    top = max(values, default=0)
-    if top < 256:
-        data = bytes(values)[::-1]  # voter n-1 first, as in a binary numeral
-        return [int(data.translate(_DIGITS[b]), 2) for b in range(top.bit_length())]
-    low = counter([v & 255 for v in values])
-    return low + [0] * (8 - len(low)) + counter([v >> 8 for v in values])
+    """The counter holding ``values[i]`` for voter i: its slices are the
+    columns of the values' bit matrix, one :func:`~irlab.model.transpose`."""
+    return transpose(values, max(values, default=0).bit_length())
 
 
 def sub(slices: Sequence[int], voters: int) -> list[int]:

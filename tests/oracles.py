@@ -9,7 +9,8 @@ ballot-scanning greedy Monroe, the linear-scan and the full-ranking
 bisected Mallows samplers, Kuhn's
 recursive quota matching, the separate FJR and core deviation searches, the
 recursive EJR/PJR cohesive-set search and cover search (which builds every
-leaf), the digit-string counter, the frozenset prefix/suffix layout with
+leaf), the digit-string and the byte-splitting counters, the per-mask
+order positions, the frozenset prefix/suffix layout with
 the run-pattern WSC check, the frozen-set t-PART recognizer and witness
 check, the token-by-token ``.avp`` reader, the voter-by-voter and the
 row-per-distinct-ballot mask builders, the set-building generators and the
@@ -769,6 +770,29 @@ def counter_by_digits(values: Sequence[int]) -> list[int]:
         int("".join(["1" if v >> b & 1 else "0" for v in reversed(values)]), 2)
         for b in range(max(values, default=0).bit_length())
     ]
+
+
+# _DIGITS[b] maps a byte to the character of its bit b, "0" or "1"
+_DIGITS = [bytes(48 + (v >> b & 1) for v in range(256)) for b in range(8)]
+
+
+def counter_by_bytes(values: Sequence[int]) -> list[int]:
+    """The counter holding ``values[i]`` for voter i.  Below 256 the values
+    are one byte string and each slice one translation of it into binary
+    digits; wider values are split into their low byte and the rest."""
+    top = max(values, default=0)
+    if top < 256:
+        data = bytes(values)[::-1]  # voter n-1 first, as in a binary numeral
+        return [int(data.translate(_DIGITS[b]), 2) for b in range(top.bit_length())]
+    low = counter_by_bytes([v & 255 for v in values])
+    return low + [0] * (8 - len(low)) + counter_by_bytes([v >> 8 for v in values])
+
+
+def position_mask(mask: int, order: Sequence[int]) -> int:
+    """The items of ``mask`` (voters or candidates) as a mask over the
+    positions of ``order``: bit p is set iff item ``order[p]`` is in the mask."""
+    items = bin(mask)[:1:-1].ljust(len(order), "0")  # items[i] == "1" iff item i is in the mask
+    return int("".join([items[i] for i in reversed(order)]), 2)
 
 
 # --------------------------------------------------------------------------

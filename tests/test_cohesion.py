@@ -12,7 +12,7 @@ from irlab.cohesion import (
     f_vector,
     vi_certificates,
 )
-from irlab.model import Election, VoterGroup, is_run, position_mask
+from irlab.model import Election, VoterGroup, is_run, position_masks
 from irlab.search import BudgetExceededError, NodeBudget
 from irlab.domains import recognize
 from irlab.gen import GenSpec, generate
@@ -145,7 +145,7 @@ def test_witness_supporters_form_interval_on_vi():
         certs = vi_certificates(e, witness.voter_order)
         pos = {voter: p for p, voter in enumerate(witness.voter_order)}
         for cert in certs:
-            pm = position_mask(cert.witness_supporters.mask, witness.voter_order)
+            [pm] = position_masks([cert.witness_supporters.mask], witness.voter_order)
             assert is_run(pm)
             left, right = (pm & -pm).bit_length() - 1, pm.bit_length() - 1
             assert left <= pos[cert.voter] <= right

@@ -21,7 +21,7 @@ from irlab.domains import (
     verify_witness,
 )
 from irlab.gen import MODELS, GenSpec, generate
-from irlab.model import Election, is_run, mask_to_set, position_mask
+from irlab.model import Election, is_run, mask_to_set, position_masks
 from irlab.solver import SolveRequest, find_committee
 
 from instance_gen import (
@@ -461,7 +461,7 @@ def test_vi_trace_support_is_the_supporter_interval():
         for step in trace.round1 + trace.round2:
             cert = trace.certificates[step.voter]
             seen["f = 0" if cert.f == 0 else "f > 0"] += 1
-            pm = position_mask(cert.witness_supporters.mask, order)
+            [pm] = position_masks([cert.witness_supporters.mask], order)
             assert is_run(pm) and pm >> step.position & 1
             assert step.support_below == step.position - ((pm & -pm).bit_length() - 1)
             assert step.support_above == pm.bit_length() - step.position

@@ -1,11 +1,12 @@
 import hashlib
 import random
+import re
 import statistics
 
 from irlab.domains import recognize
 from irlab.experiment import DESK_SCALE_GEN_PARAMS
 from irlab import gen
-from irlab.gen import GenSpec, MODELS, PARAMS, _top_rows, _top_sample, generate
+from irlab.gen import GenSpec, MAX_GEN_CANDIDATES, MODELS, PARAMS, _top_rows, _top_sample, generate
 from irlab.model import Election
 
 from oracles import election_masks, generate_by_sets, mallows_sample, mallows_sample_bisected
@@ -177,6 +178,27 @@ def test_spec_validation():
         GenSpec(model="ic", n=0, m=5, seed=1)
     with pytest.raises(ValueError):
         GenSpec(model="ic", n=5, m=5, seed=1, params={"p": 1.5})
+
+
+def test_specs_past_the_cell_bound_fail_before_generating():
+    # the profile header bound, on GenSpec, ExperimentSpec and ``irlab gen``;
+    # no profile is built
+    import pytest
+    from click.testing import CliRunner
+
+    from irlab.cli import main
+    from irlab.experiment import ExperimentSpec
+    from irlab.model import MAX_CELLS
+
+    m = MAX_GEN_CANDIDATES
+    GenSpec(model="ic", n=MAX_CELLS // m, m=m, seed=1)
+    message = re.escape(f"n*m={MAX_CELLS + m} exceeds the limit of {MAX_CELLS} voter-candidate cells")
+    with pytest.raises(ValueError, match=message):
+        GenSpec(model="ic", n=MAX_CELLS // m + 1, m=m, seed=1)
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(n=MAX_CELLS // m + 1, m=m)
+    result = CliRunner().invoke(main, ["gen", "--model", "ic", "--n", "65537", "--m", "1024"])
+    assert result.exit_code == 2 and "voter-candidate cells" in result.output
 
 
 def test_unknown_radius_owner_fails_when_the_spec_is_built():

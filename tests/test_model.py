@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from irlab.model import (
     mask_to_set,
     members_mask,
     parse_profile,
-    position_mask,
+    position_masks,
     serialize_profile,
     supporters,
 )
@@ -27,7 +28,7 @@ from irlab.solver import OBJECTIVES, SolveRequest, find_committee
 import hard_instances
 from hard_instances import two_camps_with_bridge
 from instance_gen import scale_cases
-from oracles import election_masks, parse_profile as parse_profile_by_tokens
+from oracles import election_masks, parse_profile as parse_profile_by_tokens, position_mask
 from test_cli import _mutate
 
 EX1_TEXT = """8 3 2
@@ -219,18 +220,26 @@ def test_voter_group_derived_from_mask():
 
 
 def test_position_mask_and_run_shapes_match_position_lists():
+    # a whole random family (the empty one too) in one batch, on both sides
+    # of the transpose's 8-column switch, against the per-mask oracle and
+    # the position lists
     rng = random.Random(9)
+    families = Counter()
     for _ in range(300):
-        size = rng.randint(1, 9)
+        size = rng.randint(1, 12)
         order = rng.sample(range(size), size)
-        mask = rng.getrandbits(size)
-        pm = position_mask(mask, order)
-        positions = sorted(p for p, item in enumerate(order) if mask >> item & 1)
-        assert pm == sum(1 << p for p in positions)
-        block = positions == list(range(positions[0], positions[-1] + 1)) if positions else True
-        assert is_run(pm) == block
-        assert is_run(pm, "prefix", size) == (block and (not positions or positions[0] == 0))
-        assert is_run(pm, "suffix", size) == (block and (not positions or positions[-1] == size - 1))
+        masks = [rng.getrandbits(size) for _ in range(rng.choice([0, 1, 3, 9, 20]))]
+        families["empty" if not masks else "wide" if len(masks) > 8 else "narrow"] += 1
+        pms = position_masks(masks, order)
+        assert pms == [position_mask(mask, order) for mask in masks]
+        for mask, pm in zip(masks, pms):
+            positions = sorted(p for p, item in enumerate(order) if mask >> item & 1)
+            assert pm == sum(1 << p for p in positions)
+            block = positions == list(range(positions[0], positions[-1] + 1)) if positions else True
+            assert is_run(pm) == block
+            assert is_run(pm, "prefix", size) == (block and (not positions or positions[0] == 0))
+            assert is_run(pm, "suffix", size) == (block and (not positions or positions[-1] == size - 1))
+    assert min(families.values()) >= 40, families
 
 
 def _parsed(parse, text):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from irlab.model import transpose
 from irlab.search import (
     BudgetExceededError,
     NodeBudget,
@@ -20,7 +21,7 @@ from irlab.search import (
 )
 
 from instance_gen import random_election
-from oracles import counter_by_digits
+from oracles import counter_by_bytes, counter_by_digits
 
 
 def _values(slices, n):
@@ -56,13 +57,25 @@ def test_counter_kernel_matches_integer_lists():
 
 
 def test_counter_at_least_and_sub_match_plain_integers():
-    # the byte-table counter against the digit-string counter it replaced,
-    # and the counter, the compare and the subtraction against plain
-    # integers: unequal slice counts both ways (zero top slices too, as
-    # ``sub`` leaves them), empty counters, values past one byte and masks
-    # past one machine word
+    # the transpose against the bit definition and the digit-string counter,
+    # on either side of its 8-column switch, with no rows, one row and
+    # repeated rows; the counter against the digit-string and byte-splitting
+    # counters it replaced, and the counter, the compare and the subtraction
+    # against plain integers: unequal slice counts both ways (zero top slices
+    # too, as ``sub`` leaves them), empty counters, values past one byte and
+    # masks past one machine word
     rng = random.Random(79)
     seen = Counter()
+    for width in (0, 1, 7, 8, 9, 16, 17, 1000):
+        for n in (0, 1, 2, 5, 70):
+            rows = [rng.getrandbits(width) for _ in range(n)] if width else [0] * n
+            rows += rows[: n // 2]  # repeated rows
+            columns = transpose(rows, width)
+            assert columns == [
+                sum(1 << i for i, row in enumerate(rows) if row >> c & 1) for c in range(width)
+            ]
+            sliced = counter_by_digits(rows)  # no zero top slices
+            assert columns == sliced + [0] * (width - len(sliced))
     for _ in range(400):
         n = rng.choice([0, 1, 7, 64, 65, 200, 1000])
         a, b = (
@@ -71,6 +84,7 @@ def test_counter_at_least_and_sub_match_plain_integers():
         )
         ca, cb = counter(a), counter(b)
         assert ca == counter_by_digits(a) and cb == counter_by_digits(b)
+        assert ca == counter_by_bytes(a) and cb == counter_by_bytes(b)
         assert _values(ca, n) == a and _values(cb, n) == b
         ca += [0] * rng.choice([0, 0, 1, 3])
         voters = rng.getrandbits(n) if n else 0
