@@ -8,8 +8,8 @@ sizes in this package:
 
 * two sets *strictly overlap* when they intersect and neither contains the
   other; within a connected component of the strict-overlap graph the column
-  arrangement is rigid up to reversal and is built by iterative cell
-  refinement, each cell and span being a column mask as well;
+  arrangement is rigid up to reversal and is built by cell refinement, each
+  added set queuing the sets it strictly overlaps (cells and spans are masks);
 * the column spans of distinct components form a laminar family, and a
   nested component always fits inside a single cell of its host, so the
   global order is assembled by expanding each component's cells in place
@@ -21,6 +21,7 @@ produced order is re-verified against the full family before being returned.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .model import _iter_bits, is_run, position_masks
@@ -31,12 +32,6 @@ def is_consecutive_under(order: Sequence[int], masks: Sequence[int]) -> bool:
     return all(map(is_run, position_masks(masks, order)))
 
 
-def _strictly_overlap(a: int, b: int) -> bool:
-    """True if the column masks intersect and neither contains the other."""
-    both = a & b
-    return both != 0 and both != a and both != b
-
-
 class _Rejected(Exception):
     pass
 
@@ -45,16 +40,12 @@ class _Component:
     """Rigid arrangement (ordered cells) of one strict-overlap component."""
 
     def __init__(self, seed: int):
-        self.masks: list[int] = [seed]  # the processed sets
         self.cells: list[int] = [seed]
         self.span = seed
 
-    def overlaps(self, t: int) -> bool:
-        return any(_strictly_overlap(t, s) for s in self.masks)
-
     def add(self, t: int) -> None:
         """Refine the arrangement with ``t``, which strictly overlaps some
-        processed set; raises _Rejected when t cannot be made consecutive."""
+        added set; raises _Rejected when t cannot be made consecutive."""
         cells = self.cells
         new = t & ~self.span
         touched = [j for j, cell in enumerate(cells) if cell & t]
@@ -89,7 +80,6 @@ class _Component:
                 cells.insert(0, new)
             else:
                 raise _Rejected
-        self.masks.append(t)
         self.span |= t
 
     def _replace(self, idx: int, pieces: list[int]) -> None:
@@ -114,21 +104,26 @@ def consecutive_ones_order(num_columns: int, masks: Iterable[int]) -> list[int] 
 
 
 def _build_components(family: list[int]) -> list[_Component]:
+    """Strict-overlap components, each grown from its lowest-index set.  Each
+    added set queues the unqueued sets it strictly overlaps, and the lowest
+    queued index, the lowest-index set overlapping the component, goes next."""
     components: list[_Component] = []
-    remaining = list(family)
-    while remaining:
-        comp = _Component(remaining.pop(0))
-        grown = True
-        while grown:
-            grown = False
-            span = comp.span
-            for idx, t in enumerate(remaining):
-                # a set that misses or holds the whole span overlaps no processed set
-                if t & span not in (0, span) and comp.overlaps(t):
-                    comp.add(t)
-                    remaining.pop(idx)
-                    grown = True
-                    break
+    rest = list(range(len(family)))  # neither added nor queued, ascending
+    while rest:
+        seed = rest.pop(0)
+        comp, queue = _Component(family[seed]), [seed]
+        while queue:
+            i = heappop(queue)
+            if i != seed:
+                comp.add(family[i])
+            t, left = family[i], []
+            for j in rest:
+                both = t & family[j]
+                if both and both != t and both != family[j]:  # strict overlap
+                    heappush(queue, j)
+                else:
+                    left.append(j)
+            rest = left
         components.append(comp)
     return components
 
@@ -138,13 +133,14 @@ def _lowest(mask: int) -> int:
 
 
 def _compose(num_columns: int, components: list[_Component]) -> list[int]:
-    # hosts with larger spans first; single-set components before equal-span
-    # refining components so that the latter nest inside the former
+    # hosts with larger spans first; single-set components (one cell: a first
+    # addition adds a cell, and cells never merge) before equal-span refining
+    # components so that the latter nest inside the former
     ordered = sorted(
         enumerate(components),
         key=lambda item: (
             -item[1].span.bit_count(),
-            0 if len(item[1].masks) == 1 else 1,
+            0 if len(item[1].cells) == 1 else 1,
             _lowest(item[1].span),
             item[0],
         ),

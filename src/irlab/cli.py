@@ -249,11 +249,14 @@ def check_cmd(profile, committee, axiom_name, alpha, beta, expect, as_json, cap)
         click.echo(f"{axiom}: {verdict.status}", file=sys.stdout)
         if verdict.witness is not None:
             wt = verdict.witness
-            click.echo(
-                f"  witness: voters {sorted(v + 1 for v in wt.group)}, "
-                f"candidates {sorted(c + 1 for c in wt.candidate_set)}, level {wt.level}",
-                file=sys.stdout,
-            )
+            parts = [f"voters {_jsonable(wt.group)}"]
+            if wt.deprived != wt.group:
+                parts.append(f"deprived {_jsonable(wt.deprived)}")
+            if wt.candidate_set:
+                parts.append(f"candidates {_jsonable(wt.candidate_set)}")
+            if wt.level is not None:
+                parts.append(f"level {wt.level}")
+            click.echo("  witness: " + ", ".join(parts), file=sys.stdout)
     if expect is not None and verdict.status != expect:
         sys.exit(1)
 

@@ -135,3 +135,13 @@ def pr_without_ir_instance() -> Election:
         {3, 4, 5},
     ]
     return Election.from_approvals(approvals, m=6, k=4)
+
+
+# IR failures of AV and SAV at m = 3, k = 2, each with the fewest voters (an
+# exhaustive search over n <= 6): every f_i is 1 and {c1, c2} meets f, but
+# each rule's only winner is {c2, c3}, which leaves voter 1 with nothing.
+# AV scores the candidates 2, 3, 3 and SAV 5/3, 13/6, 13/6.  They are
+# elections, not functions, so the golden CLI digests, which run every
+# fixture function, keep the profiles they were recorded on.
+AV_IR_FAILURE = Election.from_approvals([{0}, {1, 2}, {1, 2}, {0, 1, 2}], m=3, k=2)
+SAV_IR_FAILURE = Election.from_approvals([{0}] + [{1, 2}] * 3 + [{0, 1, 2}] * 2, m=3, k=2)

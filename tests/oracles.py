@@ -32,7 +32,10 @@ integer Rule X that re-tests every unpicked approved candidate at each pick;
 ``lex_search_by_callbacks`` is the lex walk driven by push, pop, block, fit
 and bound callbacks that ``thiele_search_by_callbacks`` and
 ``committee_search_by_callbacks`` ran before the Thiele search walked its
-own prefixes and the keyed rules looped over ``combinations``.
+own prefixes and the keyed rules looped over ``combinations``;
+``build_components_rescanning`` is the consecutive-ones component build that
+kept every added set and rescanned the remaining sets after each addition,
+before each component grew from a queue.
 """
 
 import math
@@ -59,7 +62,7 @@ from irlab.model import (
     members_mask,
     padding,
 )
-from irlab import rules
+from irlab import c1p, rules
 from irlab.rules import MAX_ENUMERATED_COMMITTEES, RuleId, probe, run_rule
 from irlab.rules import _common_scale, _seq_phragmen as grouped_seq_phragmen
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, max_flow
@@ -2239,3 +2242,56 @@ def committee_search_by_callbacks(election: Election, kind: str, all_tied: bool)
     return lex_search_by_callbacks(
         election.m, election.k, skip, skip, leaves, fits, None, all_tied
     )
+
+
+def _strictly_overlap(a: int, b: int) -> bool:
+    """True if the column masks intersect and neither contains the other."""
+    both = a & b
+    return both != 0 and both != a and both != b
+
+
+class ComponentKeepingSets(c1p._Component):
+    """A consecutive-ones component that also keeps its added sets."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.masks: list[int] = [seed]
+
+    def overlaps(self, t: int) -> bool:
+        return any(_strictly_overlap(t, s) for s in self.masks)
+
+    def add(self, t: int) -> None:
+        super().add(t)
+        self.masks.append(t)
+
+
+def build_components_rescanning(family: list[int]) -> list[ComponentKeepingSets]:
+    """The strict-overlap components; after each addition the scan restarts
+    from the first remaining set and adds the first that strictly overlaps an
+    added set.  Raises ``c1p._Rejected`` as the package's build does."""
+    components: list[ComponentKeepingSets] = []
+    remaining = list(family)
+    while remaining:
+        comp = ComponentKeepingSets(remaining.pop(0))
+        grown = True
+        while grown:
+            grown = False
+            span = comp.span
+            for idx, t in enumerate(remaining):
+                # a set that misses or holds the whole span overlaps no added set
+                if t & span not in (0, span) and comp.overlaps(t):
+                    comp.add(t)
+                    remaining.pop(idx)
+                    grown = True
+                    break
+        components.append(comp)
+    return components
+
+
+def consecutive_ones_order_rescanning(num_columns: int, masks: Iterable[int]) -> list[int] | None:
+    """``c1p.consecutive_ones_order`` over ``build_components_rescanning``."""
+    family = [mask for mask in dict.fromkeys(masks) if 2 <= mask.bit_count() < num_columns]
+    try:
+        return c1p._compose(num_columns, build_components_rescanning(family))
+    except c1p._Rejected:
+        return None

@@ -15,7 +15,10 @@ six models (generation timed) parses back, building no frozen set,
 to its ballots and both mask tuples; vi_euclid and ci_euclid at
 n = 10,000, m = 1,000 each generate within 0.3 s (best of 3; about
 0.05 and 0.07 s on a 2-core VM, 0.57 s when every voter-candidate pair
-was tested); a one-voter profile listing
+was tested); CI recognition of ci_euclid and VI recognition of
+vi_euclid at n = 1,000, m = 200 (seed 1) each take under 1 s (about
+20 and 10 ms on a 2-core VM; CI took about 170 ms when each
+addition rescanned the remaining sets); a one-voter profile listing
 every candidate parses in time linear in m (about 4x from m = 2^15
 to 2^17, where one OR per index into the ballot mask made it about
 16x) and `irlab gen` refuses an m above the generators' limit;
@@ -78,6 +81,13 @@ def smoke() -> None:
             runs.append(time.perf_counter() - t)
         print(model, "n=10000 m=1000", f"generate {min(runs):.3f} s")
         assert min(runs) < 0.3, f"{model} generation no longer runs in sorted runs"
+    for model, domain in (("ci_euclid", "CI"), ("vi_euclid", "VI")):
+        profile = generate(GenSpec(model=model, n=1000, m=200, seed=1))
+        t = time.perf_counter()
+        witness = recognize(profile, domain)
+        took = time.perf_counter() - t
+        print(model, "n=1000 m=200", domain, f"recognize {took * 1000:.1f} ms")
+        assert witness is not None and took < 1.0, f"{domain} recognition of {model} is too slow"
     big = generate(GenSpec(model="euclid_2d", n=1000, m=60, seed=0), k=5)
     for label, profile in (("ic n=40 m=30 k=7", e), ("euclid_2d n=1000 m=60 k=5", big)):
         t = time.perf_counter()

@@ -17,7 +17,7 @@ from irlab.gen import MAX_GEN_CANDIDATES, MODELS, GenSpec, generate
 from irlab.model import MAX_CANDIDATES, MAX_CELLS, Election, serialize_profile
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError
 import hard_instances
-from hard_instances import two_camps_with_bridge, uneven_cohorts
+from hard_instances import AV_IR_FAILURE, two_camps_with_bridge, uneven_cohorts
 
 
 def _write_profile(tmp_path, election, name="profile.avp"):
@@ -42,6 +42,23 @@ def test_check_expect_unmet_exit_one(tmp_path):
         ["check", path, "--committee", "1,3", "--axiom", "ir", "--expect", "satisfied"],
     )
     assert result.exit_code == 1
+
+
+def test_check_text_names_the_deprived_voters(tmp_path):
+    # voters 1 and 4 back {c1}, but only voter 1 falls short of the committee
+    # {c2, c3}; a perfect-representation witness has no candidates or level
+    path = _write_profile(tmp_path, AV_IR_FAILURE)
+    runner = CliRunner()
+    expected = {
+        "ir": ["IR: violated", "  witness: voters [1, 4], deprived [1], candidates [1], level 1"],
+        "ssjr": ["SSJR: violated", "  witness: voters [1, 4], deprived [1], candidates [1], level 1"],
+        "pr": ["PERFECT_REP: violated", "  witness: voters [1]"],
+    }
+    for axiom, lines in expected.items():
+        result = runner.invoke(main, ["check", path, "--committee", "2,3", "--axiom", axiom])
+        assert (result.exit_code, result.stdout.splitlines()) == (0, lines), axiom
+        result = runner.invoke(main, ["check", path, "--committee", "2,3", "--axiom", axiom, "--json"])
+        assert json.loads(result.stdout)["witness"]["deprived"] == [1], axiom
 
 
 def test_unknown_subcommand_exit_two():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from irlab import domains
-from irlab.c1p import consecutive_ones_order, is_consecutive_under
+from irlab.c1p import _build_components, _Rejected, consecutive_ones_order, is_consecutive_under
 from irlab.axioms import IR, SSJR, alpha_beta_ir, check
 from irlab.cohesion import f_vector, vi_certificates
 from irlab.domains import (
@@ -34,6 +34,8 @@ from instance_gen import (
     random_wsc_election,
 )
 from oracles import (
+    build_components_rescanning,
+    consecutive_ones_order_rescanning,
     consecutive_order_exists,
     ends_order_exists,
     recognize_by_sets,
@@ -249,6 +251,43 @@ def test_consecutive_ones_order_matches_factorial_oracle():
             assert is_consecutive_under(order, masks)
         seen["none" if order is None else "order"] += 1
     assert min(seen.values()) >= 30, seen
+
+
+def _components(build, family):
+    try:
+        return [(comp.cells, comp.span) for comp in build(family)]
+    except _Rejected:
+        return None
+
+
+def test_component_build_matches_rescanning_oracle():
+    # families of 2-12 columns, each set a run of a hidden column order (so
+    # components grow) or, one time in five, a random set (so some reject)
+    rng = random.Random(83)
+    seen = {"rejected": 0, "grown": 0, "order": 0}
+    for _ in range(5000):
+        cols = rng.randint(2, 12)
+        hidden = rng.sample(range(cols), cols)
+        masks = []
+        for _ in range(rng.randint(1, 10)):
+            if rng.random() < 0.2:
+                masks.append(rng.getrandbits(cols))
+            else:
+                a = rng.randrange(cols)
+                masks.append(sum(1 << c for c in hidden[a : rng.randint(a + 1, cols)]))
+        family = [mask for mask in dict.fromkeys(masks) if 2 <= mask.bit_count() < cols]
+        got = _components(_build_components, family)
+        assert got == _components(build_components_rescanning, family), (cols, family)
+        if got is not None:
+            # _compose tells single-set components by their one cell
+            for comp in build_components_rescanning(family):
+                assert (len(comp.masks) == 1) == (len(comp.cells) == 1), (cols, family)
+            seen["grown"] += any(len(cells) > 1 for cells, _ in got)
+        seen["rejected"] += got is None
+        order = consecutive_ones_order(cols, masks)
+        assert order == consecutive_ones_order_rescanning(cols, masks), (cols, masks)
+        seen["order"] += order is not None
+    assert min(seen.values()) >= 1000, seen
 
 
 def test_in_domain_instances_recognized():

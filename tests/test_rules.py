@@ -26,10 +26,12 @@ from oracles import _thiele_optimize as oracle_thiele_optimize
 from oracles import _thiele_search as oracle_thiele_search
 from oracles import committee_search_by_callbacks as oracle_committee_by_callbacks
 from oracles import thiele_search_by_callbacks as oracle_thiele_by_callbacks
-from oracles import brute_optimum, cc_score, greedy_monroe, rev_seq_thiele, seq_thiele, thiele_score
+from oracles import brute_ir_committees, brute_optimum, cc_score, greedy_monroe, rev_seq_thiele, seq_thiele, thiele_score
 from oracles import max_phragmen_load_vector_by_merge_test, rule_x_rescanning
 from oracles import probe_rule as oracle_probe_rule
 from hard_instances import (
+    AV_IR_FAILURE,
+    SAV_IR_FAILURE,
     hamming_bait_instance,
     load_bait_instance,
     coverage_bait_instance,
@@ -251,6 +253,18 @@ def test_probe_bridge_profile_seq_phragmen():
         "ssjr_exists": True,
         "undecided": False,
     }
+
+
+@pytest.mark.parametrize("kind, e", [("av", AV_IR_FAILURE), ("sav", SAV_IR_FAILURE)])
+def test_approval_rules_miss_an_existing_ir_committee(kind, e):
+    f = entitlements(e)
+    assert f == [1] * e.n
+    ir = brute_ir_committees(e, f)
+    assert frozenset({0, 1}) in ir
+    out = run_rule(e, RuleId(kind), mode="all_tied")
+    assert all_members(out) == [[1, 2]]
+    assert not {w.members for w in out.committees} & set(ir)
+    assert probe(e, RuleId(kind), [f]) == (False,)
 
 
 def test_probe_trivial_when_entitlements_zero():
