@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .cohesion import certificate, deficits_for, entitlements
 from .model import Committee, Election, _iter_bits, first_unmet, index_set, mask_to_set
@@ -343,30 +342,6 @@ def _perfect_witness(election, committee):
     value, reached = quota_assignment(election, sorted(committee.members))
     hall = frozenset(reached)
     return None if value == election.n else ViolationWitness(group=hall, deprived=hall)
-
-
-IMPLICATION_ARROWS: tuple[tuple[str, str], ...] = (
-    ("IR", "EJR"),
-    ("IR", "SSJR"),
-    ("EJR", "PJR"),
-    ("PJR", "JR"),
-    ("SSJR", "JR"),
-    ("CORE", "FJR"),
-    ("FJR", "EJR"),
-    ("PERFECT_REP", "SSJR"),
-)
-
-
-def implication_report(
-    election: Election,
-    committee: Committee,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> Mapping[AxiomId, AxiomVerdict]:
-    """All axiom verdicts for one committee (PERFECT_REP only when k | n)."""
-    axioms = [IR, SSJR, JR, PJR, EJR, FJR, CORE]
-    if election.n % election.k == 0:
-        axioms.append(PERFECT_REP)
-    return {axiom: check(election, committee, axiom, node_cap=node_cap) for axiom in axioms}
 
 
 def verify_violation(

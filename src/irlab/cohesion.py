@@ -67,9 +67,11 @@ class CohesionCertificate:
 
 
 def deficits_for(f: Sequence[int], alpha: Fraction | int, beta: Fraction | int) -> list[int]:
-    """Per-voter demand: the least w >= 0 with alpha*w + beta >= f_i.  With
-    alpha = a/b and beta = c/d that is ceil((f_i*d - c)*b / (d*a)), in
-    integers."""
+    """Per-voter demand: the least w >= 0 with alpha*w + beta >= f_i, in
+    integers ceil((f_i*d - c)*b / (d*a)) for alpha = a/b and beta = c/d; at
+    (alpha, beta) = (1, 0) it is f_i itself (f_i >= 0), so ``list(f)``."""
+    if alpha == 1 and beta == 0:
+        return list(f)
     a, b = alpha.numerator, alpha.denominator
     c, d = beta.numerator, beta.denominator
     return [max(0, -((c - value * d) * b // (d * a))) for value in f]

@@ -290,7 +290,7 @@ def _recognize_wsc(election: Election) -> WSCWitness | None:
         return None
     order, _ = layout
     if not _wsc_order_valid(election, order):
-        return None
+        raise AssertionError("internal error: the WSC layout failed verification")
     return WSCWitness(voter_order=tuple(order))
 
 

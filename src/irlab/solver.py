@@ -1,28 +1,36 @@
 """Exact existence and approximation search for representative committees.
 
 Deciding whether an IR committee exists is NP-hard, so the search is a
-depth-first branch-and-bound over candidates (on an explicit stack, one
-level per seat, each voter's state in bit-sliced counters) guarded by a
-node cap: ``infeasible`` means the whole space was exhausted,
-``undecided`` is only reported when the cap was hit.  Every objective is
-the least feasible value of an ascending grid, found on one path under one
-budget: FIND_IR and FIND_SSJR are a one-point grid, MIN_BETA the additive
-slacks 0..max f_i and MIN_ALPHA the multiplicative slacks (f_i - beta)/q >= 1
-with q <= k.  The top value is solved first and the rest bisected; the last
-cover found is padded to k seats and re-checked by direct count.
+depth-first branch-and-bound over candidates (on an explicit stack, one level
+per seat, each voter's state in bit-sliced counters) guarded by a node cap:
+``infeasible`` means the whole space was exhausted, ``undecided`` is only
+reported when the cap was hit.  Every objective is the least feasible of a
+list of ascending (alpha, beta) points, solved under one budget, where voter i
+demands ``deficits_for(f, alpha, beta)[i]`` members: FIND_IR and FIND_SSJR are
+(1, 0) over their demands, MIN_BETA (alpha, b) for b = 0..max f_i and
+MIN_ALPHA (a, beta) for a = (f_i - beta)/q >= 1 with q <= k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .cohesion import CohesionCertificate, deficits_for
 from .model import Committee, Election, _iter_bits, first_unmet, padding
 from .search import DEFAULT_NODE_CAP, BudgetExceededError, NodeBudget, above, at_least, counter, sub
 
 OBJECTIVES = ("FIND_IR", "FIND_SSJR", "MIN_BETA", "MIN_ALPHA")
+_EXACT = ((Fraction(1), Fraction(0)),)  # FIND_IR and FIND_SSJR: their demands as they are
+
+
+def _check_fvec(election: Election, f: Sequence[int]) -> None:
+    """Refuse an f-vector that is not one entitlement f_i >= 0 per voter."""
+    if len(f) != election.n:
+        raise ValueError("f-vector length must equal the number of voters")
+    if min(f, default=0) < 0:
+        raise ValueError(f"voter {f.index(min(f))}: entitlement {min(f)} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -45,8 +53,7 @@ class SolveRequest:
             raise ValueError(f"unknown objective {self.objective!r}")
         f = tuple(v.f if isinstance(v, CohesionCertificate) else v for v in self.fvec)
         object.__setattr__(self, "fvec", f)
-        if len(f) != self.election.n:
-            raise ValueError("f-vector length must equal the number of voters")
+        _check_fvec(self.election, f)
         if self.node_cap <= 0:
             raise ValueError("node cap must be positive")
         if self.alpha < 1 or self.beta < 0:
@@ -55,6 +62,9 @@ class SolveRequest:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solve's answer.  A found result's (alpha, beta) is the point solved,
+    relative to the objective's demands: FIND_SSJR reports (1, 0) over min(f_i, 1)."""
+
     status: str  # 'found' | 'infeasible' | 'undecided'
     committee: Committee | None
     achieved_alpha: Fraction | None
@@ -176,63 +186,47 @@ def demands(f: Sequence[int], objective: str) -> list[int]:
 
 
 def _recheck(election: Election, committee: Committee, wanted: Sequence[int]) -> None:
-    """Re-check a committee by direct count against the per-voter demands,
-    the count ``axioms.check`` runs for IR, semi-strong JR and (alpha,
-    beta)-IR; a failure is a bug."""
+    """Re-check a committee by direct count against the demands; a failure is a bug."""
     if first_unmet(election, committee.mask(), wanted) is not None:
         raise AssertionError("solver returned a committee failing its demands")
 
 
 def _solve(
-    election: Election,
-    grid: Sequence,
-    deficits_at: Callable[[object], list[int]],
-    slack: Callable[[object], tuple[Fraction, Fraction]],
-    node_cap: int,
+    election: Election, f: Sequence[int], points: Sequence[tuple[Fraction, Fraction]], node_cap: int
 ) -> SolveResult:
-    """The least value of the ascending ``grid`` whose demands are feasible,
-    under one budget: ``infeasible`` when the top value is not, ``found``
-    with the padded cover of the least value, re-checked by direct count,
-    and its ``slack`` (alpha, beta).  Feasibility is monotone along the grid,
-    so the top is solved first and the rest is a bisection."""
+    """The least of the ascending (alpha, beta) ``points`` whose demands
+    ``deficits_for(f, alpha, beta)`` are feasible, as slack, with its padded and
+    re-checked cover (top first, then bisection); ``infeasible`` if the top is not."""
     budget = NodeBudget(node_cap, stage="solver.find_committee")
-    lo, hi = 0, len(grid) - 1
+    lo, hi = 0, len(points) - 1
     try:
-        hit = _cover_search(election, deficits_at(grid[hi]), budget)
+        wanted = deficits_for(f, *points[hi])
+        hit = _cover_search(election, wanted, budget)
         while hit is not None and lo < hi:
             mid = (lo + hi) // 2
-            lower = _cover_search(election, deficits_at(grid[mid]), budget)
+            deficits = deficits_for(f, *points[mid])
+            lower = _cover_search(election, deficits, budget)
             if lower is None:
                 lo = mid + 1
             else:
-                hit, hi = lower, mid
+                hit, hi, wanted = lower, mid, deficits
     except BudgetExceededError:
         return SolveResult("undecided", None, None, None, budget.nodes)
     if hit is None:
         return SolveResult("infeasible", None, None, None, budget.nodes)
     committee = Committee.of([*hit, *padding(election, hit)], election)
-    _recheck(election, committee, deficits_at(grid[lo]))
-    return SolveResult("found", committee, *slack(grid[lo]), budget.nodes)
-
-
-def _find(election: Election, wanted: Sequence[int], node_cap: int) -> SolveResult:
-    """FIND_IR or FIND_SSJR for the per-voter demands ``wanted``: a one-point grid."""
-    return _solve(election, [wanted], lambda d: d, lambda _: (Fraction(1), Fraction(0)), node_cap)
+    _recheck(election, committee, wanted)
+    return SolveResult("found", committee, *points[hi], budget.nodes)
 
 
 def find_committee(request: SolveRequest) -> SolveResult:
     """Solve the request exactly; `undecided` is only ever due to the node cap."""
     election, f, alpha, beta = request.election, request.fvec, request.alpha, request.beta
     if request.objective in ("FIND_IR", "FIND_SSJR"):
-        return _find(election, demands(f, request.objective), request.node_cap)
+        return _solve(election, demands(f, request.objective), _EXACT, request.node_cap)
     if request.objective == "MIN_BETA":
-        result = _solve(
-            election,
-            range(max(f, default=0) + 1),
-            lambda value: deficits_for(f, alpha, value),
-            lambda value: (alpha, Fraction(value)),
-            request.node_cap,
-        )
+        points = [(alpha, Fraction(value)) for value in range(max(f, default=0) + 1)]
+        result = _solve(election, f, points, request.node_cap)
         if result.status == "infeasible":  # beta = fmax collapses every demand
             raise AssertionError("beta = max f_i must be feasible")
         return result
@@ -242,17 +236,9 @@ def find_committee(request: SolveRequest) -> SolveResult:
     if not numerators:
         committee = Committee.of(padding(election, ()), election)
         return SolveResult("found", committee, Fraction(1), beta, 0)
-    grid = sorted(
-        {Fraction(p) / q for p in numerators for q in range(1, election.k + 1) if p >= q}
-        | {Fraction(1)}
-    )
-    return _solve(
-        election,
-        grid,
-        lambda value: deficits_for(f, value, beta),
-        lambda value: (value, beta),
-        request.node_cap,
-    )
+    grid = {Fraction(p) / q for p in numerators for q in range(1, election.k + 1) if p >= q}
+    points = [(value, beta) for value in sorted(grid | {Fraction(1)})]
+    return _solve(election, f, points, request.node_cap)
 
 
 def find_ir_and_ssjr(
@@ -263,9 +249,8 @@ def find_ir_and_ssjr(
     :func:`find_committee` returns.  An IR committee is semi-strong JR too, so
     once FIND_IR has found one it stands for both and FIND_SSJR is not solved;
     nor is it when every f_i <= 1, where its demands are FIND_IR's."""
-    if len(f) != election.n:
-        raise ValueError("f-vector length must equal the number of voters")
-    ir_res = _find(election, demands(f, "FIND_IR"), node_cap)
+    _check_fvec(election, f)
+    ir_res = _solve(election, f, _EXACT, node_cap)
     if ir_res.status == "found" or all(value <= 1 for value in f):
         return ir_res, ir_res
-    return ir_res, _find(election, demands(f, "FIND_SSJR"), node_cap)
+    return ir_res, _solve(election, demands(f, "FIND_SSJR"), _EXACT, node_cap)

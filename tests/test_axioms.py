@@ -19,7 +19,6 @@ from irlab.axioms import (
     ViolationWitness,
     alpha_beta_ir,
     check,
-    implication_report,
     verify_violation,
 )
 from irlab.cohesion import certificate, entitlements, f_vector
@@ -28,6 +27,7 @@ from irlab.model import Committee, Election, mask_to_set
 from irlab.search import BudgetExceededError, NodeBudget
 
 from instance_gen import random_committee, random_election
+from test_acceptance import IMPLICATION_ARROWS, verdicts
 from oracles import (
     bipartite_quota_flow,
     check_core,
@@ -57,9 +57,8 @@ def test_bridge_profile_ir_satisfied():
 
 def test_bridge_profile_report_all_satisfied():
     e = two_camps_with_bridge()
-    report = implication_report(e, Committee.of({0, 1}, e))
     for axiom in (IR, EJR, PJR, JR, SSJR, CORE):
-        assert report[axiom].satisfied, axiom
+        assert check(e, Committee.of({0, 1}, e), axiom).satisfied, axiom
 
 
 def test_bridge_profile_ir_violation_names_voter8():
@@ -523,13 +522,10 @@ def test_implication_arrows_random():
     for _ in range(150):
         e = random_election(rng, n_max=9, m_max=6, k_max=4)
         w = random_committee(rng, e)
-        report = implication_report(e, w)
-        by_kind = {a.kind: v for a, v in report.items()}
-        for src, dst in axioms.IMPLICATION_ARROWS:
-            if src not in by_kind or dst not in by_kind:
-                continue
-            if by_kind[src].satisfied:
-                assert by_kind[dst].satisfied, (src, dst, e.approvals, sorted(w.members))
+        report = verdicts(e, w)
+        for src, dst in IMPLICATION_ARROWS:
+            if src in report and report[src].satisfied:
+                assert report[dst].satisfied, (src, dst, e.approvals, sorted(w.members))
 
 
 def test_alpha_beta_monotonicity():
@@ -549,7 +545,8 @@ def test_vacuous_on_empty_profile():
     # representation is not (no voter approves an assignable member)
     e = Election.from_approvals([set()] * 4, m=4, k=2)
     w = Committee.of({0, 1}, e)
-    report = implication_report(e, w)
+    report = verdicts(e, w)
+    assert PERFECT_REP in report
     for axiom, verdict in report.items():
         if axiom.kind == "PERFECT_REP":
             assert verdict.status == "violated"

@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import inspect
 import io
 import json
 import random
@@ -718,12 +717,25 @@ def test_check_capped_entitlements_exit_one_with_message(tmp_path):
         assert line.startswith("Error: ") and "(cohesion.entitlements stopped after 4 nodes)" in line
 
 
+# the golden digests run these fixtures, in this order, so that a new
+# function in hard_instances moves none of them
+_FIXTURE_NAMES = (
+    "coverage_bait_instance",
+    "disjoint_blocks_instance",
+    "hamming_bait_instance",
+    "load_bait_instance",
+    "opposed_ends_instance",
+    "pr_without_ir_instance",
+    "ssjr_ejr_clash",
+    "ssjr_not_pr_instance",
+    "two_camps_with_bridge",
+    "uncoverable_line_instance",
+    "uneven_cohorts",
+)
+
+
 def _fixtures():
-    return [
-        (name, fn)
-        for name, fn in inspect.getmembers(hard_instances, inspect.isfunction)
-        if fn.__module__ == "hard_instances"
-    ]
+    return [(name, getattr(hard_instances, name)) for name in _FIXTURE_NAMES]
 
 
 def test_solve_over_entitlements_prints_what_the_certificates_give(tmp_path, monkeypatch):

@@ -299,6 +299,16 @@ def test_in_domain_instances_recognized():
         assert recognize(random_wsc_election(rng), "WSC") is not None
 
 
+def test_wsc_layout_failing_the_direct_check_is_a_bug(monkeypatch):
+    # None means provably outside WSC, so a laid-out order that fails the
+    # direct check raises; here voter 2 must come last, not between 0 and 1
+    e = Election.from_approvals([{0}, {0, 1}, {1}], m=2, k=1)
+    assert recognize(e, "WSC") is not None
+    monkeypatch.setattr(domains, "_prefix_suffix_layout", lambda n, masks: ([0, 2, 1], {}))
+    with pytest.raises(AssertionError, match="WSC layout failed verification"):
+        recognize(e, "WSC")
+
+
 def test_tpart_rejects_overlapping_ballots():
     e = Election.from_approvals([{0, 1}, {1, 2}], m=3, k=1)
     assert recognize(e, "T_PART") is None

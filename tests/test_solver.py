@@ -373,6 +373,21 @@ def test_find_ir_and_ssjr_equals_find_committee_when_some_f_exceeds_one():
         solver.find_ir_and_ssjr(e, f[:-1], 10)
 
 
+def test_negative_entitlements_are_refused_naming_the_voter():
+    # an entitlement is f_i >= 0: every objective and find_ir_and_ssjr refuse
+    # f = (0, -1, 1), where FIND_IR once failed inside the counters and
+    # MIN_BETA and MIN_ALPHA answered found
+    e = Election.from_approvals([{0}, {1}, {0, 1}], m=2, k=1)
+    f = (0, -1, 1)
+    for objective in OBJECTIVES:
+        with pytest.raises(ValueError, match="^voter 1: entitlement -1 must be >= 0$"):
+            SolveRequest(e, f, objective)
+        with pytest.raises(ValueError, match="f-vector length"):
+            SolveRequest(e, f[1:], objective)
+    with pytest.raises(ValueError, match="^voter 1: entitlement -1 must be >= 0$"):
+        solver.find_ir_and_ssjr(e, f, 10)
+
+
 def _wide_election(rng):
     """A random profile of 65 to 200 voters, past one machine word, with k >= 9."""
     n, m = rng.randint(65, 200), rng.randint(12, 18)
@@ -499,15 +514,18 @@ def test_cover_search_pivots_on_the_pool_left_with_one_seat():
 
 def test_deficits_match_fraction_formula():
     # the integer demand ceil((f*d - c)*b / (d*a)) for alpha = a/b and
-    # beta = c/d equals the least w with alpha*w + beta >= f, in Fractions
+    # beta = c/d equals the least w with alpha*w + beta >= f, in Fractions;
+    # at (1, 0), as ints (IR's check) or as Fractions (FIND_IR), it is f
     rng = random.Random(67)
+    cases = [(1, 0, [0, 3, 0, 12, 1]), (Fraction(1), Fraction(0), [0, 3, 0, 12, 1]), (1, 0, [])]
     for _ in range(2000):
         alpha = 1 + Fraction(rng.randint(0, 30), rng.randint(1, 12))
         beta = Fraction(rng.randint(0, 40), rng.randint(1, 12))
-        f = [rng.randint(0, 12) for _ in range(5)]
+        cases.append((alpha, beta, [rng.randint(0, 12) for _ in range(5)]))
+    for alpha, beta, f in cases:
         expected = []
         for value in f:
-            q = (value - beta) / alpha
+            q = Fraction(value - beta) / alpha
             expected.append(max(0, -(-q.numerator // q.denominator)))
         got = cohesion.deficits_for(f, alpha, beta)
         assert got == expected, (alpha, beta, f)
