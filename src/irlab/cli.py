@@ -31,7 +31,7 @@ from .experiment import (
     run_experiment,
     write_outputs,
 )
-from .gen import MODELS, GenSpec, generate
+from .gen import MODELS, PARAMS, GenSpec, generate
 from .model import Committee, ProfileFormatError, parse_profile, serialize_profile
 from .search import DEFAULT_NODE_CAP
 
@@ -165,16 +165,21 @@ main.command_class = _Command
 @click.option("--k", type=int, default=1, show_default=True, help="committee size in the header")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--p", type=float, default=None, help="approval probability (ic)")
+@click.option("--sigma", type=float, default=None,
+              help="radius spread (vi_euclid, ci_euclid) or position spread (euclid_2d)")
 @click.option("--radius-owner", type=click.Choice(["candidate", "voter"]), default="candidate",
               show_default=True, help="which side owns the 2D approval radius")
 @click.option("-o", "--out", type=click.Path(writable=True), default="-")
-def gen_cmd(model, n, m, k, seed, p, radius_owner, out):
+def gen_cmd(model, n, m, k, seed, p, sigma, radius_owner, out):
     """Sample an approval profile and write it as .avp text."""
     _refuse_unused("p", model != "ic", "--p is for --model ic only")
+    _refuse_unused("sigma", "sigma" not in PARAMS[model],
+                   "--sigma is for --model vi_euclid, ci_euclid or euclid_2d only")
     _refuse_unused("radius_owner", model != "euclid_2d", "--radius-owner is for --model euclid_2d only")
     params = {"radius_owner": radius_owner} if model == "euclid_2d" else {}
-    if p is not None:
-        params["p"] = p
+    for name, value in (("p", p), ("sigma", sigma)):
+        if value is not None:
+            params[name] = value
     election = generate(GenSpec(model=model, n=n, m=m, seed=seed, params=params), k=k)
     text = serialize_profile(election)
     if out == "-":

@@ -24,13 +24,16 @@ with one interval check: a family's masks are mapped to order positions in
 one batch (:func:`~irlab.model.position_masks`) and each result is tested as
 an interval, a prefix or a suffix (:func:`~irlab.model.is_run`).  The CI and
 VI recognizers hand the same masks to the consecutive-ones layout of :mod:`c1p`.
+WSC recognition and its check pair distinct supporter sets, not candidates,
+and the prefix/suffix layout behind CEI, VEI and WSC stops at the first
+conflicting pair of sets, before the rest of the family is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from . import axioms, c1p
 from .cohesion import CohesionCertificate, _vi_spans, _vi_sweep
@@ -203,16 +206,17 @@ def _ends_axis(election: Election, domain: DomainId) -> tuple[int, tuple[int, ..
 def _wsc_order_valid(election: Election, order: Sequence[int]) -> bool:
     """Direct check of the weakly single-crossing condition for every pair:
     along the order, the voters approving only c and those approving only d
-    must form a prefix and a suffix, one each."""
+    must form a prefix and a suffix, one each.  The test is symmetric and
+    reads only the two supporter sets, so each pair of distinct supporter
+    sets is tested once."""
     n = election.n
-    along = position_masks(election.candidate_voters, order)
-    for c in range(election.m):
-        for d in range(c + 1, election.m):
-            only_c = along[c] & ~along[d]
-            only_d = along[d] & ~along[c]
+    along = position_masks(list(dict.fromkeys(election.candidate_voters)), order)
+    for a, u in enumerate(along):
+        for v in along[a + 1 :]:
+            only_u, only_v = u & ~v, v & ~u
             if not (
-                is_run(only_c, "prefix") and is_run(only_d, "suffix", n)
-                or is_run(only_d, "prefix") and is_run(only_c, "suffix", n)
+                is_run(only_u, "prefix") and is_run(only_v, "suffix", n)
+                or is_run(only_v, "prefix") and is_run(only_u, "suffix", n)
             ):
                 return False
     return True
@@ -277,14 +281,22 @@ def _recognize_wsc(election: Election) -> WSCWitness | None:
     and N(d) - N(c) at opposite ends.  Empty and full differences sit at an
     end of any order and drop out; the two sets of any other pair are
     disjoint, so the layout's pairwise test finds them not nested but
-    crossing, and that alone puts them at opposite ends."""
+    crossing, and that alone puts them at opposite ends.
+
+    Only pairs of distinct supporter sets u, v (u first seen before v) are
+    differenced, lazily, so the layout stops at the first conflicting pair
+    without the rest of the family being built.  The first candidate pair
+    carrying {u, v} is (first(u), first(v)), in that orientation, so the
+    family's distinct sets arrive in the order the candidate pairs give."""
     full = election.all_voters_mask()
-    masks = election.candidate_voters
-    family: list[int] = []
-    for c in range(election.m):
-        for d in range(c + 1, election.m):
-            pair = (masks[c] & ~masks[d], masks[d] & ~masks[c])
-            family += (x for x in pair if x != full)
+    masks = list(dict.fromkeys(election.candidate_voters))
+    family = (
+        x
+        for a, u in enumerate(masks)
+        for v in masks[a + 1 :]
+        for x in (u & ~v, v & ~u)
+        if x != full
+    )
     layout = _prefix_suffix_layout(election.n, family)
     if layout is None:
         return None
@@ -295,28 +307,38 @@ def _recognize_wsc(election: Election) -> WSCWitness | None:
 
 
 def _prefix_suffix_layout(
-    num_columns: int, masks: Sequence[int]
+    num_columns: int, masks: Iterable[int]
 ) -> tuple[list[int], dict[int, str]] | None:
     """Assign each column mask to an end ('prefix'/'suffix') of a single column order.
 
     Two sets can share an end only if nested; sets at opposite ends must
     intersect in exactly max(0, |A|+|B|-num_columns) columns.  These pairwise
     constraints induce a parity two-coloring; the order itself follows from
-    the two containment chains.
+    the two containment chains.  Each distinct nonempty mask is tested
+    against every earlier one as it arrives, so the first pair that is
+    neither nested nor crossing ends the layout before later masks are read.
     """
-    fam = [mask for mask in dict.fromkeys(masks) if mask]
-    size = [mask.bit_count() for mask in fam]
-    edges: list[list[tuple[int, int]]] = [[] for _ in fam]  # (neighbor, parity)
-    for i in range(len(fam)):
-        for j in range(i + 1, len(fam)):
-            common = fam[i] & fam[j]
-            same = common in (fam[i], fam[j])
-            cross = common.bit_count() == max(0, size[i] + size[j] - num_columns)
+    fam: list[int] = []
+    size: list[int] = []
+    edges: list[list[tuple[int, int]]] = []  # (neighbor, parity)
+    seen: set[int] = {0}
+    for mask in masks:
+        if mask in seen:
+            continue
+        seen.add(mask)
+        j, bits, near = len(fam), mask.bit_count(), []
+        for i, other in enumerate(fam):
+            common = other & mask
+            same = common in (other, mask)
+            cross = common.bit_count() == max(0, size[i] + bits - num_columns)
             if not same and not cross:
                 return None
             if same != cross:
                 edges[i].append((j, int(cross)))
-                edges[j].append((i, int(cross)))
+                near.append((i, int(cross)))
+        fam.append(mask)
+        size.append(bits)
+        edges.append(near)
 
     color = [-1] * len(fam)
     for start in range(len(fam)):

@@ -79,6 +79,10 @@ class GenSpec:
         p = self.params.get("p")
         if p is not None and not 0 <= p <= 1:
             raise ValueError("approval probability must lie in [0, 1]")
+        for key in ("sigma", "radius_sigma"):
+            spread = self.params.get(key)
+            if spread is not None and not 0 <= spread < math.inf:  # nan fails too
+                raise ValueError(f"{key} must be a finite number >= 0, got {spread}")
         owner = self.params.get("radius_owner", "candidate")
         if owner not in ("candidate", "voter"):
             raise ValueError(f"radius_owner must be 'candidate' or 'voter', got {owner!r}")

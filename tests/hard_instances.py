@@ -145,3 +145,23 @@ def pr_without_ir_instance() -> Election:
 # fixture function, keep the profiles they were recorded on.
 AV_IR_FAILURE = Election.from_approvals([{0}, {1, 2}, {1, 2}, {0, 1, 2}], m=3, k=2)
 SAV_IR_FAILURE = Election.from_approvals([{0}] + [{1, 2}] * 3 + [{0, 1, 2}] * 2, m=3, k=2)
+
+# IR failures of the sequential rules at m = 3, k = 2, each with the fewest
+# voters of a tie-free failure (an exhaustive search over n <= 9): every f_i
+# is 1, {c1, c2} is the only IR committee, and each rule elects {c1, c3},
+# which leaves the one voter approving only c2 with nothing, so semi-strong
+# JR fails too.  No pick ties, so every relabelling of the candidates elects
+# the relabelled committee.  seq-PAV picks c3 (gain 5 against 4 and 4), then
+# c1 (3 against 5/2).
+SEQ_PAV_IR_FAILURE = Election.from_approvals(
+    [{0}, {0}, {1}, {0, 2}, {0, 2}, {1, 2}, {1, 2}, {1, 2}], m=3, k=2
+)
+# seq-Phragmén loads c1 at 1/5 (c3 1/4, c2 1/3), then c3 at 9/20 (c2 7/15).
+SEQ_PHRAGMEN_IR_FAILURE = Election.from_approvals(
+    [{0}, {1}, {0, 2}, {0, 2}, {0, 1, 2}, {0, 1, 2}], m=3, k=2
+)
+# The same profile defeats Rule X: its equal-shares phase buys c1 at 1/5 from
+# the k/n = 1/3 budgets, after which neither c2 (9/15 left among its
+# supporters) nor c3 (8/15) is affordable, and the seq-Phragmén completion
+# from the residual budgets takes c3 at 7/60 (c2 8/60).
+RULE_X_IR_FAILURE = SEQ_PHRAGMEN_IR_FAILURE

@@ -12,7 +12,12 @@ recursive EJR/PJR cohesive-set search and cover search (which builds every
 leaf), the digit-string and the byte-splitting counters, the per-mask
 order positions, the frozenset prefix/suffix layout with
 the run-pattern WSC check, the frozen-set t-PART recognizer and witness
-check, the token-by-token ``.avp`` reader, the voter-by-voter and the
+check, the WSC recognizer that differences every candidate pair
+(``recognize_wsc_over_candidate_pairs``), with the mask layout that builds
+the whole family before testing a pair
+(``prefix_suffix_layout_over_whole_family``) and the WSC check over every
+candidate pair (``wsc_order_valid_per_candidate_pair``), the
+token-by-token ``.avp`` reader, the voter-by-voter and the
 row-per-distinct-ballot mask builders, the set-building generators and the
 rule probe that lists every winner are the engines the package replaced; they stay here as references for the
 ones that replaced them.  ``enumerate_committees`` lists every committee
@@ -58,9 +63,11 @@ from irlab.model import (
     VoterGroup,
     _iter_bits,
     first_unmet,
+    is_run,
     mask_to_set,
     members_mask,
     padding,
+    position_masks,
 )
 from irlab import c1p, rules
 from irlab.rules import MAX_ENUMERATED_COMMITTEES, RuleId, probe, run_rule
@@ -1064,6 +1071,99 @@ def prefix_suffix_layout(
             return None  # pairwise-consistent but globally infeasible; caught here
         side_of[s] = side
     return order, side_of
+
+
+def recognize_wsc_over_candidate_pairs(election: Election) -> WSCWitness | None:
+    """WSC recognition that differences every pair of candidates, equal
+    supporter sets included, and builds the whole family before laying it
+    out with :func:`prefix_suffix_layout_over_whole_family`."""
+    full = election.all_voters_mask()
+    masks = election.candidate_voters
+    family: list[int] = []
+    for c in range(election.m):
+        for d in range(c + 1, election.m):
+            pair = (masks[c] & ~masks[d], masks[d] & ~masks[c])
+            family += (x for x in pair if x != full)
+    layout = prefix_suffix_layout_over_whole_family(election.n, family)
+    if layout is None:
+        return None
+    order, _ = layout
+    if not wsc_order_valid_per_candidate_pair(election, order):
+        raise AssertionError("internal error: the WSC layout failed verification")
+    return WSCWitness(voter_order=tuple(order))
+
+
+def prefix_suffix_layout_over_whole_family(
+    num_columns: int, masks: Sequence[int]
+) -> tuple[list[int], dict[int, str]] | None:
+    """The mask prefix/suffix layout that deduplicates the whole family first
+    and then tests its pairs row by row."""
+    fam = [mask for mask in dict.fromkeys(masks) if mask]
+    size = [mask.bit_count() for mask in fam]
+    edges: list[list[tuple[int, int]]] = [[] for _ in fam]  # (neighbor, parity)
+    for i in range(len(fam)):
+        for j in range(i + 1, len(fam)):
+            common = fam[i] & fam[j]
+            same = common in (fam[i], fam[j])
+            cross = common.bit_count() == max(0, size[i] + size[j] - num_columns)
+            if not same and not cross:
+                return None
+            if same != cross:
+                edges[i].append((j, int(cross)))
+                edges[j].append((i, int(cross)))
+
+    color = [-1] * len(fam)
+    for start in range(len(fam)):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v, parity in edges[u]:
+                want = color[u] ^ parity
+                if color[v] == -1:
+                    color[v] = want
+                    stack.append(v)
+                elif color[v] != want:
+                    return None
+
+    def layers(side: int) -> list[int]:
+        chain = sorted((i for i in range(len(fam)) if color[i] == side), key=size.__getitem__)
+        rank = [len(chain)] * num_columns
+        covered = 0
+        for r, i in enumerate(chain):
+            for col in _iter_bits(fam[i] & ~covered):
+                rank[col] = r
+            covered |= fam[i]
+        return rank
+
+    prefix_rank, suffix_rank = layers(0), layers(1)
+    order = sorted(range(num_columns), key=lambda col: (prefix_rank[col], -suffix_rank[col], col))
+    side_of: dict[int, str] = {}
+    for i, pm in enumerate(position_masks(fam, order)):
+        side = "suffix" if color[i] else "prefix"
+        if not is_run(pm, side, num_columns):
+            return None
+        side_of[fam[i]] = side
+    return order, side_of
+
+
+def wsc_order_valid_per_candidate_pair(election: Election, order: Sequence[int]) -> bool:
+    """The position-mask WSC check over every pair of candidates, equal
+    supporter sets included."""
+    n = election.n
+    along = position_masks(election.candidate_voters, order)
+    for c in range(election.m):
+        for d in range(c + 1, election.m):
+            only_c = along[c] & ~along[d]
+            only_d = along[d] & ~along[c]
+            if not (
+                is_run(only_c, "prefix") and is_run(only_d, "suffix", n)
+                or is_run(only_d, "prefix") and is_run(only_c, "suffix", n)
+            ):
+                return False
+    return True
 
 
 # --------------------------------------------------------------------------

@@ -18,18 +18,22 @@ n = 10,000, m = 1,000 each generate within 0.3 s (best of 3; about
 was tested); CI recognition of ci_euclid and VI recognition of
 vi_euclid at n = 1,000, m = 200 (seed 1) each take under 1 s (about
 20 and 10 ms on a 2-core VM; CI took about 170 ms when each
-addition rescanned the remaining sets); a one-voter profile listing
-every candidate parses in time linear in m (about 4x from m = 2^15
-to 2^17, where one OR per index into the ballot mask made it about
-16x) and `irlab gen` refuses an m above the generators' limit;
-`irlab check` refuses a 2 KB profile of 1,000 voters over 2^17
-candidates (n*m above the cell bound) with exit 2, and one at the
-bound parses; JR, semi-strong JR, EJR, FJR and the core on a
-one-voter profile at k = 1000 (EJR, FJR and the core each search
-1,000 levels deep) return their pinned verdicts and costs within
-0.25 s together (about 40 ms on a 2-core VM; counting the
-committee in unary layers per level made it about 260 ms); fail
-on a mismatch, a slow run or a peak RSS above 200 MB.
+addition rescanned the remaining sets); WSC recognition at n = 1,000,
+m = 200 of ic, vi_euclid, euclid_2d and mallows (seed 1, non-members)
+and urn (seeds 1 and 2, members) returns each verdict within 0.05 s
+together (about 3 ms on a 2-core VM; about 0.15 s when every candidate
+pair was differenced and the whole family built before a pair was
+tested); a one-voter profile listing every candidate parses in time
+linear in m (about 4x from m = 2^15 to 2^17, where one OR per index
+into the ballot mask made it about 16x) and `irlab gen` refuses an m
+above the generators' limit; `irlab check` refuses a 2 KB profile of
+1,000 voters over 2^17 candidates (n*m above the cell bound) with exit
+2, and one at the bound parses; JR, semi-strong JR, EJR, FJR and the
+core on a one-voter profile at k = 1000 (EJR, FJR and the core each
+search 1,000 levels deep) return their pinned verdicts and costs within
+0.25 s together (about 40 ms on a 2-core VM; counting the committee in
+unary layers per level made it about 260 ms); fail on a mismatch, a
+slow run or a peak RSS above 200 MB.
 
 Not collected by pytest; run it from the repository root as
 
@@ -88,6 +92,18 @@ def smoke() -> None:
         took = time.perf_counter() - t
         print(model, "n=1000 m=200", domain, f"recognize {took * 1000:.1f} ms")
         assert witness is not None and took < 1.0, f"{domain} recognition of {model} is too slow"
+    wsc_total = 0.0
+    for model, seed, member in (("ic", 1, False), ("vi_euclid", 1, False), ("euclid_2d", 1, False),
+                                ("mallows", 1, False), ("urn", 1, True), ("urn", 2, True)):
+        profile = generate(GenSpec(model=model, n=1000, m=200, seed=seed))
+        t = time.perf_counter()
+        witness = recognize(profile, "WSC")
+        took = time.perf_counter() - t
+        wsc_total += took
+        print(model, f"seed {seed} n=1000 m=200 WSC", witness is not None, f"recognize {took * 1000:.2f} ms")
+        assert (witness is not None) == member, f"WSC verdict on {model} seed {seed}"
+    print(f"the six WSC recognitions {wsc_total * 1000:.2f} ms")
+    assert wsc_total < 0.05, "WSC recognition at n = 1,000, m = 200 is too slow"
     big = generate(GenSpec(model="euclid_2d", n=1000, m=60, seed=0), k=5)
     for label, profile in (("ic n=40 m=30 k=7", e), ("euclid_2d n=1000 m=60 k=5", big)):
         t = time.perf_counter()

@@ -12,6 +12,7 @@ from irlab import cli
 from irlab.cli import AXIOM_NAMES, RULE_NAMES, main
 from irlab.cohesion import f_vector
 from irlab.domains import InvalidWitnessError
+from irlab.experiment import ExperimentSpec, instance_seed
 from irlab.gen import MAX_GEN_CANDIDATES, MODELS, GenSpec, generate
 from irlab.model import MAX_CANDIDATES, MAX_CELLS, Election, serialize_profile
 from irlab.search import DEFAULT_NODE_CAP, BudgetExceededError
@@ -326,9 +327,11 @@ def test_solve_min_beta_alpha_below_one_exit_two(tmp_path):
         (["gen", "--model", "urn", "--p", "0.9"], "--p is for --model ic only"),
         (["gen", "--model", "ic", "--radius-owner", "candidate"],
          "--radius-owner is for --model euclid_2d only"),
+        (["gen", "--model", "urn", "--sigma", "0.1"],
+         "--sigma is for --model vi_euclid, ci_euclid or euclid_2d only"),
     ],
     ids=["check-alpha", "check-beta", "solve-alpha", "solve-beta", "construct-tree",
-         "gen-p", "gen-radius-owner"],
+         "gen-p", "gen-radius-owner", "gen-sigma"],
 )
 def test_option_the_request_does_not_read_exit_two(tmp_path, args, message):
     # an option the request would ignore is refused, even at its default value
@@ -341,6 +344,23 @@ def test_option_the_request_does_not_read_exit_two(tmp_path, args, message):
     result = CliRunner().invoke(main, [command, *target, *rest])
     _assert_usage_error(result)
     assert message in result.output
+
+
+@pytest.mark.parametrize("model", ["vi_euclid", "ci_euclid"])
+def test_gen_sigma_writes_the_experiment_instance(model):
+    # the experiment samples the 1D Euclidean models at its desk-scale sigma;
+    # `irlab gen --sigma` with the instance seed writes that same profile
+    spec = ExperimentSpec(models=(model,), k_values=(5,))
+    seed = instance_seed(spec.seed, model, 5, 0)
+    sigma = spec.gen_params[model]["sigma"]
+    gspec = GenSpec(model=model, n=spec.n, m=spec.m, seed=seed, params=spec.gen_params[model])
+    args = ["gen", "--model", model, "--n", "40", "--m", "16", "--k", "5",
+            "--seed", str(seed), "--sigma", str(sigma)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == serialize_profile(generate(gspec, k=5))
+    default = CliRunner().invoke(main, args[:-2])
+    assert default.stdout != result.stdout  # the generator default is another sigma
 
 
 _IC_P = GenSpec(model="ic", n=12, m=6, seed=4, params={"p": 0.3})

@@ -9,11 +9,13 @@ from irlab.c1p import _build_components, _Rejected, consecutive_ones_order, is_c
 from irlab.axioms import IR, SSJR, alpha_beta_ir, check
 from irlab.cohesion import f_vector, vi_certificates
 from irlab.domains import (
+    CEIWitness,
     CIWitness,
     ConstructionInfeasibleError,
     InvalidWitnessError,
     TPartWitness,
     TreeWitness,
+    VEIWitness,
     VIWitness,
     construct,
     recognize,
@@ -38,11 +40,14 @@ from oracles import (
     consecutive_ones_order_rescanning,
     consecutive_order_exists,
     ends_order_exists,
+    prefix_suffix_layout_over_whole_family,
     recognize_by_sets,
+    recognize_wsc_over_candidate_pairs,
     recognize_tpart_by_sets,
     verify_by_sets,
     verify_tpart_by_sets,
     wsc_order_exists,
+    wsc_order_valid_per_candidate_pair,
 )
 import hard_instances
 from hard_instances import uncoverable_line_instance, two_camps_with_bridge, uneven_cohorts, disjoint_blocks_instance, opposed_ends_instance
@@ -161,6 +166,61 @@ def test_mask_layout_matches_set_oracle():
                 other = _perturbed(rng, witness)
                 assert verify_witness(e, domain, other) == verify_by_sets(e, domain, other)
     assert members > 300
+
+
+def _typed_ballot_election(rng):
+    """Up to 40 voters drawing from 1-5 ballot types, so supporter sets
+    repeat; a type is a random set, an interval of a hidden candidate order,
+    the empty ballot or the full one."""
+    n, m = rng.randint(1, 40), rng.randint(1, 10)
+    hidden = rng.sample(range(m), m)
+    types = []
+    for _ in range(rng.randint(1, 5)):
+        roll = rng.random()
+        if roll < 0.4:
+            a = rng.randrange(m)
+            types.append(set(hidden[a : rng.randint(a + 1, m)]))
+        elif roll < 0.5:
+            types.append(set())
+        elif roll < 0.6:
+            types.append(set(range(m)))
+        else:
+            types.append({c for c in range(m) if rng.random() < 0.5})
+    return Election.from_approvals([rng.choice(types) for _ in range(n)], m=m, k=1)
+
+
+def _whole_family_witness(e, domain):
+    """``recognize`` for CEI, VEI and WSC over the whole-family oracles."""
+    if domain == "WSC":
+        return recognize_wsc_over_candidate_pairs(e)
+    size, masks = (e.m, e.ballot_masks) if domain == "CEI" else (e.n, e.candidate_voters)
+    layout = prefix_suffix_layout_over_whole_family(size, masks)
+    if layout is None:
+        return None
+    order, side_of = layout
+    kind = CEIWitness if domain == "CEI" else VEIWitness
+    return kind(tuple(order), tuple(side_of.get(mask, "prefix") for mask in masks))
+
+
+def test_distinct_set_layout_matches_whole_family_oracle():
+    # the layout reads distinct supporter sets lazily and stops at the first
+    # conflicting pair; every witness and every WSC check verdict stays put
+    rng = random.Random(61)
+    members = {"CEI": 0, "VEI": 0, "WSC": 0}
+    for _ in range(2000):
+        e = _typed_ballot_election(rng)
+        for domain in members:
+            witness = recognize(e, domain)
+            assert witness == _whole_family_witness(e, domain), (domain, e.approvals)
+            if witness is None:
+                continue
+            members[domain] += 1
+            if domain == "CEI":
+                continue  # a candidate order: the WSC check reads voter orders
+            for other in (witness, _perturbed(rng, witness)):
+                order = other.voter_order
+                assert domains._wsc_order_valid(e, order) == wsc_order_valid_per_candidate_pair(e, order)
+    assert min(members.values()) > 500, members
 
 
 def test_interval_recognizers_survive_deep_nesting():

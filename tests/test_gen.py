@@ -212,6 +212,23 @@ def test_unknown_radius_owner_fails_when_the_spec_is_built():
         ExperimentSpec(gen_params={"euclid_2d": {"radius_owner": "both"}})
 
 
+def test_spread_outside_zero_to_finite_fails_when_the_spec_is_built():
+    import pytest
+    from click.testing import CliRunner
+
+    from irlab.cli import main
+
+    # a negative spread sampled what its absolute value does, and a nan or
+    # inf radius made every voter approve every candidate
+    for spread in (-0.1, float("nan"), float("inf")):
+        for key in ("sigma", "radius_sigma"):
+            with pytest.raises(ValueError, match=f"{key} must be a finite number >= 0"):
+                GenSpec(model="euclid_2d", n=5, m=5, seed=1, params={key: spread})
+        args = ["gen", "--model", "vi_euclid", "--n", "5", "--m", "4", f"--sigma={spread}"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2 and "sigma must be a finite number >= 0" in result.output
+
+
 def test_parameters_no_builder_reads_fail_when_the_spec_is_built():
     import pytest
 

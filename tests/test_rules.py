@@ -2,7 +2,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -31,7 +31,10 @@ from oracles import max_phragmen_load_vector_by_merge_test, rule_x_rescanning
 from oracles import probe_rule as oracle_probe_rule
 from hard_instances import (
     AV_IR_FAILURE,
+    RULE_X_IR_FAILURE,
     SAV_IR_FAILURE,
+    SEQ_PAV_IR_FAILURE,
+    SEQ_PHRAGMEN_IR_FAILURE,
     hamming_bait_instance,
     load_bait_instance,
     coverage_bait_instance,
@@ -265,6 +268,25 @@ def test_approval_rules_miss_an_existing_ir_committee(kind, e):
     assert all_members(out) == [[1, 2]]
     assert not {w.members for w in out.committees} & set(ir)
     assert probe(e, RuleId(kind), [f]) == (False,)
+
+
+@pytest.mark.parametrize(
+    "kind, e",
+    [("seq_pav", SEQ_PAV_IR_FAILURE), ("seq_phragmen", SEQ_PHRAGMEN_IR_FAILURE),
+     ("rule_x", RULE_X_IR_FAILURE)],
+)
+def test_sequential_rules_miss_an_existing_ir_committee(kind, e):
+    f = entitlements(e)
+    assert f == [1] * e.n
+    assert brute_ir_committees(e, f) == [frozenset({0, 1})]
+    out = run_rule(e, RuleId(kind))
+    assert all_members(out) == [[0, 2]]
+    # with every f_i = 1, semi-strong JR asks the same and fails too
+    assert probe(e, RuleId(kind), [f, demands(f, "FIND_SSJR")]) == (False, False)
+    # no pick is a tie: every relabelling elects the relabelled committee
+    for perm in permutations(range(e.m)):
+        relabelled = Election.from_approvals([{perm[c] for c in a} for a in e.approvals], m=e.m, k=e.k)
+        assert members(run_rule(relabelled, RuleId(kind))) == sorted(perm[c] for c in (0, 2))
 
 
 def test_probe_trivial_when_entitlements_zero():
