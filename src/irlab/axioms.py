@@ -358,9 +358,11 @@ def verify_violation(
     of |S|*n/k voters, which must be N(S) for the individual kinds; all but
     FJR and the core need |S| = ``level`` and S inside each named ballot.
     Then each named voter passes its kind's test on the committee members it
-    holds (PJR's voters pass theirs together).  A malformed witness fails
-    first: voters and candidates not sets of ints in [0, n) and [0, m), or a
-    ``level`` not a positive int (or integral Fraction) where the kind reads one.
+    holds (PJR's voters pass theirs together); IR, (alpha,beta)-IR, JR and
+    EJR hold fewer than the integer demand of ``level``, `deficits_for`'s
+    rule.  A malformed witness fails first: voters and candidates not sets
+    of ints in [0, n) and [0, m), or a ``level`` not a positive int (or
+    integral Fraction) where the kind reads one.
     """
     n, k = election.n, election.k
     ballots, wmask = election.ballot_masks, committee.mask()
@@ -385,7 +387,7 @@ def verify_violation(
             return False
         if kind == "PJR":
             return _footprint(ballots, named, wmask) < level
-    alpha, beta = axiom.alpha or 1, axiom.beta or 0
+    demand = deficits_for([level], axiom.alpha or 1, axiom.beta or 0)[0]
 
     def holds(i):
         held = (ballots[i] & wmask).bit_count()
@@ -393,7 +395,7 @@ def verify_violation(
             return (ballots[i] & smask).bit_count() > held
         if kind == "FJR":
             return (ballots[i] & smask).bit_count() >= level > held
-        return held == 0 if kind == "SSJR" else alpha * held + beta < level
+        return held == 0 if kind == "SSJR" else held < demand
 
     return all(map(holds, named))
 

@@ -497,15 +497,14 @@ def _vi_members(election: Election, witness: VIWitness) -> tuple[set[int], VITra
     pos, spans = _vi_spans(election, order)
     certs = _vi_sweep(election, pos, spans)
     n, k, ballots = election.n, election.k, election.ballot_masks
-    # a witness's supporters are the positions its candidates' spans share
-    # (every voter when the witness is empty); |N_<i| and |N_>=i| per voter
-    below, above = [0] * n, [0] * n
-    for cert in certs:
-        lo, hi = 0, n - 1
-        for c in cert.witness_set:
-            lo, hi = max(lo, spans[c][0]), min(hi, spans[c][1])
-        p = pos[cert.voter]
-        below[cert.voter], above[cert.voter] = p - lo, hi - p + 1
+    # voter v's witness supporters are one run of the order holding v (every
+    # voter when the witness is empty): |N_<v| and |N_>=v| are its ends.
+    # Voters share a few supporter sets, so each is placed once
+    groups = [cert.witness_supporters.mask for cert in certs]
+    distinct = list(dict.fromkeys(groups))
+    run = dict(zip(distinct, position_masks(distinct, order)))
+    below = [pos[v] + 1 - (run[g] & -run[g]).bit_length() for v, g in enumerate(groups)]
+    above = [run[g].bit_length() - pos[v] for v, g in enumerate(groups)]
 
     def vi_round(positions, support, taken):
         """One pass over ``positions``: each voter is topped up to

@@ -13,9 +13,9 @@ largest gains cannot reach the best score is cut, and once the completions
 of a prefix fit one block they are scored all at once: each completion is
 one bit of a Python int, the layers of its members come from
 ``search.lift`` and the scores are bit-sliced counters over those bits
-(``search.add``, ``settle``, ``maximum``), so a desk-scale profile (m = 16)
-is one block.  Monroe, minimax-AV and max-Phragmen key every committee
-(`_committee_search`).
+(``search.add``, ``settle``, ``maximum``), through one path whatever the
+seats left, so a desk-scale profile (m = 16) is one block.  Monroe,
+minimax-AV and max-Phragmen key every committee (`_committee_search`).
 
 Every kernel works on integers.  Thiele scores (PAV, CC, geometric PAV and
 their sequential forms) are scaled by the lcm of the weights' denominators;
@@ -34,10 +34,11 @@ scores a committee by one quota assignment (``search.quota_assignment``).
 
 `probe` is the experiment's question: per demand vector, does some winner
 give every voter that many approved members?  It runs the same kernels and
-builds no `Committee` and no `Fraction`.  Sequential rules and Monroe,
-minimax-AV and max-Phragmen test each winner's mask.  The Thiele searches,
-and AV and SAV as a weightless search over their tied pool, test the demands
-on the tied lanes of each block, so a tied winner is never listed.
+builds no `Committee` and no `Fraction`.  Sequential rules, Monroe,
+minimax-AV and max-Phragmen answer through one test of each winner's
+mask.  The Thiele searches, and AV and SAV as a weightless search over their
+tied pool, test the demands on the tied lanes of each block, so a tied
+winner is never listed.
 """
 
 from __future__ import annotations
@@ -461,13 +462,14 @@ def _thiele_search(
     far and some weight, where a cut outweighs its cost.
 
     Once the pool of the p candidates past a prefix and its r seats left fit
-    one block (p * C(p, r) membership bits at most `_BLOCK_BITS`), the block
-    scores all its completions at once, one lane each, in bit-sliced
-    counters: a class with t0 approved prefix members gains weight t0 + t - 1
-    on the lanes of its at-least layer G[t] (`search.lift` over the block's
-    `search.memberships`), so its voters are counted there, and the block's
-    score is those counts times the weights.  A winner is kept only with a
-    key above the best so far (or equal to it, when all ties are wanted).
+    one block (p * C(p, r) membership bits at most `_BLOCK_BITS`, or r = 0),
+    the block scores all its completions at once, one lane each, in
+    bit-sliced counters, on one path for every r: a class with t0 approved
+    prefix members gains weight t0 + t - 1 on the lanes of its at-least
+    layer G[t] (`search.lift` over the block's `search.memberships`), so its
+    voters are counted there, and the block's score is those counts times
+    the weights.  A winner is kept only with a key above the best so far (or
+    equal to it, when all ties are wanted).
 
     Given the ``width`` of the classes' demand vectors, the search probes
     instead of listing winners: a block yields one pair, its best key and,
@@ -491,17 +493,14 @@ def _thiele_search(
     def block(nxt, r):
         counts, score = prefix_counts()
         p = m - nxt
-        masks = memberships(p, r) if r > 1 else ()
+        masks = memberships(p, r)
         lanes = (1 << comb(p, r)) - 1
         gained = [[] for _ in range(depth)]  # per lane, the voters gaining weight j (carry-save)
         hits = [lanes] * (width or 0)
         for (ballot, mult, need), t0, deep in zip(classes, counts, deepest):
-            part = ballot >> nxt
             most = min(r, depth - t0)  # approved members past it gain nothing
-            top = min(r, max(most, deep - t0)) if part else 0
-            layers = [lanes, part] if r == 1 and top else [lanes]  # r = 1: lane c is c alone
-            if r > 1 and top:
-                lift(layers, masks, part, top)
+            layers = [lanes]
+            lift(layers, masks, ballot >> nxt, min(r, max(most, deep - t0)))
             if most > 0:
                 for j, layer in enumerate(layers[1 : most + 1], t0):
                     add(gained[j], mult, layer)
@@ -522,18 +521,13 @@ def _thiele_search(
         for j in _iter_bits(tied):
             yield score + value, (*chosen, *[nxt + c for c in unrank(j, p, r)])
 
-    # a prefix with r seats left is one block from nxt = start[r] on, as
-    # pools only shrink; a prefix with no seat left is a block of one committee
-    start = [0] + [
-        next((x for x in range(m - r + 1) if (m - x) * comb(m - x, r) <= _BLOCK_BITS), m)
-        for r in range(1, k + 1)
-    ]
     best, winners = None, []
     chosen: list[int] = []
     nxt = 0
     while True:
         left = k - len(chosen)  # seats still to fill
-        if start[left] <= nxt <= m - left:
+        # a prefix with no seat left is a block of one committee
+        if nxt <= m - left and (not left or (m - nxt) * comb(m - nxt, left) <= _BLOCK_BITS):
             for key, winner in block(nxt, left):
                 if best is None or key > best:
                     best, winners = key, [winner]
@@ -684,25 +678,24 @@ def probe(election: Election, rule: RuleId, wanted: Sequence[Sequence[int]]) -> 
 
     Exact rules are probed over all their tied winners, and raise where
     ``run_rule(..., "all_tied")`` does; sequential rules over their single
-    output.  No `Committee` and no `Fraction` is built.  Monroe, minimax-AV
-    and max-Phragmen test each tied winner's mask.  PAV, CC and geometric
-    PAV test the demands on the tied lanes of their blocks.  So do AV and
-    SAV: their tied winners are the mandatory members plus any completion
-    from the tied pool, the lanes of a weightless Thiele search over that
-    pool in which each class demands what the mandatory members leave it
-    short, max(0, d - t0) for t0 mandatory members on its ballot.
+    output.  No `Committee` and no `Fraction` is built.  Sequential rules,
+    Monroe, minimax-AV and max-Phragmen test each winner's mask.  PAV, CC
+    and geometric PAV test the demands on the tied lanes of their blocks.  So
+    do AV and SAV: their tied winners are the mandatory members plus any
+    completion from the tied pool, the lanes of a weightless Thiele search
+    over that pool in which each class demands what the mandatory members
+    leave it short, max(0, d - t0) for t0 mandatory members on its ballot.
     """
     if any(len(demand) != election.n for demand in wanted):
         raise ValueError("a demand vector needs one demand per voter")
     enumeration_guard(rule, election.m, election.k)
-    if rule.is_sequential:
-        wmask = members_mask(_SEQUENTIAL[rule.kind](election)[0])
-        return tuple(first_unmet(election, wmask, demand) is None for demand in wanted)
-    if rule.kind in _COMMITTEE_KEYS:
-        wmasks = [members_mask(w) for w in _committee_search(election, rule.kind, True)[0]]
-        return tuple(
-            any(first_unmet(election, w, demand) is None for w in wmasks) for demand in wanted
-        )
+    if rule.is_sequential or rule.kind in _COMMITTEE_KEYS:
+        if rule.is_sequential:
+            winners = [_SEQUENTIAL[rule.kind](election)[0]]
+        else:
+            winners = _committee_search(election, rule.kind, True)[0]
+        wmasks = [members_mask(w) for w in winners]
+        return tuple(any(first_unmet(election, w, d) is None for w in wmasks) for d in wanted)
     # the voters of one class are met together
     classes = _ballot_classes(election, wanted)
     if rule.kind in ("av", "sav"):

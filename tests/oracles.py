@@ -28,7 +28,9 @@ experiment's instance path over ``f_vector`` certificates,
 every instance, and ``check_given_certificates`` the IR and semi-strong JR
 checks over the certificates;
 ``verify_violation_per_kind`` is the witness re-check with one branch per
-axiom kind that ``axioms.verify_violation`` replaced;
+axiom kind that ``axioms.verify_violation`` replaced, and
+``shortfall_by_fractions`` the `Fraction` shortfall it tested before it
+compared a voter's members with the integer demand of ``level``;
 ``find_committee_per_objective`` is the solver with one result path per
 objective, and ``max_phragmen_load_vector_by_merge_test`` the load vector
 with `Fraction` ratios and a re-tested merge, that the grid solve and the
@@ -1462,6 +1464,13 @@ def verify_violation_per_kind(
             union |= election.ballot_masks[i]
         return (union & wmask).bit_count() * share < len(hall)
     raise ValueError(f"no witness verification for {kind}")
+
+
+def shortfall_by_fractions(axiom: AxiomId, held: int, level: Fraction | int) -> bool:
+    """Whether a voter holding ``held`` committee members falls short of
+    ``level`` under IR, (alpha,beta)-IR, JR or EJR: alpha*held + beta < level
+    in `Fraction` arithmetic (alpha = 1 and beta = 0 but for (alpha,beta)-IR)."""
+    return (axiom.alpha or 1) * held + (axiom.beta or 0) < level
 
 
 def _thiele_classes(

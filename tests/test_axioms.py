@@ -40,6 +40,7 @@ from oracles import (
     naive_jr,
     naive_perfect,
     naive_pjr,
+    shortfall_by_fractions,
     verify_violation_per_kind,
 )
 from hard_instances import (
@@ -130,6 +131,10 @@ def test_alpha_beta_parameter_validation():
         alpha_beta_ir(1, -1)
     with pytest.raises(ValueError):
         axioms.AxiomId("JR", alpha=Fraction(2))
+    with pytest.raises(ValueError, match="^unknown axiom 'NOPE'$"):
+        axioms.AxiomId("NOPE")
+    with pytest.raises(ValueError, match="^ALPHA_BETA_IR requires alpha and beta$"):
+        axioms.AxiomId("ALPHA_BETA_IR")
 
 
 def test_oracle_equivalence_small_random():
@@ -472,6 +477,43 @@ def test_verify_violation_matches_per_kind_oracle():
                 verdicts += 1
                 violations += expected is True
     assert verdicts >= 40_000 and violations >= 2_000, (verdicts, violations)
+
+
+def test_verify_violation_shortfall_matches_the_fraction_oracle():
+    # random (alpha,beta)-IR witnesses sound in every field but the shortfall:
+    # S inside a voter's ballot and backed by its supporters N(S), the group,
+    # the level |S| as an integral Fraction, deprived voters drawn from N(S)
+    # (one of them, mostly, as the checks name).  alpha and beta are
+    # non-integral, so the integer demand rounds up; half the pairs have
+    # alpha + beta whole, so alpha*held + beta meets the level exactly on
+    # some voters
+    rng = random.Random(3803)
+    alphas = [Fraction(p, q) for p, q in ((3, 2), (4, 3), (5, 4), (5, 3), (7, 4))]
+    betas = [Fraction(p, q) for p, q in ((1, 4), (1, 3), (1, 2), (2, 3), (3, 4), (3, 2))]
+    seen = {"verified": 0, "refused": 0, "at the level": 0}
+    for _ in range(20000):
+        e = random_election(rng, n_max=6, m_max=6, k_max=6, density=0.6)
+        w = random_committee(rng, e)
+        ballot = e.ballot_masks[rng.randrange(e.n)]
+        cands = frozenset(c for c in mask_to_set(ballot) if rng.random() < 0.8)
+        supporters = mask_to_set(e.supporters_mask(cands))
+        if not cands or len(supporters) * e.k < len(cands) * e.n:
+            continue
+        if rng.random() < 0.7:
+            deprived = frozenset([rng.choice(sorted(supporters))])
+        else:
+            deprived = frozenset(i for i in supporters if rng.random() < 0.5) or supporters
+        level = Fraction(len(cands))
+        alpha = rng.choice(alphas)
+        beta = rng.choice(betas) if rng.random() < 0.5 else 2 - alpha + rng.randint(0, 1)
+        axiom = alpha_beta_ir(alpha, beta)
+        held = [(e.ballot_masks[i] & w.mask()).bit_count() for i in deprived]
+        expected = all(shortfall_by_fractions(axiom, h, level) for h in held)
+        witness = ViolationWitness(supporters, cands, level, deprived)
+        assert verify_violation(e, w, axiom, witness) == expected, (axiom, e.approvals, witness)
+        seen["verified" if expected else "refused"] += 1
+        seen["at the level"] += any(axiom.alpha * h + axiom.beta == level for h in held)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_malformed_witnesses_neither_raise_nor_verify():

@@ -394,6 +394,8 @@ _SEARCH_OF_TWO = GenSpec(model="urn", n=6, m=4, seed=2)
         (["experiment", "--models", "ic,ic", "--k-min", "2", "--k-max", "2", "--instances", "2",
           "--no-timing", "--out", "{out}"], 2, "model ic is listed twice"),
         (["experiment", "--models", ",", "--out", "{out}"], 2, "no model given"),
+        (["experiment", "--instances", "0", "--out", "{out}"], 2, "instances must be at least 1"),
+        (["experiment", "--k-max", "17", "--out", "{out}"], 2, "k=17 outside [1, 16]"),
         (["gen", "--model", "ic", "--n", "12", "--m", "6", "--seed", "4", "--p", "0.3"], 0,
          serialize_profile(generate(_IC_P))),
         (["check", "{walk}", "--committee", "1,2", "--axiom", "core", "--cap", "1", "--json"], 0,
@@ -407,8 +409,8 @@ _SEARCH_OF_TWO = GenSpec(model="urn", n=6, m=4, seed=2)
     ids=["committee-token", "committee-index", "beta-missing", "alpha-below-one", "rule-weight",
          "rule-all-tied-sequential", "recognize-expect-all", "construct-tree-missing",
          "group-axiom-size", "pr-k-not-dividing-n", "solve-expect-found", "experiment-model-twice",
-         "experiment-no-model", "gen-p", "check-core-capped", "check-ir-walk-capped",
-         "solve-walk-capped", "solve-search-capped"],
+         "experiment-no-model", "experiment-no-instances", "experiment-k-above-m", "gen-p",
+         "check-core-capped", "check-ir-walk-capped", "solve-walk-capped", "solve-search-capped"],
 )
 def test_cli_exit_contract(tmp_path, args, code, message):
     # each exit code with its message: 2 for a usage error, 1 for an unmet

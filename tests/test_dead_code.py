@@ -1,10 +1,12 @@
-"""The package keeps no unused import and no unread private module name.
+"""The package keeps no unused import, no unread private module name and
+no unread parameter.
 
 Read with the standard ``ast`` module alone: each module of ``irlab`` but
 ``__init__.py`` (whose imports are the public re-exports) loads every name
-it imports, and every private name (``_x``) bound at a module's top level is
+it imports, every private name (``_x``) bound at a module's top level is
 read somewhere in the package outside its own definition, as a name or as a
-module attribute.
+module attribute, and every parameter of every function and lambda is read
+in its body.
 """
 
 import ast
@@ -45,6 +47,24 @@ def _private_definitions(tree):
         yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
 
 
+def _parameters(node):
+    """The names of a function's or lambda's parameters, ``*args`` and ``**kwargs`` included."""
+    args = node.args
+    every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    return [arg.arg for arg in every if arg is not None]
+
+
+def _body_loads(node) -> set[str]:
+    """The names a function's or lambda's body loads; its defaults,
+    annotations and decorators are not read.  A zero-argument ``super()``
+    reads the method's first parameter."""
+    body = node.body if isinstance(node.body, list) else [node.body]
+    loads = {name for part in body for name in _loaded(part)}
+    if "super" in loads:
+        loads.update(_parameters(node)[:1])
+    return loads
+
+
 def test_no_module_has_an_unused_import():
     unused = [
         f"{module}: {name}"
@@ -64,3 +84,15 @@ def test_every_private_module_name_is_read():
         if reads.count(name) == _read(node).count(name)
     ]
     assert not unread, unread
+
+
+def test_every_parameter_is_read():
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    unread = [
+        f"{module}:{node.lineno}: {name}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, functions)
+        for name in set(_parameters(node)) - _body_loads(node)
+    ]
+    assert not unread, sorted(unread)

@@ -452,6 +452,8 @@ def test_recognize_refuses_due_and_tree():
         recognize(e, "DUE")
     with pytest.raises(ValueError):
         recognize(e, "ALPHA_TR")
+    with pytest.raises(ValueError, match="^no witness verification for domain 'NOPE'$"):
+        verify_witness(e, "NOPE", CIWitness((0, 1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,10 @@ def test_committee_size_guard():
 def test_election_validation():
     with pytest.raises(ValueError):
         Election.from_approvals([{0}], m=0, k=1)
+    with pytest.raises(ValueError, match="^voter count must be positive, got 0$"):
+        Election(n=0, m=3, k=1, ballot_masks=())
+    with pytest.raises(ValueError, match="^candidate count must be positive, got 0$"):
+        Election(n=1, m=0, k=1, ballot_masks=(0,))
     with pytest.raises(ValueError):
         Election.from_approvals([{5}], m=3, k=1)
     with pytest.raises(ValueError):

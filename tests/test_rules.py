@@ -114,6 +114,8 @@ def test_unanimous_profile_every_rule():
 def test_all_tied_rejected_for_sequential():
     with pytest.raises(ValueError):
         run_rule(two_camps_with_bridge(), RuleId("seq_pav"), mode="all_tied")
+    with pytest.raises(ValueError, match="^unknown mode 'both'$"):
+        run_rule(two_camps_with_bridge(), RuleId("pav"), mode="both")
 
 
 def test_enumeration_guard():
@@ -407,12 +409,22 @@ def test_thiele_blocks_match_the_per_leaf_search(monkeypatch):
     """PAV, CC and geometric PAV scored in bit-sliced blocks give the
     committees, in order, and the diagnostics of the bounded search that
     scored one committee per leaf: with the whole space as one block, and
-    with lex prefixes that end in small blocks or in single committees."""
+    with lex prefixes that end in small blocks or in single committees.  The
+    blocks with one seat left and with none, counted as they read their
+    memberships, take the same path as the others."""
     rng = random.Random(67)
     bases = (Fraction(1, 16), Fraction(1, 2), Fraction(2, 3))
     family = [RuleId("pav"), RuleId("cc")] + [RuleId("geom_pav", weight=b) for b in bases]
     paths = Counter()
     whole = rules._BLOCK_BITS
+    real_memberships = rules.memberships
+
+    def counted(p, r):
+        paths["one-seat blocks"] += r == 1
+        paths["no-seat blocks"] += r == 0
+        return real_memberships(p, r)
+
+    monkeypatch.setattr(rules, "memberships", counted)
     for j, e in enumerate(_exact_rule_elections(rng, 300, 10)):
         block_bits = (whole, 24, 1)[j % 3]
         monkeypatch.setattr(rules, "_BLOCK_BITS", block_bits)

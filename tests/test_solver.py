@@ -594,6 +594,12 @@ def test_request_validation():
         SolveRequest(e, fvec[:-1])
     with pytest.raises(ValueError):
         SolveRequest(e, fvec, alpha=Fraction(1, 2))
+    with pytest.raises(ValueError, match="^node cap must be positive$"):
+        SolveRequest(e, fvec, node_cap=0)
+    with pytest.raises(ValueError, match="^node cap must be positive$"):
+        NodeBudget(0, stage="test")
+    with pytest.raises(ValueError, match="^demands are defined for FIND_IR and FIND_SSJR only$"):
+        solver.demands(entitlements(e), "MIN_BETA")
 
 
 def test_grid_solve_matches_the_per_objective_paths():
